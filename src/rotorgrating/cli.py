@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -87,6 +88,8 @@ def _get(cfg: dict, key: str, kinds, default=_REQUIRED):
         value = float(value)
     if isinstance(value, bool) and kinds in (float, int):
         raise ConfigError(f"'{key}' must be a number, got a boolean")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be a finite number, got {value}")
     if not isinstance(value, kinds if isinstance(kinds, tuple) else (kinds,)):
         want = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"'{key}' must be {want}, got {type(value).__name__}")
@@ -221,9 +224,10 @@ def cmd_simulate(args) -> int:
 
     pulse = PulseSpec(grating.theoretical_intensity, grating.tau_fwhm_ps, grating.t0_ps)
     cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
-    trace = reconstruct(fourier_decompose(cs, "y"), times)
+    dec = fourier_decompose(cs, "y")
+    trace = reconstruct(dec, times)
     signal_fn = intensity_grating_signal if scheme == "parallel" else polarization_grating_signal
-    signal = signal_fn(molecule, temperature, grating, times, method=method, j_max=j_max)
+    signal = signal_fn(molecule, temperature, grating, times, decomposition=dec)
 
     metadata = {
         "version": __version__,

@@ -14,6 +14,10 @@ Three routes with one physical model:
 The TDSE routes integrate in the interaction picture anchored at the pulse
 center, so the stiff rotational phases never enter the integrator; outside
 the pulse window free evolution is applied analytically as phase factors.
+On fixed-M chains J and J+2 couple with the Raman phase
+exp(i (omega_J - omega_{J+2}) (t - t0)), so each right-hand-side call
+exponentiates only the distinct Raman differences; the elliptic (J,M) lattice
+keeps a sparse coupling between free-rotation phases.
 
 Ensemble drivers batch all thermal channels that share a (|M|, J-parity)
 block into single linear-algebra calls; the reduction order is fixed, so
@@ -277,12 +281,47 @@ def propagate_sudden(
 # TDSE propagation (interaction picture)
 # ---------------------------------------------------------------------------
 
-def _integrate_interaction(y0, omega, apply_coupling, pulse, molecule, grid, n_cols=1):
+def _raman_chain_coupling(blocks, molecule: MoleculeSpec):
+    """coupling(tau, y) = D C D* y, D = exp(i omega tau), for stacked fixed-M chains.
+
+    blocks holds (js, m, copies): `copies` consecutive chains over js at |M| = m.
+    """
+    diag, off, low = [], [], []
+    for js, m, copies in blocks:
+        # trailing zero: no coupling to the next chain
+        o = np.append(cos2theta_offdiag(js[:-1], m), 0.0)
+        diag.append(np.tile(cos2theta_diagonal(js, m), copies))
+        off.append(np.tile(o, copies))
+        low.append(np.tile(js, copies))
+    diag, off = np.concatenate(diag), np.concatenate(off)[:-1]
+    j_low, gather = np.unique(np.concatenate(low)[:-1], return_inverse=True)
+    raman = rotational_omega(j_low, molecule) - rotational_omega(j_low + 2, molecule)
+
+    def coupling(tau, y):
+        c = off * np.exp(1j * (raman * tau))[gather]
+        w = diag * y
+        w[:-1] += c * y[1:]
+        w[1:] += np.conj(c) * y[:-1]
+        return w
+
+    return coupling
+
+
+def _sandwiched_coupling(omega, apply_coupling):
+    """coupling(tau, y) = D C D* y for apply_coupling = C; y may stack columns."""
+    def coupling(tau, y):
+        ph = np.exp(1j * (omega * tau))[:, None]
+        return (ph * apply_coupling(np.conj(ph) * y.reshape(len(omega), -1))).ravel()
+
+    return coupling
+
+
+def _integrate_interaction(y0, coupling, pulse, molecule, grid):
     """Integrate da/dt = i (dxi/dt)(t) D(t) C D*(t) a over the pulse window.
 
-    a is the interaction-picture state anchored at the pulse center (D =
-    exp(i omega (t - t0))); y0 may hold n_cols stacked channel columns.
-    Returns the interaction-picture state after the pulse.
+    a is the interaction-picture state anchored at the pulse center t0 (D =
+    exp(i omega (t - t0))) and coupling(t - t0, a) returns D C D* a.  Returns
+    the interaction-picture state after the pulse, shaped like y0.
     """
     t_lo, t_hi = pulse_window(pulse)
     ta, tb = max(grid.t_start, t_lo), min(grid.t_end, t_hi)
@@ -291,20 +330,9 @@ def _integrate_interaction(y0, omega, apply_coupling, pulse, molecule, grid, n_c
     rate = XI_PER_A3_FLUENCE * molecule.delta_alpha_a3
     t0 = pulse.t0_ps
 
-    if n_cols == 1:
-        def rhs(t, y):
-            ph = np.exp(1j * (omega * (t - t0)))
-            g = rate * envelope_intensity(pulse, t)
-            return (1j * g) * (ph * apply_coupling(np.conj(ph) * y))
-    else:
-        n = len(omega)
-
-        def rhs(t, y):
-            ph = np.exp(1j * (omega * (t - t0)))
-            g = rate * envelope_intensity(pulse, t)
-            yy = y.reshape(n, n_cols)
-            coupled = apply_coupling(np.conj(ph)[:, None] * yy)
-            return ((1j * g) * (ph[:, None] * coupled)).ravel()
+    def rhs(t, y):
+        g = rate * envelope_intensity(pulse, t)
+        return (1j * g) * coupling(t - t0, y)
 
     sol = solve_ivp(
         rhs,
@@ -318,7 +346,8 @@ def _integrate_interaction(y0, omega, apply_coupling, pulse, molecule, grid, n_c
     )
     if not sol.success:
         raise IntegrationError(f"TDSE integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(y0.shape) if n_cols > 1 else sol.y[:, -1]
+    # copy: a view would keep the solver's whole step history alive
+    return np.array(sol.y[:, -1]).reshape(np.shape(y0))
 
 
 def propagate_tdse_linear(
@@ -348,18 +377,8 @@ def propagate_tdse_linear(
         sel = np.nonzero(js % 2 == parity)[0]
         if len(sel) == 0 or not np.any(out[sel] != 0.0):
             continue
-        cjs = js[sel]
-        diag = cos2theta_diagonal(cjs, m)
-        off = cos2theta_offdiag(cjs[:-1], m) if len(cjs) > 1 else np.zeros(0)
-
-        def apply_coupling(v, diag=diag, off=off):
-            w = diag * v
-            if len(off):
-                w[:-1] += off * v[1:]
-                w[1:] += off * v[:-1]
-            return w
-
-        out[sel] = _integrate_interaction(out[sel], omega[sel], apply_coupling, pulse, molecule, grid)
+        coupling = _raman_chain_coupling([(js[sel], m, 1)], molecule)
+        out[sel] = _integrate_interaction(out[sel], coupling, pulse, molecule, grid)
     # back to the Schroedinger picture at t_end
     out = out * np.exp(-1j * omega * (grid.t_end - pulse.t0_ps))
     _check_edge(out, js, wp.basis.j_max)
@@ -385,7 +404,9 @@ def propagate_elliptic_tdse(
     coupling = (pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")).tocsr()
 
     a = wp.amplitudes * np.exp(-1j * omega * (pulse.t0_ps - wp.reference_time))
-    a = _integrate_interaction(a, omega, coupling.dot, pulse, molecule, grid)
+    a = _integrate_interaction(
+        a, _sandwiched_coupling(omega, coupling.dot), pulse, molecule, grid
+    )
     out = a * np.exp(-1j * omega * (grid.t_end - pulse.t0_ps))
     _check_edge(out, basis.j_of, basis.j_max)
     return replace(wp, amplitudes=out, reference_time=grid.t_end)
@@ -466,6 +487,27 @@ def _weighted_edge_leak(channels) -> float:
         else:
             leak += ch.weight * _edge_population(ch.amplitudes, ch.basis.j_of, ch.basis.j_max)
     return leak
+
+
+def _with_regrow(propagate, ensemble: ThermalEnsemble, xi: float, j_max, max_regrow: int):
+    """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
+
+    Without j_max the basis is sized from the thermal and kick scales and may
+    regrow max_regrow times; an explicit basis is a contract: fail instead.
+    """
+    if j_max is None:
+        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
+    else:
+        max_regrow = 0
+    _require_origins(ensemble, j_max)
+    for _ in range(max_regrow + 1):
+        cs = propagate(j_max)
+        if _weighted_edge_leak(cs.channels) <= EDGE_POPULATION_TOL:
+            return cs
+        if max_regrow == 0:
+            raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
+        j_max = int(j_max * 1.5) + 10
+    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
 def kick_ensemble(
@@ -550,73 +592,39 @@ def tdse_ensemble(
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
     All channels are stacked into one block-diagonal interaction-picture
-    system and integrated in a single adaptive solve; amplitudes come back
-    referenced to the pulse center, so downstream free evolution matches the
-    sudden driver's convention.
+    system and integrated in a single adaptive solve.  Its right-hand side
+    gathers the exponentials of the distinct Raman differences onto the
+    chain off-diagonals: the diagonal plus two shifted products per call.
+    Amplitudes come back referenced to the pulse center, so downstream free
+    evolution matches the sudden driver's convention.
     """
     if not pulse.is_linear():
         raise ValueError("tdse_ensemble handles linear polarization; see elliptic drivers")
     xi = effective_area(pulse, molecule).xi
-    if j_max is None:
-        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
-    else:
-        max_regrow = 0
-    _require_origins(ensemble, j_max)
     if grid is None:
         grid = default_grid(pulse)
 
-    for _ in range(max_regrow + 1):
-        layout = []  # (j0, m, weight, js, offset)
+    def propagate(j_max):
+        blocks, layout, starts = [], [], []  # layout: (j0, m, weight, js, offset)
         offset = 0
-        rows, cols, vals = [], [], []
-        omegas = []
         for (m, parity), members in _grouped_channels(ensemble).items():
             js = chain_js(j_max, m, parity)
-            n = len(js)
-            diag = cos2theta_diagonal(js, m)
-            off = cos2theta_offdiag(js[:-1], m) if n > 1 else np.zeros(0)
-            om = rotational_omega(js, molecule)
+            blocks.append((js, m, len(members)))
             for j0, m0, w in members:
-                base = offset
-                idx = np.arange(n)
-                rows.extend((base + idx).tolist())
-                cols.extend((base + idx).tolist())
-                vals.extend(diag.tolist())
-                if n > 1:
-                    rows.extend((base + idx[:-1]).tolist() + (base + idx[1:]).tolist())
-                    cols.extend((base + idx[1:]).tolist() + (base + idx[:-1]).tolist())
-                    vals.extend(off.tolist() + off.tolist())
-                omegas.append(om)
-                layout.append((j0, abs(m0), w, js, base))
-                offset += n
-        total = offset
-        coupling = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(total, total))
-        omega = np.concatenate(omegas)
-        y0 = np.zeros(total, dtype=complex)
-        for j0, m, w, js, base in layout:
-            y0[base + int(np.searchsorted(js, j0))] = 1.0
-
-        a = _integrate_interaction(y0, omega, coupling.dot, pulse, molecule, grid)
+                layout.append((j0, abs(m0), w, js, offset))
+                starts.append(offset + int(np.searchsorted(js, j0)))
+                offset += len(js)
+        y0 = np.zeros(offset, dtype=complex)
+        y0[starts] = 1.0
+        coupling = _raman_chain_coupling(blocks, molecule)
+        a = _integrate_interaction(y0, coupling, pulse, molecule, grid)
         channels = tuple(
             ChainChannel(j0, m, w, js, a[base : base + len(js)])
             for j0, m, w, js, base in layout
         )
-        if _weighted_edge_leak(channels) <= EDGE_POPULATION_TOL:
-            return ChannelSet(
-                molecule,
-                ensemble.temperature,
-                pulse.t0_ps,
-                "chain",
-                channels,
-                j_max,
-                xi,
-            )
-        if max_regrow == 0:
-            raise BasisTooSmallError(
-                f"kick populates the basis edge at j_max={j_max}; enlarge j_max"
-            )
-        j_max = int(j_max * 1.5) + 10
-    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
+        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, "chain", channels, j_max, xi)
+
+    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
 
 
 def elliptic_tdse_ensemble(
@@ -635,15 +643,10 @@ def elliptic_tdse_ensemble(
     symmetry of the coupling makes folded ensembles exact.
     """
     xi = effective_area(pulse, molecule).xi
-    if j_max is None:
-        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
-    else:
-        max_regrow = 0
-    _require_origins(ensemble, j_max)
     if grid is None:
         grid = default_grid(pulse)
 
-    for _ in range(max_regrow + 1):
+    def propagate(j_max):
         groups: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
         for j0, m0, w in ensemble.channels:
             groups.setdefault((j0 % 2, abs(m0) % 2), []).append((j0, m0, w))
@@ -659,22 +662,13 @@ def elliptic_tdse_ensemble(
             y0 = np.zeros((n, k), dtype=complex)
             for col, (j0, m0, _) in enumerate(members):
                 y0[basis.index[(j0, abs(m0))], col] = 1.0
-            a = _integrate_interaction(y0, omega, coupling.dot, pulse, molecule, grid, n_cols=k)
+            a = _integrate_interaction(
+                y0, _sandwiched_coupling(omega, coupling.dot), pulse, molecule, grid
+            )
             for col, (j0, m0, w) in enumerate(members):
                 channels.append(JMChannel(j0, abs(m0), w, basis, np.array(a[:, col])))
-        if _weighted_edge_leak(channels) <= EDGE_POPULATION_TOL:
-            return ChannelSet(
-                molecule,
-                ensemble.temperature,
-                pulse.t0_ps,
-                "jm",
-                tuple(channels),
-                j_max,
-                xi,
-            )
-        if max_regrow == 0:
-            raise BasisTooSmallError(
-                f"kick populates the basis edge at j_max={j_max}; enlarge j_max"
-            )
-        j_max = int(j_max * 1.5) + 10
-    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
+        return ChannelSet(
+            molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(channels), j_max, xi
+        )
+
+    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)

@@ -29,6 +29,7 @@ from .constants import revival_period
 from .field import PulseSpec
 from .observables import (
     AlignmentTrace,
+    FourierDecomposition,
     alignment_trace,
     fourier_decompose,
     reconstruct,
@@ -159,11 +160,13 @@ def _linear_trace(
     times,
     method: str,
     j_max: int | None,
+    decomposition: FourierDecomposition | None = None,
 ) -> AlignmentTrace:
-    pulse = PulseSpec(intensity, config.tau_fwhm_ps, config.t0_ps)
-    cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
-    dec = fourier_decompose(cs, "y")
-    trace = reconstruct(dec, times)
+    if decomposition is None:
+        pulse = PulseSpec(intensity, config.tau_fwhm_ps, config.t0_ps)
+        cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
+        decomposition = fourier_decompose(cs, "y")
+    trace = reconstruct(decomposition, times)
     trace.metadata.update(theoretical_intensity=intensity, scheme=config.scheme)
     return trace
 
@@ -185,14 +188,19 @@ def intensity_grating_signal(
     times,
     method: str = "sudden",
     j_max: int | None = None,
+    decomposition: FourierDecomposition | None = None,
 ) -> SignalTrace:
-    """Parallel-pump (intensity grating) diffracted signal versus probe delay."""
+    """Parallel-pump (intensity grating) diffracted signal versus probe delay.
+
+    A given decomposition (y axis, config.theoretical_intensity) replaces propagation.
+    """
     if config.scheme != "parallel":
         raise ValueError(f"intensity grating needs scheme='parallel', got {config.scheme!r}")
     _warn_if_saturated(config)
     times = np.asarray(times, dtype=float)
     trace = _linear_trace(
-        molecule, temperature, config.theoretical_intensity, config, times, method, j_max
+        molecule, temperature, config.theoretical_intensity, config, times, method, j_max,
+        decomposition,
     )
     if config.plasma_background is not None:
         values = heterodyne_with_background(
@@ -220,20 +228,23 @@ def polarization_grating_signal(
     times,
     method: str = "sudden",
     j_max: int | None = None,
+    decomposition: FourierDecomposition | None = None,
 ) -> SignalTrace:
     """Perpendicular-pump (polarization grating) diffracted signal.
 
     The diffracting spatial structure is the x-y anisotropy difference, whose
     peak positions carry (3/2) times the linear-polarization trace at the
     scheme's theoretical intensity; the plasma grating diffracts to a
-    different angle, so no background term enters at order 1.
+    different angle, so no background term enters at order 1.  A given
+    decomposition (y axis, config.theoretical_intensity) replaces propagation.
     """
     if config.scheme != "perpendicular":
         raise ValueError(f"polarization grating needs scheme='perpendicular', got {config.scheme!r}")
     _warn_if_saturated(config)
     times = np.asarray(times, dtype=float)
     trace = _linear_trace(
-        molecule, temperature, config.theoretical_intensity, config, times, method, j_max
+        molecule, temperature, config.theoretical_intensity, config, times, method, j_max,
+        decomposition,
     )
     values = (1.5 * trace.values) ** 2
     meta = dict(trace.metadata)

@@ -6,12 +6,17 @@ import os
 import numpy as np
 import pytest
 
+from rotorgrating import observables
 from rotorgrating.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _stamp,
     main,
 )
+from rotorgrating.grating import GratingConfig, polarization_grating_signal, write_signal_csv
+from rotorgrating.observables import revival_time_grid
+from rotorgrating.rotor import CO2
 
 
 def _cfg(tmp_path, doc, name="config.json"):
@@ -128,6 +133,40 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(b)]) == EXIT_OK
     for name in ("alignment_trace.csv", "signal.csv", "metadata.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, value):
+    cfg = _cfg(tmp_path, {**SIM_BASE, "temperature_K": value})  # JSON Infinity / NaN
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "'temperature_K' must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    propagate = observables.tdse_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "tdse_ensemble", counted)
+    cfg = _cfg(tmp_path, {**SIM_BASE, "method": "tdse"})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+
+    # the signal equals the one the grating model computes with its own propagation
+    resolved = json.loads((out / "metadata.json").read_text())["config"]
+    grating = GratingConfig("perpendicular", resolved["single_pump_intensity_tw_cm2"])
+    grid = resolved["time_grid"]
+    times = revival_time_grid(CO2, grid["n"], grid["t_start_ps"], grid["periods"])
+    signal = polarization_grating_signal(CO2, 30.0, grating, times, method="tdse")
+    assert len(calls) == 2
+    write_signal_csv(signal, str(tmp_path / "signal.csv"), header_metadata=_stamp(resolved))
+    assert (out / "signal.csv").read_bytes() == (tmp_path / "signal.csv").read_bytes()
 
 
 def test_simulate_time_grid_flag_overrides_config(tmp_path, capsys):

@@ -24,6 +24,7 @@ from rotorgrating.rotor import (
     boltzmann_ensemble,
     cos2theta_axis_matrix,
     cos2theta_offdiag,
+    rotational_omega,
 )
 
 
@@ -243,6 +244,23 @@ def test_tdse_ensemble_deterministic():
     two = tdse_ensemble(CO2, ens, pulse)
     for a, b in zip(one.channels, two.channels):
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_tdse_ensemble_matches_single_wavepacket_tdse():
+    # the stacked Raman-phase system against one chain at a time; a step cap
+    # below the adaptive choice gives both solves the same step sequence, so
+    # they agree to roundoff once freely evolved to a common time
+    ens = boltzmann_ensemble(CO2, 30.0)
+    pulse = linear_pulse(3.0)
+    grid = PropagationGrid(-0.3, 0.3, max_step=0.01)
+    cs = tdse_ensemble(CO2, ens, pulse, grid=grid)
+    t = 1.0
+    for ch in cs.channels:
+        basis = BasisSpec(cs.j_max, m=ch.m)
+        wp = propagate_tdse_linear(basis_state(basis, ch.j0, ch.m, t=pulse.t0_ps), pulse, CO2, grid)
+        want = wp.freely_evolved(t, CO2)[basis.j_values % 2 == ch.j0 % 2]
+        got = ch.amplitudes * np.exp(-1j * rotational_omega(ch.js, CO2) * (t - cs.reference_time))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_elliptic_ensemble_folded_weights():
