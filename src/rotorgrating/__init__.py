@@ -10,6 +10,7 @@ intensity and temperature from measured delay scans.
 from .constants import revival_period
 from .dynamics import (
     BasisTooSmallError,
+    ChannelBlock,
     ChannelSet,
     IntegrationError,
     PropagationError,
@@ -94,7 +95,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "revival_period",
-    "BasisTooSmallError", "ChannelSet", "IntegrationError", "PropagationError",
+    "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
     "PropagationGrid", "Wavepacket", "basis_state", "elliptic_tdse_ensemble",
     "kick_ensemble", "propagate_sudden", "propagate_tdse_linear",
     "propagate_elliptic_tdse", "sudden_ensemble", "tdse_ensemble",

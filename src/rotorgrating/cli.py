@@ -439,16 +439,14 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
+    search = {
+        "max_evaluations": _get(cfg, "max_evaluations", int, 4000),
+        "refine_starts": _get(cfg, "refine_starts", int, 3),
+        "n_intensity_starts": _get(cfg, "n_intensity_starts", int, 6),
+        "n_temperature_starts": _get(cfg, "n_temperature_starts", int, 4),
+    }
     cache = EnsembleCache(problem)
-    result = fit_trace(
-        problem,
-        trace,
-        max_evaluations=_get(cfg, "max_evaluations", int, 4000),
-        refine_starts=_get(cfg, "refine_starts", int, 3),
-        n_intensity_starts=_get(cfg, "n_intensity_starts", int, 6),
-        n_temperature_starts=_get(cfg, "n_temperature_starts", int, 4),
-        cache=cache,
-    )
+    result = fit_trace(problem, trace, cache=cache, **search)
 
     resolved = {
         "subcommand": "fit",
@@ -460,6 +458,10 @@ def cmd_fit(args) -> int:
         "fixed": problem.fixed,
         "apply_transverse_factor": problem.apply_transverse_factor,
         "j_max": problem.j_max,
+        "scale_bounds": [b if math.isfinite(b) else None for b in problem.scale_bounds],
+        "boltzmann_cutoff": problem.boltzmann_cutoff,
+        "cache_quantum": problem.cache_quantum,
+        **search,
     }
     doc = {"version": __version__, "config": resolved, "fit": result.to_dict()}
     os.makedirs(out, exist_ok=True)

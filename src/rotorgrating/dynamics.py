@@ -20,14 +20,15 @@ exponentiates only the distinct Raman differences; the elliptic (J,M) lattice
 keeps a sparse coupling between free-rotation phases.
 
 Ensemble drivers batch all thermal channels that share a (|M|, J-parity)
-block into single linear-algebra calls; the reduction order is fixed, so
-reruns are bit-identical.
+block into single linear-algebra calls and return them as one ChannelBlock,
+an amplitude matrix with one column per channel; the reduction order is
+fixed, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -153,61 +154,49 @@ def chain_js(j_max: int, m: int, parity: int) -> np.ndarray:
     return np.arange(start, j_max + 1, 2)
 
 
-_chain_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_chain_lock = threading.Lock()
+CHAIN_CACHE_SIZE = 1024  # a fit visits ~8 j_max values x <= 61 chains
 
 
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def chain_operator(m: int, parity: int, j_max: int):
+    """(js, diagonal, off-diagonal) of cos^2 theta on one parity chain at |M| = m."""
+    js = chain_js(j_max, m, parity)
+    if len(js) == 0:
+        raise ValueError(f"empty chain for M={m}, parity={parity}, j_max={j_max}")
+    return js, cos2theta_diagonal(js, m), cos2theta_offdiag(js[:-1], m)
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def _chain_eig(m: int, parity: int, j_max: int):
     """Eigendecomposition of cos^2 theta restricted to one parity chain.
 
     Returns (js, eigenvalues, eigenvectors); cached since every thermal
     channel with the same |M| and parity shares it.
     """
-    key = (abs(m), parity, j_max)
-    with _chain_lock:
-        hit = _chain_cache.get(key)
-    if hit is not None:
-        return hit
-    js = chain_js(j_max, m, parity)
-    if len(js) == 0:
-        raise ValueError(f"empty chain for M={m}, parity={parity}, j_max={j_max}")
-    diag = cos2theta_diagonal(js, abs(m))
-    off = cos2theta_offdiag(js[:-1], abs(m)) if len(js) > 1 else np.zeros(0)
+    js, diag, off = chain_operator(m, parity, j_max)
     evals, evecs = scipy.linalg.eigh_tridiagonal(diag, off)
-    entry = (js, evals, evecs)
-    with _chain_lock:
-        _chain_cache[key] = entry
-    return entry
+    return js, evals, evecs
 
 
 def clear_caches():
     """Drop cached eigendecompositions and operator matrices (for tests)."""
-    with _chain_lock:
-        _chain_cache.clear()
-    with _op_lock:
-        _op_cache.clear()
+    for cache in (chain_operator, _chain_eig, _axis_matrix):
+        cache.cache_clear()
 
 
 def kick_chain(amps: np.ndarray, xi: float, m: int, js: np.ndarray, j_max: int) -> np.ndarray:
     """Apply exp(i xi cos^2 theta) to chain amplitudes (js defines the chain)."""
-    _, evals, evecs = _chain_eig(m, int(js[0] % 2), j_max)
+    _, evals, evecs = _chain_eig(abs(m), int(js[0] % 2), j_max)
     return (evecs * np.exp(1j * xi * evals)) @ (evecs.T @ amps)
 
 
-_op_cache: dict[tuple, scipy.sparse.csr_matrix] = {}
-_op_lock = threading.Lock()
+@lru_cache(maxsize=64)
+def _axis_matrix(j_max: int, j_parity, m_parity, axis: str) -> scipy.sparse.csr_matrix:
+    return cos2theta_axis_matrix(JMBasis(j_max, j_parity, m_parity), axis)
 
 
 def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
-    key = (basis.j_max, basis.j_parity, basis.m_parity, axis)
-    with _op_lock:
-        hit = _op_cache.get(key)
-    if hit is not None:
-        return hit
-    mat = cos2theta_axis_matrix(basis, axis)
-    with _op_lock:
-        _op_cache[key] = mat
-    return mat
+    return _axis_matrix(basis.j_max, basis.j_parity, basis.m_parity, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +428,24 @@ class JMChannel:
 
 
 @dataclass(frozen=True)
+class ChannelBlock:
+    """Propagated channels sharing one basis, as the columns of one matrix.
+
+    A fixed-M set has one block per (|M|, J parity) chain (basis None, js the
+    chain); a (J,M)-lattice set has one per (J parity, M parity) group (js =
+    basis.j_of).  Column k of the n x k `amplitudes` started on
+    |j0[k], m0[k]> (m0 = |M0|) with thermal weight weights[k].
+    """
+
+    js: np.ndarray
+    basis: JMBasis | None
+    j0: np.ndarray
+    m0: np.ndarray
+    weights: np.ndarray
+    amplitudes: np.ndarray
+
+
+@dataclass(frozen=True)
 class ChannelSet:
     """Thermally weighted propagated channels, ready for observables.
 
@@ -451,21 +458,51 @@ class ChannelSet:
     temperature: float
     reference_time: float
     kind: str  # "chain" or "jm"
-    channels: tuple
+    blocks: tuple
     j_max: int
     xi: float
 
     @property
+    def channels(self) -> tuple:
+        """Per-channel views (ChainChannel or JMChannel) of the block columns, block by block."""
+        return tuple(
+            ChainChannel(j0, m0, w, b.js, a) if b.basis is None else JMChannel(j0, m0, w, b.basis, a)
+            for b in self.blocks
+            for j0, m0, w, a in zip(b.j0.tolist(), b.m0.tolist(), b.weights.tolist(), b.amplitudes.T)
+        )
+
+    @property
     def total_weight(self) -> float:
-        return float(sum(c.weight for c in self.channels))
+        return float(sum(b.weights.sum() for b in self.blocks))
+
+    def norm_deviation(self) -> float:
+        """|weighted norm / total weight - 1| of the whole set."""
+        norm = sum(b.weights @ np.sum(np.abs(b.amplitudes) ** 2, axis=0) for b in self.blocks)
+        return abs(float(norm) / self.total_weight - 1.0)
+
+    def edge_leak(self) -> float:
+        """Weighted population in the top two J shells of the basis.
+
+        J ascends down each block; of a Delta-J = 2 chain only the last row is
+        in them, so a chain set reads one row per block.
+        """
+        if self.kind == "chain":
+            top = np.concatenate([b.amplitudes[-1] for b in self.blocks])
+            return float(np.abs(top) ** 2 @ np.concatenate([b.weights for b in self.blocks]))
+        return float(sum(np.sum(np.abs(b.amplitudes[b.js >= self.j_max - 1]) ** 2 @ b.weights)
+                         for b in self.blocks))
 
 
-def _grouped_channels(ensemble: ThermalEnsemble):
-    """Group (J0, M0, w) channels by (|M0|, J0 parity), preserving order."""
-    groups: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+def _origin_groups(ensemble: ThermalEnsemble, key):
+    """(key, j0s, |m0|s, weights) per key(j0, |m0|) group, in first-seen order."""
+    groups: dict = {}
     for j0, m0, w in ensemble.channels:
-        groups.setdefault((abs(m0), j0 % 2), []).append((j0, m0, w))
-    return groups
+        groups.setdefault(key(j0, abs(m0)), []).append((j0, abs(m0), w))
+    return [(k, *map(np.array, zip(*members))) for k, members in groups.items()]
+
+
+def _chain_groups(ensemble: ThermalEnsemble):
+    return _origin_groups(ensemble, lambda j0, m: (m, j0 % 2))
 
 
 def _require_origins(ensemble: ThermalEnsemble, j_max: int):
@@ -477,23 +514,12 @@ def _require_origins(ensemble: ThermalEnsemble, j_max: int):
         )
 
 
-def _weighted_edge_leak(channels) -> float:
-    leak = 0.0
-    for ch in channels:
-        if isinstance(ch, ChainChannel):
-            j_of, j_top = ch.js, ch.js[-1]
-            mask = j_of >= j_top - 1
-            leak += ch.weight * float(np.sum(np.abs(ch.amplitudes[mask]) ** 2))
-        else:
-            leak += ch.weight * _edge_population(ch.amplitudes, ch.basis.j_of, ch.basis.j_max)
-    return leak
-
-
 def _with_regrow(propagate, ensemble: ThermalEnsemble, xi: float, j_max, max_regrow: int):
     """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
 
     Without j_max the basis is sized from the thermal and kick scales and may
     regrow max_regrow times; an explicit basis is a contract: fail instead.
+    A zero kick leaves every channel on its origin, so it skips the check.
     """
     if j_max is None:
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
@@ -502,7 +528,7 @@ def _with_regrow(propagate, ensemble: ThermalEnsemble, xi: float, j_max, max_reg
     _require_origins(ensemble, j_max)
     for _ in range(max_regrow + 1):
         cs = propagate(j_max)
-        if _weighted_edge_leak(cs.channels) <= EDGE_POPULATION_TOL:
+        if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
             return cs
         if max_regrow == 0:
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
@@ -521,51 +547,35 @@ def kick_ensemble(
     """Sudden-kick propagation of every thermal channel (linear polarization).
 
     Channels sharing a (|M0|, parity) block reuse one eigendecomposition; the
-    kick unitary is built once per block and its columns are the propagated
-    basis states.  A norm-leak guard regrows j_max automatically.
+    block's amplitude matrix is the kick unitary's columns at its origins.
+    A norm-leak guard regrows j_max automatically.
     """
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
-    if j_max is None:
-        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
-    else:
-        max_regrow = 0  # an explicit basis is a contract: fail instead of resizing
-    _require_origins(ensemble, j_max)
-    if xi == 0.0:
-        # exact identity: no eigensolve, no GEMM roundoff on the amplitudes
-        channels = []
-        for j0, m0, w in ensemble.channels:
-            js = chain_js(j_max, abs(m0), j0 % 2)
-            amps = np.zeros(len(js), dtype=complex)
-            amps[int(np.searchsorted(js, j0))] = 1.0
-            channels.append(ChainChannel(j0, abs(m0), w, js, amps))
+    groups = _chain_groups(ensemble)
+
+    def propagate(j_max):
+        blocks = []
+        for (m, parity), j0, m0, w in groups:
+            js = chain_js(j_max, m, parity)
+            rows = (j0 - js[0]) // 2
+            if xi == 0.0:
+                # exact identity: no eigensolve, no GEMM roundoff on the amplitudes
+                amps = np.zeros((len(js), len(j0)), dtype=complex)
+                amps[rows, np.arange(len(j0))] = 1.0
+            else:
+                # U E = V (e^{i xi lambda} * V^T E) as one real GEMM whose
+                # (re, im) column pairs read back as complex amplitudes
+                _, evals, evecs = _chain_eig(m, parity, j_max)
+                rot = np.exp(1j * xi * evals).view(float).reshape(-1, 1, 2)
+                rhs = (evecs[rows].T[:, :, None] * rot).reshape(len(js), -1)
+                amps = (evecs @ rhs).view(complex)
+            blocks.append(ChannelBlock(js, None, j0, m0, w, amps))
         return ChannelSet(
-            molecule, ensemble.temperature, reference_time, "chain", tuple(channels), j_max, 0.0
+            molecule, ensemble.temperature, reference_time, "chain", tuple(blocks), j_max, xi
         )
-    for _ in range(max_regrow + 1):
-        channels: list[ChainChannel] = []
-        for (m, parity), members in _grouped_channels(ensemble).items():
-            js, evals, evecs = _chain_eig(m, parity, j_max)
-            pos = {j: k for k, j in enumerate(js)}
-            # kick-unitary columns for the needed origins only, batched per
-            # block as two real GEMMs: U E = V (e^{i xi lambda} * V^T E)
-            b = evecs[[pos[j0] for j0, _, _ in members], :].T
-            re = evecs @ (np.cos(xi * evals)[:, None] * b)
-            im = evecs @ (np.sin(xi * evals)[:, None] * b)
-            for k, (j0, m0, w) in enumerate(members):
-                channels.append(
-                    ChainChannel(j0, abs(m0), w, js, re[:, k] + 1j * im[:, k])
-                )
-        if _weighted_edge_leak(channels) <= EDGE_POPULATION_TOL:
-            return ChannelSet(
-                molecule, ensemble.temperature, reference_time, "chain", tuple(channels), j_max, xi
-            )
-        if max_regrow == 0:
-            raise BasisTooSmallError(
-                f"kick populates the basis edge at j_max={j_max}; enlarge j_max"
-            )
-        j_max = int(j_max * 1.5) + 10
-    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
+
+    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
 
 
 def sudden_ensemble(
@@ -603,26 +613,22 @@ def tdse_ensemble(
     xi = effective_area(pulse, molecule).xi
     if grid is None:
         grid = default_grid(pulse)
+    groups = _chain_groups(ensemble)
 
     def propagate(j_max):
-        blocks, layout, starts = [], [], []  # layout: (j0, m, weight, js, offset)
-        offset = 0
-        for (m, parity), members in _grouped_channels(ensemble).items():
-            js = chain_js(j_max, m, parity)
-            blocks.append((js, m, len(members)))
-            for j0, m0, w in members:
-                layout.append((j0, abs(m0), w, js, offset))
-                starts.append(offset + int(np.searchsorted(js, j0)))
-                offset += len(js)
-        y0 = np.zeros(offset, dtype=complex)
-        y0[starts] = 1.0
-        coupling = _raman_chain_coupling(blocks, molecule)
-        a = _integrate_interaction(y0, coupling, pulse, molecule, grid)
-        channels = tuple(
-            ChainChannel(j0, m, w, js, a[base : base + len(js)])
-            for j0, m, w, js, base in layout
+        chains = [(chain_js(j_max, m, parity), m, len(j0)) for (m, parity), j0, _, _ in groups]
+        sizes = [len(js) * k for js, _, k in chains]
+        y0 = np.zeros(sum(sizes), dtype=complex)
+        starts = np.cumsum([0] + sizes[:-1])
+        # each block stacks its channels' chains one after another
+        for (_, j0, _, _), (js, _, k), start in zip(groups, chains, starts):
+            y0[start + np.arange(k) * len(js) + (j0 - js[0]) // 2] = 1.0
+        a = _integrate_interaction(y0, _raman_chain_coupling(chains, molecule), pulse, molecule, grid)
+        blocks = tuple(
+            ChannelBlock(js, None, j0, m0, w, part.reshape(k, len(js)).T)
+            for (_, j0, m0, w), (js, _, k), part in zip(groups, chains, np.split(a, starts[1:]))
         )
-        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, "chain", channels, j_max, xi)
+        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, "chain", blocks, j_max, xi)
 
     return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
 
@@ -645,30 +651,24 @@ def elliptic_tdse_ensemble(
     xi = effective_area(pulse, molecule).xi
     if grid is None:
         grid = default_grid(pulse)
+    groups = _origin_groups(ensemble, lambda j0, m: (j0 % 2, m % 2))
 
     def propagate(j_max):
-        groups: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-        for j0, m0, w in ensemble.channels:
-            groups.setdefault((j0 % 2, abs(m0) % 2), []).append((j0, m0, w))
-
-        channels: list[JMChannel] = []
-        for (jp, mp), members in groups.items():
+        blocks = []
+        for (jp, mp), j0, m0, w in groups:
             basis = JMBasis(j_max, j_parity=jp, m_parity=mp)
             coupling = (
                 pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")
             ).tocsr()
             omega = rotational_omega(basis.j_of, molecule)
-            n, k = len(basis), len(members)
-            y0 = np.zeros((n, k), dtype=complex)
-            for col, (j0, m0, _) in enumerate(members):
-                y0[basis.index[(j0, abs(m0))], col] = 1.0
+            y0 = np.zeros((len(basis), len(j0)), dtype=complex)
+            y0[[basis.index[o] for o in zip(j0.tolist(), m0.tolist())], np.arange(len(j0))] = 1.0
             a = _integrate_interaction(
                 y0, _sandwiched_coupling(omega, coupling.dot), pulse, molecule, grid
             )
-            for col, (j0, m0, w) in enumerate(members):
-                channels.append(JMChannel(j0, abs(m0), w, basis, np.array(a[:, col])))
+            blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, w, a))
         return ChannelSet(
-            molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(channels), j_max, xi
+            molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(blocks), j_max, xi
         )
 
     return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)

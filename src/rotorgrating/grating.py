@@ -69,7 +69,8 @@ class GratingConfig:
         """Peak intensity fed to the one-beam simulation for this scheme.
 
         Parallel pumps add coherently (bright-fringe intensity 4*I0, spatial
-        mean 2*I0); perpendicular pumps keep constant intensity I0 + I0.  The
+        mean 2*I0) and are simulated at 2*I0; perpendicular pumps write no
+        intensity fringes and are simulated at the one-beam I0.  The
         transverse convention halves either figure-of-merit intensity.
         """
         f = 0.5 if self.apply_transverse_factor else 1.0

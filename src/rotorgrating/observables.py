@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import revival_period
-from .dynamics import ChannelSet, kick_ensemble, sudden_ensemble, tdse_ensemble, _axis_operator
+from .dynamics import (
+    ChannelSet, _axis_operator, chain_operator, kick_ensemble, sudden_ensemble, tdse_ensemble,
+)
 from .field import PulseSpec, xi_per_intensity
 from .rotor import (
     MoleculeSpec,
     boltzmann_ensemble,
-    cos2theta_diagonal,
-    cos2theta_offdiag,
     raman_frequency,
     suggest_j_max,
 )
@@ -83,6 +83,10 @@ class FourierDecomposition:
             raise ValueError("component arrays must share one length")
         if n and self.amplitudes.min() < 0:
             raise ValueError("amplitudes must be nonnegative")
+        # reconstruct relies on omega_J = 2 pi c B (4J + 6) over ascending J
+        unit = self.omegas / (4.0 * self.js + 6.0)
+        if n and (np.any(np.diff(self.js) <= 0) or np.ptp(unit) > 1e-12 * abs(unit[0])):
+            raise ValueError("omegas must be 2 pi c B (4J+6) over ascending J")
 
     @property
     def components(self) -> list[tuple[int, float, float, float]]:
@@ -108,132 +112,107 @@ class FourierDecomposition:
         }
 
 
-def _chain_terms(cs: ChannelSet):
-    """Per-channel constant and J+2 coherence terms for fixed-M channel sets.
+def _block_terms(cs: ChannelSet, axis: str):
+    """Per block: (const, js, z), its weighted trace being const + Re sum_J z_J e^{i omega_J dt}.
 
-    Yields (weight, const, js_low, z) with const = sum d |c|^2 - 1/3 and
-    z_J = 2 m_J conj(c_{J+2}) c_J, so that the channel trace is
-    const + Re(sum z_J e^{i omega_J dt}).
+    Chains carry the tridiagonal field-axis operator: const = sum_k w_k d
+    |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}.  On the
+    (J,M) lattice the Delta-J = 0 entries of the axis operator (including the
+    Delta-M = +-2 ones, which beat at zero frequency) feed the constant and
+    the Delta-J = +2 entries, collapsed per lower J, carry omega_J.
     """
-    for ch in cs.channels:
-        d = cos2theta_diagonal(ch.js, ch.m)
-        const = float(d @ np.abs(ch.amplitudes) ** 2) - 1.0 / 3.0
-        if len(ch.js) > 1:
-            mm = cos2theta_offdiag(ch.js[:-1], ch.m)
-            z = 2.0 * mm * np.conj(ch.amplitudes[1:]) * ch.amplitudes[:-1]
-            yield ch.weight, const, ch.js[:-1], z
+    for b in cs.blocks:
+        c, w = b.amplitudes, b.weights
+        if b.basis is None:
+            _, diag, off = chain_operator(int(b.m0[0]), int(b.js[0]) % 2, cs.j_max)
+            const = diag @ (np.abs(c) ** 2 @ w)
+            js = b.js[:-1]
+            z = 2.0 * off * ((np.conj(c[1:]) * c[:-1]) @ w)
         else:
-            yield ch.weight, const, ch.js[:0], np.zeros(0, dtype=complex)
-
-
-def _jm_terms(cs: ChannelSet, axis: str):
-    """Same contract as _chain_terms for (J,M)-lattice channel sets.
-
-    The Delta-J = 0 block (including Delta-M = +-2 elements, which beat at
-    zero frequency) feeds the constant; Delta-J = +2 entries carry omega_J.
-    """
-    op_cache: dict = {}
-    for ch in cs.channels:
-        key = (ch.basis.j_parity, ch.basis.m_parity, ch.basis.j_max)
-        if key not in op_cache:
-            coo = _axis_operator(ch.basis, axis).tocoo()
-            dj = ch.basis.j_of[coo.row] - ch.basis.j_of[coo.col]
-            stat = (coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0])
-            up = dj == 2
-            op_cache[key] = (stat, (coo.row[up], coo.col[up], coo.data[up], ch.basis.j_of[coo.col[up]]))
-        (sr, sc, sv), (ur, uc, uv, uj) = op_cache[key]
-        c = ch.amplitudes
-        const = float(np.real(np.sum(np.conj(c[sr]) * sv * c[sc]))) - 1.0 / 3.0
-        terms = 2.0 * uv * np.conj(c[ur]) * c[uc]
-        # collapse to one complex amplitude per lower J
-        js = np.unique(uj)
-        z = np.zeros(len(js), dtype=complex)
-        np.add.at(z, np.searchsorted(js, uj), terms)
-        yield ch.weight, const, js, z
+            coo = _axis_operator(b.basis, axis).tocoo()
+            dj = b.js[coo.row] - b.js[coo.col]
+            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
+            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
+            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
+            js, lower = np.unique(b.js[col], return_inverse=True)
+            z = np.zeros(len(js), dtype=complex)
+            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
+        yield float(const) - float(w.sum()) / 3.0, js, z
 
 
 _CHAIN_AXIS_FACTOR = {"y": 1.0, "parallel": 1.0, "x": -0.5, "z": -0.5, "perpendicular": -0.5}
 
 
-def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
-    """Exact cosine-series decomposition of the ensemble alignment trace.
+def _axis_factor(cs: ChannelSet, axis: str) -> float:
+    """Scale of the block terms for `axis`, which must suit the set's kind.
 
-    For fixed-M channel sets the quantization axis is the field axis (labeled
-    y); the transverse axes follow from <cos^2 theta_perp> = (1 - <cos^2
-    theta>)/2 as a -1/2 scaling.  (J,M)-lattice sets evaluate the requested
-    lab-axis operator directly.
-
-    An unkicked thermal ensemble is isotropic, so its series is identically
-    zero; that case returns exact zeros rather than summation roundoff.
+    Fixed-M sets quantize along the field axis (labeled y); the transverse
+    axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2 as a -1/2
+    scaling.  (J,M)-lattice sets evaluate the requested lab-axis operator.
     """
-    if cs.xi == 0.0:
-        valid = _CHAIN_AXIS_FACTOR if cs.kind == "chain" else ("x", "y", "z")
-        if axis not in valid:
-            raise ValueError(f"axis must be one of {sorted(valid)}, got {axis!r}")
-        meta = {"molecule": cs.molecule.name, "temperature_K": cs.temperature,
-                "xi": 0.0, "j_max": cs.j_max}
-        empty = np.empty(0)
-        return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis, meta)
     if cs.kind == "chain":
         if axis not in _CHAIN_AXIS_FACTOR:
             raise ValueError(f"axis must be one of {sorted(_CHAIN_AXIS_FACTOR)}, got {axis!r}")
-        factor = _CHAIN_AXIS_FACTOR[axis]
-        # hot path (called per fit evaluation): channels sharing one chain
-        # shape are stacked so each group costs a few array ops
-        constant = 0.0
-        acc = np.zeros(cs.j_max + 1, dtype=complex)
-        groups: dict[tuple[int, int, int], list] = {}
-        for ch in cs.channels:
-            groups.setdefault((ch.m, int(ch.js[0]), len(ch.js)), []).append(ch)
-        for (m, _, n), chans in groups.items():
-            js_g = chans[0].js
-            amp = np.stack([ch.amplitudes for ch in chans])
-            w = np.array([ch.weight for ch in chans])
-            d = cos2theta_diagonal(js_g, m)
-            constant += float(w @ (np.abs(amp) ** 2 @ d)) - w.sum() / 3.0
-            if n > 1:
-                mm = cos2theta_offdiag(js_g[:-1], m)
-                acc[js_g[:-1]] += (2.0 * mm) * (w @ (np.conj(amp[:, 1:]) * amp[:, :-1]))
-        agg = {int(j): acc[j] for j in np.nonzero(acc)[0]}
-    else:
-        if axis not in ("x", "y", "z"):
-            raise ValueError(f"axis must be x, y, or z for (J,M) channel sets, got {axis!r}")
-        factor, terms = 1.0, _jm_terms(cs, axis)
-        constant = 0.0
-        agg = {}
-        for w, const, js, z in terms:
-            constant += w * const
-            for j, zz in zip(js, z):
-                agg[int(j)] = agg.get(int(j), 0.0) + w * zz
+        return _CHAIN_AXIS_FACTOR[axis]
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be x, y, or z for (J,M) channel sets, got {axis!r}")
+    return 1.0
 
-    js = np.array(sorted(j for j, zz in agg.items() if zz != 0.0), dtype=int)
-    amps = np.empty(len(js))
-    phases = np.empty(len(js))
-    omegas = np.array([raman_frequency(int(j), cs.molecule) for j in js])
-    for k, j in enumerate(js):
-        zz = factor * agg[int(j)]
-        amps[k] = abs(zz)
-        # fold the kick-time reference into the phase: trace is a function of
-        # absolute time
-        ph = math.atan2(zz.imag, zz.real) - omegas[k] * cs.reference_time
-        phases[k] = math.remainder(ph, 2.0 * math.pi)
-    meta = {
-        "molecule": cs.molecule.name,
-        "temperature_K": cs.temperature,
-        "xi": cs.xi,
-        "j_max": cs.j_max,
-    }
-    return FourierDecomposition(factor * constant, js, amps, phases, omegas, axis, meta)
+
+def _metadata(cs: ChannelSet) -> dict:
+    return {"molecule": cs.molecule.name, "temperature_K": cs.temperature,
+            "xi": cs.xi, "j_max": cs.j_max}
+
+
+def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
+    """Exact cosine-series decomposition of the ensemble alignment trace.
+
+    Each block's coherences add onto one complex amplitude per lower J.  An
+    unkicked thermal ensemble is isotropic, so its series is identically
+    zero; that case returns exact zeros rather than summation roundoff.
+    """
+    factor = _axis_factor(cs, axis)
+    if cs.xi == 0.0:
+        empty = np.empty(0)
+        return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis,
+                                    _metadata(cs))
+    constant = 0.0
+    acc = np.zeros(cs.j_max + 1, dtype=complex)
+    for const, js, z in _block_terms(cs, axis):
+        constant += const
+        acc[js] += z
+    js = np.nonzero(acc)[0]
+    zz = factor * acc[js]
+    omegas = raman_frequency(js, cs.molecule)
+    # fold the kick-time reference into the phase: trace is a function of
+    # absolute time; fmod and one exact 2 pi shift give IEEE remainder
+    phases = np.fmod(np.arctan2(zz.imag, zz.real) - omegas * cs.reference_time, 2.0 * math.pi)
+    phases -= np.where(np.abs(phases) > math.pi, np.copysign(2.0 * math.pi, phases), 0.0)
+    return FourierDecomposition(factor * constant, js, np.abs(zz), phases, omegas, axis,
+                                _metadata(cs))
 
 
 def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
-    """Evaluate the cosine series on a time grid."""
+    """Evaluate the cosine series on a time grid by Horner's rule.
+
+    omega_J = omega_J0 + (J - J0) dw with dw = 8 pi c B, so the series is
+    Re(e^{i omega_J0 t} P(z)): P has the coefficient |a_J| e^{i phi_J} at power
+    (J - J0)/g, with g the common J spacing and z = e^{i g dw t}.
+    """
     times = np.asarray(times, dtype=float)
     values = np.full(len(times), dec.constant)
     if len(dec.js):
-        values = values + dec.amplitudes @ np.cos(
-            np.outer(dec.omegas, times) + dec.phases[:, None]
-        )
+        js = dec.js - dec.js[0]
+        g = int(np.gcd.reduce(js[1:])) if len(js) > 1 else 1
+        coef = np.zeros(js[-1] // g + 1, dtype=complex)
+        coef[js // g] = dec.amplitudes * np.exp(1j * dec.phases)
+        step = 4.0 * dec.omegas[0] / (4.0 * dec.js[0] + 6.0)  # 8 pi c B
+        z = np.exp(1j * ((g * step) * times))
+        p = np.full(len(times), coef[-1])
+        for c in coef[-2::-1]:
+            p *= z
+            p += c
+        values += np.real(np.exp(1j * (dec.omegas[0] * times)) * p)
     return AlignmentTrace(times, values, dec.axis, dict(dec.metadata))
 
 
@@ -241,44 +220,25 @@ def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
     """Direct weighted-channel evaluation of <cos^2 theta_axis> - 1/3.
 
     Independent of fourier_decompose/reconstruct in summation order and
-    trigonometric form (complex exponentials per channel group); agreement to
-    1e-10 is a contract between the two paths.
+    trigonometric form (complex exponentials per chain shape, summed over
+    time before the shapes are combined); agreement to 1e-10 is a contract
+    between the two paths.
     """
+    factor = _axis_factor(cs, axis)
     times = np.asarray(times, dtype=float)
     dt = times - cs.reference_time
-    if cs.kind == "chain":
-        if axis not in _CHAIN_AXIS_FACTOR:
-            raise ValueError(f"axis must be one of {sorted(_CHAIN_AXIS_FACTOR)}, got {axis!r}")
-        factor, terms = _CHAIN_AXIS_FACTOR[axis], _chain_terms(cs)
-    else:
-        if axis not in ("x", "y", "z"):
-            raise ValueError(f"axis must be x, y, or z for (J,M) channel sets, got {axis!r}")
-        factor, terms = 1.0, _jm_terms(cs, axis)
-
     values = np.zeros(len(times))
     # accumulate per chain shape so each group shares one phase matrix
     groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     consts = 0.0
-    for w, const, js, z in terms:
-        consts += w * const
-        if len(js) == 0:
-            continue
-        key = (int(js[0]), len(js))
-        if key in groups:
-            groups[key][1][:] += w * z
-        else:
-            groups[key] = (js, w * np.array(z, dtype=complex))
+    for const, js, z in _block_terms(cs, axis):
+        consts += const
+        if len(js):
+            key = (int(js[0]), len(js))
+            groups[key] = (js, groups[key][1] + z) if key in groups else (js, z)
     for js, z in groups.values():
-        om = np.array([raman_frequency(int(j), cs.molecule) for j in js])
-        values += np.real(z @ np.exp(1j * np.outer(om, dt)))
-    values = factor * (values + consts)
-    meta = {
-        "molecule": cs.molecule.name,
-        "temperature_K": cs.temperature,
-        "xi": cs.xi,
-        "j_max": cs.j_max,
-    }
-    return AlignmentTrace(times, values, axis, meta)
+        values += np.real(z @ np.exp(1j * np.outer(raman_frequency(js, cs.molecule), dt)))
+    return AlignmentTrace(times, factor * (values + consts), axis, _metadata(cs))
 
 
 def revival_time_grid(

@@ -116,11 +116,11 @@ def rotational_omega(j, molecule: MoleculeSpec):
     return TWO_PI_C * molecule.b_cm1 * j * (j + 1.0)
 
 
-def raman_frequency(j: int, molecule: MoleculeSpec) -> float:
-    """Beat frequency of the J <-> J+2 coherence, 2 pi c B (4J+6), in rad/ps."""
-    if j < 0:
+def raman_frequency(j, molecule: MoleculeSpec):
+    """Beat frequency of the J <-> J+2 coherence, 2 pi c B (4J+6), in rad/ps; accepts arrays."""
+    if np.any(np.asarray(j) < 0):
         raise ValueError(f"J must be nonnegative, got {j}")
-    return TWO_PI_C * molecule.b_cm1 * (4 * j + 6)
+    return TWO_PI_C * molecule.b_cm1 * (4 * np.asarray(j) + 6)
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,9 @@ def suggest_j_max(j_thermal: int, xi: float) -> int:
     the norm-leak guard in the propagators.
     """
     return int(j_thermal) + math.ceil(4.0 * xi) + 10
+
+
+MAX_THERMAL_CHANNELS = 100_000  # CO2 needs 1,849 at 293 K
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,11 @@ def boltzmann_ensemble(
         return ThermalEnsemble(0.0, tuple(_split_level(j0, 1.0, fold_m)))
 
     kt = thermal_wavenumber(temperature)
+    # kT/B ~ J_thermal^2 bounds the channel count from below; checked before
+    # the level array is sized from it
+    if kt / molecule.b_cm1 > MAX_THERMAL_CHANNELS:
+        raise ValueError(f"temperature {temperature} K exceeds the budget of "
+                         f"{MAX_THERMAL_CHANNELS} thermal channels")
     # Gaussian tail bound: beyond j_big the summed weight is a negligible
     # fraction of the partition function for any cutoff of interest.
     j_big = int(math.sqrt(kt / molecule.b_cm1) * 8) + 20
@@ -214,6 +222,11 @@ def boltzmann_ensemble(
     keep_mask[:keep] = True
     keep_mask &= w > 0
 
+    kept_js = js[keep_mask]
+    count = int(np.sum(kept_js + 1 if fold_m else 2 * kept_js + 1))
+    if count > MAX_THERMAL_CHANNELS:
+        raise ValueError(f"temperature {temperature} K needs {count} thermal channels, "
+                         f"above the budget of {MAX_THERMAL_CHANNELS}")
     kept = w[keep_mask].sum()
     channels: list[tuple[int, int, float]] = []
     for j, wj in zip(js[keep_mask], w[keep_mask]):

@@ -210,8 +210,7 @@ def suite_sudden_vs_tdse(
     rows.append(CheckResult("sudden_vs_tdse", "rms_vs_peak", rms <= 0.02, rms,
                             "<= 0.02", f"xi={xi:.3f}"))
 
-    wnorm = sum(ch.weight * float(np.sum(np.abs(ch.amplitudes) ** 2)) for ch in cs_tdse.channels)
-    dev = abs(wnorm / cs_tdse.total_weight - 1.0)
+    dev = cs_tdse.norm_deviation()
     rows.append(CheckResult("sudden_vs_tdse", "norm_conservation", dev < 1e-9, dev, "< 1e-9"))
     return rows
 
@@ -307,8 +306,7 @@ def suite_hygiene(
         rows.append(CheckResult("hygiene", "norm_leak_guard", False, float("nan"),
                                 "basis large enough", str(exc)))
         return rows
-    wnorm = sum(ch.weight * float(np.sum(np.abs(ch.amplitudes) ** 2)) for ch in cs.channels)
-    dev = abs(wnorm / cs.total_weight - 1.0)
+    dev = cs.norm_deviation()
     rows.append(CheckResult("hygiene", "ensemble_norm", dev < 1e-9, dev, "< 1e-9"))
 
     dec = fourier_decompose(cs, "y")

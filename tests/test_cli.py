@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import pytest
 from rotorgrating import observables
 from rotorgrating.cli import (
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_NUMERICAL,
     EXIT_OK,
     _stamp,
     main,
 )
+from rotorgrating.retrieval import FitProblem, synthesize_trace
 from rotorgrating.grating import GratingConfig, polarization_grating_signal, write_signal_csv
 from rotorgrating.observables import revival_time_grid
 from rotorgrating.rotor import CO2
@@ -142,6 +145,16 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, value):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "'temperature_K' must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 1e9, "scheme": "parallel",
+                          "theoretical_intensity_tw_cm2": 10.0})
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "thermal channels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
@@ -289,6 +302,37 @@ def test_fit_round_trip_from_simulated_signal(tmp_path, capsys):
     curve = (fit_out / "fit_curve.csv").read_text().splitlines()
     assert curve[0] == "delay_ps,data_au,model_au,residual_au"
     assert len(curve) == 1 + 2048
+
+
+def test_fit_echoes_every_setting(tmp_path, capsys):
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0)},
+                         fixed={"temperature": 60.0})
+    delays = np.arange(0.5, 40.0, 0.05)
+    trace = synthesize_trace(problem, {"intensity": 12.0, "temperature": 60.0}, delays)
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n"
+                    + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
+    settings = {
+        "scale_bounds": [0.5, 4.0],
+        "boltzmann_cutoff": 1e-5,
+        "cache_quantum": 1e-3,
+        "max_evaluations": 120,
+        "refine_starts": 1,
+        "n_intensity_starts": 2,
+        "n_temperature_starts": 3,
+    }
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2",
+        "scheme": "perpendicular",
+        "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]},
+        "fixed": {"temperature": 60.0},
+        **settings,
+    })
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    echoed = json.loads((out / "fit.json").read_text())["config"]
+    assert {key: echoed[key] for key in settings} == settings
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from rotorgrating.dynamics import (
     Wavepacket,
     basis_state,
     elliptic_tdse_ensemble,
+    kick_chain,
     kick_ensemble,
     propagate_elliptic_tdse,
     propagate_sudden,
@@ -270,3 +271,36 @@ def test_elliptic_ensemble_folded_weights():
     assert sum(ch.weight for ch in cs.channels) == pytest.approx(1.0, abs=1e-12)
     for ch in cs.channels:
         assert abs(np.linalg.norm(ch.amplitudes) - 1.0) < 1e-8
+
+
+def test_kick_blocks_match_per_channel_kick_chain():
+    ens = boltzmann_ensemble(CO2, 60.0)
+    cs = kick_ensemble(CO2, ens, 6.0)
+    views = cs.channels
+    assert sorted((ch.j0, ch.m, ch.weight) for ch in views) == sorted(
+        (j0, abs(m0), w) for j0, m0, w in ens.channels
+    )
+    for ch in views:
+        unit = np.zeros(len(ch.js), dtype=complex)
+        unit[np.searchsorted(ch.js, ch.j0)] = 1.0
+        want = kick_chain(unit, cs.xi, ch.m, ch.js, cs.j_max)
+        assert np.max(np.abs(ch.amplitudes - want)) <= 1e-13
+
+
+def _per_channel_edge_leak(cs):
+    leak = 0.0
+    for ch in cs.channels:
+        j_of = ch.js if cs.kind == "chain" else ch.basis.j_of
+        leak += ch.weight * float(np.sum(np.abs(ch.amplitudes[j_of >= cs.j_max - 1]) ** 2))
+    return leak
+
+
+def test_block_edge_leak_equals_per_channel_sum():
+    ens = boltzmann_ensemble(CO2, 30.0)
+    # an explicit basis just large enough keeps the edge population measurable
+    chain = kick_ensemble(CO2, ens, 3.0, j_max=34)
+    lattice = elliptic_tdse_ensemble(CO2, ens, elliptic_pulse(3.0, 0.5, 0.5), j_max=30)
+    for cs in (chain, lattice):
+        want = _per_channel_edge_leak(cs)
+        assert 0.0 < want <= 1e-8
+        assert cs.edge_leak() == pytest.approx(want, rel=1e-12)

@@ -10,6 +10,7 @@ from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble
 from rotorgrating.field import elliptic_pulse, linear_pulse, xi_per_intensity
 from rotorgrating.observables import (
     AlignmentTrace,
+    FourierDecomposition,
     alignment_trace,
     elliptic_approx,
     fourier_decompose,
@@ -59,6 +60,23 @@ def test_reconstruction_matches_direct_trace_jm(elliptic_30k):
         direct = alignment_trace(elliptic_30k, axis, times)
         rebuilt = reconstruct(dec, times)
         assert np.max(np.abs(direct.values - rebuilt.values)) < 1e-10, axis
+
+
+@pytest.mark.parametrize("kind", ["chain", "jm"])
+def test_horner_reconstruct_matches_explicit_cosine_sum(kind, kicked_30k, elliptic_30k):
+    dec = fourier_decompose(kicked_30k, "y") if kind == "chain" else fourier_decompose(elliptic_30k, "x")
+    times = np.linspace(0.0, 10.0 * revival_period(CO2.b_cm1), 4001)
+    explicit = dec.constant + dec.amplitudes @ np.cos(
+        np.outer(dec.omegas, times) + dec.phases[:, None]
+    )
+    assert np.max(np.abs(reconstruct(dec, times).values - explicit)) <= 1e-12
+
+
+def test_decomposition_rejects_non_raman_frequencies(kicked_30k):
+    dec = fourier_decompose(kicked_30k)
+    with pytest.raises(ValueError, match="4J\\+6"):
+        FourierDecomposition(dec.constant, dec.js, dec.amplitudes, dec.phases, 1.01 * dec.omegas
+                             + np.linspace(0.0, 1e-3, len(dec.js)))
 
 
 def test_trace_is_revival_periodic(kicked_30k):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rotorgrating import dynamics
 from rotorgrating.constants import revival_period
 from rotorgrating.retrieval import (
     EnsembleCache,
@@ -300,6 +301,21 @@ def test_budget_exhausted_flag(fit_setup):
         assert "budget_exhausted" in result.flags
     else:  # a lucky start can still converge inside the floor budget
         assert "budget_exhausted" not in result.flags
+
+
+def test_process_caches_stay_bounded_after_a_fit(fit_setup):
+    _, _, trace, _ = fit_setup
+    wide = FitProblem(
+        CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 200.0)},
+        cache_quantum=0.5,
+    )
+    dynamics.clear_caches()
+    fit_trace(wide, trace, max_evaluations=60, refine_starts=1,
+              n_intensity_starts=2, n_temperature_starts=2)
+    for cache in (dynamics.chain_operator, dynamics._chain_eig):
+        info = cache.cache_info()
+        assert info.maxsize == dynamics.CHAIN_CACHE_SIZE == 1024
+        assert 0 < info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
