@@ -15,13 +15,8 @@ from .dynamics import (
     IntegrationError,
     PropagationError,
     PropagationGrid,
-    Wavepacket,
-    basis_state,
     elliptic_tdse_ensemble,
     kick_ensemble,
-    propagate_sudden,
-    propagate_tdse_linear,
-    propagate_elliptic_tdse,
     sudden_ensemble,
     tdse_ensemble,
 )
@@ -40,6 +35,7 @@ from .grating import (
     GratingGeometry,
     SignalTrace,
     grating_geometry,
+    grating_signal,
     intensity_grating_signal,
     polarization_grating_signal,
     probe_convolve,
@@ -96,12 +92,11 @@ __all__ = [
     "__version__",
     "revival_period",
     "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
-    "PropagationGrid", "Wavepacket", "basis_state", "elliptic_tdse_ensemble",
-    "kick_ensemble", "propagate_sudden", "propagate_tdse_linear",
-    "propagate_elliptic_tdse", "sudden_ensemble", "tdse_ensemble",
+    "PropagationGrid", "elliptic_tdse_ensemble", "kick_ensemble", "sudden_ensemble",
+    "tdse_ensemble",
     "EffectiveArea", "PulseSpec", "effective_area", "elliptic_pulse",
     "envelope_intensity", "linear_pulse", "polarization_at", "xi_per_intensity",
-    "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry",
+    "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry", "grating_signal",
     "intensity_grating_signal", "polarization_grating_signal", "probe_convolve",
     "spatial_modulation_check", "write_signal_csv",
     "AlignmentTrace", "FourierDecomposition", "alignment_trace",

@@ -26,8 +26,7 @@ from .field import PulseSpec, elliptic_pulse
 from .grating import (
     GratingConfig,
     grating_geometry,
-    intensity_grating_signal,
-    polarization_grating_signal,
+    grating_signal,
     write_signal_csv,
 )
 from .observables import (
@@ -94,6 +93,19 @@ def _get(cfg: dict, key: str, kinds, default=_REQUIRED):
         want = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"'{key}' must be {want}, got {type(value).__name__}")
     return value
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as float; null, booleans and strings name the key."""
+    if value is None:
+        raise ConfigError(f"'{key}' must be a number, got null")
+    return _get({key: value}, key, float)
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"'{key}' must be a [lo, hi] pair")
+    return _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
 
 
 def _resolve_molecule(cfg: dict):
@@ -226,8 +238,7 @@ def cmd_simulate(args) -> int:
     cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
     dec = fourier_decompose(cs, "y")
     trace = reconstruct(dec, times)
-    signal_fn = intensity_grating_signal if scheme == "parallel" else polarization_grating_signal
-    signal = signal_fn(molecule, temperature, grating, times, decomposition=dec)
+    signal = grating_signal(molecule, temperature, grating, times, decomposition=dec)
 
     metadata = {
         "version": __version__,
@@ -413,13 +424,8 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    bounds_cfg = _get(cfg, "bounds", dict)
-    bounds = {}
-    for name, pair in bounds_cfg.items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"'bounds.{name}' must be a [lo, hi] pair")
-        bounds[name] = (float(pair[0]), float(pair[1]))
-    fixed = {k: float(v) for k, v in _get(cfg, "fixed", dict, {}).items()}
+    bounds = {name: _pair(pair, f"bounds.{name}") for name, pair in _get(cfg, "bounds", dict).items()}
+    fixed = {k: _number(v, f"fixed.{k}") for k, v in _get(cfg, "fixed", dict, {}).items()}
     scale_bounds = _get(cfg, "scale_bounds", list, None)
 
     try:
@@ -430,7 +436,7 @@ def cmd_fit(args) -> int:
             bounds=bounds,
             fixed=fixed,
             scale_bounds=(0.0, float("inf")) if scale_bounds is None
-            else (float(scale_bounds[0]), float(scale_bounds[1])),
+            else _pair(scale_bounds, "scale_bounds"),
             apply_transverse_factor=_get(cfg, "apply_transverse_factor", bool, True),
             j_max=_get(cfg, "j_max", int, None),
             boltzmann_cutoff=_get(cfg, "boltzmann_cutoff", float, 1e-6),

@@ -1,45 +1,41 @@
-"""Wavepacket propagation through the pump interaction.
+"""Propagation of thermal rotor ensembles through the pump interaction.
 
-Three routes with one physical model:
+Three drivers with one physical model, each returning a ChannelSet:
 
-  * propagate_sudden: instantaneous kick exp(i xi cos^2 theta), exact
-    unitaries from eigendecompositions of the fixed-M tridiagonal blocks
-    (linear polarization) or sparse exponentials on the coupled (J,M)
-    lattice (elliptic).
-  * propagate_tdse_linear: numerical integration of the time-dependent
-    Schroedinger equation for a finite linearly polarized pulse.
-  * propagate_elliptic_tdse: the brute-force oracle for elliptic fields,
-    interaction A^2 cos^2 theta_x + B^2 cos^2 theta_y on the (J,M) lattice.
+  * kick_ensemble (sudden_ensemble from a pulse): instantaneous kick
+    exp(i xi cos^2 theta) of a linearly polarized pump, exact unitaries from
+    eigendecompositions of the fixed-M tridiagonal chains.
+  * tdse_ensemble: numerical integration of the time-dependent
+    Schroedinger equation for a finite linearly polarized pulse, all chains
+    stacked into one adaptive solve.
+  * elliptic_tdse_ensemble: finite elliptic pulse, interaction
+    A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice.
 
 The TDSE routes integrate in the interaction picture anchored at the pulse
 center, so the stiff rotational phases never enter the integrator; outside
-the pulse window free evolution is applied analytically as phase factors.
-On fixed-M chains J and J+2 couple with the Raman phase
-exp(i (omega_J - omega_{J+2}) (t - t0)), so each right-hand-side call
-exponentiates only the distinct Raman differences; the elliptic (J,M) lattice
-keeps a sparse coupling between free-rotation phases.
+the pulse window free evolution is analytic.  On fixed-M chains J and J+2
+couple with the Raman phase exp(i (omega_J - omega_{J+2}) (t - t0)), so each
+right-hand-side call exponentiates only the distinct Raman differences; the
+elliptic (J,M) lattice keeps a sparse coupling between free-rotation phases.
 
-Ensemble drivers batch all thermal channels that share a (|M|, J-parity)
-block into single linear-algebra calls and return them as one ChannelBlock,
-an amplitude matrix with one column per channel; the reduction order is
-fixed, so reruns are bit-identical.
+The drivers batch all thermal channels that share a (|M|, J-parity) chain or
+a (J-parity, M-parity) lattice group into single linear-algebra calls and
+return them as one ChannelBlock, an amplitude matrix with one column per
+channel; the reduction order is fixed, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
-from .field import EffectiveArea, PulseSpec, effective_area, envelope_intensity, pulse_window
+from .field import PulseSpec, effective_area, envelope_intensity, pulse_window
 from .rotor import (
-    BasisSpec,
     JMBasis,
     MoleculeSpec,
     ThermalEnsemble,
@@ -90,59 +86,6 @@ def default_grid(pulse: PulseSpec, relative_tolerance: float = 1e-8) -> Propagat
     return PropagationGrid(t_lo, t_hi, relative_tolerance=relative_tolerance)
 
 
-@dataclass(frozen=True)
-class Wavepacket:
-    """Rotational state of one channel.
-
-    Amplitudes live on basis.j_values for a fixed-M ladder (BasisSpec) or on
-    basis.pairs for the coupled (J,M) lattice (JMBasis).  reference_time is
-    the instant the amplitudes refer to; free evolution to any other time is
-    a diagonal phase.
-    """
-
-    basis: Union[BasisSpec, JMBasis]
-    origin: tuple[int, int]
-    amplitudes: np.ndarray
-    reference_time: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def j_labels(self) -> np.ndarray:
-        if isinstance(self.basis, BasisSpec):
-            return self.basis.j_values
-        return self.basis.j_of
-
-    def freely_evolved(self, t: float, molecule: MoleculeSpec) -> np.ndarray:
-        """Schroedinger-picture amplitudes at time t under free rotation."""
-        omega = rotational_omega(self.j_labels(), molecule)
-        return self.amplitudes * np.exp(-1j * omega * (t - self.reference_time))
-
-
-def basis_state(basis: Union[BasisSpec, JMBasis], j0: int, m0: int, t: float = 0.0) -> Wavepacket:
-    """Unit wavepacket concentrated on |j0, m0>."""
-    if isinstance(basis, BasisSpec):
-        if abs(m0) != abs(basis.m):
-            raise ValueError(f"basis carries M={basis.m}, requested M0={m0}")
-        if not abs(m0) <= j0 <= basis.j_max:
-            raise ValueError(f"(J0, M0) = ({j0}, {m0}) outside the ladder")
-        idx = j0 - abs(basis.m)
-        n = len(basis.j_values)
-    else:
-        key = (j0, m0)
-        if key not in basis.index:
-            raise ValueError(f"(J0, M0) = {key} not in the (J,M) basis")
-        idx = basis.index[key]
-        n = len(basis)
-    amps = np.zeros(n, dtype=complex)
-    amps[idx] = 1.0
-    return Wavepacket(basis, (j0, m0), amps, t)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-M parity chains and their kick eigendecompositions
 # ---------------------------------------------------------------------------
@@ -184,12 +127,6 @@ def clear_caches():
         cache.cache_clear()
 
 
-def kick_chain(amps: np.ndarray, xi: float, m: int, js: np.ndarray, j_max: int) -> np.ndarray:
-    """Apply exp(i xi cos^2 theta) to chain amplitudes (js defines the chain)."""
-    _, evals, evecs = _chain_eig(abs(m), int(js[0] % 2), j_max)
-    return (evecs * np.exp(1j * xi * evals)) @ (evecs.T @ amps)
-
-
 @lru_cache(maxsize=64)
 def _axis_matrix(j_max: int, j_parity, m_parity, axis: str) -> scipy.sparse.csr_matrix:
     return cos2theta_axis_matrix(JMBasis(j_max, j_parity, m_parity), axis)
@@ -197,73 +134,6 @@ def _axis_matrix(j_max: int, j_parity, m_parity, axis: str) -> scipy.sparse.csr_
 
 def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
     return _axis_matrix(basis.j_max, basis.j_parity, basis.m_parity, axis)
-
-
-# ---------------------------------------------------------------------------
-# Norm bookkeeping
-# ---------------------------------------------------------------------------
-
-def _require_normalized(amps: np.ndarray):
-    n = np.linalg.norm(amps)
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"input wavepacket must be normalized, got norm {n!r}")
-
-
-def _edge_population(amps: np.ndarray, j_of: np.ndarray, j_max: int) -> float:
-    """Population in the top two J shells of the basis."""
-    mask = j_of >= j_max - 1
-    return float(np.sum(np.abs(amps[mask]) ** 2))
-
-
-def _check_edge(amps: np.ndarray, j_of: np.ndarray, j_max: int):
-    leak = _edge_population(amps, j_of, j_max)
-    if leak > EDGE_POPULATION_TOL:
-        raise BasisTooSmallError(
-            f"population {leak:.2e} in the top two J shells exceeds "
-            f"{EDGE_POPULATION_TOL:.0e}; increase j_max beyond {j_max}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Sudden (delta-kick) propagation
-# ---------------------------------------------------------------------------
-
-def propagate_sudden(
-    wp: Wavepacket, area: EffectiveArea, a2: float = 0.0, b2: float = 1.0
-) -> Wavepacket:
-    """Instantaneous kick exp(i xi B^2 cos^2 theta_y) exp(i xi A^2 cos^2 theta_x).
-
-    On a fixed-M ladder (linear polarization, quantization along the field)
-    this is a single kick of strength xi; the (J,M) lattice handles general
-    ellipticity, applying the y factor first.  Unitary to machine precision.
-    """
-    _require_normalized(wp.amplitudes)
-    xi = area.xi
-    if isinstance(wp.basis, BasisSpec):
-        if min(a2, b2) > 1e-12:
-            raise ValueError("elliptic kick needs a full (J,M) basis, not a fixed-M ladder")
-        out = np.array(wp.amplitudes, dtype=complex)
-        js = wp.basis.j_values
-        if xi * (a2 + b2) != 0.0:
-            for parity in (0, 1):
-                sel = np.nonzero(js % 2 == parity)[0]
-                if len(sel) and np.any(out[sel] != 0.0):
-                    out[sel] = kick_chain(
-                        out[sel], xi * (a2 + b2), wp.basis.m, js[sel], wp.basis.j_max
-                    )
-        _check_edge(out, js, wp.basis.j_max)
-        return replace(wp, amplitudes=out)
-
-    basis = wp.basis
-    out = np.array(wp.amplitudes, dtype=complex)
-    if xi * b2 != 0.0:
-        cy = _axis_operator(basis, "y")
-        out = scipy.sparse.linalg.expm_multiply(1j * xi * b2 * cy, out)
-    if xi * a2 != 0.0:
-        cx = _axis_operator(basis, "x")
-        out = scipy.sparse.linalg.expm_multiply(1j * xi * a2 * cx, out)
-    _check_edge(out, basis.j_of, basis.j_max)
-    return replace(wp, amplitudes=out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,68 +207,6 @@ def _integrate_interaction(y0, coupling, pulse, molecule, grid):
         raise IntegrationError(f"TDSE integration failed: {sol.message}")
     # copy: a view would keep the solver's whole step history alive
     return np.array(sol.y[:, -1]).reshape(np.shape(y0))
-
-
-def propagate_tdse_linear(
-    wp: Wavepacket, pulse: PulseSpec, molecule: MoleculeSpec, grid: PropagationGrid | None = None
-) -> Wavepacket:
-    """Finite-pulse propagation for a linearly polarized pump on a fixed-M ladder.
-
-    The Hamiltonian is B J(J+1) - hbar (dxi/dt)(t) cos^2 theta with the field
-    axis as quantization axis.  Returns amplitudes at grid.t_end (free
-    evolution applied analytically outside the pulse window).
-    """
-    if not isinstance(wp.basis, BasisSpec):
-        raise ValueError("linear TDSE runs on a fixed-M ladder; use propagate_elliptic_tdse")
-    if not pulse.is_linear():
-        raise ValueError("pulse must be linearly polarized for the fixed-M path")
-    _require_normalized(wp.amplitudes)
-    if grid is None:
-        grid = default_grid(pulse)
-    js = wp.basis.j_values
-    omega = rotational_omega(js, molecule)
-    # interaction-picture state at the anchor t0, from the state at reference_time
-    a = wp.amplitudes * np.exp(-1j * omega * (pulse.t0_ps - wp.reference_time))
-
-    out = np.array(a, dtype=complex)
-    m = abs(wp.basis.m)
-    for parity in (0, 1):
-        sel = np.nonzero(js % 2 == parity)[0]
-        if len(sel) == 0 or not np.any(out[sel] != 0.0):
-            continue
-        coupling = _raman_chain_coupling([(js[sel], m, 1)], molecule)
-        out[sel] = _integrate_interaction(out[sel], coupling, pulse, molecule, grid)
-    # back to the Schroedinger picture at t_end
-    out = out * np.exp(-1j * omega * (grid.t_end - pulse.t0_ps))
-    _check_edge(out, js, wp.basis.j_max)
-    return replace(wp, amplitudes=out, reference_time=grid.t_end)
-
-
-def propagate_elliptic_tdse(
-    wp: Wavepacket, pulse: PulseSpec, molecule: MoleculeSpec, grid: PropagationGrid | None = None
-) -> Wavepacket:
-    """Finite-pulse propagation on the (J,M) lattice for arbitrary ellipticity.
-
-    Interaction -(dxi/dt)(t) [A^2 cos^2 theta_x + B^2 cos^2 theta_y] with
-    quantization along the propagation axis z; couples Delta-M = 0, +-2 and
-    conserves both J and M parity.
-    """
-    if not isinstance(wp.basis, JMBasis):
-        raise ValueError("elliptic TDSE needs a full (J,M) basis")
-    _require_normalized(wp.amplitudes)
-    if grid is None:
-        grid = default_grid(pulse)
-    basis = wp.basis
-    omega = rotational_omega(basis.j_of, molecule)
-    coupling = (pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")).tocsr()
-
-    a = wp.amplitudes * np.exp(-1j * omega * (pulse.t0_ps - wp.reference_time))
-    a = _integrate_interaction(
-        a, _sandwiched_coupling(omega, coupling.dot), pulse, molecule, grid
-    )
-    out = a * np.exp(-1j * omega * (grid.t_end - pulse.t0_ps))
-    _check_edge(out, basis.j_of, basis.j_max)
-    return replace(wp, amplitudes=out, reference_time=grid.t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ alignment trace:
   perpendicular pumps:  signal ~ [(3/2) * trace at intensity I0*f]^2, a pure
                         polarization grating (constant total intensity)
 
+grating_signal picks the branch from GratingConfig.scheme; diffracted_signal
+is the per-sample model it shares with the fit's forward model.
+
 f is the transverse-averaging convention factor (default 1/2) applied to map
 experimental to theoretical intensity; it is exposed in metadata and never
 hidden inside fitted parameters.
@@ -182,7 +185,23 @@ def heterodyne_with_background(times, field_values, background: complex, t_on: f
     return np.abs(np.asarray(field_values) + b) ** 2
 
 
-def intensity_grating_signal(
+def diffracted_signal(scheme: str, trace_values, times, background: complex | None = None,
+                      t_on: float = 0.0) -> np.ndarray:
+    """Per-sample diffracted signal from linear-polarization trace values.
+
+    Perpendicular pumps diffract off (3/2) times the trace, parallel pumps off
+    the trace itself, heterodyned by a nonzero plasma background from t_on
+    onward.  grating_signal and the fit's model_signal both end here.
+    """
+    field_values = np.asarray(trace_values)
+    if scheme == "perpendicular":
+        field_values = 1.5 * field_values
+    if background:
+        return heterodyne_with_background(times, field_values, background, t_on)
+    return field_values**2
+
+
+def grating_signal(
     molecule: MoleculeSpec,
     temperature: float,
     config: GratingConfig,
@@ -191,27 +210,27 @@ def intensity_grating_signal(
     j_max: int | None = None,
     decomposition: FourierDecomposition | None = None,
 ) -> SignalTrace:
-    """Parallel-pump (intensity grating) diffracted signal versus probe delay.
+    """Diffracted signal versus probe delay for the scheme in config.
 
-    A given decomposition (y axis, config.theoretical_intensity) replaces propagation.
+    Parallel pumps write an intensity grating, optionally heterodyned by the
+    plasma background switched on at config.t0_ps.  Perpendicular pumps write
+    a polarization grating: the x-y anisotropy difference carries (3/2) times
+    the linear-polarization trace, and the plasma grating diffracts to a
+    different angle, so no background enters at order 1.  A given
+    decomposition (y axis, config.theoretical_intensity) replaces propagation.
     """
-    if config.scheme != "parallel":
-        raise ValueError(f"intensity grating needs scheme='parallel', got {config.scheme!r}")
     _warn_if_saturated(config)
     times = np.asarray(times, dtype=float)
     trace = _linear_trace(
         molecule, temperature, config.theoretical_intensity, config, times, method, j_max,
         decomposition,
     )
-    if config.plasma_background is not None:
-        values = heterodyne_with_background(
-            times, trace.values, config.plasma_background, config.t0_ps
-        )
-    else:
-        values = trace.values**2
+    values = diffracted_signal(
+        config.scheme, trace.values, times, config.plasma_background, config.t0_ps
+    )
     meta = dict(trace.metadata)
     meta.update(
-        scheme="parallel",
+        scheme=config.scheme,
         single_pump_peak_intensity=config.single_pump_peak_intensity,
         apply_transverse_factor=config.apply_transverse_factor,
         heterodyned=config.plasma_background is not None,
@@ -222,43 +241,8 @@ def intensity_grating_signal(
     return signal
 
 
-def polarization_grating_signal(
-    molecule: MoleculeSpec,
-    temperature: float,
-    config: GratingConfig,
-    times,
-    method: str = "sudden",
-    j_max: int | None = None,
-    decomposition: FourierDecomposition | None = None,
-) -> SignalTrace:
-    """Perpendicular-pump (polarization grating) diffracted signal.
-
-    The diffracting spatial structure is the x-y anisotropy difference, whose
-    peak positions carry (3/2) times the linear-polarization trace at the
-    scheme's theoretical intensity; the plasma grating diffracts to a
-    different angle, so no background term enters at order 1.  A given
-    decomposition (y axis, config.theoretical_intensity) replaces propagation.
-    """
-    if config.scheme != "perpendicular":
-        raise ValueError(f"polarization grating needs scheme='perpendicular', got {config.scheme!r}")
-    _warn_if_saturated(config)
-    times = np.asarray(times, dtype=float)
-    trace = _linear_trace(
-        molecule, temperature, config.theoretical_intensity, config, times, method, j_max,
-        decomposition,
-    )
-    values = (1.5 * trace.values) ** 2
-    meta = dict(trace.metadata)
-    meta.update(
-        scheme="perpendicular",
-        single_pump_peak_intensity=config.single_pump_peak_intensity,
-        apply_transverse_factor=config.apply_transverse_factor,
-        heterodyned=False,
-    )
-    signal = SignalTrace(times, values, meta)
-    if config.probe_tau_fwhm_ps:
-        signal = probe_convolve(signal, config.probe_tau_fwhm_ps)
-    return signal
+# scheme-named entry points; the branch is read from config.scheme either way
+intensity_grating_signal = polarization_grating_signal = grating_signal
 
 
 def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace:

@@ -2,10 +2,10 @@
 
 The forward model is the grating signal pipeline: a sudden-kick thermal
 ensemble at (intensity, temperature), its exact cosine-series decomposition,
-evaluated at shifted delays, squared (with optional complex background) and
-scaled.  The decomposition per (intensity, temperature) cell is cached with
-quantized keys, so the derivative-free simplex pays the propagation cost only
-once per visited cell.
+evaluated at shifted delays, turned into a diffracted signal by the same
+grating.diffracted_signal that simulate uses, and scaled.  The decomposition
+per (intensity, temperature) cell is cached with quantized keys, so the
+derivative-free simplex pays the propagation cost only once per visited cell.
 
 The amplitude scale never enters the optimizer: for any trial of the other
 parameters it is a linear least-squares subproblem solved in closed form.
@@ -22,6 +22,7 @@ import scipy.optimize
 
 from .dynamics import kick_ensemble
 from .field import xi_per_intensity
+from .grating import diffracted_signal
 from .observables import FourierDecomposition, fourier_decompose, reconstruct
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
@@ -132,6 +133,17 @@ class FitProblem:
             lo, hi = pair
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi, got {pair}")
+        for name in self.fixed:
+            if name not in PARAM_ORDER:
+                raise ValueError(
+                    f"unknown fixed parameter {name!r}; choose from {PARAM_ORDER} "
+                    "(the scale is always profiled)"
+                )
+            if name in self.bounds:
+                raise ValueError(f"{name!r} is both fixed and free; drop it from fixed or bounds")
+        lo, hi = self.scale_bounds
+        if not lo < hi:
+            raise ValueError(f"scale_bounds must have lo < hi, got {self.scale_bounds}")
         if self.scheme != "parallel" and self._background_active():
             raise ValueError("background parameters apply to the parallel scheme only")
         for name in ("intensity", "temperature"):
@@ -203,15 +215,9 @@ def model_signal(
     delays = np.asarray(delays, dtype=float)
     dec = cache.decomposition(params["intensity"], params["temperature"])
     t_off = params.get("t_offset", 0.0)
-    s = reconstruct(dec, delays - t_off).values
-    if problem.scheme == "perpendicular":
-        s = 1.5 * s
     b = complex(params.get("background_re", 0.0), params.get("background_im", 0.0))
-    if b != 0:
-        on = delays >= t_off
-        values = np.abs(s + np.where(on, b, 0.0)) ** 2
-    else:
-        values = s**2
+    s = reconstruct(dec, delays - t_off).values
+    values = diffracted_signal(problem.scheme, s, delays, b, t_off)
     return params.get("scale", 1.0) * values
 
 

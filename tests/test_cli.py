@@ -17,7 +17,7 @@ from rotorgrating.cli import (
     main,
 )
 from rotorgrating.retrieval import FitProblem, synthesize_trace
-from rotorgrating.grating import GratingConfig, polarization_grating_signal, write_signal_csv
+from rotorgrating.grating import GratingConfig, grating_signal, write_signal_csv
 from rotorgrating.observables import revival_time_grid
 from rotorgrating.rotor import CO2
 
@@ -176,7 +176,7 @@ def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
     grating = GratingConfig("perpendicular", resolved["single_pump_intensity_tw_cm2"])
     grid = resolved["time_grid"]
     times = revival_time_grid(CO2, grid["n"], grid["t_start_ps"], grid["periods"])
-    signal = polarization_grating_signal(CO2, 30.0, grating, times, method="tdse")
+    signal = grating_signal(CO2, 30.0, grating, times, method="tdse")
     assert len(calls) == 2
     write_signal_csv(signal, str(tmp_path / "signal.csv"), header_metadata=_stamp(resolved))
     assert (out / "signal.csv").read_bytes() == (tmp_path / "signal.csv").read_bytes()
@@ -265,6 +265,33 @@ def test_fit_missing_trace_file(tmp_path, capsys):
     })
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "no_such_scan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"scale_bounds": [1]}, "scale_bounds"),
+    ({"scale_bounds": [0, None]}, "scale_bounds[1]"),
+    ({"scale_bounds": [True, 5]}, "scale_bounds[0]"),
+    ({"fixed": {"temperature": None}}, "fixed.temperature"),
+    ({"fixed": {"temperature": True}}, "fixed.temperature"),
+    ({"fixed": {"temperature": "60"}}, "fixed.temperature"),
+    ({"bounds": {"intensity": [5, None]}}, "bounds.intensity[1]"),
+    ({"bounds": {"intensity": [True, 30]}}, "bounds.intensity[0]"),
+    ({"bounds": {"intensity": 5}}, "bounds.intensity"),
+])
+def test_fit_rejects_bad_numbers_naming_the_key(tmp_path, capsys, override, key):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.1},1.0\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2",
+        "scheme": "perpendicular",
+        "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]},
+        "fixed": {"temperature": 60.0},
+        **override,
+    })
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_fit_round_trip_from_simulated_signal(tmp_path, capsys):

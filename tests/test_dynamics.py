@@ -1,142 +1,152 @@
-"""Sudden-kick and TDSE propagation: unitarity, selection rules, guards."""
+"""Sudden-kick and TDSE propagation: unitarity, selection rules, guards.
+
+Reference results come from dense matrix exponentials of the rotor's cos^2
+theta matrices and from the drivers run on single-channel ensembles.
+"""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rotorgrating.dynamics import (
     BasisTooSmallError,
     PropagationGrid,
-    Wavepacket,
-    basis_state,
     elliptic_tdse_ensemble,
-    kick_chain,
     kick_ensemble,
-    propagate_elliptic_tdse,
-    propagate_sudden,
-    propagate_tdse_linear,
     sudden_ensemble,
     tdse_ensemble,
 )
-from rotorgrating.field import EffectiveArea, effective_area, elliptic_pulse, linear_pulse
+from rotorgrating.field import effective_area, elliptic_pulse, linear_pulse
+from rotorgrating.observables import alignment_trace
 from rotorgrating.rotor import (
     CO2,
     BasisSpec,
     JMBasis,
+    ThermalEnsemble,
     boltzmann_ensemble,
     cos2theta_axis_matrix,
+    cos2theta_matrix,
     cos2theta_offdiag,
-    rotational_omega,
 )
 
+GROUND = boltzmann_ensemble(CO2, 0.0)  # the single channel |0,0>
 
-def _random_chain_state(basis, seed=0):
-    # support confined to the lower third so kicks stay clear of the edge guard
-    rng = np.random.default_rng(seed)
-    n = len(basis.j_values)
-    k = max(4, n // 3)
-    amps = np.zeros(n, dtype=complex)
-    amps[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
-    amps /= np.linalg.norm(amps)
-    return Wavepacket(basis, (int(basis.j_values[0]), basis.m), amps, 0.0)
+
+def _dense_kick(xi, m, j_max):
+    """exp(i xi cos^2 theta) on the full fixed-M ladder J = |m| .. j_max, both parities."""
+    return scipy.linalg.expm(1j * xi * cos2theta_matrix(BasisSpec(j_max, m)))
+
+
+def _level_populations(cs):
+    """Weighted population of each J, summed over channels and M."""
+    pops = np.zeros(cs.j_max + 1)
+    for b in cs.blocks:
+        np.add.at(pops, b.js, np.abs(b.amplitudes) ** 2 @ b.weights)
+    return pops
 
 
 # ---------------------------------------------------------------------------
-# Sudden kick on a fixed-M ladder
+# Sudden kick on fixed-M chains
 # ---------------------------------------------------------------------------
 
 def test_zero_kick_is_identity():
-    basis = BasisSpec(20, m=1)
-    wp = _random_chain_state(basis, seed=3)
-    out = propagate_sudden(wp, EffectiveArea(0.0))
-    assert np.array_equal(out.amplitudes, wp.amplitudes)
+    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), 0.0, j_max=40)
+    for b in cs.blocks:
+        unit = np.zeros_like(b.amplitudes)
+        unit[np.searchsorted(b.js, b.j0), np.arange(len(b.j0))] = 1.0
+        assert np.array_equal(b.amplitudes, unit)
 
 
 def test_kick_is_unitary():
-    basis = BasisSpec(60, m=2)
-    wp = _random_chain_state(basis, seed=5)
-    out = propagate_sudden(wp, EffectiveArea(3.0))
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    # at 293 K a block holds up to ~40 channels: its columns stay orthonormal
+    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 293.0), 3.0)
+    for b in cs.blocks:
+        gram = b.amplitudes.conj().T @ b.amplitudes
+        assert np.max(np.abs(gram - np.eye(len(b.j0)))) < 1e-12
 
 
 def test_kick_is_linear():
-    basis = BasisSpec(40, m=0)
-    a = _random_chain_state(basis, seed=1)
-    b = _random_chain_state(basis, seed=2)
-    summed = a.amplitudes + b.amplitudes
-    scale = np.linalg.norm(summed)
-    mixed = Wavepacket(basis, a.origin, summed / scale, 0.0)
-    area = EffectiveArea(2.0)
-    lhs = propagate_sudden(mixed, area).amplitudes * scale
-    rhs = propagate_sudden(a, area).amplitudes + propagate_sudden(b, area).amplitudes
-    assert np.max(np.abs(lhs - rhs)) < 1e-9
+    # a superposition of a block's origins kicks into the same superposition
+    # of its columns
+    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), 2.0)
+    rng = np.random.default_rng(1)
+    dense = {}
+    for b in cs.blocks:
+        m = int(b.m0[0])
+        if m not in dense:
+            dense[m] = _dense_kick(cs.xi, m, cs.j_max)
+        coef = rng.normal(size=len(b.j0)) + 1j * rng.normal(size=len(b.j0))
+        start = np.zeros(cs.j_max + 1 - m, dtype=complex)
+        start[b.j0 - m] = coef
+        want = (dense[m] @ start)[b.js - m]
+        assert np.max(np.abs(b.amplitudes @ coef - want)) < 1e-9
 
 
 def test_kick_preserves_j_parity():
-    basis = BasisSpec(30, m=0)
-    out = propagate_sudden(basis_state(basis, 0, 0), EffectiveArea(2.0))
-    odd = out.amplitudes[basis.j_values % 2 == 1]
-    assert np.all(odd == 0.0)
+    cs = kick_ensemble(CO2, GROUND, 2.0, j_max=30)
+    (block,) = cs.blocks
+    assert np.all(block.js % 2 == 0)
+    full = _dense_kick(2.0, 0, 30)[:, 0]
+    # the dense exponential on both parities leaves odd J exactly empty ...
+    assert np.all(full[1::2] == 0.0)
+    # ... and its even-J part is the driver's chain
+    assert np.max(np.abs(full[0::2] - block.amplitudes[:, 0])) < 1e-12
 
 
 def test_first_order_amplitude():
     # <2,0|exp(i xi C)|0,0> -> i xi <2,0|C|0,0> as xi -> 0
-    basis = BasisSpec(30, m=0)
     xi = 1e-4
-    out = propagate_sudden(basis_state(basis, 0, 0), EffectiveArea(xi))
+    (block,) = kick_ensemble(CO2, GROUND, xi, j_max=30).blocks
     expect = 1j * xi * cos2theta_offdiag(0, 0)
-    assert abs(out.amplitudes[2] - expect) / abs(expect) < 1e-3
+    assert abs(block.amplitudes[1, 0] - expect) / abs(expect) < 1e-3
 
 
 def test_second_order_population():
     # P(J=2) = (4/45) xi^2 to leading order; within a percent at xi = 0.444
-    basis = BasisSpec(30, m=0)
     xi = 0.444
-    out = propagate_sudden(basis_state(basis, 0, 0), EffectiveArea(xi))
-    p2 = abs(out.amplitudes[2]) ** 2
+    (block,) = kick_ensemble(CO2, GROUND, xi, j_max=30).blocks
+    p2 = abs(block.amplitudes[1, 0]) ** 2
     assert p2 == pytest.approx((4.0 / 45.0) * xi**2, rel=0.02)
 
 
 def test_elliptic_kick_rejected_on_chain():
-    basis = BasisSpec(20, m=0)
-    with pytest.raises(ValueError, match="full \\(J,M\\) basis"):
-        propagate_sudden(basis_state(basis, 0, 0), EffectiveArea(1.0), a2=0.5, b2=0.5)
-
-
-def test_unnormalized_state_rejected():
-    basis = BasisSpec(20, m=0)
-    wp = basis_state(basis, 0, 0)
-    bad = Wavepacket(basis, wp.origin, wp.amplitudes * 0.5, 0.0)
-    with pytest.raises(ValueError):
-        propagate_sudden(bad, EffectiveArea(1.0))
+    # fixed-M chains quantize along a linear field; elliptic pumps need the lattice
+    pulse = elliptic_pulse(1.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="linear polarization"):
+        sudden_ensemble(CO2, GROUND, pulse)
+    with pytest.raises(ValueError, match="linear polarization"):
+        tdse_ensemble(CO2, GROUND, pulse)
 
 
 # ---------------------------------------------------------------------------
-# Sudden kick on the (J,M) lattice
+# The (J,M) lattice
 # ---------------------------------------------------------------------------
 
 def test_jm_kick_unitary_and_parity():
-    basis = JMBasis(12)
-    out = propagate_sudden(basis_state(basis, 0, 0), EffectiveArea(1.0), a2=0.5, b2=0.5)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-    for idx, (j, m) in enumerate(basis.pairs):
-        if j % 2 == 1 or m % 2 == 1:
-            assert out.amplitudes[idx] == 0.0
+    # the lab-axis operators couple only equal J and equal M parities, so the
+    # parity-filtered lattice of each block is closed ...
+    full = JMBasis(12)
+    for axis in ("x", "y"):
+        coo = cos2theta_axis_matrix(full, axis).tocoo()
+        assert np.all((full.j_of[coo.row] - full.j_of[coo.col]) % 2 == 0)
+        assert np.all((full.m_of[coo.row] - full.m_of[coo.col]) % 2 == 0)
+    # ... and a near-sudden circular kick keeps its norm there
+    cs = elliptic_tdse_ensemble(CO2, GROUND, elliptic_pulse(1.0, 0.5, 0.5, tau_fwhm_ps=0.01),
+                                j_max=12)
+    (block,) = cs.blocks
+    assert (block.basis.j_parity, block.basis.m_parity) == (0, 0)
+    assert cs.norm_deviation() < 1e-10
 
 
 def test_jm_linear_kick_matches_chain():
-    # b2=1 kick from the isotropic (0,0) state must give the same J-level
-    # populations as the fixed-M ladder, which quantizes along the field
-    jm = JMBasis(16)
-    chain = BasisSpec(16, m=0)
-    wl = propagate_sudden(basis_state(jm, 0, 0), EffectiveArea(1.5), a2=0.0, b2=1.0)
-    wc = propagate_sudden(basis_state(chain, 0, 0), EffectiveArea(1.5))
-    pop_l = np.zeros(17)
-    for idx, (j, m) in enumerate(jm.pairs):
-        pop_l[j] += abs(wl.amplitudes[idx]) ** 2
-    pop_c = np.zeros(17)
-    for idx, j in enumerate(chain.j_values):
-        pop_c[j] += abs(wc.amplitudes[idx]) ** 2
-    assert np.max(np.abs(pop_l - pop_c)) < 1e-10
+    # b2 = 1 on the lattice (quantized along z) gives the thermal J-level
+    # populations of the fixed-M chains (quantized along the field)
+    ens = boltzmann_ensemble(CO2, 10.0)
+    lattice = elliptic_tdse_ensemble(
+        CO2, ens, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=24
+    )
+    chain = tdse_ensemble(CO2, ens, linear_pulse(2.0, tau_fwhm_ps=0.05), j_max=24)
+    assert np.max(np.abs(_level_populations(lattice) - _level_populations(chain))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +154,30 @@ def test_jm_linear_kick_matches_chain():
 # ---------------------------------------------------------------------------
 
 def test_tdse_approaches_sudden_for_short_pulse():
-    basis = BasisSpec(30, m=0)
     pulse = linear_pulse(2.0, tau_fwhm_ps=0.01)
-    area = effective_area(pulse, CO2)
-    ws = propagate_sudden(basis_state(basis, 0, 0), area)
-    wt = propagate_tdse_linear(basis_state(basis, 0, 0, t=-0.03), pulse, CO2)
-    pops_s = np.abs(ws.amplitudes) ** 2
-    pops_t = np.abs(wt.amplitudes) ** 2
+    sudden = sudden_ensemble(CO2, GROUND, pulse, j_max=30)
+    tdse = tdse_ensemble(CO2, GROUND, pulse, j_max=30)
+    pops_s = np.abs(sudden.blocks[0].amplitudes) ** 2
+    pops_t = np.abs(tdse.blocks[0].amplitudes) ** 2
     assert np.max(np.abs(pops_s - pops_t)) < 1e-6
-    assert abs(np.linalg.norm(wt.amplitudes) - 1.0) < 1e-9
+    assert tdse.norm_deviation() < 1e-9
 
 
 def test_elliptic_tdse_reduces_to_linear():
-    jm = JMBasis(14)
-    chain = BasisSpec(14, m=0)
-    we = propagate_elliptic_tdse(
-        basis_state(jm, 0, 0, t=-0.15), elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), CO2
+    we = elliptic_tdse_ensemble(
+        CO2, GROUND, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=14
     )
-    wl = propagate_tdse_linear(
-        basis_state(chain, 0, 0, t=-0.15), linear_pulse(2.0, tau_fwhm_ps=0.05), CO2
-    )
-    pop_e = np.zeros(15)
-    for idx, (j, m) in enumerate(jm.pairs):
-        pop_e[j] += abs(we.amplitudes[idx]) ** 2
-    pop_l = np.zeros(15)
-    for idx, j in enumerate(chain.j_values):
-        pop_l[j] += abs(wl.amplitudes[idx]) ** 2
-    assert np.max(np.abs(pop_e - pop_l)) < 1e-8
+    wl = tdse_ensemble(CO2, GROUND, linear_pulse(2.0, tau_fwhm_ps=0.05), j_max=14)
+    assert np.max(np.abs(_level_populations(we) - _level_populations(wl))) < 1e-8
 
 
 def test_circular_pump_keeps_xy_symmetry():
-    jm = JMBasis(14)
     pulse = elliptic_pulse(3.0, 0.5, 0.5, tau_fwhm_ps=0.05)
-    wp = propagate_elliptic_tdse(basis_state(jm, 0, 0, t=-0.15), pulse, CO2)
-    cx = cos2theta_axis_matrix(jm, "x")
-    cy = cos2theta_axis_matrix(jm, "y")
-    ex = np.vdot(wp.amplitudes, cx @ wp.amplitudes).real
-    ey = np.vdot(wp.amplitudes, cy @ wp.amplitudes).real
-    assert abs(ex - ey) < 1e-8
+    cs = elliptic_tdse_ensemble(CO2, GROUND, pulse, j_max=14)
+    times = np.linspace(0.2, 45.0, 400)
+    ex = alignment_trace(cs, "x", times).values
+    ey = alignment_trace(cs, "y", times).values
+    assert np.max(np.abs(ex - ey)) < 1e-8
 
 
 def test_propagation_grid_validation():
@@ -248,20 +244,18 @@ def test_tdse_ensemble_deterministic():
 
 
 def test_tdse_ensemble_matches_single_wavepacket_tdse():
-    # the stacked Raman-phase system against one chain at a time; a step cap
-    # below the adaptive choice gives both solves the same step sequence, so
-    # they agree to roundoff once freely evolved to a common time
+    # the stacked Raman-phase system against each channel solved alone; a
+    # step cap below the adaptive choice gives every solve the same steps, so
+    # they agree to roundoff
     ens = boltzmann_ensemble(CO2, 30.0)
     pulse = linear_pulse(3.0)
     grid = PropagationGrid(-0.3, 0.3, max_step=0.01)
     cs = tdse_ensemble(CO2, ens, pulse, grid=grid)
-    t = 1.0
     for ch in cs.channels:
-        basis = BasisSpec(cs.j_max, m=ch.m)
-        wp = propagate_tdse_linear(basis_state(basis, ch.j0, ch.m, t=pulse.t0_ps), pulse, CO2, grid)
-        want = wp.freely_evolved(t, CO2)[basis.j_values % 2 == ch.j0 % 2]
-        got = ch.amplitudes * np.exp(-1j * rotational_omega(ch.js, CO2) * (t - cs.reference_time))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        alone = ThermalEnsemble(ens.temperature, ((ch.j0, ch.m, 1.0),))
+        (block,) = tdse_ensemble(CO2, alone, pulse, j_max=cs.j_max, grid=grid).blocks
+        assert np.array_equal(block.js, ch.js)
+        assert np.max(np.abs(block.amplitudes[:, 0] - ch.amplitudes)) <= 1e-12
 
 
 def test_elliptic_ensemble_folded_weights():
@@ -273,17 +267,16 @@ def test_elliptic_ensemble_folded_weights():
         assert abs(np.linalg.norm(ch.amplitudes) - 1.0) < 1e-8
 
 
-def test_kick_blocks_match_per_channel_kick_chain():
+def test_kick_blocks_match_dense_expm():
     ens = boltzmann_ensemble(CO2, 60.0)
     cs = kick_ensemble(CO2, ens, 6.0)
     views = cs.channels
     assert sorted((ch.j0, ch.m, ch.weight) for ch in views) == sorted(
         (j0, abs(m0), w) for j0, m0, w in ens.channels
     )
+    dense = {m: _dense_kick(cs.xi, m, cs.j_max) for m in {ch.m for ch in views}}
     for ch in views:
-        unit = np.zeros(len(ch.js), dtype=complex)
-        unit[np.searchsorted(ch.js, ch.j0)] = 1.0
-        want = kick_chain(unit, cs.xi, ch.m, ch.js, cs.j_max)
+        want = dense[ch.m][ch.js - ch.m, ch.j0 - ch.m]
         assert np.max(np.abs(ch.amplitudes - want)) <= 1e-13
 
 

@@ -11,6 +11,7 @@ from rotorgrating.grating import (
     GratingConfig,
     SignalTrace,
     grating_geometry,
+    grating_signal,
     heterodyne_with_background,
     intensity_grating_signal,
     polarization_grating_signal,
@@ -102,19 +103,20 @@ def test_theoretical_intensity_mapping():
 # ---------------------------------------------------------------------------
 
 def test_signals_are_nonnegative_and_scheme_checked():
+    # one function serves both schemes and reads the branch from config.scheme
+    assert intensity_grating_signal is grating_signal
+    assert polarization_grating_signal is grating_signal
     times = np.linspace(0.0, 22.0, 301)
-    sig = intensity_grating_signal(CO2, 60.0, _par(), times)
-    assert np.all(sig.values >= 0.0)
-    with pytest.raises(ValueError, match="parallel"):
-        intensity_grating_signal(CO2, 60.0, _perp(), times)
-    with pytest.raises(ValueError, match="perpendicular"):
-        polarization_grating_signal(CO2, 60.0, _par(), times)
+    for config in (_par(), _perp()):
+        sig = grating_signal(CO2, 60.0, config, times)
+        assert np.all(sig.values >= 0.0)
+        assert sig.metadata["scheme"] == config.scheme
 
 
 def test_polarization_signal_squares_the_anisotropy():
     times = np.linspace(0.0, 22.0, 301)
     config = _perp(8.0)
-    sig = polarization_grating_signal(CO2, 60.0, config, times)
+    sig = grating_signal(CO2, 60.0, config, times)
     # independent rebuild: linear trace at the mapped one-beam intensity,
     # anisotropy difference 3/2 L, detected as its square
     cs = thermal_channel_set(CO2, 60.0, linear_pulse(4.0, 0.1, 0.0))
@@ -126,7 +128,7 @@ def test_polarization_signal_squares_the_anisotropy():
 
 def test_intensity_signal_squares_the_trace():
     times = np.linspace(0.0, 22.0, 301)
-    sig = intensity_grating_signal(CO2, 60.0, _par(10.0), times)
+    sig = grating_signal(CO2, 60.0, _par(10.0), times)
     cs = thermal_channel_set(CO2, 60.0, linear_pulse(10.0, 0.1, 0.0))
     ref = reconstruct(fourier_decompose(cs), times).values
     assert np.max(np.abs(sig.values - ref**2)) < 1e-12
@@ -136,7 +138,7 @@ def test_saturation_warning():
     times = np.linspace(0.0, 5.0, 32)
     hot = _par(SATURATION_INTENSITY / 4.0 + 1.0)
     with pytest.warns(UserWarning, match="ionization"):
-        intensity_grating_signal(CO2, 60.0, hot, times)
+        grating_signal(CO2, 60.0, hot, times)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 from rotorgrating import dynamics
 from rotorgrating.constants import revival_period
+from rotorgrating.grating import GratingConfig, grating_signal
+from rotorgrating.observables import FourierDecomposition
 from rotorgrating.retrieval import (
     EnsembleCache,
     ExperimentalTrace,
@@ -125,6 +127,20 @@ def test_fit_problem_validation():
         )
     with pytest.raises(ValueError, match="temperature"):
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)})
+    # a misspelled or unfittable fixed name would otherwise be silently ignored
+    with pytest.raises(ValueError, match="unknown fixed parameter 't_ofset'"):
+        FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
+                   fixed={"temperature": 60, "t_ofset": 1.0})
+    with pytest.raises(ValueError, match="scale is always profiled"):
+        FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
+                   fixed={"temperature": 60, "scale": 3})
+    # ... and a fixed value next to bounds would be dropped for the free one
+    with pytest.raises(ValueError, match="'intensity' is both fixed and free"):
+        FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
+                   fixed={"temperature": 60, "intensity": 12})
+    with pytest.raises(ValueError, match="scale_bounds"):
+        FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
+                   fixed={"temperature": 60}, scale_bounds=(2.0, 1.0))
 
 
 def test_reported_intensities_mapping():
@@ -212,6 +228,38 @@ def test_model_scale_is_multiplicative(cold_problem):
     five = model_signal({"intensity": 4.0, "temperature": 0.0, "scale": 5.0},
                         cold_problem, delays)
     assert np.allclose(five, 5.0 * one, rtol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["parallel", "perpendicular"])
+def test_grating_and_fit_models_agree_bit_for_bit(scheme):
+    # simulate's grating_signal and the fit's model_signal on one decomposition
+    problem = FitProblem(CO2, scheme, bounds={"intensity": (1.0, 12.0)},
+                         fixed={"temperature": 60.0})
+    cache = EnsembleCache(problem)
+    intensity = 8.0  # theoretical; the transverse factor maps it to the pump
+    dec = cache.decomposition(intensity, 60.0)
+    delays = np.linspace(-1.0, 40.0, 700)
+    params = {"intensity": intensity, "temperature": 60.0}
+    single = 2.0 * intensity if scheme == "perpendicular" else intensity
+    if scheme == "parallel":
+        background = complex(0.02, -0.01)
+        params.update(t_offset=0.37, background_re=0.02, background_im=-0.01)
+    else:
+        background = None
+    model = model_signal(params, problem, delays, cache)
+    # the fit shifts the delays by t_offset; the grating's pump sits at t0_ps = 0
+    t_off = params.get("t_offset", 0.0)
+    config = GratingConfig(scheme, single, plasma_background=background)
+    signal = grating_signal(CO2, 60.0, config, delays - t_off, decomposition=dec)
+    assert config.theoretical_intensity == intensity
+    assert np.array_equal(signal.values, model)
+    if scheme == "parallel":
+        # a pump at t0_ps folds the delay into the phases instead
+        shifted = FourierDecomposition(dec.constant, dec.js, dec.amplitudes,
+                                       dec.phases - dec.omegas * t_off, dec.omegas)
+        config = GratingConfig(scheme, single, t0_ps=t_off, plasma_background=background)
+        signal = grating_signal(CO2, 60.0, config, delays, decomposition=shifted)
+        assert np.max(np.abs(signal.values - model)) <= 1e-12 * np.max(model)
 
 
 # ---------------------------------------------------------------------------
