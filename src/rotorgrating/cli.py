@@ -285,7 +285,7 @@ def cmd_fourier(args) -> int:
         pulse = PulseSpec(intensity, tau, t0)
         cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
     elif isinstance(pol, list) and len(pol) == 2:
-        a2, b2 = float(pol[0]) ** 2, float(pol[1]) ** 2
+        a2, b2 = (_number(v, f"polarization[{i}]") ** 2 for i, v in enumerate(pol))
         if method != "tdse":
             raise ConfigError("elliptic polarization requires method 'tdse'")
         try:
@@ -519,7 +519,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError) as exc:
+        # OverflowError: a finite input too large for the numbers derived from it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PropagationError as exc:

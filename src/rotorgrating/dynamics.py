@@ -22,6 +22,11 @@ The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls and
 return them as one ChannelBlock, an amplitude matrix with one column per
 channel; the reduction order is fixed, so reruns are bit-identical.
+
+Before it allocates, each driver estimates its working set at the chosen
+j_max (and again after every regrow) and raises ValueError naming the
+estimate when it exceeds MAX_WORKING_SET_BYTES.  The TDSE solves keep only
+their final state, not the integrator's step history.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ from .rotor import (
 from .constants import XI_PER_A3_FLUENCE
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
+# Working-set budget of one propagation, checked before it allocates.  The
+# 293 K, 30 TW/cm^2 linear TDSE needs ~72 MB and the 60 K elliptic one ~0.7 GB.
+MAX_WORKING_SET_BYTES = 2e9
+# Complex state vectors a DOP853 solve holds at its peak: the stages, the
+# dense output of the last step and the result
+TDSE_STATE_VECTORS = 40
 
 
 class PropagationError(RuntimeError):
@@ -90,11 +101,14 @@ def default_grid(pulse: PulseSpec, relative_tolerance: float = 1e-8) -> Propagat
 # Fixed-M parity chains and their kick eigendecompositions
 # ---------------------------------------------------------------------------
 
+def _chain_start(m: int, parity: int) -> int:
+    m = abs(m)
+    return m if m % 2 == parity else m + 1
+
+
 def chain_js(j_max: int, m: int, parity: int) -> np.ndarray:
     """J values of one Delta-J = 2 chain at fixed |M|, given J parity."""
-    m = abs(m)
-    start = m if m % 2 == parity else m + 1
-    return np.arange(start, j_max + 1, 2)
+    return np.arange(_chain_start(m, parity), j_max + 1, 2)
 
 
 CHAIN_CACHE_SIZE = 1024  # a fit visits ~8 j_max values x <= 61 chains
@@ -193,11 +207,13 @@ def _integrate_interaction(y0, coupling, pulse, molecule, grid):
         g = rate * envelope_intensity(pulse, t)
         return (1j * g) * coupling(t - t0, y)
 
+    # t_eval=[tb]: the solver keeps only the final state, not every step
     sol = solve_ivp(
         rhs,
         (ta, tb),
         np.asarray(y0, dtype=complex).ravel(),
         method="DOP853",
+        t_eval=[tb],
         rtol=grid.relative_tolerance,
         atol=1e-12,
         max_step=np.inf if grid.max_step is None else grid.max_step,
@@ -205,8 +221,7 @@ def _integrate_interaction(y0, coupling, pulse, molecule, grid):
     )
     if not sol.success:
         raise IntegrationError(f"TDSE integration failed: {sol.message}")
-    # copy: a view would keep the solver's whole step history alive
-    return np.array(sol.y[:, -1]).reshape(np.shape(y0))
+    return sol.y[:, 0].reshape(np.shape(y0))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +337,42 @@ def _require_origins(ensemble: ThermalEnsemble, j_max: int):
         )
 
 
-def _with_regrow(propagate, ensemble: ThermalEnsemble, xi: float, j_max, max_regrow: int):
+def _chain_sizes(groups, j_max: int):
+    """(chain length, channel count) of each (|M|, parity) group at j_max.
+
+    Plain integer arithmetic: j_max may be far too large for any array.
+    """
+    return [((j_max - _chain_start(m, parity)) // 2 + 1, len(j0))
+            for (m, parity), j0, _, _ in groups]
+
+
+def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
+    """len(JMBasis(j_max, j_parity, m_parity)) without building the basis.
+
+    Shell J holds J sites of the M parity, plus one when the parities agree.
+    """
+    shells = (j_max - j_parity) // 2 + 1
+    top = j_parity + 2 * (shells - 1)
+    return shells * (j_parity + top) // 2 + (j_parity == m_parity) * shells
+
+
+def _check_working_set(nbytes: int, j_max: int):
+    if nbytes > MAX_WORKING_SET_BYTES:
+        raise ValueError(
+            f"propagation at j_max={j_max} needs about {nbytes / 1e9:.3g} GB of working "
+            f"memory, above the budget of {MAX_WORKING_SET_BYTES / 1e9:.3g} GB"
+        )
+
+
+def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j_max,
+                 max_regrow: int):
     """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
 
     Without j_max the basis is sized from the thermal and kick scales and may
     regrow max_regrow times; an explicit basis is a contract: fail instead.
     A zero kick leaves every channel on its origin, so it skips the check.
+    working_set(j_max) estimates the bytes propagate(j_max) allocates; over
+    MAX_WORKING_SET_BYTES, a ValueError names it before anything is allocated.
     """
     if j_max is None:
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
@@ -335,6 +380,7 @@ def _with_regrow(propagate, ensemble: ThermalEnsemble, xi: float, j_max, max_reg
         max_regrow = 0
     _require_origins(ensemble, j_max)
     for _ in range(max_regrow + 1):
+        _check_working_set(working_set(j_max), j_max)
         cs = propagate(j_max)
         if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
             return cs
@@ -383,7 +429,13 @@ def kick_ensemble(
             molecule, ensemble.temperature, reference_time, "chain", tuple(blocks), j_max, xi
         )
 
-    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
+    def working_set(j_max):
+        # the cached chain eigenvectors, the amplitude matrices and the
+        # eigensolver's transient copy of the largest chain's eigenvectors
+        sizes = _chain_sizes(groups, j_max)
+        return sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
+
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
 
 
 def sudden_ensemble(
@@ -438,7 +490,10 @@ def tdse_ensemble(
         )
         return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, "chain", blocks, j_max, xi)
 
-    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
+    def working_set(j_max):
+        return TDSE_STATE_VECTORS * 16 * sum(n * k for n, k in _chain_sizes(groups, j_max))
+
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
 
 
 def elliptic_tdse_ensemble(
@@ -479,4 +534,9 @@ def elliptic_tdse_ensemble(
             molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(blocks), j_max, xi
         )
 
-    return _with_regrow(propagate, ensemble, xi, j_max, max_regrow)
+    def working_set(j_max):
+        # an upper bound: the groups integrate one after another
+        dim = sum(_lattice_size(j_max, jp, mp) * len(j0) for (jp, mp), j0, _, _ in groups)
+        return TDSE_STATE_VECTORS * 16 * dim
+
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)

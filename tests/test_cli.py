@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rotorgrating import observables
+from rotorgrating import dynamics, observables
 from rotorgrating.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -157,6 +157,20 @@ def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
+    # this kick's chain eigenvectors and amplitudes are estimated at 48.1 MB;
+    # a budget just below that keeps the input small
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
+                          "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "needs about 0.0481 GB of working memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
     calls = []
     propagate = observables.tdse_ensemble
@@ -220,6 +234,53 @@ def test_fourier_elliptic_needs_tdse(tmp_path, capsys):
     rc = main(["fourier", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
     assert "tdse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pol, key", [
+    ([None, 1], "polarization[0]"),
+    ([True, 1], "polarization[0]"),
+    (["a", 1], "polarization[0]"),
+    ([1, None], "polarization[1]"),
+])
+def test_fourier_rejects_bad_polarization_naming_the_key(tmp_path, capsys, pol, key):
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0,
+        "method": "tdse", "polarization": pol,
+    })
+    out = tmp_path / "x"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("intensity", [1e12, 1e300, 1.7e308])
+def test_fourier_rejects_kicks_too_large_to_size(tmp_path, capsys, intensity):
+    # the basis these need cannot be sized, let alone allocated
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": intensity})
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
+    # 293 K at 30 TW/cm^2 stacks 10.3 M lattice entries: ~6.6 GB of solver state
+    def solve_ivp(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", solve_ivp)
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 30.0, "method": "tdse",
+        "polarization": [0.8164965809277261, 0.5773502691896257],
+    })
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "needs about 6.61 GB of working memory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Reference results come from dense matrix exponentials of the rotor's cos^2
 theta matrices and from the drivers run on single-channel ensembles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rotorgrating import dynamics
 from rotorgrating.dynamics import (
     BasisTooSmallError,
     PropagationGrid,
@@ -243,7 +246,7 @@ def test_tdse_ensemble_deterministic():
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def test_tdse_ensemble_matches_single_wavepacket_tdse():
+def test_tdse_ensemble_matches_one_channel_solves():
     # the stacked Raman-phase system against each channel solved alone; a
     # step cap below the adaptive choice gives every solve the same steps, so
     # they agree to roundoff
@@ -256,6 +259,88 @@ def test_tdse_ensemble_matches_single_wavepacket_tdse():
         (block,) = tdse_ensemble(CO2, alone, pulse, j_max=cs.j_max, grid=grid).blocks
         assert np.array_equal(block.js, ch.js)
         assert np.max(np.abs(block.amplitudes[:, 0] - ch.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("propagate", [
+    lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(30.0)),
+    lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5)),
+], ids=["linear", "elliptic"])
+def test_tdse_keeps_no_step_history(monkeypatch, propagate):
+    # a solve holds DOP853's stages, the last step's dense output and the
+    # result, 36 state vectors; a solve that keeps its step history holds
+    # one more per step (126 and 70 here)
+    peaks = []
+    solve = dynamics.solve_ivp
+
+    def traced(fun, t_span, y0, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve(fun, t_span, y0, **kwargs)
+        peaks.append((tracemalloc.get_traced_memory()[1] - start) / (16 * len(y0)))
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", traced)
+    tracemalloc.start()
+    try:
+        propagate()
+    finally:
+        tracemalloc.stop()
+    assert peaks and max(peaks) <= 45
+
+
+def test_tdse_final_state_equals_full_history_solve(monkeypatch):
+    last = []
+    solve = dynamics.solve_ivp
+
+    def both(fun, t_span, y0, **kwargs):
+        full = solve(fun, t_span, y0, **{k: v for k, v in kwargs.items() if k != "t_eval"})
+        last.append(full.y[:, -1].copy())
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", both)
+    cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), linear_pulse(30.0))
+    (want,) = last
+    assert np.array_equal(np.concatenate([b.amplitudes.T.ravel() for b in cs.blocks]), want)
+    cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5))
+    assert len(last) == 1 + len(cs.blocks)
+    for b, want in zip(cs.blocks, last[1:]):
+        assert np.array_equal(b.amplitudes.ravel(), want)
+
+
+def test_lattice_size_counts_the_basis():
+    for j_max in (2, 3, 10, 31):
+        for jp in (0, 1):
+            for mp in (0, 1):
+                assert dynamics._lattice_size(j_max, jp, mp) == len(JMBasis(j_max, jp, mp))
+
+
+def test_working_set_budget_raises_before_propagating(monkeypatch):
+    ens = boltzmann_ensemble(CO2, 30.0)
+    pulse = linear_pulse(30.0)
+    monkeypatch.setattr(dynamics, "solve_ivp", None)  # any propagation would fail
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 1e6)
+    for propagate in (
+        lambda: kick_ensemble(CO2, ens, 50.0),
+        lambda: tdse_ensemble(CO2, ens, pulse),
+        lambda: elliptic_tdse_ensemble(CO2, ens, elliptic_pulse(30.0, 0.5, 0.5)),
+    ):
+        with pytest.raises(ValueError, match="GB of working memory, above the budget of 0.001 GB"):
+            propagate()
+
+
+def test_working_set_budget_checks_each_regrow(monkeypatch):
+    # a basis sized too small for the kick regrows once, from 30 to 55
+    monkeypatch.setattr(dynamics, "suggest_j_max", lambda j_thermal, xi: 30)
+    checks = []
+    check = dynamics._check_working_set
+    monkeypatch.setattr(dynamics, "_check_working_set",
+                        lambda nbytes, j_max: checks.append((j_max, nbytes)) or check(nbytes, j_max))
+    ens = boltzmann_ensemble(CO2, 30.0)
+    assert kick_ensemble(CO2, ens, 3.0).j_max == 55
+    (_, small), (_, large) = checks
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", (small + large) / 2)
+    with pytest.raises(ValueError, match="j_max=55"):
+        kick_ensemble(CO2, ens, 3.0)
 
 
 def test_elliptic_ensemble_folded_weights():

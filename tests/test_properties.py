@@ -1,8 +1,14 @@
-"""Property tests of the kicked thermal ensemble over temperature and kick strength."""
+"""Property tests: the kicked thermal ensemble over temperature and kick
+strength, and the CLI's exit codes over generated configs."""
+
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from rotorgrating.cli import main
 from rotorgrating.dynamics import kick_ensemble
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
 from rotorgrating.rotor import CO2, boltzmann_ensemble
@@ -17,3 +23,44 @@ def test_kicked_ensemble_norm_and_series_exactness(temperature, xi):
     series = reconstruct(fourier_decompose(cs, "y"), times).values
     direct = alignment_trace(cs, "y", times).values
     assert np.max(np.abs(series - direct)) <= 1e-10
+
+
+_POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _sudden_configs(draw):
+    """(subcommand, config) for simulate or fourier with the sudden kick."""
+    # each range mixed with its working range, so that runs also get through
+    subcommand = draw(st.sampled_from(["simulate", "fourier"]))
+    intensity = draw(st.one_of(st.floats(0.0, 100.0), st.floats(-10.0, 1e6)))
+    cfg = {
+        "molecule": "CO2",
+        "method": "sudden",
+        "temperature_K": draw(st.one_of(st.floats(0.0, 400.0), st.floats(-10.0, 1e9))),
+        "time_grid": {"n": draw(st.integers(0, 64))},
+    }
+    if subcommand == "simulate":
+        cfg["scheme"] = draw(st.sampled_from(["parallel", "perpendicular", "crossed"]))
+        key = draw(st.sampled_from(["single_pump_intensity_tw_cm2", "theoretical_intensity_tw_cm2"]))
+        cfg[key] = intensity
+    else:
+        cfg["intensity_tw_cm2"] = intensity
+        cfg["polarization"] = draw(
+            st.one_of(st.just("linear"), st.lists(_POLARIZATION_ENTRY, min_size=2, max_size=2),
+                      st.lists(_POLARIZATION_ENTRY, max_size=3))
+        )
+    return subcommand, cfg
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(run=_sudden_configs())
+def test_cli_exit_codes_over_generated_configs(run):
+    # every input ends in 0 (done), 2 (bad config or over a budget), 3
+    # (numerical failure) or 4 (fit not converged), never a traceback
+    subcommand, cfg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        assert main([subcommand, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3, 4)
