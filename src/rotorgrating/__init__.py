@@ -14,14 +14,12 @@ from .dynamics import (
     ChannelSet,
     IntegrationError,
     PropagationError,
-    PropagationGrid,
     elliptic_tdse_ensemble,
     kick_ensemble,
     sudden_ensemble,
     tdse_ensemble,
 )
 from .field import (
-    EffectiveArea,
     PulseSpec,
     effective_area,
     elliptic_pulse,
@@ -53,7 +51,6 @@ from .observables import (
     regime_scan,
     revival_time_grid,
     thermal_channel_set,
-    write_decomposition_json,
     write_trace_csv,
 )
 from .retrieval import (
@@ -67,7 +64,6 @@ from .retrieval import (
     reported_intensities,
     synthesize_trace,
     write_fit_csv,
-    write_fit_json,
 )
 from .rotor import (
     CO2,
@@ -77,12 +73,10 @@ from .rotor import (
     ThermalEnsemble,
     boltzmann_ensemble,
     cos2theta_matrix,
-    cos2theta_x_matrix,
     find_molecule,
     load_molecule,
     molecule_from_dict,
     raman_frequency,
-    rotational_energy,
     suggest_j_max,
 )
 
@@ -92,9 +86,8 @@ __all__ = [
     "__version__",
     "revival_period",
     "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
-    "PropagationGrid", "elliptic_tdse_ensemble", "kick_ensemble", "sudden_ensemble",
-    "tdse_ensemble",
-    "EffectiveArea", "PulseSpec", "effective_area", "elliptic_pulse",
+    "elliptic_tdse_ensemble", "kick_ensemble", "sudden_ensemble", "tdse_ensemble",
+    "PulseSpec", "effective_area", "elliptic_pulse",
     "envelope_intensity", "linear_pulse", "polarization_at", "xi_per_intensity",
     "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry", "grating_signal",
     "intensity_grating_signal", "polarization_grating_signal", "probe_convolve",
@@ -102,12 +95,12 @@ __all__ = [
     "AlignmentTrace", "FourierDecomposition", "alignment_trace",
     "elliptic_approx", "fourier_decompose", "max_over_period", "reconstruct",
     "regime_scan", "revival_time_grid", "thermal_channel_set",
-    "write_decomposition_json", "write_trace_csv",
+    "write_trace_csv",
     "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult",
     "fit_trace", "load_trace", "model_signal", "reported_intensities",
-    "synthesize_trace", "write_fit_csv", "write_fit_json",
+    "synthesize_trace", "write_fit_csv",
     "CO2", "BasisSpec", "JMBasis", "MoleculeSpec", "ThermalEnsemble",
-    "boltzmann_ensemble", "cos2theta_matrix", "cos2theta_x_matrix",
+    "boltzmann_ensemble", "cos2theta_matrix",
     "find_molecule", "load_molecule", "molecule_from_dict", "raman_frequency",
-    "rotational_energy", "suggest_j_max",
+    "suggest_j_max",
 ]

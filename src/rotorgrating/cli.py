@@ -27,6 +27,8 @@ from .grating import (
     GratingConfig,
     grating_geometry,
     grating_signal,
+    single_pump_intensity,
+    transverse_factor,
     write_signal_csv,
 )
 from .observables import (
@@ -43,7 +45,6 @@ from .retrieval import (
     fit_trace,
     load_trace,
     write_fit_csv,
-    write_fit_json,
 )
 from .rotor import boltzmann_ensemble, find_molecule, load_molecule, molecule_from_dict
 from .validation import SUITE_NAMES, run_all
@@ -176,7 +177,6 @@ def cmd_simulate(args) -> int:
     if scheme not in ("parallel", "perpendicular"):
         raise ConfigError(f"'scheme' must be 'parallel' or 'perpendicular', got {scheme!r}")
     apply_factor = _get(cfg, "apply_transverse_factor", bool, True)
-    f = 0.5 if apply_factor else 1.0
 
     has_single = "single_pump_intensity_tw_cm2" in cfg
     has_theory = "theoretical_intensity_tw_cm2" in cfg
@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
         i_single = _get(cfg, "single_pump_intensity_tw_cm2", float)
     else:
         i_theory = _get(cfg, "theoretical_intensity_tw_cm2", float)
-        i_single = i_theory / (2.0 * f) if scheme == "parallel" else i_theory / f
+        i_single = single_pump_intensity(scheme, i_theory, apply_factor)
     if i_single < 0:
         raise ConfigError("pump intensity must be nonnegative")
 
@@ -247,7 +247,7 @@ def cmd_simulate(args) -> int:
         "j_max": cs.j_max,
         "intensity_mapping": {
             "convention": "theoretical = (2 I0 if parallel else I0) * transverse_factor",
-            "transverse_factor": f,
+            "transverse_factor": transverse_factor(apply_factor),
             "single_pump_peak_intensity_tw_cm2": i_single,
             "theoretical_intensity_tw_cm2": grating.theoretical_intensity,
         },

@@ -31,6 +31,7 @@ their final state, not the integrator's step history.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.integrate import solve_ivp
 
-from .field import PulseSpec, effective_area, envelope_intensity, pulse_window
+from .field import PulseSpec, effective_area, kick_rate, pulse_window
 from .rotor import (
     JMBasis,
     MoleculeSpec,
@@ -50,11 +51,10 @@ from .rotor import (
     rotational_omega,
     suggest_j_max,
 )
-from .constants import XI_PER_A3_FLUENCE
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~72 MB and the 60 K elliptic one ~0.7 GB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~72 MB and the 60 K elliptic one ~0.37 GB.
 MAX_WORKING_SET_BYTES = 2e9
 # Complex state vectors a DOP853 solve holds at its peak: the stages, the
 # dense output of the last step and the result
@@ -71,30 +71,6 @@ class BasisTooSmallError(PropagationError):
 
 class IntegrationError(PropagationError):
     """The adaptive integrator failed to meet its tolerance."""
-
-
-@dataclass(frozen=True)
-class PropagationGrid:
-    """Time window and integrator controls for TDSE propagation."""
-
-    t_start: float
-    t_end: float
-    max_step: float | None = None
-    relative_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if not self.t_start < self.t_end:
-            raise ValueError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if not (0.0 < self.relative_tolerance <= 1e-4):
-            raise ValueError(
-                f"relative tolerance must be in (0, 1e-4], got {self.relative_tolerance}"
-            )
-
-
-def default_grid(pulse: PulseSpec, relative_tolerance: float = 1e-8) -> PropagationGrid:
-    """Grid spanning the +-3 FWHM pulse window."""
-    t_lo, t_hi = pulse_window(pulse)
-    return PropagationGrid(t_lo, t_hi, relative_tolerance=relative_tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +165,20 @@ def _sandwiched_coupling(omega, apply_coupling):
     return coupling
 
 
-def _integrate_interaction(y0, coupling, pulse, molecule, grid):
+def _integrate_interaction(y0, coupling, pulse, molecule):
     """Integrate da/dt = i (dxi/dt)(t) D(t) C D*(t) a over the pulse window.
 
     a is the interaction-picture state anchored at the pulse center t0 (D =
     exp(i omega (t - t0))) and coupling(t - t0, a) returns D C D* a.  Returns
     the interaction-picture state after the pulse, shaped like y0.
     """
-    t_lo, t_hi = pulse_window(pulse)
-    ta, tb = max(grid.t_start, t_lo), min(grid.t_end, t_hi)
+    ta, tb = pulse_window(pulse)
     if ta >= tb or pulse.peak_intensity == 0.0:
         return np.array(y0, dtype=complex)
-    rate = XI_PER_A3_FLUENCE * molecule.delta_alpha_a3
     t0 = pulse.t0_ps
 
     def rhs(t, y):
-        g = rate * envelope_intensity(pulse, t)
-        return (1j * g) * coupling(t - t0, y)
+        return (1j * kick_rate(pulse, molecule, t)) * coupling(t - t0, y)
 
     # t_eval=[tb]: the solver keeps only the final state, not every step
     sol = solve_ivp(
@@ -214,11 +187,14 @@ def _integrate_interaction(y0, coupling, pulse, molecule, grid):
         np.asarray(y0, dtype=complex).ravel(),
         method="DOP853",
         t_eval=[tb],
-        rtol=grid.relative_tolerance,
+        rtol=1e-8,
         atol=1e-12,
-        max_step=np.inf if grid.max_step is None else grid.max_step,
         dense_output=False,
     )
+    # the solver object holds a reference cycle, so its stages outlive this
+    # call until the cycle collector runs; free them before the next solve.
+    # It is still young (arrays are not tracked): a sub-ms collection suffices
+    gc.collect(1)
     if not sol.success:
         raise IntegrationError(f"TDSE integration failed: {sol.message}")
     return sol.y[:, 0].reshape(np.shape(y0))
@@ -396,7 +372,6 @@ def kick_ensemble(
     xi: float,
     j_max: int | None = None,
     reference_time: float = 0.0,
-    max_regrow: int = 3,
 ) -> ChannelSet:
     """Sudden-kick propagation of every thermal channel (linear polarization).
 
@@ -418,9 +393,12 @@ def kick_ensemble(
                 amps = np.zeros((len(js), len(j0)), dtype=complex)
                 amps[rows, np.arange(len(j0))] = 1.0
             else:
+                # the cache keeps a chain only while its eigenvectors fit its
+                # share of the budget; larger ones are freed after this kick
+                small = 8 * len(js) ** 2 <= MAX_WORKING_SET_BYTES / CHAIN_CACHE_SIZE
+                _, evals, evecs = (_chain_eig if small else _chain_eig.__wrapped__)(m, parity, j_max)
                 # U E = V (e^{i xi lambda} * V^T E) as one real GEMM whose
                 # (re, im) column pairs read back as complex amplitudes
-                _, evals, evecs = _chain_eig(m, parity, j_max)
                 rot = np.exp(1j * xi * evals).view(float).reshape(-1, 1, 2)
                 rhs = (evecs[rows].T[:, :, None] * rot).reshape(len(js), -1)
                 amps = (evecs @ rhs).view(complex)
@@ -435,7 +413,7 @@ def kick_ensemble(
         sizes = _chain_sizes(groups, j_max)
         return sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=3)
 
 
 def sudden_ensemble(
@@ -447,7 +425,7 @@ def sudden_ensemble(
     """Sudden-kick ensemble driver parameterized by a linearly polarized pulse."""
     if not pulse.is_linear():
         raise ValueError("sudden_ensemble handles linear polarization; see elliptic drivers")
-    xi = effective_area(pulse, molecule).xi
+    xi = effective_area(pulse, molecule)
     return kick_ensemble(molecule, ensemble, xi, j_max, reference_time=pulse.t0_ps)
 
 
@@ -456,8 +434,6 @@ def tdse_ensemble(
     ensemble: ThermalEnsemble,
     pulse: PulseSpec,
     j_max: int | None = None,
-    grid: PropagationGrid | None = None,
-    max_regrow: int = 2,
 ) -> ChannelSet:
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
@@ -470,9 +446,7 @@ def tdse_ensemble(
     """
     if not pulse.is_linear():
         raise ValueError("tdse_ensemble handles linear polarization; see elliptic drivers")
-    xi = effective_area(pulse, molecule).xi
-    if grid is None:
-        grid = default_grid(pulse)
+    xi = effective_area(pulse, molecule)
     groups = _chain_groups(ensemble)
 
     def propagate(j_max):
@@ -483,7 +457,7 @@ def tdse_ensemble(
         # each block stacks its channels' chains one after another
         for (_, j0, _, _), (js, _, k), start in zip(groups, chains, starts):
             y0[start + np.arange(k) * len(js) + (j0 - js[0]) // 2] = 1.0
-        a = _integrate_interaction(y0, _raman_chain_coupling(chains, molecule), pulse, molecule, grid)
+        a = _integrate_interaction(y0, _raman_chain_coupling(chains, molecule), pulse, molecule)
         blocks = tuple(
             ChannelBlock(js, None, j0, m0, w, part.reshape(k, len(js)).T)
             for (_, j0, m0, w), (js, _, k), part in zip(groups, chains, np.split(a, starts[1:]))
@@ -493,7 +467,7 @@ def tdse_ensemble(
     def working_set(j_max):
         return TDSE_STATE_VECTORS * 16 * sum(n * k for n, k in _chain_sizes(groups, j_max))
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)
 
 
 def elliptic_tdse_ensemble(
@@ -501,8 +475,6 @@ def elliptic_tdse_ensemble(
     ensemble: ThermalEnsemble,
     pulse: PulseSpec,
     j_max: int | None = None,
-    grid: PropagationGrid | None = None,
-    max_regrow: int = 2,
 ) -> ChannelSet:
     """TDSE propagation of a thermal ensemble under an elliptic pump.
 
@@ -511,9 +483,7 @@ def elliptic_tdse_ensemble(
     its channels integrate together as stacked columns.  The +-M0 mirror
     symmetry of the coupling makes folded ensembles exact.
     """
-    xi = effective_area(pulse, molecule).xi
-    if grid is None:
-        grid = default_grid(pulse)
+    xi = effective_area(pulse, molecule)
     groups = _origin_groups(ensemble, lambda j0, m: (j0 % 2, m % 2))
 
     def propagate(j_max):
@@ -527,7 +497,7 @@ def elliptic_tdse_ensemble(
             y0 = np.zeros((len(basis), len(j0)), dtype=complex)
             y0[[basis.index[o] for o in zip(j0.tolist(), m0.tolist())], np.arange(len(j0))] = 1.0
             a = _integrate_interaction(
-                y0, _sandwiched_coupling(omega, coupling.dot), pulse, molecule, grid
+                y0, _sandwiched_coupling(omega, coupling.dot), pulse, molecule
             )
             blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, w, a))
         return ChannelSet(
@@ -535,8 +505,9 @@ def elliptic_tdse_ensemble(
         )
 
     def working_set(j_max):
-        # an upper bound: the groups integrate one after another
-        dim = sum(_lattice_size(j_max, jp, mp) * len(j0) for (jp, mp), j0, _, _ in groups)
-        return TDSE_STATE_VECTORS * 16 * dim
+        # the groups integrate one after another: every group's result plus
+        # the solver state of the largest group
+        dims = [_lattice_size(j_max, jp, mp) * len(j0) for (jp, mp), j0, _, _ in groups]
+        return 16 * (sum(dims) + (TDSE_STATE_VECTORS - 1) * max(dims))
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)

@@ -28,7 +28,7 @@ class PulseSpec:
     """Gaussian pump pulse.
 
     peak_intensity in TW/cm^2 (cycle averaged), tau_fwhm_ps the intensity
-    FWHM, t0_ps the arrival time, wavelength_nm the carrier (geometry only).
+    FWHM, t0_ps the arrival time.
     pol_a and pol_b are the real field amplitudes along lab x and y,
     normalized to pol_a^2 + pol_b^2 = 1; (0, 1) is linear along y and
     (1/sqrt2, 1/sqrt2) circular.
@@ -37,7 +37,6 @@ class PulseSpec:
     peak_intensity: float
     tau_fwhm_ps: float = 0.1
     t0_ps: float = 0.0
-    wavelength_nm: float = 800.0
     pol_a: float = 0.0
     pol_b: float = 1.0
 
@@ -46,8 +45,6 @@ class PulseSpec:
             raise ValueError(f"peak intensity must be nonnegative, got {self.peak_intensity}")
         if self.tau_fwhm_ps <= 0:
             raise ValueError(f"pulse FWHM must be positive, got {self.tau_fwhm_ps}")
-        if self.wavelength_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
         if abs(self.pol_a**2 + self.pol_b**2 - 1.0) > 1e-12:
             raise ValueError(
                 f"polarization must be normalized, got pol_a^2+pol_b^2 = "
@@ -69,19 +66,9 @@ class PulseSpec:
         """Time-integrated intensity in TW/cm^2 ps."""
         return self.peak_intensity * self.tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
 
-    def is_linear(self, tol: float = 1e-12) -> bool:
+    def is_linear(self) -> bool:
         """True when polarized along a single lab axis."""
-        return self.a2 <= tol or self.b2 <= tol
-
-    def with_intensity(self, peak_intensity: float) -> "PulseSpec":
-        return PulseSpec(
-            peak_intensity,
-            self.tau_fwhm_ps,
-            self.t0_ps,
-            self.wavelength_nm,
-            self.pol_a,
-            self.pol_b,
-        )
+        return self.a2 <= 1e-12 or self.b2 <= 1e-12
 
 
 def linear_pulse(peak_intensity: float, tau_fwhm_ps: float = 0.1, t0_ps: float = 0.0) -> PulseSpec:
@@ -98,20 +85,9 @@ def elliptic_pulse(
     return PulseSpec(peak_intensity, tau_fwhm_ps, t0_ps, pol_a=math.sqrt(a2), pol_b=math.sqrt(b2))
 
 
-@dataclass(frozen=True)
-class EffectiveArea:
-    """Dimensionless kick strength accumulated over a full pulse."""
-
-    xi: float
-
-    def __post_init__(self):
-        if self.xi < 0:
-            raise ValueError(f"kick strength must be nonnegative, got {self.xi}")
-
-
-def effective_area(pulse: PulseSpec, molecule: MoleculeSpec) -> EffectiveArea:
+def effective_area(pulse: PulseSpec, molecule: MoleculeSpec) -> float:
     """Kick strength xi of the pulse; 0.444 per TW/cm^2 for the CO2 default at 0.1 ps."""
-    return EffectiveArea(XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * pulse.fluence)
+    return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * pulse.fluence
 
 
 def xi_per_intensity(molecule: MoleculeSpec, tau_fwhm_ps: float = 0.1) -> float:
@@ -131,13 +107,13 @@ def kick_rate(pulse: PulseSpec, molecule: MoleculeSpec, t):
     return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * envelope_intensity(pulse, t)
 
 
-def pulse_window(pulse: PulseSpec, half_widths: float = 3.0) -> tuple[float, float]:
-    """Interval outside which the pulse is negligible (default +-3 FWHM).
+def pulse_window(pulse: PulseSpec) -> tuple[float, float]:
+    """Interval outside which the pulse is negligible: +-3 FWHM.
 
     The fluence fraction beyond 3 FWHM of a Gaussian intensity envelope is
     below 1e-12, far under the norm and integrator tolerances.
     """
-    h = half_widths * pulse.tau_fwhm_ps
+    h = 3.0 * pulse.tau_fwhm_ps
     return (pulse.t0_ps - h, pulse.t0_ps + h)
 
 

@@ -28,12 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .constants import revival_period
 from .field import PulseSpec
 from .observables import (
     AlignmentTrace,
     FourierDecomposition,
-    alignment_trace,
     fourier_decompose,
     reconstruct,
     thermal_channel_set,
@@ -76,10 +74,24 @@ class GratingConfig:
         intensity fringes and are simulated at the one-beam I0.  The
         transverse convention halves either figure-of-merit intensity.
         """
-        f = 0.5 if self.apply_transverse_factor else 1.0
+        f = transverse_factor(self.apply_transverse_factor)
         if self.scheme == "parallel":
             return 2.0 * self.single_pump_peak_intensity * f
         return self.single_pump_peak_intensity * f
+
+
+def transverse_factor(apply_transverse_factor: bool) -> float:
+    """The transverse-averaging convention factor f: 1/2 when applied, else 1."""
+    return 0.5 if apply_transverse_factor else 1.0
+
+
+def single_pump_intensity(scheme: str, theoretical_intensity: float,
+                          apply_transverse_factor: bool) -> float:
+    """Inverse of GratingConfig.theoretical_intensity: the one-beam I0."""
+    f = transverse_factor(apply_transverse_factor)
+    if scheme == "parallel":
+        return theoretical_intensity / (2.0 * f)
+    return theoretical_intensity / f
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ All trace values follow the <cos^2 theta> - 1/3 convention (0 = isotropic).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,10 +49,6 @@ class AlignmentTrace:
         lo, hi = self.values.min(initial=0.0), self.values.max(initial=0.0)
         if lo < _VALUE_LO - 1e-9 or hi > _VALUE_HI + 1e-9:
             raise ValueError(f"trace values outside [-1/3, 2/3]: [{lo}, {hi}]")
-
-    def peak(self) -> float:
-        """Largest <cos^2 theta> on the grid (adds the isotropic 1/3 back)."""
-        return float(self.values.max()) + 1.0 / 3.0
 
     def scaled(self, factor: float, axis: str | None = None) -> "AlignmentTrace":
         return AlignmentTrace(
@@ -95,12 +90,6 @@ class FourierDecomposition:
             (int(j), float(a), float(p), float(w))
             for j, a, p, w in zip(self.js, self.amplitudes, self.phases, self.omegas)
         ]
-
-    def dominant(self, count: int = 5) -> list[tuple[int, float, float, float]]:
-        """The `count` largest-amplitude components."""
-        order = np.argsort(self.amplitudes)[::-1][:count]
-        rows = self.components
-        return [rows[i] for i in order]
 
     def to_dict(self) -> dict:
         return {
@@ -259,10 +248,9 @@ def thermal_channel_set(
     pulse: PulseSpec,
     method: str = "sudden",
     j_max: int | None = None,
-    cutoff: float = 1e-6,
 ) -> ChannelSet:
     """Boltzmann ensemble propagated through the pump by the chosen route."""
-    ens = boltzmann_ensemble(molecule, temperature, cutoff)
+    ens = boltzmann_ensemble(molecule, temperature)
     if method == "sudden":
         return sudden_ensemble(molecule, ens, pulse, j_max)
     if method == "tdse":
@@ -270,20 +258,19 @@ def thermal_channel_set(
     raise ValueError(f"method must be 'sudden' or 'tdse', got {method!r}")
 
 
-def max_over_period(dec: FourierDecomposition, t_start: float, period: float,
-                    n: int = 4096, refine: int = 2) -> float:
+def max_over_period(dec: FourierDecomposition, t_start: float, period: float) -> float:
     """Maximum of the reconstructed trace over [t_start, t_start + period).
 
-    Coarse grid argmax followed by local grid refinement; the refinement
-    window of one coarse step is ample because components are bounded in
-    frequency.
+    Argmax on a 4096-point grid followed by two local grid refinements; the
+    refinement window of one coarse step is ample because components are
+    bounded in frequency.
     """
-    ts = t_start + np.linspace(0.0, period, n, endpoint=False)
+    ts = t_start + np.linspace(0.0, period, 4096, endpoint=False)
     vals = reconstruct(dec, ts).values
     k = int(np.argmax(vals))
-    t_best, half = ts[k], period / n
+    t_best, half = ts[k], period / 4096
     best = vals[k]
-    for _ in range(refine):
+    for _ in range(2):
         ts = np.linspace(t_best - half, t_best + half, 65)
         vals = reconstruct(dec, ts).values
         k = int(np.argmax(vals))
@@ -306,10 +293,6 @@ class RegimeScanResult:
         if not (np.all(np.isfinite(self.c_values)) and np.all(np.isfinite(self.max_values))):
             raise ValueError("scan produced non-finite values")
 
-    @property
-    def max_minus_c(self) -> np.ndarray:
-        return self.max_values - self.c_values
-
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
@@ -319,45 +302,30 @@ def regime_scan(
     molecule: MoleculeSpec,
     temperature: float,
     intensities,
-    pulse_template: PulseSpec | None = None,
-    low_window: tuple[float, float] = (2.0, 20.0),
-    high_window: tuple[float, float] = (40.0, 80.0),
-    knee: float = 30.0,
-    cutoff: float = 1e-6,
-    threads: int | None = None,
 ) -> RegimeScanResult:
     """Scan peak intensity: permanent alignment C and max-C per intensity.
 
-    Uses the sudden-kick ensemble (the regime laws are properties of the
-    kicked-rotor model itself) with j_max pinned at the largest intensity so
-    eigendecompositions are shared across the scan.  Log-log slopes of C are
-    fitted in the two windows, and of max-C below the saturation knee.
-    Intensity points may evaluate on a small thread pool; the reduction
-    order is fixed by the sorted intensity list either way.
+    Uses the sudden-kick ensemble of a 0.1 ps pump at t = 0 (the regime laws
+    are properties of the kicked-rotor model itself) with j_max pinned at the
+    largest intensity so eigendecompositions are shared across the scan.
+    Log-log slopes of C are fitted on 2-20 and 40-80 TW/cm^2, and of max-C
+    below the saturation knee at 30 TW/cm^2.
     """
     intensities = np.asarray(sorted(float(i) for i in intensities))
     if len(intensities) < 3 or intensities[0] <= 0:
         raise ValueError("need at least 3 positive intensities")
-    if pulse_template is None:
-        pulse_template = PulseSpec(1.0)
-    ens = boltzmann_ensemble(molecule, temperature, cutoff)
-    per_i = xi_per_intensity(molecule, pulse_template.tau_fwhm_ps)
+    low_window, high_window, knee = (2.0, 20.0), (40.0, 80.0), 30.0
+    ens = boltzmann_ensemble(molecule, temperature)
+    per_i = xi_per_intensity(molecule)
     j_max = suggest_j_max(ens.j_thermal_max, per_i * intensities[-1])
     period = revival_period(molecule.b_cm1)
-    t0 = pulse_template.t0_ps
 
     def scan_point(ii: float) -> tuple[float, float]:
-        cs = kick_ensemble(molecule, ens, per_i * ii, j_max, reference_time=t0)
+        cs = kick_ensemble(molecule, ens, per_i * ii, j_max)
         dec = fourier_decompose(cs, "y")
-        return dec.constant, max_over_period(dec, t0 + 1.0, period)
+        return dec.constant, max_over_period(dec, 1.0, period)
 
-    if threads is not None and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(scan_point, intensities))
-    else:
-        points = [scan_point(ii) for ii in intensities]
+    points = [scan_point(ii) for ii in intensities]
     c_vals = np.array([p[0] for p in points])
     max_vals = np.array([p[1] for p in points])
 
@@ -388,7 +356,7 @@ def regime_scan(
     meta = {
         "molecule": molecule.name,
         "temperature_K": temperature,
-        "tau_fwhm_ps": pulse_template.tau_fwhm_ps,
+        "tau_fwhm_ps": 0.1,
         "low_window": list(low_window),
         "high_window": list(high_window),
         "knee": knee,
@@ -434,9 +402,3 @@ def write_trace_csv(
         fh.write(f"t_ps,{value_header}\n")
         for t, v in zip(trace.times, trace.values):
             fh.write(f"{t:.12e},{v:.12e}\n")
-
-
-def write_decomposition_json(dec: FourierDecomposition, path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

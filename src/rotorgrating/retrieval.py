@@ -13,7 +13,7 @@ parameters it is a linear least-squares subproblem solved in closed form.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +22,7 @@ import scipy.optimize
 
 from .dynamics import kick_ensemble
 from .field import xi_per_intensity
-from .grating import diffracted_signal
+from .grating import diffracted_signal, single_pump_intensity
 from .observables import FourierDecomposition, fourier_decompose, reconstruct
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
@@ -49,14 +49,12 @@ class ExperimentalTrace:
 _DELAY_UNITS = {"ps": 1.0, "fs": 1e-3, "ns": 1e3}
 
 
-def load_trace(path: str, fmt: str = "csv") -> ExperimentalTrace:
+def load_trace(path: str) -> ExperimentalTrace:
     """Read a delay scan from CSV with a delay_<unit>,signal_au header.
 
     Lines starting with '#' before the header are parsed as 'key: value'
     metadata; delays are converted to ps from the unit tag in the header.
     """
-    if fmt != "csv":
-        raise ValueError(f"unknown trace format {fmt!r}")
     metadata: dict = {}
     header = None
     delays, signal = [], []
@@ -261,14 +259,10 @@ def reported_intensities(problem: FitProblem, theoretical_intensity: float) -> d
     simulate at 2 I0 f, perpendicular at I0 f, with f = 1/2 when the
     transverse convention factor is on.
     """
-    f = 0.5 if problem.apply_transverse_factor else 1.0
-    if problem.scheme == "parallel":
-        i0 = theoretical_intensity / (2.0 * f)
-    else:
-        i0 = theoretical_intensity / f
     return {
         "theoretical_intensity_TWcm2": theoretical_intensity,
-        "single_pump_intensity_TWcm2": i0,
+        "single_pump_intensity_TWcm2": single_pump_intensity(
+            problem.scheme, theoretical_intensity, problem.apply_transverse_factor),
         "transverse_factor_applied": problem.apply_transverse_factor,
         "scheme": problem.scheme,
     }
@@ -328,7 +322,7 @@ def fit_trace(
         else:
             pts = np.array([0.5 * (lo + hi)])
         grids.append((pts - lo) / (hi - lo))
-    starts = [np.array(combo) for combo in _product(grids)]
+    starts = [np.array(combo) for combo in itertools.product(*grids)]
     ranked = sorted(starts, key=lambda x: objective(x)[0])
 
     best_x, best_f, best_scale = None, float("inf"), 0.0
@@ -388,15 +382,6 @@ def fit_trace(
     )
 
 
-def _product(grids: list[np.ndarray]):
-    if not grids:
-        yield ()
-        return
-    for head in grids[0]:
-        for rest in _product(grids[1:]):
-            yield (head, *rest)
-
-
 def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     n = len(x0)
     simplex = np.tile(x0, (n + 1, 1))
@@ -435,12 +420,6 @@ def synthesize_trace(
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-
-def write_fit_json(result: FitResult, path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-
 
 def write_fit_csv(
     result: FitResult, problem: FitProblem, trace: ExperimentalTrace, path: str,

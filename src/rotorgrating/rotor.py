@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,9 +50,6 @@ class MoleculeSpec:
             )
         if self.g_even < 0 or self.g_odd < 0 or (self.g_even == 0 and self.g_odd == 0):
             raise ValueError("spin weights must be nonnegative and not both zero")
-
-    def spin_weight(self, j: int) -> float:
-        return self.g_even if j % 2 == 0 else self.g_odd
 
 
 # Shipped default. delta_alpha is chosen so that a 0.1 ps FWHM pulse at
@@ -101,13 +98,6 @@ def find_molecule(name: str) -> MoleculeSpec:
     if os.path.exists(here):
         return load_molecule(here)
     raise ValueError(f"unknown molecule {name!r} (searched ${MOLECULE_PATH_ENV} and built-ins)")
-
-
-def rotational_energy(j: int, molecule: MoleculeSpec) -> float:
-    """Rigid-rotor level energy B*J(J+1) in cm^-1 (no centrifugal term)."""
-    if j < 0:
-        raise ValueError(f"J must be nonnegative, got {j}")
-    return molecule.b_cm1 * j * (j + 1)
 
 
 def rotational_omega(j, molecule: MoleculeSpec):
@@ -165,13 +155,6 @@ class ThermalEnsemble:
     def j_thermal_max(self) -> int:
         return max(j for j, _, _ in self.channels)
 
-    def level_weights(self) -> dict[int, float]:
-        """Total weight per J0, summed over M0 channels."""
-        out: dict[int, float] = {}
-        for j, _, w in self.channels:
-            out[j] = out.get(j, 0.0) + w
-        return out
-
 
 def boltzmann_ensemble(
     molecule: MoleculeSpec,
@@ -208,7 +191,9 @@ def boltzmann_ensemble(
     j_big = int(math.sqrt(kt / molecule.b_cm1) * 8) + 20
     js = np.arange(j_big + 1)
     gj = np.where(js % 2 == 0, molecule.g_even, molecule.g_odd)
-    w = gj * (2 * js + 1) * np.exp(-molecule.b_cm1 * js * (js + 1.0) / kt)
+    # near 0 K, E/kT overflows to inf; its weight exp(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        w = gj * (2 * js + 1) * np.exp(-molecule.b_cm1 * js * (js + 1.0) / kt)
     total = w.sum()
     if total == 0.0:
         # kT far below the lowest allowed level: same limit as T = 0
@@ -403,8 +388,3 @@ def cos2theta_axis_matrix(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
                     vals.extend((v, v))
     n = len(basis)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def cos2theta_x_matrix(basis: JMBasis) -> scipy.sparse.csr_matrix:
-    """cos^2 of the angle to the lab x axis (identity sin^2 theta cos^2 phi)."""
-    return cos2theta_axis_matrix(basis, "x")

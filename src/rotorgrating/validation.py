@@ -65,13 +65,14 @@ class CheckResult:
 # Quadrature oracle for angular matrix elements
 # ---------------------------------------------------------------------------
 
-def quadrature_element(jp: int, mp: int, j: int, m: int, weight, nodes: int = 64) -> complex:
+def quadrature_element(jp: int, mp: int, j: int, m: int, weight) -> complex:
     """<J',M'| f(theta,phi) |J,M> by Gauss-Legendre x uniform-phi quadrature.
 
     weight(theta, phi) is the multiplicative operator.  Gauss-Legendre in
-    cos(theta) with `nodes` points is exact for the polynomial integrands
-    here; the uniform phi rule is exact for the finite Fourier content.
+    cos(theta) with 64 points is exact for the polynomial integrands here;
+    the uniform phi rule is exact for the finite Fourier content.
     """
+    nodes = 64
     x, wx = np.polynomial.legendre.leggauss(nodes)
     theta = np.arccos(x)
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
@@ -144,9 +145,10 @@ def classical_c_high_slope(molecule: MoleculeSpec, scan: RegimeScanResult) -> fl
     return float(np.polyfit(np.log(scan.intensities[sel]), np.log(c), 1)[0])
 
 
-def suite_operators(j_cap: int = 6) -> list[CheckResult]:
+def suite_operators() -> list[CheckResult]:
     """Closed-form matrix elements against the quadrature oracle, plus symmetry."""
     rows: list[CheckResult] = []
+    j_cap = 6
     worst = 0.0
     for m in range(0, j_cap + 1):
         for j in range(m, j_cap + 1):
@@ -183,18 +185,15 @@ def suite_operators(j_cap: int = 6) -> list[CheckResult]:
     return rows
 
 
-def suite_sudden_vs_tdse(
-    molecule: MoleculeSpec = CO2,
-    temperature: float = 30.0,
-    intensity: float = 11.0,
-    tau_fwhm_ps: float = 0.1,
-    j_max: int | None = None,
-) -> list[CheckResult]:
-    """Post-pulse trace agreement between the delta-kick and finite-pulse routes."""
+def suite_sudden_vs_tdse(molecule: MoleculeSpec = CO2, j_max: int | None = None) -> list[CheckResult]:
+    """Post-pulse trace agreement between the delta-kick and finite-pulse routes.
+
+    A 0.1 ps, 11 TW/cm^2 pump on the 30 K ensemble.
+    """
     rows: list[CheckResult] = []
-    pulse = PulseSpec(intensity, tau_fwhm_ps)
-    ens = boltzmann_ensemble(molecule, temperature)
-    xi = xi_per_intensity(molecule, tau_fwhm_ps) * intensity
+    pulse = PulseSpec(11.0)
+    ens = boltzmann_ensemble(molecule, 30.0)
+    xi = xi_per_intensity(molecule) * 11.0
     try:
         cs_kick = kick_ensemble(molecule, ens, xi, j_max)
         cs_tdse = tdse_ensemble(molecule, ens, pulse, j_max)
@@ -215,16 +214,15 @@ def suite_sudden_vs_tdse(
     return rows
 
 
-def suite_elliptic(
-    molecule: MoleculeSpec = CO2,
-    temperature: float = 30.0,
-    xi: float = 0.5,
-    tau_fwhm_ps: float = 0.1,
-) -> list[CheckResult]:
-    """Superposition approximation against the full elliptic integration."""
+def suite_elliptic(molecule: MoleculeSpec = CO2) -> list[CheckResult]:
+    """Superposition approximation against the full elliptic integration.
+
+    A 0.1 ps pump of kick strength 0.5 on the 30 K ensemble.
+    """
     rows: list[CheckResult] = []
-    intensity = xi / xi_per_intensity(molecule, tau_fwhm_ps)
-    ens = boltzmann_ensemble(molecule, temperature)
+    xi = 0.5
+    intensity = xi / xi_per_intensity(molecule)
+    ens = boltzmann_ensemble(molecule, 30.0)
     times = revival_time_grid(molecule, 1024, t_start=1.0)
 
     linear = reconstruct(
@@ -236,7 +234,7 @@ def suite_elliptic(
         worst_x = 0.0
         y_ref_peak = None
         for a2, b2 in ((1.0, 0.0), (2.0 / 3.0, 1.0 / 3.0)):
-            pulse = elliptic_pulse(intensity, a2, b2, tau_fwhm_ps)
+            pulse = elliptic_pulse(intensity, a2, b2)
             cs = elliptic_tdse_ensemble(molecule, ens, pulse)
             approx = elliptic_approx(linear, a2, b2)
             exact_x = alignment_trace(cs, "x", times).values
@@ -256,11 +254,7 @@ def suite_elliptic(
     return rows
 
 
-def suite_regimes(
-    molecule: MoleculeSpec = CO2,
-    temperature: float = 293.0,
-    j_max: int | None = None,
-) -> list[CheckResult]:
+def suite_regimes(molecule: MoleculeSpec = CO2, temperature: float = 293.0) -> list[CheckResult]:
     """Intensity-scaling laws of the permanent and transient alignment."""
     rows: list[CheckResult] = []
     try:

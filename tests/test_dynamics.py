@@ -13,7 +13,6 @@ import scipy.linalg
 from rotorgrating import dynamics
 from rotorgrating.dynamics import (
     BasisTooSmallError,
-    PropagationGrid,
     elliptic_tdse_ensemble,
     kick_ensemble,
     sudden_ensemble,
@@ -183,13 +182,6 @@ def test_circular_pump_keeps_xy_symmetry():
     assert np.max(np.abs(ex - ey)) < 1e-8
 
 
-def test_propagation_grid_validation():
-    with pytest.raises(ValueError):
-        PropagationGrid(1.0, 0.5)
-    with pytest.raises(ValueError):
-        PropagationGrid(0.0, 1.0, relative_tolerance=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Thermal ensemble drivers
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def test_basis_must_hold_thermal_origins():
 def test_sudden_ensemble_matches_kick_ensemble():
     ens = boltzmann_ensemble(CO2, 30.0)
     pulse = linear_pulse(4.0)
-    direct = kick_ensemble(CO2, ens, effective_area(pulse, CO2).xi)
+    direct = kick_ensemble(CO2, ens, effective_area(pulse, CO2))
     via_pulse = sudden_ensemble(CO2, ens, pulse)
     assert via_pulse.xi == pytest.approx(direct.xi, rel=1e-15)
     for a, b in zip(direct.channels, via_pulse.channels):
@@ -246,17 +238,19 @@ def test_tdse_ensemble_deterministic():
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def test_tdse_ensemble_matches_one_channel_solves():
+def test_tdse_ensemble_matches_one_channel_solves(monkeypatch):
     # the stacked Raman-phase system against each channel solved alone; a
     # step cap below the adaptive choice gives every solve the same steps, so
     # they agree to roundoff
+    solve = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp",
+                        lambda fun, t_span, y0, **kwargs: solve(fun, t_span, y0, **kwargs, max_step=0.01))
     ens = boltzmann_ensemble(CO2, 30.0)
     pulse = linear_pulse(3.0)
-    grid = PropagationGrid(-0.3, 0.3, max_step=0.01)
-    cs = tdse_ensemble(CO2, ens, pulse, grid=grid)
+    cs = tdse_ensemble(CO2, ens, pulse)
     for ch in cs.channels:
         alone = ThermalEnsemble(ens.temperature, ((ch.j0, ch.m, 1.0),))
-        (block,) = tdse_ensemble(CO2, alone, pulse, j_max=cs.j_max, grid=grid).blocks
+        (block,) = tdse_ensemble(CO2, alone, pulse, j_max=cs.j_max).blocks
         assert np.array_equal(block.js, ch.js)
         assert np.max(np.abs(block.amplitudes[:, 0] - ch.amplitudes)) <= 1e-12
 
@@ -312,6 +306,38 @@ def test_lattice_size_counts_the_basis():
         for jp in (0, 1):
             for mp in (0, 1):
                 assert dynamics._lattice_size(j_max, jp, mp) == len(JMBasis(j_max, jp, mp))
+
+
+def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
+    # the groups integrate one after another: the estimate counts every
+    # group's result plus the solver state of the largest group
+    estimates = []
+    check = dynamics._check_working_set
+    monkeypatch.setattr(dynamics, "_check_working_set",
+                        lambda nbytes, j_max: estimates.append(nbytes) or check(nbytes, j_max))
+    dynamics.clear_caches()
+    tracemalloc.start()
+    try:
+        cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 2 / 3, 1 / 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dims = [b.amplitudes.size for b in cs.blocks]
+    assert len(dims) == 2
+    assert estimates == [16 * (sum(dims) + (dynamics.TDSE_STATE_VECTORS - 1) * max(dims))]
+    assert peak <= estimates[0]
+
+
+def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget():
+    # a 0 K kick at xi = 300 needs one chain of 606 levels, whose 2.9 MB of
+    # eigenvectors exceed 2 GB / 1024 cache entries; xi = 2 needs 10 levels
+    dynamics.clear_caches()
+    strong = kick_ensemble(CO2, GROUND, 300.0)
+    assert len(strong.blocks[0].js) == 606
+    assert strong.norm_deviation() < 1e-9
+    assert dynamics._chain_eig.cache_info().currsize == 0
+    kick_ensemble(CO2, GROUND, 2.0)
+    assert dynamics._chain_eig.cache_info().currsize == 1
 
 
 def test_working_set_budget_raises_before_propagating(monkeypatch):

@@ -16,6 +16,7 @@ from rotorgrating.grating import (
     intensity_grating_signal,
     polarization_grating_signal,
     probe_convolve,
+    single_pump_intensity,
     spatial_modulation_check,
     write_signal_csv,
 )
@@ -96,6 +97,14 @@ def test_theoretical_intensity_mapping():
     assert _par(6.0, apply_transverse_factor=False).theoretical_intensity == pytest.approx(12.0)
     assert _perp(6.0).theoretical_intensity == pytest.approx(3.0)
     assert _perp(6.0, apply_transverse_factor=False).theoretical_intensity == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("factor", [True, False])
+@pytest.mark.parametrize("scheme", ["parallel", "perpendicular"])
+def test_single_pump_intensity_inverts_the_mapping(scheme, factor):
+    # the mapping only scales by powers of two, so the round trip is exact
+    config = GratingConfig(scheme, 7.3, apply_transverse_factor=factor)
+    assert single_pump_intensity(scheme, config.theoretical_intensity, factor) == 7.3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotorgrating import dynamics
+from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
 from rotorgrating.observables import FourierDecomposition
@@ -19,7 +20,6 @@ from rotorgrating.retrieval import (
     reported_intensities,
     synthesize_trace,
     write_fit_csv,
-    write_fit_json,
 )
 from rotorgrating.rotor import CO2
 
@@ -87,9 +87,6 @@ def test_load_trace_error_reporting(tmp_path):
     _write_rows(malformed, "delay_ps,signal_au", rows)
     with pytest.raises(ValueError, match=r"m\.csv:32"):
         load_trace(str(malformed))
-
-    with pytest.raises(ValueError, match="format"):
-        load_trace(str(malformed), fmt="hdf5")
 
 
 def test_trace_validation():
@@ -373,9 +370,17 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
 def test_fit_writers(tmp_path, fit_setup):
     problem, cache, trace, _ = fit_setup
     result = fit_trace(problem, trace, refine_starts=2, n_intensity_starts=4, cache=cache)
-    jpath = tmp_path / "fit.json"
-    write_fit_json(result, str(jpath))
-    doc = json.loads(jpath.read_text())
+    # the fit subcommand's fit.json for the same problem and scan
+    (tmp_path / "scan.csv").write_text("delay_ps,signal_au\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
+    cfg = tmp_path / "fit_config.json"
+    cfg.write_text(json.dumps({
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0},
+        "cache_quantum": 1e-3, "refine_starts": 2, "n_intensity_starts": 4,
+    }))
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "fit.json").read_text())["fit"]
     assert doc["converged"] is True
     assert doc["params"]["intensity"] == pytest.approx(result.params["intensity"])
     assert doc["reported"]["scheme"] == "perpendicular"

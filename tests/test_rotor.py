@@ -1,11 +1,12 @@
 """Rotor basis, energies, thermal ensembles, and angular matrix elements."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rotorgrating.constants import TWO_PI_C, revival_period
+from rotorgrating.constants import TWO_PI_C, revival_period, thermal_wavenumber
 from rotorgrating.rotor import (
     CO2,
     BasisSpec,
@@ -18,14 +19,21 @@ from rotorgrating.rotor import (
     cos2theta_diagonal,
     cos2theta_matrix,
     cos2theta_offdiag,
-    cos2theta_x_matrix,
     molecule_from_dict,
     raman_frequency,
-    rotational_energy,
+    rotational_omega,
     suggest_j_max,
 )
 
 N2 = MoleculeSpec("N2", 1.98958, 0.93, g_even=2.0, g_odd=1.0)
+
+
+def _level_weights(ens):
+    """Total weight per J0, summed over M0 channels."""
+    out = {}
+    for j, _, w in ens.channels:
+        out[j] = out.get(j, 0.0) + w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +42,8 @@ N2 = MoleculeSpec("N2", 1.98958, 0.93, g_even=2.0, g_odd=1.0)
 
 def test_rotational_energy_frozen():
     # B J(J+1): J=2 level of CO2 sits at 6B
-    assert rotational_energy(2, CO2) == pytest.approx(2.34126, abs=1e-10)
-    assert rotational_energy(0, CO2) == 0.0
-
-
-def test_rotational_energy_rejects_negative_j():
-    with pytest.raises(ValueError):
-        rotational_energy(-1, CO2)
+    assert rotational_omega(2, CO2) / TWO_PI_C == pytest.approx(2.34126, abs=1e-10)
+    assert rotational_omega(0, CO2) == 0.0
 
 
 def test_revival_period_co2():
@@ -87,10 +90,14 @@ def test_molecule_from_dict_roundtrip():
 
 
 def test_spin_weight():
-    assert CO2.spin_weight(4) == 1.0
-    assert CO2.spin_weight(3) == 0.0
-    assert N2.spin_weight(2) == 2.0
-    assert N2.spin_weight(3) == 1.0
+    # g_J multiplies the level weights: CO2 has no odd J, and N2's even
+    # levels weigh twice their bare Boltzmann factor relative to odd ones
+    co2 = _level_weights(boltzmann_ensemble(CO2, 293.0))
+    assert 4 in co2 and 3 not in co2
+    n2 = _level_weights(boltzmann_ensemble(N2, 100.0))
+    kt = thermal_wavenumber(100.0)
+    bare = {j: (2 * j + 1) * math.exp(-N2.b_cm1 * j * (j + 1) / kt) for j in (2, 3)}
+    assert n2[2] / n2[3] == pytest.approx(2.0 * bare[2] / bare[3], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +122,15 @@ def test_boltzmann_weights_normalized_and_even_only():
 
 def test_boltzmann_most_populated_level_co2_room_temperature():
     # classic CO2 benchmark: J = 16 carries the largest level weight at 293 K
-    weights = boltzmann_ensemble(CO2, 293.0).level_weights()
+    weights = _level_weights(boltzmann_ensemble(CO2, 293.0))
     assert max(weights, key=weights.get) == 16
 
 
 def test_boltzmann_matches_direct_ratio():
     # level weight ratio is g (2J+1) exp(-dE/kT), independent recompute
-    weights = boltzmann_ensemble(CO2, 150.0).level_weights()
+    weights = _level_weights(boltzmann_ensemble(CO2, 150.0))
     kt = 150.0 * 0.6950348004  # cm^-1 per K
-    expect = (5.0 / 1.0) * math.exp(-(rotational_energy(2, CO2)) / kt)
+    expect = (5.0 / 1.0) * math.exp(-6.0 * CO2.b_cm1 / kt)
     assert weights[2] / weights[0] == pytest.approx(expect, rel=1e-9)
 
 
@@ -152,6 +159,14 @@ def test_boltzmann_fold_m():
     def get(ens, j, m):
         return sum(w for jj, mm, w in ens.channels if (jj, mm) == (j, m))
     assert get(folded, 2, 2) == pytest.approx(get(flat, 2, 2) + get(flat, 2, -2), rel=1e-12)
+
+
+def test_boltzmann_near_zero_temperature_is_the_ground_state():
+    # kT underflows below B J(J+1): the excited weights are exactly 0, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = boltzmann_ensemble(CO2, 1.1e-308)
+    assert ens.channels == ((0, 0, 1.0),)
 
 
 def test_boltzmann_validation():
@@ -273,7 +288,7 @@ def test_axis_matrices_hermitian():
 
 def test_x_matrix_selection_rules():
     basis = JMBasis(5)
-    mat = cos2theta_x_matrix(basis).toarray()
+    mat = cos2theta_axis_matrix(basis, "x").toarray()
     for a, (ja, ma) in enumerate(basis.pairs):
         for b, (jb, mb) in enumerate(basis.pairs):
             if abs(ja - jb) not in (0, 2) or abs(ma - mb) not in (0, 2):
