@@ -16,7 +16,6 @@ from .dynamics import (
     PropagationError,
     elliptic_tdse_ensemble,
     kick_ensemble,
-    sudden_ensemble,
     tdse_ensemble,
 )
 from .field import (
@@ -25,7 +24,6 @@ from .field import (
     elliptic_pulse,
     envelope_intensity,
     linear_pulse,
-    polarization_at,
     xi_per_intensity,
 )
 from .grating import (
@@ -37,7 +35,6 @@ from .grating import (
     intensity_grating_signal,
     polarization_grating_signal,
     probe_convolve,
-    spatial_modulation_check,
     write_signal_csv,
 )
 from .observables import (
@@ -86,12 +83,12 @@ __all__ = [
     "__version__",
     "revival_period",
     "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
-    "elliptic_tdse_ensemble", "kick_ensemble", "sudden_ensemble", "tdse_ensemble",
+    "elliptic_tdse_ensemble", "kick_ensemble", "tdse_ensemble",
     "PulseSpec", "effective_area", "elliptic_pulse",
-    "envelope_intensity", "linear_pulse", "polarization_at", "xi_per_intensity",
+    "envelope_intensity", "linear_pulse", "xi_per_intensity",
     "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry", "grating_signal",
     "intensity_grating_signal", "polarization_grating_signal", "probe_convolve",
-    "spatial_modulation_check", "write_signal_csv",
+    "write_signal_csv",
     "AlignmentTrace", "FourierDecomposition", "alignment_trace",
     "elliptic_approx", "fourier_decompose", "max_over_period", "reconstruct",
     "regime_scan", "revival_time_grid", "thermal_channel_set",

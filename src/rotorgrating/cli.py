@@ -236,9 +236,8 @@ def cmd_simulate(args) -> int:
 
     pulse = PulseSpec(grating.theoretical_intensity, grating.tau_fwhm_ps, grating.t0_ps)
     cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
-    dec = fourier_decompose(cs, "y")
-    trace = reconstruct(dec, times)
-    signal = grating_signal(molecule, temperature, grating, times, decomposition=dec)
+    trace = reconstruct(fourier_decompose(cs, "y"), times)
+    signal = grating_signal(trace, grating)
 
     metadata = {
         "version": __version__,
@@ -379,8 +378,7 @@ def cmd_validate(args) -> int:
         if bad:
             raise ConfigError(f"'suites' contains unknown names {bad}; choose from {list(SUITE_NAMES)}")
 
-    rows = run_all(molecule, temperature, intensity, j_max=j_max,
-                   threads=args.threads, suites=suites)
+    rows = run_all(molecule, temperature, intensity, j_max=j_max, suites=suites)
     for row in rows:
         print(row.line())
     n_fail = sum(not r.passed for r in rows)
@@ -487,10 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker-thread cap (default: sequential)")
-    common.add_argument("--time-grid", type=int, metavar="N", dest="time_grid",
-                        help="override the number of time-grid samples")
+    # only simulate and fourier sample a time grid
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--time-grid", type=int, metavar="N", dest="time_grid",
+                         help="override the number of time-grid samples")
 
     parser = argparse.ArgumentParser(
         prog="rotorgrating",
@@ -499,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub.add_parser("simulate", parents=[common],
+    sub.add_parser("simulate", parents=[gridded],
                    help="alignment trace and diffracted signal").set_defaults(func=cmd_simulate)
-    sub.add_parser("fourier", parents=[common],
+    sub.add_parser("fourier", parents=[gridded],
                    help="cosine-series decomposition and exactness report").set_defaults(func=cmd_fourier)
     sub.add_parser("geometry", parents=[common],
                    help="grating periods and diffraction angles").set_defaults(func=cmd_geometry)

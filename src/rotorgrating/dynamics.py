@@ -2,9 +2,9 @@
 
 Three drivers with one physical model, each returning a ChannelSet:
 
-  * kick_ensemble (sudden_ensemble from a pulse): instantaneous kick
-    exp(i xi cos^2 theta) of a linearly polarized pump, exact unitaries from
-    eigendecompositions of the fixed-M tridiagonal chains.
+  * kick_ensemble: instantaneous kick exp(i xi cos^2 theta) of a linearly
+    polarized pump, exact unitaries from eigendecompositions of the fixed-M
+    tridiagonal chains.
   * tdse_ensemble: numerical integration of the time-dependent
     Schroedinger equation for a finite linearly polarized pulse, all chains
     stacked into one adaptive solve.
@@ -414,19 +414,6 @@ def kick_ensemble(
         return sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=3)
-
-
-def sudden_ensemble(
-    molecule: MoleculeSpec,
-    ensemble: ThermalEnsemble,
-    pulse: PulseSpec,
-    j_max: int | None = None,
-) -> ChannelSet:
-    """Sudden-kick ensemble driver parameterized by a linearly polarized pulse."""
-    if not pulse.is_linear():
-        raise ValueError("sudden_ensemble handles linear polarization; see elliptic drivers")
-    xi = effective_area(pulse, molecule)
-    return kick_ensemble(molecule, ensemble, xi, j_max, reference_time=pulse.t0_ps)
 
 
 def tdse_ensemble(

@@ -115,23 +115,3 @@ def pulse_window(pulse: PulseSpec) -> tuple[float, float]:
     """
     h = 3.0 * pulse.tau_fwhm_ps
     return (pulse.t0_ps - h, pulse.t0_ps + h)
-
-
-def polarization_at(x, scheme: str, k_x: float):
-    """Local polarization state and fluence factor along the grating.
-
-    x and 1/k_x share any length unit (only the product enters).  Returns
-    (A(x), B(x), fluence factor relative to one pump):
-
-      parallel:       A=0, B=1, factor 4 cos^2(k_x x) - an intensity grating
-      perpendicular:  A=sin(k_x x), B=cos(k_x x), factor 2 - constant
-                      intensity, polarization cycling linear/circular
-    """
-    x = np.asarray(x, dtype=float)
-    phase = k_x * x
-    if scheme == "parallel":
-        zero = np.zeros_like(phase)
-        return zero, np.ones_like(phase), 4.0 * np.cos(phase) ** 2
-    if scheme == "perpendicular":
-        return np.sin(phase), np.cos(phase), np.full_like(phase, 2.0)
-    raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {scheme!r}")

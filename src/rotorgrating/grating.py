@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .field import PulseSpec
-from .observables import (
-    AlignmentTrace,
-    FourierDecomposition,
-    fourier_decompose,
-    reconstruct,
-    thermal_channel_set,
-)
-from .rotor import MoleculeSpec
+from .observables import AlignmentTrace, write_columns_csv
 
 SATURATION_INTENSITY = 200.0  # TW/cm^2, ionization saturation for CO2-like gases
 
@@ -158,33 +150,17 @@ def grating_geometry(config: GratingConfig) -> GratingGeometry:
 
 
 def _warn_if_saturated(config: GratingConfig):
-    peak = 4.0 * config.single_pump_peak_intensity
+    # parallel pumps add coherently in the bright fringe; perpendicular pumps
+    # write no intensity fringes and keep the sum of the two beams everywhere
+    factor = 4.0 if config.scheme == "parallel" else 2.0
+    peak = factor * config.single_pump_peak_intensity
     if peak > SATURATION_INTENSITY:
         warnings.warn(
-            f"bright-fringe intensity {peak:.0f} TW/cm^2 exceeds the "
+            f"peak intensity {peak:.0f} TW/cm^2 exceeds the "
             f"{SATURATION_INTENSITY:.0f} TW/cm^2 ionization saturation; "
             "neutral-depletion effects are not modeled",
             stacklevel=3,
         )
-
-
-def _linear_trace(
-    molecule: MoleculeSpec,
-    temperature: float,
-    intensity: float,
-    config: GratingConfig,
-    times,
-    method: str,
-    j_max: int | None,
-    decomposition: FourierDecomposition | None = None,
-) -> AlignmentTrace:
-    if decomposition is None:
-        pulse = PulseSpec(intensity, config.tau_fwhm_ps, config.t0_ps)
-        cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
-        decomposition = fourier_decompose(cs, "y")
-    trace = reconstruct(decomposition, times)
-    trace.metadata.update(theoretical_intensity=intensity, scheme=config.scheme)
-    return trace
 
 
 def heterodyne_with_background(times, field_values, background: complex, t_on: float = 0.0):
@@ -213,35 +189,25 @@ def diffracted_signal(scheme: str, trace_values, times, background: complex | No
     return field_values**2
 
 
-def grating_signal(
-    molecule: MoleculeSpec,
-    temperature: float,
-    config: GratingConfig,
-    times,
-    method: str = "sudden",
-    j_max: int | None = None,
-    decomposition: FourierDecomposition | None = None,
-) -> SignalTrace:
+def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
     """Diffracted signal versus probe delay for the scheme in config.
 
-    Parallel pumps write an intensity grating, optionally heterodyned by the
-    plasma background switched on at config.t0_ps.  Perpendicular pumps write
-    a polarization grating: the x-y anisotropy difference carries (3/2) times
+    trace is the y-axis linear-polarization alignment trace at
+    config.theoretical_intensity, with the pump at config.t0_ps.  Parallel
+    pumps write an intensity grating, optionally heterodyned by the plasma
+    background switched on at config.t0_ps.  Perpendicular pumps write a
+    polarization grating: the x-y anisotropy difference carries (3/2) times
     the linear-polarization trace, and the plasma grating diffracts to a
-    different angle, so no background enters at order 1.  A given
-    decomposition (y axis, config.theoretical_intensity) replaces propagation.
+    different angle, so no background enters at order 1.
     """
     _warn_if_saturated(config)
-    times = np.asarray(times, dtype=float)
-    trace = _linear_trace(
-        molecule, temperature, config.theoretical_intensity, config, times, method, j_max,
-        decomposition,
-    )
+    times = np.asarray(trace.times, dtype=float)
     values = diffracted_signal(
         config.scheme, trace.values, times, config.plasma_background, config.t0_ps
     )
     meta = dict(trace.metadata)
     meta.update(
+        theoretical_intensity=config.theoretical_intensity,
         scheme=config.scheme,
         single_pump_peak_intensity=config.single_pump_peak_intensity,
         apply_transverse_factor=config.apply_transverse_factor,
@@ -281,88 +247,9 @@ def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace
     return SignalTrace(signal.times, values, meta)
 
 
-@dataclass(frozen=True)
-class SpatialModulationReport:
-    """Separable-model quality across one grating period (parallel scheme)."""
-
-    positions: np.ndarray  # as fractions of the grating period
-    deviations: np.ndarray  # |revival peak, full - separable| per position
-    peak_amplitude: float  # max |full trace| over all positions and times
-    max_relative_deviation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "positions_period_fraction": self.positions.tolist(),
-            "deviations": self.deviations.tolist(),
-            "peak_amplitude": self.peak_amplitude,
-            "max_relative_deviation": self.max_relative_deviation,
-        }
-
-
-def spatial_modulation_check(
-    molecule: MoleculeSpec,
-    temperature: float,
-    single_pump_intensity: float,
-    n_positions: int = 9,
-    tau_fwhm_ps: float = 0.1,
-    times=None,
-    j_max: int | None = None,
-) -> SpatialModulationReport:
-    """Test the separable approximation trace(x,t) = trace(t) (1 + cos 2 k x).
-
-    The exact local trace uses the local fringe intensity 4 I0 cos^2(k x);
-    the separable model scales the trace computed at the mean intensity 2 I0
-    by the fringe profile.  What matters for the diffracted signal is the
-    revival amplitude written at each position, so the comparison is between
-    revival-peak amplitudes, normalized by the largest one over the period.
-    """
-    if times is None:
-        from .observables import revival_time_grid
-
-        times = revival_time_grid(molecule, 2048, t_start=1.0)
-    times = np.asarray(times, dtype=float)
-    config = GratingConfig("parallel", single_pump_intensity, tau_fwhm_ps=tau_fwhm_ps)
-    mean_intensity = 2.0 * single_pump_intensity
-    if j_max is None:
-        # one basis for every local intensity, sized for the brightest fringe
-        from .field import xi_per_intensity
-        from .rotor import boltzmann_ensemble, suggest_j_max
-
-        ens = boltzmann_ensemble(molecule, temperature, 1e-6)
-        j_max = suggest_j_max(
-            ens.j_thermal_max, xi_per_intensity(molecule, tau_fwhm_ps) * 2.0 * mean_intensity
-        )
-    reference = _linear_trace(
-        molecule, temperature, mean_intensity, config, times, "sudden", j_max
-    )
-    reference_peak = float(np.max(np.abs(reference.values)))
-    fractions = np.linspace(0.0, 1.0, n_positions, endpoint=False)
-    deviations = np.empty(n_positions)
-    peak = 0.0
-    for i, frac in enumerate(fractions):
-        fringe = 1.0 + math.cos(2.0 * math.pi * frac)  # (1 + cos 2 k x), period Lambda
-        local_intensity = mean_intensity * fringe
-        if local_intensity == 0.0:
-            deviations[i] = 0.0
-            continue
-        full = _linear_trace(
-            molecule, temperature, local_intensity, config, times, "sudden", j_max
-        )
-        peak_full = float(np.max(np.abs(full.values)))
-        deviations[i] = abs(peak_full - fringe * reference_peak)
-        peak = max(peak, peak_full)
-    rel = float(deviations.max() / peak) if peak > 0 else 0.0
-    return SpatialModulationReport(fractions, deviations, peak, rel)
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def write_signal_csv(signal: SignalTrace, path: str, header_metadata: dict | None = None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(header_metadata or {}):
-            fh.write(f"# {key}: {header_metadata[key]}\n")
-        fh.write("delay_ps,signal_au\n")
-        for t, v in zip(signal.times, signal.values):
-            fh.write(f"{t:.12e},{v:.12e}\n")
+def write_signal_csv(signal: SignalTrace, path: str, header_metadata: dict | None):
+    write_columns_csv(path, "delay_ps,signal_au", (signal.times, signal.values), header_metadata)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .constants import revival_period
 from .dynamics import (
-    ChannelSet, _axis_operator, chain_operator, kick_ensemble, sudden_ensemble, tdse_ensemble,
+    ChannelSet, _axis_operator, chain_operator, kick_ensemble, tdse_ensemble,
 )
-from .field import PulseSpec, xi_per_intensity
+from .field import PulseSpec, effective_area, xi_per_intensity
 from .rotor import (
     MoleculeSpec,
     boltzmann_ensemble,
@@ -252,7 +252,10 @@ def thermal_channel_set(
     """Boltzmann ensemble propagated through the pump by the chosen route."""
     ens = boltzmann_ensemble(molecule, temperature)
     if method == "sudden":
-        return sudden_ensemble(molecule, ens, pulse, j_max)
+        if not pulse.is_linear():
+            raise ValueError("the sudden kick handles linear polarization; see elliptic drivers")
+        return kick_ensemble(molecule, ens, effective_area(pulse, molecule), j_max,
+                             reference_time=pulse.t0_ps)
     if method == "tdse":
         return tdse_ensemble(molecule, ens, pulse, j_max)
     raise ValueError(f"method must be 'sudden' or 'tdse', got {method!r}")
@@ -387,18 +390,23 @@ def elliptic_approx(linear_trace: AlignmentTrace, a2: float, b2: float) -> dict[
 # Export
 # ---------------------------------------------------------------------------
 
-def write_trace_csv(
-    trace: AlignmentTrace, path: str, value_header: str = "value",
-    header_metadata: dict | None = None,
-):
-    """Two-column CSV with fixed %.12e formatting for reproducible bytes.
+def write_columns_csv(path: str, header: str, columns, header_metadata: dict | None):
+    """CSV of equal-length numeric columns with fixed %.12e formatting for
+    reproducible bytes.
 
     header_metadata entries become '# key: value' comment lines above the
     column header, in sorted key order.
     """
+    row = ",".join(["{:.12e}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(header_metadata or {}):
             fh.write(f"# {key}: {header_metadata[key]}\n")
-        fh.write(f"t_ps,{value_header}\n")
-        for t, v in zip(trace.times, trace.values):
-            fh.write(f"{t:.12e},{v:.12e}\n")
+        fh.write(header + "\n")
+        for values in zip(*columns):
+            fh.write(row.format(*values))
+
+
+def write_trace_csv(trace: AlignmentTrace, path: str, value_header: str,
+                    header_metadata: dict | None):
+    """Two-column trace CSV: t_ps and the trace values under value_header."""
+    write_columns_csv(path, f"t_ps,{value_header}", (trace.times, trace.values), header_metadata)

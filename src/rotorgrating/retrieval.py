@@ -23,7 +23,7 @@ import scipy.optimize
 from .dynamics import kick_ensemble
 from .field import xi_per_intensity
 from .grating import diffracted_signal, single_pump_intensity
-from .observables import FourierDecomposition, fourier_decompose, reconstruct
+from .observables import FourierDecomposition, fourier_decompose, reconstruct, write_columns_csv
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
 PARAM_ORDER = ("intensity", "temperature", "t_offset", "background_re", "background_im")
@@ -423,11 +423,9 @@ def synthesize_trace(
 
 def write_fit_csv(
     result: FitResult, problem: FitProblem, trace: ExperimentalTrace, path: str,
-    cache: EnsembleCache | None = None,
+    cache: EnsembleCache | None,
 ):
     """Side-by-side data/model/residual table for plotting."""
     model = model_signal(result.params, problem, trace.delays, cache)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("delay_ps,data_au,model_au,residual_au\n")
-        for t, d, m in zip(trace.delays, trace.signal, model):
-            fh.write(f"{t:.12e},{d:.12e},{m:.12e},{d - m:.12e}\n")
+    write_columns_csv(path, "delay_ps,data_au,model_au,residual_au",
+                      (trace.delays, trace.signal, model, trace.signal - model), None)

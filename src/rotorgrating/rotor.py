@@ -160,7 +160,6 @@ def boltzmann_ensemble(
     molecule: MoleculeSpec,
     temperature: float,
     cutoff: float = 1e-6,
-    fold_m: bool = True,
 ) -> ThermalEnsemble:
     """Thermal channel list for a linear rotor with spin statistics.
 
@@ -168,8 +167,8 @@ def boltzmann_ensemble(
     the 2J+1 M0 sublevels; J levels are included until the omitted Boltzmann
     tail is below `cutoff`, then weights are renormalized to 1.
 
-    With fold_m (default) the -M0 channels, whose dynamics mirror +M0 exactly,
-    are merged into the +M0 channel with doubled weight.
+    The -M0 channels, whose dynamics mirror +M0 exactly, are merged into the
+    +M0 channel with doubled weight.
     """
     if temperature < 0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
@@ -178,7 +177,7 @@ def boltzmann_ensemble(
 
     if temperature == 0:
         j0 = 0 if molecule.g_even > 0 else 1
-        return ThermalEnsemble(0.0, tuple(_split_level(j0, 1.0, fold_m)))
+        return ThermalEnsemble(0.0, tuple(_split_level(j0, 1.0)))
 
     kt = thermal_wavenumber(temperature)
     # kT/B ~ J_thermal^2 bounds the channel count from below; checked before
@@ -198,7 +197,7 @@ def boltzmann_ensemble(
     if total == 0.0:
         # kT far below the lowest allowed level: same limit as T = 0
         j0 = 0 if molecule.g_even > 0 else 1
-        return ThermalEnsemble(temperature, tuple(_split_level(j0, 1.0, fold_m)))
+        return ThermalEnsemble(temperature, tuple(_split_level(j0, 1.0)))
     tail = total - np.cumsum(w)
     keep_mask = np.empty_like(w, dtype=bool)
     keep_mask[:] = False
@@ -208,21 +207,19 @@ def boltzmann_ensemble(
     keep_mask &= w > 0
 
     kept_js = js[keep_mask]
-    count = int(np.sum(kept_js + 1 if fold_m else 2 * kept_js + 1))
+    count = int(np.sum(kept_js + 1))
     if count > MAX_THERMAL_CHANNELS:
         raise ValueError(f"temperature {temperature} K needs {count} thermal channels, "
                          f"above the budget of {MAX_THERMAL_CHANNELS}")
     kept = w[keep_mask].sum()
     channels: list[tuple[int, int, float]] = []
     for j, wj in zip(js[keep_mask], w[keep_mask]):
-        channels.extend(_split_level(int(j), wj / kept, fold_m))
+        channels.extend(_split_level(int(j), wj / kept))
     return ThermalEnsemble(temperature, tuple(channels))
 
 
-def _split_level(j: int, level_weight: float, fold_m: bool):
+def _split_level(j: int, level_weight: float):
     per_m = level_weight / (2 * j + 1)
-    if not fold_m:
-        return [(j, m, per_m) for m in range(-j, j + 1)]
     out = [(j, 0, per_m)]
     out.extend((j, m, 2.0 * per_m) for m in range(1, j + 1))
     return out

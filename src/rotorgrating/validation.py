@@ -330,10 +330,9 @@ def run_all(
     temperature: float = 293.0,
     intensity: float = 20.0,
     j_max: int | None = None,
-    threads: int | None = None,
     suites=None,
 ) -> list[CheckResult]:
-    """Selected suites in a fixed order; `threads` caps a suite-level pool."""
+    """Selected suites, run one after another in a fixed order."""
     jobs = {
         "operators": lambda: suite_operators(),
         "sudden_vs_tdse": lambda: suite_sudden_vs_tdse(molecule, j_max=j_max),
@@ -345,12 +344,4 @@ def run_all(
     unknown = [n for n in names if n not in jobs]
     if unknown:
         raise ValueError(f"unknown validation suites {unknown}; choose from {list(SUITE_NAMES)}")
-    selected = [jobs[n] for n in names]
-    if threads is not None and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(selected))) as pool:
-            results = list(pool.map(lambda f: f(), selected))
-    else:
-        results = [f() for f in selected]
-    return [row for suite_rows in results for row in suite_rows]
+    return [row for name in names for row in jobs[name]()]

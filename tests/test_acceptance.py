@@ -33,7 +33,6 @@ from rotorgrating import (
     regime_scan,
     revival_period,
     revival_time_grid,
-    sudden_ensemble,
     synthesize_trace,
     tdse_ensemble,
     thermal_channel_set,
@@ -134,7 +133,7 @@ def test_criterion_05_sudden_vs_tdse_traces():
     intensity = 10.0 / xi_per_intensity(CO2)  # xi = 10, the validity edge
     pulse = linear_pulse(intensity)
     ens = boltzmann_ensemble(CO2, 30.0)
-    cs_sudden = sudden_ensemble(CO2, ens, pulse)
+    cs_sudden = thermal_channel_set(CO2, 30.0, pulse)
     cs_tdse = tdse_ensemble(CO2, ens, pulse)
     _register_norms("sudden 30K xi=10", cs_sudden)
     _register_norms("tdse 30K xi=10", cs_tdse)

@@ -17,8 +17,14 @@ from rotorgrating.cli import (
     main,
 )
 from rotorgrating.retrieval import FitProblem, synthesize_trace
+from rotorgrating.field import linear_pulse
 from rotorgrating.grating import GratingConfig, grating_signal, write_signal_csv
-from rotorgrating.observables import revival_time_grid
+from rotorgrating.observables import (
+    fourier_decompose,
+    reconstruct,
+    revival_time_grid,
+    thermal_channel_set,
+)
 from rotorgrating.rotor import CO2
 
 
@@ -185,12 +191,14 @@ def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert len(calls) == 1
 
-    # the signal equals the one the grating model computes with its own propagation
+    # the signal equals the grating model's on a propagation of its own
     resolved = json.loads((out / "metadata.json").read_text())["config"]
     grating = GratingConfig("perpendicular", resolved["single_pump_intensity_tw_cm2"])
     grid = resolved["time_grid"]
     times = revival_time_grid(CO2, grid["n"], grid["t_start_ps"], grid["periods"])
-    signal = grating_signal(CO2, 30.0, grating, times, method="tdse")
+    cs = thermal_channel_set(CO2, 30.0, linear_pulse(grating.theoretical_intensity),
+                             method="tdse")
+    signal = grating_signal(reconstruct(fourier_decompose(cs, "y"), times), grating)
     assert len(calls) == 2
     write_signal_csv(signal, str(tmp_path / "signal.csv"), header_metadata=_stamp(resolved))
     assert (out / "signal.csv").read_bytes() == (tmp_path / "signal.csv").read_bytes()
@@ -204,6 +212,17 @@ def test_simulate_time_grid_flag_overrides_config(tmp_path, capsys):
     assert len(_read_csv_values(out / "alignment_trace.csv")) == 32
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["config"]["time_grid"]["n"] == 32
+
+
+@pytest.mark.parametrize("flag", ["--time-grid", "--threads"])
+@pytest.mark.parametrize("subcommand", ["geometry", "validate", "fit"])
+def test_flags_only_where_read(subcommand, flag, capsys):
+    # --time-grid belongs to the subcommands that sample a time grid
+    # (simulate, fourier); no subcommand takes --threads
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ from rotorgrating.dynamics import (
     BasisTooSmallError,
     elliptic_tdse_ensemble,
     kick_ensemble,
-    sudden_ensemble,
     tdse_ensemble,
 )
 from rotorgrating.field import effective_area, elliptic_pulse, linear_pulse
-from rotorgrating.observables import alignment_trace
+from rotorgrating.observables import alignment_trace, thermal_channel_set
 from rotorgrating.rotor import (
     CO2,
     BasisSpec,
@@ -115,7 +114,7 @@ def test_elliptic_kick_rejected_on_chain():
     # fixed-M chains quantize along a linear field; elliptic pumps need the lattice
     pulse = elliptic_pulse(1.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="linear polarization"):
-        sudden_ensemble(CO2, GROUND, pulse)
+        thermal_channel_set(CO2, 0.0, pulse, method="sudden")
     with pytest.raises(ValueError, match="linear polarization"):
         tdse_ensemble(CO2, GROUND, pulse)
 
@@ -157,7 +156,7 @@ def test_jm_linear_kick_matches_chain():
 
 def test_tdse_approaches_sudden_for_short_pulse():
     pulse = linear_pulse(2.0, tau_fwhm_ps=0.01)
-    sudden = sudden_ensemble(CO2, GROUND, pulse, j_max=30)
+    sudden = kick_ensemble(CO2, GROUND, effective_area(pulse, CO2), j_max=30)
     tdse = tdse_ensemble(CO2, GROUND, pulse, j_max=30)
     pops_s = np.abs(sudden.blocks[0].amplitudes) ** 2
     pops_t = np.abs(tdse.blocks[0].amplitudes) ** 2
@@ -217,16 +216,6 @@ def test_basis_must_hold_thermal_origins():
     ens = boltzmann_ensemble(CO2, 293.0)
     with pytest.raises(BasisTooSmallError, match="thermal origin"):
         kick_ensemble(CO2, ens, 0.5, j_max=10)
-
-
-def test_sudden_ensemble_matches_kick_ensemble():
-    ens = boltzmann_ensemble(CO2, 30.0)
-    pulse = linear_pulse(4.0)
-    direct = kick_ensemble(CO2, ens, effective_area(pulse, CO2))
-    via_pulse = sudden_ensemble(CO2, ens, pulse)
-    assert via_pulse.xi == pytest.approx(direct.xi, rel=1e-15)
-    for a, b in zip(direct.channels, via_pulse.channels):
-        assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
 def test_tdse_ensemble_deterministic():

@@ -1,8 +1,7 @@
-"""Pulse envelopes, kick strengths, and crossed-beam polarization patterns."""
+"""Pulse envelopes, polarization states, and kick strengths."""
 
 import math
 
-import numpy as np
 import pytest
 from scipy import constants as sc
 from scipy.integrate import quad
@@ -16,7 +15,6 @@ from rotorgrating.field import (
     envelope_intensity,
     kick_rate,
     linear_pulse,
-    polarization_at,
     pulse_window,
     xi_per_intensity,
 )
@@ -99,30 +97,3 @@ def test_elliptic_pulse_weights():
     assert not pulse.is_linear()
     assert elliptic_pulse(2.0, 0.0, 1.0).is_linear()
     assert elliptic_pulse(2.0, 1.0, 0.0).is_linear()
-
-
-def test_polarization_parallel_pattern():
-    x = np.linspace(0.0, 4.0 * np.pi, 257)
-    a, b, factor = polarization_at(x, "parallel", 1.0)
-    assert np.all(a == 0.0)
-    assert np.all(b == 1.0)
-    assert np.allclose(factor, 4.0 * np.cos(x) ** 2, atol=1e-14)
-    assert factor.min() >= 0.0 and factor.max() <= 4.0
-    # mean fluence factor over a period is 2: two pumps worth
-    assert np.mean(factor[:-1]) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_polarization_perpendicular_pattern():
-    x = np.linspace(0.0, 2.0 * np.pi, 129)
-    a, b, factor = polarization_at(x, "perpendicular", 1.0)
-    assert np.allclose(factor, 2.0, atol=1e-15)  # constant intensity
-    assert np.allclose(a * a + b * b, 1.0, atol=1e-14)  # unit polarization
-    # linear at the nodes, circular-like quarter way between
-    assert abs(a[0]) < 1e-14
-    aq, bq, _ = polarization_at(np.pi / 4.0, "perpendicular", 1.0)
-    assert aq**2 == pytest.approx(0.5, rel=1e-12)
-
-
-def test_polarization_unknown_scheme():
-    with pytest.raises(ValueError):
-        polarization_at(0.0, "diagonal", 1.0)

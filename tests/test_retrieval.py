@@ -9,7 +9,7 @@ from rotorgrating import dynamics
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
-from rotorgrating.observables import FourierDecomposition
+from rotorgrating.observables import FourierDecomposition, reconstruct
 from rotorgrating.retrieval import (
     EnsembleCache,
     ExperimentalTrace,
@@ -247,7 +247,7 @@ def test_grating_and_fit_models_agree_bit_for_bit(scheme):
     # the fit shifts the delays by t_offset; the grating's pump sits at t0_ps = 0
     t_off = params.get("t_offset", 0.0)
     config = GratingConfig(scheme, single, plasma_background=background)
-    signal = grating_signal(CO2, 60.0, config, delays - t_off, decomposition=dec)
+    signal = grating_signal(reconstruct(dec, delays - t_off), config)
     assert config.theoretical_intensity == intensity
     assert np.array_equal(signal.values, model)
     if scheme == "parallel":
@@ -255,7 +255,7 @@ def test_grating_and_fit_models_agree_bit_for_bit(scheme):
         shifted = FourierDecomposition(dec.constant, dec.js, dec.amplitudes,
                                        dec.phases - dec.omegas * t_off, dec.omegas)
         config = GratingConfig(scheme, single, t0_ps=t_off, plasma_background=background)
-        signal = grating_signal(CO2, 60.0, config, delays, decomposition=shifted)
+        signal = grating_signal(reconstruct(shifted, delays), config)
         assert np.max(np.abs(signal.values - model)) <= 1e-12 * np.max(model)
 
 

@@ -150,15 +150,20 @@ def test_boltzmann_cutoff_semantics():
 
 
 def test_boltzmann_fold_m():
-    folded = boltzmann_ensemble(CO2, 30.0)
-    flat = boltzmann_ensemble(CO2, 30.0, fold_m=False)
-    wf = sum(w for _, _, w in folded.channels)
-    assert wf == pytest.approx(sum(w for _, _, w in flat.channels), abs=1e-12)
-    assert len(flat.channels) > len(folded.channels)
-    # M=+2 folded channel carries the +-2 pair weight
-    def get(ens, j, m):
-        return sum(w for jj, mm, w in ens.channels if (jj, mm) == (j, m))
-    assert get(folded, 2, 2) == pytest.approx(get(flat, 2, 2) + get(flat, 2, -2), rel=1e-12)
+    # the -M0 channels mirror +M0 exactly and are folded into them: each level
+    # J carries M0 = 0 .. J, the M0 > 0 channels with 2/(2J+1) of its weight
+    ens = boltzmann_ensemble(CO2, 30.0)
+    levels = {}
+    for j, m, w in ens.channels:
+        levels.setdefault(j, {})[m] = w
+    assert sum(w for _, _, w in ens.channels) == pytest.approx(1.0, abs=1e-12)
+    assert len(levels) > 3
+    for j, by_m in levels.items():
+        assert sorted(by_m) == list(range(j + 1))
+        level = sum(by_m.values())
+        assert by_m[0] == pytest.approx(level / (2 * j + 1), rel=1e-12)
+        for m in range(1, j + 1):
+            assert by_m[m] == pytest.approx(2.0 * level / (2 * j + 1), rel=1e-12)
 
 
 def test_boltzmann_near_zero_temperature_is_the_ground_state():

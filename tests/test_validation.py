@@ -50,14 +50,6 @@ def test_hygiene_suite_reports_tiny_basis_failure():
     assert any("norm" in r.name for r in failed)
 
 
-def test_threaded_run_matches_serial():
-    serial = run_all(suites=("operators", "hygiene"))
-    parallel = run_all(suites=("operators", "hygiene"), threads=2)
-    key = lambda rows: {(r.suite, r.name, r.passed) for r in rows}
-    assert key(serial) == key(parallel)
-    assert all(r.passed for r in serial)
-
-
 # ---------------------------------------------------------------------------
 # Classical kicked-rotor oracle for the permanent alignment
 # ---------------------------------------------------------------------------
