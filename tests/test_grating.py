@@ -238,9 +238,10 @@ def test_probe_convolve_needs_uniform_grid():
 # Separable-model quality across the grating
 # ---------------------------------------------------------------------------
 
-def _separable_deviation(temperature, single_pump_intensity, n_positions=9):
-    """Largest |revival peak at the local intensity - fringe * peak at the mean|
-    over one grating period, relative to the largest local peak.
+def _separable_deviations(temperature, single_pump_intensity, n_positions=9):
+    """Fringe positions x / Lambda, the deviation |revival peak at the local
+    intensity - fringe * peak at the mean| at each, and the largest deviation
+    relative to the largest local peak over one grating period.
 
     Parallel pumps put the local intensity 2 I0 (1 + cos 2kx) at fringe
     position x; the separable model scales the trace at the mean 2 I0 by the
@@ -256,18 +257,30 @@ def _separable_deviation(temperature, single_pump_intensity, n_positions=9):
         dec = fourier_decompose(kick_ensemble(CO2, ens, xi, j_max), "y")
         return float(np.max(np.abs(reconstruct(dec, times).values)))
 
-    fringes = 1.0 + np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, n_positions, endpoint=False))
+    positions = np.linspace(0.0, 1.0, n_positions, endpoint=False)
+    fringes = 1.0 + np.cos(2.0 * np.pi * positions)
     peaks = np.array([revival_peak(xi_mean * f) for f in fringes])
-    return float(np.max(np.abs(peaks - fringes * revival_peak(xi_mean))) / peaks.max())
+    deviations = np.abs(peaks - fringes * revival_peak(xi_mean))
+    return positions, deviations, float(deviations.max() / peaks.max())
 
 
 def test_spatial_modulation_small_at_moderate_intensity():
     # the paper's single-pump reduction: at moderate intensity each fringe
     # position aligns in proportion to its local intensity.  Mean fringe
-    # intensity 20 TW/cm^2 at room temperature ...
-    assert _separable_deviation(293.0, 10.0) <= 0.10
-    # ... and weak pumping, the exactly proportional regime, in a cold gas
-    assert _separable_deviation(60.0, 0.2) < 0.01
+    # intensity 20 TW/cm^2 at room temperature
+    positions, _, max_relative = _separable_deviations(293.0, 10.0)
+    assert max_relative <= 0.10
+    assert len(positions) == 9
+
+
+def test_spatial_modulation_dark_fringe_and_weak_limit():
+    positions, deviations, max_relative = _separable_deviations(60.0, 0.2, n_positions=4)
+    # the dark fringe sees no pump at all: identically zero deviation
+    dark = int(np.argmin(np.abs(positions - 0.5)))
+    assert positions[dark] == pytest.approx(0.5, abs=1e-12)
+    assert deviations[dark] == pytest.approx(0.0, abs=1e-14)
+    # weak pumping is the exactly proportional regime
+    assert max_relative < 0.01
 
 
 # ---------------------------------------------------------------------------
