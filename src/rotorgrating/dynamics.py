@@ -17,6 +17,10 @@ the pulse window free evolution is analytic.  On fixed-M chains J and J+2
 couple with the Raman phase exp(i (omega_J - omega_{J+2}) (t - t0)), so each
 right-hand-side call exponentiates only the distinct Raman differences; the
 elliptic (J,M) lattice keeps a sparse coupling between free-rotation phases.
+Each solve is one adaptive DOP853 run over the pulse window that ends on its
+last step: it keeps neither the step history nor an interpolant, only the
+state at the window's end, so it holds DOP853's stages and nothing that
+grows with the number of steps.
 
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls and
@@ -25,8 +29,7 @@ channel; the reduction order is fixed, so reruns are bit-identical.
 
 Before it allocates, each driver estimates its working set at the chosen
 j_max (and again after every regrow) and raises ValueError naming the
-estimate when it exceeds MAX_WORKING_SET_BYTES.  The TDSE solves keep only
-their final state, not the integrator's step history.
+estimate when it exceeds MAX_WORKING_SET_BYTES.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
 
 from .field import PulseSpec, effective_area, kick_rate, pulse_window
 from .rotor import (
@@ -54,11 +57,12 @@ from .rotor import (
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~72 MB and the 60 K elliptic one ~0.37 GB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~61 MB and the 60 K elliptic one ~0.32 GB.
 MAX_WORKING_SET_BYTES = 2e9
-# Complex state vectors a DOP853 solve holds at its peak: the stages, the
-# dense output of the last step and the result
-TDSE_STATE_VECTORS = 40
+# Complex state vectors a TDSE propagation holds at its peak: DOP853's stages
+# and step temporaries (30 traced per solve), the initial state and the chain
+# coupling's arrays (33 traced at 60 K and 293 K, 30 TW/cm^2)
+TDSE_STATE_VECTORS = 34
 
 
 class PropagationError(RuntimeError):
@@ -165,12 +169,41 @@ def _sandwiched_coupling(omega, apply_coupling):
     return coupling
 
 
+class _EndState(DenseOutput):
+    """A step's end state y, defined at the step end t alone."""
+
+    def __init__(self, t_old, t, y):
+        super().__init__(t_old, t)
+        self.y = y
+
+    def _call_impl(self, t):
+        if np.any(t != self.t):
+            raise ValueError(f"the end state is defined at t={self.t} only, not at {t}")
+        return self.y if t.ndim == 0 else np.broadcast_to(self.y[:, None], (len(self.y), t.size))
+
+
+class _EndStateDOP853(DOP853):
+    """DOP853 whose dense output is the last step's end state.
+
+    solve_ivp reads y(t_eval) from the dense output of the step that reaches
+    it; at the step end DOP853's 7-term interpolant only reproduces y, at the
+    cost of 3 more stages and 7 state vectors of coefficients.
+    """
+
+    def _dense_output_impl(self):
+        return _EndState(self.t_old, self.t, self.y)
+
+
 def _integrate_interaction(y0, coupling, pulse, molecule):
     """Integrate da/dt = i (dxi/dt)(t) D(t) C D*(t) a over the pulse window.
 
     a is the interaction-picture state anchored at the pulse center t0 (D =
     exp(i omega (t - t0))) and coupling(t - t0, a) returns D C D* a.  Returns
     the interaction-picture state after the pulse, shaped like y0.
+
+    The solve ends on DOP853's last step: t_eval=[tb] keeps no step history,
+    and the end-state dense output hands over that step's y without building
+    an interpolant, so no stage runs after the last step.
     """
     ta, tb = pulse_window(pulse)
     if ta >= tb or pulse.peak_intensity == 0.0:
@@ -180,12 +213,11 @@ def _integrate_interaction(y0, coupling, pulse, molecule):
     def rhs(t, y):
         return (1j * kick_rate(pulse, molecule, t)) * coupling(t - t0, y)
 
-    # t_eval=[tb]: the solver keeps only the final state, not every step
     sol = solve_ivp(
         rhs,
         (ta, tb),
         np.asarray(y0, dtype=complex).ravel(),
-        method="DOP853",
+        method=_EndStateDOP853,
         t_eval=[tb],
         rtol=1e-8,
         atol=1e-12,

@@ -4,11 +4,13 @@ Reference results come from dense matrix exponentials of the rotor's cos^2
 theta matrices and from the drivers run on single-channel ensembles.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import DOP853
 
 from rotorgrating import dynamics
 from rotorgrating.dynamics import (
@@ -249,9 +251,9 @@ def test_tdse_ensemble_matches_one_channel_solves(monkeypatch):
     lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5)),
 ], ids=["linear", "elliptic"])
 def test_tdse_keeps_no_step_history(monkeypatch, propagate):
-    # a solve holds DOP853's stages, the last step's dense output and the
-    # result, 36 state vectors; a solve that keeps its step history holds
-    # one more per step (126 and 70 here)
+    # a solve holds DOP853's stages and step temporaries, 30 state vectors;
+    # one that builds the last step's interpolant holds 36, and one that
+    # keeps its step history one more per step (126 and 70 here)
     peaks = []
     solve = dynamics.solve_ivp
 
@@ -268,17 +270,20 @@ def test_tdse_keeps_no_step_history(monkeypatch, propagate):
         propagate()
     finally:
         tracemalloc.stop()
-    assert peaks and max(peaks) <= 45
+    assert peaks and max(peaks) <= 31
 
 
 def test_tdse_final_state_equals_full_history_solve(monkeypatch):
+    # the end state is the last step's y, and no stage runs after that step
     last = []
     solve = dynamics.solve_ivp
 
     def both(fun, t_span, y0, **kwargs):
         full = solve(fun, t_span, y0, **{k: v for k, v in kwargs.items() if k != "t_eval"})
         last.append(full.y[:, -1].copy())
-        return solve(fun, t_span, y0, **kwargs)
+        sol = solve(fun, t_span, y0, **kwargs)
+        assert sol.nfev == full.nfev
+        return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", both)
     cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), linear_pulse(30.0))
@@ -288,6 +293,28 @@ def test_tdse_final_state_equals_full_history_solve(monkeypatch):
     assert len(last) == 1 + len(cs.blocks)
     for b, want in zip(cs.blocks, last[1:]):
         assert np.array_equal(b.amplitudes.ravel(), want)
+
+
+def test_end_state_is_defined_at_the_step_end_only():
+    y = np.array([1.0 + 2.0j, -0.5j])
+    end = dynamics._EndState(0.5, 1.5, y)
+    assert end(1.5) is y
+    assert np.array_equal(end([1.5]), y[:, None])
+    for t in (0.5, 1.0, 1.5 + 1e-12, [1.0, 1.5]):
+        with pytest.raises(ValueError, match="defined at t=1.5 only"):
+            end(t)
+
+
+@pytest.mark.parametrize("propagate", [
+    lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), linear_pulse(10.0)),
+    lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5)),
+], ids=["linear", "elliptic"])
+def test_tdse_frees_its_solvers(propagate):
+    # each solve's young-generation collection frees the solver's reference
+    # cycle, so none is left for a later full collection
+    gc.collect()
+    propagate()
+    assert not [o for o in gc.get_objects() if isinstance(o, DOP853)]
 
 
 def test_lattice_size_counts_the_basis():
@@ -314,6 +341,23 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     dims = [b.amplitudes.size for b in cs.blocks]
     assert len(dims) == 2
     assert estimates == [16 * (sum(dims) + (dynamics.TDSE_STATE_VECTORS - 1) * max(dims))]
+    assert peak <= estimates[0]
+
+
+def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
+    # one stacked solve: the estimate counts the solver state of the whole stack
+    estimates = []
+    check = dynamics._check_working_set
+    monkeypatch.setattr(dynamics, "_check_working_set",
+                        lambda nbytes, j_max: estimates.append(nbytes) or check(nbytes, j_max))
+    tracemalloc.start()
+    try:
+        cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(30.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = sum(b.amplitudes.size for b in cs.blocks)
+    assert estimates == [dynamics.TDSE_STATE_VECTORS * 16 * dim]
     assert peak <= estimates[0]
 
 
