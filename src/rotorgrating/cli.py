@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,10 +56,6 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-class ConfigError(Exception):
-    """Invalid or inconsistent run configuration; message names the JSON key."""
-
-
 _REQUIRED = object()
 
 
@@ -69,11 +66,11 @@ def _load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top-level config must be a JSON object")
+        raise ValueError(f"{path}: top-level config must be a JSON object")
     return cfg
 
 
@@ -81,31 +78,31 @@ def _get(cfg: dict, key: str, kinds, default=_REQUIRED):
     """Typed fetch with a key-path error message; bool never passes as number."""
     if key not in cfg or cfg[key] is None:
         if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
+            raise ValueError(f"missing required key '{key}'")
         return default
     value = cfg[key]
     if kinds is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if isinstance(value, bool) and kinds in (float, int):
-        raise ConfigError(f"'{key}' must be a number, got a boolean")
+        raise ValueError(f"'{key}' must be a number, got a boolean")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"'{key}' must be a finite number, got {value}")
+        raise ValueError(f"'{key}' must be a finite number, got {value}")
     if not isinstance(value, kinds if isinstance(kinds, tuple) else (kinds,)):
         want = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"'{key}' must be {want}, got {type(value).__name__}")
+        raise ValueError(f"'{key}' must be {want}, got {type(value).__name__}")
     return value
 
 
 def _number(value, key: str) -> float:
     """A finite JSON number as float; null, booleans and strings name the key."""
     if value is None:
-        raise ConfigError(f"'{key}' must be a number, got null")
+        raise ValueError(f"'{key}' must be a number, got null")
     return _get({key: value}, key, float)
 
 
 def _pair(value, key: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"'{key}' must be a [lo, hi] pair")
+        raise ValueError(f"'{key}' must be a [lo, hi] pair")
     return _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
 
 
@@ -119,8 +116,8 @@ def _resolve_molecule(cfg: dict):
         if isinstance(value, dict):
             return molecule_from_dict(value)
     except (FileNotFoundError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"'molecule': {exc}")
-    raise ConfigError("'molecule' must be a name, an object with 'path', or an inline spec")
+        raise ValueError(f"'molecule': {exc}")
+    raise ValueError("'molecule' must be a name, an object with 'path', or an inline spec")
 
 
 def _resolve_times(cfg: dict, molecule, override_n: int | None):
@@ -129,9 +126,9 @@ def _resolve_times(cfg: dict, molecule, override_n: int | None):
     t_start = _get(tg, "t_start_ps", float, 0.5)
     periods = _get(tg, "periods", float, 1.0)
     if n < 2:
-        raise ConfigError("'time_grid.n' must be at least 2")
+        raise ValueError("'time_grid.n' must be at least 2")
     if periods <= 0:
-        raise ConfigError("'time_grid.periods' must be positive")
+        raise ValueError("'time_grid.periods' must be positive")
     return revival_time_grid(molecule, n, t_start, periods), {
         "n": n, "t_start_ps": t_start, "periods": periods,
     }
@@ -145,12 +142,12 @@ def _background(cfg: dict):
         return complex(value)
     if isinstance(value, dict):
         return complex(_get(value, "re", float, 0.0), _get(value, "im", float, 0.0))
-    raise ConfigError("'plasma_background' must be a number or {re, im}")
+    raise ValueError("'plasma_background' must be a number or {re, im}")
 
 
 def _out_dir(args) -> str:
     if args.out is None:
-        raise ConfigError("this subcommand writes files; pass --out DIR")
+        raise ValueError("this subcommand writes files; pass --out DIR")
     return args.out
 
 
@@ -174,14 +171,12 @@ def cmd_simulate(args) -> int:
     molecule = _resolve_molecule(cfg)
     temperature = _get(cfg, "temperature_K", float)
     scheme = _get(cfg, "scheme", str)
-    if scheme not in ("parallel", "perpendicular"):
-        raise ConfigError(f"'scheme' must be 'parallel' or 'perpendicular', got {scheme!r}")
     apply_factor = _get(cfg, "apply_transverse_factor", bool, True)
 
     has_single = "single_pump_intensity_tw_cm2" in cfg
     has_theory = "theoretical_intensity_tw_cm2" in cfg
     if has_single == has_theory:
-        raise ConfigError(
+        raise ValueError(
             "give exactly one of 'single_pump_intensity_tw_cm2' or "
             "'theoretical_intensity_tw_cm2'"
         )
@@ -190,29 +185,20 @@ def cmd_simulate(args) -> int:
     else:
         i_theory = _get(cfg, "theoretical_intensity_tw_cm2", float)
         i_single = single_pump_intensity(scheme, i_theory, apply_factor)
-    if i_single < 0:
-        raise ConfigError("pump intensity must be nonnegative")
-
+    grating = GratingConfig(
+        scheme=scheme,
+        single_pump_peak_intensity=i_single,
+        wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
+        crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
+        tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
+        t0_ps=_get(cfg, "t0_ps", float, 0.0),
+        probe_tau_fwhm_ps=_get(cfg, "probe_tau_fwhm_ps", float, None),
+        plasma_background=_background(cfg),
+        apply_transverse_factor=apply_factor,
+    )
     method = _get(cfg, "method", str, "sudden")
-    if method not in ("sudden", "tdse"):
-        raise ConfigError(f"'method' must be 'sudden' or 'tdse', got {method!r}")
     j_max = _get(cfg, "j_max", int, None)
     times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)
-
-    try:
-        grating = GratingConfig(
-            scheme=scheme,
-            single_pump_peak_intensity=i_single,
-            wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
-            crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
-            tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
-            t0_ps=_get(cfg, "t0_ps", float, 0.0),
-            probe_tau_fwhm_ps=_get(cfg, "probe_tau_fwhm_ps", float, None),
-            plasma_background=_background(cfg),
-            apply_transverse_factor=apply_factor,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
     resolved = {
         "subcommand": "simulate",
@@ -277,24 +263,21 @@ def cmd_fourier(args) -> int:
     pol = cfg.get("polarization", "linear")
     times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)
 
-    if method not in ("sudden", "tdse"):
-        raise ConfigError(f"'method' must be 'sudden' or 'tdse', got {method!r}")
-
     if pol == "linear":
         pulse = PulseSpec(intensity, tau, t0)
         cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
     elif isinstance(pol, list) and len(pol) == 2:
         a2, b2 = (_number(v, f"polarization[{i}]") ** 2 for i, v in enumerate(pol))
         if method != "tdse":
-            raise ConfigError("elliptic polarization requires method 'tdse'")
+            raise ValueError("elliptic polarization requires method 'tdse'")
         try:
             pulse = elliptic_pulse(intensity, a2, b2, tau, t0)
         except ValueError as exc:
-            raise ConfigError(f"'polarization': {exc}")
+            raise ValueError(f"'polarization': {exc}")
         ens = boltzmann_ensemble(molecule, temperature)
         cs = elliptic_tdse_ensemble(molecule, ens, pulse, j_max)
     else:
-        raise ConfigError("'polarization' must be 'linear' or a two-component [A, B] list")
+        raise ValueError("'polarization' must be 'linear' or a two-component [A, B] list")
 
     dec = fourier_decompose(cs, axis)
     direct = alignment_trace(cs, axis, times).values
@@ -339,15 +322,12 @@ def cmd_fourier(args) -> int:
 def cmd_geometry(args) -> int:
     cfg = _load_config(args.config)
     scheme = _get(cfg, "scheme", str, "parallel")
-    try:
-        grating = GratingConfig(
-            scheme=scheme,
-            single_pump_peak_intensity=_get(cfg, "single_pump_intensity_tw_cm2", float, 1.0),
-            wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
-            crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    grating = GratingConfig(
+        scheme=scheme,
+        single_pump_peak_intensity=_get(cfg, "single_pump_intensity_tw_cm2", float, 1.0),
+        wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
+        crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
+    )
     geom = grating_geometry(grating)
     resolved = {
         "subcommand": "geometry",
@@ -355,7 +335,7 @@ def cmd_geometry(args) -> int:
         "wavelength_nm": grating.wavelength_nm,
         "crossing_angle_deg": grating.crossing_angle_deg,
     }
-    doc = {"version": __version__, "config": resolved, "geometry": geom.to_dict()}
+    doc = {"version": __version__, "config": resolved, "geometry": asdict(geom)}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _write_json(doc, os.path.join(args.out, "geometry.json"))
@@ -373,10 +353,6 @@ def cmd_validate(args) -> int:
     intensity = _get(cfg, "intensity_tw_cm2", float, 20.0)
     j_max = _get(cfg, "j_max", int, None)
     suites = _get(cfg, "suites", list, None)
-    if suites is not None:
-        bad = [s for s in suites if s not in SUITE_NAMES]
-        if bad:
-            raise ConfigError(f"'suites' contains unknown names {bad}; choose from {list(SUITE_NAMES)}")
 
     rows = run_all(molecule, temperature, intensity, j_max=j_max, suites=suites)
     for row in rows:
@@ -396,11 +372,7 @@ def cmd_validate(args) -> int:
         doc = {
             "version": __version__,
             "config": resolved,
-            "checks": [
-                {"suite": r.suite, "name": r.name, "passed": r.passed,
-                 "measured": r.measured, "target": r.target, "detail": r.detail}
-                for r in rows
-            ],
+            "checks": [asdict(r) for r in rows],
             "passed": n_fail == 0,
         }
         os.makedirs(args.out, exist_ok=True)
@@ -418,30 +390,25 @@ def cmd_fit(args) -> int:
     try:
         trace = load_trace(trace_path)
     except FileNotFoundError:
-        raise ConfigError(f"trace file not found: {trace_path}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError(f"trace file not found: {trace_path}")
 
     bounds = {name: _pair(pair, f"bounds.{name}") for name, pair in _get(cfg, "bounds", dict).items()}
     fixed = {k: _number(v, f"fixed.{k}") for k, v in _get(cfg, "fixed", dict, {}).items()}
     scale_bounds = _get(cfg, "scale_bounds", list, None)
 
-    try:
-        problem = FitProblem(
-            molecule=molecule,
-            scheme=_get(cfg, "scheme", str),
-            tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
-            bounds=bounds,
-            fixed=fixed,
-            scale_bounds=(0.0, float("inf")) if scale_bounds is None
-            else _pair(scale_bounds, "scale_bounds"),
-            apply_transverse_factor=_get(cfg, "apply_transverse_factor", bool, True),
-            j_max=_get(cfg, "j_max", int, None),
-            boltzmann_cutoff=_get(cfg, "boltzmann_cutoff", float, 1e-6),
-            cache_quantum=_get(cfg, "cache_quantum", float, 1e-6),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    problem = FitProblem(
+        molecule=molecule,
+        scheme=_get(cfg, "scheme", str),
+        tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
+        bounds=bounds,
+        fixed=fixed,
+        scale_bounds=(0.0, float("inf")) if scale_bounds is None
+        else _pair(scale_bounds, "scale_bounds"),
+        apply_transverse_factor=_get(cfg, "apply_transverse_factor", bool, True),
+        j_max=_get(cfg, "j_max", int, None),
+        boltzmann_cutoff=_get(cfg, "boltzmann_cutoff", float, 1e-6),
+        cache_quantum=_get(cfg, "cache_quantum", float, 1e-6),
+    )
 
     search = {
         "max_evaluations": _get(cfg, "max_evaluations", int, 4000),
@@ -514,12 +481,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OverflowError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
-        # OverflowError: a finite input too large for the numbers derived from it
+    except (ValueError, ArithmeticError, FileNotFoundError, IsADirectoryError) as exc:
+        # ArithmeticError: a finite input too large or too small for the
+        # numbers derived from it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PropagationError as exc:

@@ -13,7 +13,6 @@ C_SI = 2.99792458e8            # speed of light [m/s]
 HBAR_SI = 1.054571817e-34      # reduced Planck constant [J s]
 KB_SI = 1.380649e-23           # Boltzmann constant [J/K]
 H_SI = 6.62607015e-34          # Planck constant [J s]
-EPS0_SI = 8.8541878128e-12     # vacuum permittivity [F/m]
 
 C_CM_PER_PS = C_SI * 1e2 * 1e-12     # speed of light [cm/ps]
 

@@ -2,11 +2,11 @@
 
 Three drivers with one physical model, each returning a ChannelSet:
 
-  * kick_ensemble: instantaneous kick exp(i xi cos^2 theta) of a linearly
-    polarized pump, exact unitaries from eigendecompositions of the fixed-M
-    tridiagonal chains.
+  * kick_ensemble: instantaneous kick exp(i xi cos^2 theta) of a pump
+    polarized along y, exact unitaries from eigendecompositions of the
+    fixed-M tridiagonal chains.
   * tdse_ensemble: numerical integration of the time-dependent
-    Schroedinger equation for a finite linearly polarized pulse, all chains
+    Schroedinger equation for a finite pulse polarized along y, all chains
     stacked into one adaptive solve.
   * elliptic_tdse_ensemble: finite elliptic pulse, interaction
     A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice.
@@ -237,24 +237,14 @@ def _integrate_interaction(y0, coupling, pulse, molecule):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChainChannel:
-    """One propagated fixed-M channel: amplitudes over the J chain `js`."""
-
-    j0: int
-    m: int
-    weight: float
-    js: np.ndarray
-    amplitudes: np.ndarray
-
-
-@dataclass(frozen=True)
-class JMChannel:
-    """One propagated (J,M)-lattice channel."""
+class Channel:
+    """One propagated channel, a column of its ChannelBlock: amplitudes over js."""
 
     j0: int
     m0: int
     weight: float
-    basis: JMBasis
+    js: np.ndarray
+    basis: JMBasis | None
     amplitudes: np.ndarray
 
 
@@ -295,9 +285,9 @@ class ChannelSet:
 
     @property
     def channels(self) -> tuple:
-        """Per-channel views (ChainChannel or JMChannel) of the block columns, block by block."""
+        """Per-channel views of the block columns, block by block."""
         return tuple(
-            ChainChannel(j0, m0, w, b.js, a) if b.basis is None else JMChannel(j0, m0, w, b.basis, a)
+            Channel(j0, m0, w, b.js, b.basis, a)
             for b in self.blocks
             for j0, m0, w, a in zip(b.j0.tolist(), b.m0.tolist(), b.weights.tolist(), b.amplitudes.T)
         )
@@ -364,11 +354,21 @@ def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
     return shells * (j_parity + top) // 2 + (j_parity == m_parity) * shells
 
 
-def _check_working_set(nbytes: int, j_max: int):
+def check_working_set(nbytes: float, what: str):
+    """ValueError naming `what` if nbytes exceeds MAX_WORKING_SET_BYTES."""
     if nbytes > MAX_WORKING_SET_BYTES:
         raise ValueError(
-            f"propagation at j_max={j_max} needs about {nbytes / 1e9:.3g} GB of working "
+            f"{what} needs about {nbytes / 1e9:.3g} GB of working "
             f"memory, above the budget of {MAX_WORKING_SET_BYTES / 1e9:.3g} GB"
+        )
+
+
+def require_y_polarized(pulse: PulseSpec):
+    """The fixed-M drivers quantize along y: reject any other polarization."""
+    if pulse.a2 > 1e-12:
+        raise ValueError(
+            f"the fixed-M drivers handle linear polarization along y only, got A^2 = "
+            f"{pulse.a2:g} along x; use elliptic_tdse_ensemble"
         )
 
 
@@ -388,7 +388,7 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
         max_regrow = 0
     _require_origins(ensemble, j_max)
     for _ in range(max_regrow + 1):
-        _check_working_set(working_set(j_max), j_max)
+        check_working_set(working_set(j_max), f"propagation at j_max={j_max}")
         cs = propagate(j_max)
         if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
             return cs
@@ -456,15 +456,15 @@ def tdse_ensemble(
 ) -> ChannelSet:
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
-    All channels are stacked into one block-diagonal interaction-picture
+    The pulse must be polarized along y, the chains' quantization axis.  All
+    channels are stacked into one block-diagonal interaction-picture
     system and integrated in a single adaptive solve.  Its right-hand side
     gathers the exponentials of the distinct Raman differences onto the
     chain off-diagonals: the diagonal plus two shifted products per call.
     Amplitudes come back referenced to the pulse center, so downstream free
     evolution matches the sudden driver's convention.
     """
-    if not pulse.is_linear():
-        raise ValueError("tdse_ensemble handles linear polarization; see elliptic drivers")
+    require_y_polarized(pulse)
     xi = effective_area(pulse, molecule)
     groups = _chain_groups(ensemble)
 

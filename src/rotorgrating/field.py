@@ -66,10 +66,6 @@ class PulseSpec:
         """Time-integrated intensity in TW/cm^2 ps."""
         return self.peak_intensity * self.tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
 
-    def is_linear(self) -> bool:
-        """True when polarized along a single lab axis."""
-        return self.a2 <= 1e-12 or self.b2 <= 1e-12
-
 
 def linear_pulse(peak_intensity: float, tau_fwhm_ps: float = 0.1, t0_ps: float = 0.0) -> PulseSpec:
     """Linearly polarized pulse along y (the single-axis workhorse)."""

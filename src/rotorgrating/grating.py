@@ -50,6 +50,8 @@ class GratingConfig:
     def __post_init__(self):
         if self.scheme not in ("parallel", "perpendicular"):
             raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {self.scheme!r}")
+        if self.wavelength_nm <= 0:
+            raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
         if not 0.0 < self.crossing_angle_deg < 20.0:
             raise ValueError(f"crossing angle must be in (0, 20) deg, got {self.crossing_angle_deg}")
         if self.single_pump_peak_intensity < 0:
@@ -115,14 +117,6 @@ class GratingGeometry:
                      "plasma_period_um", "plasma_order1_angle_deg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "fringe_period_um": self.fringe_period_um,
-            "alignment_order1_angle_deg": self.alignment_order1_angle_deg,
-            "plasma_period_um": self.plasma_period_um,
-            "plasma_order1_angle_deg": self.plasma_order1_angle_deg,
-        }
 
 
 def grating_geometry(config: GratingConfig) -> GratingGeometry:
@@ -236,8 +230,8 @@ def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace
     if len(dts) == 0:
         return signal
     dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("probe convolution needs a uniform delay grid")
+    if not (dt > 0 and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
+        raise ValueError("probe convolution needs a uniform, increasing delay grid")
     sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / dt
     values = gaussian_filter1d(signal.values, sigma, mode="wrap")
     # the kernel is normalized but roundoff can leave tiny negatives

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -42,6 +42,8 @@ class ExperimentalTrace:
             raise ValueError("delays and signal must have equal length")
         if len(self.delays) < 50:
             raise ValueError(f"need at least 50 samples, got {len(self.delays)}")
+        if not (np.all(np.isfinite(self.delays)) and np.all(np.isfinite(self.signal))):
+            raise ValueError("delays and signal must be finite")
         if not np.all(np.diff(self.delays) > 0):
             raise ValueError("delays must be strictly increasing")
 
@@ -241,15 +243,7 @@ class FitResult:
     reported: dict
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "residual": self.residual,
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-            "flags": list(self.flags),
-            "sensitivity": self.sensitivity,
-            "reported": self.reported,
-        }
+        return asdict(self)
 
 
 def reported_intensities(problem: FitProblem, theoretical_intensity: float) -> dict:
@@ -323,9 +317,15 @@ def fit_trace(
             pts = np.array([0.5 * (lo + hi)])
         grids.append((pts - lo) / (hi - lo))
     starts = [np.array(combo) for combo in itertools.product(*grids)]
-    ranked = sorted(starts, key=lambda x: objective(x)[0])
+    scored = sorted((objective(x)[0], k) for k, x in enumerate(starts))
+    if not math.isfinite(scored[0][0]):
+        raise ValueError(
+            "no fit start has a finite objective: the fit needs samples at least "
+            f"2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps from the pump"
+        )
+    ranked = [starts[k] for _, k in scored]
 
-    best_x, best_f, best_scale = None, float("inf"), 0.0
+    best_x, best_f = None, float("inf")
     converged = False
     flags: list[str] = []
     budget = max(max_evaluations - counter["n"], 50 * len(free))
@@ -345,8 +345,6 @@ def fit_trace(
         if res.fun < best_f:
             best_x, best_f = np.clip(res.x, 0.0, 1.0), float(res.fun)
             converged = bool(res.success)
-    if best_x is None:
-        raise RuntimeError("no refinement start produced a finite objective")
     if not converged:
         flags.append("budget_exhausted")
     best_f, best_scale = objective(best_x)

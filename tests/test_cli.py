@@ -3,11 +3,12 @@
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rotorgrating import dynamics, observables
+from rotorgrating import dynamics, observables, rotor
 from rotorgrating.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -64,6 +65,14 @@ def test_geometry_perpendicular_out_dir(tmp_path, capsys):
     geo = doc["geometry"]
     ratio = geo["plasma_order1_angle_deg"] / geo["alignment_order1_angle_deg"]
     assert ratio == pytest.approx(2.0, abs=0.01)
+
+
+def test_geometry_rejects_nonpositive_wavelength(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"wavelength_nm": 0})
+    out = tmp_path / "geo"
+    assert main(["geometry", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "wavelength must be positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +184,53 @@ def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, 
     assert time.perf_counter() - start < 1.0
     assert "needs about 0.0481 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n": 10**11}, "a time grid of 100000000000 samples needs about 8e+03 GB"),
+    ({"n": 64, "periods": 1e308}, "time grid [0.5, inf] ps leaves the delays within +-1e+09 ps"),
+    ({"n": 64, "t_start_ps": -2e9}, "time grid [-2e+09, -2e+09] ps leaves the delays"),
+])
+def test_simulate_rejects_grid_before_allocating_it(tmp_path, capsys, grid, message):
+    cfg = _cfg(tmp_path, {**SIM_BASE, "time_grid": grid})
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert tracemalloc.get_traced_memory()[1] < 10e6
+    finally:
+        tracemalloc.stop()
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_parallel_background_and_probe(tmp_path, capsys):
+    base = {**SIM_BASE, "scheme": "parallel", "t0_ps": 0.3, "time_grid": {"n": 256}}
+    runs = {
+        "number": {"plasma_background": 0.01},
+        "pair": {"plasma_background": {"re": 0.01}},
+        "complex": {"plasma_background": {"re": 0.01, "im": -0.02}},
+        "probed": {"plasma_background": {"re": 0.01, "im": -0.02}, "probe_tau_fwhm_ps": 0.2},
+    }
+    for name, extra in runs.items():
+        cfg = _cfg(tmp_path, {**base, **extra}, name=f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    # a number is the background {re: number, im: 0}
+    for f in ("alignment_trace.csv", "signal.csv", "metadata.json"):
+        assert (tmp_path / "number" / f).read_bytes() == (tmp_path / "pair" / f).read_bytes()
+    meta = json.loads((tmp_path / "probed" / "metadata.json").read_text())["config"]
+    assert meta["plasma_background"] == [0.01, -0.02]
+    assert meta["probe_tau_fwhm_ps"] == 0.2
+    # the background is on from the pump at t0 onward
+    trace = _read_csv_values(tmp_path / "complex" / "alignment_trace.csv")
+    on = trace[:, 0] >= 0.3
+    want = np.where(on, np.abs(trace[:, 1] + complex(0.01, -0.02)) ** 2, trace[:, 1] ** 2)
+    sharp, smooth = (_read_csv_values(tmp_path / name / "signal.csv")[:, 1]
+                     for name in ("complex", "probed"))
+    assert np.allclose(sharp, want, rtol=1e-11, atol=0.0)
+    # the normalized periodic probe kernel smooths the signal, keeping its sum
+    assert np.ptp(smooth) < np.ptp(sharp)
+    assert smooth.sum() == pytest.approx(sharp.sum(), rel=1e-11)
 
 
 def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
@@ -303,9 +359,34 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def test_fourier_rejects_direct_trace_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
+    # 21 Raman lines x 4096 delays peak at 2.75 MB in the direct trace
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 1e6)
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": 3.0})
+    out = tmp_path / "x"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "a direct trace of 21 lines x 4096 times needs about 0.00275 GB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+def test_validate_every_suite_passes(tmp_path, capsys):
+    rotor._wigner_3j.cache_clear()
+    out = tmp_path / "val"
+    assert main(["validate", "--out", str(out)]) == EXIT_OK
+    assert "validate: 14/14 checks passed" in capsys.readouterr().out
+    doc = json.loads((out / "validation.json").read_text())
+    assert doc["passed"] is True
+    assert [c["suite"] for c in doc["checks"]] == (
+        ["operators"] * 4 + ["sudden_vs_tdse"] * 2 + ["elliptic"] * 2 + ["regimes"] * 3
+        + ["hygiene"] * 3
+    )
+    # every Wigner symbol validate builds stays cached: nothing was evicted
+    info = rotor._wigner_3j.cache_info()
+    assert info.misses == info.currsize <= info.maxsize == rotor.WIGNER_CACHE_SIZE
 
 def test_validate_operator_suite(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"suites": ["operators"]})
@@ -328,8 +409,11 @@ def test_validate_reports_norm_leak_on_tiny_basis(tmp_path, capsys):
 
 
 def test_validate_unknown_suite_name(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"suites": ["conjuring"]})
-    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    # entries that are not names, unhashable ones included, are unknown too
+    for entry in ("conjuring", ["operators"], {"name": "operators"}, 1):
+        cfg = _cfg(tmp_path, {"suites": [entry]})
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert "unknown validation suites" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +457,50 @@ def test_fit_rejects_bad_numbers_naming_the_key(tmp_path, capsys, override, key)
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):
+    # every sample lies within 2 tau of the pump, so no objective is finite
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.15 / 59},{1.0 + k}\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0},
+    })
+    out = tmp_path / "x"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "no fit start has a finite objective" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FIT_SEARCH = {"cache_quantum": 1e-3, "max_evaluations": 400, "refine_starts": 1,
+              "n_intensity_starts": 3}
+
+
+@pytest.mark.parametrize("scheme, sim_extra, free, fixed, truth", [
+    # the pump arrives at 0.2 ps: the fit starts t_offset mid-range
+    ("perpendicular", {"t0_ps": 0.2}, {"t_offset": [0.0, 0.4]}, {},
+     {"intensity": 15.0, "t_offset": 0.2}),
+    # a plasma background of 0.002 heterodynes the parallel signal
+    ("parallel", {"plasma_background": 0.002}, {"background_re": [-0.01, 0.01]},
+     {"background_im": 0.0}, {"intensity": 15.0, "background_re": 0.002}),
+], ids=["t_offset", "background_re"])
+def test_fit_frees_offset_and_background(tmp_path, capsys, scheme, sim_extra, free, fixed, truth):
+    sim_cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "temperature_K": 60.0, "scheme": scheme,
+        "theoretical_intensity_tw_cm2": 15.0, "time_grid": {"n": 1024, "t_start_ps": 0.0},
+        **sim_extra,
+    }, name="sim.json")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == EXIT_OK
+    fit_cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": scheme, "trace_path": os.path.join("sim", "signal.csv"),
+        "bounds": {"intensity": [5.0, 30.0], **free}, "fixed": {"temperature": 60.0, **fixed},
+        **FIT_SEARCH,
+    }, name="fit.json")
+    assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == EXIT_OK
+    params = json.loads((tmp_path / "fit" / "fit.json").read_text())["fit"]["params"]
+    for name, value in truth.items():
+        assert params[name] == pytest.approx(value, rel=1e-3), name
 
 
 def test_fit_round_trip_from_simulated_signal(tmp_path, capsys):
@@ -452,6 +580,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "rotorgrating" in capsys.readouterr().out
+
+
+N2 = {"name": "N2", "B_cm1": 1.98958, "delta_alpha_A3": 0.93, "g_even": 2.0, "g_odd": 1.0}
+
+
+def test_molecule_inline_and_by_path(tmp_path, capsys):
+    (tmp_path / "n2.json").write_text(json.dumps(N2))
+    grid = {"temperature_K": 10.0, "intensity_tw_cm2": 0.5, "time_grid": {"n": 32}}
+    for name, molecule in (("inline", N2), ("path", {"path": str(tmp_path / "n2.json")})):
+        cfg = _cfg(tmp_path, {"molecule": molecule, **grid}, name=f"{name}.json")
+        assert main(["fourier", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    for f in ("decomposition.json", "reconstruction_report.json"):
+        assert (tmp_path / "inline" / f).read_bytes() == (tmp_path / "path" / f).read_bytes()
+    doc = json.loads((tmp_path / "inline" / "decomposition.json").read_text())
+    assert doc["config"]["molecule"] == "N2"
 
 
 def test_molecule_library_env_var(tmp_path, monkeypatch, capsys):

@@ -112,6 +112,19 @@ def test_second_order_population():
     assert p2 == pytest.approx((4.0 / 45.0) * xi**2, rel=0.02)
 
 
+def test_chain_drivers_require_y_polarization():
+    # the chains quantize along y: a pump along x is linear too, but its
+    # field-axis response is not the y trace, so only the lattice takes it
+    along_x = elliptic_pulse(10.0, 1.0, 0.0)
+    ens = boltzmann_ensemble(CO2, 30.0)
+    with pytest.raises(ValueError, match="along y only.*use elliptic_tdse_ensemble"):
+        thermal_channel_set(CO2, 30.0, along_x, method="sudden")
+    with pytest.raises(ValueError, match="along y only.*use elliptic_tdse_ensemble"):
+        tdse_ensemble(CO2, ens, along_x)
+    along_y = elliptic_pulse(10.0, 0.0, 1.0)
+    assert thermal_channel_set(CO2, 30.0, along_y).xi == effective_area(along_y, CO2)
+
+
 def test_elliptic_kick_rejected_on_chain():
     # fixed-M chains quantize along a linear field; elliptic pumps need the lattice
     pulse = elliptic_pulse(1.0, 0.5, 0.5)
@@ -240,7 +253,7 @@ def test_tdse_ensemble_matches_one_channel_solves(monkeypatch):
     pulse = linear_pulse(3.0)
     cs = tdse_ensemble(CO2, ens, pulse)
     for ch in cs.channels:
-        alone = ThermalEnsemble(ens.temperature, ((ch.j0, ch.m, 1.0),))
+        alone = ThermalEnsemble(ens.temperature, ((ch.j0, ch.m0, 1.0),))
         (block,) = tdse_ensemble(CO2, alone, pulse, j_max=cs.j_max).blocks
         assert np.array_equal(block.js, ch.js)
         assert np.max(np.abs(block.amplitudes[:, 0] - ch.amplitudes)) <= 1e-12
@@ -328,9 +341,9 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the groups integrate one after another: the estimate counts every
     # group's result plus the solver state of the largest group
     estimates = []
-    check = dynamics._check_working_set
-    monkeypatch.setattr(dynamics, "_check_working_set",
-                        lambda nbytes, j_max: estimates.append(nbytes) or check(nbytes, j_max))
+    check = dynamics.check_working_set
+    monkeypatch.setattr(dynamics, "check_working_set",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
     dynamics.clear_caches()
     tracemalloc.start()
     try:
@@ -347,9 +360,9 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # one stacked solve: the estimate counts the solver state of the whole stack
     estimates = []
-    check = dynamics._check_working_set
-    monkeypatch.setattr(dynamics, "_check_working_set",
-                        lambda nbytes, j_max: estimates.append(nbytes) or check(nbytes, j_max))
+    check = dynamics.check_working_set
+    monkeypatch.setattr(dynamics, "check_working_set",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
     tracemalloc.start()
     try:
         cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(30.0))
@@ -391,9 +404,9 @@ def test_working_set_budget_checks_each_regrow(monkeypatch):
     # a basis sized too small for the kick regrows once, from 30 to 55
     monkeypatch.setattr(dynamics, "suggest_j_max", lambda j_thermal, xi: 30)
     checks = []
-    check = dynamics._check_working_set
-    monkeypatch.setattr(dynamics, "_check_working_set",
-                        lambda nbytes, j_max: checks.append((j_max, nbytes)) or check(nbytes, j_max))
+    check = dynamics.check_working_set
+    monkeypatch.setattr(dynamics, "check_working_set",
+                        lambda nbytes, what: checks.append((what, nbytes)) or check(nbytes, what))
     ens = boltzmann_ensemble(CO2, 30.0)
     assert kick_ensemble(CO2, ens, 3.0).j_max == 55
     (_, small), (_, large) = checks
@@ -409,26 +422,26 @@ def test_elliptic_ensemble_folded_weights():
     assert sum(ch.weight for ch in cs.channels) == pytest.approx(1.0, abs=1e-12)
     for ch in cs.channels:
         assert abs(np.linalg.norm(ch.amplitudes) - 1.0) < 1e-8
+        assert ch.js is ch.basis.j_of
 
 
 def test_kick_blocks_match_dense_expm():
     ens = boltzmann_ensemble(CO2, 60.0)
     cs = kick_ensemble(CO2, ens, 6.0)
     views = cs.channels
-    assert sorted((ch.j0, ch.m, ch.weight) for ch in views) == sorted(
+    assert sorted((ch.j0, ch.m0, ch.weight) for ch in views) == sorted(
         (j0, abs(m0), w) for j0, m0, w in ens.channels
     )
-    dense = {m: _dense_kick(cs.xi, m, cs.j_max) for m in {ch.m for ch in views}}
+    dense = {m: _dense_kick(cs.xi, m, cs.j_max) for m in {ch.m0 for ch in views}}
     for ch in views:
-        want = dense[ch.m][ch.js - ch.m, ch.j0 - ch.m]
+        want = dense[ch.m0][ch.js - ch.m0, ch.j0 - ch.m0]
         assert np.max(np.abs(ch.amplitudes - want)) <= 1e-13
 
 
 def _per_channel_edge_leak(cs):
     leak = 0.0
     for ch in cs.channels:
-        j_of = ch.js if cs.kind == "chain" else ch.basis.j_of
-        leak += ch.weight * float(np.sum(np.abs(ch.amplitudes[j_of >= cs.j_max - 1]) ** 2))
+        leak += ch.weight * float(np.sum(np.abs(ch.amplitudes[ch.js >= cs.j_max - 1]) ** 2))
     return leak
 
 

@@ -94,6 +94,3 @@ def test_elliptic_pulse_weights():
     assert pulse.a2 == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert pulse.b2 == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert pulse.a2 + pulse.b2 == pytest.approx(1.0, abs=1e-14)
-    assert not pulse.is_linear()
-    assert elliptic_pulse(2.0, 0.0, 1.0).is_linear()
-    assert elliptic_pulse(2.0, 1.0, 0.0).is_linear()

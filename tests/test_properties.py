@@ -30,15 +30,28 @@ _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), s
 
 @st.composite
 def _sudden_configs(draw):
-    """(subcommand, config) for simulate or fourier with the sudden kick."""
+    """(subcommand, config) for geometry, or simulate or fourier with the sudden kick."""
     # each range mixed with its working range, so that runs also get through
-    subcommand = draw(st.sampled_from(["simulate", "fourier"]))
+    subcommand = draw(st.sampled_from(["simulate", "fourier", "geometry"]))
+    if subcommand == "geometry":
+        return subcommand, {
+            "scheme": draw(st.sampled_from(["parallel", "perpendicular", "crossed"])),
+            "wavelength_nm": draw(st.one_of(st.floats(200.0, 2000.0), st.floats())),
+            "crossing_angle_deg": draw(st.one_of(st.floats(0.1, 10.0), st.floats())),
+        }
     intensity = draw(st.one_of(st.floats(0.0, 100.0), st.floats(-10.0, 1e6)))
     cfg = {
         "molecule": "CO2",
         "method": "sudden",
         "temperature_K": draw(st.one_of(st.floats(0.0, 400.0), st.floats(-10.0, 1e9))),
-        "time_grid": {"n": draw(st.integers(0, 64))},
+        # grids between 64 samples and the working-set budget (~2.5e7) are
+        # valid but slow runs; the extremes lie beyond that budget
+        "time_grid": {
+            "n": draw(st.one_of(st.integers(0, 64), st.integers(10**8, 10**15),
+                                st.integers(-(10**15), -1))),
+            "t_start_ps": draw(st.one_of(st.floats(-1.0, 5.0), st.floats())),
+            "periods": draw(st.one_of(st.floats(0.1, 2.0), st.floats())),
+        },
     }
     if subcommand == "simulate":
         cfg["scheme"] = draw(st.sampled_from(["parallel", "perpendicular", "crossed"]))

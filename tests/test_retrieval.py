@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rotorgrating import dynamics
+from rotorgrating import dynamics, rotor
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
@@ -361,6 +361,10 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
         info = cache.cache_info()
         assert info.maxsize == dynamics.CHAIN_CACHE_SIZE == 1024
         assert 0 < info.currsize <= info.maxsize
+    # the lattice operators' Wigner symbols: a fit builds none, validate ~3,700
+    info = rotor._wigner_3j.cache_info()
+    assert info.maxsize == rotor.WIGNER_CACHE_SIZE == 32_768
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
