@@ -473,10 +473,6 @@ def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):
     assert not out.exists()
 
 
-FIT_SEARCH = {"cache_quantum": 1e-3, "max_evaluations": 400, "refine_starts": 1,
-              "n_intensity_starts": 3}
-
-
 @pytest.mark.parametrize("scheme, sim_extra, free, fixed, truth", [
     # the pump arrives at 0.2 ps: the fit starts t_offset mid-range
     ("perpendicular", {"t0_ps": 0.2}, {"t_offset": [0.0, 0.4]}, {},
@@ -495,7 +491,7 @@ def test_fit_frees_offset_and_background(tmp_path, capsys, scheme, sim_extra, fr
     fit_cfg = _cfg(tmp_path, {
         "molecule": "CO2", "scheme": scheme, "trace_path": os.path.join("sim", "signal.csv"),
         "bounds": {"intensity": [5.0, 30.0], **free}, "fixed": {"temperature": 60.0, **fixed},
-        **FIT_SEARCH,
+        "cache_quantum": 1e-3, "max_evaluations": 400, "refine_starts": 1, "n_intensity_starts": 3,
     }, name="fit.json")
     assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == EXIT_OK
     params = json.loads((tmp_path / "fit" / "fit.json").read_text())["fit"]["params"]
