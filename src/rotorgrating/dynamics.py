@@ -3,38 +3,36 @@
 Three drivers with one physical model, each returning a ChannelSet:
 
   * kick_ensemble: instantaneous kick exp(i xi cos^2 theta) of a pump
-    polarized along y, exact unitaries from eigendecompositions of the
-    fixed-M tridiagonal chains.
-  * tdse_ensemble: numerical integration of the time-dependent
-    Schroedinger equation for a finite pulse polarized along y, all chains
-    stacked into one adaptive solve.
+    polarized along y, the zero-width step of the chain stepper.
+  * tdse_ensemble: finite pulse polarized along y, the chain stepper
+    composed over the pulse window.
   * elliptic_tdse_ensemble: finite elliptic pulse, interaction
     A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice.
 
-The TDSE routes integrate in the interaction picture anchored at the pulse
-center, so the stiff rotational phases never enter the integrator; outside
-the pulse window free evolution is analytic.  On fixed-M chains J and J+2
-couple with the Raman phase exp(i (omega_J - omega_{J+2}) (t - t0)), so each
-right-hand-side call exponentiates only the distinct Raman differences; the
-elliptic (J,M) lattice keeps a sparse coupling between free-rotation phases.
-Each solve is one adaptive DOP853 run over the pulse window that ends on its
-last step: it keeps neither the step history nor an interpolant, only the
-state at the window's end, so it holds DOP853's stages and nothing that
-grows with the number of steps.
+On a fixed-M (|M|, J-parity) chain d psi/dt = i (g(t) C - omega) psi, with
+g = dxi/dt and C = cos^2 theta = V Lambda V^T cached per chain.  A Strang step
+of width w applies exp(-i omega w/2), the exact kick V e^{i g(t_mid) w Lambda}
+V^T and exp(-i omega w/2); Yoshida's triple jump (Phys. Lett. A 150, 262
+(1990)) makes three of them one 4th-order step.  Uniform steps span the pulse
+window, counted from the basis' fastest Raman frequency and the pulse FWHM;
+merged free phases act as V^T e^{-i omega d} V, so the state stays in the
+eigenbasis between kicks, one complex GEMM per kick.  The (J,M) lattice runs
+one adaptive DOP853 solve per group in the interaction picture anchored at
+the pulse center, ending on its last step with no history or interpolant.
 
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls and
 return them as one ChannelBlock, an amplitude matrix with one column per
-channel; the reduction order is fixed, so reruns are bit-identical.
-
-Before it allocates, each driver estimates its working set at the chosen
-j_max (and again after every regrow) and raises ValueError naming the
-estimate when it exceeds MAX_WORKING_SET_BYTES.
+channel; the reduction order is fixed, so reruns are bit-identical.  Before
+it allocates, each driver estimates its working set at the chosen j_max (and
+again after every regrow) and raises ValueError naming the estimate when it
+exceeds MAX_WORKING_SET_BYTES.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,18 +49,24 @@ from .rotor import (
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
+    raman_frequency,
     rotational_omega,
     suggest_j_max,
 )
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~61 MB and the 60 K elliptic one ~0.32 GB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB and the 60 K elliptic one ~0.32 GB.
 MAX_WORKING_SET_BYTES = 2e9
-# Complex state vectors a TDSE propagation holds at its peak: DOP853's stages
-# and step temporaries (30 traced per solve), the initial state and the chain
-# coupling's arrays (33 traced at 60 K and 293 K, 30 TW/cm^2)
+# Complex state vectors a lattice TDSE solve holds at its peak: DOP853's
+# stages and step temporaries (30 traced per solve) and the initial state
 TDSE_STATE_VECTORS = 34
+# Yoshida's triple jump: Strang steps of widths w1 h, (1 - 2 w1) h and w1 h
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA_WEIGHTS = (_W1, 1.0 - 2.0 * _W1, _W1)
+# Yoshida steps per ps, STEPS_PER_RADIAN * omega_R,max + STEPS_PER_FWHM / tau:
+# both the fastest Raman phase of the basis and the envelope are resolved
+STEPS_PER_RADIAN, STEPS_PER_FWHM = 1.5, 10.0
 
 
 class PropagationError(RuntimeError):
@@ -131,34 +135,37 @@ def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# TDSE propagation (interaction picture)
+# The chain stepper: Strang kicks composed by Yoshida's triple jump
 # ---------------------------------------------------------------------------
 
-def _raman_chain_coupling(blocks, molecule: MoleculeSpec):
-    """coupling(tau, y) = D C D* y, D = exp(i omega tau), for stacked fixed-M chains.
+def _yoshida_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
+    """Yoshida steps over the pulse window for a chain basis up to j_max."""
+    ta, tb = pulse_window(pulse)
+    omega_max = raman_frequency(max(j_max - 2, 0), molecule)
+    return max(1, math.ceil((tb - ta) * (STEPS_PER_RADIAN * omega_max + STEPS_PER_FWHM / pulse.tau_fwhm_ps)))
 
-    blocks holds (js, m, copies): `copies` consecutive chains over js at |M| = m.
+
+def _chain_steps(evals, evecs, rows, kicks, free):
+    """Kicks V e^{i G Lambda} V^T on the unit columns at `rows`, free[k] between.
+
+    free[k] = V^T e^{-i omega d} V for the free time d after kick k.  The
+    first kick reads rows of V and the last maps back with V, each one real
+    GEMM whose (re, im) column pairs read as complex amplitudes.
     """
-    diag, off, low = [], [], []
-    for js, m, copies in blocks:
-        # trailing zero: no coupling to the next chain
-        o = np.append(cos2theta_offdiag(js[:-1], m), 0.0)
-        diag.append(np.tile(cos2theta_diagonal(js, m), copies))
-        off.append(np.tile(o, copies))
-        low.append(np.tile(js, copies))
-    diag, off = np.concatenate(diag), np.concatenate(off)[:-1]
-    j_low, gather = np.unique(np.concatenate(low)[:-1], return_inverse=True)
-    raman = rotational_omega(j_low, molecule) - rotational_omega(j_low + 2, molecule)
+    rot = np.exp(1j * kicks[0] * evals).view(float).reshape(-1, 1, 2)
+    z = (evecs[rows].T[:, :, None] * rot).reshape(len(evals), -1)
+    if len(kicks) > 1:
+        z = z.view(complex)
+        for rot, f in zip(np.exp(1j * np.multiply.outer(kicks[1:], evals))[:, :, None], free):
+            z = f @ z
+            z *= rot
+        z = z.view(float)
+    return (evecs @ z).view(complex)
 
-    def coupling(tau, y):
-        c = off * np.exp(1j * (raman * tau))[gather]
-        w = diag * y
-        w[:-1] += c * y[1:]
-        w[1:] += np.conj(c) * y[:-1]
-        return w
 
-    return coupling
-
+# ---------------------------------------------------------------------------
+# Lattice TDSE propagation (interaction picture)
+# ---------------------------------------------------------------------------
 
 def _sandwiched_coupling(omega, apply_coupling):
     """coupling(tau, y) = D C D* y for apply_coupling = C; y may stack columns."""
@@ -322,28 +329,6 @@ def _origin_groups(ensemble: ThermalEnsemble, key):
     return [(k, *map(np.array, zip(*members))) for k, members in groups.items()]
 
 
-def _chain_groups(ensemble: ThermalEnsemble):
-    return _origin_groups(ensemble, lambda j0, m: (m, j0 % 2))
-
-
-def _require_origins(ensemble: ThermalEnsemble, j_max: int):
-    top = max(j0 for j0, _, _ in ensemble.channels)
-    if top > j_max:
-        raise BasisTooSmallError(
-            f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
-            "hold the initial ensemble"
-        )
-
-
-def _chain_sizes(groups, j_max: int):
-    """(chain length, channel count) of each (|M|, parity) group at j_max.
-
-    Plain integer arithmetic: j_max may be far too large for any array.
-    """
-    return [((j_max - _chain_start(m, parity)) // 2 + 1, len(j0))
-            for (m, parity), j0, _, _ in groups]
-
-
 def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
     """len(JMBasis(j_max, j_parity, m_parity)) without building the basis.
 
@@ -386,7 +371,10 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
     else:
         max_regrow = 0
-    _require_origins(ensemble, j_max)
+    top = max(j0 for j0, _, _ in ensemble.channels)
+    if top > j_max:
+        raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
+                                 "hold the initial ensemble")
     for _ in range(max_regrow + 1):
         check_working_set(working_set(j_max), f"propagation at j_max={j_max}")
         cs = propagate(j_max)
@@ -398,6 +386,55 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, schedule, max_regrow):
+    """ChannelSet of one block per (|M|, parity) chain, regrowing j_max as needed.
+
+    schedule(j_max) gives the kick times and strengths G, the distinct free
+    times d between kicks and each gap's index into them.  A zero kick leaves
+    every column on its origin, without any roundoff.
+    """
+    groups = _origin_groups(ensemble, lambda j0, m: (m, j0 % 2))
+
+    def propagate(j_max):
+        times, kicks, gaps, order = schedule(j_max)
+        blocks = []
+        for (m, parity), j0, m0, w in groups:
+            js = chain_js(j_max, m, parity)
+            rows = (j0 - js[0]) // 2
+            if xi == 0.0:
+                amps = np.zeros((len(js), len(j0)), dtype=complex)
+                amps[rows, np.arange(len(j0))] = 1.0
+            else:
+                # the cache keeps a chain only while its eigenvectors fit its
+                # share of the budget; larger ones are freed after this block
+                small = 8 * len(js) ** 2 <= MAX_WORKING_SET_BYTES / CHAIN_CACHE_SIZE
+                _, evals, evecs = (_chain_eig if small else _chain_eig.__wrapped__)(m, parity, j_max)
+                if len(kicks) == 1:
+                    amps = _chain_steps(evals, evecs, rows, kicks, ())
+                else:
+                    omega = rotational_omega(js, molecule)
+                    free = [(evecs.T * np.exp(-1j * omega * d)) @ evecs for d in gaps]
+                    amps = _chain_steps(evals, evecs, rows, kicks, [free[k] for k in order])
+                    # the free phases from reference_time to the first kick and back from the last
+                    amps *= np.exp(1j * np.subtract.outer(omega * (times[-1] - reference_time),
+                                                          omega[rows] * (times[0] - reference_time)))
+            blocks.append(ChannelBlock(js, None, j0, m0, w, amps))
+        return ChannelSet(molecule, ensemble.temperature, reference_time, "chain", tuple(blocks), j_max, xi)
+
+    def working_set(j_max):
+        # cached eigenvectors, results, the eigensolver's copy of the largest
+        # chain; composed kicks add one block's kick phases, free propagators
+        # (and their build) and 3 state vectors.  Integers: j_max may be huge
+        sizes = [((j_max - _chain_start(m, parity)) // 2 + 1, len(j0)) for (m, parity), j0, _, _ in groups]
+        kicks = len(schedule(j_max)[1])
+        total = sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
+        if kicks > 1:
+            total += max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
+        return total
+
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
+
+
 def kick_ensemble(
     molecule: MoleculeSpec,
     ensemble: ThermalEnsemble,
@@ -407,45 +444,14 @@ def kick_ensemble(
 ) -> ChannelSet:
     """Sudden-kick propagation of every thermal channel (linear polarization).
 
-    Channels sharing a (|M0|, parity) block reuse one eigendecomposition; the
-    block's amplitude matrix is the kick unitary's columns at its origins.
-    A norm-leak guard regrows j_max automatically.
+    The chain stepper's zero-width step, one kick of G = xi with no free
+    phase: each (|M0|, parity) block's amplitude matrix is the kick
+    unitary's columns at its origins.  A norm-leak guard regrows j_max.
     """
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
-    groups = _chain_groups(ensemble)
-
-    def propagate(j_max):
-        blocks = []
-        for (m, parity), j0, m0, w in groups:
-            js = chain_js(j_max, m, parity)
-            rows = (j0 - js[0]) // 2
-            if xi == 0.0:
-                # exact identity: no eigensolve, no GEMM roundoff on the amplitudes
-                amps = np.zeros((len(js), len(j0)), dtype=complex)
-                amps[rows, np.arange(len(j0))] = 1.0
-            else:
-                # the cache keeps a chain only while its eigenvectors fit its
-                # share of the budget; larger ones are freed after this kick
-                small = 8 * len(js) ** 2 <= MAX_WORKING_SET_BYTES / CHAIN_CACHE_SIZE
-                _, evals, evecs = (_chain_eig if small else _chain_eig.__wrapped__)(m, parity, j_max)
-                # U E = V (e^{i xi lambda} * V^T E) as one real GEMM whose
-                # (re, im) column pairs read back as complex amplitudes
-                rot = np.exp(1j * xi * evals).view(float).reshape(-1, 1, 2)
-                rhs = (evecs[rows].T[:, :, None] * rot).reshape(len(js), -1)
-                amps = (evecs @ rhs).view(complex)
-            blocks.append(ChannelBlock(js, None, j0, m0, w, amps))
-        return ChannelSet(
-            molecule, ensemble.temperature, reference_time, "chain", tuple(blocks), j_max, xi
-        )
-
-    def working_set(j_max):
-        # the cached chain eigenvectors, the amplitude matrices and the
-        # eigensolver's transient copy of the largest chain's eigenvectors
-        sizes = _chain_sizes(groups, j_max)
-        return sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
-
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=3)
+    return _chain_propagation(molecule, ensemble, xi, j_max, reference_time,
+                              lambda j_max: ([reference_time], [xi], (), ()), max_regrow=3)
 
 
 def tdse_ensemble(
@@ -456,37 +462,25 @@ def tdse_ensemble(
 ) -> ChannelSet:
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
-    The pulse must be polarized along y, the chains' quantization axis.  All
-    channels are stacked into one block-diagonal interaction-picture
-    system and integrated in a single adaptive solve.  Its right-hand side
-    gathers the exponentials of the distinct Raman differences onto the
-    chain off-diagonals: the diagonal plus two shifted products per call.
-    Amplitudes come back referenced to the pulse center, so downstream free
-    evolution matches the sudden driver's convention.
+    The pulse must be polarized along y, the chains' quantization axis.  Each
+    (|M0|, parity) block in turn runs the Yoshida composition over the pulse
+    window; amplitudes come back referenced to the pulse center, as the
+    sudden driver's.
     """
     require_y_polarized(pulse)
+
+    def schedule(j_max):
+        # a Strang step of width w (< 0 mid-jump) kicks at its midpoint t with
+        # G = g(t) w; the free half steps around a kick merge into two gaps
+        ta, tb = pulse_window(pulse)
+        n = _yoshida_steps(pulse, molecule, j_max)
+        widths = np.tile(YOSHIDA_WEIGHTS, n) * ((tb - ta) / n)
+        times = ta + np.cumsum(widths) - widths / 2
+        gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
+        return times, kick_rate(pulse, molecule, times) * widths, gaps, order
+
     xi = effective_area(pulse, molecule)
-    groups = _chain_groups(ensemble)
-
-    def propagate(j_max):
-        chains = [(chain_js(j_max, m, parity), m, len(j0)) for (m, parity), j0, _, _ in groups]
-        sizes = [len(js) * k for js, _, k in chains]
-        y0 = np.zeros(sum(sizes), dtype=complex)
-        starts = np.cumsum([0] + sizes[:-1])
-        # each block stacks its channels' chains one after another
-        for (_, j0, _, _), (js, _, k), start in zip(groups, chains, starts):
-            y0[start + np.arange(k) * len(js) + (j0 - js[0]) // 2] = 1.0
-        a = _integrate_interaction(y0, _raman_chain_coupling(chains, molecule), pulse, molecule)
-        blocks = tuple(
-            ChannelBlock(js, None, j0, m0, w, part.reshape(k, len(js)).T)
-            for (_, j0, m0, w), (js, _, k), part in zip(groups, chains, np.split(a, starts[1:]))
-        )
-        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, "chain", blocks, j_max, xi)
-
-    def working_set(j_max):
-        return TDSE_STATE_VECTORS * 16 * sum(n * k for n, k in _chain_sizes(groups, j_max))
-
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)
+    return _chain_propagation(molecule, ensemble, xi, j_max, pulse.t0_ps, schedule, max_regrow=2)
 
 
 def elliptic_tdse_ensemble(

@@ -56,6 +56,8 @@ class GratingConfig:
             raise ValueError(f"crossing angle must be in (0, 20) deg, got {self.crossing_angle_deg}")
         if self.single_pump_peak_intensity < 0:
             raise ValueError(f"pump intensity must be nonnegative, got {self.single_pump_peak_intensity}")
+        if self.probe_tau_fwhm_ps is not None and not self.probe_tau_fwhm_ps > 0:
+            raise ValueError(f"probe FWHM must be positive, got {self.probe_tau_fwhm_ps}")
         if self.plasma_background is not None and self.scheme != "parallel":
             raise ValueError("plasma background heterodyne applies to the parallel scheme only")
 
@@ -208,7 +210,7 @@ def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
         heterodyned=config.plasma_background is not None,
     )
     signal = SignalTrace(times, values, meta)
-    if config.probe_tau_fwhm_ps:
+    if config.probe_tau_fwhm_ps is not None:
         signal = probe_convolve(signal, config.probe_tau_fwhm_ps)
     return signal
 

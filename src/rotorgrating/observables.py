@@ -248,7 +248,8 @@ def revival_time_grid(
     """Uniform grid covering `periods` revival periods from t_start.
 
     Before the grid exists, both of its ends must lie within MAX_DELAY_PS
-    and a simulate run on it must fit the working-set budget.
+    and a simulate run on it must fit the working-set budget; then its
+    float64 samples must strictly increase.
     """
     tr = revival_period(molecule.b_cm1)
     end = t_start + periods * tr
@@ -256,7 +257,10 @@ def revival_time_grid(
         raise ValueError(f"time grid [{t_start:.6g}, {end:.6g}] ps leaves the delays "
                          f"within +-{MAX_DELAY_PS:.0e} ps")
     check_working_set(GRID_BYTES_PER_SAMPLE * n, f"a time grid of {n} samples")
-    return t_start + np.linspace(0.0, periods * tr, n, endpoint=False)
+    grid = t_start + np.linspace(0.0, periods * tr, n, endpoint=False)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ValueError(f"time grid of {n} samples over [{t_start:.6g}, {end:.6g}] ps is not increasing")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,31 @@ def test_simulate_rejects_grid_before_allocating_it(tmp_path, capsys, grid, mess
     assert not out.exists()
 
 
+def test_simulate_rejects_degenerate_time_grid(tmp_path, capsys):
+    # a step far below the spacing of float64 near t_start would write 64
+    # rows at one delay
+    cfg = _cfg(tmp_path, {**SIM_BASE, "time_grid": {"n": 64, "periods": 1e-300}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "time grid of 64 samples over [0.5, 0.5] ps is not increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe", [0.0, -0.1])
+def test_simulate_rejects_probe_fwhm_before_propagating(tmp_path, monkeypatch, capsys, probe):
+    def propagate(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    monkeypatch.setattr(dynamics, "_chain_steps", propagate)
+    cfg = _cfg(tmp_path, {**SIM_BASE, "method": "tdse", "probe_tau_fwhm_ps": probe})
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert f"probe FWHM must be positive, got {probe}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_parallel_background_and_probe(tmp_path, capsys):
     base = {**SIM_BASE, "scheme": "parallel", "t0_ps": 0.3, "time_grid": {"n": 256}}
     runs = {

@@ -1,5 +1,6 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
-strength, and the CLI's exit codes over generated configs."""
+strength, the chain stepper over random molecules, and the CLI's exit codes
+over generated configs."""
 
 import json
 import os
@@ -9,9 +10,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rotorgrating.cli import main
-from rotorgrating.dynamics import kick_ensemble
+from rotorgrating import dynamics
+from rotorgrating.dynamics import kick_ensemble, tdse_ensemble
+from rotorgrating.field import PulseSpec, effective_area, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
-from rotorgrating.rotor import CO2, boltzmann_ensemble
+from rotorgrating.rotor import CO2, MoleculeSpec, boltzmann_ensemble, raman_frequency
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -23,6 +26,35 @@ def test_kicked_ensemble_norm_and_series_exactness(temperature, xi):
     series = reconstruct(fourier_decompose(cs, "y"), times).values
     direct = alignment_trace(cs, "y", times).values
     assert np.max(np.abs(series - direct)) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0),
+       spins=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]),
+       temperature=st.floats(0.0, 30.0), xi=st.floats(0.1, 3.0))
+def test_chain_stepper_over_random_molecules(b, delta_alpha, spins, temperature, xi):
+    # sudden against TDSE for short pulses: at a fixed kick area the TDSE
+    # approaches the kick at the pulse's effective area linearly in the FWHM
+    molecule = MoleculeSpec("random", b, delta_alpha, *spins)
+    ens = boltzmann_ensemble(molecule, temperature)
+    j_max = kick_ensemble(molecule, ens, xi).j_max
+    omega_max = raman_frequency(j_max - 2, molecule)
+    gaps = []
+    for c in (0.1, 0.05, 0.025):  # FWHM x the fastest Raman frequency of the basis
+        pulse = PulseSpec(xi / xi_per_intensity(molecule, c / omega_max), c / omega_max)
+        cs = tdse_ensemble(molecule, ens, pulse, j_max)
+        assert cs.norm_deviation() < 1e-9
+        kick = kick_ensemble(molecule, ens, effective_area(pulse, molecule), j_max)
+        gaps.append(max(np.max(np.abs(t.amplitudes - k.amplitudes)) for t, k in zip(cs.blocks, kick.blocks)))
+        assert gaps[-1] <= 0.01 * c * xi * (1.0 + xi)
+        # the kick is the stepper's zero-width step, V (e^{i xi Lambda} * V^T E)
+        # as one real GEMM on the (re, im) column pairs, bit for bit
+        for k in kick.blocks:
+            _, evals, evecs = dynamics._chain_eig(int(k.m0[0]), int(k.js[0] % 2), j_max)
+            rot = np.exp(1j * kick.xi * evals).view(float).reshape(-1, 1, 2)
+            rhs = (evecs[(k.j0 - k.js[0]) // 2].T[:, :, None] * rot).reshape(len(k.js), -1)
+            assert (evecs @ rhs).view(complex).tobytes() == k.amplitudes.tobytes()
+    assert gaps[1] <= 0.6 * gaps[0] and gaps[2] <= 0.6 * gaps[1]
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
