@@ -386,12 +386,12 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
-def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, schedule, max_regrow):
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow):
     """ChannelSet of one block per (|M|, parity) chain, regrowing j_max as needed.
 
-    schedule(j_max) gives the kick times and strengths G, the distinct free
-    times d between kicks and each gap's index into them.  A zero kick leaves
-    every column on its origin, without any roundoff.
+    n_kicks(j_max) counts the kicks before any array exists, schedule(j_max)
+    gives their times, strengths G, distinct free times d between kicks and
+    each gap's index into d.  A zero kick leaves each column on its origin.
     """
     groups = _origin_groups(ensemble, lambda j0, m: (m, j0 % 2))
 
@@ -426,7 +426,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, schedule, 
         # chain; composed kicks add one block's kick phases, free propagators
         # (and their build) and 3 state vectors.  Integers: j_max may be huge
         sizes = [((j_max - _chain_start(m, parity)) // 2 + 1, len(j0)) for (m, parity), j0, _, _ in groups]
-        kicks = len(schedule(j_max)[1])
+        kicks = n_kicks(j_max)
         total = sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
         if kicks > 1:
             total += max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
@@ -450,7 +450,7 @@ def kick_ensemble(
     """
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
-    return _chain_propagation(molecule, ensemble, xi, j_max, reference_time,
+    return _chain_propagation(molecule, ensemble, xi, j_max, reference_time, lambda j_max: 1,
                               lambda j_max: ([reference_time], [xi], (), ()), max_regrow=3)
 
 
@@ -479,8 +479,8 @@ def tdse_ensemble(
         gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
         return times, kick_rate(pulse, molecule, times) * widths, gaps, order
 
-    xi = effective_area(pulse, molecule)
-    return _chain_propagation(molecule, ensemble, xi, j_max, pulse.t0_ps, schedule, max_regrow=2)
+    return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps,
+                              lambda j: 3 * _yoshida_steps(pulse, molecule, j), schedule, max_regrow=2)
 
 
 def elliptic_tdse_ensemble(

@@ -365,6 +365,19 @@ def test_fourier_rejects_kicks_too_large_to_size(tmp_path, capsys, intensity):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pump", [{"intensity_tw_cm2": 1e12}, {"intensity_tw_cm2": 1e300},
+                                  {"intensity_tw_cm2": 5.0, "tau_fwhm_ps": 1e7}])
+def test_fourier_rejects_tdse_too_large_to_size(tmp_path, capsys, pump):
+    # the stepper's kick count enters the estimate before any of its arrays exist
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 0.0, "method": "tdse", **pump})
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
     # 293 K at 30 TW/cm^2 stacks 10.3 M lattice entries in two groups: their
     # results plus the larger group's solver state come to ~3.0 GB
