@@ -274,30 +274,58 @@ def test_tdse_step_doubling(monkeypatch):
     assert 0.0 < np.max(np.abs(one - two)) <= 2e-7 * np.max(np.abs(two))
 
 
-@pytest.mark.parametrize("propagate", [
-    lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5)),
-], ids=["elliptic"])
-def test_tdse_keeps_no_step_history(monkeypatch, propagate):
+def _trace_lattice_solves(monkeypatch, excess):
     # a lattice solve holds DOP853's stages and step temporaries, 30 state
     # vectors; one that builds the last step's interpolant holds 36, and one
     # that keeps its step history one more per step (70 here)
-    peaks = []
     solve = dynamics.solve_ivp
 
     def traced(fun, t_span, y0, **kwargs):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         sol = solve(fun, t_span, y0, **kwargs)
-        peaks.append((tracemalloc.get_traced_memory()[1] - start) / (16 * len(y0)))
+        excess.append((tracemalloc.get_traced_memory()[1] - start) / (16 * len(y0)) - 31)
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", traced)
+
+
+def _trace_chain_runs(monkeypatch, excess):
+    # a chain run builds two tables of one phase per kick and level; one that
+    # kept its step history would also hold a state matrix per kick, so twice
+    # the kicks may add no more than the longer tables and one state matrix
+    steps = dynamics._chain_steps
+
+    def peak(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        amps = steps(*args)
+        return amps, tracemalloc.get_traced_memory()[1] - start
+
+    def traced(evals, evecs, rows, kicks, free):
+        amps, one = peak(evals, evecs, rows, kicks, free)
+        _, two = peak(evals, evecs, rows, np.tile(kicks, 2), [*free, free[0], *free])
+        n, k = len(evals), len(rows)
+        excess.append((two - one - 32 * n * len(kicks)) / (16 * n * k) - 1)
+        return amps
+
+    monkeypatch.setattr(dynamics, "_chain_steps", traced)
+
+
+@pytest.mark.parametrize("trace, propagate", [
+    (_trace_chain_runs, lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(30.0))),
+    (_trace_lattice_solves,
+     lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5))),
+], ids=["linear", "elliptic"])
+def test_tdse_keeps_no_step_history(monkeypatch, trace, propagate):
+    excess = []
+    trace(monkeypatch, excess)
     tracemalloc.start()
     try:
         propagate()
     finally:
         tracemalloc.stop()
-    assert peaks and max(peaks) <= 31
+    assert excess and max(excess) <= 0
 
 
 def test_tdse_final_state_equals_full_history_solve(monkeypatch):
