@@ -23,7 +23,6 @@ from .field import (
     effective_area,
     elliptic_pulse,
     envelope_intensity,
-    linear_pulse,
     xi_per_intensity,
 )
 from .grating import (
@@ -64,12 +63,10 @@ from .retrieval import (
 )
 from .rotor import (
     CO2,
-    BasisSpec,
     JMBasis,
     MoleculeSpec,
     ThermalEnsemble,
     boltzmann_ensemble,
-    cos2theta_matrix,
     find_molecule,
     load_molecule,
     molecule_from_dict,
@@ -85,7 +82,7 @@ __all__ = [
     "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
     "elliptic_tdse_ensemble", "kick_ensemble", "tdse_ensemble",
     "PulseSpec", "effective_area", "elliptic_pulse",
-    "envelope_intensity", "linear_pulse", "xi_per_intensity",
+    "envelope_intensity", "xi_per_intensity",
     "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry", "grating_signal",
     "intensity_grating_signal", "polarization_grating_signal", "probe_convolve",
     "write_signal_csv",
@@ -96,8 +93,7 @@ __all__ = [
     "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult",
     "fit_trace", "load_trace", "model_signal", "reported_intensities",
     "synthesize_trace", "write_fit_csv",
-    "CO2", "BasisSpec", "JMBasis", "MoleculeSpec", "ThermalEnsemble",
-    "boltzmann_ensemble", "cos2theta_matrix",
+    "CO2", "JMBasis", "MoleculeSpec", "ThermalEnsemble", "boltzmann_ensemble",
     "find_molecule", "load_molecule", "molecule_from_dict", "raman_frequency",
     "suggest_j_max",
 ]

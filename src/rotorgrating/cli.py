@@ -30,6 +30,7 @@ from .grating import (
     grating_signal,
     single_pump_intensity,
     transverse_factor,
+    uniform_step,
     write_signal_csv,
 )
 from .observables import (
@@ -199,6 +200,8 @@ def cmd_simulate(args) -> int:
     method = _get(cfg, "method", str, "sudden")
     j_max = _get(cfg, "j_max", int, None)
     times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)
+    if grating.probe_tau_fwhm_ps is not None:
+        uniform_step(times)  # the probe's grid check, before the propagation
 
     resolved = {
         "subcommand": "simulate",

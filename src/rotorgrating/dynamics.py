@@ -167,15 +167,6 @@ def _chain_steps(evals, evecs, rows, kicks, free):
 # Lattice TDSE propagation (interaction picture)
 # ---------------------------------------------------------------------------
 
-def _sandwiched_coupling(omega, apply_coupling):
-    """coupling(tau, y) = D C D* y for apply_coupling = C; y may stack columns."""
-    def coupling(tau, y):
-        ph = np.exp(1j * (omega * tau))[:, None]
-        return (ph * apply_coupling(np.conj(ph) * y.reshape(len(omega), -1))).ravel()
-
-    return coupling
-
-
 class _EndState(DenseOutput):
     """A step's end state y, defined at the step end t alone."""
 
@@ -201,24 +192,25 @@ class _EndStateDOP853(DOP853):
         return _EndState(self.t_old, self.t, self.y)
 
 
-def _integrate_interaction(y0, coupling, pulse, molecule):
+def _integrate_interaction(y0, omega, coupling, pulse, molecule):
     """Integrate da/dt = i (dxi/dt)(t) D(t) C D*(t) a over the pulse window.
 
-    a is the interaction-picture state anchored at the pulse center t0 (D =
-    exp(i omega (t - t0))) and coupling(t - t0, a) returns D C D* a.  Returns
-    the interaction-picture state after the pulse, shaped like y0.
+    a is the interaction-picture state anchored at the pulse center t0, D =
+    exp(i omega (t - t0)), C the sparse `coupling`, and the columns of y0 are
+    stacked channels.  Returns the interaction-picture state after the
+    pulse, shaped like y0.
 
     The solve ends on DOP853's last step: t_eval=[tb] keeps no step history,
     and the end-state dense output hands over that step's y without building
     an interpolant, so no stage runs after the last step.
     """
     ta, tb = pulse_window(pulse)
-    if ta >= tb or pulse.peak_intensity == 0.0:
-        return np.array(y0, dtype=complex)
     t0 = pulse.t0_ps
 
     def rhs(t, y):
-        return (1j * kick_rate(pulse, molecule, t)) * coupling(t - t0, y)
+        ph = np.exp(1j * (omega * (t - t0)))[:, None]
+        da = ph * coupling.dot(np.conj(ph) * y.reshape(len(omega), -1))
+        return (1j * kick_rate(pulse, molecule, t)) * da.ravel()
 
     sol = solve_ivp(
         rhs,
@@ -509,9 +501,7 @@ def elliptic_tdse_ensemble(
             omega = rotational_omega(basis.j_of, molecule)
             y0 = np.zeros((len(basis), len(j0)), dtype=complex)
             y0[[basis.index[o] for o in zip(j0.tolist(), m0.tolist())], np.arange(len(j0))] = 1.0
-            a = _integrate_interaction(
-                y0, _sandwiched_coupling(omega, coupling.dot), pulse, molecule
-            )
+            a = _integrate_interaction(y0, omega, coupling, pulse, molecule)
             blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, w, a))
         return ChannelSet(
             molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(blocks), j_max, xi

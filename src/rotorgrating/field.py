@@ -23,6 +23,11 @@ from .constants import GAUSS_FWHM_INTEGRAL, XI_PER_A3_FLUENCE
 from .rotor import MoleculeSpec
 
 
+# within 1 ms the float64 phases omega_J t of the fastest lines stay accurate
+# to ~1e-5 rad; pump arrival times and probe delays both stay inside it
+MAX_DELAY_PS = 1e9
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Gaussian pump pulse.
@@ -45,6 +50,13 @@ class PulseSpec:
             raise ValueError(f"peak intensity must be nonnegative, got {self.peak_intensity}")
         if self.tau_fwhm_ps <= 0:
             raise ValueError(f"pulse FWHM must be positive, got {self.tau_fwhm_ps}")
+        if not abs(self.t0_ps) <= MAX_DELAY_PS:
+            raise ValueError(f"pump arrival time {self.t0_ps:.6g} ps lies outside "
+                             f"+-{MAX_DELAY_PS:.0e} ps")
+        ta, tb = pulse_window(self)
+        if not ta < self.t0_ps < tb:
+            raise ValueError(f"pulse FWHM {self.tau_fwhm_ps:.6g} ps vanishes next to its "
+                             f"arrival time {self.t0_ps:.6g} ps")
         if abs(self.pol_a**2 + self.pol_b**2 - 1.0) > 1e-12:
             raise ValueError(
                 f"polarization must be normalized, got pol_a^2+pol_b^2 = "
@@ -65,11 +77,6 @@ class PulseSpec:
     def fluence(self) -> float:
         """Time-integrated intensity in TW/cm^2 ps."""
         return self.peak_intensity * self.tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
-
-
-def linear_pulse(peak_intensity: float, tau_fwhm_ps: float = 0.1, t0_ps: float = 0.0) -> PulseSpec:
-    """Linearly polarized pulse along y (the single-axis workhorse)."""
-    return PulseSpec(peak_intensity, tau_fwhm_ps, t0_ps)
 
 
 def elliptic_pulse(

@@ -114,12 +114,6 @@ class GratingGeometry:
     plasma_period_um: float
     plasma_order1_angle_deg: float
 
-    def __post_init__(self):
-        for name in ("fringe_period_um", "alignment_order1_angle_deg",
-                     "plasma_period_um", "plasma_order1_angle_deg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
 
 def grating_geometry(config: GratingConfig) -> GratingGeometry:
     """Fringe period and order-1 angles for both grating types.
@@ -219,6 +213,15 @@ def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
 intensity_grating_signal = polarization_grating_signal = grating_signal
 
 
+def uniform_step(times) -> float:
+    """Step of a delay grid of 2+ samples; ValueError unless uniform (rtol 1e-9) and increasing."""
+    dts = np.diff(times)
+    dt = dts[0]
+    if not (dt > 0 and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
+        raise ValueError("probe convolution needs a uniform, increasing delay grid")
+    return dt
+
+
 def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace:
     """Smear the signal with a normalized Gaussian probe of the given FWHM.
 
@@ -228,13 +231,9 @@ def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace
     """
     if probe_tau_fwhm_ps <= 0:
         raise ValueError(f"probe FWHM must be positive, got {probe_tau_fwhm_ps}")
-    dts = np.diff(signal.times)
-    if len(dts) == 0:
+    if len(signal.times) < 2:
         return signal
-    dt = dts[0]
-    if not (dt > 0 and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
-        raise ValueError("probe convolution needs a uniform, increasing delay grid")
-    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / dt
+    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / uniform_step(signal.times)
     values = gaussian_filter1d(signal.values, sigma, mode="wrap")
     # the kernel is normalized but roundoff can leave tiny negatives
     values = np.maximum(values, 0.0)

@@ -24,7 +24,7 @@ from .dynamics import (
     ChannelSet, _axis_operator, chain_operator, check_working_set, kick_ensemble,
     require_y_polarized, tdse_ensemble,
 )
-from .field import PulseSpec, effective_area, xi_per_intensity
+from .field import MAX_DELAY_PS, PulseSpec, effective_area, xi_per_intensity
 from .rotor import (
     MoleculeSpec,
     boltzmann_ensemble,
@@ -130,23 +130,19 @@ def _block_terms(cs: ChannelSet, axis: str):
         yield float(const) - float(w.sum()) / 3.0, js, z
 
 
-_CHAIN_AXIS_FACTOR = {"y": 1.0, "parallel": 1.0, "x": -0.5, "z": -0.5, "perpendicular": -0.5}
+_CHAIN_AXIS_FACTOR = {"y": 1.0, "x": -0.5, "z": -0.5}
 
 
 def _axis_factor(cs: ChannelSet, axis: str) -> float:
-    """Scale of the block terms for `axis`, which must suit the set's kind.
+    """Scale of the block terms for the lab axis x, y or z.
 
     Fixed-M sets quantize along the field axis (labeled y); the transverse
     axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2 as a -1/2
     scaling.  (J,M)-lattice sets evaluate the requested lab-axis operator.
     """
-    if cs.kind == "chain":
-        if axis not in _CHAIN_AXIS_FACTOR:
-            raise ValueError(f"axis must be one of {sorted(_CHAIN_AXIS_FACTOR)}, got {axis!r}")
-        return _CHAIN_AXIS_FACTOR[axis]
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be x, y, or z for (J,M) channel sets, got {axis!r}")
-    return 1.0
+    if axis not in _CHAIN_AXIS_FACTOR:
+        raise ValueError(f"axis must be x, y, or z, got {axis!r}")
+    return _CHAIN_AXIS_FACTOR[axis] if cs.kind == "chain" else 1.0
 
 
 def _metadata(cs: ChannelSet) -> dict:
@@ -237,9 +233,6 @@ def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
 # traced peak of a simulate run per delay sample (the grid, the trace, the
 # signal and reconstruct's complex Horner accumulators)
 GRID_BYTES_PER_SAMPLE = 80
-# within 1 ms the float64 phases omega_J t of the fastest lines stay accurate
-# to ~1e-5 rad
-MAX_DELAY_PS = 1e9
 
 
 def revival_time_grid(

@@ -125,6 +125,10 @@ class FitProblem:
     def __post_init__(self):
         if self.scheme not in ("parallel", "perpendicular"):
             raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {self.scheme!r}")
+        if not self.tau_fwhm_ps > 0:
+            raise ValueError(f"pulse FWHM must be positive, got {self.tau_fwhm_ps}")
+        if not self.cache_quantum > 0:
+            raise ValueError(f"cache_quantum must be positive, got {self.cache_quantum}")
         if not self.bounds:
             raise ValueError("at least one free parameter is required")
         for name, pair in self.bounds.items():
@@ -133,6 +137,11 @@ class FitProblem:
             lo, hi = pair
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi, got {pair}")
+            # EnsembleCache keys a trial by round(value / cache_quantum)
+            q = self.cache_quantum
+            if name in ("intensity", "temperature") and round(lo / q) == round(hi / q):
+                raise ValueError(f"cache_quantum {q:g} puts both ends of the {name!r} bounds "
+                                 f"{pair} in one cache cell")
         for name in self.fixed:
             if name not in PARAM_ORDER:
                 raise ValueError(

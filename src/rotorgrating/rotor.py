@@ -104,24 +104,6 @@ def raman_frequency(j, molecule: MoleculeSpec):
     return TWO_PI_C * molecule.b_cm1 * (4 * np.asarray(j) + 6)
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Truncated fixed-M rotational ladder: J = |m|, |m|+1, ..., j_max."""
-
-    j_max: int
-    m: int = 0
-
-    def __post_init__(self):
-        if self.j_max < 2:
-            raise ValueError(f"j_max must be at least 2, got {self.j_max}")
-        if abs(self.m) > self.j_max:
-            raise ValueError(f"|M|={abs(self.m)} exceeds j_max={self.j_max}")
-
-    @property
-    def j_values(self) -> np.ndarray:
-        return np.arange(abs(self.m), self.j_max + 1)
-
-
 def suggest_j_max(j_thermal: int, xi: float) -> int:
     """Basis truncation: thermal top plus kick headroom.
 
@@ -161,34 +143,32 @@ def boltzmann_ensemble(
     The -M0 channels, whose dynamics mirror +M0 exactly, are merged into the
     +M0 channel with doubled weight.
     """
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     if not (0 < cutoff < 1):
         raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
 
-    if temperature == 0:
-        j0 = 0 if molecule.g_even > 0 else 1
-        return ThermalEnsemble(0.0, tuple(_split_level(j0, 1.0)))
-
-    kt = thermal_wavenumber(temperature)
-    # kT/B ~ J_thermal^2 bounds the channel count from below; checked before
-    # the level array is sized from it
-    if kt / molecule.b_cm1 > MAX_THERMAL_CHANNELS:
-        raise ValueError(f"temperature {temperature} K exceeds the budget of "
-                         f"{MAX_THERMAL_CHANNELS} thermal channels")
-    # Gaussian tail bound: beyond j_big the summed weight is a negligible
-    # fraction of the partition function for any cutoff of interest.
-    j_big = int(math.sqrt(kt / molecule.b_cm1) * 8) + 20
-    js = np.arange(j_big + 1)
-    gj = np.where(js % 2 == 0, molecule.g_even, molecule.g_odd)
-    # near 0 K, E/kT overflows to inf; its weight exp(-inf) = 0 is exact
-    with np.errstate(over="ignore"):
-        w = gj * (2 * js + 1) * np.exp(-molecule.b_cm1 * js * (js + 1.0) / kt)
-    total = w.sum()
+    total = 0.0
+    if temperature > 0:
+        kt = thermal_wavenumber(temperature)
+        # kT/B ~ J_thermal^2 bounds the channel count from below; checked
+        # before the level array is sized from it
+        if kt / molecule.b_cm1 > MAX_THERMAL_CHANNELS:
+            raise ValueError(f"temperature {temperature} K exceeds the budget of "
+                             f"{MAX_THERMAL_CHANNELS} thermal channels")
+        # Gaussian tail bound: beyond j_big the summed weight is a negligible
+        # fraction of the partition function for any cutoff of interest.
+        j_big = int(math.sqrt(kt / molecule.b_cm1) * 8) + 20
+        js = np.arange(j_big + 1)
+        gj = np.where(js % 2 == 0, molecule.g_even, molecule.g_odd)
+        # near 0 K, E/kT overflows to inf; its weight exp(-inf) = 0 is exact
+        with np.errstate(over="ignore"):
+            w = gj * (2 * js + 1) * np.exp(-molecule.b_cm1 * js * (js + 1.0) / kt)
+        total = w.sum()
     if total == 0.0:
-        # kT far below the lowest allowed level: same limit as T = 0
+        # 0 K, or kT far below the lowest allowed level: the ground level alone
         j0 = 0 if molecule.g_even > 0 else 1
-        return ThermalEnsemble(temperature, tuple(_split_level(j0, 1.0)))
+        return ThermalEnsemble(float(temperature), tuple(_split_level(j0, 1.0)))
     tail = total - np.cumsum(w)
     keep_mask = np.empty_like(w, dtype=bool)
     keep_mask[:] = False
@@ -233,24 +213,6 @@ def cos2theta_offdiag(j, m):
     m = np.asarray(m, dtype=float)
     num = ((j + 1) ** 2 - m * m) * ((j + 2) ** 2 - m * m)
     return np.sqrt(num / ((2 * j + 1) * (2 * j + 5))) / (2 * j + 3)
-
-
-def cos2theta_matrix(basis: BasisSpec) -> np.ndarray:
-    """Dense symmetric cos^2(theta) matrix on the fixed-M ladder of `basis`.
-
-    Rows/columns follow basis.j_values; only J' = J and J' = J +- 2 are
-    nonzero.
-    """
-    js = basis.j_values
-    n = len(js)
-    mat = np.zeros((n, n))
-    mat[np.arange(n), np.arange(n)] = cos2theta_diagonal(js, basis.m)
-    if n > 2:
-        off = cos2theta_offdiag(js[:-2], basis.m)
-        idx = np.arange(n - 2)
-        mat[idx, idx + 2] = off
-        mat[idx + 2, idx] = off
-    return mat
 
 
 # a full validate builds 3,656 distinct symbols, a 30 K, 30 TW/cm^2 elliptic run 20,296
@@ -348,7 +310,6 @@ class JMBasis:
         self.pairs = pairs
         self.index = {p: i for i, p in enumerate(pairs)}
         self.j_of = np.array([p[0] for p in pairs])
-        self.m_of = np.array([p[1] for p in pairs])
 
     def __len__(self) -> int:
         return len(self.pairs)

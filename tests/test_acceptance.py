@@ -18,6 +18,7 @@ from rotorgrating import (
     EnsembleCache,
     FitProblem,
     GratingConfig,
+    PulseSpec,
     alignment_trace,
     boltzmann_ensemble,
     elliptic_approx,
@@ -27,7 +28,6 @@ from rotorgrating import (
     fourier_decompose,
     grating_geometry,
     kick_ensemble,
-    linear_pulse,
     max_over_period,
     reconstruct,
     regime_scan,
@@ -74,7 +74,7 @@ def test_criterion_01_kick_strength_calibration():
 
 def test_criterion_02_room_temperature_alignment_peak():
     t0 = time.perf_counter()
-    cs = thermal_channel_set(CO2, 293.0, linear_pulse(30.0), method="tdse")
+    cs = thermal_channel_set(CO2, 293.0, PulseSpec(30.0), method="tdse")
     _register_norms("tdse 293K I=30", cs)
     dec = fourier_decompose(cs, "y")
     peak = max_over_period(dec, 0.5, T_REV) + 1.0 / 3.0
@@ -90,7 +90,7 @@ def test_criterion_02_room_temperature_alignment_peak():
 
 def test_criterion_03_cold_alignment_peak():
     t0 = time.perf_counter()
-    cs = thermal_channel_set(CO2, 30.0, linear_pulse(25.0), method="tdse")
+    cs = thermal_channel_set(CO2, 30.0, PulseSpec(25.0), method="tdse")
     _register_norms("tdse 30K I=25", cs)
     dec = fourier_decompose(cs, "y")
     peak = max_over_period(dec, 0.5, T_REV) + 1.0 / 3.0
@@ -131,7 +131,7 @@ def test_criterion_04_intensity_regime_slopes():
 
 def test_criterion_05_sudden_vs_tdse_traces():
     intensity = 10.0 / xi_per_intensity(CO2)  # xi = 10, the validity edge
-    pulse = linear_pulse(intensity)
+    pulse = PulseSpec(intensity)
     ens = boltzmann_ensemble(CO2, 30.0)
     cs_sudden = thermal_channel_set(CO2, 30.0, pulse)
     cs_tdse = tdse_ensemble(CO2, ens, pulse)
@@ -155,7 +155,7 @@ def test_criterion_06_elliptic_superposition():
     intensity = 1.0 / xi_per_intensity(CO2)  # xi = 1
     ens = boltzmann_ensemble(CO2, 30.0)
     times = revival_time_grid(CO2, 1024, t_start=0.3)
-    lin = alignment_trace(tdse_ensemble(CO2, ens, linear_pulse(intensity)), "y", times)
+    lin = alignment_trace(tdse_ensemble(CO2, ens, PulseSpec(intensity)), "y", times)
 
     full = {}
     for a2, b2 in [(1.0, 0.0), (2.0 / 3.0, 1.0 / 3.0), (0.5, 0.5)]:
@@ -230,7 +230,7 @@ def test_criterion_08_grating_geometry():
 def test_criterion_09_numerical_hygiene(tmp_path):
     # 9a: norm conservation across every propagation registered above, plus
     # a fresh finite-pulse run in case this test executes in isolation
-    cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(8.0))
+    cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), PulseSpec(8.0))
     _register_norms("tdse 60K I=8", cs)
     norm_dev = max(dev for _, dev in _NORMS)
 

@@ -4,6 +4,7 @@ import json
 import os
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rotorgrating.cli import (
     main,
 )
 from rotorgrating.retrieval import FitProblem, synthesize_trace
-from rotorgrating.field import linear_pulse
+from rotorgrating.field import PulseSpec
 from rotorgrating.grating import GratingConfig, grating_signal, write_signal_csv
 from rotorgrating.observables import (
     fourier_decompose,
@@ -214,18 +215,61 @@ def test_simulate_rejects_degenerate_time_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("probe", [0.0, -0.1])
-def test_simulate_rejects_probe_fwhm_before_propagating(tmp_path, monkeypatch, capsys, probe):
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Fail any chain stepper or lattice solve the test starts."""
     def propagate(*args, **kwargs):
         raise AssertionError("a propagation started")
 
     monkeypatch.setattr(dynamics, "_chain_steps", propagate)
+    monkeypatch.setattr(dynamics, "solve_ivp", propagate)
+
+
+@pytest.mark.parametrize("probe", [0.0, -0.1])
+def test_simulate_rejects_probe_fwhm_before_propagating(tmp_path, no_propagation, capsys, probe):
     cfg = _cfg(tmp_path, {**SIM_BASE, "method": "tdse", "probe_tau_fwhm_ps": probe})
     out = tmp_path / "run"
     start = time.perf_counter()
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert time.perf_counter() - start < 1.0
     assert f"probe FWHM must be positive, got {probe}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_checks_the_probe_grid_before_propagating(tmp_path, no_propagation, capsys):
+    # float64 quantizes a grid starting at 1e8 ps unevenly, which the probe
+    # convolution cannot smear
+    cfg = _cfg(tmp_path, {**SIM_BASE, "temperature_K": 293.0, "method": "tdse",
+                          "probe_tau_fwhm_ps": 0.1, "time_grid": {"t_start_ps": 1e8}})
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "probe convolution needs a uniform, increasing delay grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FOURIER_ELLIPTIC = {"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0,
+                    "method": "tdse", "polarization": [0.8, 0.6], "time_grid": {"n": 64}}
+
+
+@pytest.mark.parametrize("pump, message", [
+    ({"t0_ps": 1e300}, "pump arrival time 1e+300 ps lies outside +-1e+09 ps"),
+    ({"t0_ps": -2e9}, "pump arrival time -2e+09 ps lies outside +-1e+09 ps"),
+    # 3 FWHM = 3e-8 ps is below half the float64 spacing at 1e9 ps
+    ({"t0_ps": 1e9, "tau_fwhm_ps": 1e-8},
+     "pulse FWHM 1e-08 ps vanishes next to its arrival time 1e+09 ps"),
+], ids=["far", "far_negative", "collapsed_window"])
+@pytest.mark.parametrize("subcommand, run", [
+    ("simulate", {**SIM_BASE, "method": "tdse"}),
+    ("fourier", FOURIER_ELLIPTIC),
+], ids=["simulate_tdse", "fourier_elliptic"])
+def test_pump_arrival_time_is_bounded(tmp_path, no_propagation, capsys, subcommand, run, pump,
+                                      message):
+    cfg = _cfg(tmp_path, {**run, **pump})
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -277,7 +321,7 @@ def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
     grating = GratingConfig("perpendicular", resolved["single_pump_intensity_tw_cm2"])
     grid = resolved["time_grid"]
     times = revival_time_grid(CO2, grid["n"], grid["t_start_ps"], grid["periods"])
-    cs = thermal_channel_set(CO2, 30.0, linear_pulse(grating.theoretical_intensity),
+    cs = thermal_channel_set(CO2, 30.0, PulseSpec(grating.theoretical_intensity),
                              method="tdse")
     signal = grating_signal(reconstruct(fourier_decompose(cs, "y"), times), grating)
     assert len(calls) == 2
@@ -324,6 +368,41 @@ def test_fourier_reports_exact_reconstruction(tmp_path, capsys):
     comps = dec["decomposition"]["components"]
     assert comps
     assert all(c["J"] % 2 == 0 for c in comps)
+
+
+def test_fourier_elliptic_zero_intensity(tmp_path, capsys):
+    # the lattice solve of an unkicked ensemble returns its initial state
+    cfg = _cfg(tmp_path, {**FOURIER_ELLIPTIC, "intensity_tw_cm2": 0.0})
+    out = tmp_path / "four"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    dec = json.loads((out / "decomposition.json").read_text())
+    assert dec["xi"] == 0.0
+    assert dec["decomposition"]["components"] == [] and dec["decomposition"]["C"] == 0.0
+    report = json.loads((out / "reconstruction_report.json").read_text())
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize("run, axis", [
+    ({"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0}, "parallel"),
+    ({"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0}, "w"),
+    ({**FOURIER_ELLIPTIC, "intensity_tw_cm2": 0.0}, "perpendicular"),
+], ids=["chain_alias", "chain", "lattice"])
+def test_fourier_rejects_an_unknown_axis(tmp_path, capsys, run, axis):
+    cfg = _cfg(tmp_path, {**run, "axis": axis, "time_grid": {"n": 64}})
+    out = tmp_path / "four"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"axis must be x, y, or z, got {axis!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_basis_too_small_exits_3(tmp_path, capsys):
+    # j_max = 1 leaves the 0 K ground state's kick no room above J = 0
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 0.0, "intensity_tw_cm2": 1.0,
+                          "j_max": 1})
+    out = tmp_path / "four"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
 
 
 def test_fourier_elliptic_needs_tdse(tmp_path, capsys):
@@ -446,6 +525,16 @@ def test_validate_reports_norm_leak_on_tiny_basis(tmp_path, capsys):
     assert doc["passed"] is False
 
 
+def test_validate_reports_a_failed_propagation(tmp_path, capsys):
+    # the 30 K ensemble starts above J = 8, so neither propagation can run
+    cfg = _cfg(tmp_path, {"j_max": 8, "suites": ["sudden_vs_tdse"]})
+    out = tmp_path / "val"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    (row,) = json.loads((out / "validation.json").read_text())["checks"]
+    assert (row["suite"], row["name"], row["passed"]) == ("sudden_vs_tdse", "propagation", False)
+    assert "exceeds j_max=8" in row["detail"]
+
+
 def test_validate_unknown_suite_name(tmp_path, capsys):
     # entries that are not names, unhashable ones included, are unknown too
     for entry in ("conjuring", ["operators"], {"name": "operators"}, 1):
@@ -495,6 +584,53 @@ def test_fit_rejects_bad_numbers_naming_the_key(tmp_path, capsys, override, key)
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"tau_fwhm_ps": 0}, "pulse FWHM must be positive, got 0.0"),
+    ({"tau_fwhm_ps": -0.1}, "pulse FWHM must be positive, got -0.1"),
+    ({"cache_quantum": 0}, "cache_quantum must be positive, got 0.0"),
+    # every trial would land on the (0, 0) cell
+    ({"cache_quantum": 1e300}, "cache_quantum 1e+300 puts both ends of the 'intensity' bounds"),
+], ids=["tau_zero", "tau_negative", "quantum_zero", "quantum_one_cell"])
+def test_fit_problem_rejects_pump_and_cache_settings(tmp_path, capsys, setting, message):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.1},1.0\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0}, **setting,
+    })
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_out_of_budget_exits_4_and_writes_its_best(tmp_path, capsys):
+    # five free parameters and a floor budget of 250 evaluations for one
+    # Nelder-Mead run: the simplex cannot settle on a noisy trace
+    problem = FitProblem(CO2, "parallel", bounds={"intensity": (5.0, 30.0)},
+                         fixed={"temperature": 60.0})
+    truth = {"intensity": 15.0, "temperature": 60.0, "t_offset": 0.05,
+             "background_re": 0.002, "background_im": -0.001}
+    trace = synthesize_trace(problem, truth, np.arange(0.5, 40.0, 0.05), noise_fraction=0.05, seed=7)
+    (tmp_path / "scan.csv").write_text(
+        "delay_ps,signal_au\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "parallel", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0], "temperature": [20.0, 150.0], "t_offset": [-0.2, 0.2],
+                   "background_re": [-0.01, 0.01], "background_im": [-0.01, 0.01]},
+        "cache_quantum": 1e-3, "max_evaluations": 1, "refine_starts": 1,
+        "n_intensity_starts": 2, "n_temperature_starts": 2,
+    })
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    assert "did not converge" in capsys.readouterr().out
+    fit = json.loads((out / "fit.json").read_text())["fit"]
+    assert fit["converged"] is False and fit["flags"] == ["budget_exhausted"]
+    assert len((out / "fit_curve.csv").read_text().splitlines()) == 1 + len(trace.delays)
 
 
 def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):

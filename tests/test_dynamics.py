@@ -19,7 +19,7 @@ from rotorgrating.dynamics import (
     kick_ensemble,
     tdse_ensemble,
 )
-from rotorgrating.field import effective_area, elliptic_pulse, linear_pulse
+from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse
 from rotorgrating.observables import (
     alignment_trace,
     fourier_decompose,
@@ -29,12 +29,11 @@ from rotorgrating.observables import (
 )
 from rotorgrating.rotor import (
     CO2,
-    BasisSpec,
     JMBasis,
     ThermalEnsemble,
     boltzmann_ensemble,
     cos2theta_axis_matrix,
-    cos2theta_matrix,
+    cos2theta_diagonal,
     cos2theta_offdiag,
 )
 
@@ -43,7 +42,10 @@ GROUND = boltzmann_ensemble(CO2, 0.0)  # the single channel |0,0>
 
 def _dense_kick(xi, m, j_max):
     """exp(i xi cos^2 theta) on the full fixed-M ladder J = |m| .. j_max, both parities."""
-    return scipy.linalg.expm(1j * xi * cos2theta_matrix(BasisSpec(j_max, m)))
+    js = np.arange(abs(m), j_max + 1)
+    off = cos2theta_offdiag(js[:-2], m)
+    ladder = np.diag(cos2theta_diagonal(js, m)) + np.diag(off, 2) + np.diag(off, -2)
+    return scipy.linalg.expm(1j * xi * ladder)
 
 
 def _level_populations(cs):
@@ -148,10 +150,11 @@ def test_jm_kick_unitary_and_parity():
     # the lab-axis operators couple only equal J and equal M parities, so the
     # parity-filtered lattice of each block is closed ...
     full = JMBasis(12)
+    m_of = np.array([m for _, m in full.pairs])
     for axis in ("x", "y"):
         coo = cos2theta_axis_matrix(full, axis).tocoo()
         assert np.all((full.j_of[coo.row] - full.j_of[coo.col]) % 2 == 0)
-        assert np.all((full.m_of[coo.row] - full.m_of[coo.col]) % 2 == 0)
+        assert np.all((m_of[coo.row] - m_of[coo.col]) % 2 == 0)
     # ... and a near-sudden circular kick keeps its norm there
     cs = elliptic_tdse_ensemble(CO2, GROUND, elliptic_pulse(1.0, 0.5, 0.5, tau_fwhm_ps=0.01),
                                 j_max=12)
@@ -167,7 +170,7 @@ def test_jm_linear_kick_matches_chain():
     lattice = elliptic_tdse_ensemble(
         CO2, ens, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=24
     )
-    chain = tdse_ensemble(CO2, ens, linear_pulse(2.0, tau_fwhm_ps=0.05), j_max=24)
+    chain = tdse_ensemble(CO2, ens, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=24)
     assert np.max(np.abs(_level_populations(lattice) - _level_populations(chain))) < 1e-10
 
 
@@ -176,7 +179,7 @@ def test_jm_linear_kick_matches_chain():
 # ---------------------------------------------------------------------------
 
 def test_tdse_approaches_sudden_for_short_pulse():
-    pulse = linear_pulse(2.0, tau_fwhm_ps=0.01)
+    pulse = PulseSpec(2.0, tau_fwhm_ps=0.01)
     sudden = kick_ensemble(CO2, GROUND, effective_area(pulse, CO2), j_max=30)
     tdse = tdse_ensemble(CO2, GROUND, pulse, j_max=30)
     pops_s = np.abs(sudden.blocks[0].amplitudes) ** 2
@@ -189,7 +192,7 @@ def test_elliptic_tdse_reduces_to_linear():
     we = elliptic_tdse_ensemble(
         CO2, GROUND, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=14
     )
-    wl = tdse_ensemble(CO2, GROUND, linear_pulse(2.0, tau_fwhm_ps=0.05), j_max=14)
+    wl = tdse_ensemble(CO2, GROUND, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=14)
     assert np.max(np.abs(_level_populations(we) - _level_populations(wl))) < 1e-8
 
 
@@ -241,7 +244,7 @@ def test_basis_must_hold_thermal_origins():
 
 def test_tdse_ensemble_deterministic():
     ens = boltzmann_ensemble(CO2, 20.0)
-    pulse = linear_pulse(5.0)
+    pulse = PulseSpec(5.0)
     one = tdse_ensemble(CO2, ens, pulse)
     two = tdse_ensemble(CO2, ens, pulse)
     for a, b in zip(one.channels, two.channels):
@@ -252,7 +255,7 @@ def test_tdse_ensemble_matches_one_channel_solves():
     # every channel is a column of its block under the same kicks and free
     # propagators, so each agrees with its own one-channel run to roundoff
     ens = boltzmann_ensemble(CO2, 30.0)
-    pulse = linear_pulse(3.0)
+    pulse = PulseSpec(3.0)
     cs = tdse_ensemble(CO2, ens, pulse)
     for ch in cs.channels:
         alone = ThermalEnsemble(ens.temperature, ((ch.j0, ch.m0, 1.0),))
@@ -265,7 +268,7 @@ def test_tdse_step_doubling(monkeypatch):
     # the 4th-order composition at twice the rule's steps moves the 293 K,
     # 30 TW/cm^2 trace by at most 2e-7 of its transient peak
     ens = boltzmann_ensemble(CO2, 293.0)
-    pulse = linear_pulse(30.0)
+    pulse = PulseSpec(30.0)
     times = revival_time_grid(CO2, 2048, t_start=0.5)
     one = reconstruct(fourier_decompose(tdse_ensemble(CO2, ens, pulse), "y"), times).values
     steps = dynamics._yoshida_steps
@@ -313,7 +316,7 @@ def _trace_chain_runs(monkeypatch, excess):
 
 
 @pytest.mark.parametrize("trace, propagate", [
-    (_trace_chain_runs, lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), linear_pulse(30.0))),
+    (_trace_chain_runs, lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), PulseSpec(30.0))),
     (_trace_lattice_solves,
      lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5))),
 ], ids=["linear", "elliptic"])
@@ -403,7 +406,7 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
     dynamics.clear_caches()
-    pulse = linear_pulse(30.0)
+    pulse = PulseSpec(30.0)
     tracemalloc.start()
     try:
         cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), pulse)
@@ -422,7 +425,7 @@ def test_chain_tdse_leaves_no_state():
     # remain, as after the zero-width step: no kick phases, free propagators
     # or state vectors outlive the stepper
     ens = boltzmann_ensemble(CO2, 60.0)
-    pulse = linear_pulse(30.0)
+    pulse = PulseSpec(30.0)
 
     def kept(propagate):
         dynamics.clear_caches()
@@ -457,7 +460,7 @@ def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget():
 
 def test_working_set_budget_raises_before_propagating(monkeypatch):
     ens = boltzmann_ensemble(CO2, 30.0)
-    pulse = linear_pulse(30.0)
+    pulse = PulseSpec(30.0)
     # any propagation would fail
     monkeypatch.setattr(dynamics, "solve_ivp", None)
     monkeypatch.setattr(dynamics, "_chain_steps", None)

@@ -14,7 +14,6 @@ from rotorgrating.field import (
     elliptic_pulse,
     envelope_intensity,
     kick_rate,
-    linear_pulse,
     pulse_window,
     xi_per_intensity,
 )
@@ -22,16 +21,16 @@ from rotorgrating.rotor import CO2
 
 
 def test_gaussian_fluence_matches_quadrature():
-    pulse = linear_pulse(7.0, tau_fwhm_ps=0.13, t0_ps=0.4)
+    pulse = PulseSpec(7.0, tau_fwhm_ps=0.13, t0_ps=0.4)
     val, err = quad(lambda t: envelope_intensity(pulse, t), -2.0, 3.0)
     assert pulse.fluence == pytest.approx(val, rel=1e-10)
     # frozen value for the unit pulse
-    assert linear_pulse(1.0, 0.1).fluence == pytest.approx(0.10644670194312262, rel=1e-13)
+    assert PulseSpec(1.0, 0.1).fluence == pytest.approx(0.10644670194312262, rel=1e-13)
     assert GAUSS_FWHM_INTEGRAL == pytest.approx(math.sqrt(math.pi / (4.0 * math.log(2.0))), rel=1e-15)
 
 
 def test_envelope_peak_and_fwhm():
-    pulse = linear_pulse(5.0, tau_fwhm_ps=0.2, t0_ps=1.0)
+    pulse = PulseSpec(5.0, tau_fwhm_ps=0.2, t0_ps=1.0)
     assert envelope_intensity(pulse, 1.0) == pytest.approx(5.0, rel=1e-14)
     assert envelope_intensity(pulse, 1.1) == pytest.approx(2.5, rel=1e-12)
     assert envelope_intensity(pulse, 0.9) == pytest.approx(2.5, rel=1e-12)
@@ -57,20 +56,20 @@ def test_xi_constant_from_first_principles():
 
 
 def test_effective_area_linear_in_both_factors():
-    base = effective_area(linear_pulse(1.0, 0.1), CO2)
-    assert effective_area(linear_pulse(3.0, 0.1), CO2) == pytest.approx(3 * base, rel=1e-12)
-    assert effective_area(linear_pulse(1.0, 0.3), CO2) == pytest.approx(3 * base, rel=1e-12)
+    base = effective_area(PulseSpec(1.0, 0.1), CO2)
+    assert effective_area(PulseSpec(3.0, 0.1), CO2) == pytest.approx(3 * base, rel=1e-12)
+    assert effective_area(PulseSpec(1.0, 0.3), CO2) == pytest.approx(3 * base, rel=1e-12)
     assert base == pytest.approx(0.4442572352361686, rel=1e-12)
 
 
 def test_kick_rate_integrates_to_xi():
-    pulse = linear_pulse(4.0, tau_fwhm_ps=0.1, t0_ps=0.2)
+    pulse = PulseSpec(4.0, tau_fwhm_ps=0.1, t0_ps=0.2)
     val, err = quad(lambda t: kick_rate(pulse, CO2, t), -1.0, 1.5, limit=200)
     assert val == pytest.approx(effective_area(pulse, CO2), rel=1e-9)
 
 
 def test_pulse_window_contains_all_but_tail():
-    pulse = linear_pulse(4.0, tau_fwhm_ps=0.1, t0_ps=0.5)
+    pulse = PulseSpec(4.0, tau_fwhm_ps=0.1, t0_ps=0.5)
     lo, hi = pulse_window(pulse)
     assert lo == pytest.approx(0.2, abs=1e-12)
     assert hi == pytest.approx(0.8, abs=1e-12)
@@ -80,9 +79,17 @@ def test_pulse_window_contains_all_but_tail():
 
 def test_pulse_validation():
     with pytest.raises(ValueError):
-        linear_pulse(-1.0)
+        PulseSpec(-1.0)
     with pytest.raises(ValueError):
-        linear_pulse(1.0, tau_fwhm_ps=0.0)
+        PulseSpec(1.0, tau_fwhm_ps=0.0)
+    # the arrival time shares the +-1e9 ps bound of the delays ...
+    PulseSpec(1.0, t0_ps=-1e9)
+    with pytest.raises(ValueError, match="arrival time"):
+        PulseSpec(1.0, t0_ps=-1.1e9)
+    # ... and the pulse window must not round onto it
+    PulseSpec(1.0, tau_fwhm_ps=1e-7, t0_ps=1e9)
+    with pytest.raises(ValueError, match="vanishes"):
+        PulseSpec(1.0, tau_fwhm_ps=1e-8, t0_ps=1e9)
     with pytest.raises(ValueError):
         elliptic_pulse(1.0, 0.7, 0.7)  # weights must sum to 1
     with pytest.raises(ValueError):

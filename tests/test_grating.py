@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotorgrating.dynamics import kick_ensemble
-from rotorgrating.field import linear_pulse, xi_per_intensity
+from rotorgrating.field import PulseSpec, xi_per_intensity
 from rotorgrating.grating import (
     SATURATION_INTENSITY,
     GratingConfig,
@@ -40,7 +40,7 @@ def _par(intensity=5.0, **kw):
 
 def _trace(theoretical_intensity, times, temperature=60.0):
     """y-axis linear-polarization trace of a sudden 0.1 ps pump at t = 0."""
-    cs = thermal_channel_set(CO2, temperature, linear_pulse(theoretical_intensity))
+    cs = thermal_channel_set(CO2, temperature, PulseSpec(theoretical_intensity))
     return reconstruct(fourier_decompose(cs, "y"), times)
 
 

@@ -8,7 +8,7 @@ import pytest
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble
-from rotorgrating.field import elliptic_pulse, linear_pulse, xi_per_intensity
+from rotorgrating.field import PulseSpec, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import (
     AlignmentTrace,
     FourierDecomposition,
@@ -157,7 +157,7 @@ def test_alignment_trace_validation():
 
 def test_thermal_channel_set_method_validation():
     with pytest.raises(ValueError, match="method"):
-        thermal_channel_set(CO2, 30.0, linear_pulse(1.0), method="magic")
+        thermal_channel_set(CO2, 30.0, PulseSpec(1.0), method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_decomposition_json_round_trip(tmp_path):
                                "time_grid": {"n": 16}}))
     assert main(["fourier", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
     doc = json.loads((tmp_path / "out" / "decomposition.json").read_text())["decomposition"]
-    dec = fourier_decompose(thermal_channel_set(CO2, 30.0, linear_pulse(4.0)))
+    dec = fourier_decompose(thermal_channel_set(CO2, 30.0, PulseSpec(4.0)))
     assert doc["axis"] == dec.axis
     assert doc["C"] == pytest.approx(dec.constant, rel=1e-15)
     assert [c["J"] for c in doc["components"]] == list(map(int, dec.js))

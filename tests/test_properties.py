@@ -76,6 +76,7 @@ def _sudden_configs(draw):
         "molecule": "CO2",
         "method": "sudden",
         "temperature_K": draw(st.one_of(st.floats(0.0, 400.0), st.floats(-10.0, 1e9))),
+        "t0_ps": draw(st.one_of(st.floats(-1.0, 1.0), st.floats())),
         # grids between 64 samples and the working-set budget (~2.5e7) are
         # valid but slow runs; the extremes lie beyond that budget
         "time_grid": {

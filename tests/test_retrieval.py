@@ -138,6 +138,10 @@ def test_fit_problem_validation():
     with pytest.raises(ValueError, match="scale_bounds"):
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
                    fixed={"temperature": 60}, scale_bounds=(2.0, 1.0))
+    # every trial temperature would share one cache cell
+    with pytest.raises(ValueError, match="both ends of the 'temperature' bounds"):
+        FitProblem(CO2, "parallel", bounds={"intensity": (1, 10), "temperature": (20.0, 20.0004)},
+                   cache_quantum=1e-3)
 
 
 def test_reported_intensities_mapping():
@@ -330,22 +334,6 @@ def test_fit_invariant_under_data_scaling(fit_setup):
     b = fit_trace(problem, big, refine_starts=2, n_intensity_starts=4, cache=cache)
     assert b.params["intensity"] == pytest.approx(a.params["intensity"], rel=1e-12)
     assert b.params["scale"] == pytest.approx(128.0 * a.params["scale"], rel=1e-12)
-
-
-def test_budget_exhausted_flag(fit_setup):
-    problem, cache, trace, _ = fit_setup
-    wide = FitProblem(
-        CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 200.0)},
-        cache_quantum=0.5,
-    )
-    result = fit_trace(
-        wide, trace, max_evaluations=60, refine_starts=1,
-        n_intensity_starts=2, n_temperature_starts=2,
-    )
-    if not result.converged:
-        assert "budget_exhausted" in result.flags
-    else:  # a lucky start can still converge inside the floor budget
-        assert "budget_exhausted" not in result.flags
 
 
 def test_process_caches_stay_bounded_after_a_fit(fit_setup):

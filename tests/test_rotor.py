@@ -9,7 +9,6 @@ import pytest
 from rotorgrating.constants import TWO_PI_C, revival_period, thermal_wavenumber
 from rotorgrating.rotor import (
     CO2,
-    BasisSpec,
     JMBasis,
     MoleculeSpec,
     _wigner_3j,
@@ -17,7 +16,6 @@ from rotorgrating.rotor import (
     cos2theta_axis_element,
     cos2theta_axis_matrix,
     cos2theta_diagonal,
-    cos2theta_matrix,
     cos2theta_offdiag,
     molecule_from_dict,
     raman_frequency,
@@ -111,6 +109,11 @@ def test_boltzmann_zero_temperature():
     ens = boltzmann_ensemble(odd, 0.0)
     assert ens.j_thermal_max == 1
     assert sum(w for _, _, w in ens.channels) == pytest.approx(1.0, abs=1e-15)
+    # at 1e-3 K every Boltzmann factor underflows (J = 1 lies 2B = 2,900 kT
+    # up): the same ground level, at the asked temperature
+    cold = boltzmann_ensemble(odd, 1e-3)
+    assert cold.channels == ens.channels
+    assert cold.temperature == 1e-3
 
 
 def test_boltzmann_weights_normalized_and_even_only():
@@ -217,27 +220,6 @@ def test_cos2_fixed_m_vs_quadrature(sphere_element, axis_weights):
             q2 = sphere_element(j + 2, m, j, m, axis_weights["z"]).real
             worst = max(worst, abs(o - q2))
     assert worst < 1e-10
-
-
-def test_cos2_matrix_structure():
-    basis = BasisSpec(10, m=1)
-    mat = cos2theta_matrix(basis)
-    assert mat.shape == (10, 10)
-    assert np.allclose(mat, mat.T, atol=1e-15)
-    # tridiagonal in J steps of 2: |dJ| = 1 entries vanish
-    js = basis.j_values
-    for a in range(len(js)):
-        for b in range(len(js)):
-            if abs(js[a] - js[b]) not in (0, 2):
-                assert mat[a, b] == 0.0
-
-
-def test_basis_spec_validation():
-    with pytest.raises(ValueError):
-        BasisSpec(1)
-    with pytest.raises(ValueError):
-        BasisSpec(4, m=5)
-    assert BasisSpec(6, m=-2).j_values.tolist() == [2, 3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
