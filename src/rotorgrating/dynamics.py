@@ -205,10 +205,9 @@ def _integrate_interaction(y0, omega, coupling, pulse, molecule):
     an interpolant, so no stage runs after the last step.
     """
     ta, tb = pulse_window(pulse)
-    t0 = pulse.t0_ps
 
     def rhs(t, y):
-        ph = np.exp(1j * (omega * (t - t0)))[:, None]
+        ph = np.exp(1j * (omega * (t - pulse.t0_ps)))[:, None]
         da = ph * coupling.dot(np.conj(ph) * y.reshape(len(omega), -1))
         return (1j * kick_rate(pulse, molecule, t)) * da.ravel()
 

@@ -130,6 +130,8 @@ def grating_geometry(config: GratingConfig) -> GratingGeometry:
     half = math.radians(config.crossing_angle_deg) / 2.0
     period = lam_um / (2.0 * math.sin(half))
     align_angle = math.degrees(math.asin(lam_um / period))
+    if not align_angle > 0:  # a vanishing crossing angle overflows the period
+        raise ValueError("alignment_order1_angle_deg must be positive")
     if config.scheme == "perpendicular":
         plasma_period = period / 2.0
         plasma_angle = math.degrees(math.asin(lam_um / plasma_period))

@@ -140,8 +140,7 @@ class FitProblem:
             # EnsembleCache keys a trial by round(value / cache_quantum)
             q = self.cache_quantum
             if name in ("intensity", "temperature") and round(lo / q) == round(hi / q):
-                raise ValueError(f"cache_quantum {q:g} puts both ends of the {name!r} bounds "
-                                 f"{pair} in one cache cell")
+                raise ValueError(f"cache_quantum {q:g} puts the {name!r} bounds in one cache cell")
         for name in self.fixed:
             if name not in PARAM_ORDER:
                 raise ValueError(

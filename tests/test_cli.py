@@ -76,6 +76,17 @@ def test_geometry_rejects_nonpositive_wavelength(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("geometry", [{"crossing_angle_deg": 1e-320},
+                                      {"crossing_angle_deg": 1e-300, "wavelength_nm": 1e10}])
+def test_geometry_rejects_an_overflowing_fringe_period(tmp_path, capsys, geometry):
+    # the fringe period overflows to inf, and the order-1 angle to 0
+    cfg = _cfg(tmp_path, geometry)
+    out = tmp_path / "geo"
+    assert main(["geometry", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "alignment_order1_angle_deg must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -591,7 +602,7 @@ def test_fit_rejects_bad_numbers_naming_the_key(tmp_path, capsys, override, key)
     ({"tau_fwhm_ps": -0.1}, "pulse FWHM must be positive, got -0.1"),
     ({"cache_quantum": 0}, "cache_quantum must be positive, got 0.0"),
     # every trial would land on the (0, 0) cell
-    ({"cache_quantum": 1e300}, "cache_quantum 1e+300 puts both ends of the 'intensity' bounds"),
+    ({"cache_quantum": 1e300}, "cache_quantum 1e+300 puts the 'intensity' bounds in one cache cell"),
 ], ids=["tau_zero", "tau_negative", "quantum_zero", "quantum_one_cell"])
 def test_fit_problem_rejects_pump_and_cache_settings(tmp_path, capsys, setting, message):
     scan = tmp_path / "scan.csv"

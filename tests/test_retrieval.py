@@ -139,7 +139,7 @@ def test_fit_problem_validation():
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
                    fixed={"temperature": 60}, scale_bounds=(2.0, 1.0))
     # every trial temperature would share one cache cell
-    with pytest.raises(ValueError, match="both ends of the 'temperature' bounds"):
+    with pytest.raises(ValueError, match="puts the 'temperature' bounds in one cache cell"):
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10), "temperature": (20.0, 20.0004)},
                    cache_quantum=1e-3)
 
