@@ -273,6 +273,7 @@ def cmd_fourier(args) -> int:
         a2, b2 = (_number(v, f"polarization[{i}]") ** 2 for i, v in enumerate(pol))
         if method != "tdse":
             raise ValueError("elliptic polarization requires method 'tdse'")
+        PulseSpec(intensity, tau, t0)  # the pump's own errors read as for a linear pump
         try:
             pulse = elliptic_pulse(intensity, a2, b2, tau, t0)
         except ValueError as exc:

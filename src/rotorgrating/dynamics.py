@@ -21,28 +21,45 @@ one adaptive DOP853 solve per group in the interaction picture anchored at
 the pulse center, ending on its last step with no history or interpolant.
 
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
-a (J-parity, M-parity) lattice group into single linear-algebra calls and
-return them as one ChannelBlock, an amplitude matrix with one column per
-channel; the reduction order is fixed, so reruns are bit-identical.  Before
-it allocates, each driver estimates its working set at the chosen j_max (and
+a (J-parity, M-parity) lattice group into single linear-algebra calls, one
+block per chain or group: an amplitude matrix with one column per channel.
+The reduction order is fixed, so reruns are bit-identical.  Before it
+allocates, each driver estimates its working set at the chosen j_max (and
 again after every regrow) and raises ValueError naming the estimate when it
 exceeds MAX_WORKING_SET_BYTES.
+
+The chain blocks are packed.  A ChainLayout lays the n x k blocks end to end
+in one amplitude array, in C order, in the order of the ensemble's chain
+grouping (ThermalEnsemble.chains); one cached layout serves every ensemble
+with the same channels and holds its int32 index arrays.  A _ChainStore
+packs the eigendecompositions of a j_max's chains the same way, one cached
+store per j_max, grown when a warmer ensemble needs chains of higher |M|.
+The sudden kick fills every block's right-hand side V^T[:, rows] e^{i xi
+Lambda} with one repeat of the eigenphases and one gather from the store,
+then runs one GEMM per block, batched over runs of consecutive equal-shape
+blocks; PackedChains.series_terms reduces the blocks per run for
+observables' cosine series.  Every BLAS call sees the operands a
+block-by-block loop would, so the packed kernel is bit-identical to it.  The
+composed kicks of tdse_ensemble go block by block, writing each block's
+amplitudes into the packed array as it finishes.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.integrate import DOP853, DenseOutput, solve_ivp
 
-from .field import PulseSpec, effective_area, kick_rate, pulse_window
+from .field import PulseSpec, effective_area, kick_rate, pulse_half_window, pulse_window
 from .rotor import (
+    ChannelGroups,
     JMBasis,
     MoleculeSpec,
     ThermalEnsemble,
@@ -85,43 +102,109 @@ class IntegrationError(PropagationError):
 # Fixed-M parity chains and their kick eigendecompositions
 # ---------------------------------------------------------------------------
 
-def _chain_start(m: int, parity: int) -> int:
-    m = abs(m)
-    return m if m % 2 == parity else m + 1
+def _chain_start(m, parity):
+    """Lowest J of the chain at |M| = m with the given J parity; accepts arrays."""
+    m = np.abs(m)
+    return m + (m % 2 != parity)
 
 
-def chain_js(j_max: int, m: int, parity: int) -> np.ndarray:
-    """J values of one Delta-J = 2 chain at fixed |M|, given J parity."""
-    return np.arange(_chain_start(m, parity), j_max + 1, 2)
-
-
-CHAIN_CACHE_SIZE = 1024  # a fit visits ~8 j_max values x <= 61 chains
-
-
-@lru_cache(maxsize=CHAIN_CACHE_SIZE)
-def chain_operator(m: int, parity: int, j_max: int):
-    """(js, diagonal, off-diagonal) of cos^2 theta on one parity chain at |M| = m."""
-    js = chain_js(j_max, m, parity)
-    if len(js) == 0:
-        raise ValueError(f"empty chain for M={m}, parity={parity}, j_max={j_max}")
-    return js, cos2theta_diagonal(js, m), cos2theta_offdiag(js[:-1], m)
-
-
-@lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def _chain_eig(m: int, parity: int, j_max: int):
-    """Eigendecomposition of cos^2 theta restricted to one parity chain.
-
-    Returns (js, eigenvalues, eigenvectors); cached since every thermal
-    channel with the same |M| and parity shares it.
-    """
-    js, diag, off = chain_operator(m, parity, j_max)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    """(js, eigenvalues, eigenvectors) of cos^2 theta restricted to the parity chain at |M| = m."""
+    js = np.arange(_chain_start(m, parity), j_max + 1, 2)
+    evals, evecs = scipy.linalg.eigh_tridiagonal(cos2theta_diagonal(js, m), cos2theta_offdiag(js[:-1], m))
     return js, evals, evecs
 
 
+def _within(lengths: np.ndarray) -> np.ndarray:
+    """Position of each entry within its range, for ranges of `lengths` laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Offsets of ranges of `lengths` laid end to end, and the total at the end."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _store_slots(m, parity, tops: tuple[int, int]):
+    """Place of the chains (m, parity) in a store holding m <= tops[parity]; accepts arrays."""
+    return np.where(parity == 0, 0, tops[0] + 1) + m
+
+
+def _store_chains(j_max: int, tops: tuple[int, int]):
+    """(m, parity, sizes) of the chains a store at j_max holds up to `tops`, in store order."""
+    ms = np.concatenate([np.arange(tops[0] + 1), np.arange(tops[1] + 1)])
+    parities = np.repeat([0, 1], [tops[0] + 1, tops[1] + 1])
+    return ms, parities, (j_max - _chain_start(ms, parities)) // 2 + 1
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainStore:
+    """Eigendecompositions of the chains (m, parity) with m <= tops[parity] at one j_max.
+
+    Packed end to end, parity 0 first and m ascending (_store_chains): chain s
+    has its eigenvalues at evals[first[s]:first[s + 1]] and its eigenvector
+    matrix at evecs[square[s]:square[s + 1]] in Fortran order, as LAPACK
+    returns it, so that every GEMM with it keeps its BLAS path.
+    """
+
+    tops: tuple[int, int]
+    first: np.ndarray
+    square: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    def stack(self, s: int, count: int = 1):
+        """The eigenvector matrices of chains s to s + count, of one size n, as a count x n x n view."""
+        n = self.first[s + 1] - self.first[s]
+        return self.evecs[self.square[s]:self.square[s + count]].reshape(count, n, n).transpose(0, 2, 1)
+
+    def chain(self, s: int):
+        """(eigenvalues, eigenvector matrix) of chain s, as views."""
+        return self.evals[self.first[s]:self.first[s + 1]], self.stack(s)[0]
+
+
+CHAIN_STORE_SIZE = 16  # one store per j_max; a fit visits ~8 j_max values
+GATHER_CHUNK = 8192  # eigenvector entries gathered per step of the sudden kick
+_CHAIN_STORES: OrderedDict[int, _ChainStore] = OrderedDict()
+
+
+def _chain_store(j_max: int, tops: tuple[int, int]) -> _ChainStore:
+    """The store at j_max, built or grown to hold the chains up to `tops`.
+
+    A grown store copies the chains it already had.  The cache keeps the
+    CHAIN_STORE_SIZE most recently used stores, each only while its
+    eigenvectors fit that share of the working-set budget.
+    """
+    old = _CHAIN_STORES.pop(j_max, None)
+    if old is not None:
+        tops = (max(tops[0], old.tops[0]), max(tops[1], old.tops[1]))
+    store = old if old is not None and old.tops == tops else _build_chain_store(j_max, tops, old)
+    if store.evecs.nbytes <= MAX_WORKING_SET_BYTES / CHAIN_STORE_SIZE:
+        _CHAIN_STORES[j_max] = store
+        while len(_CHAIN_STORES) > CHAIN_STORE_SIZE:
+            _CHAIN_STORES.popitem(last=False)
+    return store
+
+
+def _build_chain_store(j_max: int, tops: tuple[int, int], old: _ChainStore | None) -> _ChainStore:
+    ms, parities, sizes = _store_chains(j_max, tops)
+    first, square = _starts(sizes), _starts(sizes * sizes)
+    evals, evecs = np.empty(first[-1]), np.empty(square[-1])
+    for s, (m, parity) in enumerate(zip(ms.tolist(), parities.tolist())):
+        if old is not None and m <= old.tops[parity]:
+            ev, vec = old.chain(int(_store_slots(m, parity, old.tops)))
+        else:
+            _, ev, vec = _chain_eig(m, parity, j_max)
+        evals[first[s]:first[s + 1]] = ev
+        evecs[square[s]:square[s + 1]] = vec.ravel(order="F")
+    return _ChainStore(tops, first, square, evals, evecs)
+
+
 def clear_caches():
-    """Drop cached eigendecompositions and operator matrices (for tests)."""
-    for cache in (chain_operator, _chain_eig, _axis_matrix):
+    """Drop cached eigendecompositions, chain layouts and operator matrices (for tests)."""
+    _CHAIN_STORES.clear()
+    for cache in (_chain_layout, _axis_matrix):
         cache.cache_clear()
 
 
@@ -140,27 +223,55 @@ def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
 
 def _yoshida_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
     """Yoshida steps over the pulse window for a chain basis up to j_max."""
-    ta, tb = pulse_window(pulse)
+    width = 2.0 * pulse_half_window(pulse)
     omega_max = raman_frequency(max(j_max - 2, 0), molecule)
-    return max(1, math.ceil((tb - ta) * (STEPS_PER_RADIAN * omega_max + STEPS_PER_FWHM / pulse.tau_fwhm_ps)))
+    return max(1, math.ceil(width * (STEPS_PER_RADIAN * omega_max + STEPS_PER_FWHM / pulse.tau_fwhm_ps)))
 
 
-def _chain_steps(evals, evecs, rows, kicks, free):
-    """Kicks V e^{i G Lambda} V^T on the unit columns at `rows`, free[k] between.
+def _yoshida_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
+    """(times from t0, strengths G, distinct free times d, each gap's index into d) of the kicks.
 
-    free[k] = V^T e^{-i omega d} V for the free time d after kick k.  The
-    first kick reads rows of V and the last maps back with V, each one real
-    GEMM whose (re, im) column pairs read as complex amplitudes.
+    A Strang step of width w (< 0 mid-jump) kicks at its midpoint t with G =
+    g(t) w; the free half steps around a kick merge into two gaps.  Times
+    count from t0, so a short pulse far from t = 0 keeps its kicks apart.
     """
-    rot = np.exp(1j * kicks[0] * evals).view(float).reshape(-1, 1, 2)
-    z = (evecs[rows].T[:, :, None] * rot).reshape(len(evals), -1)
-    if len(kicks) > 1:
-        z = z.view(complex)
-        for rot, f in zip(np.exp(1j * np.multiply.outer(kicks[1:], evals))[:, :, None], free):
-            z = f @ z
-            z *= rot
-        z = z.view(float)
-    return (evecs @ z).view(complex)
+    h = pulse_half_window(pulse)
+    n = _yoshida_steps(pulse, molecule, j_max)
+    widths = np.tile(YOSHIDA_WEIGHTS, n) * (2.0 * h / n)
+    offsets = -h + np.cumsum(widths) - widths / 2
+    gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
+    return offsets, kick_rate(pulse, molecule, offsets, from_center=True) * widths, gaps, order
+
+
+def _gathered_kicks(store: _ChainStore, layout: "ChainLayout", g: float) -> np.ndarray:
+    """Right-hand sides of every block's kick, as packed amplitudes.
+
+    Block b's n x k slice is V^T[:, rows] e^{i g Lambda} for its columns'
+    origin rows; its float view is the n x 2k matrix of (re, im) column pairs
+    that one real GEMM with V kicks.  One repeat of the phases and one gather
+    from the packed store, by the layout's int32 index, fill every block at
+    once.
+    """
+    rotation = np.exp(1j * g * store.evals).view(float).reshape(-1, 2)
+    eigen, row_counts, entries = layout.gather
+    rhs = np.repeat(rotation[eigen], row_counts, axis=0)
+    for lo in range(0, len(entries), GATHER_CHUNK):  # keeps the gathered factors small
+        rhs[lo:lo + GATHER_CHUNK] *= np.take(store.evecs, entries[lo:lo + GATHER_CHUNK])[:, None]
+    return rhs.view(complex).ravel()
+
+
+def _chain_steps(evals, evecs, rhs, kicks, free):
+    """A block's amplitudes, as n x 2k floats: the kicks after the first, free[k] between, then V.
+
+    rhs is the n x 2k float view of the first kick's right-hand side, V^T[:,
+    rows] e^{i G Lambda}; free[k] = V^T e^{-i omega d} V for the free time d
+    after kick k.  The state stays in the eigenbasis until the last GEMM with V.
+    """
+    z = rhs.view(complex)
+    for rot, f in zip(np.exp(1j * np.multiply.outer(kicks[1:], evals))[:, :, None], free):
+        z = f @ z
+        z *= rot
+    return evecs @ z.view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +375,146 @@ class ChannelBlock:
     amplitudes: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ChainLayout:
+    """Where the chains of a fixed-M ChannelSet lie in its packed amplitudes.
+
+    Block b holds group b of `origins`, the ensemble's channels on the chain
+    (|M|, J parity) = origins.keys[b]: sizes[b] levels from J = starts[b] and
+    counts[b] columns, its n x k amplitude matrix in C order at entries
+    bounds[b] to bounds[b + 1], its eigendecomposition at slots[b] of a store
+    with `tops`.  One layout serves every ensemble with the same channels
+    (_chain_layout) and builds its index arrays on first use.
+    """
+
+    origins: ChannelGroups
+    j_max: int
+    tops: tuple[int, int]
+    slots: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def levels(self) -> np.ndarray:
+        """J of every block row, block by block."""
+        return np.repeat(self.starts, self.sizes) + 2 * _within(self.sizes)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of each column's origin in its block."""
+        return (self.origins.j0 - np.repeat(self.starts, self.counts)) // 2
+
+    def entries(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each column's entry in the given row of its block."""
+        return np.repeat(self.bounds[:-1] - self.origins.bounds[:-1], self.counts) + (
+            rows * np.repeat(self.counts, self.counts) + np.arange(len(rows)))
+
+    @cached_property
+    def runs(self) -> list:
+        """Runs of consecutive blocks of one shape n x k on consecutive store slots.
+
+        Per run as Python ints: slot of its first block, n, k, then the first
+        and end of its blocks, amplitudes, columns, rows and rows but the last.
+        A run is one stacked BLAS batch, whose items match the per-block calls
+        bit for bit.
+        """
+        n, k, slots = self.sizes, self.counts, self.slots
+        first = np.flatnonzero(np.concatenate(([True], (n[1:] != n[:-1]) | (k[1:] != k[:-1])
+                                               | (slots[1:] != slots[:-1] + 1))))
+        ends = np.append(first[1:], len(n))
+        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n), _starts(n - 1)]
+        columns = [slots[first], n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
+        return list(zip(*(c.tolist() for c in columns)))
+
+    def spans(self):
+        """Per block: slot, n, then the first and end of its amplitudes, columns and rows."""
+        for s, n, k, b0, b1, a0, _, c0, _, r0, _, _, _ in self.runs:
+            for i in range(b1 - b0):
+                a, c, r = a0 + i * n * k, c0 + i * k, r0 + i * n
+                yield s + i, n, a, a + n * k, c, c + k, r, r + n
+
+    @cached_property
+    def gather(self) -> tuple:
+        """The sudden kick's indices into its store: per block row, its eigenvalue and column count;
+        per entry (i, c), the eigenvector entry V[rows[c], i], built block by block into int32."""
+        sizes = _store_chains(self.j_max, self.tops)[2]
+        first, square = _starts(sizes), _starts(sizes * sizes)
+        entries = np.empty(self.bounds[-1], dtype=np.int32)
+        for s, n, a0, a1, c0, c1, _, _ in self.spans():
+            # V is stored in Fortran order: V[r, i] lies at square[s] + n i + r
+            np.add.outer(square[s] + n * np.arange(n), self.rows[c0:c1], out=entries[a0:a1].reshape(n, -1))
+        eigen = np.repeat(first[self.slots], self.sizes) + _within(self.sizes)
+        return eigen.astype(np.int32), np.repeat(self.counts, self.sizes), entries
+
+    @cached_property
+    def operator(self) -> tuple:
+        """cos^2 theta on the blocks: its diagonal on every row, and, on every row
+        but the last, J and twice the off-diagonal <J+2,M| cos^2 theta |J,M>."""
+        levels, m = self.levels, np.repeat(self.origins.keys[:, 0], self.sizes)
+        lower = np.delete(np.arange(len(levels)), np.cumsum(self.sizes) - 1)
+        return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
+
+
+@lru_cache(maxsize=CHAIN_STORE_SIZE)
+def _chain_layout(origins: ChannelGroups, j_max: int, tops: tuple[int, int]) -> ChainLayout:
+    m, parity = origins.keys[:, 0], origins.keys[:, 1]
+    starts = _chain_start(m, parity)
+    sizes = (j_max - starts) // 2 + 1
+    counts = np.diff(origins.bounds)
+    return ChainLayout(origins, j_max, tops, _store_slots(m, parity, tops), starts, sizes, counts,
+                       _starts(sizes * counts))
+
+
+@dataclass(frozen=True)
+class PackedChains:
+    """The blocks of a fixed-M ChannelSet: packed amplitudes, their layout and column weights."""
+
+    layout: ChainLayout
+    weights: np.ndarray
+    amplitudes: np.ndarray
+
+    def series_terms(self):
+        """(consts, bounds, js, z) of observables' cosine series, for the field-axis operator.
+
+        Per run of equal-shape blocks, |c|^2, the products of adjacent rows and
+        the weighted reductions, two GEMVs and a dot product per block,
+        batched; the diagonal and couplings come with the layout.
+        """
+        lay, amps, weights = self.layout, self.amplitudes, self.weights
+        diag, js, coupling = lay.operator
+        complex_weights = weights.astype(complex)
+        z = np.empty(len(js), dtype=complex)
+        weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
+        for _, n, k, b0, b1, a0, a1, c0, c1, r0, r1, l0, l1 in lay.runs:
+            m = b1 - b0
+            c = amps[a0:a1].reshape(m, n, k)
+            cross = np.conj(c[:, 1:])
+            cross *= c[:, :-1]
+            np.matmul(cross, complex_weights[c0:c1].reshape(m, k, 1), out=z[l0:l1].reshape(m, n - 1, 1))
+            pops = np.abs(c)
+            pops *= pops
+            w = weights[c0:c1].reshape(m, k)
+            np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None], out=weighted[b0:b1].reshape(m, 1, 1))
+            w.sum(axis=1, out=totals[b0:b1])
+        return (weighted - totals / 3.0).tolist(), _starts(lay.sizes - 1), js, coupling * z
+
+    def blocks(self) -> tuple:
+        lay, o = self.layout, self.layout.origins
+        return tuple(
+            ChannelBlock(lay.levels[r0:r1], None, o.j0[c0:c1], o.m0[c0:c1], self.weights[c0:c1],
+                         self.amplitudes[a0:a1].reshape(n, c1 - c0))
+            for _, n, a0, a1, c0, c1, r0, r1 in lay.spans()
+        )
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """Thermally weighted propagated channels, ready for observables.
 
+    A fixed-M set holds its chains packed (`chains`), a (J,M)-lattice set one
+    ChannelBlock per group (`lattice`); `blocks` views either as blocks.
     Amplitudes are Schroedinger-picture at reference_time (the pulse center
     for the TDSE drivers, valid for post-pulse evaluation); free evolution to
     any later time is analytic.
@@ -276,10 +523,19 @@ class ChannelSet:
     molecule: MoleculeSpec
     temperature: float
     reference_time: float
-    kind: str  # "chain" or "jm"
-    blocks: tuple
     j_max: int
     xi: float
+    chains: PackedChains | None = None
+    lattice: tuple = ()
+
+    @property
+    def kind(self) -> str:
+        """'chain' for a fixed-M set, 'jm' for a (J,M)-lattice set."""
+        return "jm" if self.chains is None else "chain"
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return self.lattice if self.chains is None else self.chains.blocks()
 
     @property
     def channels(self) -> tuple:
@@ -303,21 +559,14 @@ class ChannelSet:
         """Weighted population in the top two J shells of the basis.
 
         J ascends down each block; of a Delta-J = 2 chain only the last row is
-        in them, so a chain set reads one row per block.
+        in them, so a chain set reads one row per block, gathered at once.
         """
-        if self.kind == "chain":
-            top = np.concatenate([b.amplitudes[-1] for b in self.blocks])
-            return float(np.abs(top) ** 2 @ np.concatenate([b.weights for b in self.blocks]))
+        if self.chains is not None:
+            lay = self.chains.layout
+            top = self.chains.amplitudes[lay.entries(np.repeat(lay.sizes - 1, lay.counts))]
+            return float(np.abs(top) ** 2 @ self.chains.weights)
         return float(sum(np.sum(np.abs(b.amplitudes[b.js >= self.j_max - 1]) ** 2 @ b.weights)
                          for b in self.blocks))
-
-
-def _origin_groups(ensemble: ThermalEnsemble, key):
-    """(key, j0s, |m0|s, weights) per key(j0, |m0|) group, in first-seen order."""
-    groups: dict = {}
-    for j0, m0, w in ensemble.channels:
-        groups.setdefault(key(j0, abs(m0)), []).append((j0, abs(m0), w))
-    return [(k, *map(np.array, zip(*members))) for k, members in groups.items()]
 
 
 def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
@@ -362,7 +611,7 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
     else:
         max_regrow = 0
-    top = max(j0 for j0, _, _ in ensemble.channels)
+    top = ensemble.j_thermal_max
     if top > j_max:
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
@@ -381,47 +630,64 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
     """ChannelSet of one block per (|M|, parity) chain, regrowing j_max as needed.
 
     n_kicks(j_max) counts the kicks before any array exists, schedule(j_max)
-    gives their times, strengths G, distinct free times d between kicks and
-    each gap's index into d.  A zero kick leaves each column on its origin.
+    gives their times measured from reference_time, their strengths G, the
+    distinct free times d between kicks and each gap's index into d.  A zero
+    kick leaves each column on its origin.
     """
-    groups = _origin_groups(ensemble, lambda j0, m: (m, j0 % 2))
+    origins = ensemble.chains
+    weights = ensemble.weights[origins.order]
+    ms, parities = origins.keys.T
+    tops = tuple(int(ms[parities == p].max(initial=-1)) for p in (0, 1))
 
     def propagate(j_max):
-        times, kicks, gaps, order = schedule(j_max)
-        blocks = []
-        for (m, parity), j0, m0, w in groups:
-            js = chain_js(j_max, m, parity)
-            rows = (j0 - js[0]) // 2
-            if xi == 0.0:
-                amps = np.zeros((len(js), len(j0)), dtype=complex)
-                amps[rows, np.arange(len(j0))] = 1.0
+        offsets, kicks, gaps, order = schedule(j_max)
+        if xi == 0.0:
+            layout = _chain_layout(origins, j_max, tops)
+            amps = np.zeros(layout.bounds[-1], dtype=complex)
+            amps[layout.entries(layout.rows)] = 1.0
+        else:
+            store = _chain_store(j_max, tops)
+            layout = _chain_layout(origins, j_max, store.tops)
+            if len(kicks) == 1:
+                amps = _gathered_kicks(store, layout, kicks[0])
+                rhs_all = amps.view(float)
+                # one GEMM per block, batched over each run, in place
+                for s, n, k, b0, b1, a0, a1, *_ in layout.runs:
+                    rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
+                    np.matmul(store.stack(s, b1 - b0), rhs, out=rhs)
             else:
-                # the cache keeps a chain only while its eigenvectors fit its
-                # share of the budget; larger ones are freed after this block
-                small = 8 * len(js) ** 2 <= MAX_WORKING_SET_BYTES / CHAIN_CACHE_SIZE
-                _, evals, evecs = (_chain_eig if small else _chain_eig.__wrapped__)(m, parity, j_max)
-                if len(kicks) == 1:
-                    amps = _chain_steps(evals, evecs, rows, kicks, ())
-                else:
-                    omega = rotational_omega(js, molecule)
+                # block by block from per-block rows, so that the amplitudes'
+                # pages fill as the blocks finish
+                amps = np.empty(layout.bounds[-1], dtype=complex)
+                out, levels = amps.view(float), layout.levels
+                for s, n, a0, a1, c0, c1, r0, r1 in layout.spans():
+                    evals, evecs = store.chain(s)
+                    rows = layout.rows[c0:c1]
+                    rot = np.exp(1j * kicks[0] * evals).view(float).reshape(-1, 1, 2)
+                    rhs = (evecs[rows].T[:, :, None] * rot).reshape(n, -1)
+                    omega = rotational_omega(levels[r0:r1], molecule)
                     free = [(evecs.T * np.exp(-1j * omega * d)) @ evecs for d in gaps]
-                    amps = _chain_steps(evals, evecs, rows, kicks, [free[k] for k in order])
+                    block = out[2 * a0:2 * a1].reshape(n, -1)
+                    block[...] = _chain_steps(evals, evecs, rhs, kicks, [free[k] for k in order])
                     # the free phases from reference_time to the first kick and back from the last
-                    amps *= np.exp(1j * np.subtract.outer(omega * (times[-1] - reference_time),
-                                                          omega[rows] * (times[0] - reference_time)))
-            blocks.append(ChannelBlock(js, None, j0, m0, w, amps))
-        return ChannelSet(molecule, ensemble.temperature, reference_time, "chain", tuple(blocks), j_max, xi)
+                    block = block.view(complex)
+                    block *= np.exp(1j * np.subtract.outer(omega * offsets[-1], omega[rows] * offsets[0]))
+        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi,
+                          PackedChains(layout, weights, amps))
 
     def working_set(j_max):
         # cached eigenvectors, results, the eigensolver's copy of the largest
-        # chain; composed kicks add one block's kick phases, free propagators
-        # (and their build) and 3 state vectors.  Integers: j_max may be huge
-        sizes = [((j_max - _chain_start(m, parity)) // 2 + 1, len(j0)) for (m, parity), j0, _, _ in groups]
-        kicks = n_kicks(j_max)
+        # chain; one kick adds the layout's int32 gather index and a chunk of
+        # gathered entries, composed kicks one block's kick phases, free
+        # propagators (and their build) and 3 state vectors.  Integers: j_max
+        # may be huge
+        sizes = [((j_max - start) // 2 + 1, k) for start, k in
+                 zip(_chain_start(ms, parities).tolist(), np.diff(origins.bounds).tolist())]
         total = sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
+        kicks = n_kicks(j_max)
         if kicks > 1:
-            total += max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
-        return total
+            return total + max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
+        return total + sum(4 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
 
@@ -459,19 +725,9 @@ def tdse_ensemble(
     sudden driver's.
     """
     require_y_polarized(pulse)
-
-    def schedule(j_max):
-        # a Strang step of width w (< 0 mid-jump) kicks at its midpoint t with
-        # G = g(t) w; the free half steps around a kick merge into two gaps
-        ta, tb = pulse_window(pulse)
-        n = _yoshida_steps(pulse, molecule, j_max)
-        widths = np.tile(YOSHIDA_WEIGHTS, n) * ((tb - ta) / n)
-        times = ta + np.cumsum(widths) - widths / 2
-        gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
-        return times, kick_rate(pulse, molecule, times) * widths, gaps, order
-
     return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps,
-                              lambda j: 3 * _yoshida_steps(pulse, molecule, j), schedule, max_regrow=2)
+                              lambda j: 3 * _yoshida_steps(pulse, molecule, j),
+                              lambda j: _yoshida_schedule(pulse, molecule, j), max_regrow=2)
 
 
 def elliptic_tdse_ensemble(
@@ -488,11 +744,13 @@ def elliptic_tdse_ensemble(
     symmetry of the coupling makes folded ensembles exact.
     """
     xi = effective_area(pulse, molecule)
-    groups = _origin_groups(ensemble, lambda j0, m: (j0 % 2, m % 2))
+    groups = ensemble.grouped(ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
+    weights = ensemble.weights[groups.order]
 
     def propagate(j_max):
         blocks = []
-        for (jp, mp), j0, m0, w in groups:
+        for (jp, mp), c0, c1 in groups.spans():
+            j0, m0 = groups.j0[c0:c1], groups.m0[c0:c1]
             basis = JMBasis(j_max, j_parity=jp, m_parity=mp)
             coupling = (
                 pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")
@@ -501,15 +759,13 @@ def elliptic_tdse_ensemble(
             y0 = np.zeros((len(basis), len(j0)), dtype=complex)
             y0[[basis.index[o] for o in zip(j0.tolist(), m0.tolist())], np.arange(len(j0))] = 1.0
             a = _integrate_interaction(y0, omega, coupling, pulse, molecule)
-            blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, w, a))
-        return ChannelSet(
-            molecule, ensemble.temperature, pulse.t0_ps, "jm", tuple(blocks), j_max, xi
-        )
+            blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, weights[c0:c1], a))
+        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, lattice=tuple(blocks))
 
     def working_set(j_max):
         # the groups integrate one after another: every group's result plus
         # the solver state of the largest group
-        dims = [_lattice_size(j_max, jp, mp) * len(j0) for (jp, mp), j0, _, _ in groups]
+        dims = [_lattice_size(j_max, jp, mp) * (c1 - c0) for (jp, mp), c0, c1 in groups.spans()]
         return 16 * (sum(dims) + (TDSE_STATE_VECTORS - 1) * max(dims))
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)

@@ -98,23 +98,34 @@ def xi_per_intensity(molecule: MoleculeSpec, tau_fwhm_ps: float = 0.1) -> float:
     return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
 
 
-def envelope_intensity(pulse: PulseSpec, t):
-    """Intensity envelope I(t) in TW/cm^2; accepts scalars or arrays of t in ps."""
-    t = np.asarray(t, dtype=float)
-    arg = 4.0 * math.log(2.0) * (t - pulse.t0_ps) ** 2 / pulse.tau_fwhm_ps**2
+def envelope_intensity(pulse: PulseSpec, t, from_center: bool = False):
+    """Intensity envelope I(t) in TW/cm^2; accepts scalars or arrays of t in ps.
+
+    With from_center, t counts from the arrival time t0 rather than from 0,
+    which keeps the sample times of a short pulse far from t = 0 distinct.
+    """
+    dt = np.asarray(t, dtype=float)
+    if not from_center:
+        dt = dt - pulse.t0_ps
+    arg = 4.0 * math.log(2.0) * dt ** 2 / pulse.tau_fwhm_ps**2
     return pulse.peak_intensity * np.exp(-arg)
 
 
-def kick_rate(pulse: PulseSpec, molecule: MoleculeSpec, t):
+def kick_rate(pulse: PulseSpec, molecule: MoleculeSpec, t, from_center: bool = False):
     """Instantaneous d(xi)/dt in 1/ps, the coupling strength in the TDSE."""
-    return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * envelope_intensity(pulse, t)
+    return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * envelope_intensity(pulse, t, from_center)
+
+
+def pulse_half_window(pulse: PulseSpec) -> float:
+    """Half width of the interval outside which the pulse is negligible: 3 FWHM.
+
+    The fluence fraction beyond 3 FWHM of a Gaussian intensity envelope is
+    erfc(6 sqrt(ln 2)) = 1.6e-12, far under the norm and integrator tolerances.
+    """
+    return 3.0 * pulse.tau_fwhm_ps
 
 
 def pulse_window(pulse: PulseSpec) -> tuple[float, float]:
-    """Interval outside which the pulse is negligible: +-3 FWHM.
-
-    The fluence fraction beyond 3 FWHM of a Gaussian intensity envelope is
-    below 1e-12, far under the norm and integrator tolerances.
-    """
-    h = 3.0 * pulse.tau_fwhm_ps
+    """The pulse's interval t0 +- pulse_half_window."""
+    h = pulse_half_window(pulse)
     return (pulse.t0_ps - h, pulse.t0_ps + h)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .constants import revival_period
 from .dynamics import (
-    ChannelSet, _axis_operator, chain_operator, check_working_set, kick_ensemble,
-    require_y_polarized, tdse_ensemble,
+    ChannelSet, _axis_operator, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
 )
 from .field import MAX_DELAY_PS, PulseSpec, effective_area, xi_per_intensity
 from .rotor import (
@@ -102,8 +101,9 @@ class FourierDecomposition:
         }
 
 
-def _block_terms(cs: ChannelSet, axis: str):
-    """Per block: (const, js, z), its weighted trace being const + Re sum_J z_J e^{i omega_J dt}.
+def _series_terms(cs: ChannelSet, axis: str):
+    """(consts, bounds, js, z): block b's weighted trace is consts[b] + Re sum_J z_J e^{i omega_J dt}
+    over entries bounds[b] to bounds[b + 1] of js and z.
 
     Chains carry the tridiagonal field-axis operator: const = sum_k w_k d
     |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}.  On the
@@ -111,23 +111,23 @@ def _block_terms(cs: ChannelSet, axis: str):
     Delta-M = +-2 ones, which beat at zero frequency) feed the constant and
     the Delta-J = +2 entries, collapsed per lower J, carry omega_J.
     """
+    if cs.chains is not None:
+        return cs.chains.series_terms()
+    consts, jss, zs = [], [], []
     for b in cs.blocks:
         c, w = b.amplitudes, b.weights
-        if b.basis is None:
-            _, diag, off = chain_operator(int(b.m0[0]), int(b.js[0]) % 2, cs.j_max)
-            const = diag @ (np.abs(c) ** 2 @ w)
-            js = b.js[:-1]
-            z = 2.0 * off * ((np.conj(c[1:]) * c[:-1]) @ w)
-        else:
-            coo = _axis_operator(b.basis, axis).tocoo()
-            dj = b.js[coo.row] - b.js[coo.col]
-            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
-            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
-            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
-            js, lower = np.unique(b.js[col], return_inverse=True)
-            z = np.zeros(len(js), dtype=complex)
-            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
-        yield float(const) - float(w.sum()) / 3.0, js, z
+        coo = _axis_operator(b.basis, axis).tocoo()
+        dj = b.js[coo.row] - b.js[coo.col]
+        row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
+        const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
+        row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
+        js, lower = np.unique(b.js[col], return_inverse=True)
+        z = np.zeros(len(js), dtype=complex)
+        np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
+        consts.append(float(const) - float(w.sum()) / 3.0)
+        jss.append(js)
+        zs.append(z)
+    return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
 
 
 _CHAIN_AXIS_FACTOR = {"y": 1.0, "x": -0.5, "z": -0.5}
@@ -162,11 +162,12 @@ def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
         empty = np.empty(0)
         return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis,
                                     _metadata(cs))
+    consts, _, js, z = _series_terms(cs, axis)
     constant = 0.0
-    acc = np.zeros(cs.j_max + 1, dtype=complex)
-    for const, js, z in _block_terms(cs, axis):
+    for const in consts:
         constant += const
-        acc[js] += z
+    acc = np.zeros(cs.j_max + 1, dtype=complex)
+    np.add.at(acc, js, z)
     js = np.nonzero(acc)[0]
     zz = factor * acc[js]
     omegas = raman_frequency(js, cs.molecule)
@@ -217,8 +218,10 @@ def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
     # accumulate per chain shape so each group shares one phase matrix
     groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     consts = 0.0
-    for const, js, z in _block_terms(cs, axis):
+    terms, bounds, all_js, all_z = _series_terms(cs, axis)
+    for const, lo, hi in zip(terms, bounds[:-1].tolist(), bounds[1:].tolist()):
         consts += const
+        js, z = all_js[lo:hi], all_z[lo:hi]
         if len(js):
             key = (int(js[0]), len(js))
             groups[key] = (js, groups[key][1] + z) if key in groups else (js, z)

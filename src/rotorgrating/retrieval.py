@@ -139,8 +139,10 @@ class FitProblem:
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi, got {pair}")
             # EnsembleCache keys a trial by round(value / cache_quantum)
             q = self.cache_quantum
-            if name in ("intensity", "temperature") and round(lo / q) == round(hi / q):
-                raise ValueError(f"cache_quantum {q:g} puts the {name!r} bounds in one cache cell")
+            if name in ("intensity", "temperature"):
+                self._check_cache_key(name, pair)
+                if round(lo / q) == round(hi / q):
+                    raise ValueError(f"cache_quantum {q:g} puts the {name!r} bounds in one cache cell")
         for name in self.fixed:
             if name not in PARAM_ORDER:
                 raise ValueError(
@@ -149,6 +151,8 @@ class FitProblem:
                 )
             if name in self.bounds:
                 raise ValueError(f"{name!r} is both fixed and free; drop it from fixed or bounds")
+            if name in ("intensity", "temperature"):
+                self._check_cache_key(name, (self.fixed[name],))
         lo, hi = self.scale_bounds
         if not lo < hi:
             raise ValueError(f"scale_bounds must have lo < hi, got {self.scale_bounds}")
@@ -157,6 +161,12 @@ class FitProblem:
         for name in ("intensity", "temperature"):
             if name not in self.bounds and name not in self.fixed:
                 raise ValueError(f"{name!r} must be either free (bounds) or fixed")
+
+    def _check_cache_key(self, name: str, values):
+        """A subnormal cache_quantum overflows value / cache_quantum to inf."""
+        if not all(math.isfinite(v / self.cache_quantum) for v in values):
+            raise ValueError(f"cache_quantum {self.cache_quantum!r} is too small: the {name!r} "
+                             f"values {tuple(values)} overflow their cache keys")
 
     def _background_active(self) -> bool:
         names = set(self.bounds) | set(self.fixed)

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -117,16 +117,90 @@ def suggest_j_max(j_thermal: int, xi: float) -> int:
 MAX_THERMAL_CHANNELS = 100_000  # CO2 needs 1,849 at 293 K
 
 
-@dataclass(frozen=True)
-class ThermalEnsemble:
-    """Boltzmann-populated initial channels (J0, M0, weight), weights summing to 1."""
+@dataclass(frozen=True, eq=False)
+class ChannelGroups:
+    """An ensemble's channels grouped by an integer (major, minor) key.
 
-    temperature: float
-    channels: tuple[tuple[int, int, float], ...]
+    Groups come in the order their keys first appear in the ensemble, the
+    channels of a group in ensemble order: group g has key keys[g] and holds
+    the ensemble's channels order[bounds[g]:bounds[g + 1]], whose J0 and |M0|
+    are the same entries of j0 and m0.
+    """
+
+    keys: np.ndarray
+    bounds: np.ndarray
+    order: np.ndarray
+    j0: np.ndarray
+    m0: np.ndarray
+
+    def spans(self):
+        """(key, first, end) of each group's entries."""
+        return zip(map(tuple, self.keys.tolist()), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
+
+
+def _grouped(j0: np.ndarray, m0: np.ndarray, major: np.ndarray, minor: np.ndarray) -> ChannelGroups:
+    keys, first, inverse = np.unique(2 * major + minor, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    group = rank[inverse]
+    order = np.argsort(group, kind="stable")
+    keys = keys[seen]
+    return ChannelGroups(np.stack([keys // 2, keys % 2], axis=1),
+                         np.concatenate(([0], np.cumsum(np.bincount(group)))), order, j0[order],
+                         np.abs(m0[order]))
+
+
+GROUPS_CACHE_SIZE = 16  # a fit meets ~8 distinct thermal level sets
+
+
+@lru_cache(maxsize=GROUPS_CACHE_SIZE)
+def _chain_groups(j0: bytes, m0: bytes) -> ChannelGroups:
+    j0, m0 = np.frombuffer(j0, dtype=int), np.frombuffer(m0, dtype=int)
+    return _grouped(j0, m0, np.abs(m0), j0 % 2)
+
+
+class ThermalEnsemble:
+    """Boltzmann-populated initial channels (J0, M0, weight), weights summing to 1.
+
+    The channels are held as three arrays in ensemble order; `channels` lists
+    them as tuples.  `chains` groups them onto the fixed-M chains of the
+    linear drivers; ensembles with the same channels share one grouping.
+    """
+
+    def __init__(self, temperature: float, channels):
+        j0, m0, weights = zip(*channels)
+        self.temperature = temperature
+        self.j0, self.m0 = np.array(j0, dtype=int), np.array(m0, dtype=int)
+        self.weights = np.array(weights, dtype=float)
+
+    @classmethod
+    def of_levels(cls, temperature: float, js: np.ndarray, level_weights: np.ndarray) -> "ThermalEnsemble":
+        """Each level J's weight split over M0 = 0..J, M0 > 0 doubled for the folded -M0."""
+        counts = js + 1
+        ens = cls.__new__(cls)
+        ens.temperature, ens.j0 = temperature, np.repeat(js, counts)
+        ens.m0 = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        ens.weights = np.repeat(level_weights / (2 * js + 1), counts)
+        ens.weights[ens.m0 > 0] *= 2.0
+        return ens
+
+    @cached_property
+    def channels(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.j0.tolist(), self.m0.tolist(), self.weights.tolist()))
 
     @property
     def j_thermal_max(self) -> int:
-        return max(j for j, _, _ in self.channels)
+        return int(self.j0.max())
+
+    @cached_property
+    def chains(self) -> ChannelGroups:
+        """Channels grouped by fixed-M chain, keyed (|M0|, J0 parity)."""
+        return _chain_groups(self.j0.tobytes(), self.m0.tobytes())
+
+    def grouped(self, major: np.ndarray, minor: np.ndarray) -> ChannelGroups:
+        """Channels grouped by the per-channel key (major, minor), minor in {0, 1}."""
+        return _grouped(self.j0, self.m0, major, minor)
 
 
 def boltzmann_ensemble(
@@ -168,7 +242,7 @@ def boltzmann_ensemble(
     if total == 0.0:
         # 0 K, or kT far below the lowest allowed level: the ground level alone
         j0 = 0 if molecule.g_even > 0 else 1
-        return ThermalEnsemble(float(temperature), tuple(_split_level(j0, 1.0)))
+        return ThermalEnsemble.of_levels(float(temperature), np.array([j0]), np.array([1.0]))
     tail = total - np.cumsum(w)
     keep_mask = np.empty_like(w, dtype=bool)
     keep_mask[:] = False
@@ -183,17 +257,7 @@ def boltzmann_ensemble(
         raise ValueError(f"temperature {temperature} K needs {count} thermal channels, "
                          f"above the budget of {MAX_THERMAL_CHANNELS}")
     kept = w[keep_mask].sum()
-    channels: list[tuple[int, int, float]] = []
-    for j, wj in zip(js[keep_mask], w[keep_mask]):
-        channels.extend(_split_level(int(j), wj / kept))
-    return ThermalEnsemble(temperature, tuple(channels))
-
-
-def _split_level(j: int, level_weight: float):
-    per_m = level_weight / (2 * j + 1)
-    out = [(j, 0, per_m)]
-    out.extend((j, m, 2.0 * per_m) for m in range(1, j + 1))
-    return out
+    return ThermalEnsemble.of_levels(temperature, kept_js, w[keep_mask] / kept)
 
 
 # ---------------------------------------------------------------------------

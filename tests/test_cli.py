@@ -185,8 +185,8 @@ def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, capsys):
 
 
 def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
-    # this kick's chain eigenvectors and amplitudes are estimated at 48.1 MB;
-    # a budget just below that keeps the input small
+    # this kick's chain eigenvectors, amplitudes and gather index are
+    # estimated at 48.5 MB; a budget just below that keeps the input small
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
@@ -194,7 +194,7 @@ def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, 
     start = time.perf_counter()
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert time.perf_counter() - start < 1.0
-    assert "needs about 0.0481 GB of working memory" in capsys.readouterr().err
+    assert "needs about 0.0485 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -443,6 +443,18 @@ def test_fourier_rejects_bad_polarization_naming_the_key(tmp_path, capsys, pol, 
     assert not out.exists()
 
 
+def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
+    # only the polarization's own errors name it; a bad arrival time reads as it does for a linear pump
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0,
+                          "method": "tdse", "polarization": [0.8, 0.6], "t0_ps": 1e300})
+    out = tmp_path / "x"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "pump arrival time 1e+300 ps lies outside" in err
+    assert "'polarization':" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("intensity", [1e12, 1e300, 1.7e308])
 def test_fourier_rejects_kicks_too_large_to_size(tmp_path, capsys, intensity):
     # the basis these need cannot be sized, let alone allocated
@@ -603,7 +615,10 @@ def test_fit_rejects_bad_numbers_naming_the_key(tmp_path, capsys, override, key)
     ({"cache_quantum": 0}, "cache_quantum must be positive, got 0.0"),
     # every trial would land on the (0, 0) cell
     ({"cache_quantum": 1e300}, "cache_quantum 1e+300 puts the 'intensity' bounds in one cache cell"),
-], ids=["tau_zero", "tau_negative", "quantum_zero", "quantum_one_cell"])
+    # a subnormal quantum overflows every bound's cache key
+    ({"cache_quantum": 1e-320}, "cache_quantum 1e-320 is too small: the 'intensity' values (5.0, 30.0) "
+                                "overflow their cache keys"),
+], ids=["tau_zero", "tau_negative", "quantum_zero", "quantum_one_cell", "quantum_subnormal"])
 def test_fit_problem_rejects_pump_and_cache_settings(tmp_path, capsys, setting, message):
     scan = tmp_path / "scan.csv"
     scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.1},1.0\n" for k in range(60)))

@@ -5,6 +5,7 @@ theta matrices and from the drivers run on single-channel ensembles.
 """
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,20 @@ def test_tdse_ensemble_matches_one_channel_solves():
         assert np.max(np.abs(block.amplitudes[:, 0] - ch.amplitudes)) <= 1e-12
 
 
+@pytest.mark.parametrize("tau", [1e-7, 1e-6, 1e-5, 1e-4])
+def test_kick_schedule_far_from_zero_sums_to_xi(tau):
+    # the stepper's kick times count from t0: at t0 = 1e9 ps a short pulse
+    # keeps the schedule it has at t0 = 0, bit for bit, whose kicks sum to
+    # the window's share of xi (the +-3 FWHM window holds erf(6 sqrt(ln 2))
+    # of the fluence, 1 - 1.6e-12)
+    far, zero = PulseSpec(30.0, tau, 1e9), PulseSpec(30.0, tau, 0.0)
+    schedule = dynamics._yoshida_schedule(far, CO2, 60)
+    for got, want in zip(schedule, dynamics._yoshida_schedule(zero, CO2, 60)):
+        assert got.tobytes() == want.tobytes()
+    inside = effective_area(far, CO2) * math.erf(6.0 * math.sqrt(math.log(2.0)))
+    assert abs(schedule[1].sum() / inside - 1.0) <= 1e-12
+
+
 def test_tdse_step_doubling(monkeypatch):
     # the 4th-order composition at twice the rule's steps moves the 293 K,
     # 30 TW/cm^2 trace by at most 2e-7 of its transient peak
@@ -305,10 +320,10 @@ def _trace_chain_runs(monkeypatch, excess):
         amps = steps(*args)
         return amps, tracemalloc.get_traced_memory()[1] - start
 
-    def traced(evals, evecs, rows, kicks, free):
-        amps, one = peak(evals, evecs, rows, kicks, free)
-        _, two = peak(evals, evecs, rows, np.tile(kicks, 2), [*free, free[0], *free])
-        n, k = len(evals), len(rows)
+    def traced(evals, evecs, rhs, kicks, free):
+        amps, one = peak(evals, evecs, rhs, kicks, free)
+        _, two = peak(evals, evecs, rhs, np.tile(kicks, 2), [*free, free[0], *free])
+        n, k = rhs.shape[0], rhs.shape[1] // 2
         excess.append((two - one - 32 * n * len(kicks)) / (16 * n * k) - 1)
         return amps
 
@@ -421,9 +436,10 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
 
 
 def test_chain_tdse_leaves_no_state():
-    # after a propagation its result and the cached chain eigendecompositions
-    # remain, as after the zero-width step: no kick phases, free propagators
-    # or state vectors outlive the stepper
+    # after a propagation its result, the cached chain eigendecompositions
+    # and the chain layout remain, as after the zero-width step, whose layout
+    # also keeps the index of its gathered kick: no kick phases, free
+    # propagators or state vectors outlive the stepper
     ens = boltzmann_ensemble(CO2, 60.0)
     pulse = PulseSpec(30.0)
 
@@ -442,20 +458,39 @@ def test_chain_tdse_leaves_no_state():
     tdse_ensemble(CO2, ens, pulse)  # numpy's lazily built tables are not the stepper's
     cs, tdse = kept(lambda: tdse_ensemble(CO2, ens, pulse))
     _, kick = kept(lambda: kick_ensemble(CO2, ens, cs.xi, cs.j_max, reference_time=pulse.t0_ps))
+    layout = cs.chains.layout
+    index = sum(a.nbytes for a in layout.gather)
     # ~1 MB each; the largest block's state vector alone is 16.6 kB
-    assert abs(tdse - kick) <= 4096
+    assert abs(tdse - (kick - index)) <= 4096
 
 
-def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget():
+def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatch):
     # a 0 K kick at xi = 300 needs one chain of 606 levels, whose 2.9 MB of
-    # eigenvectors exceed 2 GB / 1024 cache entries; xi = 2 needs 10 levels
+    # eigenvectors exceed a 32 MB budget's share of 2 MB per cached store;
+    # xi = 2 needs 10 levels
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", dynamics.CHAIN_STORE_SIZE * 2e6)
     dynamics.clear_caches()
     strong = kick_ensemble(CO2, GROUND, 300.0)
     assert len(strong.blocks[0].js) == 606
     assert strong.norm_deviation() < 1e-9
-    assert dynamics._chain_eig.cache_info().currsize == 0
-    kick_ensemble(CO2, GROUND, 2.0)
-    assert dynamics._chain_eig.cache_info().currsize == 1
+    assert not dynamics._CHAIN_STORES
+    weak = kick_ensemble(CO2, GROUND, 2.0)
+    assert list(dynamics._CHAIN_STORES) == [weak.j_max]
+
+
+def test_chain_store_grows_bit_for_bit():
+    # a j_max store holds the chains up to the largest |M| asked of it: a
+    # warmer ensemble grows it, copying the chains it had, and its kick is
+    # the kick of a store built fresh
+    dynamics.clear_caches()
+    kick_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), 3.0, j_max=60)
+    assert dynamics._CHAIN_STORES[60].tops == (14, -1)
+    warm = boltzmann_ensemble(CO2, 40.0)
+    grown = kick_ensemble(CO2, warm, 3.0, j_max=60)
+    assert dynamics._CHAIN_STORES[60].tops == (30, -1)
+    dynamics.clear_caches()
+    fresh = kick_ensemble(CO2, warm, 3.0, j_max=60)
+    assert grown.chains.amplitudes.tobytes() == fresh.chains.amplitudes.tobytes()
 
 
 def test_working_set_budget_raises_before_propagating(monkeypatch):

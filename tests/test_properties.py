@@ -1,6 +1,7 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
-strength, the chain stepper over random molecules, and the CLI's exit codes
-over generated configs."""
+strength, the chain stepper and the revivals over random molecules, the
+lattice's +-M mirror symmetry, and the CLI's exit codes over generated
+configs."""
 
 import json
 import os
@@ -11,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from rotorgrating.cli import main
 from rotorgrating import dynamics
+from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import kick_ensemble, tdse_ensemble
-from rotorgrating.field import PulseSpec, effective_area, xi_per_intensity
+from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
-from rotorgrating.rotor import CO2, MoleculeSpec, boltzmann_ensemble, raman_frequency
+from rotorgrating.rotor import (
+    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, raman_frequency, rotational_omega,
+)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -55,6 +59,41 @@ def test_chain_stepper_over_random_molecules(b, delta_alpha, spins, temperature,
             rhs = (evecs[(k.j0 - k.js[0]) // 2].T[:, :, None] * rot).reshape(len(k.js), -1)
             assert (evecs @ rhs).view(complex).tobytes() == k.amplitudes.tobytes()
     assert gaps[1] <= 0.6 * gaps[0] and gaps[2] <= 0.6 * gaps[1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0),
+       spins=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]),
+       temperature=st.floats(0.0, 100.0), xi=st.floats(0.1, 10.0))
+def test_revival_periodicity_over_random_molecules(b, delta_alpha, spins, temperature, xi):
+    # omega_J T_rev = 2 pi (2J + 3): the series repeats after one revival period
+    molecule = MoleculeSpec("random", b, delta_alpha, *spins)
+    dec = fourier_decompose(kick_ensemble(molecule, boltzmann_ensemble(molecule, temperature), xi), "y")
+    period = revival_period(b)
+    times = np.linspace(0.0, 1.5 * period, 257)
+    one, two = reconstruct(dec, times).values, reconstruct(dec, times + period).values
+    assert np.max(np.abs(one - two)) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0), j0=st.integers(1, 6), data=st.data(),
+       intensity=st.floats(0.5, 10.0), a2=st.floats(0.0, 1.0))
+def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a2):
+    # the lattice driver folds -M0 onto +M0: its coupling and integrator carry
+    # |J0, -M0> into the mirror image, M -> -M, of what |J0, +M0> becomes
+    molecule = MoleculeSpec("random", b, delta_alpha)
+    m0 = data.draw(st.integers(1, j0))
+    pulse = elliptic_pulse(intensity, a2, 1.0 - a2)
+    basis = JMBasis(10, j0 % 2, m0 % 2)
+    coupling = (pulse.a2 * dynamics._axis_operator(basis, "x")
+                + pulse.b2 * dynamics._axis_operator(basis, "y")).tocsr()
+    y0 = np.zeros((len(basis), 2), dtype=complex)
+    y0[basis.index[(j0, m0)], 0] = y0[basis.index[(j0, -m0)], 1] = 1.0
+    amps = dynamics._integrate_interaction(y0, rotational_omega(basis.j_of, molecule), coupling, pulse,
+                                           molecule)
+    mirror = [basis.index[(j, -m)] for j, m in basis.pairs]
+    assert np.max(np.abs(amps[mirror, 1] - amps[:, 0])) <= 1e-12
+    assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-8
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))

@@ -345,10 +345,13 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     dynamics.clear_caches()
     fit_trace(wide, trace, max_evaluations=60, refine_starts=1,
               n_intensity_starts=2, n_temperature_starts=2)
-    for cache in (dynamics.chain_operator, dynamics._chain_eig):
-        info = cache.cache_info()
-        assert info.maxsize == dynamics.CHAIN_CACHE_SIZE == 1024
-        assert 0 < info.currsize <= info.maxsize
+    # one eigenvector store and one chain layout per visited j_max
+    assert 0 < len(dynamics._CHAIN_STORES) <= dynamics.CHAIN_STORE_SIZE == 16
+    info = dynamics._chain_layout.cache_info()
+    assert info.maxsize == dynamics.CHAIN_STORE_SIZE
+    assert 0 < info.currsize <= info.maxsize
+    info = rotor._chain_groups.cache_info()
+    assert 0 < info.currsize <= info.maxsize == rotor.GROUPS_CACHE_SIZE
     # the lattice operators' Wigner symbols: a fit builds none, validate ~3,700
     info = rotor._wigner_3j.cache_info()
     assert info.maxsize == rotor.WIGNER_CACHE_SIZE == 32_768
