@@ -252,12 +252,14 @@ def _gathered_kicks(store: _ChainStore, layout: "ChainLayout", g: float) -> np.n
     from the packed store, by the layout's int32 index, fill every block at
     once.
     """
-    rotation = np.exp(1j * g * store.evals).view(float).reshape(-1, 2)
     eigen, row_counts, entries = layout.gather
-    rhs = np.repeat(rotation[eigen], row_counts, axis=0)
+    amps = np.repeat(np.take(np.exp(1j * g * store.evals), eigen), row_counts)
+    rhs = amps.view(float).reshape(-1, 2)
     for lo in range(0, len(entries), GATHER_CHUNK):  # keeps the gathered factors small
-        rhs[lo:lo + GATHER_CHUNK] *= np.take(store.evecs, entries[lo:lo + GATHER_CHUNK])[:, None]
-    return rhs.view(complex).ravel()
+        factors = np.take(store.evecs, entries[lo:lo + GATHER_CHUNK])
+        rhs[lo:lo + GATHER_CHUNK, 0] *= factors
+        rhs[lo:lo + GATHER_CHUNK, 1] *= factors
+    return amps
 
 
 def _chain_steps(evals, evecs, rhs, kicks, free):
