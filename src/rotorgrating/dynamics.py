@@ -503,9 +503,9 @@ class PackedChains:
         return (weighted - totals / 3.0).tolist(), _starts(lay.sizes - 1), js, coupling * z
 
     def blocks(self) -> tuple:
-        lay, o = self.layout, self.layout.origins
+        lay, o, levels = self.layout, self.layout.origins, self.layout.levels
         return tuple(
-            ChannelBlock(lay.levels[r0:r1], None, o.j0[c0:c1], o.m0[c0:c1], self.weights[c0:c1],
+            ChannelBlock(levels[r0:r1], None, o.j0[c0:c1], o.m0[c0:c1], self.weights[c0:c1],
                          self.amplitudes[a0:a1].reshape(n, c1 - c0))
             for _, n, a0, a1, c0, c1, r0, r1 in lay.spans()
         )
