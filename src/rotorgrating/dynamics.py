@@ -37,11 +37,11 @@ store per j_max, grown when a warmer ensemble needs chains of higher |M|.
 The sudden kick fills every block's right-hand side V^T[:, rows] e^{i xi
 Lambda} with one repeat of the eigenphases and one gather from the store,
 then runs one GEMM per block, batched over runs of consecutive equal-shape
-blocks; PackedChains.series_terms reduces the blocks per run for
-observables' cosine series.  Every BLAS call sees the operands a
-block-by-block loop would, so the packed kernel is bit-identical to it.  The
-composed kicks of tdse_ensemble go block by block, writing each block's
-amplitudes into the packed array as it finishes.
+blocks.  Every BLAS call sees the operands a block-by-block loop would, so
+the packed kernel is bit-identical to it.  tdse_ensemble starts from the
+same gathered first kick and composes the rest of its kicks block by block,
+in place in the packed array.  PackedChains.series_terms reduces the blocks
+per run for observables' cosine series.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import gc
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -240,7 +240,7 @@ def _yoshida_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
     widths = np.tile(YOSHIDA_WEIGHTS, n) * (2.0 * h / n)
     offsets = -h + np.cumsum(widths) - widths / 2
     gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
-    return offsets, kick_rate(pulse, molecule, offsets, from_center=True) * widths, gaps, order
+    return offsets, kick_rate(replace(pulse, t0_ps=0.0), molecule, offsets) * widths, gaps, order
 
 
 def _gathered_kicks(store: _ChainStore, layout: "ChainLayout", g: float) -> np.ndarray:
@@ -418,7 +418,7 @@ class ChainLayout:
         """Runs of consecutive blocks of one shape n x k on consecutive store slots.
 
         Per run as Python ints: slot of its first block, n, k, then the first
-        and end of its blocks, amplitudes, columns, rows and rows but the last.
+        and end of its blocks, amplitudes, columns and rows.
         A run is one stacked BLAS batch, whose items match the per-block calls
         bit for bit.
         """
@@ -426,13 +426,13 @@ class ChainLayout:
         first = np.flatnonzero(np.concatenate(([True], (n[1:] != n[:-1]) | (k[1:] != k[:-1])
                                                | (slots[1:] != slots[:-1] + 1))))
         ends = np.append(first[1:], len(n))
-        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n), _starts(n - 1)]
+        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n)]
         columns = [slots[first], n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
         return list(zip(*(c.tolist() for c in columns)))
 
     def spans(self):
         """Per block: slot, n, then the first and end of its amplitudes, columns and rows."""
-        for s, n, k, b0, b1, a0, _, c0, _, r0, _, _, _ in self.runs:
+        for s, n, k, b0, b1, a0, _, c0, _, r0, _ in self.runs:
             for i in range(b1 - b0):
                 a, c, r = a0 + i * n * k, c0 + i * k, r0 + i * n
                 yield s + i, n, a, a + n * k, c, c + k, r, r + n
@@ -480,17 +480,18 @@ class PackedChains:
     def series_terms(self):
         """(consts, bounds, js, z) of observables' cosine series, for the field-axis operator.
 
-        Per run of equal-shape blocks, |c|^2, the products of adjacent rows and
-        the weighted reductions, two GEMVs and a dot product per block,
-        batched; the diagonal and couplings come with the layout.
+        Per run of equal-shape blocks, |c|^2 and the products of adjacent
+        rows reduced over the weighted columns, two GEMVs and a dot product
+        per block, batched; the diagonal and couplings come with the layout.
         """
         lay, amps, weights = self.layout, self.amplitudes, self.weights
         diag, js, coupling = lay.operator
         complex_weights = weights.astype(complex)
         z = np.empty(len(js), dtype=complex)
         weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
-        for _, n, k, b0, b1, a0, a1, c0, c1, r0, r1, l0, l1 in lay.runs:
-            m = b1 - b0
+        lows = _starts(lay.sizes - 1)
+        for _, n, k, b0, b1, a0, a1, c0, c1, r0, r1 in lay.runs:
+            m, l0, l1 = b1 - b0, lows[b0], lows[b1]
             c = amps[a0:a1].reshape(m, n, k)
             cross = np.conj(c[:, 1:])
             cross *= c[:, :-1]
@@ -500,7 +501,7 @@ class PackedChains:
             w = weights[c0:c1].reshape(m, k)
             np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None], out=weighted[b0:b1].reshape(m, 1, 1))
             w.sum(axis=1, out=totals[b0:b1])
-        return (weighted - totals / 3.0).tolist(), _starts(lay.sizes - 1), js, coupling * z
+        return (weighted - totals / 3.0).tolist(), lows, js, coupling * z
 
     def blocks(self) -> tuple:
         lay, o, levels = self.layout, self.layout.origins, self.layout.levels
@@ -650,46 +651,41 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         else:
             store = _chain_store(j_max, tops)
             layout = _chain_layout(origins, j_max, store.tops)
+            amps = _gathered_kicks(store, layout, kicks[0])
+            rhs_all = amps.view(float)
             if len(kicks) == 1:
-                amps = _gathered_kicks(store, layout, kicks[0])
-                rhs_all = amps.view(float)
                 # one GEMM per block, batched over each run, in place
                 for s, n, k, b0, b1, a0, a1, *_ in layout.runs:
                     rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
                     np.matmul(store.stack(s, b1 - b0), rhs, out=rhs)
             else:
-                # block by block from per-block rows, so that the amplitudes'
-                # pages fill as the blocks finish
-                amps = np.empty(layout.bounds[-1], dtype=complex)
-                out, levels = amps.view(float), layout.levels
+                levels = layout.levels
                 for s, n, a0, a1, c0, c1, r0, r1 in layout.spans():
                     evals, evecs = store.chain(s)
-                    rows = layout.rows[c0:c1]
-                    rot = np.exp(1j * kicks[0] * evals).view(float).reshape(-1, 1, 2)
-                    rhs = (evecs[rows].T[:, :, None] * rot).reshape(n, -1)
                     omega = rotational_omega(levels[r0:r1], molecule)
                     free = [(evecs.T * np.exp(-1j * omega * d)) @ evecs for d in gaps]
-                    block = out[2 * a0:2 * a1].reshape(n, -1)
-                    block[...] = _chain_steps(evals, evecs, rhs, kicks, [free[k] for k in order])
+                    block = rhs_all[2 * a0:2 * a1].reshape(n, -1)
+                    block[...] = _chain_steps(evals, evecs, block, kicks, [free[k] for k in order])
                     # the free phases from reference_time to the first kick and back from the last
                     block = block.view(complex)
+                    rows = layout.rows[c0:c1]
                     block *= np.exp(1j * np.subtract.outer(omega * offsets[-1], omega[rows] * offsets[0]))
         return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi,
                           PackedChains(layout, weights, amps))
 
     def working_set(j_max):
-        # cached eigenvectors, results, the eigensolver's copy of the largest
-        # chain; one kick adds the layout's int32 gather index and a chunk of
-        # gathered entries, composed kicks one block's kick phases, free
-        # propagators (and their build) and 3 state vectors.  Integers: j_max
-        # may be huge
+        # cached eigenvectors, results, the layout's int32 gather index, a
+        # chunk of gathered entries, the eigensolver's copy of the largest
+        # chain; composed kicks add one block's kick phases, free propagators
+        # (and their build) and 3 state vectors.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(ms, parities).tolist(), np.diff(origins.bounds).tolist())]
-        total = sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
+        total = (sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
+                 + 8 * max(n for n, _ in sizes) ** 2)
         kicks = n_kicks(j_max)
         if kicks > 1:
-            return total + max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
-        return total + sum(4 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
+            total += max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
+        return total
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
 
@@ -710,7 +706,7 @@ def kick_ensemble(
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
     return _chain_propagation(molecule, ensemble, xi, j_max, reference_time, lambda j_max: 1,
-                              lambda j_max: ([reference_time], [xi], (), ()), max_regrow=3)
+                              lambda j_max: ([0.0], [xi], (), ()), max_regrow=3)
 
 
 def tdse_ensemble(

@@ -98,22 +98,16 @@ def xi_per_intensity(molecule: MoleculeSpec, tau_fwhm_ps: float = 0.1) -> float:
     return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
 
 
-def envelope_intensity(pulse: PulseSpec, t, from_center: bool = False):
-    """Intensity envelope I(t) in TW/cm^2; accepts scalars or arrays of t in ps.
-
-    With from_center, t counts from the arrival time t0 rather than from 0,
-    which keeps the sample times of a short pulse far from t = 0 distinct.
-    """
-    dt = np.asarray(t, dtype=float)
-    if not from_center:
-        dt = dt - pulse.t0_ps
-    arg = 4.0 * math.log(2.0) * dt ** 2 / pulse.tau_fwhm_ps**2
+def envelope_intensity(pulse: PulseSpec, t):
+    """Intensity envelope I(t) in TW/cm^2; accepts scalars or arrays of t in ps."""
+    t = np.asarray(t, dtype=float)
+    arg = 4.0 * math.log(2.0) * (t - pulse.t0_ps) ** 2 / pulse.tau_fwhm_ps**2
     return pulse.peak_intensity * np.exp(-arg)
 
 
-def kick_rate(pulse: PulseSpec, molecule: MoleculeSpec, t, from_center: bool = False):
+def kick_rate(pulse: PulseSpec, molecule: MoleculeSpec, t):
     """Instantaneous d(xi)/dt in 1/ps, the coupling strength in the TDSE."""
-    return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * envelope_intensity(pulse, t, from_center)
+    return XI_PER_A3_FLUENCE * molecule.delta_alpha_a3 * envelope_intensity(pulse, t)
 
 
 def pulse_half_window(pulse: PulseSpec) -> float:

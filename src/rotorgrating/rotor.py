@@ -160,30 +160,52 @@ def _chain_groups(j0: bytes, m0: bytes) -> ChannelGroups:
     return _grouped(j0, m0, np.abs(m0), j0 % 2)
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class ThermalEnsemble:
     """Boltzmann-populated initial channels (J0, M0, weight), weights summing to 1.
 
-    The channels are held as three arrays in ensemble order; `channels` lists
-    them as tuples.  `chains` groups them onto the fixed-M chains of the
-    linear drivers; ensembles with the same channels share one grouping.
+    The channels are held as three read-only arrays in ensemble order;
+    `channels` lists them as tuples.  `chains` groups them onto the fixed-M
+    chains of the linear drivers; ensembles with the same channels share one
+    grouping.  Two ensembles are equal when their temperatures and channels are.
     """
+
+    temperature: float
+    j0: np.ndarray
+    m0: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, temperature: float, channels):
         j0, m0, weights = zip(*channels)
-        self.temperature = temperature
-        self.j0, self.m0 = np.array(j0, dtype=int), np.array(m0, dtype=int)
-        self.weights = np.array(weights, dtype=float)
+        self._set(temperature, np.array(j0, dtype=int), np.array(m0, dtype=int), np.array(weights, dtype=float))
+
+    def _set(self, temperature, j0, m0, weights):
+        object.__setattr__(self, "temperature", temperature)
+        for name, value in (("j0", j0), ("m0", m0), ("weights", weights)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of_levels(cls, temperature: float, js: np.ndarray, level_weights: np.ndarray) -> "ThermalEnsemble":
         """Each level J's weight split over M0 = 0..J, M0 > 0 doubled for the folded -M0."""
         counts = js + 1
+        m0 = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        weights = np.repeat(level_weights / (2 * js + 1), counts)
+        weights[m0 > 0] *= 2.0
         ens = cls.__new__(cls)
-        ens.temperature, ens.j0 = temperature, np.repeat(js, counts)
-        ens.m0 = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-        ens.weights = np.repeat(level_weights / (2 * js + 1), counts)
-        ens.weights[ens.m0 > 0] *= 2.0
+        ens._set(temperature, np.repeat(js, counts), m0, weights)
         return ens
+
+    def _key(self) -> tuple:
+        return self.temperature, self.j0.tobytes(), self.m0.tobytes(), self.weights.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, ThermalEnsemble):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def channels(self) -> tuple[tuple[int, int, float], ...]:

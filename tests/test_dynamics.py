@@ -415,7 +415,8 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # the stepper runs one block at a time: the estimate counts every block's
-    # cached eigenvectors and result plus the largest block's stepper arrays
+    # cached eigenvectors, result and gather index of its first kick plus the
+    # largest block's stepper arrays
     estimates = []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
@@ -430,16 +431,17 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
         tracemalloc.stop()
     sizes = [b.amplitudes.shape for b in cs.blocks]
     kicks = 3 * dynamics._yoshida_steps(pulse, CO2, cs.j_max)
-    assert estimates == [sum(8 * n * n + 16 * n * k for n, k in sizes) + 8 * max(n for n, _ in sizes) ** 2
+    assert estimates == [sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * dynamics.GATHER_CHUNK
+                         + 8 * max(n for n, _ in sizes) ** 2
                          + max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)]
     assert peak <= estimates[0]
 
 
 def test_chain_tdse_leaves_no_state():
     # after a propagation its result, the cached chain eigendecompositions
-    # and the chain layout remain, as after the zero-width step, whose layout
-    # also keeps the index of its gathered kick: no kick phases, free
-    # propagators or state vectors outlive the stepper
+    # and the chain layout with the index of its gathered first kick remain,
+    # as after the zero-width step: no kick phases, free propagators or state
+    # vectors outlive the stepper
     ens = boltzmann_ensemble(CO2, 60.0)
     pulse = PulseSpec(30.0)
 
@@ -458,10 +460,8 @@ def test_chain_tdse_leaves_no_state():
     tdse_ensemble(CO2, ens, pulse)  # numpy's lazily built tables are not the stepper's
     cs, tdse = kept(lambda: tdse_ensemble(CO2, ens, pulse))
     _, kick = kept(lambda: kick_ensemble(CO2, ens, cs.xi, cs.j_max, reference_time=pulse.t0_ps))
-    layout = cs.chains.layout
-    index = sum(a.nbytes for a in layout.gather)
     # ~1 MB each; the largest block's state vector alone is 16.6 kB
-    assert abs(tdse - (kick - index)) <= 4096
+    assert abs(tdse - kick) <= 4096
 
 
 def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatch):
