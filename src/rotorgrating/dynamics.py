@@ -10,15 +10,20 @@ Three drivers with one physical model, each returning a ChannelSet:
     A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice.
 
 On a fixed-M (|M|, J-parity) chain d psi/dt = i (g(t) C - omega) psi, with
-g = dxi/dt and C = cos^2 theta = V Lambda V^T cached per chain.  A Strang step
-of width w applies exp(-i omega w/2), the exact kick V e^{i g(t_mid) w Lambda}
-V^T and exp(-i omega w/2); Yoshida's triple jump (Phys. Lett. A 150, 262
-(1990)) makes three of them one 4th-order step.  Uniform steps span the pulse
-window, counted from the basis' fastest Raman frequency and the pulse FWHM;
-merged free phases act as V^T e^{-i omega d} V, so the state stays in the
-eigenbasis between kicks, one complex GEMM per kick.  The (J,M) lattice runs
-one adaptive DOP853 solve per group in the interaction picture anchored at
-the pulse center, ending on its last step with no history or interpolant.
+g = dxi/dt and C = cos^2 theta = V Lambda V^T cached per chain.  The free part
+is quadratic in L and C acts as a potential, so [C, [C, [C, omega]]] = 0 and
+the Runge-Kutta-Nystrom splittings apply: tdse_ensemble runs Blanes & Moan's
+symmetric 4th-order SRKN_6^b (J. Comput. Appl. Math. 142, 313 (2002)),
+b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1, where a kick of weight b is the exact
+V e^{i b H g(t) Lambda} V^T at the time t the free flows have reached and a
+free flow of weight a is exp(-i omega a H) (a3 < 0 flows back).  n uniform
+steps of width H span the pulse window, counted from the basis' fastest
+Raman frequency and the pulse FWHM; adjacent steps share their end kick, so
+n steps make 6n + 1 kicks.  Free flows act as V^T e^{-i omega d} V, so the
+state stays in the eigenbasis between kicks, one complex GEMM per kick.  The
+(J,M) lattice runs one adaptive DOP853 solve per group in the interaction
+picture anchored at the pulse center, ending on its last step with no
+history or interpolant.
 
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls, one
@@ -78,12 +83,15 @@ MAX_WORKING_SET_BYTES = 2e9
 # Complex state vectors a lattice TDSE solve holds at its peak: DOP853's
 # stages and step temporaries (30 traced per solve) and the initial state
 TDSE_STATE_VECTORS = 34
-# Yoshida's triple jump: Strang steps of widths w1 h, (1 - 2 w1) h and w1 h
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-YOSHIDA_WEIGHTS = (_W1, 1.0 - 2.0 * _W1, _W1)
-# Yoshida steps per ps, STEPS_PER_RADIAN * omega_R,max + STEPS_PER_FWHM / tau:
+# Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
+# weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
+_B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+_A1, _A2 = 0.245298957184271, 0.604872665711080
+RKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
+RKN_FREE = (_A1, _A2, 0.5 - _A1 - _A2)
+# RKN steps per ps, STEPS_PER_RADIAN * omega_R,max + STEPS_PER_FWHM / tau:
 # both the fastest Raman phase of the basis and the envelope are resolved
-STEPS_PER_RADIAN, STEPS_PER_FWHM = 1.5, 10.0
+STEPS_PER_RADIAN, STEPS_PER_FWHM = 0.3, 3.0
 
 
 class PropagationError(RuntimeError):
@@ -218,29 +226,35 @@ def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# The chain stepper: Strang kicks composed by Yoshida's triple jump
+# The chain stepper: kicks and free flows of Blanes & Moan's RKN splitting
 # ---------------------------------------------------------------------------
 
-def _yoshida_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
-    """Yoshida steps over the pulse window for a chain basis up to j_max."""
+def _rkn_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
+    """RKN steps over the pulse window for a chain basis up to j_max."""
     width = 2.0 * pulse_half_window(pulse)
     omega_max = raman_frequency(max(j_max - 2, 0), molecule)
     return max(1, math.ceil(width * (STEPS_PER_RADIAN * omega_max + STEPS_PER_FWHM / pulse.tau_fwhm_ps)))
 
 
-def _yoshida_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
+def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
     """(times from t0, strengths G, distinct free times d, each gap's index into d) of the kicks.
 
-    A Strang step of width w (< 0 mid-jump) kicks at its midpoint t with G =
-    g(t) w; the free half steps around a kick merge into two gaps.  Times
-    count from t0, so a short pulse far from t = 0 keeps its kicks apart.
+    n steps of width H make 6n + 1 kicks: a step's last kick merges with the
+    next step's first.  Kick i of weight b_i sits at the cumulative free
+    weights, t_i, with G = b_i H g(t_i); the gaps are a1 H, a2 H and a3 H, in
+    the order a1 a2 a3 a3 a2 a1 per step.  Times count from t0, so a short
+    pulse far from t = 0 keeps its kicks apart.
     """
     h = pulse_half_window(pulse)
-    n = _yoshida_steps(pulse, molecule, j_max)
-    widths = np.tile(YOSHIDA_WEIGHTS, n) * (2.0 * h / n)
-    offsets = -h + np.cumsum(widths) - widths / 2
-    gaps, order = np.unique((widths[:-1] + widths[1:]) / 2, return_inverse=True)
-    return offsets, kick_rate(replace(pulse, t0_ps=0.0), molecule, offsets) * widths, gaps, order
+    n = _rkn_steps(pulse, molecule, j_max)
+    step = 2.0 * h / n
+    order = np.tile([0, 1, 2, 2, 1, 0], n)
+    nodes = np.concatenate(([0.0], np.cumsum(np.take(RKN_FREE, order[:5]))))
+    weights = np.append(np.tile(np.take(RKN_KICKS, [0, 1, 2, 3, 2, 1]), n), _B1)
+    weights[6:-1:6] = 2.0 * _B1
+    offsets = np.append(-h + step * (np.arange(n)[:, None] + nodes).ravel(), h)
+    strengths = kick_rate(replace(pulse, t0_ps=0.0), molecule, offsets) * (weights * step)
+    return offsets, strengths, np.multiply(RKN_FREE, step), order
 
 
 def _gathered_kicks(store: _ChainStore, layout: "ChainLayout", g: float) -> np.ndarray:
@@ -676,15 +690,17 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
     def working_set(j_max):
         # cached eigenvectors, results, the layout's int32 gather index, a
         # chunk of gathered entries, the eigensolver's copy of the largest
-        # chain; composed kicks add one block's kick phases, free propagators
-        # (and their build) and 3 state vectors.  Integers: j_max may be huge
+        # chain; composed kicks add one block's three free propagators and
+        # the two temporaries of their build, its table of kick phases (40 B
+        # per kick and level as it is built: real phases, their complex cast
+        # and the exponentials) and 3 state vectors.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(ms, parities).tolist(), np.diff(origins.bounds).tolist())]
         total = (sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
                  + 8 * max(n for n, _ in sizes) ** 2)
         kicks = n_kicks(j_max)
         if kicks > 1:
-            total += max(16 * (4 * n * n + 2 * kicks * n + 3 * n * k) for n, k in sizes)
+            total += max(16 * (5 * n * n + 3 * n * k) + 40 * kicks * n for n, k in sizes)
         return total
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
@@ -718,14 +734,14 @@ def tdse_ensemble(
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
     The pulse must be polarized along y, the chains' quantization axis.  Each
-    (|M0|, parity) block in turn runs the Yoshida composition over the pulse
+    (|M0|, parity) block in turn runs the RKN splitting over the pulse
     window; amplitudes come back referenced to the pulse center, as the
     sudden driver's.
     """
     require_y_polarized(pulse)
     return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps,
-                              lambda j: 3 * _yoshida_steps(pulse, molecule, j),
-                              lambda j: _yoshida_schedule(pulse, molecule, j), max_regrow=2)
+                              lambda j: 6 * _rkn_steps(pulse, molecule, j) + 1,
+                              lambda j: _rkn_schedule(pulse, molecule, j), max_regrow=2)
 
 
 def elliptic_tdse_ensemble(

@@ -15,6 +15,7 @@ All trace values follow the <cos^2 theta> - 1/3 convention (0 = isotropic).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,12 +180,34 @@ def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
                                 _metadata(cs))
 
 
+# phase tables reconstruct keeps: z and e^{i omega_J0 t} of the last grid, each
+# of at most PHASE_CACHE_SAMPLES delays (a fit evaluates one grid hundreds of times)
+PHASE_CACHE_SIZE, PHASE_CACHE_SAMPLES = 2, 65536
+_PHASES: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
+
+
+def _phase_table(rate: float, times: np.ndarray) -> np.ndarray:
+    """exp(i rate t) on `times`, read-only, from the cache of the latest tables."""
+    if len(times) > PHASE_CACHE_SAMPLES:
+        return np.exp(1j * (rate * times))
+    key = (times.tobytes(), rate)
+    table = _PHASES.pop(key, None)
+    if table is None:
+        table = np.exp(1j * (rate * times))
+        table.flags.writeable = False
+    _PHASES[key] = table
+    while len(_PHASES) > PHASE_CACHE_SIZE:
+        _PHASES.popitem(last=False)
+    return table
+
+
 def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
     """Evaluate the cosine series on a time grid by Horner's rule.
 
     omega_J = omega_J0 + (J - J0) dw with dw = 8 pi c B, so the series is
     Re(e^{i omega_J0 t} P(z)): P has the coefficient |a_J| e^{i phi_J} at power
-    (J - J0)/g, with g the common J spacing and z = e^{i g dw t}.
+    (J - J0)/g, with g the common J spacing and z = e^{i g dw t}.  Both phase
+    tables come from a small cache keyed by the delays and the rate.
     """
     times = np.asarray(times, dtype=float)
     values = np.full(len(times), dec.constant)
@@ -194,12 +217,12 @@ def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
         coef = np.zeros(js[-1] // g + 1, dtype=complex)
         coef[js // g] = dec.amplitudes * np.exp(1j * dec.phases)
         step = 4.0 * dec.omegas[0] / (4.0 * dec.js[0] + 6.0)  # 8 pi c B
-        z = np.exp(1j * ((g * step) * times))
+        z = _phase_table(g * step, times)
         p = np.full(len(times), coef[-1])
         for c in coef[-2::-1]:
             p *= z
             p += c
-        values += np.real(np.exp(1j * (dec.omegas[0] * times)) * p)
+        values += np.real(_phase_table(dec.omegas[0], times) * p)
     return AlignmentTrace(times, values, dec.axis, dict(dec.metadata))
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rotorgrating import observables
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble
@@ -70,6 +71,30 @@ def test_horner_reconstruct_matches_explicit_cosine_sum(kind, kicked_30k, ellipt
         np.outer(dec.omegas, times) + dec.phases[:, None]
     )
     assert np.max(np.abs(reconstruct(dec, times).values - explicit)) <= 1e-12
+
+
+def test_reconstruct_reuses_its_phase_tables(kicked_30k, monkeypatch):
+    # the tables are keyed by the delays' bytes and the rate: a grid edited in
+    # place gets its own, each result equals one from an empty cache, bit for
+    # bit, and the cache keeps the latest PHASE_CACHE_SIZE tables of grids up
+    # to PHASE_CACHE_SAMPLES delays
+    dec = fourier_decompose(kicked_30k)
+    times = revival_time_grid(CO2, n=601, t_start=0.3)
+
+    def uncached():
+        observables._PHASES.clear()
+        return reconstruct(dec, times).values.tobytes()
+
+    for _ in range(2):
+        want = uncached()
+        assert reconstruct(dec, times).values.tobytes() == want
+        assert len(observables._PHASES) == observables.PHASE_CACHE_SIZE == 2
+        assert not any(table.flags.writeable for table in observables._PHASES.values())
+        times += 1.0
+    monkeypatch.setattr(observables, "PHASE_CACHE_SAMPLES", len(times) - 1)
+    want = uncached()
+    assert not observables._PHASES
+    assert reconstruct(dec, times).values.tobytes() == want
 
 
 def test_decomposition_rejects_non_raman_frequencies(kicked_30k):

@@ -1,14 +1,15 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
-strength, the chain stepper and the revivals over random molecules, the
-lattice's +-M mirror symmetry, and the CLI's exit codes over generated
-configs."""
+strength, the chain stepper's kick schedule over pulses, the chain stepper
+and the revivals over random molecules, the lattice's +-M mirror symmetry,
+and the CLI's exit codes over generated configs."""
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rotorgrating.cli import main
 from rotorgrating import dynamics
@@ -30,6 +31,26 @@ def test_kicked_ensemble_norm_and_series_exactness(temperature, xi):
     series = reconstruct(fourier_decompose(cs, "y"), times).values
     direct = alignment_trace(cs, "y", times).values
     assert np.max(np.abs(series - direct)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tau=st.floats(-7.0, 0.0).map(lambda e: 10.0**e), t0=st.floats(0.0, 1e9),
+       j_max=st.integers(0, 400))
+def test_kick_schedule_spans_the_window_and_sums_to_xi(tau, t0, j_max):
+    # without propagating: the RKN schedule's 6n + 1 kicks add up to the
+    # +-3 FWHM window's share of xi, erf(6 sqrt(ln 2)), and its free times
+    # (a3 < 0 a backward flow) to the window, at any FWHM and arrival time
+    try:
+        pulse = PulseSpec(30.0, tau, t0)
+    except ValueError:  # a FWHM that vanishes next to its arrival time
+        assume(False)
+    offsets, kicks, gaps, order = dynamics._rkn_schedule(pulse, CO2, j_max)
+    assert len(kicks) == len(offsets) == len(order) + 1 == 6 * dynamics._rkn_steps(pulse, CO2, j_max) + 1
+    inside = effective_area(pulse, CO2) * math.erf(6.0 * math.sqrt(math.log(2.0)))
+    assert abs(kicks.sum() / inside - 1.0) <= 1e-12
+    window = 6.0 * tau
+    assert offsets[-1] - offsets[0] == window
+    assert abs(gaps[order].sum() / window - 1.0) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rotorgrating import dynamics, rotor
+from rotorgrating import dynamics, observables, rotor
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
@@ -352,6 +352,8 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     assert 0 < info.currsize <= info.maxsize
     info = rotor._chain_groups.cache_info()
     assert 0 < info.currsize <= info.maxsize == rotor.GROUPS_CACHE_SIZE
+    # reconstruct's phase tables of the scan's delays
+    assert 0 < len(observables._PHASES) <= observables.PHASE_CACHE_SIZE
     # the lattice operators' Wigner symbols: a fit builds none, validate ~3,700
     info = rotor._wigner_3j.cache_info()
     assert info.maxsize == rotor.WIGNER_CACHE_SIZE == 32_768
