@@ -292,7 +292,7 @@ def _traces_at(monkeypatch, ens, pulse, factors):
 
 def test_tdse_step_doubling(monkeypatch):
     # the 4th-order splitting at twice the rule's steps moves the 293 K,
-    # 30 TW/cm^2 trace by at most 2e-8 of its transient peak (3.9e-9)
+    # 30 TW/cm^2 trace by at most 2e-8 of its transient peak (3.6e-9)
     one, two = _traces_at(monkeypatch, boltzmann_ensemble(CO2, 293.0), PulseSpec(30.0), (1, 2))
     assert 0.0 < np.max(np.abs(one - two)) <= 2e-8 * np.max(np.abs(two))
 
