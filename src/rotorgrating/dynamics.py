@@ -35,18 +35,19 @@ exceeds MAX_WORKING_SET_BYTES.
 
 The chain blocks are packed.  A ChainLayout lays the n x k blocks end to end
 in one amplitude array, in C order, in the order of the ensemble's chain
-grouping (ThermalEnsemble.chains); one cached layout serves every ensemble
-with the same channels and holds its int32 index arrays.  A _ChainStore
-packs the eigendecompositions of a j_max's chains the same way, one cached
-store per j_max, grown when a warmer ensemble needs chains of higher |M|.
+grouping (ThermalEnsemble.chains), and packs the eigendecompositions of
+those chains the same way, built on the first kick.  One layout serves every
+ensemble with the same channels at one j_max; _chain_layout, the one cache of
+chain data, keeps the latest few that fit a share of the working-set budget.
 The sudden kick fills every block's right-hand side V^T[:, rows] e^{i xi
-Lambda} with one repeat of the eigenphases and one gather from the store,
-then runs one GEMM per block, batched over runs of consecutive equal-shape
-blocks.  Every BLAS call sees the operands a block-by-block loop would, so
-the packed kernel is bit-identical to it.  tdse_ensemble starts from the
-same gathered first kick and composes the rest of its kicks block by block,
-in place in the packed array.  PackedChains.series_terms reduces the blocks
-per run for observables' cosine series.
+Lambda} with one exponential of the eigenvalues, one repeat and one gather by
+the layout's int32 index, then runs one GEMM per block, batched over runs of
+consecutive equal-shape blocks.  Every BLAS call sees the operands a
+block-by-block loop would, so the packed kernel is bit-identical to it.
+tdse_ensemble starts from the same gathered first kick and composes the rest
+of its kicks block by block, in place in the packed array.
+PackedChains.series_terms reduces the blocks per run for observables' cosine
+series.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .rotor import (
     JMBasis,
     MoleculeSpec,
     ThermalEnsemble,
+    _chain_groups,
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
@@ -134,86 +136,21 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths)))
 
 
-def _store_slots(m, parity, tops: tuple[int, int]):
-    """Place of the chains (m, parity) in a store holding m <= tops[parity]; accepts arrays."""
-    return np.where(parity == 0, 0, tops[0] + 1) + m
-
-
-def _store_chains(j_max: int, tops: tuple[int, int]):
-    """(m, parity, sizes) of the chains a store at j_max holds up to `tops`, in store order."""
-    ms = np.concatenate([np.arange(tops[0] + 1), np.arange(tops[1] + 1)])
-    parities = np.repeat([0, 1], [tops[0] + 1, tops[1] + 1])
-    return ms, parities, (j_max - _chain_start(ms, parities)) // 2 + 1
-
-
-@dataclass(frozen=True, eq=False)
-class _ChainStore:
-    """Eigendecompositions of the chains (m, parity) with m <= tops[parity] at one j_max.
-
-    Packed end to end, parity 0 first and m ascending (_store_chains): chain s
-    has its eigenvalues at evals[first[s]:first[s + 1]] and its eigenvector
-    matrix at evecs[square[s]:square[s + 1]] in Fortran order, as LAPACK
-    returns it, so that every GEMM with it keeps its BLAS path.
-    """
-
-    tops: tuple[int, int]
-    first: np.ndarray
-    square: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
-
-    def stack(self, s: int, count: int = 1):
-        """The eigenvector matrices of chains s to s + count, of one size n, as a count x n x n view."""
-        n = self.first[s + 1] - self.first[s]
-        return self.evecs[self.square[s]:self.square[s + count]].reshape(count, n, n).transpose(0, 2, 1)
-
-    def chain(self, s: int):
-        """(eigenvalues, eigenvector matrix) of chain s, as views."""
-        return self.evals[self.first[s]:self.first[s + 1]], self.stack(s)[0]
-
-
-CHAIN_STORE_SIZE = 16  # one store per j_max; a fit visits ~8 j_max values
+LAYOUT_CACHE_SIZE = 16  # one layout per (level set, j_max); a fit visits ~8
 GATHER_CHUNK = 8192  # eigenvector entries gathered per step of the sudden kick
-_CHAIN_STORES: OrderedDict[int, _ChainStore] = OrderedDict()
-
-
-def _chain_store(j_max: int, tops: tuple[int, int]) -> _ChainStore:
-    """The store at j_max, built or grown to hold the chains up to `tops`.
-
-    A grown store copies the chains it already had.  The cache keeps the
-    CHAIN_STORE_SIZE most recently used stores, each only while its
-    eigenvectors fit that share of the working-set budget.
-    """
-    old = _CHAIN_STORES.pop(j_max, None)
-    if old is not None:
-        tops = (max(tops[0], old.tops[0]), max(tops[1], old.tops[1]))
-    store = old if old is not None and old.tops == tops else _build_chain_store(j_max, tops, old)
-    if store.evecs.nbytes <= MAX_WORKING_SET_BYTES / CHAIN_STORE_SIZE:
-        _CHAIN_STORES[j_max] = store
-        while len(_CHAIN_STORES) > CHAIN_STORE_SIZE:
-            _CHAIN_STORES.popitem(last=False)
-    return store
-
-
-def _build_chain_store(j_max: int, tops: tuple[int, int], old: _ChainStore | None) -> _ChainStore:
-    ms, parities, sizes = _store_chains(j_max, tops)
-    first, square = _starts(sizes), _starts(sizes * sizes)
-    evals, evecs = np.empty(first[-1]), np.empty(square[-1])
-    for s, (m, parity) in enumerate(zip(ms.tolist(), parities.tolist())):
-        if old is not None and m <= old.tops[parity]:
-            ev, vec = old.chain(int(_store_slots(m, parity, old.tops)))
-        else:
-            _, ev, vec = _chain_eig(m, parity, j_max)
-        evals[first[s]:first[s + 1]] = ev
-        evecs[square[s]:square[s + 1]] = vec.ravel(order="F")
-    return _ChainStore(tops, first, square, evals, evecs)
+_LAYOUTS: OrderedDict[tuple, ChainLayout] = OrderedDict()
 
 
 def clear_caches():
-    """Drop cached eigendecompositions, chain layouts and operator matrices (for tests)."""
-    _CHAIN_STORES.clear()
-    for cache in (_chain_layout, _axis_matrix):
-        cache.cache_clear()
+    """Empty the caches of the sudden and fit path: the chain layouts with their
+    eigendecompositions, the lattice axis operators, the ensembles' chain
+    groupings and reconstruct's phase tables."""
+    from .observables import _PHASES  # imported here: observables imports this module
+
+    for cache in (_LAYOUTS, _PHASES):
+        cache.clear()
+    for cached in (_axis_matrix, _chain_groups):
+        cached.cache_clear()
 
 
 @lru_cache(maxsize=64)
@@ -257,20 +194,21 @@ def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
     return offsets, strengths, np.multiply(RKN_FREE, step), order
 
 
-def _gathered_kicks(store: _ChainStore, layout: "ChainLayout", g: float) -> np.ndarray:
+def _gathered_kicks(layout: "ChainLayout", g: float) -> np.ndarray:
     """Right-hand sides of every block's kick, as packed amplitudes.
 
     Block b's n x k slice is V^T[:, rows] e^{i g Lambda} for its columns'
     origin rows; its float view is the n x 2k matrix of (re, im) column pairs
     that one real GEMM with V kicks.  One repeat of the phases and one gather
-    from the packed store, by the layout's int32 index, fill every block at
+    from the layout's eigenvectors, by its int32 index, fill every block at
     once.
     """
-    eigen, row_counts, entries = layout.gather
-    amps = np.repeat(np.take(np.exp(1j * g * store.evals), eigen), row_counts)
+    evals, evecs = layout.eigen
+    row_counts, entries = layout.gather
+    amps = np.repeat(np.exp(1j * g * evals), row_counts)
     rhs = amps.view(float).reshape(-1, 2)
     for lo in range(0, len(entries), GATHER_CHUNK):  # keeps the gathered factors small
-        factors = np.take(store.evecs, entries[lo:lo + GATHER_CHUNK])
+        factors = np.take(evecs, entries[lo:lo + GATHER_CHUNK])
         rhs[lo:lo + GATHER_CHUNK, 0] *= factors
         rhs[lo:lo + GATHER_CHUNK, 1] *= factors
     return amps
@@ -393,20 +331,19 @@ class ChannelBlock:
 
 @dataclass(frozen=True, eq=False)
 class ChainLayout:
-    """Where the chains of a fixed-M ChannelSet lie in its packed amplitudes.
+    """Where the chains of a fixed-M ChannelSet lie in its packed amplitudes,
+    and the chains' eigendecompositions.
 
     Block b holds group b of `origins`, the ensemble's channels on the chain
     (|M|, J parity) = origins.keys[b]: sizes[b] levels from J = starts[b] and
     counts[b] columns, its n x k amplitude matrix in C order at entries
-    bounds[b] to bounds[b + 1], its eigendecomposition at slots[b] of a store
-    with `tops`.  One layout serves every ensemble with the same channels
-    (_chain_layout) and builds its index arrays on first use.
+    bounds[b] to bounds[b + 1].  One layout serves every ensemble with the
+    same channels at j_max (_chain_layout) and builds its eigendecompositions
+    and index arrays on first use.
     """
 
     origins: ChannelGroups
     j_max: int
-    tops: tuple[int, int]
-    slots: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     counts: np.ndarray
@@ -428,41 +365,50 @@ class ChainLayout:
             rows * np.repeat(self.counts, self.counts) + np.arange(len(rows)))
 
     @cached_property
-    def runs(self) -> list:
-        """Runs of consecutive blocks of one shape n x k on consecutive store slots.
+    def eigen(self) -> tuple:
+        """(evals, evecs) of every block's chain, packed in block order: block b's
+        eigenvalues lie on its rows, its eigenvector matrix on its eigenvector
+        entries (`runs`) in Fortran order, as LAPACK returns it, so that every
+        GEMM with it keeps its BLAS path."""
+        first, square = _starts(self.sizes), _starts(self.sizes * self.sizes)
+        evals, evecs = np.empty(first[-1]), np.empty(square[-1])
+        for b, (m, parity) in enumerate(self.origins.keys.tolist()):
+            _, evals[first[b]:first[b + 1]], vec = _chain_eig(m, parity, self.j_max)
+            evecs[square[b]:square[b + 1]] = vec.ravel(order="F")
+        return evals, evecs
 
-        Per run as Python ints: slot of its first block, n, k, then the first
-        and end of its blocks, amplitudes, columns and rows.
+    @cached_property
+    def runs(self) -> list:
+        """Runs of consecutive blocks of one shape n x k.
+
+        Per run as Python ints: n, k, then the first and end of its blocks,
+        amplitudes, columns, rows (and eigenvalues) and eigenvector entries.
         A run is one stacked BLAS batch, whose items match the per-block calls
         bit for bit.
         """
-        n, k, slots = self.sizes, self.counts, self.slots
-        first = np.flatnonzero(np.concatenate(([True], (n[1:] != n[:-1]) | (k[1:] != k[:-1])
-                                               | (slots[1:] != slots[:-1] + 1))))
+        n, k = self.sizes, self.counts
+        first = np.flatnonzero(np.concatenate(([True], (n[1:] != n[:-1]) | (k[1:] != k[:-1]))))
         ends = np.append(first[1:], len(n))
-        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n)]
-        columns = [slots[first], n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
+        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n), _starts(n * n)]
+        columns = [n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
         return list(zip(*(c.tolist() for c in columns)))
 
     def spans(self):
-        """Per block: slot, n, then the first and end of its amplitudes, columns and rows."""
-        for s, n, k, b0, b1, a0, _, c0, _, r0, _ in self.runs:
+        """Per block: n, then the first and end of its amplitudes, columns, rows and eigenvector entries."""
+        for n, k, b0, b1, a0, _, c0, _, r0, _, v0, _ in self.runs:
             for i in range(b1 - b0):
-                a, c, r = a0 + i * n * k, c0 + i * k, r0 + i * n
-                yield s + i, n, a, a + n * k, c, c + k, r, r + n
+                a, c, r, v = a0 + i * n * k, c0 + i * k, r0 + i * n, v0 + i * n * n
+                yield n, a, a + n * k, c, c + k, r, r + n, v, v + n * n
 
     @cached_property
     def gather(self) -> tuple:
-        """The sudden kick's indices into its store: per block row, its eigenvalue and column count;
+        """The sudden kick's indices into `eigen`: per block row, its column count;
         per entry (i, c), the eigenvector entry V[rows[c], i], built block by block into int32."""
-        sizes = _store_chains(self.j_max, self.tops)[2]
-        first, square = _starts(sizes), _starts(sizes * sizes)
         entries = np.empty(self.bounds[-1], dtype=np.int32)
-        for s, n, a0, a1, c0, c1, _, _ in self.spans():
-            # V is stored in Fortran order: V[r, i] lies at square[s] + n i + r
-            np.add.outer(square[s] + n * np.arange(n), self.rows[c0:c1], out=entries[a0:a1].reshape(n, -1))
-        eigen = np.repeat(first[self.slots], self.sizes) + _within(self.sizes)
-        return eigen.astype(np.int32), np.repeat(self.counts, self.sizes), entries
+        for n, a0, a1, c0, c1, _, _, v0, _ in self.spans():
+            # V is stored in Fortran order: V[r, i] lies at v0 + n i + r
+            np.add.outer(v0 + n * np.arange(n), self.rows[c0:c1], out=entries[a0:a1].reshape(n, -1))
+        return np.repeat(self.counts, self.sizes), entries
 
     @cached_property
     def operator(self) -> tuple:
@@ -473,14 +419,25 @@ class ChainLayout:
         return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
 
 
-@lru_cache(maxsize=CHAIN_STORE_SIZE)
-def _chain_layout(origins: ChannelGroups, j_max: int, tops: tuple[int, int]) -> ChainLayout:
-    m, parity = origins.keys[:, 0], origins.keys[:, 1]
-    starts = _chain_start(m, parity)
-    sizes = (j_max - starts) // 2 + 1
-    counts = np.diff(origins.bounds)
-    return ChainLayout(origins, j_max, tops, _store_slots(m, parity, tops), starts, sizes, counts,
-                       _starts(sizes * counts))
+def _chain_layout(origins: ChannelGroups, j_max: int) -> ChainLayout:
+    """The layout of `origins` at j_max, built or taken from the cache.
+
+    The cache keeps the LAYOUT_CACHE_SIZE most recently used layouts, each
+    only while its eigenvectors, 8 sum n^2 bytes, fit that share of the
+    working-set budget.
+    """
+    layout = _LAYOUTS.pop((origins, j_max), None)
+    if layout is None:
+        m, parity = origins.keys[:, 0], origins.keys[:, 1]
+        starts = _chain_start(m, parity)
+        sizes = (j_max - starts) // 2 + 1
+        counts = np.diff(origins.bounds)
+        layout = ChainLayout(origins, j_max, starts, sizes, counts, _starts(sizes * counts))
+    if 8 * int(np.sum(layout.sizes ** 2)) <= MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE:
+        _LAYOUTS[origins, j_max] = layout
+        while len(_LAYOUTS) > LAYOUT_CACHE_SIZE:
+            _LAYOUTS.popitem(last=False)
+    return layout
 
 
 @dataclass(frozen=True)
@@ -504,7 +461,7 @@ class PackedChains:
         z = np.empty(len(js), dtype=complex)
         weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
         lows = _starts(lay.sizes - 1)
-        for _, n, k, b0, b1, a0, a1, c0, c1, r0, r1 in lay.runs:
+        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
             m, l0, l1 = b1 - b0, lows[b0], lows[b1]
             c = amps[a0:a1].reshape(m, n, k)
             cross = np.conj(c[:, 1:])
@@ -522,7 +479,7 @@ class PackedChains:
         return tuple(
             ChannelBlock(levels[r0:r1], None, o.j0[c0:c1], o.m0[c0:c1], self.weights[c0:c1],
                          self.amplitudes[a0:a1].reshape(n, c1 - c0))
-            for _, n, a0, a1, c0, c1, r0, r1 in lay.spans()
+            for n, a0, a1, c0, c1, r0, r1, *_ in lay.spans()
         )
 
 
@@ -654,32 +611,30 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
     origins = ensemble.chains
     weights = ensemble.weights[origins.order]
     ms, parities = origins.keys.T
-    tops = tuple(int(ms[parities == p].max(initial=-1)) for p in (0, 1))
 
     def propagate(j_max):
         offsets, kicks, gaps, order = schedule(j_max)
+        layout = _chain_layout(origins, j_max)
         if xi == 0.0:
-            layout = _chain_layout(origins, j_max, tops)
             amps = np.zeros(layout.bounds[-1], dtype=complex)
             amps[layout.entries(layout.rows)] = 1.0
         else:
-            store = _chain_store(j_max, tops)
-            layout = _chain_layout(origins, j_max, store.tops)
-            amps = _gathered_kicks(store, layout, kicks[0])
+            amps = _gathered_kicks(layout, kicks[0])
             rhs_all = amps.view(float)
+            evals, evecs = layout.eigen  # V is stored in Fortran order: V^T in C order
             if len(kicks) == 1:
                 # one GEMM per block, batched over each run, in place
-                for s, n, k, b0, b1, a0, a1, *_ in layout.runs:
+                for n, k, b0, b1, a0, a1, *_, v0, v1 in layout.runs:
                     rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
-                    np.matmul(store.stack(s, b1 - b0), rhs, out=rhs)
+                    np.matmul(evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1), rhs, out=rhs)
             else:
                 levels = layout.levels
-                for s, n, a0, a1, c0, c1, r0, r1 in layout.spans():
-                    evals, evecs = store.chain(s)
+                for n, a0, a1, c0, c1, r0, r1, v0, v1 in layout.spans():
+                    vecs = evecs[v0:v1].reshape(n, n).T
                     omega = rotational_omega(levels[r0:r1], molecule)
-                    free = [(evecs.T * np.exp(-1j * omega * d)) @ evecs for d in gaps]
+                    free = [(vecs.T * np.exp(-1j * omega * d)) @ vecs for d in gaps]
                     block = rhs_all[2 * a0:2 * a1].reshape(n, -1)
-                    block[...] = _chain_steps(evals, evecs, block, kicks, [free[k] for k in order])
+                    block[...] = _chain_steps(evals[r0:r1], vecs, block, kicks, [free[k] for k in order])
                     # the free phases from reference_time to the first kick and back from the last
                     block = block.view(complex)
                     rows = layout.rows[c0:c1]

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import DOP853
 
-from rotorgrating import dynamics
+from rotorgrating import dynamics, observables, rotor
 from rotorgrating.dynamics import (
     BasisTooSmallError,
     elliptic_tdse_ensemble,
@@ -490,31 +490,36 @@ def test_chain_tdse_leaves_no_state():
 
 def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatch):
     # a 0 K kick at xi = 300 needs one chain of 606 levels, whose 2.9 MB of
-    # eigenvectors exceed a 32 MB budget's share of 2 MB per cached store;
+    # eigenvectors exceed a 32 MB budget's share of 2 MB per cached layout;
     # xi = 2 needs 10 levels
-    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", dynamics.CHAIN_STORE_SIZE * 2e6)
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", dynamics.LAYOUT_CACHE_SIZE * 2e6)
     dynamics.clear_caches()
     strong = kick_ensemble(CO2, GROUND, 300.0)
     assert len(strong.blocks[0].js) == 606
     assert strong.norm_deviation() < 1e-9
-    assert not dynamics._CHAIN_STORES
+    assert not dynamics._LAYOUTS
     weak = kick_ensemble(CO2, GROUND, 2.0)
-    assert list(dynamics._CHAIN_STORES) == [weak.j_max]
+    assert list(dynamics._LAYOUTS) == [(GROUND.chains, weak.j_max)]
+    assert weak.chains.layout is dynamics._LAYOUTS[GROUND.chains, weak.j_max]
 
 
-def test_chain_store_grows_bit_for_bit():
-    # a j_max store holds the chains up to the largest |M| asked of it: a
-    # warmer ensemble grows it, copying the chains it had, and its kick is
-    # the kick of a store built fresh
+def test_zero_kick_builds_no_eigendecomposition():
     dynamics.clear_caches()
-    kick_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), 3.0, j_max=60)
-    assert dynamics._CHAIN_STORES[60].tops == (14, -1)
-    warm = boltzmann_ensemble(CO2, 40.0)
-    grown = kick_ensemble(CO2, warm, 3.0, j_max=60)
-    assert dynamics._CHAIN_STORES[60].tops == (30, -1)
+    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 0.0)
+    assert "eigen" not in vars(cs.chains.layout)
+    kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 1.0, cs.j_max)
+    assert "eigen" in vars(cs.chains.layout)
+
+
+def test_clear_caches_empties_every_cache_of_the_sudden_and_fit_path():
+    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 3.0)
+    reconstruct(fourier_decompose(cs, "y"), revival_time_grid(CO2, 64))
+    dynamics._axis_operator(JMBasis(4, 0, 0), "x")
+    assert dynamics._LAYOUTS and observables._PHASES
+    assert dynamics._axis_matrix.cache_info().currsize and rotor._chain_groups.cache_info().currsize
     dynamics.clear_caches()
-    fresh = kick_ensemble(CO2, warm, 3.0, j_max=60)
-    assert grown.chains.amplitudes.tobytes() == fresh.chains.amplitudes.tobytes()
+    assert not dynamics._LAYOUTS and not observables._PHASES
+    assert dynamics._axis_matrix.cache_info().currsize == rotor._chain_groups.cache_info().currsize == 0
 
 
 def test_working_set_budget_raises_before_propagating(monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
-strength, the chain stepper's kick schedule over pulses, the chain stepper
-and the revivals over random molecules, the lattice's +-M mirror symmetry,
-and the CLI's exit codes over generated configs."""
+strength, the chain stepper's kick schedule over pulses, the chain stepper,
+the warm chain cache and the revivals over random molecules, the lattice's
++-M mirror symmetry, and the CLI's exit codes over generated configs."""
 
 import json
 import math
@@ -80,6 +80,27 @@ def test_chain_stepper_over_random_molecules(b, delta_alpha, spins, temperature,
             rhs = (evecs[(k.j0 - k.js[0]) // 2].T[:, :, None] * rot).reshape(len(k.js), -1)
             assert (evecs @ rhs).view(complex).tobytes() == k.amplitudes.tobytes()
     assert gaps[1] <= 0.6 * gaps[0] and gaps[2] <= 0.6 * gaps[1]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0),
+       spins=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]),
+       temperatures=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=3), xi=st.floats(0.1, 5.0),
+       data=st.data())
+def test_warm_chain_cache_kicks_as_an_empty_one(b, delta_alpha, spins, temperatures, xi, data):
+    # kicks at one explicit j_max, in random order through the warm layout
+    # cache, are byte-equal to the same kicks from an empty cache
+    molecule = MoleculeSpec("random", b, delta_alpha, *spins)
+    ensembles = [boltzmann_ensemble(molecule, t) for t in temperatures]
+    j_max = max(kick_ensemble(molecule, ens, xi).j_max for ens in ensembles)
+    kicks = [(i, x) for i in range(len(ensembles)) for x in (xi, xi / 2)]
+    fresh = {}
+    for i, x in kicks:
+        dynamics.clear_caches()
+        fresh[i, x] = kick_ensemble(molecule, ensembles[i], x, j_max).chains.amplitudes.tobytes()
+    dynamics.clear_caches()
+    for i, x in data.draw(st.lists(st.sampled_from(kicks), min_size=len(kicks), max_size=2 * len(kicks))):
+        assert kick_ensemble(molecule, ensembles[i], x, j_max).chains.amplitudes.tobytes() == fresh[i, x]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

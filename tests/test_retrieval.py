@@ -345,11 +345,8 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     dynamics.clear_caches()
     fit_trace(wide, trace, max_evaluations=60, refine_starts=1,
               n_intensity_starts=2, n_temperature_starts=2)
-    # one eigenvector store and one chain layout per visited j_max
-    assert 0 < len(dynamics._CHAIN_STORES) <= dynamics.CHAIN_STORE_SIZE == 16
-    info = dynamics._chain_layout.cache_info()
-    assert info.maxsize == dynamics.CHAIN_STORE_SIZE
-    assert 0 < info.currsize <= info.maxsize
+    # one chain layout, with its eigendecompositions, per visited (level set, j_max)
+    assert 0 < len(dynamics._LAYOUTS) <= dynamics.LAYOUT_CACHE_SIZE == 16
     info = rotor._chain_groups.cache_info()
     assert 0 < info.currsize <= info.maxsize == rotor.GROUPS_CACHE_SIZE
     # reconstruct's phase tables of the scan's delays
