@@ -12,7 +12,6 @@ from .dynamics import (
     BasisTooSmallError,
     ChannelBlock,
     ChannelSet,
-    IntegrationError,
     PropagationError,
     elliptic_tdse_ensemble,
     kick_ensemble,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "revival_period",
-    "BasisTooSmallError", "ChannelBlock", "ChannelSet", "IntegrationError", "PropagationError",
+    "BasisTooSmallError", "ChannelBlock", "ChannelSet", "PropagationError",
     "elliptic_tdse_ensemble", "kick_ensemble", "tdse_ensemble",
     "PulseSpec", "effective_area", "elliptic_pulse",
     "envelope_intensity", "xi_per_intensity",

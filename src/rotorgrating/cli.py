@@ -153,9 +153,10 @@ def _out_dir(args) -> str:
 
 
 def _write_json(obj: dict, path: str):
+    # strict JSON: a NaN or infinity raises before the file exists
+    text = json.dumps(obj, indent=2, sort_keys=True, default=float, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _stamp(resolved: dict) -> dict:

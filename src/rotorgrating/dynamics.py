@@ -7,7 +7,8 @@ Three drivers with one physical model, each returning a ChannelSet:
   * tdse_ensemble: finite pulse polarized along y, the chain stepper
     composed over the pulse window.
   * elliptic_tdse_ensemble: finite elliptic pulse, interaction
-    A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice.
+    A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice, the
+    same stepper in each reflection sector.
 
 On a fixed-M (|M|, J-parity) chain d psi/dt = i (g(t) C - omega) psi, with
 g = dxi/dt and C = cos^2 theta = V Lambda V^T cached per chain.  The free part
@@ -20,10 +21,13 @@ free flow of weight a is exp(-i omega a H) (a3 < 0 flows back).  n uniform
 steps of width H span the pulse window, counted from the basis' fastest
 Raman frequency and the pulse FWHM; adjacent steps share their end kick, so
 n steps make 6n + 1 kicks.  Free flows act as V^T e^{-i omega d} V, so the
-state stays in the eigenbasis between kicks, one complex GEMM per kick.  The
-(J,M) lattice runs one adaptive DOP853 solve per group in the interaction
-picture anchored at the pulse center, ending on its last step with no
-history or interpolant.
+state stays in the eigenbasis between kicks, one complex GEMM per kick.
+
+On a (J parity, M parity) lattice group C = A^2 cos^2 theta_x + B^2 cos^2
+theta_y is one fixed operator too.  The reflection R|J,M> = (-1)^M |J,-M>
+(phi -> -phi) commutes with C and omega: each sector, spanned by Wang's
+signed combinations (Phys. Rev. 34, 243 (1929)), runs the same stepper on its
+dense W^T C W with one eigh, and the group's state is the sum of the W a.
 
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls, one
@@ -52,7 +56,6 @@ series.
 
 from __future__ import annotations
 
-import gc
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -61,9 +64,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.integrate import DOP853, DenseOutput, solve_ivp
+# no propagator calls it; perfbench/layers.py reads and rebinds dynamics.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .field import PulseSpec, effective_area, kick_rate, pulse_half_window, pulse_window
+from .field import PulseSpec, effective_area, kick_rate, pulse_half_window
 from .rotor import (
     ChannelGroups,
     JMBasis,
@@ -80,11 +84,8 @@ from .rotor import (
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB and the 60 K elliptic one ~0.32 GB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB, the 60 K elliptic one ~0.22 GB.
 MAX_WORKING_SET_BYTES = 2e9
-# Complex state vectors a lattice TDSE solve holds at its peak: DOP853's
-# stages and step temporaries (30 traced per solve) and the initial state
-TDSE_STATE_VECTORS = 34
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
 _B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
@@ -102,10 +103,6 @@ class PropagationError(RuntimeError):
 
 class BasisTooSmallError(PropagationError):
     """Norm leaked into the top rotational shells; j_max must grow."""
-
-
-class IntegrationError(PropagationError):
-    """The adaptive integrator failed to meet its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -228,71 +225,62 @@ def _chain_steps(evals, evecs, rhs, kicks, free):
     return evecs @ z.view(float)
 
 
+def _compose(evals, vecs, omega, omega0, block, schedule):
+    """Run a schedule in place on block, n x 2k floats: the first kick's right-hand
+    side in, the amplitudes at the reference time out.  omega is each row's free
+    frequency, omega0 each column origin's, for the free phases from the
+    reference time to the first kick and back from the last."""
+    offsets, kicks, gaps, order = schedule
+    free = [(vecs.T * np.exp(-1j * omega * d)) @ vecs for d in gaps]
+    block[...] = _chain_steps(evals, vecs, block, kicks, [free[k] for k in order])
+    block = block.view(complex)
+    block *= np.exp(1j * np.subtract.outer(omega * offsets[-1], omega0 * offsets[0]))
+
+
 # ---------------------------------------------------------------------------
-# Lattice TDSE propagation (interaction picture)
+# The (J,M) lattice: reflection sectors on the same stepper
 # ---------------------------------------------------------------------------
 
-class _EndState(DenseOutput):
-    """A step's end state y, defined at the step end t alone."""
+def _reflection_sectors(basis: JMBasis) -> list:
+    """The + and - sectors of R|J,M> = (-1)^M |J,-M> on a lattice group: per
+    sector, the n x n_s sparse W whose orthonormal columns are (|J,M> +- (-1)^M
+    |J,-M>)/sqrt2, one per M > 0 site (the + sector also holds |J,0>), and their J."""
+    j = basis.j_of
+    m = np.array([p[1] for p in basis.pairs])
+    # a shell lists its M in ascending order, so |J,-M> mirrors |J,M> within it
+    mirror = np.searchsorted(j, j) + np.searchsorted(j, j, side="right") - 1 - np.arange(len(j))
+    sectors = []
+    for sign, sites in ((1.0, np.flatnonzero(m >= 0)), (-1.0, np.flatnonzero(m > 0))):
+        paired = m[sites] > 0
+        cols = np.arange(len(sites))
+        values = np.where(paired, math.sqrt(0.5), 1.0)
+        mirrored = sign * values[paired] * (-1.0) ** m[sites[paired]]
+        entries = (np.concatenate((sites, mirror[sites[paired]])), np.concatenate((cols, cols[paired])))
+        w = scipy.sparse.csr_matrix((np.concatenate((values, mirrored)), entries), shape=(len(j), len(sites)))
+        sectors.append((w, j[sites]))
+    return sectors
 
-    def __init__(self, t_old, t, y):
-        super().__init__(t_old, t)
-        self.y = y
 
-    def _call_impl(self, t):
-        if np.any(t != self.t):
-            raise ValueError(f"the end state is defined at t={self.t} only, not at {t}")
-        return self.y if t.ndim == 0 else np.broadcast_to(self.y[:, None], (len(self.y), t.size))
+def _lattice_steps(basis: JMBasis, coupling, molecule: MoleculeSpec, origins: np.ndarray, schedule):
+    """Amplitudes at the reference time of the columns started on the basis sites
+    `origins`, after the schedule's kicks of `coupling`: sum W a over the sectors.
 
-
-class _EndStateDOP853(DOP853):
-    """DOP853 whose dense output is the last step's end state.
-
-    solve_ivp reads y(t_eval) from the dense output of the step that reaches
-    it; at the step end DOP853's 7-term interpolant only reproduces y, at the
-    cost of 3 more stages and 7 state vectors of coefficients.
+    A column's sector component is W's row at its origin; a sector skips the
+    columns it does not hold (an M0 = 0 origin lies in the + sector only).
     """
-
-    def _dense_output_impl(self):
-        return _EndState(self.t_old, self.t, self.y)
-
-
-def _integrate_interaction(y0, omega, coupling, pulse, molecule):
-    """Integrate da/dt = i (dxi/dt)(t) D(t) C D*(t) a over the pulse window.
-
-    a is the interaction-picture state anchored at the pulse center t0, D =
-    exp(i omega (t - t0)), C the sparse `coupling`, and the columns of y0 are
-    stacked channels.  Returns the interaction-picture state after the
-    pulse, shaped like y0.
-
-    The solve ends on DOP853's last step: t_eval=[tb] keeps no step history,
-    and the end-state dense output hands over that step's y without building
-    an interpolant, so no stage runs after the last step.
-    """
-    ta, tb = pulse_window(pulse)
-
-    def rhs(t, y):
-        ph = np.exp(1j * (omega * (t - pulse.t0_ps)))[:, None]
-        da = ph * coupling.dot(np.conj(ph) * y.reshape(len(omega), -1))
-        return (1j * kick_rate(pulse, molecule, t)) * da.ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (ta, tb),
-        np.asarray(y0, dtype=complex).ravel(),
-        method=_EndStateDOP853,
-        t_eval=[tb],
-        rtol=1e-8,
-        atol=1e-12,
-        dense_output=False,
-    )
-    # the solver object holds a reference cycle, so its stages outlive this
-    # call until the cycle collector runs; free them before the next solve.
-    # It is still young (arrays are not tracked): a sub-ms collection suffices
-    gc.collect(1)
-    if not sol.success:
-        raise IntegrationError(f"TDSE integration failed: {sol.message}")
-    return sol.y[:, 0].reshape(np.shape(y0))
+    omega0 = rotational_omega(basis.j_of[origins], molecule)
+    first = schedule[1][0]
+    amps = np.zeros((len(basis), len(origins)), dtype=complex)
+    for w, js in _reflection_sectors(basis):
+        start = w[origins]
+        cols = np.flatnonzero(start.getnnz(axis=1))
+        evals, vecs = np.linalg.eigh((w.T @ coupling @ w).toarray())
+        # the first kick's right-hand side e^{i G Lambda} V^T a0, n x k in C order
+        rhs = np.ascontiguousarray((start[cols] @ vecs).T, dtype=complex)
+        rhs *= np.exp(1j * first * evals)[:, None]
+        _compose(evals, vecs, rotational_omega(js, molecule), omega0[cols], rhs.view(float), schedule)
+        amps[:, cols] += w @ rhs
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +601,8 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
     ms, parities = origins.keys.T
 
     def propagate(j_max):
-        offsets, kicks, gaps, order = schedule(j_max)
+        plan = schedule(j_max)
+        kicks = plan[1]
         layout = _chain_layout(origins, j_max)
         if xi == 0.0:
             amps = np.zeros(layout.bounds[-1], dtype=complex)
@@ -630,15 +619,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
             else:
                 levels = layout.levels
                 for n, a0, a1, c0, c1, r0, r1, v0, v1 in layout.spans():
-                    vecs = evecs[v0:v1].reshape(n, n).T
                     omega = rotational_omega(levels[r0:r1], molecule)
-                    free = [(vecs.T * np.exp(-1j * omega * d)) @ vecs for d in gaps]
-                    block = rhs_all[2 * a0:2 * a1].reshape(n, -1)
-                    block[...] = _chain_steps(evals[r0:r1], vecs, block, kicks, [free[k] for k in order])
-                    # the free phases from reference_time to the first kick and back from the last
-                    block = block.view(complex)
-                    rows = layout.rows[c0:c1]
-                    block *= np.exp(1j * np.subtract.outer(omega * offsets[-1], omega[rows] * offsets[0]))
+                    _compose(evals[r0:r1], evecs[v0:v1].reshape(n, n).T, omega, omega[layout.rows[c0:c1]],
+                             rhs_all[2 * a0:2 * a1].reshape(n, -1), plan)
         return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi,
                           PackedChains(layout, weights, amps))
 
@@ -707,34 +690,43 @@ def elliptic_tdse_ensemble(
 ) -> ChannelSet:
     """TDSE propagation of a thermal ensemble under an elliptic pump.
 
-    Channels are grouped by (J parity, M parity); each group shares one
-    sparse coupling operator on its parity-filtered (J,M) lattice, and all
-    its channels integrate together as stacked columns.  The +-M0 mirror
-    symmetry of the coupling makes folded ensembles exact.
+    Channels are grouped by (J parity, M parity), one block per group on its
+    parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps).
+    The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
+    each column on its origin.
     """
     xi = effective_area(pulse, molecule)
     groups = ensemble.grouped(ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
     weights = ensemble.weights[groups.order]
 
     def propagate(j_max):
+        plan = _rkn_schedule(pulse, molecule, j_max)
         blocks = []
         for (jp, mp), c0, c1 in groups.spans():
             j0, m0 = groups.j0[c0:c1], groups.m0[c0:c1]
             basis = JMBasis(j_max, j_parity=jp, m_parity=mp)
-            coupling = (
-                pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")
-            ).tocsr()
-            omega = rotational_omega(basis.j_of, molecule)
-            y0 = np.zeros((len(basis), len(j0)), dtype=complex)
-            y0[[basis.index[o] for o in zip(j0.tolist(), m0.tolist())], np.arange(len(j0))] = 1.0
-            a = _integrate_interaction(y0, omega, coupling, pulse, molecule)
+            origins = np.array([basis.index[o] for o in zip(j0.tolist(), m0.tolist())])
+            if xi == 0.0:
+                a = np.zeros((len(basis), len(origins)), dtype=complex)
+                a[origins, np.arange(len(origins))] = 1.0
+            else:
+                coupling = pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")
+                a = _lattice_steps(basis, coupling, molecule, origins, plan)
             blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, weights[c0:c1], a))
         return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, lattice=tuple(blocks))
 
     def working_set(j_max):
-        # the groups integrate one after another: every group's result plus
-        # the solver state of the largest group
-        dims = [_lattice_size(j_max, jp, mp) * (c1 - c0) for (jp, mp), c0, c1 in groups.spans()]
-        return 16 * (sum(dims) + (TDSE_STATE_VECTORS - 1) * max(dims))
+        # every group's result, plus for the largest sector (a group's M >= 0
+        # sites) its operator and eigenvectors, three free propagators and the
+        # two temporaries of their build, the kick phase table (40 B per kick
+        # and level) and 3 state matrices.  Integers: j_max may be huge
+        kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
+        results, sector = 0, 0
+        for (jp, mp), c0, c1 in groups.spans():
+            n, k = _lattice_size(j_max, jp, mp), c1 - c0
+            half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
+            results += 16 * n * k
+            sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half)
+        return results + sector
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)

@@ -46,16 +46,19 @@ from .rotor import (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: `measured` is None when the check could not measure (a failed propagation)."""
+
     suite: str
     name: str
     passed: bool
-    measured: float
+    measured: float | None
     target: str
     detail: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        out = f"[{status}] {self.suite}/{self.name}: measured {self.measured:.6g} (target {self.target})"
+        value = "n/a" if self.measured is None else f"{self.measured:.6g}"
+        out = f"[{status}] {self.suite}/{self.name}: measured {value} (target {self.target})"
         return out + (f" - {self.detail}" if self.detail else "")
 
 
@@ -279,7 +282,7 @@ def suite_hygiene(
     try:
         cs = kick_ensemble(molecule, ens, xi, j_max)
     except BasisTooSmallError as exc:
-        rows.append(CheckResult("hygiene", "norm_leak_guard", False, float("nan"),
+        rows.append(CheckResult("hygiene", "norm_leak_guard", False, None,
                                 "basis large enough", str(exc)))
         return rows
     dev = cs.norm_deviation()
@@ -335,7 +338,7 @@ def run_all(
         try:
             return jobs[name]()
         except PropagationError as exc:
-            return [CheckResult(name, "propagation", False, float("nan"), "no numerical failure",
+            return [CheckResult(name, "propagation", False, None, "no numerical failure",
                                 str(exc))]
 
     return [row for name in names for row in run(name)]

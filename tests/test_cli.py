@@ -228,12 +228,11 @@ def test_simulate_rejects_degenerate_time_grid(tmp_path, capsys):
 
 @pytest.fixture
 def no_propagation(monkeypatch):
-    """Fail any chain stepper or lattice solve the test starts."""
+    """Fail any TDSE the test starts: the chains and the lattice share one stepper."""
     def propagate(*args, **kwargs):
         raise AssertionError("a propagation started")
 
     monkeypatch.setattr(dynamics, "_chain_steps", propagate)
-    monkeypatch.setattr(dynamics, "solve_ivp", propagate)
 
 
 @pytest.mark.parametrize("probe", [0.0, -0.1])
@@ -480,22 +479,18 @@ def test_fourier_rejects_tdse_too_large_to_size(tmp_path, capsys, pump):
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
-    # 293 K at 30 TW/cm^2 stacks 10.3 M lattice entries in two groups: their
-    # results plus the larger group's solver state come to ~3.0 GB
-    def solve_ivp(*args, **kwargs):
-        raise AssertionError("a propagation started")
-
-    monkeypatch.setattr(dynamics, "solve_ivp", solve_ivp)
+def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, capsys):
+    # 293 K at 60 TW/cm^2 needs j_max 201: the two groups' results plus the
+    # larger + sector's stepper arrays come to ~3.1 GB
     cfg = _cfg(tmp_path, {
-        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 30.0, "method": "tdse",
+        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 60.0, "method": "tdse",
         "polarization": [0.8164965809277261, 0.5773502691896257],
     })
     out = tmp_path / "x"
     start = time.perf_counter()
     assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert time.perf_counter() - start < 1.0
-    assert "needs about 2.97 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=201 needs about 3.12 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -548,14 +543,35 @@ def test_validate_reports_norm_leak_on_tiny_basis(tmp_path, capsys):
     assert doc["passed"] is False
 
 
+def _strict_json(path):
+    """The JSON document at path, refusing the NaN and Infinity that strict parsers reject."""
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_validate_reports_a_failed_propagation(tmp_path, capsys):
     # the 30 K ensemble starts above J = 8, so neither propagation can run
     cfg = _cfg(tmp_path, {"j_max": 8, "suites": ["sudden_vs_tdse"]})
     out = tmp_path / "val"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-    (row,) = json.loads((out / "validation.json").read_text())["checks"]
-    assert (row["suite"], row["name"], row["passed"]) == ("sudden_vs_tdse", "propagation", False)
+    (row,) = _strict_json(out / "validation.json")["checks"]
+    assert (row["suite"], row["name"], row["passed"], row["measured"]) == (
+        "sudden_vs_tdse", "propagation", False, None)
     assert "exceeds j_max=8" in row["detail"]
+
+
+def test_validate_writes_strict_json_when_the_edge_guard_fires(tmp_path, capsys):
+    # at j_max 90 the 293 K, 20 TW/cm^2 kick populates the basis edge: the
+    # guard's row has no measured value and says so with null
+    cfg = _cfg(tmp_path, {"j_max": 90, "suites": ["hygiene"]})
+    out = tmp_path / "val"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "[FAIL] hygiene/norm_leak_guard: measured n/a" in capsys.readouterr().out
+    (row,) = _strict_json(out / "validation.json")["checks"]
+    assert (row["name"], row["passed"], row["measured"]) == ("norm_leak_guard", False, None)
+    assert "enlarge j_max" in row["detail"]
 
 
 def test_validate_unknown_suite_name(tmp_path, capsys):

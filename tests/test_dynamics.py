@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import DOP853
 
 from rotorgrating import dynamics, observables, rotor
 from rotorgrating.dynamics import (
@@ -313,20 +312,20 @@ def test_step_rule_holds_strong_kicks_at_zero_temperature(monkeypatch):
     assert np.max(np.abs(one - four)) <= 1e-7 * np.max(np.abs(four))
 
 
-def _trace_lattice_solves(monkeypatch, excess):
-    # a lattice solve holds DOP853's stages and step temporaries, 30 state
-    # vectors; one that builds the last step's interpolant holds 36, and one
-    # that keeps its step history one more per step (70 here)
-    solve = dynamics.solve_ivp
-
-    def traced(fun, t_span, y0, **kwargs):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sol = solve(fun, t_span, y0, **kwargs)
-        excess.append((tracemalloc.get_traced_memory()[1] - start) / (16 * len(y0)) - 31)
-        return sol
-
-    monkeypatch.setattr(dynamics, "solve_ivp", traced)
+def test_step_rule_holds_the_lattice(monkeypatch):
+    # the lattice runs the chain's rule: at 0 K, 30 TW/cm^2 with A^2 = 2/3
+    # both axes' traces are within 1e-7 of their peaks of the traces at 4
+    # times the steps (6.3e-9 on x and 7.7e-9 on y)
+    times = revival_time_grid(CO2, 2048, t_start=0.5)
+    steps = dynamics._rkn_steps
+    traces = []
+    for f in (1, 4):
+        monkeypatch.setattr(dynamics, "_rkn_steps", lambda *args, f=f: f * steps(*args))
+        cs = elliptic_tdse_ensemble(CO2, GROUND, elliptic_pulse(30.0, 2 / 3, 1 / 3))
+        assert cs.norm_deviation() < 1e-12
+        traces.append([reconstruct(fourier_decompose(cs, axis), times).values for axis in "xy"])
+    for one, four in zip(*traces):
+        assert np.max(np.abs(one - four)) <= 1e-7 * np.max(np.abs(four))
 
 
 def _trace_chain_runs(monkeypatch, excess):
@@ -353,60 +352,21 @@ def _trace_chain_runs(monkeypatch, excess):
     monkeypatch.setattr(dynamics, "_chain_steps", traced)
 
 
-@pytest.mark.parametrize("trace, propagate", [
-    (_trace_chain_runs, lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), PulseSpec(30.0))),
-    (_trace_lattice_solves,
-     lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 0.5, 0.5))),
+@pytest.mark.parametrize("propagate", [
+    lambda: tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), PulseSpec(30.0)),
+    lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5)),
 ], ids=["linear", "elliptic"])
-def test_tdse_keeps_no_step_history(monkeypatch, trace, propagate):
+def test_tdse_keeps_no_step_history(monkeypatch, propagate):
+    # both routes run the same stepper: the chains block by block, the
+    # lattice sector by sector
     excess = []
-    trace(monkeypatch, excess)
+    _trace_chain_runs(monkeypatch, excess)
     tracemalloc.start()
     try:
         propagate()
     finally:
         tracemalloc.stop()
     assert excess and max(excess) <= 0
-
-
-def test_tdse_final_state_equals_full_history_solve(monkeypatch):
-    # the lattice end state is the last step's y, and no stage runs after that step
-    last = []
-    solve = dynamics.solve_ivp
-
-    def both(fun, t_span, y0, **kwargs):
-        full = solve(fun, t_span, y0, **{k: v for k, v in kwargs.items() if k != "t_eval"})
-        last.append(full.y[:, -1].copy())
-        sol = solve(fun, t_span, y0, **kwargs)
-        assert sol.nfev == full.nfev
-        return sol
-
-    monkeypatch.setattr(dynamics, "solve_ivp", both)
-    cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5))
-    assert len(last) == len(cs.blocks)
-    for b, want in zip(cs.blocks, last):
-        assert np.array_equal(b.amplitudes.ravel(), want)
-
-
-def test_end_state_is_defined_at_the_step_end_only():
-    y = np.array([1.0 + 2.0j, -0.5j])
-    end = dynamics._EndState(0.5, 1.5, y)
-    assert end(1.5) is y
-    assert np.array_equal(end([1.5]), y[:, None])
-    for t in (0.5, 1.0, 1.5 + 1e-12, [1.0, 1.5]):
-        with pytest.raises(ValueError, match="defined at t=1.5 only"):
-            end(t)
-
-
-@pytest.mark.parametrize("propagate", [
-    lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5)),
-], ids=["elliptic"])
-def test_tdse_frees_its_solvers(propagate):
-    # each solve's young-generation collection frees the solver's reference
-    # cycle, so none is left for a later full collection
-    gc.collect()
-    propagate()
-    assert not [o for o in gc.get_objects() if isinstance(o, DOP853)]
 
 
 def test_lattice_size_counts_the_basis():
@@ -417,22 +377,30 @@ def test_lattice_size_counts_the_basis():
 
 
 def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
-    # the groups integrate one after another: the estimate counts every
-    # group's result plus the solver state of the largest group
+    # the groups run one after another: the estimate counts every group's
+    # result plus the largest sector's stepper arrays: its operator and
+    # eigenvectors, three free propagators and their build's two
+    # temporaries, the kick phase table and 3 state matrices
     estimates = []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
     dynamics.clear_caches()
+    pulse = elliptic_pulse(10.0, 2 / 3, 1 / 3)
     tracemalloc.start()
     try:
-        cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(10.0, 2 / 3, 1 / 3))
+        cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), pulse)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    dims = [b.amplitudes.size for b in cs.blocks]
-    assert len(dims) == 2
-    assert estimates == [16 * (sum(dims) + (dynamics.TDSE_STATE_VECTORS - 1) * max(dims))]
+    shapes = [b.amplitudes.shape for b in cs.blocks]
+    assert len(shapes) == 2
+    # the + sector, the larger, holds a group's M >= 0 sites
+    halves = [dynamics._reflection_sectors(b.basis)[0][0].shape[1] for b in cs.blocks]
+    kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
+    assert estimates == [sum(16 * n * k for n, k in shapes)
+                         + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
+                               for h, (_, k) in zip(halves, shapes))]
     assert peak <= estimates[0]
 
 
@@ -525,8 +493,7 @@ def test_clear_caches_empties_every_cache_of_the_sudden_and_fit_path():
 def test_working_set_budget_raises_before_propagating(monkeypatch):
     ens = boltzmann_ensemble(CO2, 30.0)
     pulse = PulseSpec(30.0)
-    # any propagation would fail
-    monkeypatch.setattr(dynamics, "solve_ivp", None)
+    # any propagation would fail: both TDSE routes run the chain stepper
     monkeypatch.setattr(dynamics, "_chain_steps", None)
     # the 30 K TDSE needs about 1.0 MB
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 5e5)

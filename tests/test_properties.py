@@ -1,7 +1,8 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
 strength, the chain stepper's kick schedule over pulses, the chain stepper,
 the warm chain cache and the revivals over random molecules, the lattice's
-+-M mirror symmetry, and the CLI's exit codes over generated configs."""
++-M mirror symmetry and reflection sectors, and the CLI's exit codes over
+generated configs."""
 
 import json
 import math
@@ -121,21 +122,41 @@ def test_revival_periodicity_over_random_molecules(b, delta_alpha, spins, temper
 @given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0), j0=st.integers(1, 6), data=st.data(),
        intensity=st.floats(0.5, 10.0), a2=st.floats(0.0, 1.0))
 def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a2):
-    # the lattice driver folds -M0 onto +M0: its coupling and integrator carry
-    # |J0, -M0> into the mirror image, M -> -M, of what |J0, +M0> becomes
+    # the lattice driver folds -M0 onto +M0: its stepper carries |J0, -M0>
+    # into the mirror image, M -> -M, of what |J0, +M0> becomes
     molecule = MoleculeSpec("random", b, delta_alpha)
     m0 = data.draw(st.integers(1, j0))
     pulse = elliptic_pulse(intensity, a2, 1.0 - a2)
     basis = JMBasis(10, j0 % 2, m0 % 2)
-    coupling = (pulse.a2 * dynamics._axis_operator(basis, "x")
-                + pulse.b2 * dynamics._axis_operator(basis, "y")).tocsr()
-    y0 = np.zeros((len(basis), 2), dtype=complex)
-    y0[basis.index[(j0, m0)], 0] = y0[basis.index[(j0, -m0)], 1] = 1.0
-    amps = dynamics._integrate_interaction(y0, rotational_omega(basis.j_of, molecule), coupling, pulse,
-                                           molecule)
+    coupling = pulse.a2 * dynamics._axis_operator(basis, "x") + pulse.b2 * dynamics._axis_operator(basis, "y")
+    origins = np.array([basis.index[(j0, m0)], basis.index[(j0, -m0)]])
+    schedule = dynamics._rkn_schedule(pulse, molecule, basis.j_max)
+    amps = dynamics._lattice_steps(basis, coupling, molecule, origins, schedule)
     mirror = [basis.index[(j, -m)] for j, m in basis.pairs]
     assert np.max(np.abs(amps[mirror, 1] - amps[:, 0])) <= 1e-12
-    assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-8
+    assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(j_max=st.integers(2, 30), j_parity=st.integers(0, 1), m_parity=st.integers(0, 1))
+def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
+    # the sectors of R|J,M> = (-1)^M |J,-M> together form an orthogonal basis
+    # of the group, R commutes with both axis operators and is +-1 on the
+    # sectors, so no axis operator couples them
+    basis = JMBasis(j_max, j_parity, m_parity)
+    (plus, _), (minus, _) = dynamics._reflection_sectors(basis)
+    assert plus.shape[1] + minus.shape[1] == dynamics._lattice_size(j_max, j_parity, m_parity) == len(basis)
+    w = np.hstack([plus.toarray(), minus.toarray()])
+    assert np.max(np.abs(w.T @ w - np.eye(len(basis)))) <= 1e-15
+    reflection = np.zeros((len(basis), len(basis)))
+    for i, (j, m) in enumerate(basis.pairs):
+        reflection[basis.index[(j, -m)], i] = (-1.0) ** m
+    assert np.array_equal(reflection @ plus.toarray(), plus.toarray())
+    assert np.array_equal(reflection @ minus.toarray(), -minus.toarray())
+    for axis in "xy":
+        c = dynamics._axis_operator(basis, axis).toarray()
+        assert np.max(np.abs(reflection @ c - c @ reflection)) <= 1e-15
+        assert np.all(np.abs(plus.T @ c @ minus) <= 1e-15)
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
