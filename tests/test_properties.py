@@ -19,7 +19,7 @@ from rotorgrating.dynamics import kick_ensemble, tdse_ensemble
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
 from rotorgrating.rotor import (
-    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, raman_frequency, rotational_omega,
+    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, raman_frequency,
 )
 
 
