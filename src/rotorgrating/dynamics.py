@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -140,23 +140,13 @@ _LAYOUTS: OrderedDict[tuple, ChainLayout] = OrderedDict()
 
 def clear_caches():
     """Empty the caches of the sudden and fit path: the chain layouts with their
-    eigendecompositions, the lattice axis operators, the ensembles' chain
-    groupings and reconstruct's phase tables."""
+    eigendecompositions, the ensembles' chain groupings and reconstruct's phase
+    tables."""
     from .observables import _PHASES  # imported here: observables imports this module
 
     for cache in (_LAYOUTS, _PHASES):
         cache.clear()
-    for cached in (_axis_matrix, _chain_groups):
-        cached.cache_clear()
-
-
-@lru_cache(maxsize=64)
-def _axis_matrix(j_max: int, j_parity, m_parity, axis: str) -> scipy.sparse.csr_matrix:
-    return cos2theta_axis_matrix(JMBasis(j_max, j_parity, m_parity), axis)
-
-
-def _axis_operator(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
-    return _axis_matrix(basis.j_max, basis.j_parity, basis.m_parity, axis)
+    _chain_groups.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +235,8 @@ def _reflection_sectors(basis: JMBasis) -> list:
     """The + and - sectors of R|J,M> = (-1)^M |J,-M> on a lattice group: per
     sector, the n x n_s sparse W whose orthonormal columns are (|J,M> +- (-1)^M
     |J,-M>)/sqrt2, one per M > 0 site (the + sector also holds |J,0>), and their J."""
-    j = basis.j_of
-    m = np.array([p[1] for p in basis.pairs])
-    # a shell lists its M in ascending order, so |J,-M> mirrors |J,M> within it
-    mirror = np.searchsorted(j, j) + np.searchsorted(j, j, side="right") - 1 - np.arange(len(j))
+    j, m = basis.j_of, basis.m_of
+    mirror = basis.site(j, -m)
     sectors = []
     for sign, sites in ((1.0, np.flatnonzero(m >= 0)), (-1.0, np.flatnonzero(m > 0))):
         paired = m[sites] > 0
@@ -705,12 +693,13 @@ def elliptic_tdse_ensemble(
         for (jp, mp), c0, c1 in groups.spans():
             j0, m0 = groups.j0[c0:c1], groups.m0[c0:c1]
             basis = JMBasis(j_max, j_parity=jp, m_parity=mp)
-            origins = np.array([basis.index[o] for o in zip(j0.tolist(), m0.tolist())])
+            origins = basis.site(j0, m0)
             if xi == 0.0:
                 a = np.zeros((len(basis), len(origins)), dtype=complex)
                 a[origins, np.arange(len(origins))] = 1.0
             else:
-                coupling = pulse.a2 * _axis_operator(basis, "x") + pulse.b2 * _axis_operator(basis, "y")
+                coupling = (pulse.a2 * cos2theta_axis_matrix(basis, "x")
+                            + pulse.b2 * cos2theta_axis_matrix(basis, "y"))
                 a = _lattice_steps(basis, coupling, molecule, origins, plan)
             blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, weights[c0:c1], a))
         return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, lattice=tuple(blocks))

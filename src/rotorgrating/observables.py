@@ -22,12 +22,14 @@ import numpy as np
 
 from .constants import revival_period
 from .dynamics import (
-    ChannelSet, _axis_operator, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
+    ChannelSet, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
 )
 from .field import MAX_DELAY_PS, PulseSpec, effective_area, xi_per_intensity
 from .rotor import (
+    AXES,
     MoleculeSpec,
     boltzmann_ensemble,
+    cos2theta_axis_matrix,
     raman_frequency,
     suggest_j_max,
 )
@@ -117,7 +119,7 @@ def _series_terms(cs: ChannelSet, axis: str):
     consts, jss, zs = [], [], []
     for b in cs.blocks:
         c, w = b.amplitudes, b.weights
-        coo = _axis_operator(b.basis, axis).tocoo()
+        coo = cos2theta_axis_matrix(b.basis, axis).tocoo()
         dj = b.js[coo.row] - b.js[coo.col]
         row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
         const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
@@ -141,7 +143,7 @@ def _axis_factor(cs: ChannelSet, axis: str) -> float:
     axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2 as a -1/2
     scaling.  (J,M)-lattice sets evaluate the requested lab-axis operator.
     """
-    if axis not in _CHAIN_AXIS_FACTOR:
+    if axis not in AXES:
         raise ValueError(f"axis must be x, y, or z, got {axis!r}")
     return _CHAIN_AXIS_FACTOR[axis] if cs.kind == "chain" else 1.0
 

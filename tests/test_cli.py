@@ -405,6 +405,15 @@ def test_fourier_rejects_an_unknown_axis(tmp_path, capsys, run, axis):
     assert not out.exists()
 
 
+def test_fourier_checks_the_axis_before_propagating(tmp_path, no_propagation, capsys):
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 30.0,
+                          "method": "tdse", "axis": "w"})
+    out = tmp_path / "four"
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "'axis'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fourier_basis_too_small_exits_3(tmp_path, capsys):
     # j_max = 1 leaves the 0 K ground state's kick no room above J = 0
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 0.0, "intensity_tw_cm2": 1.0,
@@ -519,9 +528,8 @@ def test_validate_every_suite_passes(tmp_path, capsys):
         ["operators"] * 4 + ["sudden_vs_tdse"] * 2 + ["elliptic"] * 2 + ["regimes"] * 3
         + ["hygiene"] * 3
     )
-    # every Wigner symbol validate builds stays cached: nothing was evicted
-    info = rotor._wigner_3j.cache_info()
-    assert info.misses == info.currsize <= info.maxsize == rotor.WIGNER_CACHE_SIZE
+    # the lattice operators are closed forms: validate evaluates no Wigner symbol
+    assert rotor._wigner_3j.cache_info().currsize == 0
 
 def test_validate_operator_suite(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"suites": ["operators"]})

@@ -19,7 +19,7 @@ from rotorgrating.dynamics import kick_ensemble, tdse_ensemble
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
 from rotorgrating.rotor import (
-    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, raman_frequency,
+    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, raman_frequency,
 )
 
 
@@ -128,11 +128,11 @@ def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a
     m0 = data.draw(st.integers(1, j0))
     pulse = elliptic_pulse(intensity, a2, 1.0 - a2)
     basis = JMBasis(10, j0 % 2, m0 % 2)
-    coupling = pulse.a2 * dynamics._axis_operator(basis, "x") + pulse.b2 * dynamics._axis_operator(basis, "y")
-    origins = np.array([basis.index[(j0, m0)], basis.index[(j0, -m0)]])
+    coupling = pulse.a2 * cos2theta_axis_matrix(basis, "x") + pulse.b2 * cos2theta_axis_matrix(basis, "y")
+    origins = basis.site(j0, [m0, -m0])
     schedule = dynamics._rkn_schedule(pulse, molecule, basis.j_max)
     amps = dynamics._lattice_steps(basis, coupling, molecule, origins, schedule)
-    mirror = [basis.index[(j, -m)] for j, m in basis.pairs]
+    mirror = basis.site(basis.j_of, -basis.m_of)
     assert np.max(np.abs(amps[mirror, 1] - amps[:, 0])) <= 1e-12
     assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-12
 
@@ -149,12 +149,11 @@ def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
     w = np.hstack([plus.toarray(), minus.toarray()])
     assert np.max(np.abs(w.T @ w - np.eye(len(basis)))) <= 1e-15
     reflection = np.zeros((len(basis), len(basis)))
-    for i, (j, m) in enumerate(basis.pairs):
-        reflection[basis.index[(j, -m)], i] = (-1.0) ** m
+    reflection[basis.site(basis.j_of, -basis.m_of), np.arange(len(basis))] = (-1.0) ** basis.m_of
     assert np.array_equal(reflection @ plus.toarray(), plus.toarray())
     assert np.array_equal(reflection @ minus.toarray(), -minus.toarray())
     for axis in "xy":
-        c = dynamics._axis_operator(basis, axis).toarray()
+        c = cos2theta_axis_matrix(basis, axis).toarray()
         assert np.max(np.abs(reflection @ c - c @ reflection)) <= 1e-15
         assert np.all(np.abs(plus.T @ c @ minus) <= 1e-15)
 

@@ -351,10 +351,6 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     assert 0 < info.currsize <= info.maxsize == rotor.GROUPS_CACHE_SIZE
     # reconstruct's phase tables of the scan's delays
     assert 0 < len(observables._PHASES) <= observables.PHASE_CACHE_SIZE
-    # the lattice operators' Wigner symbols: a fit builds none, validate ~3,700
-    info = rotor._wigner_3j.cache_info()
-    assert info.maxsize == rotor.WIGNER_CACHE_SIZE == 32_768
-    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from rotorgrating.rotor import (
     MoleculeSpec,
     _wigner_3j,
     boltzmann_ensemble,
-    cos2theta_axis_element,
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
@@ -241,23 +240,71 @@ def test_wigner3j_against_sympy():
         assert ours == pytest.approx(ref, abs=1e-14)
 
 
+def _y2_element(jp, mp, j, m, mu):
+    """Gaunt integral <J',M'| Y_2^mu |J,M> from the exact 3-j symbol."""
+    pref = (-1) ** mp * math.sqrt(5.0 * (2 * j + 1) * (2 * jp + 1) / (4.0 * math.pi))
+    return pref * _wigner_3j(jp, 2, j, 0, 0, 0) * _wigner_3j(jp, 2, j, -mp, mu, m)
+
+
+def _axis_element(jp, mp, j, m, axis):
+    """<J',M'| cos^2(theta_axis) |J,M> as rank-0 and rank-2 parts:
+    cos^2 theta_z = 1/3 + (4/3) sqrt(pi/5) Y_2^0 and
+    cos^2 theta_x,y = (1 - cos^2 theta_z)/2 +- sqrt(2 pi/15) (Y_2^2 + Y_2^-2)."""
+    val = 0.0
+    if mp == m:
+        czz = (1.0 / 3.0 if jp == j else 0.0) + (4.0 / 3.0) * math.sqrt(math.pi / 5.0) * _y2_element(
+            jp, m, j, m, 0)
+        if axis == "z":
+            return czz
+        val += 0.5 * ((1.0 if jp == j else 0.0) - czz)
+    elif axis == "z":
+        return 0.0
+    if abs(mp - m) == 2:
+        term = math.sqrt(2.0 * math.pi / 15.0) * _y2_element(jp, mp, j, m, mp - m)
+        val += term if axis == "x" else -term
+    return val
+
+
+@pytest.mark.parametrize("j_max", range(2, 13))
+def test_axis_matrix_entries_vs_exact_gaunt(j_max):
+    # every entry of every parity filter, the J = 0 and |M| = J edges included
+    full = JMBasis(j_max)
+    pairs = list(zip(full.j_of.tolist(), full.m_of.tolist()))
+    for axis in ("x", "y", "z"):
+        ref = np.zeros((len(full), len(full)))
+        for a, (jp, mp) in enumerate(pairs):
+            for b, (j, m) in enumerate(pairs):
+                if abs(jp - j) <= 2 and abs(mp - m) <= 2:
+                    ref[a, b] = _axis_element(jp, mp, j, m, axis)
+        for j_parity in (None, 0, 1):
+            for m_parity in (None, 0, 1):
+                basis = JMBasis(j_max, j_parity, m_parity)
+                sites = full.site(basis.j_of, basis.m_of)
+                mat = cos2theta_axis_matrix(basis, axis).toarray()
+                assert np.max(np.abs(mat - ref[np.ix_(sites, sites)])) <= 1e-15, (axis, j_parity, m_parity)
+
+
 def test_axis_elements_vs_quadrature(sphere_element, axis_weights):
     cases = [(2, 2, 0, 0), (2, -2, 0, 0), (2, 0, 0, 0), (3, 1, 1, -1),
              (4, 2, 2, 0), (3, -1, 3, 1), (2, 2, 2, 0), (5, 3, 3, 3),
              (4, 0, 4, 2), (6, -4, 4, -2)]
+    basis = JMBasis(6)
     for axis in ("x", "y", "z"):
+        mat = cos2theta_axis_matrix(basis, axis)
         for jp, mp, j, m in cases:
-            closed = cos2theta_axis_element(jp, mp, j, m, axis)
+            closed = mat[basis.site(jp, mp), basis.site(j, m)]
             q = sphere_element(jp, mp, j, m, axis_weights[axis])
             assert abs(closed - q) < 1e-10, (axis, jp, mp, j, m)
 
 
 def test_axis_element_frozen_value():
     # <2,2|cos^2 theta_x|0,0> = sqrt(1/30)
-    val = cos2theta_axis_element(2, 2, 0, 0, "x")
+    basis = JMBasis(2)
+    a, b = basis.site(2, 2), basis.site(0, 0)
+    val = cos2theta_axis_matrix(basis, "x")[a, b]
     assert val == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-14)
     # and the y element flips sign
-    assert cos2theta_axis_element(2, 2, 0, 0, "y") == pytest.approx(-val, rel=1e-14)
+    assert cos2theta_axis_matrix(basis, "y")[a, b] == pytest.approx(-val, rel=1e-14)
 
 
 def test_axis_matrices_sum_to_identity():
@@ -276,16 +323,22 @@ def test_axis_matrices_hermitian():
 def test_x_matrix_selection_rules():
     basis = JMBasis(5)
     mat = cos2theta_axis_matrix(basis, "x").toarray()
-    for a, (ja, ma) in enumerate(basis.pairs):
-        for b, (jb, mb) in enumerate(basis.pairs):
+    pairs = list(zip(basis.j_of.tolist(), basis.m_of.tolist()))
+    for a, (ja, ma) in enumerate(pairs):
+        for b, (jb, mb) in enumerate(pairs):
             if abs(ja - jb) not in (0, 2) or abs(ma - mb) not in (0, 2):
                 assert mat[a, b] == 0.0
 
 
 def test_jm_basis_parity_filter():
     even = JMBasis(6, j_parity=0, m_parity=0)
-    assert all(j % 2 == 0 and m % 2 == 0 for j, m in even.pairs)
+    assert np.all(even.j_of % 2 == 0) and np.all(even.m_of % 2 == 0)
     full = JMBasis(4)
     assert len(full) == sum(2 * j + 1 for j in range(5))
-    j, m = full.pairs[full.index[(3, -2)]]
-    assert (j, m) == (3, -2)
+    i = full.site(3, -2)
+    assert (full.j_of[i], full.m_of[i]) == (3, -2)
+    # sites the basis lacks: off the shell, beyond j_max, or of the wrong parity
+    assert full.site(3, 4) == full.site(5, 0) == full.site(-1, 0) == -1
+    assert even.site(2, 1) == even.site(3, 0) == -1
+    sites = even.site(even.j_of, even.m_of)
+    assert np.array_equal(sites, np.arange(len(even)))

@@ -28,6 +28,8 @@ install(rec, rg)
 ens = rg.boltzmann_ensemble(rg.CO2, 10.0)
 rg.fourier_decompose(rg.kick_ensemble(rg.CO2, ens, 2.0), "y")
 rg.tdse_ensemble(rg.CO2, ens, rg.PulseSpec(5.0))
+rg.elliptic_tdse_ensemble(rg.CO2, rg.boltzmann_ensemble(rg.CO2, 1.0), rg.elliptic_pulse(1.0, 0.5, 0.5),
+                          j_max=12)
 problem = rg.FitProblem(rg.CO2, "perpendicular", bounds={"intensity": (5.0, 30.0)},
                         fixed={"temperature": 20.0})
 rg.EnsembleCache(problem).decomposition(10.0, 20.0)
@@ -50,4 +52,6 @@ def test_perfbench_tracer_reads_the_shipped_package():
         assert {"system_dim", "norm_dev", "edge_leak", "j_max"} <= set(counts[name])
     assert {"miss", "entries"} <= set(counts["retrieval.cache.lookup"])
     assert "observables.decompose" in counts
+    # the elliptic driver builds its operators by direct calls, which the tracer must see
+    assert "rotor.axis_matrix" in counts
     assert doc["wigner_cache_clear"]
