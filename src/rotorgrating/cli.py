@@ -48,7 +48,7 @@ from .retrieval import (
     load_trace,
     write_fit_csv,
 )
-from .rotor import AXES, boltzmann_ensemble, find_molecule, load_molecule, molecule_from_dict
+from .rotor import boltzmann_ensemble, check_axis, find_molecule, load_molecule, molecule_from_dict
 from .validation import SUITE_NAMES, run_all
 
 EXIT_OK = 0
@@ -263,8 +263,10 @@ def cmd_fourier(args) -> int:
     t0 = _get(cfg, "t0_ps", float, 0.0)
     method = _get(cfg, "method", str, "sudden")
     axis = _get(cfg, "axis", str, "y")
-    if axis not in AXES:
-        raise ValueError(f"'axis': axis must be x, y, or z, got {axis!r}")
+    try:
+        check_axis(axis)
+    except ValueError as exc:
+        raise ValueError(f"'axis': {exc}")
     j_max = _get(cfg, "j_max", int, None)
     pol = cfg.get("polarization", "linear")
     times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)

@@ -50,8 +50,10 @@ consecutive equal-shape blocks.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.
 tdse_ensemble starts from the same gathered first kick and composes the rest
 of its kicks block by block, in place in the packed array.
-PackedChains.series_terms reduces the blocks per run for observables' cosine
-series.
+ChannelSet.series_terms(axis) reduces either layout to the terms of
+observables' cosine series, lab-axis factor applied: PackedChains.series_terms
+reduces the packed blocks per run, the lattice reduces each group's
+lab-axis operator.  No other module reads a set's layout.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .rotor import (
     MoleculeSpec,
     ThermalEnsemble,
     _chain_groups,
+    check_axis,
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
@@ -113,13 +116,6 @@ def _chain_start(m, parity):
     """Lowest J of the chain at |M| = m with the given J parity; accepts arrays."""
     m = np.abs(m)
     return m + (m % 2 != parity)
-
-
-def _chain_eig(m: int, parity: int, j_max: int):
-    """(js, eigenvalues, eigenvectors) of cos^2 theta restricted to the parity chain at |M| = m."""
-    js = np.arange(_chain_start(m, parity), j_max + 1, 2)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(cos2theta_diagonal(js, m), cos2theta_offdiag(js[:-1], m))
-    return js, evals, evecs
 
 
 def _within(lengths: np.ndarray) -> np.ndarray:
@@ -345,11 +341,14 @@ class ChainLayout:
         """(evals, evecs) of every block's chain, packed in block order: block b's
         eigenvalues lie on its rows, its eigenvector matrix on its eigenvector
         entries (`runs`) in Fortran order, as LAPACK returns it, so that every
-        GEMM with it keeps its BLAS path."""
-        first, square = _starts(self.sizes), _starts(self.sizes * self.sizes)
+        GEMM with it keeps its BLAS path.  Each block's tridiagonal is its slice
+        of `operator`, the doubled couplings halved exactly."""
+        diag, _, coupling = self.operator
+        first, lows, square = _starts(self.sizes), _starts(self.sizes - 1), _starts(self.sizes * self.sizes)
         evals, evecs = np.empty(first[-1]), np.empty(square[-1])
-        for b, (m, parity) in enumerate(self.origins.keys.tolist()):
-            _, evals[first[b]:first[b + 1]], vec = _chain_eig(m, parity, self.j_max)
+        for b in range(len(self.sizes)):
+            evals[first[b]:first[b + 1]], vec = scipy.linalg.eigh_tridiagonal(
+                diag[first[b]:first[b + 1]], coupling[lows[b]:lows[b + 1]] / 2.0)
             evecs[square[b]:square[b + 1]] = vec.ravel(order="F")
         return evals, evecs
 
@@ -389,7 +388,8 @@ class ChainLayout:
     @cached_property
     def operator(self) -> tuple:
         """cos^2 theta on the blocks: its diagonal on every row, and, on every row
-        but the last, J and twice the off-diagonal <J+2,M| cos^2 theta |J,M>."""
+        but the last, J and twice the off-diagonal <J+2,M| cos^2 theta |J,M>.
+        The one evaluation of the closed forms, for `eigen` and the series."""
         levels, m = self.levels, np.repeat(self.origins.keys[:, 0], self.sizes)
         lower = np.delete(np.arange(len(levels)), np.cumsum(self.sizes) - 1)
         return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
@@ -425,7 +425,7 @@ class PackedChains:
     amplitudes: np.ndarray
 
     def series_terms(self):
-        """(consts, bounds, js, z) of observables' cosine series, for the field-axis operator.
+        """ChannelSet.series_terms of the field axis (y) on the chains.
 
         Per run of equal-shape blocks, |c|^2 and the products of adjacent
         rows reduced over the weighted columns, two GEMVs and a dot product
@@ -486,6 +486,40 @@ class ChannelSet:
     @cached_property
     def blocks(self) -> tuple:
         return self.lattice if self.chains is None else self.chains.blocks()
+
+    def series_terms(self, axis: str):
+        """(consts, bounds, js, z) of <cos^2 theta_axis> - 1/3: block b's weighted
+        trace is consts[b] + Re sum_J z_J e^{i omega_J dt} over entries bounds[b]
+        to bounds[b + 1] of js and z.
+
+        Chains carry the tridiagonal field-axis operator (y): const = sum_k w_k
+        d |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}; the
+        transverse axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2
+        as a -1/2 scaling, exact in floating point.  On the (J,M) lattice the
+        Delta-J = 0 entries of the lab-axis operator (including the Delta-M =
+        +-2 ones, which beat at zero frequency) feed the constant and the
+        Delta-J = +2 entries, collapsed per lower J, carry omega_J.
+        """
+        check_axis(axis)
+        if self.chains is not None:
+            consts, bounds, js, z = self.chains.series_terms()
+            factor = 1.0 if axis == "y" else -0.5
+            return [factor * const for const in consts], bounds, js, factor * z
+        consts, jss, zs = [], [], []
+        for b in self.lattice:
+            c, w = b.amplitudes, b.weights
+            coo = cos2theta_axis_matrix(b.basis, axis).tocoo()
+            dj = b.js[coo.row] - b.js[coo.col]
+            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
+            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
+            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
+            js, lower = np.unique(b.js[col], return_inverse=True)
+            z = np.zeros(len(js), dtype=complex)
+            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
+            consts.append(float(const) - float(w.sum()) / 3.0)
+            jss.append(js)
+            zs.append(z)
+        return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
 
     @property
     def channels(self) -> tuple:

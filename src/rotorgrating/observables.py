@@ -7,7 +7,10 @@ Every post-pulse trace of a rigid rotor is a finite cosine series
 with omega_J = 2 pi c B (4J+6): the constant C comes from populations and
 each component from the thermally weighted J <-> J+2 coherences.  The
 decomposition here is exact bookkeeping of those coherences (no numerical
-Fourier transform), and doubles as the fast trace evaluator.
+Fourier transform), and doubles as the fast trace evaluator.  A propagated
+ChannelSet reduces itself to the per-block terms of the series, for either
+layout and any lab axis (ChannelSet.series_terms); this module only sums and
+evaluates them.
 
 All trace values follow the <cos^2 theta> - 1/3 convention (0 = isotropic).
 """
@@ -25,14 +28,7 @@ from .dynamics import (
     ChannelSet, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
 )
 from .field import MAX_DELAY_PS, PulseSpec, effective_area, xi_per_intensity
-from .rotor import (
-    AXES,
-    MoleculeSpec,
-    boltzmann_ensemble,
-    cos2theta_axis_matrix,
-    raman_frequency,
-    suggest_j_max,
-)
+from .rotor import MoleculeSpec, boltzmann_ensemble, check_axis, raman_frequency, suggest_j_max
 
 _VALUE_LO, _VALUE_HI = -1.0 / 3.0, 2.0 / 3.0
 
@@ -104,50 +100,6 @@ class FourierDecomposition:
         }
 
 
-def _series_terms(cs: ChannelSet, axis: str):
-    """(consts, bounds, js, z): block b's weighted trace is consts[b] + Re sum_J z_J e^{i omega_J dt}
-    over entries bounds[b] to bounds[b + 1] of js and z.
-
-    Chains carry the tridiagonal field-axis operator: const = sum_k w_k d
-    |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}.  On the
-    (J,M) lattice the Delta-J = 0 entries of the axis operator (including the
-    Delta-M = +-2 ones, which beat at zero frequency) feed the constant and
-    the Delta-J = +2 entries, collapsed per lower J, carry omega_J.
-    """
-    if cs.chains is not None:
-        return cs.chains.series_terms()
-    consts, jss, zs = [], [], []
-    for b in cs.blocks:
-        c, w = b.amplitudes, b.weights
-        coo = cos2theta_axis_matrix(b.basis, axis).tocoo()
-        dj = b.js[coo.row] - b.js[coo.col]
-        row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
-        const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
-        row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
-        js, lower = np.unique(b.js[col], return_inverse=True)
-        z = np.zeros(len(js), dtype=complex)
-        np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
-        consts.append(float(const) - float(w.sum()) / 3.0)
-        jss.append(js)
-        zs.append(z)
-    return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
-
-
-_CHAIN_AXIS_FACTOR = {"y": 1.0, "x": -0.5, "z": -0.5}
-
-
-def _axis_factor(cs: ChannelSet, axis: str) -> float:
-    """Scale of the block terms for the lab axis x, y or z.
-
-    Fixed-M sets quantize along the field axis (labeled y); the transverse
-    axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2 as a -1/2
-    scaling.  (J,M)-lattice sets evaluate the requested lab-axis operator.
-    """
-    if axis not in AXES:
-        raise ValueError(f"axis must be x, y, or z, got {axis!r}")
-    return _CHAIN_AXIS_FACTOR[axis] if cs.kind == "chain" else 1.0
-
-
 def _metadata(cs: ChannelSet) -> dict:
     return {"molecule": cs.molecule.name, "temperature_K": cs.temperature,
             "xi": cs.xi, "j_max": cs.j_max}
@@ -156,29 +108,30 @@ def _metadata(cs: ChannelSet) -> dict:
 def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
     """Exact cosine-series decomposition of the ensemble alignment trace.
 
-    Each block's coherences add onto one complex amplitude per lower J.  An
-    unkicked thermal ensemble is isotropic, so its series is identically
+    Each block's series terms (ChannelSet.series_terms, lab-axis factor
+    applied) add onto one complex amplitude per lower J.  An unkicked thermal
+    ensemble is isotropic, so its series is identically
     zero; that case returns exact zeros rather than summation roundoff.
     """
-    factor = _axis_factor(cs, axis)
+    check_axis(axis)
     if cs.xi == 0.0:
         empty = np.empty(0)
         return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis,
                                     _metadata(cs))
-    consts, _, js, z = _series_terms(cs, axis)
+    consts, _, js, z = cs.series_terms(axis)
     constant = 0.0
     for const in consts:
         constant += const
     acc = np.zeros(cs.j_max + 1, dtype=complex)
     np.add.at(acc, js, z)
     js = np.nonzero(acc)[0]
-    zz = factor * acc[js]
+    zz = acc[js]
     omegas = raman_frequency(js, cs.molecule)
     # fold the kick-time reference into the phase: trace is a function of
     # absolute time; fmod and one exact 2 pi shift give IEEE remainder
     phases = np.fmod(np.arctan2(zz.imag, zz.real) - omegas * cs.reference_time, 2.0 * math.pi)
     phases -= np.where(np.abs(phases) > math.pi, np.copysign(2.0 * math.pi, phases), 0.0)
-    return FourierDecomposition(factor * constant, js, np.abs(zz), phases, omegas, axis,
+    return FourierDecomposition(constant, js, np.abs(zz), phases, omegas, axis,
                                 _metadata(cs))
 
 
@@ -229,21 +182,21 @@ def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
 
 
 def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
-    """Direct weighted-channel evaluation of <cos^2 theta_axis> - 1/3.
+    """Direct evaluation of <cos^2 theta_axis> - 1/3 from the set's series terms.
 
-    Independent of fourier_decompose/reconstruct in summation order and
-    trigonometric form (complex exponentials per chain shape, summed over
-    time before the shapes are combined); agreement to 1e-10 is a contract
-    between the two paths.
+    It shares the term reduction (ChannelSet.series_terms) with
+    fourier_decompose and checks reconstruct's Horner evaluation against
+    direct complex exponentials over the same terms, per chain shape, summed
+    over time before the shapes are combined; agreement to 1e-10 is a
+    contract between the two paths.
     """
-    factor = _axis_factor(cs, axis)
+    terms, bounds, all_js, all_z = cs.series_terms(axis)
     times = np.asarray(times, dtype=float)
     dt = times - cs.reference_time
     values = np.zeros(len(times))
     # accumulate per chain shape so each group shares one phase matrix
     groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     consts = 0.0
-    terms, bounds, all_js, all_z = _series_terms(cs, axis)
     for const, lo, hi in zip(terms, bounds[:-1].tolist(), bounds[1:].tolist()):
         consts += const
         js, z = all_js[lo:hi], all_z[lo:hi]
@@ -255,7 +208,7 @@ def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
     check_working_set(32 * lines * len(times), f"a direct trace of {lines} lines x {len(times)} times")
     for js, z in groups.values():
         values += np.real(z @ np.exp(1j * np.outer(raman_frequency(js, cs.molecule), dt)))
-    return AlignmentTrace(times, factor * (values + consts), axis, _metadata(cs))
+    return AlignmentTrace(times, values + consts, axis, _metadata(cs))
 
 
 # traced peak of a simulate run per delay sample (the grid, the trace, the

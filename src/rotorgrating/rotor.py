@@ -169,7 +169,7 @@ class ThermalEnsemble:
     The channels are held as three read-only arrays in ensemble order;
     `channels` lists them as tuples.  `chains` groups them onto the fixed-M
     chains of the linear drivers; ensembles with the same channels share one
-    grouping.  Two ensembles are equal when their temperatures and channels are.
+    grouping.
     """
 
     temperature: float
@@ -197,17 +197,6 @@ class ThermalEnsemble:
         ens = cls.__new__(cls)
         ens._set(temperature, np.repeat(js, counts), m0, weights)
         return ens
-
-    def _key(self) -> tuple:
-        return self.temperature, self.j0.tobytes(), self.m0.tobytes(), self.weights.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, ThermalEnsemble):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def channels(self) -> tuple[tuple[int, int, float], ...]:
@@ -346,6 +335,12 @@ def _wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
 AXES = ("x", "y", "z")
 
 
+def check_axis(axis: str):
+    """ValueError unless axis names a lab axis in AXES."""
+    if axis not in AXES:
+        raise ValueError(f"axis must be x, y, or z, got {axis!r}")
+
+
 class JMBasis:
     """Full (J,M) basis up to j_max, optionally restricted to fixed parities.
 
@@ -400,8 +395,7 @@ def cos2theta_axis_matrix(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
     is built once, from its site of lower M (at equal M, of lower J), and
     mirrored.
     """
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    check_axis(axis)
     j, m = basis.j_of, basis.m_of
     sites = np.arange(len(basis))
     above = basis.site(j + 2, m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import ndtr, sph_harm_y
@@ -66,18 +67,29 @@ class CheckResult:
 # Quadrature oracle for angular matrix elements
 # ---------------------------------------------------------------------------
 
-def quadrature_element(jp: int, mp: int, j: int, m: int, weight) -> complex:
-    """<J',M'| f(theta,phi) |J,M> by Gauss-Legendre x uniform-phi quadrature.
-
-    weight(theta, phi) is the multiplicative operator.  Gauss-Legendre in
-    cos(theta) with 64 points is exact for the polynomial integrands here;
-    the uniform phi rule is exact for the finite Fourier content.
-    """
+@cache
+def _quadrature_grid() -> tuple:
+    """(theta, phi, Gauss-Legendre weights) of the oracle's grid, built on first use."""
     nodes = 64
     x, wx = np.polynomial.legendre.leggauss(nodes)
     theta = np.arccos(x)
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    for grid in (tt, pp, wx):
+        grid.flags.writeable = False
+    return tt, pp, wx
+
+
+def quadrature_element(jp: int, mp: int, j: int, m: int, weight) -> complex:
+    """<J',M'| f(theta,phi) |J,M> by Gauss-Legendre x uniform-phi quadrature.
+
+    weight(theta, phi) is the multiplicative operator.  Gauss-Legendre in
+    cos(theta) with 64 points is exact for the polynomial integrands here;
+    the uniform phi rule is exact for the finite Fourier content.  The grid
+    is built once, on the first call.
+    """
+    tt, pp, wx = _quadrature_grid()
+    nodes = len(wx)
     integrand = (
         np.conj(sph_harm_y(jp, mp, tt, pp))
         * weight(tt, pp)

@@ -180,6 +180,26 @@ def test_alignment_trace_validation():
     AlignmentTrace(np.arange(3.0), np.array([0.0, 0.1, -0.1]), "y")
 
 
+@pytest.mark.parametrize("kind", ["chain", "lattice", "zero_kick"])
+def test_series_reject_an_unknown_axis(kind, kicked_30k, elliptic_30k):
+    cs = {"chain": kicked_30k, "lattice": elliptic_30k,
+          "zero_kick": kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 0.0)}[kind]
+    with pytest.raises(ValueError, match="axis must be x, y, or z, got 'w'"):
+        fourier_decompose(cs, "w")
+    with pytest.raises(ValueError, match="axis must be x, y, or z, got 'w'"):
+        alignment_trace(cs, "w", np.linspace(0.0, 1.0, 4))
+
+
+def test_chain_transverse_terms_are_minus_half_the_field_axis_terms(kicked_30k):
+    # <cos^2 theta_perp> = (1 - <cos^2 theta>)/2, and the -1/2 scaling is exact
+    y_consts, y_bounds, y_js, y_z = kicked_30k.series_terms("y")
+    for axis in ("x", "z"):
+        consts, bounds, js, z = kicked_30k.series_terms(axis)
+        assert np.array(consts).tobytes() == (-0.5 * np.array(y_consts)).tobytes()
+        assert bounds.tobytes() == y_bounds.tobytes() and js.tobytes() == y_js.tobytes()
+        assert z.tobytes() == (-0.5 * y_z).tobytes()
+
+
 def test_thermal_channel_set_method_validation():
     with pytest.raises(ValueError, match="method"):
         thermal_channel_set(CO2, 30.0, PulseSpec(1.0), method="magic")

@@ -10,6 +10,7 @@ import os
 import tempfile
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from rotorgrating.cli import main
@@ -19,7 +20,8 @@ from rotorgrating.dynamics import kick_ensemble, tdse_ensemble
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
 from rotorgrating.rotor import (
-    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, raman_frequency,
+    CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, cos2theta_diagonal,
+    cos2theta_offdiag, raman_frequency,
 )
 
 
@@ -76,7 +78,9 @@ def test_chain_stepper_over_random_molecules(b, delta_alpha, spins, temperature,
         # the kick is the stepper's zero-width step, V (e^{i xi Lambda} * V^T E)
         # as one real GEMM on the (re, im) column pairs, bit for bit
         for k in kick.blocks:
-            _, evals, evecs = dynamics._chain_eig(int(k.m0[0]), int(k.js[0] % 2), j_max)
+            m = int(k.m0[0])
+            evals, evecs = scipy.linalg.eigh_tridiagonal(cos2theta_diagonal(k.js, m),
+                                                         cos2theta_offdiag(k.js[:-1], m))
             rot = np.exp(1j * kick.xi * evals).view(float).reshape(-1, 1, 2)
             rhs = (evecs[(k.j0 - k.js[0]) // 2].T[:, :, None] * rot).reshape(len(k.js), -1)
             assert (evecs @ rhs).view(complex).tobytes() == k.amplitudes.tobytes()
