@@ -110,8 +110,8 @@ def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
 
     Each block's series terms (ChannelSet.series_terms, lab-axis factor
     applied) add onto one complex amplitude per lower J.  An unkicked thermal
-    ensemble is isotropic, so its series is identically
-    zero; that case returns exact zeros rather than summation roundoff.
+    ensemble is isotropic, so its series is identically zero; that case
+    returns exact zeros rather than summation roundoff.
     """
     check_axis(axis)
     if cs.xi == 0.0:
