@@ -30,8 +30,6 @@ from .grating import (
     SignalTrace,
     grating_geometry,
     grating_signal,
-    intensity_grating_signal,
-    polarization_grating_signal,
     probe_convolve,
     write_signal_csv,
 )
@@ -83,8 +81,7 @@ __all__ = [
     "PulseSpec", "effective_area", "elliptic_pulse",
     "envelope_intensity", "xi_per_intensity",
     "GratingConfig", "GratingGeometry", "SignalTrace", "grating_geometry", "grating_signal",
-    "intensity_grating_signal", "polarization_grating_signal", "probe_convolve",
-    "write_signal_csv",
+    "probe_convolve", "write_signal_csv",
     "AlignmentTrace", "FourierDecomposition", "alignment_trace",
     "elliptic_approx", "fourier_decompose", "max_over_period", "reconstruct",
     "regime_scan", "revival_time_grid", "thermal_channel_set",

@@ -140,7 +140,7 @@ def _background(cfg: dict):
     if value is None:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, "plasma_background"))
     if isinstance(value, dict):
         return complex(_get(value, "re", float, 0.0), _get(value, "im", float, 0.0))
     raise ValueError("'plasma_background' must be a number or {re, im}")

@@ -45,11 +45,11 @@ ensemble with the same channels at one j_max; _chain_layout, the one cache of
 chain data, keeps the latest few that fit a share of the working-set budget.
 The sudden kick fills every block's right-hand side V^T[:, rows] e^{i xi
 Lambda} with one exponential of the eigenvalues, one repeat and one gather by
-the layout's int32 index, then runs one GEMM per block, batched over runs of
-consecutive equal-shape blocks.  Every BLAS call sees the operands a
+the layout's int32 index.  Then both linear drivers walk the layout's runs of
+consecutive equal-shape blocks, each run one stack of matrices: the kick
+runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
+place in the packed array.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.
-tdse_ensemble starts from the same gathered first kick and composes the rest
-of its kicks block by block, in place in the packed array.
 ChannelSet.series_terms(axis) reduces either layout to the terms of
 observables' cosine series, lab-axis factor applied: PackedChains.series_terms
 reduces the packed blocks per run, the lattice reduces each group's
@@ -62,6 +62,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -76,6 +77,8 @@ from .rotor import (
     MoleculeSpec,
     ThermalEnsemble,
     _chain_groups,
+    _starts,
+    _within,
     check_axis,
     cos2theta_axis_matrix,
     cos2theta_diagonal,
@@ -116,17 +119,6 @@ def _chain_start(m, parity):
     """Lowest J of the chain at |M| = m with the given J parity; accepts arrays."""
     m = np.abs(m)
     return m + (m % 2 != parity)
-
-
-def _within(lengths: np.ndarray) -> np.ndarray:
-    """Position of each entry within its range, for ranges of `lengths` laid end to end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
-
-
-def _starts(lengths: np.ndarray) -> np.ndarray:
-    """Offsets of ranges of `lengths` laid end to end, and the total at the end."""
-    return np.concatenate(([0], np.cumsum(lengths)))
 
 
 LAYOUT_CACHE_SIZE = 16  # one layout per (level set, j_max); a fit visits ~8
@@ -198,29 +190,31 @@ def _gathered_kicks(layout: "ChainLayout", g: float) -> np.ndarray:
 
 
 def _chain_steps(evals, evecs, rhs, kicks, free):
-    """A block's amplitudes, as n x 2k floats: the kicks after the first, free[k] between, then V.
+    """Blocks' amplitudes, as ... x n x 2k floats: the kicks after the first, free[k] between, then V.
 
-    rhs is the n x 2k float view of the first kick's right-hand side, V^T[:,
-    rows] e^{i G Lambda}; free[k] = V^T e^{-i omega d} V for the free time d
-    after kick k.  The state stays in the eigenbasis until the last GEMM with V.
+    rhs is the ... x n x 2k float view of the first kick's right-hand sides,
+    V^T[:, rows] e^{i G Lambda}; free[k] = V^T e^{-i omega d} V for the free
+    time d after kick k.  Leading axes stack blocks of one shape; each
+    product is one BLAS call per block.  The state stays in the eigenbasis
+    until the last GEMM with V.
     """
     z = rhs.view(complex)
-    for rot, f in zip(np.exp(1j * np.multiply.outer(kicks[1:], evals))[:, :, None], free):
+    for rot, f in zip(np.exp(1j * np.multiply.outer(kicks[1:], evals))[..., None], free):
         z = f @ z
         z *= rot
     return evecs @ z.view(float)
 
 
 def _compose(evals, vecs, omega, omega0, block, schedule):
-    """Run a schedule in place on block, n x 2k floats: the first kick's right-hand
-    side in, the amplitudes at the reference time out.  omega is each row's free
-    frequency, omega0 each column origin's, for the free phases from the
-    reference time to the first kick and back from the last."""
+    """Run a schedule in place on block, ... x n x 2k floats: the first kick's
+    right-hand sides in, the amplitudes at the reference time out.  omega is
+    each row's free frequency, omega0 each column origin's, for the free phases
+    from the reference time to the first kick and back from the last."""
     offsets, kicks, gaps, order = schedule
-    free = [(vecs.T * np.exp(-1j * omega * d)) @ vecs for d in gaps]
+    free = [(vecs.swapaxes(-1, -2) * np.exp(-1j * omega * d)[..., None, :]) @ vecs for d in gaps]
     block[...] = _chain_steps(evals, vecs, block, kicks, [free[k] for k in order])
     block = block.view(complex)
-    block *= np.exp(1j * np.subtract.outer(omega * offsets[-1], omega0 * offsets[0]))
+    block *= np.exp(1j * ((omega * offsets[-1])[..., :, None] - (omega0 * offsets[0])[..., None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +315,7 @@ class ChainLayout:
     counts: np.ndarray
     bounds: np.ndarray
 
-    @property
+    @cached_property
     def levels(self) -> np.ndarray:
         """J of every block row, block by block."""
         return np.repeat(self.starts, self.sizes) + 2 * _within(self.sizes)
@@ -368,21 +362,15 @@ class ChainLayout:
         columns = [n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
         return list(zip(*(c.tolist() for c in columns)))
 
-    def spans(self):
-        """Per block: n, then the first and end of its amplitudes, columns, rows and eigenvector entries."""
-        for n, k, b0, b1, a0, _, c0, _, r0, _, v0, _ in self.runs:
-            for i in range(b1 - b0):
-                a, c, r, v = a0 + i * n * k, c0 + i * k, r0 + i * n, v0 + i * n * n
-                yield n, a, a + n * k, c, c + k, r, r + n, v, v + n * n
-
     @cached_property
     def gather(self) -> tuple:
         """The sudden kick's indices into `eigen`: per block row, its column count;
-        per entry (i, c), the eigenvector entry V[rows[c], i], built block by block into int32."""
+        per entry (i, c), the eigenvector entry V[rows[c], i], built run by run into int32."""
         entries = np.empty(self.bounds[-1], dtype=np.int32)
-        for n, a0, a1, c0, c1, _, _, v0, _ in self.spans():
-            # V is stored in Fortran order: V[r, i] lies at v0 + n i + r
-            np.add.outer(v0 + n * np.arange(n), self.rows[c0:c1], out=entries[a0:a1].reshape(n, -1))
+        for n, k, b0, b1, a0, a1, c0, c1, *_, v0, _ in self.runs:
+            # V is stored in Fortran order: a block's V[r, i] lies at its first entry + n i + r
+            first = v0 + n * n * np.arange(b1 - b0)[:, None, None] + n * np.arange(n)[:, None]
+            np.add(first, self.rows[c0:c1].reshape(-1, 1, k), out=entries[a0:a1].reshape(-1, n, k))
         return np.repeat(self.counts, self.sizes), entries
 
     @cached_property
@@ -453,9 +441,11 @@ class PackedChains:
     def blocks(self) -> tuple:
         lay, o, levels = self.layout, self.layout.origins, self.layout.levels
         return tuple(
-            ChannelBlock(levels[r0:r1], None, o.j0[c0:c1], o.m0[c0:c1], self.weights[c0:c1],
-                         self.amplitudes[a0:a1].reshape(n, c1 - c0))
-            for n, a0, a1, c0, c1, r0, r1, *_ in lay.spans()
+            ChannelBlock(js, None, j0, m0, w, a)
+            for n, k, _, _, a0, a1, c0, c1, r0, r1, *_ in lay.runs
+            for js, j0, m0, w, a in zip(levels[r0:r1].reshape(-1, n), o.j0[c0:c1].reshape(-1, k),
+                                        o.m0[c0:c1].reshape(-1, k), self.weights[c0:c1].reshape(-1, k),
+                                        self.amplitudes[a0:a1].reshape(-1, n, k))
         )
 
 
@@ -632,35 +622,37 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         else:
             amps = _gathered_kicks(layout, kicks[0])
             rhs_all = amps.view(float)
-            evals, evecs = layout.eigen  # V is stored in Fortran order: V^T in C order
-            if len(kicks) == 1:
-                # one GEMM per block, batched over each run, in place
-                for n, k, b0, b1, a0, a1, *_, v0, v1 in layout.runs:
-                    rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
-                    np.matmul(evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1), rhs, out=rhs)
-            else:
-                levels = layout.levels
-                for n, a0, a1, c0, c1, r0, r1, v0, v1 in layout.spans():
-                    omega = rotational_omega(levels[r0:r1], molecule)
-                    _compose(evals[r0:r1], evecs[v0:v1].reshape(n, n).T, omega, omega[layout.rows[c0:c1]],
-                             rhs_all[2 * a0:2 * a1].reshape(n, -1), plan)
+            evals, evecs = layout.eigen
+            levels = layout.levels
+            # one stack per run of equal-shape blocks, in place
+            for n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 in layout.runs:
+                rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
+                vecs = evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
+                if len(kicks) == 1:
+                    np.matmul(vecs, rhs, out=rhs)  # one GEMM per block
+                else:
+                    omega = rotational_omega(levels[r0:r1], molecule).reshape(-1, n)
+                    omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
+                    _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
         return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi,
                           PackedChains(layout, weights, amps))
 
     def working_set(j_max):
         # cached eigenvectors, results, the layout's int32 gather index, a
         # chunk of gathered entries, the eigensolver's copy of the largest
-        # chain; composed kicks add one block's three free propagators and
-        # the two temporaries of their build, its table of kick phases (40 B
-        # per kick and level as it is built: real phases, their complex cast
-        # and the exponentials) and 3 state vectors.  Integers: j_max may be huge
+        # chain; composed kicks add the costliest run's stack: for each of its
+        # blocks three free propagators and the two temporaries of their
+        # build, its table of kick phases (40 B per kick and level as it is
+        # built: real phases, their complex cast and the exponentials) and 3
+        # state vectors.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(ms, parities).tolist(), np.diff(origins.bounds).tolist())]
         total = (sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
                  + 8 * max(n for n, _ in sizes) ** 2)
         kicks = n_kicks(j_max)
         if kicks > 1:
-            total += max(16 * (5 * n * n + 3 * n * k) + 40 * kicks * n for n, k in sizes)
+            total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
+                         for (n, k), run in groupby(sizes))
         return total
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
@@ -694,9 +686,9 @@ def tdse_ensemble(
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
     The pulse must be polarized along y, the chains' quantization axis.  Each
-    (|M0|, parity) block in turn runs the RKN splitting over the pulse
-    window; amplitudes come back referenced to the pulse center, as the
-    sudden driver's.
+    run of equal-shape (|M0|, parity) blocks in turn runs the RKN splitting
+    over the pulse window as one stack; amplitudes come back referenced to the
+    pulse center, as the sudden driver's.
     """
     require_y_polarized(pulse)
     return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps,

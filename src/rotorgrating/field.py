@@ -79,12 +79,17 @@ class PulseSpec:
         return self.peak_intensity * self.tau_fwhm_ps * GAUSS_FWHM_INTEGRAL
 
 
+def check_squared_amplitudes(a2: float, b2: float):
+    """ValueError unless the squared polarization amplitudes are nonnegative with a2 + b2 = 1."""
+    if a2 < 0 or b2 < 0 or abs(a2 + b2 - 1.0) > 1e-12:
+        raise ValueError(f"squared amplitudes must be nonnegative with a2+b2=1, got {a2}, {b2}")
+
+
 def elliptic_pulse(
     peak_intensity: float, a2: float, b2: float, tau_fwhm_ps: float = 0.1, t0_ps: float = 0.0
 ) -> PulseSpec:
     """Pulse built from squared polarization amplitudes (a2 along x, b2 along y)."""
-    if a2 < 0 or b2 < 0 or abs(a2 + b2 - 1.0) > 1e-12:
-        raise ValueError(f"squared amplitudes must be nonnegative with a2+b2=1, got {a2}, {b2}")
+    check_squared_amplitudes(a2, b2)
     return PulseSpec(peak_intensity, tau_fwhm_ps, t0_ps, pol_a=math.sqrt(a2), pol_b=math.sqrt(b2))
 
 

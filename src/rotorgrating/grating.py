@@ -11,8 +11,10 @@ alignment trace:
   perpendicular pumps:  signal ~ [(3/2) * trace at intensity I0*f]^2, a pure
                         polarization grating (constant total intensity)
 
-grating_signal picks the branch from GratingConfig.scheme; diffracted_signal
-is the per-sample model it shares with the fit's forward model.
+grating_signal picks the branch from GratingConfig.scheme, which
+check_scheme validates for the config and the fit's FitProblem alike;
+diffracted_signal, heterodyne included, is the per-sample model it shares
+with the fit's forward model.
 
 f is the transverse-averaging convention factor (default 1/2) applied to map
 experimental to theoretical intensity; it is exposed in metadata and never
@@ -48,8 +50,7 @@ class GratingConfig:
     apply_transverse_factor: bool = True
 
     def __post_init__(self):
-        if self.scheme not in ("parallel", "perpendicular"):
-            raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {self.scheme!r}")
+        check_scheme(self.scheme)
         if self.wavelength_nm <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
         if not 0.0 < self.crossing_angle_deg < 20.0:
@@ -74,6 +75,12 @@ class GratingConfig:
         if self.scheme == "parallel":
             return 2.0 * self.single_pump_peak_intensity * f
         return self.single_pump_peak_intensity * f
+
+
+def check_scheme(scheme: str):
+    """ValueError unless scheme is 'parallel' or 'perpendicular'."""
+    if scheme not in ("parallel", "perpendicular"):
+        raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {scheme!r}")
 
 
 def transverse_factor(apply_transverse_factor: bool) -> float:
@@ -101,6 +108,9 @@ class SignalTrace:
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"signal must be finite, got {np.count_nonzero(~np.isfinite(self.values))} "
+                             "non-finite values")
         if len(self.values) and self.values.min() < 0:
             raise ValueError(f"homodyne signal must be nonnegative, got min {self.values.min()}")
 
@@ -155,30 +165,23 @@ def _warn_if_saturated(config: GratingConfig):
         )
 
 
-def heterodyne_with_background(times, field_values, background: complex, t_on: float = 0.0):
-    """|s(t) + b|^2 with the background switched on from t_on onward.
-
-    The background models a long-lived plasma contribution: a single complex
-    constant present after the pump, absent before.
-    """
-    b = np.where(np.asarray(times, dtype=float) >= t_on, complex(background), 0.0)
-    return np.abs(np.asarray(field_values) + b) ** 2
-
-
-def diffracted_signal(scheme: str, trace_values, times, background: complex | None = None,
-                      t_on: float = 0.0) -> np.ndarray:
+def diffracted_signal(scheme: str, trace_values, times, background: complex | None,
+                      t_on: float) -> np.ndarray:
     """Per-sample diffracted signal from linear-polarization trace values.
 
-    Perpendicular pumps diffract off (3/2) times the trace, parallel pumps off
-    the trace itself, heterodyned by a nonzero plasma background from t_on
-    onward.  grating_signal and the fit's model_signal both end here.
+    Perpendicular pumps diffract off (3/2) times the trace s, parallel pumps
+    off the trace itself.  A nonzero plasma background b heterodynes it to
+    |s(t) + b|^2: b models a long-lived plasma contribution, a single complex
+    constant present from t_on onward and absent before.  grating_signal and
+    the fit's model_signal both end here.
     """
     field_values = np.asarray(trace_values)
     if scheme == "perpendicular":
         field_values = 1.5 * field_values
-    if background:
-        return heterodyne_with_background(times, field_values, background, t_on)
-    return field_values**2
+    if not background:
+        return field_values**2
+    b = np.where(np.asarray(times, dtype=float) >= t_on, complex(background), 0.0)
+    return np.abs(field_values + b) ** 2
 
 
 def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
@@ -194,9 +197,8 @@ def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
     """
     _warn_if_saturated(config)
     times = np.asarray(trace.times, dtype=float)
-    values = diffracted_signal(
-        config.scheme, trace.values, times, config.plasma_background, config.t0_ps
-    )
+    with np.errstate(over="ignore"):  # SignalTrace rejects a signal that overflows
+        values = diffracted_signal(config.scheme, trace.values, times, config.plasma_background, config.t0_ps)
     meta = dict(trace.metadata)
     meta.update(
         theoretical_intensity=config.theoretical_intensity,
@@ -211,7 +213,8 @@ def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
     return signal
 
 
-# scheme-named entry points; the branch is read from config.scheme either way
+# scheme-named aliases of grating_signal, which reads the branch from
+# config.scheme either way; the package calls neither, perfbench/layers.py wraps both
 intensity_grating_signal = polarization_grating_signal = grating_signal
 
 

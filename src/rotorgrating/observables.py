@@ -27,7 +27,7 @@ from .constants import revival_period
 from .dynamics import (
     ChannelSet, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
 )
-from .field import MAX_DELAY_PS, PulseSpec, effective_area, xi_per_intensity
+from .field import MAX_DELAY_PS, PulseSpec, check_squared_amplitudes, effective_area, xi_per_intensity
 from .rotor import MoleculeSpec, boltzmann_ensemble, check_axis, raman_frequency, suggest_j_max
 
 _VALUE_LO, _VALUE_HI = -1.0 / 3.0, 2.0 / 3.0
@@ -49,10 +49,8 @@ class AlignmentTrace:
         if lo < _VALUE_LO - 1e-9 or hi > _VALUE_HI + 1e-9:
             raise ValueError(f"trace values outside [-1/3, 2/3]: [{lo}, {hi}]")
 
-    def scaled(self, factor: float, axis: str | None = None) -> "AlignmentTrace":
-        return AlignmentTrace(
-            self.times, factor * self.values, self.axis if axis is None else axis, dict(self.metadata)
-        )
+    def scaled(self, factor: float, axis: str) -> "AlignmentTrace":
+        return AlignmentTrace(self.times, factor * self.values, axis, dict(self.metadata))
 
 
 @dataclass(frozen=True)
@@ -372,8 +370,7 @@ def elliptic_approx(linear_trace: AlignmentTrace, a2: float, b2: float) -> dict[
     the x-y difference is (3/2)(A^2 - B^2) L.  Valid at low and moderate kick
     strength; the z trace is independent of ellipticity.
     """
-    if a2 < 0 or b2 < 0 or abs(a2 + b2 - 1.0) > 1e-12:
-        raise ValueError(f"need nonnegative a2, b2 with a2 + b2 = 1, got {a2}, {b2}")
+    check_squared_amplitudes(a2, b2)
     return {
         "x": linear_trace.scaled(a2 - b2 / 2.0, "x"),
         "y": linear_trace.scaled(b2 - a2 / 2.0, "y"),

@@ -22,7 +22,7 @@ import scipy.optimize
 
 from .dynamics import kick_ensemble
 from .field import xi_per_intensity
-from .grating import diffracted_signal, single_pump_intensity
+from .grating import check_scheme, diffracted_signal, single_pump_intensity
 from .observables import FourierDecomposition, fourier_decompose, reconstruct, write_columns_csv
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
@@ -123,8 +123,7 @@ class FitProblem:
     cache_quantum: float = 1e-6
 
     def __post_init__(self):
-        if self.scheme not in ("parallel", "perpendicular"):
-            raise ValueError(f"scheme must be 'parallel' or 'perpendicular', got {self.scheme!r}")
+        check_scheme(self.scheme)
         if not self.tau_fwhm_ps > 0:
             raise ValueError(f"pulse FWHM must be positive, got {self.tau_fwhm_ps}")
         if not self.cache_quantum > 0:

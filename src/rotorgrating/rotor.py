@@ -119,6 +119,17 @@ def suggest_j_max(j_thermal: int, xi: float) -> int:
 MAX_THERMAL_CHANNELS = 100_000  # CO2 needs 1,849 at 293 K
 
 
+def _within(lengths: np.ndarray) -> np.ndarray:
+    """Position of each entry within its range, for ranges of `lengths` laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Offsets of ranges of `lengths` laid end to end, and the total at the end."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelGroups:
     """An ensemble's channels grouped by an integer (major, minor) key.
@@ -148,9 +159,8 @@ def _grouped(j0: np.ndarray, m0: np.ndarray, major: np.ndarray, minor: np.ndarra
     group = rank[inverse]
     order = np.argsort(group, kind="stable")
     keys = keys[seen]
-    return ChannelGroups(np.stack([keys // 2, keys % 2], axis=1),
-                         np.concatenate(([0], np.cumsum(np.bincount(group)))), order, j0[order],
-                         np.abs(m0[order]))
+    return ChannelGroups(np.stack([keys // 2, keys % 2], axis=1), _starts(np.bincount(group)), order,
+                         j0[order], np.abs(m0[order]))
 
 
 GROUPS_CACHE_SIZE = 16  # a fit meets ~8 distinct thermal level sets
@@ -191,7 +201,7 @@ class ThermalEnsemble:
     def of_levels(cls, temperature: float, js: np.ndarray, level_weights: np.ndarray) -> "ThermalEnsemble":
         """Each level J's weight split over M0 = 0..J, M0 > 0 doubled for the folded -M0."""
         counts = js + 1
-        m0 = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        m0 = _within(counts)
         weights = np.repeat(level_weights / (2 * js + 1), counts)
         weights[m0 > 0] *= 2.0
         ens = cls.__new__(cls)

@@ -5,6 +5,7 @@ theta matrices and from the drivers run on single-channel ensembles.
 """
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -332,7 +333,7 @@ def _trace_chain_runs(monkeypatch, excess):
     # an entry as it is built (real phases, numpy's complex cast of them and
     # the exponentials); one that kept its step history would also hold a
     # state matrix per kick, so twice the kicks may add no more than the
-    # longer table and one state matrix
+    # longer table and one state matrix, for every block of a stack
     steps = dynamics._chain_steps
 
     def peak(*args):
@@ -344,8 +345,8 @@ def _trace_chain_runs(monkeypatch, excess):
     def traced(evals, evecs, rhs, kicks, free):
         amps, one = peak(evals, evecs, rhs, kicks, free)
         _, two = peak(evals, evecs, rhs, np.tile(kicks, 2), [*free, free[0], *free])
-        n, k = rhs.shape[0], rhs.shape[1] // 2
-        excess.append((two - one - 40 * n * len(kicks)) / (16 * n * k) - 1)
+        n, k, m = rhs.shape[-2], rhs.shape[-1] // 2, math.prod(rhs.shape[:-2])
+        excess.append((two - one - 40 * m * n * len(kicks)) / (16 * m * n * k) - 1)
         return amps
 
     monkeypatch.setattr(dynamics, "_chain_steps", traced)
@@ -356,8 +357,8 @@ def _trace_chain_runs(monkeypatch, excess):
     lambda: elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 10.0), elliptic_pulse(10.0, 0.5, 0.5)),
 ], ids=["linear", "elliptic"])
 def test_tdse_keeps_no_step_history(monkeypatch, propagate):
-    # both routes run the same stepper: the chains block by block, the
-    # lattice sector by sector
+    # both routes run the same stepper: the chains run by run, the lattice
+    # sector by sector
     excess = []
     _trace_chain_runs(monkeypatch, excess)
     tracemalloc.start()
@@ -404,10 +405,11 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
 
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
-    # the stepper runs one block at a time: the estimate counts every block's
-    # cached eigenvectors, result and gather index of its first kick plus the
-    # largest block's stepper arrays: three free propagators and their
-    # build's two temporaries, the kick phase table and 3 state vectors
+    # the stepper runs one run of equal-shape blocks at a time: the estimate
+    # counts every block's cached eigenvectors, result and gather index of
+    # its first kick plus the costliest run's stepper arrays, for each of its
+    # blocks three free propagators and their build's two temporaries, the
+    # kick phase table and 3 state vectors
     estimates = []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
@@ -424,7 +426,8 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
     assert estimates == [sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * dynamics.GATHER_CHUNK
                          + 8 * max(n for n, _ in sizes) ** 2
-                         + max(16 * (5 * n * n + 3 * n * k) + 40 * kicks * n for n, k in sizes)]
+                         + max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
+                               for (n, k), run in itertools.groupby(sizes))]
     assert peak <= estimates[0]
 
 

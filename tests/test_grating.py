@@ -13,8 +13,8 @@ from rotorgrating.grating import (
     GratingConfig,
     SignalTrace,
     grating_geometry,
+    diffracted_signal,
     grating_signal,
-    heterodyne_with_background,
     intensity_grating_signal,
     polarization_grating_signal,
     probe_convolve,
@@ -175,13 +175,13 @@ def test_saturation_warning():
 def test_heterodyne_reduces_to_homodyne():
     times = np.linspace(-1.0, 5.0, 97)
     s = np.sin(times)
-    assert np.allclose(heterodyne_with_background(times, s, 0.0), s**2, atol=1e-15)
+    assert np.allclose(diffracted_signal("parallel", s, times, 0.0, 0.0), s**2, atol=1e-15)
 
 
 def test_heterodyne_switch_on_time():
     times = np.array([-1.0, -0.1, 0.0, 0.5])
     s = np.full(4, 0.2)
-    out = heterodyne_with_background(times, s, 1.0, t_on=0.0)
+    out = diffracted_signal("parallel", s, times, 1.0, 0.0)
     assert out[0] == pytest.approx(0.04)
     assert out[1] == pytest.approx(0.04)
     assert out[2] == pytest.approx(1.44)
@@ -192,13 +192,13 @@ def test_heterodyne_linearizes_for_large_background():
     times = np.zeros(5)
     s = np.linspace(-0.01, 0.01, 5)
     b = 10.0
-    out = heterodyne_with_background(times, s, b)
+    out = diffracted_signal("parallel", s, times, b, 0.0)
     # |s+b|^2 = b^2 + 2 b s + s^2: cross term dominates the signal part
     assert np.allclose(out - b**2, 2 * b * s, atol=1e-4)
 
 
 def test_heterodyne_complex_background():
-    out = heterodyne_with_background([1.0], [0.3], 1j)
+    out = diffracted_signal("parallel", [0.3], [1.0], 1j, 0.0)
     assert out[0] == pytest.approx(0.09 + 1.0)
 
 

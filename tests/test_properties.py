@@ -21,7 +21,7 @@ from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
 from rotorgrating.rotor import (
     CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, cos2theta_diagonal,
-    cos2theta_offdiag, raman_frequency,
+    cos2theta_offdiag, raman_frequency, rotational_omega,
 )
 
 
@@ -75,6 +75,18 @@ def test_chain_stepper_over_random_molecules(b, delta_alpha, spins, temperature,
         kick = kick_ensemble(molecule, ens, effective_area(pulse, molecule), j_max)
         gaps.append(max(np.max(np.abs(t.amplitudes - k.amplitudes)) for t, k in zip(cs.blocks, kick.blocks)))
         assert gaps[-1] <= 0.01 * c * xi * (1.0 + xi)
+        # a run of equal-shape blocks steps as one stack: each TDSE block is
+        # the stepper run on that block alone, bit for bit
+        schedule = dynamics._rkn_schedule(pulse, molecule, j_max)
+        for t in cs.blocks:
+            m, rows = int(t.m0[0]), (t.j0 - t.js[0]) // 2
+            evals, evecs = scipy.linalg.eigh_tridiagonal(cos2theta_diagonal(t.js, m),
+                                                         cos2theta_offdiag(t.js[:-1], m))
+            rot = np.exp(1j * schedule[1][0] * evals).view(float).reshape(-1, 1, 2)
+            rhs = (evecs[rows].T[:, :, None] * rot).reshape(len(t.js), -1)
+            omega = rotational_omega(t.js, molecule)
+            dynamics._compose(evals, evecs, omega, omega[rows], rhs, schedule)
+            assert rhs.view(complex).tobytes() == t.amplitudes.tobytes()
         # the kick is the stepper's zero-width step, V (e^{i xi Lambda} * V^T E)
         # as one real GEMM on the (re, im) column pairs, bit for bit
         for k in kick.blocks:
