@@ -49,7 +49,7 @@ def _bound_names(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
             yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
@@ -78,6 +78,6 @@ def test_every_module_level_name_has_a_reader():
                 or (module, name) in reads or (None, name) in reads)
     }
     assert unread == set(BENCHMARK_ONLY)
-    root = package.parents[1]
+    root = pathlib.Path(__file__).resolve().parents[1]
     for qualified, reader in BENCHMARK_ONLY.items():
         assert qualified.split(".")[1] in (root / reader).read_text(encoding="utf-8"), qualified
