@@ -75,22 +75,22 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, kinds, default=_REQUIRED):
-    """Typed fetch with a key-path error message; bool never passes as number."""
+def _get(cfg: dict, key: str, kinds, default=_REQUIRED, prefix: str = ""):
+    """Typed fetch naming the key path (prefix + key) in errors; bool never passes as number."""
     if key not in cfg or cfg[key] is None:
         if default is _REQUIRED:
-            raise ValueError(f"missing required key '{key}'")
+            raise ValueError(f"missing required key '{prefix}{key}'")
         return default
     value = cfg[key]
     if kinds is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if isinstance(value, bool) and kinds in (float, int):
-        raise ValueError(f"'{key}' must be a number, got a boolean")
+        raise ValueError(f"'{prefix}{key}' must be a number, got a boolean")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"'{key}' must be a finite number, got {value}")
+        raise ValueError(f"'{prefix}{key}' must be a finite number, got {value}")
     if not isinstance(value, kinds if isinstance(kinds, tuple) else (kinds,)):
         want = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
-        raise ValueError(f"'{key}' must be {want}, got {type(value).__name__}")
+        raise ValueError(f"'{prefix}{key}' must be {want}, got {type(value).__name__}")
     return value
 
 
@@ -123,9 +123,9 @@ def _resolve_molecule(cfg: dict):
 
 def _resolve_times(cfg: dict, molecule, override_n: int | None):
     tg = _get(cfg, "time_grid", dict, {})
-    n = override_n if override_n is not None else _get(tg, "n", int, 4096)
-    t_start = _get(tg, "t_start_ps", float, 0.5)
-    periods = _get(tg, "periods", float, 1.0)
+    n = override_n if override_n is not None else _get(tg, "n", int, 4096, "time_grid.")
+    t_start = _get(tg, "t_start_ps", float, 0.5, "time_grid.")
+    periods = _get(tg, "periods", float, 1.0, "time_grid.")
     if n < 2:
         raise ValueError("'time_grid.n' must be at least 2")
     if periods <= 0:
@@ -142,7 +142,9 @@ def _background(cfg: dict):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_number(value, "plasma_background"))
     if isinstance(value, dict):
-        return complex(_get(value, "re", float, 0.0), _get(value, "im", float, 0.0))
+        if set(value) - {"re", "im"}:
+            raise ValueError(f"'plasma_background' takes the keys re and im, got {sorted(value)}")
+        return complex(*(_get(value, k, float, 0.0, "plasma_background.") for k in ("re", "im")))
     raise ValueError("'plasma_background' must be a number or {re, im}")
 
 

@@ -35,7 +35,7 @@ block per chain or group: an amplitude matrix with one column per channel.
 The reduction order is fixed, so reruns are bit-identical.  Before it
 allocates, each driver estimates its working set at the chosen j_max (and
 again after every regrow) and raises ValueError naming the estimate when it
-exceeds MAX_WORKING_SET_BYTES.
+exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
 
 The chain blocks are packed.  A ChainLayout lays the n x k blocks end to end
 in one amplitude array, in C order, in the order of the ensemble's chain
@@ -92,6 +92,8 @@ EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J s
 # Working-set budget of one propagation, checked before it allocates.  The
 # 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB, the 60 K elliptic one ~0.22 GB.
 MAX_WORKING_SET_BYTES = 2e9
+# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 2.1e11)
+MAX_KICK_WORK = 1e12
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
 _B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
@@ -734,14 +736,19 @@ def elliptic_tdse_ensemble(
         # every group's result, plus for the largest sector (a group's M >= 0
         # sites) its operator and eigenvectors, three free propagators and the
         # two temporaries of their build, the kick phase table (40 B per kick
-        # and level) and 3 state matrices.  Integers: j_max may be huge
+        # and level) and 3 state matrices; the work is kicks x the sum of n^2 k
+        # over the sectors.  Integers: j_max may be huge
         kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
-        results, sector = 0, 0
+        results, sector, work = 0, 0, 0
         for (jp, mp), c0, c1 in groups.spans():
             n, k = _lattice_size(j_max, jp, mp), c1 - c0
             half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
             results += 16 * n * k
             sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half)
+            work += kicks * k * (half * half + (n - half) ** 2)
+        if work > MAX_KICK_WORK and results + sector <= MAX_WORKING_SET_BYTES:  # memory is named first
+            raise ValueError(f"propagation at j_max={j_max} needs about {work:.3g} complex multiply-adds "
+                             f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
         return results + sector
 
     return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)

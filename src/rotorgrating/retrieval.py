@@ -5,7 +5,7 @@ ensemble at (intensity, temperature), its exact cosine-series decomposition,
 evaluated at shifted delays, turned into a diffracted signal by the same
 grating.diffracted_signal that simulate uses, and scaled.  The decomposition
 per (intensity, temperature) cell is cached with quantized keys, so the
-derivative-free simplex pays the propagation cost only once per visited cell.
+refinement pays the propagation cost only once per visited cell.
 
 The amplitude scale never enters the optimizer: for any trial of the other
 parameters it is a linear least-squares subproblem solved in closed form.
@@ -27,6 +27,9 @@ from .observables import FourierDecomposition, fourier_decompose, reconstruct, w
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
 PARAM_ORDER = ("intensity", "temperature", "t_offset", "background_re", "background_im")
+
+# simplex size (box-scaled) at which a refinement leaves Nelder-Mead for Gauss-Newton
+SIMPLEX_XATOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -288,12 +291,16 @@ def fit_trace(
     n_temperature_starts: int = 4,
     cache: EnsembleCache | None = None,
 ) -> FitResult:
-    """Least-squares retrieval: multistart grid, then Nelder-Mead refinement.
+    """Least-squares retrieval: multistart grid, then two-phase refinement.
 
     The objective is the mean squared residual normalized by the data peak,
-    over delays outside the pulse-overlap window |t - t_offset| < 2 tau; the
-    simplex runs in bounds-scaled [0,1] coordinates with the scale profiled
-    out at every trial point.
+    over delays outside the pulse-overlap window |t - t_offset| < 2 tau, with
+    the scale profiled out at every trial point.  From each of the best
+    refine_starts grid points a coarse Nelder-Mead simplex finds the basin and
+    bounded Gauss-Newton (trust-region reflective least squares, forward
+    differences) converges in it, both in bounds-scaled [0,1] coordinates.
+    max_evaluations caps the grid and refinement evaluations, Jacobian columns
+    included; converged means the best run's Gauss-Newton met a tolerance.
     """
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
@@ -305,22 +312,27 @@ def fit_trace(
     lows = np.array([problem.bounds[n][0] for n in free])
     highs = np.array([problem.bounds[n][1] for n in free])
     span = highs - lows
+    # difference steps of ~1e-3 of the box; on cache keys whole cells, at least two, at most half the box
+    cells = np.maximum(2, np.round(1e-3 * span / problem.cache_quantum)) * problem.cache_quantum / span
+    steps = np.minimum(0.5, np.where(np.isin(free, ("intensity", "temperature")), cells, 1e-3))
     counter = {"n": 0}
 
-    def objective(x_scaled: np.ndarray) -> tuple[float, float]:
-        """(residual, profiled scale) at a scaled point; penalized outside the box."""
-        x = np.clip(x_scaled, 0.0, 1.0)
-        penalty = float(np.sum((x_scaled - x) ** 2))
-        values = dict(zip(free, lows + span * x))
-        params = problem.resolve(values)
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(residuals, profiled scale) in the box; their squared norm is the objective."""
+        params = problem.resolve(dict(zip(free, lows + span * x)))
         counter["n"] += 1
         base = model_signal({**params, "scale": 1.0}, problem, trace.delays, cache)
         mask = np.abs(trace.delays - params["t_offset"]) >= 2.0 * problem.tau_fwhm_ps
         if not mask.any():
-            return float("inf"), 0.0
+            return np.full(len(data), np.inf), 0.0
         scale = _profiled_scale(base, data, mask, problem.scale_bounds)
-        resid = (scale * base[mask] - data[mask]) / peak
-        return float(resid @ resid) / int(mask.sum()) + penalty, scale
+        return np.where(mask, scale * base - data, 0.0) / (peak * math.sqrt(mask.sum())), scale
+
+    def objective(x_scaled: np.ndarray) -> tuple[float, float]:
+        """(squared residual norm, profiled scale); penalized outside the box."""
+        x = np.clip(x_scaled, 0.0, 1.0)
+        resid, scale = residuals(x)
+        return float(resid @ resid) + float(np.sum((x_scaled - x) ** 2)), scale
 
     # multistart coarse grid over the physically multimodal axes
     grids = []
@@ -342,26 +354,44 @@ def fit_trace(
         )
     ranked = [starts[k] for _, k in scored]
 
-    best_x, best_f = None, float("inf")
+    best_x, best_f = ranked[0], float("inf")
     converged = False
     flags: list[str] = []
-    budget = max(max_evaluations - counter["n"], 50 * len(free))
-    per_run = max(budget // max(refine_starts, 1), 100)
-    for x0 in ranked[: max(refine_starts, 1)]:
-        res = scipy.optimize.minimize(
+    runs = max(refine_starts, 1)
+    per_run = max(max_evaluations - counter["n"], 0) // runs
+    for x0 in ranked[:runs]:
+        stop = counter["n"] + per_run
+        coarse = scipy.optimize.minimize(
             lambda x: objective(x)[0],
             x0,
             method="Nelder-Mead",
             options={
-                "xatol": 1e-4,
-                "fatol": 1e-14,
+                "xatol": SIMPLEX_XATOL,
+                "fatol": math.inf,
                 "maxfev": per_run,
-                "initial_simplex": _initial_simplex(x0, 0.08),
+                "initial_simplex": np.vstack([x0, x0 + _box_steps(x0, 0.08)]),
             },
         )
-        if res.fun < best_f:
-            best_x, best_f = np.clip(res.x, 0.0, 1.0), float(res.fun)
-            converged = bool(res.success)
+        x, f, ok = np.clip(coarse.x, 0.0, 1.0), float(coarse.fun), False
+        # a Jacobian costs len(free) evaluations and follows each accepted step
+        max_nfev = (stop - counter["n"]) // (len(free) + 1)
+        if math.isfinite(f) and max_nfev > 0:
+            last = {}
+
+            def fun(x):
+                last["x"], last["r"] = x.copy(), residuals(x)[0]
+                return last["r"]
+
+            def jac(x):
+                """Forward differences by `steps`, backward at the top of the box."""
+                r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
+                ys = x + _box_steps(x, steps)
+                return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
+
+            fine = scipy.optimize.least_squares(fun, x, jac, bounds=(0.0, 1.0), method="trf", max_nfev=max_nfev)
+            x, f, ok = fine.x, float(fine.fun @ fine.fun), fine.status > 0
+        if f < best_f:
+            best_x, best_f, converged = x, f, ok
     if not converged:
         flags.append("budget_exhausted")
     best_f, best_scale = objective(best_x)
@@ -369,23 +399,17 @@ def fit_trace(
     # flat-objective diagnostic: curvature along each free direction
     sensitivity = {}
     h = 1e-3
-    degenerate = False
     for k, name in enumerate(free):
         xp, xm = best_x.copy(), best_x.copy()
         xp[k] = min(xp[k] + h, 1.0)
         xm[k] = max(xm[k] - h, 0.0)
         fp, fm = objective(xp)[0], objective(xm)[0]
         denom = (xp[k] - xm[k]) / 2.0
-        curv = (fp - 2.0 * best_f + fm) / denom**2 if denom > 0 else float("nan")
-        sensitivity[name] = curv
-        if not math.isfinite(curv) or abs(curv) < 1e-18:
-            degenerate = True
-    if degenerate:
+        sensitivity[name] = (fp - 2.0 * best_f + fm) / denom**2 if denom > 0 else float("nan")
+    if not all(math.isfinite(c) and abs(c) >= 1e-18 for c in sensitivity.values()):
         flags.append("degenerate_direction")
 
-    values = dict(zip(free, lows + span * best_x))
-    params = problem.resolve(values)
-    params["scale"] = best_scale
+    params = {**problem.resolve(dict(zip(free, lows + span * best_x))), "scale": best_scale}
     return FitResult(
         params=params,
         residual=best_f,
@@ -397,12 +421,9 @@ def fit_trace(
     )
 
 
-def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
-    n = len(x0)
-    simplex = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        simplex[k + 1, k] = x0[k] + step if x0[k] + step <= 1.0 else x0[k] - step
-    return simplex
+def _box_steps(x: np.ndarray, steps) -> np.ndarray:
+    """One step per coordinate (rows), forward unless it would leave the unit box."""
+    return np.diag(np.where(x + steps <= 1.0, steps, -steps))
 
 
 def synthesize_trace(

@@ -328,6 +328,22 @@ def test_simulate_rejects_a_nonfinite_background_or_signal(tmp_path, capsys, bac
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"plasma_background": {"re": math.inf}}, "'plasma_background.re' must be a finite number, got inf"),
+    ({"plasma_background": {"im": True}}, "'plasma_background.im' must be a number, got a boolean"),
+    ({"plasma_background": {"real": 0.002}}, "'plasma_background' takes the keys re and im, got ['real']"),
+    ({"time_grid": {"n": 64.5}}, "'time_grid.n' must be int, got float"),
+    ({"time_grid": {"n": 64, "periods": "1"}}, "'time_grid.periods' must be float, got str"),
+], ids=["re_inf", "im_bool", "unknown_key", "n_float", "periods_str"])
+def test_simulate_names_nested_keys_in_full(tmp_path, no_propagation, capsys, extra, message):
+    # a key inside an object is named with its parent, as fit names 'fixed.temperature'
+    cfg = _cfg(tmp_path, {**SIM_BASE, "scheme": "parallel", "method": "tdse", **extra})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_tdse_propagates_once(tmp_path, monkeypatch, capsys):
     calls = []
     propagate = observables.tdse_ensemble
@@ -519,6 +535,23 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, ca
     assert not out.exists()
 
 
+def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
+    # 293 K at 30 TW/cm^2 fits the memory budget (1.09 GB at j_max 148), but
+    # 157 kicks of the four sectors' free propagators come to 4.5e12 complex
+    # multiply-adds; 60 K at 30 TW/cm^2 (2.1e11) takes about 25 s on 2 cores
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 30.0, "method": "tdse",
+        "polarization": [0.8164965809277261, 0.5773502691896257],
+    })
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert ("propagation at j_max=148 needs about 4.53e+12 complex multiply-adds of kicks, above the "
+            "budget of 1e+12") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fourier_rejects_direct_trace_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
     # 21 Raman lines x 4096 delays peak at 2.75 MB in the direct trace
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 1e6)
@@ -675,8 +708,8 @@ def test_fit_problem_rejects_pump_and_cache_settings(tmp_path, capsys, setting, 
 
 
 def test_fit_out_of_budget_exits_4_and_writes_its_best(tmp_path, capsys):
-    # five free parameters and a floor budget of 250 evaluations for one
-    # Nelder-Mead run: the simplex cannot settle on a noisy trace
+    # five free parameters and a budget of one evaluation: the four grid
+    # starts spend it, so no refinement runs and the best start is written
     problem = FitProblem(CO2, "parallel", bounds={"intensity": (5.0, 30.0)},
                          fixed={"temperature": 60.0})
     truth = {"intensity": 15.0, "temperature": 60.0, "t_offset": 0.05,

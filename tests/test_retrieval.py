@@ -354,6 +354,61 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
 
 
 # ---------------------------------------------------------------------------
+# The two-phase refinement on the acceptance-10 box
+# ---------------------------------------------------------------------------
+
+def _box_fit(truth, cache_quantum=1e-3, noise_fraction=0.0, seed=None, **search):
+    problem = FitProblem(CO2, "perpendicular", cache_quantum=cache_quantum,
+                         bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)})
+    delays = np.arange(0.5, 0.5 + revival_period(CO2.b_cm1), 0.02)
+    trace = synthesize_trace(problem, truth, delays, noise_fraction=noise_fraction, seed=seed)
+    return fit_trace(problem, trace, **search)
+
+
+def test_cold_acceptance_10_fit_makes_at_most_138_evaluations():
+    # 60% of the 230 that Nelder-Mead alone made on this fit
+    truth = {"intensity": 18.0, "temperature": 60.0, "scale": 2.5}
+    result = _box_fit(truth)
+    assert result.converged
+    assert result.evaluations <= 138
+    for key, value in truth.items():
+        assert result.params[key] == pytest.approx(value, rel=0.01)
+
+
+@pytest.mark.parametrize("intensity, temperature", [(18.0, 60.0), (14.6, 40.0), (8.0, 60.0)])
+def test_fit_converges_on_coarse_cache_cells(intensity, temperature):
+    # cache_quantum 0.05 holds the model constant over 0.05 TW/cm^2 x 0.05 K
+    # cells; finite differences over whole cells keep Gauss-Newton on course.
+    # Over a fixed 1e-3 of the box (half a cell in intensity) it misses 14.6
+    # TW/cm^2 by 1%; over 1e-3 of the coordinate itself it misses 8 by 5%
+    result = _box_fit({"intensity": intensity, "temperature": temperature}, cache_quantum=0.05)
+    assert result.converged
+    assert result.params["intensity"] == pytest.approx(intensity, rel=0.005)
+    assert result.params["temperature"] == pytest.approx(temperature, rel=0.005)
+
+
+def test_fit_leaves_the_lower_temperature_bound():
+    # with this seed the two best grid starts lie on the 20 K bound, where a
+    # finite-difference step relative to the box coordinate would vanish
+    result = _box_fit({"intensity": 14.6, "temperature": 36.0}, noise_fraction=0.05, seed=0,
+                      max_evaluations=600, refine_starts=2)
+    assert result.converged
+    assert result.params["intensity"] == pytest.approx(14.6, rel=0.02)
+    assert result.params["temperature"] == pytest.approx(36.0, rel=0.02)
+
+
+@pytest.mark.parametrize("budget", [1, 30, 60, 120])
+def test_max_evaluations_caps_the_search(budget):
+    # the 24 grid starts always run and refinement spends at most the rest,
+    # Jacobian columns included; the curvature diagnostic then adds one
+    # evaluation at the best point and two per free parameter
+    result = _box_fit({"intensity": 18.0, "temperature": 60.0}, noise_fraction=0.05, seed=1,
+                      max_evaluations=budget)
+    assert result.evaluations <= max(budget, 24) + 1 + 2 * 2
+    assert result.converged == ("budget_exhausted" not in result.flags)
+
+
+# ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
 
