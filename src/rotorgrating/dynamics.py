@@ -574,7 +574,7 @@ def require_y_polarized(pulse: PulseSpec):
 
 
 def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j_max,
-                 max_regrow: int):
+                 max_regrow: int, kick_work=None):
     """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
 
     Without j_max the basis is sized from the thermal and kick scales and may
@@ -582,6 +582,8 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
     A zero kick leaves every channel on its origin, so it skips the check.
     working_set(j_max) estimates the bytes propagate(j_max) allocates; over
     MAX_WORKING_SET_BYTES, a ValueError names it before anything is allocated.
+    kick_work(j_max), if given, estimates its complex multiply-adds, bounded
+    by MAX_KICK_WORK the same way.
     """
     if j_max is None:
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
@@ -593,6 +595,9 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
                                  "hold the initial ensemble")
     for _ in range(max_regrow + 1):
         check_working_set(working_set(j_max), f"propagation at j_max={j_max}")
+        if kick_work is not None and (work := kick_work(j_max)) > MAX_KICK_WORK:
+            raise ValueError(f"propagation at j_max={j_max} needs about {work:.3g} complex multiply-adds "
+                             f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
         cs = propagate(j_max)
         if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
             return cs
@@ -732,23 +737,27 @@ def elliptic_tdse_ensemble(
             blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, weights[c0:c1], a))
         return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, lattice=tuple(blocks))
 
+    def sectors(j_max):
+        # per group: its lattice sites n, channels k and + sector's sites
+        for (jp, mp), c0, c1 in groups.spans():
+            n = _lattice_size(j_max, jp, mp)
+            yield n, c1 - c0, (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
+
     def working_set(j_max):
         # every group's result, plus for the largest sector (a group's M >= 0
         # sites) its operator and eigenvectors, three free propagators and the
         # two temporaries of their build, the kick phase table (40 B per kick
-        # and level) and 3 state matrices; the work is kicks x the sum of n^2 k
-        # over the sectors.  Integers: j_max may be huge
+        # and level) and 3 state matrices.  Integers: j_max may be huge
         kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
-        results, sector, work = 0, 0, 0
-        for (jp, mp), c0, c1 in groups.spans():
-            n, k = _lattice_size(j_max, jp, mp), c1 - c0
-            half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
+        results, sector = 0, 0
+        for n, k, half in sectors(j_max):
             results += 16 * n * k
             sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half)
-            work += kicks * k * (half * half + (n - half) ** 2)
-        if work > MAX_KICK_WORK and results + sector <= MAX_WORKING_SET_BYTES:  # memory is named first
-            raise ValueError(f"propagation at j_max={j_max} needs about {work:.3g} complex multiply-adds "
-                             f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
         return results + sector
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2)
+    def kick_work(j_max):
+        # each kick applies every sector's free propagator to its k columns
+        kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
+        return kicks * sum(k * (half * half + (n - half) ** 2) for n, k, half in sectors(j_max))
+
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2, kick_work=kick_work)

@@ -28,9 +28,6 @@ from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
 PARAM_ORDER = ("intensity", "temperature", "t_offset", "background_re", "background_im")
 
-# simplex size (box-scaled) at which a refinement leaves Nelder-Mead for Gauss-Newton
-SIMPLEX_XATOL = 0.05
-
 
 @dataclass(frozen=True)
 class ExperimentalTrace:
@@ -291,16 +288,15 @@ def fit_trace(
     n_temperature_starts: int = 4,
     cache: EnsembleCache | None = None,
 ) -> FitResult:
-    """Least-squares retrieval: multistart grid, then two-phase refinement.
+    """Least-squares retrieval: multistart grid, then bounded Gauss-Newton.
 
     The objective is the mean squared residual normalized by the data peak,
     over delays outside the pulse-overlap window |t - t_offset| < 2 tau, with
     the scale profiled out at every trial point.  From each of the best
-    refine_starts grid points a coarse Nelder-Mead simplex finds the basin and
-    bounded Gauss-Newton (trust-region reflective least squares, forward
-    differences) converges in it, both in bounds-scaled [0,1] coordinates.
+    refine_starts grid points, trust-region reflective least squares with a
+    forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
     max_evaluations caps the grid and refinement evaluations, Jacobian columns
-    included; converged means the best run's Gauss-Newton met a tolerance.
+    included; converged means the best run's least squares met a tolerance.
     """
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
@@ -328,11 +324,10 @@ def fit_trace(
         scale = _profiled_scale(base, data, mask, problem.scale_bounds)
         return np.where(mask, scale * base - data, 0.0) / (peak * math.sqrt(mask.sum())), scale
 
-    def objective(x_scaled: np.ndarray) -> tuple[float, float]:
-        """(squared residual norm, profiled scale); penalized outside the box."""
-        x = np.clip(x_scaled, 0.0, 1.0)
+    def objective(x: np.ndarray) -> tuple[float, float]:
+        """(squared residual norm, profiled scale) at a point of the box."""
         resid, scale = residuals(x)
-        return float(resid @ resid) + float(np.sum((x_scaled - x) ** 2)), scale
+        return float(resid @ resid), scale
 
     # multistart coarse grid over the physically multimodal axes
     grids = []
@@ -344,7 +339,7 @@ def fit_trace(
             pts = np.linspace(lo, hi, n_temperature_starts)
         else:
             pts = np.array([0.5 * (lo + hi)])
-        grids.append((pts - lo) / (hi - lo))
+        grids.append(np.clip((pts - lo) / (hi - lo), 0.0, 1.0))  # exp(log(hi)) may round above hi
     starts = [np.array(combo) for combo in itertools.product(*grids)]
     scored = sorted((objective(x)[0], k) for k, x in enumerate(starts))
     if not math.isfinite(scored[0][0]):
@@ -358,58 +353,50 @@ def fit_trace(
     converged = False
     flags: list[str] = []
     runs = max(refine_starts, 1)
-    per_run = max(max_evaluations - counter["n"], 0) // runs
+    # a Jacobian costs len(free) evaluations and follows each accepted step
+    max_nfev = max(max_evaluations - counter["n"], 0) // runs // (len(free) + 1)
     for x0 in ranked[:runs]:
-        stop = counter["n"] + per_run
-        coarse = scipy.optimize.minimize(
-            lambda x: objective(x)[0],
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": SIMPLEX_XATOL,
-                "fatol": math.inf,
-                "maxfev": per_run,
-                "initial_simplex": np.vstack([x0, x0 + _box_steps(x0, 0.08)]),
-            },
-        )
-        x, f, ok = np.clip(coarse.x, 0.0, 1.0), float(coarse.fun), False
-        # a Jacobian costs len(free) evaluations and follows each accepted step
-        max_nfev = (stop - counter["n"]) // (len(free) + 1)
-        if math.isfinite(f) and max_nfev > 0:
-            last = {}
+        if max_nfev == 0:  # least_squares makes at least one evaluation
+            break
+        last = {}
 
-            def fun(x):
-                last["x"], last["r"] = x.copy(), residuals(x)[0]
-                return last["r"]
+        def fun(x):
+            last["x"], last["r"] = x.copy(), residuals(x)[0]
+            return last["r"]
 
-            def jac(x):
-                """Forward differences by `steps`, backward at the top of the box."""
-                r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
-                ys = x + _box_steps(x, steps)
-                return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
+        def jac(x):
+            """Forward differences by `steps`, backward where they would leave the box."""
+            r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
+            ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
+            return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
 
-            fine = scipy.optimize.least_squares(fun, x, jac, bounds=(0.0, 1.0), method="trf", max_nfev=max_nfev)
-            x, f, ok = fine.x, float(fine.fun @ fine.fun), fine.status > 0
-        if f < best_f:
-            best_x, best_f, converged = x, f, ok
+        res = scipy.optimize.least_squares(fun, x0, jac, bounds=(0.0, 1.0), method="trf", max_nfev=max_nfev)
+        if float(res.fun @ res.fun) < best_f:
+            best_x, best_f, converged = res.x, float(res.fun @ res.fun), res.status > 0
     if not converged:
         flags.append("budget_exhausted")
     best_f, best_scale = objective(best_x)
 
-    # flat-objective diagnostic: curvature along each free direction
+    # flat-objective diagnostic: curvature along each free direction, probed
+    # by the Jacobian's steps so that no probe stays inside one cache cell
     sensitivity = {}
-    h = 1e-3
+    degenerate = False
     for k, name in enumerate(free):
         xp, xm = best_x.copy(), best_x.copy()
-        xp[k] = min(xp[k] + h, 1.0)
-        xm[k] = max(xm[k] - h, 0.0)
+        xp[k] = min(xp[k] + steps[k], 1.0)
+        xm[k] = max(xm[k] - steps[k], 0.0)
         fp, fm = objective(xp)[0], objective(xm)[0]
         denom = (xp[k] - xm[k]) / 2.0
-        sensitivity[name] = (fp - 2.0 * best_f + fm) / denom**2 if denom > 0 else float("nan")
-    if not all(math.isfinite(c) and abs(c) >= 1e-18 for c in sensitivity.values()):
+        curv = (fp - 2.0 * best_f + fm) / denom**2 if denom > 0 else float("nan")
+        sensitivity[name] = curv
+        if not math.isfinite(curv) or abs(curv) < 1e-18:
+            degenerate = True
+    if degenerate:
         flags.append("degenerate_direction")
 
-    params = {**problem.resolve(dict(zip(free, lows + span * best_x))), "scale": best_scale}
+    values = dict(zip(free, lows + span * best_x))
+    params = problem.resolve(values)
+    params["scale"] = best_scale
     return FitResult(
         params=params,
         residual=best_f,
@@ -419,11 +406,6 @@ def fit_trace(
         sensitivity=sensitivity,
         reported=reported_intensities(problem, params["intensity"]),
     )
-
-
-def _box_steps(x: np.ndarray, steps) -> np.ndarray:
-    """One step per coordinate (rows), forward unless it would leave the unit box."""
-    return np.diag(np.where(x + steps <= 1.0, steps, -steps))
 
 
 def synthesize_trace(

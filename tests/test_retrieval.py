@@ -354,7 +354,7 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
 
 
 # ---------------------------------------------------------------------------
-# The two-phase refinement on the acceptance-10 box
+# The Gauss-Newton refinement on the acceptance-10 box
 # ---------------------------------------------------------------------------
 
 def _box_fit(truth, cache_quantum=1e-3, noise_fraction=0.0, seed=None, **search):
@@ -387,6 +387,16 @@ def test_fit_converges_on_coarse_cache_cells(intensity, temperature):
     assert result.params["temperature"] == pytest.approx(temperature, rel=0.005)
 
 
+@pytest.mark.parametrize("temperature", [40.0, 60.0])
+def test_curvature_probes_leave_the_cache_cell(temperature):
+    # cache_quantum 0.1 makes cells of 4e-3 of the intensity box: a probe of
+    # 1e-3 of the box each way stays in the best point's cell, reads zero
+    # curvature and flags a well-determined fit degenerate
+    result = _box_fit({"intensity": 14.6, "temperature": temperature}, cache_quantum=0.1)
+    assert result.flags == ()
+    assert result.sensitivity["intensity"] > 0.0
+
+
 def test_fit_leaves_the_lower_temperature_bound():
     # with this seed the two best grid starts lie on the 20 K bound, where a
     # finite-difference step relative to the box coordinate would vanish
@@ -397,15 +407,16 @@ def test_fit_leaves_the_lower_temperature_bound():
     assert result.params["temperature"] == pytest.approx(36.0, rel=0.02)
 
 
-@pytest.mark.parametrize("budget", [1, 30, 60, 120])
+@pytest.mark.parametrize("budget", [1, 30, 60, 120, 600])
 def test_max_evaluations_caps_the_search(budget):
     # the 24 grid starts always run and refinement spends at most the rest,
     # Jacobian columns included; the curvature diagnostic then adds one
-    # evaluation at the best point and two per free parameter
+    # evaluation at the best point and two per free parameter.  Up to 120,
+    # each of the three runs is cut before it meets a tolerance
     result = _box_fit({"intensity": 18.0, "temperature": 60.0}, noise_fraction=0.05, seed=1,
                       max_evaluations=budget)
     assert result.evaluations <= max(budget, 24) + 1 + 2 * 2
-    assert result.converged == ("budget_exhausted" not in result.flags)
+    assert result.converged == (budget > 120)
 
 
 # ---------------------------------------------------------------------------
