@@ -28,7 +28,7 @@ from rotorgrating.observables import (
     revival_time_grid,
     thermal_channel_set,
 )
-from rotorgrating.rotor import CO2
+from rotorgrating.rotor import CO2, molecule_from_dict
 
 
 def _cfg(tmp_path, doc, name="config.json"):
@@ -809,35 +809,74 @@ def test_fit_round_trip_from_simulated_signal(tmp_path, capsys):
     assert len(curve) == 1 + 2048
 
 
-def test_fit_echoes_every_setting(tmp_path, capsys):
-    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0)},
-                         fixed={"temperature": 60.0})
-    delays = np.arange(0.5, 40.0, 0.05)
-    trace = synthesize_trace(problem, {"intensity": 12.0, "temperature": 60.0}, delays)
-    scan = tmp_path / "scan.csv"
-    scan.write_text("delay_ps,signal_au\n"
-                    + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
-    settings = {
-        "scale_bounds": [0.5, 4.0],
-        "boltzmann_cutoff": 1e-5,
-        "cache_quantum": 1e-3,
-        "max_evaluations": 120,
-        "refine_starts": 1,
-        "n_intensity_starts": 2,
-        "n_temperature_starts": 3,
-    }
-    cfg = _cfg(tmp_path, {
-        "molecule": "CO2",
-        "scheme": "perpendicular",
-        "trace_path": "scan.csv",
-        "bounds": {"intensity": [5.0, 30.0]},
-        "fixed": {"temperature": 60.0},
-        **settings,
-    })
-    out = tmp_path / "fit"
-    assert main(["fit", "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_NO_CONVERGENCE)
-    echoed = json.loads((out / "fit.json").read_text())["config"]
-    assert {key: echoed[key] for key in settings} == settings
+N2 = {"name": "N2", "B_cm1": 1.98958, "delta_alpha_A3": 0.93, "g_even": 2.0, "g_odd": 1.0}
+
+
+# Every key each subcommand reads, set away from its default.  N2 comes from
+# a molecule library so that "molecule" echoes as given.
+ECHO_RUNS = {
+    "simulate": {
+        "molecule": "N2", "temperature_K": 5.0, "scheme": "parallel",
+        "single_pump_intensity_tw_cm2": 2.0, "apply_transverse_factor": False,
+        "wavelength_nm": 700.0, "crossing_angle_deg": 2.0, "tau_fwhm_ps": 0.08, "t0_ps": 0.1,
+        "probe_tau_fwhm_ps": 0.2, "plasma_background": {"re": 0.01, "im": -0.02},
+        "method": "tdse", "j_max": 30, "time_grid": {"n": 64, "t_start_ps": 1.0, "periods": 0.5},
+    },
+    "fourier": {
+        "molecule": "N2", "temperature_K": 5.0, "intensity_tw_cm2": 2.0, "tau_fwhm_ps": 0.08,
+        "t0_ps": 0.1, "method": "tdse", "axis": "x", "j_max": 30, "polarization": [0.8, 0.6],
+        "time_grid": {"n": 64, "t_start_ps": 1.0, "periods": 0.5},
+    },
+    "geometry": {
+        "scheme": "perpendicular", "single_pump_intensity_tw_cm2": 3.0, "wavelength_nm": 400.0,
+        "crossing_angle_deg": 3.5,
+    },
+    "validate": {
+        "molecule": "N2", "temperature_K": 30.0, "intensity_tw_cm2": 5.0, "j_max": 40,
+        "suites": ["operators"],
+    },
+    "fit": {
+        "molecule": "N2", "scheme": "perpendicular", "trace_path": "scan.csv", "tau_fwhm_ps": 0.12,
+        "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 30.0},
+        "apply_transverse_factor": False, "j_max": 40, "scale_bounds": [0.5, 4.0],
+        "boltzmann_cutoff": 1e-5, "cache_quantum": 1e-3, "max_evaluations": 120,
+        "refine_starts": 1, "n_intensity_starts": 2, "n_temperature_starts": 3,
+    },
+}
+ECHO_FILES = {"simulate": "metadata.json", "fourier": "decomposition.json", "geometry": "geometry.json",
+              "validate": "validation.json", "fit": "fit.json"}
+
+
+@pytest.mark.parametrize("subcommand", list(ECHO_RUNS))
+def test_every_setting_is_echoed(tmp_path, monkeypatch, capsys, subcommand):
+    (tmp_path / "n2.json").write_text(json.dumps(N2))
+    monkeypatch.setenv("ROTORGRATING_MOLECULE_PATH", str(tmp_path))
+    run = ECHO_RUNS[subcommand]
+    if subcommand == "fit":
+        problem = FitProblem(molecule_from_dict(N2), "perpendicular", tau_fwhm_ps=0.12,
+                             bounds={"intensity": (5.0, 30.0)}, fixed={"temperature": 30.0})
+        trace = synthesize_trace(problem, {"intensity": 12.0, "temperature": 30.0},
+                                 np.arange(0.5, 20.0, 0.05))
+        (tmp_path / "scan.csv").write_text("delay_ps,signal_au\n" + "".join(
+            f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
+    # entries derived from what was read, and geometry's intensity, which only
+    # GratingConfig's check reads
+    derived = {
+        "simulate": {"theoretical_intensity_tw_cm2": 4.0, "plasma_background": [0.01, -0.02]},
+        "fit": {"trace_path": str(tmp_path / "scan.csv")},
+    }.get(subcommand, {})
+    unechoed = {"single_pump_intensity_tw_cm2"} if subcommand == "geometry" else set()
+    want = {"subcommand": subcommand, **{k: v for k, v in run.items() if k not in unechoed}, **derived}
+
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, run)
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert json.loads((out / ECHO_FILES[subcommand]).read_text())["config"] == want
+    if subcommand == "simulate":
+        for name in ("alignment_trace.csv", "signal.csv"):
+            assert f"# config: {json.dumps(want, sort_keys=True)}\n" in (out / name).read_text()
+    if subcommand == "fourier":
+        assert json.loads((out / "reconstruction_report.json").read_text())["config"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +888,6 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "rotorgrating" in capsys.readouterr().out
-
-
-N2 = {"name": "N2", "B_cm1": 1.98958, "delta_alpha_A3": 0.93, "g_even": 2.0, "g_odd": 1.0}
 
 
 def test_molecule_inline_and_by_path(tmp_path, capsys):
@@ -885,3 +921,35 @@ def test_molecule_library_env_var(tmp_path, monkeypatch, capsys):
     # N2 keeps odd-J lines: nuclear-spin weights allow both parities
     comps = doc["decomposition"]["components"]
     assert any(c["J"] % 2 == 1 for c in comps)
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("simulate", None, "config file not found: {config}"),
+    ("simulate", [SIM_BASE], "{config}: top-level config must be a JSON object"),
+    ("simulate", {k: v for k, v in SIM_BASE.items() if k != "temperature_K"},
+     "missing required key 'temperature_K'"),
+    ("simulate", {**SIM_BASE, "molecule": 5},
+     "'molecule' must be a name, an object with 'path', or an inline spec"),
+    ("simulate", {**SIM_BASE, "time_grid": {"periods": -1}}, "'time_grid.periods' must be positive"),
+    ("simulate", {**SIM_BASE, "scheme": "parallel", "plasma_background": "big"},
+     "'plasma_background' must be a number or {re, im}"),
+    ("simulate", SIM_BASE, "this subcommand writes files; pass --out DIR"),
+    ("fourier", {**FOURIER_ELLIPTIC, "polarization": [0.8, 0.8]},
+     "'polarization': squared amplitudes must be nonnegative with a2+b2=1, "
+     "got 0.6400000000000001, 0.6400000000000001"),
+    ("fourier", {**FOURIER_ELLIPTIC, "polarization": "circular"},
+     "'polarization' must be 'linear' or a two-component [A, B] list"),
+], ids=["missing_file", "top_level_list", "missing_temperature", "molecule_number",
+        "negative_periods", "background_string", "no_out", "elliptic_unnormalized", "circular"])
+def test_config_errors_exit_2_before_writing(tmp_path, no_propagation, capsys, subcommand, doc,
+                                             message):
+    config = tmp_path / "config.json"
+    if doc is not None:
+        config.write_text(json.dumps(doc))
+    argv = [subcommand, "--config", str(config)]
+    if message != "this subcommand writes files; pass --out DIR":
+        argv += ["--out", str(tmp_path / "run")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.replace('{config}', str(config))}\n"
+    assert sorted(tmp_path.iterdir()) == before
