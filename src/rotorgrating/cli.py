@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, pipeline orchestration, file emission.
 
 Subcommands: simulate | fourier | geometry | validate | fit.  Configuration is
-a single JSON file; --out selects the output directory.  All computation
+a single JSON file; --out selects the output directory.  Every file a run
+writes repeats, under `config`, each setting the run resolved.  All computation
 happens before any file is written, so a failing run leaves no partial output,
 and all serialization uses sorted keys and fixed float formats so identical
 configs produce byte-identical files.
@@ -107,22 +108,38 @@ def _pair(value, key: str) -> tuple[float, float]:
     return _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
 
 
-def _resolve_molecule(cfg: dict):
-    value = cfg.get("molecule", "CO2")
+class _Config:
+    """A run's JSON config and `echo`, the settings it resolved: the `config` its files repeat."""
+
+    def __init__(self, args):
+        self.cfg = _load_config(args.config)
+        self.echo = {"subcommand": args.subcommand}
+
+    def get(self, key: str, kinds, default=_REQUIRED):
+        """_get's typed fetch of a top-level key, echoing the value."""
+        self.echo[key] = value = _get(self.cfg, key, kinds, default)
+        return value
+
+
+def _resolve_molecule(conf: _Config):
+    value = conf.cfg.get("molecule", "CO2")
+    if not isinstance(value, (str, dict)):
+        raise ValueError("'molecule' must be a name, an object with 'path', or an inline spec")
     try:
         if isinstance(value, str):
-            return find_molecule(value)
-        if isinstance(value, dict) and "path" in value:
-            return load_molecule(value["path"])
-        if isinstance(value, dict):
-            return molecule_from_dict(value)
+            molecule = find_molecule(value)
+        elif "path" in value:
+            molecule = load_molecule(value["path"])
+        else:
+            molecule = molecule_from_dict(value)
     except (FileNotFoundError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"'molecule': {exc}")
-    raise ValueError("'molecule' must be a name, an object with 'path', or an inline spec")
+    conf.echo["molecule"] = molecule.name
+    return molecule
 
 
-def _resolve_times(cfg: dict, molecule, override_n: int | None):
-    tg = _get(cfg, "time_grid", dict, {})
+def _resolve_times(conf: _Config, molecule, override_n: int | None):
+    tg = _get(conf.cfg, "time_grid", dict, {})
     n = override_n if override_n is not None else _get(tg, "n", int, 4096, "time_grid.")
     t_start = _get(tg, "t_start_ps", float, 0.5, "time_grid.")
     periods = _get(tg, "periods", float, 1.0, "time_grid.")
@@ -130,9 +147,8 @@ def _resolve_times(cfg: dict, molecule, override_n: int | None):
         raise ValueError("'time_grid.n' must be at least 2")
     if periods <= 0:
         raise ValueError("'time_grid.periods' must be positive")
-    return revival_time_grid(molecule, n, t_start, periods), {
-        "n": n, "t_start_ps": t_start, "periods": periods,
-    }
+    conf.echo["time_grid"] = {"n": n, "t_start_ps": t_start, "periods": periods}
+    return revival_time_grid(molecule, n, t_start, periods)
 
 
 def _background(cfg: dict):
@@ -170,61 +186,47 @@ def _stamp(resolved: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    conf = _Config(args)
     out = _out_dir(args)
-    molecule = _resolve_molecule(cfg)
-    temperature = _get(cfg, "temperature_K", float)
-    scheme = _get(cfg, "scheme", str)
-    apply_factor = _get(cfg, "apply_transverse_factor", bool, True)
+    molecule = _resolve_molecule(conf)
+    temperature = conf.get("temperature_K", float)
+    scheme = conf.get("scheme", str)
+    apply_factor = conf.get("apply_transverse_factor", bool, True)
 
-    has_single = "single_pump_intensity_tw_cm2" in cfg
-    has_theory = "theoretical_intensity_tw_cm2" in cfg
+    has_single = "single_pump_intensity_tw_cm2" in conf.cfg
+    has_theory = "theoretical_intensity_tw_cm2" in conf.cfg
     if has_single == has_theory:
         raise ValueError(
             "give exactly one of 'single_pump_intensity_tw_cm2' or "
             "'theoretical_intensity_tw_cm2'"
         )
     if has_single:
-        i_single = _get(cfg, "single_pump_intensity_tw_cm2", float)
+        i_single = _get(conf.cfg, "single_pump_intensity_tw_cm2", float)
     else:
-        i_theory = _get(cfg, "theoretical_intensity_tw_cm2", float)
+        i_theory = _get(conf.cfg, "theoretical_intensity_tw_cm2", float)
         i_single = single_pump_intensity(scheme, i_theory, apply_factor)
     grating = GratingConfig(
         scheme=scheme,
         single_pump_peak_intensity=i_single,
-        wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
-        crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
-        tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
-        t0_ps=_get(cfg, "t0_ps", float, 0.0),
-        probe_tau_fwhm_ps=_get(cfg, "probe_tau_fwhm_ps", float, None),
-        plasma_background=_background(cfg),
+        wavelength_nm=conf.get("wavelength_nm", float, 800.0),
+        crossing_angle_deg=conf.get("crossing_angle_deg", float, 1.0),
+        tau_fwhm_ps=conf.get("tau_fwhm_ps", float, 0.1),
+        t0_ps=conf.get("t0_ps", float, 0.0),
+        probe_tau_fwhm_ps=conf.get("probe_tau_fwhm_ps", float, None),
+        plasma_background=_background(conf.cfg),
         apply_transverse_factor=apply_factor,
     )
-    method = _get(cfg, "method", str, "sudden")
-    j_max = _get(cfg, "j_max", int, None)
-    times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)
-    if grating.probe_tau_fwhm_ps is not None:
-        uniform_step(times)  # the probe's grid check, before the propagation
-
-    resolved = {
-        "subcommand": "simulate",
-        "molecule": molecule.name,
-        "temperature_K": temperature,
-        "scheme": scheme,
+    background = grating.plasma_background
+    conf.echo.update({
         "single_pump_intensity_tw_cm2": i_single,
         "theoretical_intensity_tw_cm2": grating.theoretical_intensity,
-        "apply_transverse_factor": apply_factor,
-        "tau_fwhm_ps": grating.tau_fwhm_ps,
-        "t0_ps": grating.t0_ps,
-        "wavelength_nm": grating.wavelength_nm,
-        "crossing_angle_deg": grating.crossing_angle_deg,
-        "probe_tau_fwhm_ps": grating.probe_tau_fwhm_ps,
-        "plasma_background": None if grating.plasma_background is None
-        else [grating.plasma_background.real, grating.plasma_background.imag],
-        "method": method,
-        "j_max": j_max,
-        "time_grid": grid_echo,
-    }
+        "plasma_background": None if background is None else [background.real, background.imag],
+    })
+    method = conf.get("method", str, "sudden")
+    j_max = conf.get("j_max", int, None)
+    times = _resolve_times(conf, molecule, args.time_grid)
+    if grating.probe_tau_fwhm_ps is not None:
+        uniform_step(times)  # the probe's grid check, before the propagation
 
     pulse = PulseSpec(grating.theoretical_intensity, grating.tau_fwhm_ps, grating.t0_ps)
     cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
@@ -233,7 +235,7 @@ def cmd_simulate(args) -> int:
 
     metadata = {
         "version": __version__,
-        "config": resolved,
+        "config": conf.echo,
         "xi": cs.xi,
         "j_max": cs.j_max,
         "intensity_mapping": {
@@ -246,7 +248,7 @@ def cmd_simulate(args) -> int:
     }
 
     os.makedirs(out, exist_ok=True)
-    stamp = _stamp(resolved)
+    stamp = _stamp(conf.echo)
     write_trace_csv(trace, os.path.join(out, "alignment_trace.csv"),
                     value_header="cos2_minus_third", header_metadata=stamp)
     write_signal_csv(signal, os.path.join(out, "signal.csv"), header_metadata=stamp)
@@ -256,22 +258,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    cfg = _load_config(args.config)
+    conf = _Config(args)
     out = _out_dir(args)
-    molecule = _resolve_molecule(cfg)
-    temperature = _get(cfg, "temperature_K", float)
-    intensity = _get(cfg, "intensity_tw_cm2", float)
-    tau = _get(cfg, "tau_fwhm_ps", float, 0.1)
-    t0 = _get(cfg, "t0_ps", float, 0.0)
-    method = _get(cfg, "method", str, "sudden")
-    axis = _get(cfg, "axis", str, "y")
+    molecule = _resolve_molecule(conf)
+    temperature = conf.get("temperature_K", float)
+    intensity = conf.get("intensity_tw_cm2", float)
+    tau = conf.get("tau_fwhm_ps", float, 0.1)
+    t0 = conf.get("t0_ps", float, 0.0)
+    method = conf.get("method", str, "sudden")
+    axis = conf.get("axis", str, "y")
     try:
         check_axis(axis)
     except ValueError as exc:
         raise ValueError(f"'axis': {exc}")
-    j_max = _get(cfg, "j_max", int, None)
-    pol = cfg.get("polarization", "linear")
-    times, grid_echo = _resolve_times(cfg, molecule, args.time_grid)
+    j_max = conf.get("j_max", int, None)
+    conf.echo["polarization"] = pol = conf.cfg.get("polarization", "linear")
+    times = _resolve_times(conf, molecule, args.time_grid)
 
     if pol == "linear":
         pulse = PulseSpec(intensity, tau, t0)
@@ -294,29 +296,16 @@ def cmd_fourier(args) -> int:
     direct = alignment_trace(cs, axis, times).values
     err = float(np.max(np.abs(direct - reconstruct(dec, times).values))) if len(times) else 0.0
 
-    resolved = {
-        "subcommand": "fourier",
-        "molecule": molecule.name,
-        "temperature_K": temperature,
-        "intensity_tw_cm2": intensity,
-        "tau_fwhm_ps": tau,
-        "t0_ps": t0,
-        "method": method,
-        "polarization": pol,
-        "axis": axis,
-        "j_max": j_max,
-        "time_grid": grid_echo,
-    }
     dec_doc = {
         "version": __version__,
-        "config": resolved,
+        "config": conf.echo,
         "xi": cs.xi,
         "j_max": cs.j_max,
         "decomposition": dec.to_dict(),
     }
     report = {
         "version": __version__,
-        "config": resolved,
+        "config": conf.echo,
         "max_abs_reconstruction_error": err,
         "tolerance": 1e-10,
         "passed": err < 1e-10,
@@ -331,22 +320,15 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _get(cfg, "scheme", str, "parallel")
+    conf = _Config(args)
     grating = GratingConfig(
-        scheme=scheme,
-        single_pump_peak_intensity=_get(cfg, "single_pump_intensity_tw_cm2", float, 1.0),
-        wavelength_nm=_get(cfg, "wavelength_nm", float, 800.0),
-        crossing_angle_deg=_get(cfg, "crossing_angle_deg", float, 1.0),
+        scheme=conf.get("scheme", str, "parallel"),
+        # read for GratingConfig's check only: the geometry does not depend on it
+        single_pump_peak_intensity=_get(conf.cfg, "single_pump_intensity_tw_cm2", float, 1.0),
+        wavelength_nm=conf.get("wavelength_nm", float, 800.0),
+        crossing_angle_deg=conf.get("crossing_angle_deg", float, 1.0),
     )
-    geom = grating_geometry(grating)
-    resolved = {
-        "subcommand": "geometry",
-        "scheme": scheme,
-        "wavelength_nm": grating.wavelength_nm,
-        "crossing_angle_deg": grating.crossing_angle_deg,
-    }
-    doc = {"version": __version__, "config": resolved, "geometry": asdict(geom)}
+    doc = {"version": __version__, "config": conf.echo, "geometry": asdict(grating_geometry(grating))}
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _write_json(doc, os.path.join(args.out, "geometry.json"))
@@ -358,12 +340,12 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    molecule = _resolve_molecule(cfg)
-    temperature = _get(cfg, "temperature_K", float, 293.0)
-    intensity = _get(cfg, "intensity_tw_cm2", float, 20.0)
-    j_max = _get(cfg, "j_max", int, None)
-    suites = _get(cfg, "suites", list, None)
+    conf = _Config(args)
+    molecule = _resolve_molecule(conf)
+    temperature = conf.get("temperature_K", float, 293.0)
+    intensity = conf.get("intensity_tw_cm2", float, 20.0)
+    j_max = conf.get("j_max", int, None)
+    suites = conf.get("suites", list, list(SUITE_NAMES))
 
     rows = run_all(molecule, temperature, intensity, j_max=j_max, suites=suites)
     for row in rows:
@@ -372,17 +354,9 @@ def cmd_validate(args) -> int:
     print(f"validate: {len(rows) - n_fail}/{len(rows)} checks passed")
 
     if args.out is not None:
-        resolved = {
-            "subcommand": "validate",
-            "molecule": molecule.name,
-            "temperature_K": temperature,
-            "intensity_tw_cm2": intensity,
-            "j_max": j_max,
-            "suites": suites if suites is not None else list(SUITE_NAMES),
-        }
         doc = {
             "version": __version__,
-            "config": resolved,
+            "config": conf.echo,
             "checks": [asdict(r) for r in rows],
             "passed": n_fail == 0,
         }
@@ -392,10 +366,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
+    conf = _Config(args)
     out = _out_dir(args)
-    molecule = _resolve_molecule(cfg)
-    trace_path = _get(cfg, "trace_path", str)
+    molecule = _resolve_molecule(conf)
+    trace_path = conf.get("trace_path", str)
     if not os.path.isabs(trace_path) and args.config is not None:
         trace_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), trace_path)
     try:
@@ -403,49 +377,40 @@ def cmd_fit(args) -> int:
     except FileNotFoundError:
         raise ValueError(f"trace file not found: {trace_path}")
 
-    bounds = {name: _pair(pair, f"bounds.{name}") for name, pair in _get(cfg, "bounds", dict).items()}
-    fixed = {k: _number(v, f"fixed.{k}") for k, v in _get(cfg, "fixed", dict, {}).items()}
-    scale_bounds = _get(cfg, "scale_bounds", list, None)
+    bounds = {name: _pair(pair, f"bounds.{name}") for name, pair in conf.get("bounds", dict).items()}
+    fixed = {k: _number(v, f"fixed.{k}") for k, v in conf.get("fixed", dict, {}).items()}
+    scale_bounds = conf.get("scale_bounds", list, None)
 
     problem = FitProblem(
         molecule=molecule,
-        scheme=_get(cfg, "scheme", str),
-        tau_fwhm_ps=_get(cfg, "tau_fwhm_ps", float, 0.1),
+        scheme=conf.get("scheme", str),
+        tau_fwhm_ps=conf.get("tau_fwhm_ps", float, 0.1),
         bounds=bounds,
         fixed=fixed,
         scale_bounds=(0.0, float("inf")) if scale_bounds is None
         else _pair(scale_bounds, "scale_bounds"),
-        apply_transverse_factor=_get(cfg, "apply_transverse_factor", bool, True),
-        j_max=_get(cfg, "j_max", int, None),
-        boltzmann_cutoff=_get(cfg, "boltzmann_cutoff", float, 1e-6),
-        cache_quantum=_get(cfg, "cache_quantum", float, 1e-6),
+        apply_transverse_factor=conf.get("apply_transverse_factor", bool, True),
+        j_max=conf.get("j_max", int, None),
+        boltzmann_cutoff=conf.get("boltzmann_cutoff", float, 1e-6),
+        cache_quantum=conf.get("cache_quantum", float, 1e-6),
     )
+    conf.echo.update({
+        "trace_path": trace_path,
+        "bounds": {k: list(v) for k, v in bounds.items()},
+        "fixed": fixed,
+        "scale_bounds": [b if math.isfinite(b) else None for b in problem.scale_bounds],
+    })
 
     search = {
-        "max_evaluations": _get(cfg, "max_evaluations", int, 4000),
-        "refine_starts": _get(cfg, "refine_starts", int, 3),
-        "n_intensity_starts": _get(cfg, "n_intensity_starts", int, 6),
-        "n_temperature_starts": _get(cfg, "n_temperature_starts", int, 4),
+        "max_evaluations": conf.get("max_evaluations", int, 4000),
+        "refine_starts": conf.get("refine_starts", int, 3),
+        "n_intensity_starts": conf.get("n_intensity_starts", int, 6),
+        "n_temperature_starts": conf.get("n_temperature_starts", int, 4),
     }
     cache = EnsembleCache(problem)
     result = fit_trace(problem, trace, cache=cache, **search)
 
-    resolved = {
-        "subcommand": "fit",
-        "molecule": molecule.name,
-        "scheme": problem.scheme,
-        "trace_path": trace_path,
-        "tau_fwhm_ps": problem.tau_fwhm_ps,
-        "bounds": {k: list(v) for k, v in problem.bounds.items()},
-        "fixed": problem.fixed,
-        "apply_transverse_factor": problem.apply_transverse_factor,
-        "j_max": problem.j_max,
-        "scale_bounds": [b if math.isfinite(b) else None for b in problem.scale_bounds],
-        "boltzmann_cutoff": problem.boltzmann_cutoff,
-        "cache_quantum": problem.cache_quantum,
-        **search,
-    }
-    doc = {"version": __version__, "config": resolved, "fit": result.to_dict()}
+    doc = {"version": __version__, "config": conf.echo, "fit": result.to_dict()}
     os.makedirs(out, exist_ok=True)
     _write_json(doc, os.path.join(out, "fit.json"))
     write_fit_csv(result, problem, trace, os.path.join(out, "fit_curve.csv"), cache)
