@@ -297,6 +297,9 @@ def fit_trace(
     forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
     max_evaluations caps the grid and refinement evaluations, Jacobian columns
     included; converged means the best run's least squares met a tolerance.
+    The sensitivity of each free parameter is the Gauss-Newton curvature
+    2 sum_i J_ik^2 of the objective from one more Jacobian at the best point,
+    which adds one evaluation plus one per free parameter.
     """
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
@@ -324,10 +327,10 @@ def fit_trace(
         scale = _profiled_scale(base, data, mask, problem.scale_bounds)
         return np.where(mask, scale * base - data, 0.0) / (peak * math.sqrt(mask.sum())), scale
 
-    def objective(x: np.ndarray) -> tuple[float, float]:
-        """(squared residual norm, profiled scale) at a point of the box."""
-        resid, scale = residuals(x)
-        return float(resid @ resid), scale
+    def objective(x: np.ndarray) -> float:
+        """Squared residual norm at a point of the box."""
+        resid = residuals(x)[0]
+        return float(resid @ resid)
 
     # multistart coarse grid over the physically multimodal axes
     grids = []
@@ -341,13 +344,25 @@ def fit_trace(
             pts = np.array([0.5 * (lo + hi)])
         grids.append(np.clip((pts - lo) / (hi - lo), 0.0, 1.0))  # exp(log(hi)) may round above hi
     starts = [np.array(combo) for combo in itertools.product(*grids)]
-    scored = sorted((objective(x)[0], k) for k, x in enumerate(starts))
+    scored = sorted((objective(x), k) for k, x in enumerate(starts))
     if not math.isfinite(scored[0][0]):
         raise ValueError(
             "no fit start has a finite objective: the fit needs samples at least "
             f"2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps from the pump"
         )
     ranked = [starts[k] for _, k in scored]
+
+    last = {}
+
+    def fun(x):
+        last["x"], (last["r"], last["scale"]) = x.copy(), residuals(x)
+        return last["r"]
+
+    def jac(x):
+        """Forward differences by `steps`, backward where they would leave the box."""
+        r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
+        ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
+        return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
 
     best_x, best_f = ranked[0], float("inf")
     converged = False
@@ -358,40 +373,18 @@ def fit_trace(
     for x0 in ranked[:runs]:
         if max_nfev == 0:  # least_squares makes at least one evaluation
             break
-        last = {}
-
-        def fun(x):
-            last["x"], last["r"] = x.copy(), residuals(x)[0]
-            return last["r"]
-
-        def jac(x):
-            """Forward differences by `steps`, backward where they would leave the box."""
-            r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
-            ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
-            return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
-
         res = scipy.optimize.least_squares(fun, x0, jac, bounds=(0.0, 1.0), method="trf", max_nfev=max_nfev)
         if float(res.fun @ res.fun) < best_f:
             best_x, best_f, converged = res.x, float(res.fun @ res.fun), res.status > 0
     if not converged:
         flags.append("budget_exhausted")
-    best_f, best_scale = objective(best_x)
+    resid = fun(best_x)
+    best_f, best_scale = float(resid @ resid), last["scale"]
 
-    # flat-objective diagnostic: curvature along each free direction, probed
-    # by the Jacobian's steps so that no probe stays inside one cache cell
-    sensitivity = {}
-    degenerate = False
-    for k, name in enumerate(free):
-        xp, xm = best_x.copy(), best_x.copy()
-        xp[k] = min(xp[k] + steps[k], 1.0)
-        xm[k] = max(xm[k] - steps[k], 0.0)
-        fp, fm = objective(xp)[0], objective(xm)[0]
-        denom = (xp[k] - xm[k]) / 2.0
-        curv = (fp - 2.0 * best_f + fm) / denom**2 if denom > 0 else float("nan")
-        sensitivity[name] = curv
-        if not math.isfinite(curv) or abs(curv) < 1e-18:
-            degenerate = True
-    if degenerate:
+    # flat-objective diagnostic: the Gauss-Newton curvature 2 sum_i J_ik^2 of
+    # the objective along each free direction, from the Jacobian's steps
+    sensitivity = dict(zip(free, map(float, 2.0 * np.sum(jac(best_x) ** 2, axis=0))))
+    if not all(math.isfinite(c) and c >= 1e-18 for c in sensitivity.values()):
         flags.append("degenerate_direction")
 
     values = dict(zip(free, lows + span * best_x))

@@ -383,8 +383,9 @@ def test_fit_converges_on_coarse_cache_cells(cache_quantum, intensity, temperatu
     # cells; finite differences over whole cells keep Gauss-Newton on course.
     # Over a fixed 1e-3 of the box (half a cell in intensity) it misses 14.6
     # TW/cm^2 by 1%; over 1e-3 of the coordinate itself it misses 8 by 5%.
-    # Curvature probes of a fixed 1e-3 of the box stay inside a 0.1 cell,
-    # read zero and flag the fit degenerate_direction
+    # The curvature diagnostic reads the Jacobian of the same steps; probes
+    # of a fixed 1e-3 of the box stayed inside a 0.1 cell, read zero and
+    # flagged the fit degenerate_direction
     result = _box_fit({"intensity": intensity, "temperature": temperature}, cache_quantum=cache_quantum)
     assert result.converged
     assert result.flags == ()
@@ -402,15 +403,31 @@ def test_fit_leaves_the_lower_temperature_bound():
     assert result.params["temperature"] == pytest.approx(36.0, rel=0.02)
 
 
+def test_a_flat_direction_is_flagged_degenerate():
+    # from 0.01 to 0.2 K CO2's ensemble is the ground level alone (boltzmann
+    # cutoff 1e-6), so the model does not move with temperature in this box:
+    # that Jacobian column, and with it the curvature, is exactly zero
+    problem = FitProblem(CO2, "perpendicular",
+                         bounds={"intensity": (5.0, 30.0), "temperature": (0.01, 0.1)})
+    delays = np.arange(0.5, 0.5 + revival_period(CO2.b_cm1), 0.02)
+    trace = synthesize_trace(problem, {"intensity": 18.0, "temperature": 0.05}, delays)
+    result = fit_trace(problem, trace)
+    assert result.flags == ("degenerate_direction",)
+    assert result.sensitivity["temperature"] == 0.0
+    assert result.sensitivity["intensity"] > 1e-6
+    assert result.params["intensity"] == pytest.approx(18.0, rel=1e-3)
+
+
 @pytest.mark.parametrize("budget", [1, 30, 60, 120, 600])
 def test_max_evaluations_caps_the_search(budget):
     # the 24 grid starts always run and refinement spends at most the rest,
     # Jacobian columns included; the curvature diagnostic then adds one
-    # evaluation at the best point and two per free parameter.  Up to 120,
-    # each of the three runs is cut before it meets a tolerance
+    # evaluation at the best point and one Jacobian column per free
+    # parameter.  Up to 120, each of the three runs is cut before it meets a
+    # tolerance
     result = _box_fit({"intensity": 18.0, "temperature": 60.0}, noise_fraction=0.05, seed=1,
                       max_evaluations=budget)
-    assert result.evaluations <= max(budget, 24) + 1 + 2 * 2
+    assert result.evaluations <= max(budget, 24) + 1 + 2
     assert result.converged == (budget > 120)
 
 
