@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import time
 import tracemalloc
 import warnings
 
@@ -43,6 +42,29 @@ def _read_csv_values(path):
         if line and not line.startswith("#") and not line[0].isalpha()
     ]
     return np.array(rows, dtype=float)
+
+
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Fail any propagation the test starts at its first step: a nonzero chain
+    propagation's gathered first kick, a lattice one's operator build, or the
+    stepper both share."""
+    def propagate(*args, **kwargs):
+        raise AssertionError("a propagation started")
+
+    for name in ("_gathered_kicks", "cos2theta_axis_matrix", "_chain_steps"):
+        monkeypatch.setattr(dynamics, name, propagate)
+
+
+def _exits_2_in_little_memory(argv, peak_bytes=1e6):
+    """main(argv) exits 2 with under peak_bytes traced at its peak, so it
+    rejected the input before allocating for it."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_CONFIG
+        assert tracemalloc.get_traced_memory()[1] < peak_bytes
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +197,23 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, value):
     assert not out.exists()
 
 
-def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, capsys):
+def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, no_propagation, capsys):
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 1e9, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 10.0})
-    start = time.perf_counter()
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert "thermal channels" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, capsys):
+def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation,
+                                                       capsys):
     # this kick's chain eigenvectors, amplitudes and gather index are
     # estimated at 48.5 MB; a budget just below that keeps the input small
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
     out = tmp_path / "run"
-    start = time.perf_counter()
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
     assert "needs about 0.0485 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
@@ -207,12 +226,7 @@ def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, 
 def test_simulate_rejects_grid_before_allocating_it(tmp_path, capsys, grid, message):
     cfg = _cfg(tmp_path, {**SIM_BASE, "time_grid": grid})
     out = tmp_path / "run"
-    tracemalloc.start()
-    try:
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert tracemalloc.get_traced_memory()[1] < 10e6
-    finally:
-        tracemalloc.stop()
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)], peak_bytes=10e6)
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -227,22 +241,11 @@ def test_simulate_rejects_degenerate_time_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.fixture
-def no_propagation(monkeypatch):
-    """Fail any TDSE the test starts: the chains and the lattice share one stepper."""
-    def propagate(*args, **kwargs):
-        raise AssertionError("a propagation started")
-
-    monkeypatch.setattr(dynamics, "_chain_steps", propagate)
-
-
 @pytest.mark.parametrize("probe", [0.0, -0.1])
 def test_simulate_rejects_probe_fwhm_before_propagating(tmp_path, no_propagation, capsys, probe):
     cfg = _cfg(tmp_path, {**SIM_BASE, "method": "tdse", "probe_tau_fwhm_ps": probe})
     out = tmp_path / "run"
-    start = time.perf_counter()
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
     assert f"probe FWHM must be positive, got {probe}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -253,9 +256,7 @@ def test_simulate_checks_the_probe_grid_before_propagating(tmp_path, no_propagat
     cfg = _cfg(tmp_path, {**SIM_BASE, "temperature_K": 293.0, "method": "tdse",
                           "probe_tau_fwhm_ps": 0.1, "time_grid": {"t_start_ps": 1e8}})
     out = tmp_path / "run"
-    start = time.perf_counter()
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
     assert "probe convolution needs a uniform, increasing delay grid" in capsys.readouterr().err
     assert not out.exists()
 
@@ -496,26 +497,22 @@ def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("intensity", [1e12, 1e300, 1.7e308])
-def test_fourier_rejects_kicks_too_large_to_size(tmp_path, capsys, intensity):
+def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, intensity):
     # the basis these need cannot be sized, let alone allocated
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": intensity})
     out = tmp_path / "x"
-    start = time.perf_counter()
-    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("pump", [{"intensity_tw_cm2": 1e12}, {"intensity_tw_cm2": 1e300},
                                   {"intensity_tw_cm2": 5.0, "tau_fwhm_ps": 1e7}])
-def test_fourier_rejects_tdse_too_large_to_size(tmp_path, capsys, pump):
+def test_fourier_rejects_tdse_too_large_to_size(tmp_path, no_propagation, capsys, pump):
     # the stepper's kick count enters the estimate before any of its arrays exist
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 0.0, "method": "tdse", **pump})
     out = tmp_path / "x"
-    start = time.perf_counter()
-    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -528,9 +525,7 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, ca
         "polarization": [0.8164965809277261, 0.5773502691896257],
     })
     out = tmp_path / "x"
-    start = time.perf_counter()
-    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
     assert "propagation at j_max=201 needs about 3.12 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
@@ -544,9 +539,7 @@ def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, caps
         "polarization": [0.8164965809277261, 0.5773502691896257],
     })
     out = tmp_path / "x"
-    start = time.perf_counter()
-    assert main(["fourier", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert time.perf_counter() - start < 1.0
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
     assert ("propagation at j_max=148 needs about 4.53e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
