@@ -37,30 +37,33 @@ allocates, each driver estimates its working set at the chosen j_max (and
 again after every regrow) and raises ValueError naming the estimate when it
 exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
 
-The chain blocks are packed.  A ChainLayout lays the n x k blocks end to end
-in one amplitude array, in C order, in the order of the ensemble's chain
-grouping (ThermalEnsemble.chains), and packs the eigendecompositions of
-those chains the same way, built on the first kick.  One layout serves every
-ensemble with the same channels at one j_max; _chain_layout, the one cache of
-chain data, keeps the latest few that fit a share of the working-set budget.
-The sudden kick fills every block's right-hand side V^T[:, rows] e^{i xi
-Lambda} with one exponential of the eigenvalues, one repeat and one gather by
-the layout's int32 index.  Then both linear drivers walk the layout's runs of
+Every set is packed.  A BlockLayout lays the n x k blocks end to end in one
+amplitude array, in C order, in the order of the driver's grouping, with
+the J of every row and each column's origin row; both routes start an
+unkicked set on its origins and read its edge leak with one gather.  A
+chain layout packs the eigendecompositions of its chains the same way,
+built on the first kick, and serves every ensemble with the same channels
+at one j_max; _chain_layout, the one cache of chain data, keeps the latest
+few that fit a share of the working-set budget.  The sudden kick fills
+every block's right-hand side V^T[:, rows] e^{i xi Lambda} with one
+exponential of the eigenvalues, one repeat and one gather by the layout's
+int32 index.  Then both linear drivers walk the layout's runs of
 consecutive equal-shape blocks, each run one stack of matrices: the kick
 runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
 place in the packed array.  Every BLAS call sees the operands a
-block-by-block loop would, so the packed kernel is bit-identical to it.
-ChannelSet.series_terms(axis) reduces either layout to the terms of
-observables' cosine series, lab-axis factor applied: PackedChains.series_terms
-reduces the packed blocks per run, the lattice reduces each group's
-lab-axis operator.  No other module reads a set's layout.
+block-by-block loop would, so the packed kernel is bit-identical to it.  A
+lattice layout keeps its groups' JMBases and lab-axis operators, built on
+first use: the elliptic driver steps each group into its packed slice, and
+ChannelSet.series_terms(axis) reduces the same operators to the terms of
+observables' cosine series, lab-axis factor applied, as it reduces the
+chains per run.  No other module reads a set's layout.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 
@@ -125,7 +128,7 @@ def _chain_start(m, parity):
 
 LAYOUT_CACHE_SIZE = 16  # one layout per (level set, j_max); a fit visits ~8
 GATHER_CHUNK = 8192  # eigenvector entries gathered per step of the sudden kick
-_LAYOUTS: OrderedDict[tuple, ChainLayout] = OrderedDict()
+_LAYOUTS: OrderedDict[tuple, BlockLayout] = OrderedDict()
 
 
 def clear_caches():
@@ -171,7 +174,7 @@ def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
     return offsets, strengths, np.multiply(RKN_FREE, step), order
 
 
-def _gathered_kicks(layout: "ChainLayout", g: float) -> np.ndarray:
+def _gathered_kicks(layout: "BlockLayout", g: float) -> np.ndarray:
     """Right-hand sides of every block's kick, as packed amplitudes.
 
     Block b's n x k slice is V^T[:, rows] e^{i g Lambda} for its columns'
@@ -241,16 +244,16 @@ def _reflection_sectors(basis: JMBasis) -> list:
     return sectors
 
 
-def _lattice_steps(basis: JMBasis, coupling, molecule: MoleculeSpec, origins: np.ndarray, schedule):
-    """Amplitudes at the reference time of the columns started on the basis sites
-    `origins`, after the schedule's kicks of `coupling`: sum W a over the sectors.
+def _lattice_steps(basis: JMBasis, coupling, molecule: MoleculeSpec, origins: np.ndarray, schedule, amps):
+    """Add to amps, zero on entry, the amplitudes at the reference time of the
+    columns started on the basis sites `origins`, after the schedule's kicks of
+    `coupling`: sum W a over the sectors.
 
     A column's sector component is W's row at its origin; a sector skips the
     columns it does not hold (an M0 = 0 origin lies in the + sector only).
     """
     omega0 = rotational_omega(basis.j_of[origins], molecule)
     first = schedule[1][0]
-    amps = np.zeros((len(basis), len(origins)), dtype=complex)
     for w, js in _reflection_sectors(basis):
         start = w[origins]
         cols = np.flatnonzero(start.getnnz(axis=1))
@@ -260,7 +263,6 @@ def _lattice_steps(basis: JMBasis, coupling, molecule: MoleculeSpec, origins: np
         rhs *= np.exp(1j * first * evals)[:, None]
         _compose(evals, vecs, rotational_omega(js, molecule), omega0[cols], rhs.view(float), schedule)
         amps[:, cols] += w @ rhs
-    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -298,39 +300,52 @@ class ChannelBlock:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainLayout:
-    """Where the chains of a fixed-M ChannelSet lie in its packed amplitudes,
-    and the chains' eigendecompositions.
+class BlockLayout:
+    """Where the blocks of a ChannelSet lie in its packed amplitudes.
 
-    Block b holds group b of `origins`, the ensemble's channels on the chain
-    (|M|, J parity) = origins.keys[b]: sizes[b] levels from J = starts[b] and
-    counts[b] columns, its n x k amplitude matrix in C order at entries
-    bounds[b] to bounds[b + 1].  One layout serves every ensemble with the
-    same channels at j_max (_chain_layout) and builds its eigendecompositions
-    and index arrays on first use.
+    Block b holds group b of `origins`, the set's channels on one fixed-M
+    chain (|M|, J parity) or one (J parity, M parity) lattice group: sizes[b]
+    rows and counts[b] columns, its n x k amplitude matrix in C order at
+    entries bounds[b] to bounds[b + 1].  levels is the J of every row, rows
+    each column's origin row in its block, bases each lattice group's
+    JMBasis (empty for chains).  A chain layout serves every ensemble with
+    the same channels at j_max (_chain_layout) and builds its
+    eigendecompositions and index arrays on first use; a lattice layout
+    builds and keeps its groups' lab-axis operators (axis_operator).
     """
 
     origins: ChannelGroups
     j_max: int
-    starts: np.ndarray
     sizes: np.ndarray
     counts: np.ndarray
     bounds: np.ndarray
+    levels: np.ndarray
+    rows: np.ndarray
+    bases: tuple = ()
+    _operators: dict = field(default_factory=dict, repr=False)
+
+    def unkicked(self) -> np.ndarray:
+        """Packed amplitudes with every column on its origin row, the state of a zero kick."""
+        amps = np.zeros(self.bounds[-1], dtype=complex)
+        amps[np.repeat(self.bounds[:-1] - self.origins.bounds[:-1], self.counts)
+             + self.rows * np.repeat(self.counts, self.counts) + np.arange(len(self.rows))] = 1.0
+        return amps
 
     @cached_property
-    def levels(self) -> np.ndarray:
-        """J of every block row, block by block."""
-        return np.repeat(self.starts, self.sizes) + 2 * _within(self.sizes)
+    def edge(self) -> tuple:
+        """(entries, columns) of the packed amplitudes in the top two J shells.
+        J ascends down each block, so they are its last rows: one on a Delta-J = 2
+        chain, one shell of M sites on a lattice group."""
+        top = np.add.reduceat(self.levels >= self.j_max - 1, _starts(self.sizes)[:-1]) * self.counts
+        within = _within(top)
+        return (np.repeat(self.bounds[1:] - top, top) + within,
+                np.repeat(self.origins.bounds[:-1], top) + within % np.repeat(self.counts, top))
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Row of each column's origin in its block."""
-        return (self.origins.j0 - np.repeat(self.starts, self.counts)) // 2
-
-    def entries(self, rows: np.ndarray) -> np.ndarray:
-        """Index of each column's entry in the given row of its block."""
-        return np.repeat(self.bounds[:-1] - self.origins.bounds[:-1], self.counts) + (
-            rows * np.repeat(self.counts, self.counts) + np.arange(len(rows)))
+    def axis_operator(self, b: int, axis: str) -> scipy.sparse.csr_matrix:
+        """Lattice group b's cos^2 theta_axis operator, built on first use and kept."""
+        if (b, axis) not in self._operators:
+            self._operators[b, axis] = cos2theta_axis_matrix(self.bases[b], axis)
+        return self._operators[b, axis]
 
     @cached_property
     def eigen(self) -> tuple:
@@ -350,7 +365,7 @@ class ChainLayout:
 
     @cached_property
     def runs(self) -> list:
-        """Runs of consecutive blocks of one shape n x k.
+        """Runs of consecutive chain blocks of one shape n x k.
 
         Per run as Python ints: n, k, then the first and end of its blocks,
         amplitudes, columns, rows (and eigenvalues) and eigenvector entries.
@@ -377,15 +392,15 @@ class ChainLayout:
 
     @cached_property
     def operator(self) -> tuple:
-        """cos^2 theta on the blocks: its diagonal on every row, and, on every row
-        but the last, J and twice the off-diagonal <J+2,M| cos^2 theta |J,M>.
-        The one evaluation of the closed forms, for `eigen` and the series."""
+        """cos^2 theta on the chain blocks: its diagonal on every row, and, on
+        every row but the last, J and twice the off-diagonal <J+2,M| cos^2 theta
+        |J,M>.  The one evaluation of the closed forms, for `eigen` and the series."""
         levels, m = self.levels, np.repeat(self.origins.keys[:, 0], self.sizes)
         lower = np.delete(np.arange(len(levels)), np.cumsum(self.sizes) - 1)
         return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
 
 
-def _chain_layout(origins: ChannelGroups, j_max: int) -> ChainLayout:
+def _chain_layout(origins: ChannelGroups, j_max: int) -> BlockLayout:
     """The layout of `origins` at j_max, built or taken from the cache.
 
     The cache keeps the LAYOUT_CACHE_SIZE most recently used layouts, each
@@ -394,11 +409,12 @@ def _chain_layout(origins: ChannelGroups, j_max: int) -> ChainLayout:
     """
     layout = _LAYOUTS.pop((origins, j_max), None)
     if layout is None:
-        m, parity = origins.keys[:, 0], origins.keys[:, 1]
-        starts = _chain_start(m, parity)
+        starts = _chain_start(origins.keys[:, 0], origins.keys[:, 1])
         sizes = (j_max - starts) // 2 + 1
         counts = np.diff(origins.bounds)
-        layout = ChainLayout(origins, j_max, starts, sizes, counts, _starts(sizes * counts))
+        layout = BlockLayout(origins, j_max, sizes, counts, _starts(sizes * counts),
+                             np.repeat(starts, sizes) + 2 * _within(sizes),
+                             (origins.j0 - np.repeat(starts, counts)) // 2)
     if 8 * int(np.sum(layout.sizes ** 2)) <= MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE:
         _LAYOUTS[origins, j_max] = layout
         while len(_LAYOUTS) > LAYOUT_CACHE_SIZE:
@@ -407,20 +423,79 @@ def _chain_layout(origins: ChannelGroups, j_max: int) -> ChainLayout:
 
 
 @dataclass(frozen=True)
-class PackedChains:
-    """The blocks of a fixed-M ChannelSet: packed amplitudes, their layout and column weights."""
+class ChannelSet:
+    """Thermally weighted propagated channels, ready for observables.
 
-    layout: ChainLayout
+    Every block, a fixed-M chain or a (J,M)-lattice group, is packed into
+    `amplitudes` as its `layout` says, with one weight per column; `blocks`
+    views them as ChannelBlocks.  Amplitudes are Schroedinger-picture at
+    reference_time (the pulse center for the TDSE drivers, valid for
+    post-pulse evaluation); free evolution to any later time is analytic.
+    """
+
+    molecule: MoleculeSpec
+    temperature: float
+    reference_time: float
+    j_max: int
+    xi: float
+    layout: BlockLayout
     weights: np.ndarray
     amplitudes: np.ndarray
 
-    def series_terms(self):
-        """ChannelSet.series_terms of the field axis (y) on the chains.
+    @property
+    def kind(self) -> str:
+        """'chain' for a fixed-M set, 'jm' for a (J,M)-lattice set."""
+        return "jm" if self.layout.bases else "chain"
 
-        Per run of equal-shape blocks, |c|^2 and the products of adjacent
-        rows reduced over the weighted columns, two GEMVs and a dot product
-        per block, batched; the diagonal and couplings come with the layout.
+    @cached_property
+    def blocks(self) -> tuple:
+        lay, o = self.layout, self.layout.origins
+        rows, cols, bounds = (x.tolist() for x in (_starts(lay.sizes), o.bounds, lay.bounds))
+        return tuple(
+            ChannelBlock(lay.levels[rows[b]:rows[b + 1]] if basis is None else basis.j_of, basis,
+                         o.j0[cols[b]:cols[b + 1]], o.m0[cols[b]:cols[b + 1]], self.weights[cols[b]:cols[b + 1]],
+                         self.amplitudes[bounds[b]:bounds[b + 1]].reshape(rows[b + 1] - rows[b], -1))
+            for b, basis in enumerate(lay.bases or [None] * len(lay.sizes))
+        )
+
+    def series_terms(self, axis: str):
+        """(consts, bounds, js, z) of <cos^2 theta_axis> - 1/3: block b's weighted
+        trace is consts[b] + Re sum_J z_J e^{i omega_J dt} over entries bounds[b]
+        to bounds[b + 1] of js and z.
+
+        Chains carry the tridiagonal field-axis operator (y): const = sum_k w_k
+        d |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k},
+        reduced per run of equal-shape blocks, two GEMVs and a dot product per
+        block, batched; the transverse axes follow from <cos^2 theta_perp> =
+        (1 - <cos^2 theta>)/2 as a -1/2 scaling, exact in floating point.  On
+        the (J,M) lattice the Delta-J = 0 entries of the layout's lab-axis
+        operator (including the Delta-M = +-2 ones, which beat at zero
+        frequency) feed the constant and the Delta-J = +2 entries, collapsed
+        per lower J, carry omega_J.
         """
+        check_axis(axis)
+        if self.kind == "chain":
+            consts, bounds, js, z = self._chain_terms()
+            factor = 1.0 if axis == "y" else -0.5
+            return [factor * const for const in consts], bounds, js, factor * z
+        consts, jss, zs = [], [], []
+        for i, b in enumerate(self.blocks):
+            c, w = b.amplitudes, b.weights
+            coo = self.layout.axis_operator(i, axis).tocoo()
+            dj = b.js[coo.row] - b.js[coo.col]
+            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
+            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
+            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
+            js, lower = np.unique(b.js[col], return_inverse=True)
+            z = np.zeros(len(js), dtype=complex)
+            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
+            consts.append(float(const) - float(w.sum()) / 3.0)
+            jss.append(js)
+            zs.append(z)
+        return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
+
+    def _chain_terms(self):
+        """series_terms of the field axis (y) on chains, before the axis factor."""
         lay, amps, weights = self.layout, self.amplitudes, self.weights
         diag, js, coupling = lay.operator
         complex_weights = weights.astype(complex)
@@ -440,79 +515,6 @@ class PackedChains:
             w.sum(axis=1, out=totals[b0:b1])
         return (weighted - totals / 3.0).tolist(), lows, js, coupling * z
 
-    def blocks(self) -> tuple:
-        lay, o, levels = self.layout, self.layout.origins, self.layout.levels
-        return tuple(
-            ChannelBlock(js, None, j0, m0, w, a)
-            for n, k, _, _, a0, a1, c0, c1, r0, r1, *_ in lay.runs
-            for js, j0, m0, w, a in zip(levels[r0:r1].reshape(-1, n), o.j0[c0:c1].reshape(-1, k),
-                                        o.m0[c0:c1].reshape(-1, k), self.weights[c0:c1].reshape(-1, k),
-                                        self.amplitudes[a0:a1].reshape(-1, n, k))
-        )
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """Thermally weighted propagated channels, ready for observables.
-
-    A fixed-M set holds its chains packed (`chains`), a (J,M)-lattice set one
-    ChannelBlock per group (`lattice`); `blocks` views either as blocks.
-    Amplitudes are Schroedinger-picture at reference_time (the pulse center
-    for the TDSE drivers, valid for post-pulse evaluation); free evolution to
-    any later time is analytic.
-    """
-
-    molecule: MoleculeSpec
-    temperature: float
-    reference_time: float
-    j_max: int
-    xi: float
-    chains: PackedChains | None = None
-    lattice: tuple = ()
-
-    @property
-    def kind(self) -> str:
-        """'chain' for a fixed-M set, 'jm' for a (J,M)-lattice set."""
-        return "jm" if self.chains is None else "chain"
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return self.lattice if self.chains is None else self.chains.blocks()
-
-    def series_terms(self, axis: str):
-        """(consts, bounds, js, z) of <cos^2 theta_axis> - 1/3: block b's weighted
-        trace is consts[b] + Re sum_J z_J e^{i omega_J dt} over entries bounds[b]
-        to bounds[b + 1] of js and z.
-
-        Chains carry the tridiagonal field-axis operator (y): const = sum_k w_k
-        d |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}; the
-        transverse axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2
-        as a -1/2 scaling, exact in floating point.  On the (J,M) lattice the
-        Delta-J = 0 entries of the lab-axis operator (including the Delta-M =
-        +-2 ones, which beat at zero frequency) feed the constant and the
-        Delta-J = +2 entries, collapsed per lower J, carry omega_J.
-        """
-        check_axis(axis)
-        if self.chains is not None:
-            consts, bounds, js, z = self.chains.series_terms()
-            factor = 1.0 if axis == "y" else -0.5
-            return [factor * const for const in consts], bounds, js, factor * z
-        consts, jss, zs = [], [], []
-        for b in self.lattice:
-            c, w = b.amplitudes, b.weights
-            coo = cos2theta_axis_matrix(b.basis, axis).tocoo()
-            dj = b.js[coo.row] - b.js[coo.col]
-            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
-            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
-            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
-            js, lower = np.unique(b.js[col], return_inverse=True)
-            z = np.zeros(len(js), dtype=complex)
-            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
-            consts.append(float(const) - float(w.sum()) / 3.0)
-            jss.append(js)
-            zs.append(z)
-        return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
-
     @property
     def channels(self) -> tuple:
         """Per-channel views of the block columns, block by block."""
@@ -522,27 +524,15 @@ class ChannelSet:
             for j0, m0, w, a in zip(b.j0.tolist(), b.m0.tolist(), b.weights.tolist(), b.amplitudes.T)
         )
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(b.weights.sum() for b in self.blocks))
-
     def norm_deviation(self) -> float:
-        """|weighted norm / total weight - 1| of the whole set."""
+        """|weighted norm / total weight - 1| of the whole set, summed block by block."""
         norm = sum(b.weights @ np.sum(np.abs(b.amplitudes) ** 2, axis=0) for b in self.blocks)
-        return abs(float(norm) / self.total_weight - 1.0)
+        return abs(float(norm) / float(sum(b.weights.sum() for b in self.blocks)) - 1.0)
 
     def edge_leak(self) -> float:
-        """Weighted population in the top two J shells of the basis.
-
-        J ascends down each block; of a Delta-J = 2 chain only the last row is
-        in them, so a chain set reads one row per block, gathered at once.
-        """
-        if self.chains is not None:
-            lay = self.chains.layout
-            top = self.chains.amplitudes[lay.entries(np.repeat(lay.sizes - 1, lay.counts))]
-            return float(np.abs(top) ** 2 @ self.chains.weights)
-        return float(sum(np.sum(np.abs(b.amplitudes[b.js >= self.j_max - 1]) ** 2 @ b.weights)
-                         for b in self.blocks))
+        """Weighted population in the top two J shells of the basis, gathered at once."""
+        entries, columns = self.layout.edge
+        return float(np.abs(self.amplitudes[entries]) ** 2 @ self.weights[columns])
 
 
 def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
@@ -624,8 +614,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         kicks = plan[1]
         layout = _chain_layout(origins, j_max)
         if xi == 0.0:
-            amps = np.zeros(layout.bounds[-1], dtype=complex)
-            amps[layout.entries(layout.rows)] = 1.0
+            amps = layout.unkicked()
         else:
             amps = _gathered_kicks(layout, kicks[0])
             rhs_all = amps.view(float)
@@ -641,8 +630,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
                     omega = rotational_omega(levels[r0:r1], molecule).reshape(-1, n)
                     omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
                     _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
-        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi,
-                          PackedChains(layout, weights, amps))
+        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout, weights, amps)
 
     def working_set(j_max):
         # cached eigenvectors, results, the layout's int32 gather index, a
@@ -721,21 +709,23 @@ def elliptic_tdse_ensemble(
     weights = ensemble.weights[groups.order]
 
     def propagate(j_max):
-        plan = _rkn_schedule(pulse, molecule, j_max)
-        blocks = []
-        for (jp, mp), c0, c1 in groups.spans():
-            j0, m0 = groups.j0[c0:c1], groups.m0[c0:c1]
-            basis = JMBasis(j_max, j_parity=jp, m_parity=mp)
-            origins = basis.site(j0, m0)
-            if xi == 0.0:
-                a = np.zeros((len(basis), len(origins)), dtype=complex)
-                a[origins, np.arange(len(origins))] = 1.0
-            else:
-                coupling = (pulse.a2 * cos2theta_axis_matrix(basis, "x")
-                            + pulse.b2 * cos2theta_axis_matrix(basis, "y"))
-                a = _lattice_steps(basis, coupling, molecule, origins, plan)
-            blocks.append(ChannelBlock(basis.j_of, basis, j0, m0, weights[c0:c1], a))
-        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, lattice=tuple(blocks))
+        bases = tuple(JMBasis(j_max, j_parity=jp, m_parity=mp) for (jp, mp), _, _ in groups.spans())
+        sizes, counts = np.array([len(basis) for basis in bases]), np.diff(groups.bounds)
+        layout = BlockLayout(groups, j_max, sizes, counts, _starts(sizes * counts),
+                             np.concatenate([basis.j_of for basis in bases]),
+                             np.concatenate([basis.site(groups.j0[c0:c1], groups.m0[c0:c1])
+                                             for basis, (_, c0, c1) in zip(bases, groups.spans())]), bases)
+        if xi == 0.0:
+            amps = layout.unkicked()
+        else:
+            plan = _rkn_schedule(pulse, molecule, j_max)
+            amps = np.zeros(layout.bounds[-1], dtype=complex)
+            for b, (basis, (_, c0, c1)) in enumerate(zip(bases, groups.spans())):
+                coupling = pulse.a2 * layout.axis_operator(b, "x") + pulse.b2 * layout.axis_operator(b, "y")
+                # each group's sectors add their columns into its packed slice
+                out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
+                _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)
+        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, layout, weights, amps)
 
     def sectors(j_max):
         # per group: its lattice sites n, channels k and + sector's sites

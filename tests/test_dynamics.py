@@ -476,15 +476,15 @@ def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatc
     assert not dynamics._LAYOUTS
     weak = kick_ensemble(CO2, GROUND, 2.0)
     assert list(dynamics._LAYOUTS) == [(GROUND.chains, weak.j_max)]
-    assert weak.chains.layout is dynamics._LAYOUTS[GROUND.chains, weak.j_max]
+    assert weak.layout is dynamics._LAYOUTS[GROUND.chains, weak.j_max]
 
 
 def test_zero_kick_builds_no_eigendecomposition():
     dynamics.clear_caches()
     cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 0.0)
-    assert "eigen" not in vars(cs.chains.layout)
+    assert "eigen" not in vars(cs.layout)
     kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 1.0, cs.j_max)
-    assert "eigen" in vars(cs.chains.layout)
+    assert "eigen" in vars(cs.layout)
 
 
 def test_clear_caches_empties_every_cache_of_the_sudden_and_fit_path():
@@ -548,6 +548,22 @@ def test_kick_blocks_match_dense_expm():
     for ch in views:
         want = dense[ch.m0][ch.js - ch.m0, ch.j0 - ch.m0]
         assert np.max(np.abs(ch.amplitudes - want)) <= 1e-13
+
+
+def test_lattice_layout_builds_each_operator_once(monkeypatch):
+    # the propagation builds each group's x and y operators; the series of
+    # every axis, read twice, reuse them and build each group's z once
+    built = []
+    build = dynamics.cos2theta_axis_matrix
+    monkeypatch.setattr(dynamics, "cos2theta_axis_matrix",
+                        lambda basis, axis: built.append((basis, axis)) or build(basis, axis))
+    cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), elliptic_pulse(3.0, 0.64, 0.36))
+    assert built == [(b.basis, axis) for b in cs.blocks for axis in "xy"]
+    times = revival_time_grid(CO2, 64)
+    for axis in "xyzxyz":
+        fourier_decompose(cs, axis)
+        alignment_trace(cs, axis, times)
+    assert built[2 * len(cs.blocks):] == [(b.basis, "z") for b in cs.blocks]
 
 
 def _per_channel_edge_leak(cs):

@@ -16,16 +16,18 @@ def test_every_export_resolves_once():
 
 
 def test_only_dynamics_reads_a_channel_sets_layout():
-    # a propagated set reduces its own layouts (ChannelSet.series_terms): no
-    # other module reads the attributes that expose them
-    layout = {"chains", "lattice", "blocks", "kind"}
+    # a propagated set reduces its own layout (ChannelSet.series_terms): no
+    # other module reads the attributes that expose it or imports its builders
+    layout = {"layout", "blocks", "kind"}
+    builders = {"BlockLayout", "_chain_layout"}
     readers = {}
     for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
         if path.name == "dynamics.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and node.attr in layout]
+                 if isinstance(node, ast.Attribute) and node.attr in layout | builders
+                 or isinstance(node, ast.ImportFrom) and builders & {alias.name for alias in node.names}]
         if lines:
             readers[path.name] = lines
     assert readers == {}

@@ -1,8 +1,8 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
 strength, the chain stepper's kick schedule over pulses, the chain stepper,
-the warm chain cache and the revivals over random molecules, the lattice's
-+-M mirror symmetry and reflection sectors, and the CLI's exit codes over
-generated configs."""
+the warm chain cache, the revivals and the packed reductions of both routes
+over random molecules, the lattice's +-M mirror symmetry and reflection
+sectors, and the CLI's exit codes over generated configs."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
@@ -114,10 +115,10 @@ def test_warm_chain_cache_kicks_as_an_empty_one(b, delta_alpha, spins, temperatu
     fresh = {}
     for i, x in kicks:
         dynamics.clear_caches()
-        fresh[i, x] = kick_ensemble(molecule, ensembles[i], x, j_max).chains.amplitudes.tobytes()
+        fresh[i, x] = kick_ensemble(molecule, ensembles[i], x, j_max).amplitudes.tobytes()
     dynamics.clear_caches()
     for i, x in data.draw(st.lists(st.sampled_from(kicks), min_size=len(kicks), max_size=2 * len(kicks))):
-        assert kick_ensemble(molecule, ensembles[i], x, j_max).chains.amplitudes.tobytes() == fresh[i, x]
+        assert kick_ensemble(molecule, ensembles[i], x, j_max).amplitudes.tobytes() == fresh[i, x]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -135,6 +136,33 @@ def test_revival_periodicity_over_random_molecules(b, delta_alpha, spins, temper
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0),
+       spins=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]),
+       temperature=st.floats(0.0, 20.0), xi=st.floats(0.0, 5.0), a2=st.floats(0.0, 1.0),
+       lattice=st.booleans())
+def test_packed_reductions_match_the_channels(b, delta_alpha, spins, temperature, xi, a2, lattice):
+    # edge_leak and norm_deviation reduce the packed amplitudes of either
+    # route at once; the same sums channel by channel, as the benchmark's
+    # tracer forms them, agree
+    molecule = MoleculeSpec("random", b, delta_alpha, *spins)
+    ens = boltzmann_ensemble(molecule, temperature)
+    if lattice:
+        pulse = elliptic_pulse(xi / xi_per_intensity(molecule, 0.1), a2, 1.0 - a2)
+        cs = dynamics.elliptic_tdse_ensemble(molecule, ens, pulse)
+    else:
+        cs = kick_ensemble(molecule, ens, xi)
+    assert cs.kind == ("jm" if lattice else "chain")
+    leak = norm = total = 0.0
+    for ch in cs.channels:
+        pops = np.abs(ch.amplitudes) ** 2
+        leak += ch.weight * float(pops[ch.js >= cs.j_max - 1].sum())
+        norm += ch.weight * float(pops.sum())
+        total += ch.weight
+    assert cs.edge_leak() == pytest.approx(leak, rel=1e-12, abs=1e-300)
+    assert abs(cs.norm_deviation() - abs(norm / total - 1.0)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0), j0=st.integers(1, 6), data=st.data(),
        intensity=st.floats(0.5, 10.0), a2=st.floats(0.0, 1.0))
 def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a2):
@@ -147,7 +175,8 @@ def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a
     coupling = pulse.a2 * cos2theta_axis_matrix(basis, "x") + pulse.b2 * cos2theta_axis_matrix(basis, "y")
     origins = basis.site(j0, [m0, -m0])
     schedule = dynamics._rkn_schedule(pulse, molecule, basis.j_max)
-    amps = dynamics._lattice_steps(basis, coupling, molecule, origins, schedule)
+    amps = np.zeros((len(basis), 2), dtype=complex)
+    dynamics._lattice_steps(basis, coupling, molecule, origins, schedule, amps)
     mirror = basis.site(basis.j_of, -basis.m_of)
     assert np.max(np.abs(amps[mirror, 1] - amps[:, 0])) <= 1e-12
     assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-12
