@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from decimal import Decimal
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -546,10 +547,11 @@ def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
 
 
 def check_working_set(nbytes: float, what: str):
-    """ValueError naming `what` if nbytes exceeds MAX_WORKING_SET_BYTES."""
+    """ValueError naming `what` if nbytes, an int maybe beyond the float range, exceeds MAX_WORKING_SET_BYTES."""
     if nbytes > MAX_WORKING_SET_BYTES:
+        gigabytes = nbytes / 1e9 if nbytes < 1e300 else Decimal(nbytes) / 10**9
         raise ValueError(
-            f"{what} needs about {nbytes / 1e9:.3g} GB of working "
+            f"{what} needs about {gigabytes:.3g} GB of working "
             f"memory, above the budget of {MAX_WORKING_SET_BYTES / 1e9:.3g} GB"
         )
 
@@ -619,7 +621,6 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
             amps = _gathered_kicks(layout, kicks[0])
             rhs_all = amps.view(float)
             evals, evecs = layout.eigen
-            levels = layout.levels
             # one stack per run of equal-shape blocks, in place
             for n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 in layout.runs:
                 rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
@@ -627,7 +628,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
                 if len(kicks) == 1:
                     np.matmul(vecs, rhs, out=rhs)  # one GEMM per block
                 else:
-                    omega = rotational_omega(levels[r0:r1], molecule).reshape(-1, n)
+                    omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
                     omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
                     _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
         return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout, weights, amps)

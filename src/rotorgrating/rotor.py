@@ -111,8 +111,10 @@ def suggest_j_max(j_thermal: int, xi: float) -> int:
 
     A kick of strength xi spreads population over O(xi) rotational quanta, so
     j_max = J_thermal + ceil(4 xi) + 10.  Convergence is enforced post hoc by
-    the norm-leak guard in the propagators.
+    the norm-leak guard in the propagators; a non-finite 4 xi raises ValueError.
     """
+    if not math.isfinite(4.0 * xi):
+        raise ValueError(f"kick strength xi = {xi:.3g} is too large to size a basis: 4 xi is not finite")
     return int(j_thermal) + math.ceil(4.0 * xi) + 10
 
 
