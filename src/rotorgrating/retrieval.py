@@ -312,8 +312,11 @@ def fit_trace(
     highs = np.array([problem.bounds[n][1] for n in free])
     span = highs - lows
     # difference steps of ~1e-3 of the box; on cache keys whole cells, at least two, at most half the box
+    keyed = np.isin(free, ("intensity", "temperature"))
     cells = np.maximum(2, np.round(1e-3 * span / problem.cache_quantum)) * problem.cache_quantum / span
-    steps = np.minimum(0.5, np.where(np.isin(free, ("intensity", "temperature")), cells, 1e-3))
+    steps = np.minimum(0.5, np.where(keyed, cells, 1e-3))
+    # a step below one cache cell cannot change the model of a keyed parameter
+    xtol = float(np.min(problem.cache_quantum / span[keyed])) if keyed.any() else 1e-8
     counter = {"n": 0}
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -373,7 +376,8 @@ def fit_trace(
     for x0 in ranked[:runs]:
         if max_nfev == 0:  # least_squares makes at least one evaluation
             break
-        res = scipy.optimize.least_squares(fun, x0, jac, bounds=(0.0, 1.0), method="trf", max_nfev=max_nfev)
+        res = scipy.optimize.least_squares(fun, x0, jac, bounds=(0.0, 1.0), method="trf", xtol=xtol,
+                                           max_nfev=max_nfev)
         if float(res.fun @ res.fun) < best_f:
             best_x, best_f, converged = res.x, float(res.fun @ res.fun), res.status > 0
     if not converged:
