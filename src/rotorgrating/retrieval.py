@@ -392,6 +392,9 @@ def fit_trace(
         flags.append("degenerate_direction")
 
     values = dict(zip(free, lows + span * best_x))
+    # the parallel model depends on (Im b)^2 only: of the two roots, return the non-negative one in bounds
+    if values.get("background_im", 0.0) < 0.0 and -values["background_im"] <= problem.bounds["background_im"][1]:
+        values["background_im"] = -values["background_im"]
     params = problem.resolve(values)
     params["scale"] = best_scale
     return FitResult(

@@ -418,6 +418,21 @@ def test_a_flat_direction_is_flagged_degenerate():
     assert result.params["intensity"] == pytest.approx(18.0, rel=1e-3)
 
 
+def test_background_im_is_returned_as_its_non_negative_root():
+    # the parallel model heterodynes as |s + b|^2 = (s + Re b)^2 + (Im b)^2,
+    # bit for bit even in Im b: a truth of -0.002 in symmetric bounds comes
+    # back as +0.002, at the residual of the model at -0.002
+    problem = FitProblem(CO2, "parallel", cache_quantum=1e-3, fixed={"temperature": 60.0},
+                         bounds={"intensity": (5.0, 30.0), "background_im": (-0.01, 0.01)})
+    delays = np.arange(0.5, 20.0, 0.02)
+    truth = {"intensity": 18.0, "temperature": 60.0, "background_im": -0.002}
+    result = fit_trace(problem, synthesize_trace(problem, truth, delays))
+    assert result.converged and result.residual <= 1e-12
+    assert result.params["background_im"] == pytest.approx(0.002, rel=1e-4)
+    mirror = {**result.params, "background_im": -result.params["background_im"]}
+    assert np.array_equal(model_signal(mirror, problem, delays), model_signal(result.params, problem, delays))
+
+
 @pytest.mark.parametrize("budget", [1, 30, 60, 120, 600])
 def test_max_evaluations_caps_the_search(budget):
     # the 24 grid starts always run and refinement spends at most the rest,
