@@ -323,7 +323,7 @@ class BlockLayout:
     levels: np.ndarray
     rows: np.ndarray
     bases: tuple = ()
-    _operators: dict = field(default_factory=dict, repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def unkicked(self) -> np.ndarray:
         """Packed amplitudes with every column on its origin row, the state of a zero kick."""
@@ -476,9 +476,26 @@ class ChannelSet:
         """
         check_axis(axis)
         if self.kind == "chain":
-            consts, bounds, js, z = self._chain_terms()
-            factor = 1.0 if axis == "y" else -0.5
-            return [factor * const for const in consts], bounds, js, factor * z
+            lay, amps, weights = self.layout, self.amplitudes, self.weights
+            diag, js, coupling = lay.operator
+            complex_weights = weights.astype(complex)
+            z = np.empty(len(js), dtype=complex)
+            weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
+            lows = _starts(lay.sizes - 1)
+            for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
+                m, l0, l1 = b1 - b0, lows[b0], lows[b1]
+                c = amps[a0:a1].reshape(m, n, k)
+                cross = np.conj(c[:, 1:])
+                cross *= c[:, :-1]
+                np.matmul(cross, complex_weights[c0:c1].reshape(m, k, 1), out=z[l0:l1].reshape(m, n - 1, 1))
+                pops = np.abs(c)
+                pops *= pops
+                w = weights[c0:c1].reshape(m, k)
+                np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None],
+                          out=weighted[b0:b1].reshape(m, 1, 1))
+                w.sum(axis=1, out=totals[b0:b1])
+            factor, consts = 1.0 if axis == "y" else -0.5, (weighted - totals / 3.0).tolist()
+            return [factor * const for const in consts], lows, js, factor * (coupling * z)
         consts, jss, zs = [], [], []
         for i, b in enumerate(self.blocks):
             c, w = b.amplitudes, b.weights
@@ -494,27 +511,6 @@ class ChannelSet:
             jss.append(js)
             zs.append(z)
         return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
-
-    def _chain_terms(self):
-        """series_terms of the field axis (y) on chains, before the axis factor."""
-        lay, amps, weights = self.layout, self.amplitudes, self.weights
-        diag, js, coupling = lay.operator
-        complex_weights = weights.astype(complex)
-        z = np.empty(len(js), dtype=complex)
-        weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
-        lows = _starts(lay.sizes - 1)
-        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
-            m, l0, l1 = b1 - b0, lows[b0], lows[b1]
-            c = amps[a0:a1].reshape(m, n, k)
-            cross = np.conj(c[:, 1:])
-            cross *= c[:, :-1]
-            np.matmul(cross, complex_weights[c0:c1].reshape(m, k, 1), out=z[l0:l1].reshape(m, n - 1, 1))
-            pops = np.abs(c)
-            pops *= pops
-            w = weights[c0:c1].reshape(m, k)
-            np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None], out=weighted[b0:b1].reshape(m, 1, 1))
-            w.sum(axis=1, out=totals[b0:b1])
-        return (weighted - totals / 3.0).tolist(), lows, js, coupling * z
 
     @property
     def channels(self) -> tuple:
