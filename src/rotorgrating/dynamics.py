@@ -38,7 +38,7 @@ again after every regrow) and raises ValueError naming the estimate when it
 exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
 
 Every set is packed.  A BlockLayout lays the n x k blocks end to end in one
-amplitude array, in C order, in the order of the driver's grouping, with
+amplitude array, in C order, in the order of the channels' grouping, with
 the J of every row and each column's origin row; both routes start an
 unkicked set on its origins and read its edge leak with one gather.  A
 chain layout packs the eigendecompositions of its chains the same way,
@@ -47,13 +47,13 @@ at one j_max; _chain_layout, the one cache of chain data, keeps the latest
 few that fit a share of the working-set budget.  The sudden kick fills
 every block's right-hand side V^T[:, rows] e^{i xi Lambda} with one
 exponential of the eigenvalues, one repeat and one gather by the layout's
-int32 index.  Then both linear drivers walk the layout's runs of
+int32 index.  Then kick_ensemble and tdse_ensemble walk the layout's runs of
 consecutive equal-shape blocks, each run one stack of matrices: the kick
 runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
 place in the packed array.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.  A
 lattice layout keeps its groups' JMBases and lab-axis operators, built on
-first use: the elliptic driver steps each group into its packed slice, and
+first use: elliptic_tdse_ensemble steps each group into its packed slice, and
 ChannelSet.series_terms(axis) reduces the same operators to the terms of
 observables' cosine series, lab-axis factor applied, as it reduces the
 chains per run.  No other module reads a set's layout.
