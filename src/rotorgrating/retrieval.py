@@ -315,8 +315,8 @@ def fit_trace(
     keyed = np.isin(free, ("intensity", "temperature"))
     cells = np.maximum(2, np.round(1e-3 * span / problem.cache_quantum)) * problem.cache_quantum / span
     steps = np.minimum(0.5, np.where(keyed, cells, 1e-3))
-    # a step below one cache cell cannot change the model of a keyed parameter
-    xtol = float(np.min(problem.cache_quantum / span[keyed])) if keyed.any() else 1e-8
+    # trf bounds the whole step: stop below one cache cell only if every free parameter is keyed
+    xtol = max(1e-8, float(np.min(problem.cache_quantum / span))) if keyed.all() else 1e-8
     counter = {"n": 0}
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, float]:

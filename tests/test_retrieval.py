@@ -1,9 +1,11 @@
 """Trace loading and intensity/temperature retrieval from delay scans."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rotorgrating import dynamics, observables, rotor
 from rotorgrating.cli import EXIT_OK, main
@@ -431,6 +433,32 @@ def test_background_im_is_returned_as_its_non_negative_root():
     assert result.params["background_im"] == pytest.approx(0.002, rel=1e-4)
     mirror = {**result.params, "background_im": -result.params["background_im"]}
     assert np.array_equal(model_signal(mirror, problem, delays), model_signal(result.params, problem, delays))
+
+
+@pytest.mark.parametrize("bounds, cache_quantum", [
+    ({"intensity": (5.0, 30.0), "background_re": (-0.01, 0.01)}, 1e-3),
+    ({"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)}, 1e-15),
+])
+def test_fit_keeps_the_default_xtol_unless_a_cell_bounds_the_step(monkeypatch, bounds, cache_quantum):
+    # trf stops on the norm of the whole box step, so a cell-sized xtol would
+    # also end a free background_re's refinement early; and a cell below
+    # scipy's 1e-8 would warn and turn the stop off.  Both fits end exactly
+    # where they end with xtol 1e-8
+    problem = FitProblem(CO2, "parallel", cache_quantum=cache_quantum, bounds=bounds,
+                         fixed={} if "temperature" in bounds else {"temperature": 60.0})
+    delays = np.arange(0.5, 20.0, 0.02)
+    truth = {"intensity": 18.0, "temperature": 60.0, "background_re": 0.003}
+    trace = synthesize_trace(problem, truth, delays, noise_fraction=0.05, seed=3)
+    search = {"refine_starts": 1, "n_intensity_starts": 2, "n_temperature_starts": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_trace(problem, trace, **search)
+    least_squares = scipy.optimize.least_squares
+    monkeypatch.setattr(scipy.optimize, "least_squares",
+                        lambda *args, **kwargs: least_squares(*args, **{**kwargs, "xtol": 1e-8}))
+    default = fit_trace(problem, trace, **search)
+    assert result.params == default.params
+    assert (result.residual, result.evaluations) == (default.residual, default.evaluations)
 
 
 @pytest.mark.parametrize("budget", [1, 30, 60, 120, 600])
