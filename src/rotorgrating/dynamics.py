@@ -545,7 +545,10 @@ def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
 def check_working_set(nbytes: float, what: str):
     """ValueError naming `what` if nbytes, an int maybe beyond the float range, exceeds MAX_WORKING_SET_BYTES."""
     if nbytes > MAX_WORKING_SET_BYTES:
-        gigabytes = nbytes / 1e9 if nbytes < 1e300 else Decimal(nbytes) / 10**9
+        try:
+            gigabytes = nbytes / 1e9
+        except OverflowError:  # Decimal's .3g would print 8e+03 as 8.00e+3
+            gigabytes = Decimal(nbytes) / 10**9
         raise ValueError(
             f"{what} needs about {gigabytes:.3g} GB of working "
             f"memory, above the budget of {MAX_WORKING_SET_BYTES / 1e9:.3g} GB"

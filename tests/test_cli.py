@@ -497,34 +497,28 @@ def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
 
 
 # the budget names an estimate beyond the float range, and a kick whose
-# headroom 4 xi overflows names the kick
-_UNSIZABLE = {
-    1e12: "propagation at j_max=1777028940981 needs about 1.77e+17 GB of working memory, above the budget of 2 GB",
-    1e300: "needs about 1.77e+593 GB of working memory, above the budget of 2 GB",
-    1.7e308: "kick strength xi = 7.55e+307 is too large to size a basis: 4 xi is not finite",
-}
+# headroom 4 xi overflows names the kick; simulate sizes its basis through
+# the same checks
+_BUDGET = "GB of working memory, above the budget of 2 GB"
+_UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
 
 
-@pytest.mark.parametrize("intensity", [1e12, 1e300, 1.7e308])
-def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, intensity):
-    # the basis these need cannot be sized, let alone allocated
-    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": intensity})
-    out = tmp_path / "x"
-    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.rstrip().endswith(_UNSIZABLE[intensity])
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("intensity, message", [
-    (1e300, _UNSIZABLE[1e300]),
-    (1.7e308, "kick strength xi = inf is too large to size a basis: 4 xi is not finite"),
+@pytest.mark.parametrize("subcommand, pump, message", [
+    pytest.param("fourier", {"intensity_tw_cm2": 1e12},
+                 f"propagation at j_max=1777028940981 needs about 1.77e+17 {_BUDGET}", id="1000000000000.0"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1e300}, f"needs about 1.77e+593 {_BUDGET}", id="1e+300"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1.7e308}, f"kick strength xi = 7.55e+307 {_UNSIZABLE_KICK}",
+                 id="1.7e+308"),
+    pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1e300},
+                 f"needs about 1.77e+593 {_BUDGET}", id="simulate-1e+300"),
+    pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1.7e308},
+                 f"kick strength xi = inf {_UNSIZABLE_KICK}", id="simulate-1.7e+308"),
 ])
-def test_simulate_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, intensity, message):
-    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
-                          "theoretical_intensity_tw_cm2": intensity})
+def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, subcommand, pump, message):
+    # the basis these need cannot be sized, let alone allocated
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, **pump})
     out = tmp_path / "x"
-    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
+    _exits_2_in_little_memory([subcommand, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(message)
     assert not out.exists()
