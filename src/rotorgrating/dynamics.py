@@ -32,20 +32,23 @@ dense W^T C W with one eigh, and the group's state is the sum of the W a.
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls, one
 block per chain or group: an amplitude matrix with one column per channel.
-The reduction order is fixed, so reruns are bit-identical.  Before it
-allocates, each driver estimates its working set at the chosen j_max (and
-again after every regrow) and raises ValueError naming the estimate when it
-exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
+_grouped groups them, in the order their keys first appear and each group in
+ensemble order, so the reduction order is fixed and reruns are
+bit-identical.  Before it allocates, each driver estimates its working set
+at the chosen j_max (and again after every regrow) and raises ValueError
+naming the estimate when it exceeds MAX_WORKING_SET_BYTES; the elliptic one
+also bounds its kick work.
 
-Every set is packed.  A BlockLayout lays the n x k blocks end to end in one
-amplitude array, in C order, in the order of the channels' grouping, with
+Every set is packed.  A BlockLayout holds the grouping, lays the n x k
+blocks end to end in one amplitude array, in C order, in group order, with
 the J of every row and each column's origin row; both routes start an
-unkicked set on its origins and read its edge leak with one gather.  A
-chain layout packs the eigendecompositions of its chains the same way,
-built on the first kick, and serves every ensemble with the same channels
-at one j_max; _chain_layout, the one cache of chain data, keeps the latest
-few that fit a share of the working-set budget.  The sudden kick fills
-every block's right-hand side V^T[:, rows] e^{i xi Lambda} with one
+unkicked set on its origins and read its edge leak with one gather.  A chain
+layout packs the eigendecompositions of its chains the same way, built on
+the first kick.  _LAYOUTS, the one cache of chain data, is keyed by the
+channels and j_max: every ensemble with the same channels gets the same
+layout at one j_max, grouped only when none is cached, and the cache keeps
+the latest few that fit a share of the working-set budget.  The sudden kick
+fills every block's right-hand side V^T[:, rows] e^{i xi Lambda} with one
 exponential of the eigenvalues, one repeat and one gather by the layout's
 int32 index.  Then kick_ensemble and tdse_ensemble walk the layout's runs of
 consecutive equal-shape blocks, each run one stack of matrices: the kick
@@ -53,8 +56,8 @@ runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
 place in the packed array.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.  A
 lattice layout keeps its groups' JMBases and lab-axis operators, built on
-first use: elliptic_tdse_ensemble steps each group into its packed slice, and
-ChannelSet.series_terms(axis) reduces the same operators to the terms of
+first use: elliptic_tdse_ensemble steps each group into its packed slice,
+and ChannelSet.series_terms(axis) reduces the same operators to the terms of
 observables' cosine series, lab-axis factor applied, as it reduces the
 chains per run.  No other module reads a set's layout.
 """
@@ -76,12 +79,9 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 from .field import PulseSpec, effective_area, kick_rate, pulse_half_window
 from .rotor import (
-    ChannelGroups,
     JMBasis,
     MoleculeSpec,
     ThermalEnsemble,
-    _chain_groups,
-    _starts,
     _within,
     check_axis,
     cos2theta_axis_matrix,
@@ -127,20 +127,38 @@ def _chain_start(m, parity):
     return m + (m % 2 != parity)
 
 
-LAYOUT_CACHE_SIZE = 16  # one layout per (level set, j_max); a fit visits ~8
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Offsets of ranges of `lengths` laid end to end, and the total at the end."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _grouped(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndarray) -> tuple:
+    """(keys, counts, order) of the ensemble's channels grouped by the integer
+    key (major, minor), minor in {0, 1}: group g, keys[g], holds counts[g]
+    channels.  Groups come in the order their keys first appear, the channels
+    of a group in ensemble order; ensemble.j0[order] lists them group by group.
+    """
+    keys, first, inverse = np.unique(2 * major + minor, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    group = rank[inverse]
+    keys = keys[seen]
+    return np.stack([keys // 2, keys % 2], axis=1), np.bincount(group), np.argsort(group, kind="stable")
+
+
+LAYOUT_CACHE_SIZE = 16  # chain layouts kept, one per (channels, j_max); a fit visits ~8 level sets
 GATHER_CHUNK = 8192  # eigenvector entries gathered per step of the sudden kick
 _LAYOUTS: OrderedDict[tuple, BlockLayout] = OrderedDict()
 
 
 def clear_caches():
-    """Empty the caches of the sudden and fit path: the chain layouts with their
-    eigendecompositions, the ensembles' chain groupings and reconstruct's phase
-    tables."""
+    """Empty the caches of the sudden and fit path: the chain layouts, with
+    their groupings and eigendecompositions, and reconstruct's phase tables."""
     from .observables import _PHASES  # imported here: observables imports this module
 
     for cache in (_LAYOUTS, _PHASES):
         cache.clear()
-    _chain_groups.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +322,23 @@ class ChannelBlock:
 class BlockLayout:
     """Where the blocks of a ChannelSet lie in its packed amplitudes.
 
-    Block b holds group b of `origins`, the set's channels on one fixed-M
-    chain (|M|, J parity) or one (J parity, M parity) lattice group: sizes[b]
-    rows and counts[b] columns, its n x k amplitude matrix in C order at
-    entries bounds[b] to bounds[b + 1].  levels is the J of every row, rows
-    each column's origin row in its block, bases each lattice group's
-    JMBasis (empty for chains).  A chain layout serves every ensemble with
-    the same channels at j_max (_chain_layout) and builds its
-    eigendecompositions and index arrays on first use; a lattice layout
-    builds and keeps its groups' lab-axis operators (axis_operator).
+    Block b holds group b of the set's channels (_grouped), those on one
+    fixed-M chain keys[b] = (|M|, J parity) or one (J parity, M parity)
+    lattice group: sizes[b] rows and counts[b] columns, its n x k amplitude
+    matrix in C order at entries bounds[b] to bounds[b + 1].  The columns are
+    the ensemble's channels `order`, block by block, started on J0 j0 and
+    |M0| m0; levels is the J of every row, rows each column's origin row in
+    its block, bases each lattice group's JMBasis (empty for chains).  A
+    chain layout serves every ensemble with the same channels at j_max
+    (_chain_layout) and builds its eigendecompositions and index arrays on
+    first use; a lattice layout builds and keeps its groups' lab-axis
+    operators (axis_operator).
     """
 
-    origins: ChannelGroups
+    keys: np.ndarray
+    order: np.ndarray
+    j0: np.ndarray
+    m0: np.ndarray
     j_max: int
     sizes: np.ndarray
     counts: np.ndarray
@@ -328,7 +351,7 @@ class BlockLayout:
     def unkicked(self) -> np.ndarray:
         """Packed amplitudes with every column on its origin row, the state of a zero kick."""
         amps = np.zeros(self.bounds[-1], dtype=complex)
-        amps[np.repeat(self.bounds[:-1] - self.origins.bounds[:-1], self.counts)
+        amps[np.repeat(self.bounds[:-1] - _starts(self.counts)[:-1], self.counts)
              + self.rows * np.repeat(self.counts, self.counts) + np.arange(len(self.rows))] = 1.0
         return amps
 
@@ -340,7 +363,7 @@ class BlockLayout:
         top = np.add.reduceat(self.levels >= self.j_max - 1, _starts(self.sizes)[:-1]) * self.counts
         within = _within(top)
         return (np.repeat(self.bounds[1:] - top, top) + within,
-                np.repeat(self.origins.bounds[:-1], top) + within % np.repeat(self.counts, top))
+                np.repeat(_starts(self.counts)[:-1], top) + within % np.repeat(self.counts, top))
 
     def axis_operator(self, b: int, axis: str) -> scipy.sparse.csr_matrix:
         """Lattice group b's cos^2 theta_axis operator, built on first use and kept."""
@@ -376,7 +399,7 @@ class BlockLayout:
         n, k = self.sizes, self.counts
         first = np.flatnonzero(np.concatenate(([True], (n[1:] != n[:-1]) | (k[1:] != k[:-1]))))
         ends = np.append(first[1:], len(n))
-        ranges = [np.arange(len(n) + 1), _starts(n * k), self.origins.bounds, _starts(n), _starts(n * n)]
+        ranges = [np.arange(len(n) + 1), _starts(n * k), _starts(k), _starts(n), _starts(n * n)]
         columns = [n[first], k[first]] + [x for r in ranges for x in (r[first], r[ends])]
         return list(zip(*(c.tolist() for c in columns)))
 
@@ -396,28 +419,41 @@ class BlockLayout:
         """cos^2 theta on the chain blocks: its diagonal on every row, and, on
         every row but the last, J and twice the off-diagonal <J+2,M| cos^2 theta
         |J,M>.  The one evaluation of the closed forms, for `eigen` and the series."""
-        levels, m = self.levels, np.repeat(self.origins.keys[:, 0], self.sizes)
+        levels, m = self.levels, np.repeat(self.keys[:, 0], self.sizes)
         lower = np.delete(np.arange(len(levels)), np.cumsum(self.sizes) - 1)
         return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
 
 
-def _chain_layout(origins: ChannelGroups, j_max: int) -> BlockLayout:
-    """The layout of `origins` at j_max, built or taken from the cache.
+def _chains(ensemble: ThermalEnsemble, j_max: int) -> tuple:
+    """(keys, counts, order) of the ensemble's fixed-M chains, keyed (|M0|, J0
+    parity): the cached layout's for these channels at j_max, else grouped."""
+    layout = _LAYOUTS.get((ensemble.j0.tobytes(), ensemble.m0.tobytes(), j_max))
+    if layout is not None:
+        return layout.keys, layout.counts, layout.order
+    return _grouped(ensemble, np.abs(ensemble.m0), ensemble.j0 % 2)
 
-    The cache keeps the LAYOUT_CACHE_SIZE most recently used layouts, each
-    only while its eigenvectors, 8 sum n^2 bytes, fit that share of the
-    working-set budget.
+
+def _chain_layout(ensemble: ThermalEnsemble, j_max: int, chains: tuple) -> BlockLayout:
+    """The layout of the ensemble's chains at j_max, taken from the cache or
+    built from `chains`, their _chains at j_max.
+
+    The cache is keyed by the channels and j_max, so ensembles built apart
+    with equal channels share a layout.  It keeps the LAYOUT_CACHE_SIZE most
+    recently used layouts, each only while its eigenvectors, 8 sum n^2
+    bytes, fit that share of the working-set budget.
     """
-    layout = _LAYOUTS.pop((origins, j_max), None)
+    key = (ensemble.j0.tobytes(), ensemble.m0.tobytes(), j_max)
+    layout = _LAYOUTS.pop(key, None)
     if layout is None:
-        starts = _chain_start(origins.keys[:, 0], origins.keys[:, 1])
+        keys, counts, order = chains
+        j0 = ensemble.j0[order]
+        starts = _chain_start(keys[:, 0], keys[:, 1])
         sizes = (j_max - starts) // 2 + 1
-        counts = np.diff(origins.bounds)
-        layout = BlockLayout(origins, j_max, sizes, counts, _starts(sizes * counts),
-                             np.repeat(starts, sizes) + 2 * _within(sizes),
-                             (origins.j0 - np.repeat(starts, counts)) // 2)
+        layout = BlockLayout(keys, order, j0, np.abs(ensemble.m0[order]), j_max, sizes, counts,
+                             _starts(sizes * counts), np.repeat(starts, sizes) + 2 * _within(sizes),
+                             (j0 - np.repeat(starts, counts)) // 2)
     if 8 * int(np.sum(layout.sizes ** 2)) <= MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE:
-        _LAYOUTS[origins, j_max] = layout
+        _LAYOUTS[key] = layout
         while len(_LAYOUTS) > LAYOUT_CACHE_SIZE:
             _LAYOUTS.popitem(last=False)
     return layout
@@ -450,11 +486,11 @@ class ChannelSet:
 
     @cached_property
     def blocks(self) -> tuple:
-        lay, o = self.layout, self.layout.origins
-        rows, cols, bounds = (x.tolist() for x in (_starts(lay.sizes), o.bounds, lay.bounds))
+        lay = self.layout
+        rows, cols, bounds = (x.tolist() for x in (_starts(lay.sizes), _starts(lay.counts), lay.bounds))
         return tuple(
             ChannelBlock(lay.levels[rows[b]:rows[b + 1]] if basis is None else basis.j_of, basis,
-                         o.j0[cols[b]:cols[b + 1]], o.m0[cols[b]:cols[b + 1]], self.weights[cols[b]:cols[b + 1]],
+                         lay.j0[cols[b]:cols[b + 1]], lay.m0[cols[b]:cols[b + 1]], self.weights[cols[b]:cols[b + 1]],
                          self.amplitudes[bounds[b]:bounds[b + 1]].reshape(rows[b + 1] - rows[b], -1))
             for b, basis in enumerate(lay.bases or [None] * len(lay.sizes))
         )
@@ -606,14 +642,12 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
     distinct free times d between kicks and each gap's index into d.  A zero
     kick leaves each column on its origin.
     """
-    origins = ensemble.chains
-    weights = ensemble.weights[origins.order]
-    ms, parities = origins.keys.T
+    chains = {}  # _chains per j_max, from the estimate for propagate: grouped once per miss
 
     def propagate(j_max):
         plan = schedule(j_max)
         kicks = plan[1]
-        layout = _chain_layout(origins, j_max)
+        layout = _chain_layout(ensemble, j_max, chains[j_max])
         if xi == 0.0:
             amps = layout.unkicked()
         else:
@@ -630,7 +664,8 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
                     omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
                     omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
                     _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
-        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout, weights, amps)
+        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
+                          ensemble.weights[layout.order], amps)
 
     def working_set(j_max):
         # cached eigenvectors, results, the layout's int32 gather index, a
@@ -640,8 +675,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         # build, its table of kick phases (40 B per kick and level as it is
         # built: real phases, their complex cast and the exponentials) and 3
         # state vectors.  Integers: j_max may be huge
+        keys, counts, _ = chains[j_max] = _chains(ensemble, j_max)
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
-                 zip(_chain_start(ms, parities).tolist(), np.diff(origins.bounds).tolist())]
+                 zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
         total = (sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
                  + 8 * max(n for n, _ in sizes) ** 2)
         kicks = n_kicks(j_max)
@@ -705,22 +741,24 @@ def elliptic_tdse_ensemble(
     each column on its origin.
     """
     xi = effective_area(pulse, molecule)
-    groups = ensemble.grouped(ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
-    weights = ensemble.weights[groups.order]
+    keys, counts, order = _grouped(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
+    j0, m0, weights = ensemble.j0[order], np.abs(ensemble.m0[order]), ensemble.weights[order]
+    cols = _starts(counts).tolist()
+    spans = list(zip(keys.tolist(), cols[:-1], cols[1:]))  # (key, first, end) of each group's columns
 
     def propagate(j_max):
-        bases = tuple(JMBasis(j_max, j_parity=jp, m_parity=mp) for (jp, mp), _, _ in groups.spans())
-        sizes, counts = np.array([len(basis) for basis in bases]), np.diff(groups.bounds)
-        layout = BlockLayout(groups, j_max, sizes, counts, _starts(sizes * counts),
+        bases = tuple(JMBasis(j_max, j_parity=jp, m_parity=mp) for (jp, mp), _, _ in spans)
+        sizes = np.array([len(basis) for basis in bases])
+        layout = BlockLayout(keys, order, j0, m0, j_max, sizes, counts, _starts(sizes * counts),
                              np.concatenate([basis.j_of for basis in bases]),
-                             np.concatenate([basis.site(groups.j0[c0:c1], groups.m0[c0:c1])
-                                             for basis, (_, c0, c1) in zip(bases, groups.spans())]), bases)
+                             np.concatenate([basis.site(j0[c0:c1], m0[c0:c1])
+                                             for basis, (_, c0, c1) in zip(bases, spans)]), bases)
         if xi == 0.0:
             amps = layout.unkicked()
         else:
             plan = _rkn_schedule(pulse, molecule, j_max)
             amps = np.zeros(layout.bounds[-1], dtype=complex)
-            for b, (basis, (_, c0, c1)) in enumerate(zip(bases, groups.spans())):
+            for b, (basis, (_, c0, c1)) in enumerate(zip(bases, spans)):
                 coupling = pulse.a2 * layout.axis_operator(b, "x") + pulse.b2 * layout.axis_operator(b, "y")
                 # each group's sectors add their columns into its packed slice
                 out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
@@ -729,7 +767,7 @@ def elliptic_tdse_ensemble(
 
     def sectors(j_max):
         # per group: its lattice sites n, channels k and + sector's sites
-        for (jp, mp), c0, c1 in groups.spans():
+        for (jp, mp), c0, c1 in spans:
             n = _lattice_size(j_max, jp, mp)
             yield n, c1 - c0, (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
 

@@ -127,61 +127,13 @@ def _within(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
 
-def _starts(lengths: np.ndarray) -> np.ndarray:
-    """Offsets of ranges of `lengths` laid end to end, and the total at the end."""
-    return np.concatenate(([0], np.cumsum(lengths)))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelGroups:
-    """An ensemble's channels grouped by an integer (major, minor) key.
-
-    Groups come in the order their keys first appear in the ensemble, the
-    channels of a group in ensemble order: group g has key keys[g] and holds
-    the ensemble's channels order[bounds[g]:bounds[g + 1]], whose J0 and |M0|
-    are the same entries of j0 and m0.
-    """
-
-    keys: np.ndarray
-    bounds: np.ndarray
-    order: np.ndarray
-    j0: np.ndarray
-    m0: np.ndarray
-
-    def spans(self):
-        """(key, first, end) of each group's entries."""
-        return zip(map(tuple, self.keys.tolist()), self.bounds[:-1].tolist(), self.bounds[1:].tolist())
-
-
-def _grouped(j0: np.ndarray, m0: np.ndarray, major: np.ndarray, minor: np.ndarray) -> ChannelGroups:
-    keys, first, inverse = np.unique(2 * major + minor, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    group = rank[inverse]
-    order = np.argsort(group, kind="stable")
-    keys = keys[seen]
-    return ChannelGroups(np.stack([keys // 2, keys % 2], axis=1), _starts(np.bincount(group)), order,
-                         j0[order], np.abs(m0[order]))
-
-
-GROUPS_CACHE_SIZE = 16  # a fit meets ~8 distinct thermal level sets
-
-
-@lru_cache(maxsize=GROUPS_CACHE_SIZE)
-def _chain_groups(j0: bytes, m0: bytes) -> ChannelGroups:
-    j0, m0 = np.frombuffer(j0, dtype=int), np.frombuffer(m0, dtype=int)
-    return _grouped(j0, m0, np.abs(m0), j0 % 2)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class ThermalEnsemble:
     """Boltzmann-populated initial channels (J0, M0, weight), weights summing to 1.
 
     The channels are held as three read-only arrays in ensemble order;
-    `channels` lists them as tuples.  `chains` groups them onto the fixed-M
-    chains of the linear drivers; ensembles with the same channels share one
-    grouping.
+    `channels` lists them as tuples.  The drivers of `dynamics` group them,
+    and ensembles with equal channels share a chain layout there.
     """
 
     temperature: float
@@ -217,15 +169,6 @@ class ThermalEnsemble:
     @property
     def j_thermal_max(self) -> int:
         return int(self.j0.max())
-
-    @cached_property
-    def chains(self) -> ChannelGroups:
-        """Channels grouped by fixed-M chain, keyed (|M0|, J0 parity)."""
-        return _chain_groups(self.j0.tobytes(), self.m0.tobytes())
-
-    def grouped(self, major: np.ndarray, minor: np.ndarray) -> ChannelGroups:
-        """Channels grouped by the per-channel key (major, minor), minor in {0, 1}."""
-        return _grouped(self.j0, self.m0, major, minor)
 
 
 def boltzmann_ensemble(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rotorgrating import dynamics, observables, rotor
+from rotorgrating import dynamics, observables
 from rotorgrating.dynamics import (
     BasisTooSmallError,
     elliptic_tdse_ensemble,
@@ -475,8 +475,27 @@ def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatc
     assert strong.norm_deviation() < 1e-9
     assert not dynamics._LAYOUTS
     weak = kick_ensemble(CO2, GROUND, 2.0)
-    assert list(dynamics._LAYOUTS) == [(GROUND.chains, weak.j_max)]
-    assert weak.layout is dynamics._LAYOUTS[GROUND.chains, weak.j_max]
+    key = (GROUND.j0.tobytes(), GROUND.m0.tobytes(), weak.j_max)
+    assert list(dynamics._LAYOUTS) == [key]
+    assert weak.layout is dynamics._LAYOUTS[key]
+
+
+def test_ensembles_with_equal_channels_share_one_chain_layout():
+    # the cache is keyed by the channels, not by the ensemble object: 59 K and
+    # 61 K keep the same 400 levels with other weights, and a copy from the
+    # channel tuples is another object again; 30 K keeps fewer levels
+    dynamics.clear_caches()
+    warm = boltzmann_ensemble(CO2, 59.0)
+    first = kick_ensemble(CO2, warm, 2.0)
+    for ens in (boltzmann_ensemble(CO2, 61.0), ThermalEnsemble(warm.temperature, warm.channels)):
+        assert np.array_equal(ens.j0, warm.j0) and np.array_equal(ens.m0, warm.m0)
+        cs = kick_ensemble(CO2, ens, 2.0, first.j_max)
+        assert cs.layout is first.layout
+        assert np.array_equal(cs.weights, ens.weights[cs.layout.order])
+    assert not np.array_equal(boltzmann_ensemble(CO2, 61.0).weights, warm.weights)
+    cold = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 2.0, first.j_max)
+    assert cold.layout is not first.layout
+    assert len(dynamics._LAYOUTS) == 2
 
 
 def test_zero_kick_builds_no_eigendecomposition():
@@ -490,10 +509,9 @@ def test_zero_kick_builds_no_eigendecomposition():
 def test_clear_caches_empties_every_cache_of_the_sudden_and_fit_path():
     cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 3.0)
     reconstruct(fourier_decompose(cs, "y"), revival_time_grid(CO2, 64))
-    assert dynamics._LAYOUTS and observables._PHASES and rotor._chain_groups.cache_info().currsize
+    assert dynamics._LAYOUTS and observables._PHASES
     dynamics.clear_caches()
     assert not dynamics._LAYOUTS and not observables._PHASES
-    assert rotor._chain_groups.cache_info().currsize == 0
 
 
 def test_working_set_budget_raises_before_propagating(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from rotorgrating import dynamics, observables, rotor
+from rotorgrating import dynamics, observables
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
@@ -347,10 +347,9 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     dynamics.clear_caches()
     fit_trace(wide, trace, max_evaluations=60, refine_starts=1,
               n_intensity_starts=2, n_temperature_starts=2)
-    # one chain layout, with its eigendecompositions, per visited (level set, j_max)
+    # one chain layout, with its grouping and eigendecompositions, per visited
+    # (level set, j_max)
     assert 0 < len(dynamics._LAYOUTS) <= dynamics.LAYOUT_CACHE_SIZE == 16
-    info = rotor._chain_groups.cache_info()
-    assert 0 < info.currsize <= info.maxsize == rotor.GROUPS_CACHE_SIZE
     # reconstruct's phase tables of the scan's delays
     assert 0 < len(observables._PHASES) <= observables.PHASE_CACHE_SIZE
 
