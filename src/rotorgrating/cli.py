@@ -29,9 +29,9 @@ from .grating import (
     GratingConfig,
     grating_geometry,
     grating_signal,
+    probe_sigma,
     single_pump_intensity,
     transverse_factor,
-    uniform_step,
     write_signal_csv,
 )
 from .observables import (
@@ -226,7 +226,7 @@ def cmd_simulate(args) -> int:
     j_max = conf.get("j_max", int, None)
     times = _resolve_times(conf, molecule, args.time_grid)
     if grating.probe_tau_fwhm_ps is not None:
-        uniform_step(times)  # the probe's grid check, before the propagation
+        probe_sigma(times, grating.probe_tau_fwhm_ps)  # the probe's checks, before the propagation
 
     pulse = PulseSpec(grating.theoretical_intensity, grating.tau_fwhm_ps, grating.t0_ps)
     cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
@@ -457,9 +457,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, FileNotFoundError, IsADirectoryError) as exc:
-        # ArithmeticError: a finite input too large or too small for the
-        # numbers derived from it
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # ArithmeticError: a finite input too large or too small for the numbers
+        # derived from it; OSError: a missing path, or a file where a directory goes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PropagationError as exc:

@@ -490,7 +490,7 @@ class ChannelSet:
         rows, cols, bounds = (x.tolist() for x in (_starts(lay.sizes), _starts(lay.counts), lay.bounds))
         return tuple(
             ChannelBlock(lay.levels[rows[b]:rows[b + 1]] if basis is None else basis.j_of, basis,
-                         lay.j0[cols[b]:cols[b + 1]], lay.m0[cols[b]:cols[b + 1]], self.weights[cols[b]:cols[b + 1]],
+                         *(x[cols[b]:cols[b + 1]] for x in (lay.j0, lay.m0, self.weights)),
                          self.amplitudes[bounds[b]:bounds[b + 1]].reshape(rows[b + 1] - rows[b], -1))
             for b, basis in enumerate(lay.bases or [None] * len(lay.sizes))
         )
@@ -608,9 +608,9 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
     regrow max_regrow times; an explicit basis is a contract: fail instead.
     A zero kick leaves every channel on its origin, so it skips the check.
     working_set(j_max) estimates the bytes propagate(j_max) allocates; over
-    MAX_WORKING_SET_BYTES, a ValueError names it before anything is allocated.
-    kick_work(j_max), if given, estimates its complex multiply-adds, bounded
-    by MAX_KICK_WORK the same way.
+    MAX_WORKING_SET_BYTES, a ValueError names it and j_max (past 15 digits in
+    Decimal's .3g form) before anything is allocated.  kick_work(j_max), if
+    given, estimates its complex multiply-adds, bounded by MAX_KICK_WORK.
     """
     if j_max is None:
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
@@ -621,9 +621,10 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
     for _ in range(max_regrow + 1):
-        check_working_set(working_set(j_max), f"propagation at j_max={j_max}")
+        at = f"propagation at j_max={j_max if j_max < 10**15 else format(Decimal(j_max), '.3g')}"
+        check_working_set(working_set(j_max), at)
         if kick_work is not None and (work := kick_work(j_max)) > MAX_KICK_WORK:
-            raise ValueError(f"propagation at j_max={j_max} needs about {work:.3g} complex multiply-adds "
+            raise ValueError(f"{at} needs about {work:.3g} complex multiply-adds "
                              f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
         cs = propagate(j_max)
         if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:

@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
+from .dynamics import check_working_set
 from .observables import AlignmentTrace, write_columns_csv
 
 SATURATION_INTENSITY = 200.0  # TW/cm^2, ionization saturation for CO2-like gases
+MAX_PROBE_WORK = 1e10  # probe kernel multiply-adds; a 3e3 ps probe on 4,096 delays needs 4e9 (~4 s)
 
 
 @dataclass(frozen=True)
@@ -227,19 +229,35 @@ def uniform_step(times) -> float:
     return dt
 
 
+def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:
+    """The probe's Gaussian width in steps of a uniform grid of n delays, its kernel priced.
+
+    gaussian_filter1d's kernel of 2r + 1 taps, r = int(4 sigma + 0.5), holds
+    about 8 (4 (2r + 1) + n) bytes with its build and the wrapped line, and
+    takes n (2r + 1) multiply-adds; a ValueError names probe_tau_fwhm_ps when
+    either exceeds its budget (the working set's or MAX_PROBE_WORK).
+    """
+    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / uniform_step(times)
+    what = f"the probe convolution at probe_tau_fwhm_ps={probe_tau_fwhm_ps:g}"
+    taps = 2 * int(4.0 * sigma + 0.5) + 1 if math.isfinite(sigma) else math.inf
+    check_working_set(8 * (4 * taps + len(times)), what)
+    if (work := len(times) * taps) > MAX_PROBE_WORK:
+        raise ValueError(f"{what} needs about {work:.3g} multiply-adds, above the budget of {MAX_PROBE_WORK:g}")
+    return sigma
+
+
 def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace:
     """Smear the signal with a normalized Gaussian probe of the given FWHM.
 
     Wrap-around boundary handling preserves both the integral and the
     revival periodicity of the underlying rotor signal.  Requires a uniform
-    delay grid.
+    delay grid and a kernel within the budgets of probe_sigma.
     """
     if probe_tau_fwhm_ps <= 0:
         raise ValueError(f"probe FWHM must be positive, got {probe_tau_fwhm_ps}")
     if len(signal.times) < 2:
         return signal
-    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / uniform_step(signal.times)
-    values = gaussian_filter1d(signal.values, sigma, mode="wrap")
+    values = gaussian_filter1d(signal.values, probe_sigma(signal.times, probe_tau_fwhm_ps), mode="wrap")
     # the kernel is normalized but roundoff can leave tiny negatives
     values = np.maximum(values, 0.0)
     meta = dict(signal.metadata)

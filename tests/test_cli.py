@@ -261,6 +261,22 @@ def test_simulate_checks_the_probe_grid_before_propagating(tmp_path, no_propagat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("probe, grid, message", [
+    # 4,096 delays times a kernel of 1e7 taps: about a minute of work
+    (3e4, 4096, "needs about 4e+10 multiply-adds, above the budget of 1e+10"),
+    # a kernel of 5e9 taps: 40 GB for numpy's kernel array alone
+    (1e9, 64, "needs about 163 GB of working memory, above the budget of 2 GB"),
+])
+def test_simulate_prices_the_probe_kernel_before_propagating(tmp_path, no_propagation, capsys, probe,
+                                                             grid, message):
+    cfg = _cfg(tmp_path, {**SIM_BASE, "single_pump_intensity_tw_cm2": 5.0, "probe_tau_fwhm_ps": probe,
+                          "time_grid": {"n": grid}})
+    out = tmp_path / "run"
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
+    assert capsys.readouterr().err == f"error: the probe convolution at probe_tau_fwhm_ps={probe:g} {message}\n"
+    assert not out.exists()
+
+
 FOURIER_ELLIPTIC = {"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0,
                     "method": "tdse", "polarization": [0.8, 0.6], "time_grid": {"n": 64}}
 
@@ -496,9 +512,9 @@ def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
     assert not out.exists()
 
 
-# the budget names an estimate beyond the float range, and a kick whose
-# headroom 4 xi overflows names the kick; simulate sizes its basis through
-# the same checks
+# the budget names an estimate beyond the float range, and a j_max past 15
+# digits in .3g form; a kick whose headroom 4 xi overflows names the kick;
+# simulate sizes its basis through the same checks
 _BUDGET = "GB of working memory, above the budget of 2 GB"
 _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
 
@@ -506,11 +522,12 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
 @pytest.mark.parametrize("subcommand, pump, message", [
     pytest.param("fourier", {"intensity_tw_cm2": 1e12},
                  f"propagation at j_max=1777028940981 needs about 1.77e+17 {_BUDGET}", id="1000000000000.0"),
-    pytest.param("fourier", {"intensity_tw_cm2": 1e300}, f"needs about 1.77e+593 {_BUDGET}", id="1e+300"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1e300},
+                 f"propagation at j_max=1.78e+300 needs about 1.77e+593 {_BUDGET}", id="1e+300"),
     pytest.param("fourier", {"intensity_tw_cm2": 1.7e308}, f"kick strength xi = 7.55e+307 {_UNSIZABLE_KICK}",
                  id="1.7e+308"),
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1e300},
-                 f"needs about 1.77e+593 {_BUDGET}", id="simulate-1e+300"),
+                 f"propagation at j_max=1.78e+300 needs about 1.77e+593 {_BUDGET}", id="simulate-1e+300"),
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1.7e308},
                  f"kick strength xi = inf {_UNSIZABLE_KICK}", id="simulate-1.7e+308"),
 ])
@@ -520,7 +537,7 @@ def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsy
     out = tmp_path / "x"
     _exits_2_in_little_memory([subcommand, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert err == f"error: {message}\n" and len(err) < 120
     assert not out.exists()
 
 
@@ -964,3 +981,33 @@ def test_config_errors_exit_2_before_writing(tmp_path, no_propagation, capsys, s
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message.replace('{config}', str(config))}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+# one cheap run of each subcommand that writes; fit spends its one evaluation
+# on the grid and would exit 4
+_WRITERS = {
+    "simulate": SIM_BASE,
+    "fourier": {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": 3.0, "time_grid": {"n": 64}},
+    "geometry": {},
+    "validate": {"suites": ["hygiene"]},
+    "fit": {"molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+            "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0},
+            "max_evaluations": 1, "refine_starts": 1, "n_intensity_starts": 2},
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("subcommand", list(_WRITERS))
+def test_out_naming_a_file_exits_2(tmp_path, capsys, subcommand, below):
+    # the output directory cannot be made where a file is: the run exits 2
+    # naming the path, and the file is left as it was
+    (tmp_path / "scan.csv").write_text(
+        "delay_ps,signal_au\n" + "".join(f"{t},{1.0 + math.cos(t)}\n" for t in np.arange(0.5, 40.0, 0.5)))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    cfg = _cfg(tmp_path, _WRITERS[subcommand])
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and f"'{out}'" in err
+    assert taken.read_text() == "kept\n"

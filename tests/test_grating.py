@@ -1,6 +1,7 @@
 """Grating geometry, diffracted signals, heterodyning, and probe smearing."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,16 @@ def test_probe_convolve_needs_uniform_grid():
         probe_convolve(sig, 0.1)
     with pytest.raises(ValueError):
         probe_convolve(SignalTrace(np.arange(4.0), np.zeros(4), {}), 0.0)
+
+
+@pytest.mark.parametrize("probe, budget", [(1e9, "GB of working memory"), (3e4, "multiply-adds")])
+def test_probe_convolve_prices_its_kernel(probe, budget):
+    # on 4,096 delays 0.01 ps apart, 1e9 ps is a kernel of 3.4e11 taps, 2.7 TB,
+    # and 3e4 ps one of 1e7 taps, 4.2e10 multiply-adds: both raise before the
+    # kernel exists
+    sig = SignalTrace(np.arange(4096) * 0.01, np.zeros(4096), {})
+    with pytest.raises(ValueError, match=re.escape(f"probe_tau_fwhm_ps={probe:g} needs about ") + f".* {budget}"):
+        probe_convolve(sig, probe)
 
 
 # ---------------------------------------------------------------------------
