@@ -32,8 +32,8 @@ dense W^T C W with one eigh, and the group's state is the sum of the W a.
 The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls, one
 block per chain or group: an amplitude matrix with one column per channel.
-_grouped groups them, in the order their keys first appear and each group in
-ensemble order, so the reduction order is fixed and reruns are
+_group_channels groups them in the order their keys first appear, each
+group in ensemble order, so the reduction order is fixed and reruns are
 bit-identical.  Before it allocates, each driver estimates its working set
 at the chosen j_max (and again after every regrow) and raises ValueError
 naming the estimate when it exceeds MAX_WORKING_SET_BYTES; the elliptic one
@@ -132,7 +132,7 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths)))
 
 
-def _grouped(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndarray) -> tuple:
+def _group_channels(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndarray) -> tuple:
     """(keys, counts, order) of the ensemble's channels grouped by the integer
     key (major, minor), minor in {0, 1}: group g, keys[g], holds counts[g]
     channels.  Groups come in the order their keys first appear, the channels
@@ -322,8 +322,8 @@ class ChannelBlock:
 class BlockLayout:
     """Where the blocks of a ChannelSet lie in its packed amplitudes.
 
-    Block b holds group b of the set's channels (_grouped), those on one
-    fixed-M chain keys[b] = (|M|, J parity) or one (J parity, M parity)
+    Block b holds group b of the set's channels (_group_channels), those on
+    one fixed-M chain keys[b] = (|M|, J parity) or one (J parity, M parity)
     lattice group: sizes[b] rows and counts[b] columns, its n x k amplitude
     matrix in C order at entries bounds[b] to bounds[b + 1].  The columns are
     the ensemble's channels `order`, block by block, started on J0 j0 and
@@ -430,7 +430,7 @@ def _chains(ensemble: ThermalEnsemble, j_max: int) -> tuple:
     layout = _LAYOUTS.get((ensemble.j0.tobytes(), ensemble.m0.tobytes(), j_max))
     if layout is not None:
         return layout.keys, layout.counts, layout.order
-    return _grouped(ensemble, np.abs(ensemble.m0), ensemble.j0 % 2)
+    return _group_channels(ensemble, np.abs(ensemble.m0), ensemble.j0 % 2)
 
 
 def _chain_layout(ensemble: ThermalEnsemble, j_max: int, chains: tuple) -> BlockLayout:
@@ -742,7 +742,7 @@ def elliptic_tdse_ensemble(
     each column on its origin.
     """
     xi = effective_area(pulse, molecule)
-    keys, counts, order = _grouped(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
+    keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
     j0, m0, weights = ensemble.j0[order], np.abs(ensemble.m0[order]), ensemble.weights[order]
     cols = _starts(counts).tolist()
     spans = list(zip(keys.tolist(), cols[:-1], cols[1:]))  # (key, first, end) of each group's columns

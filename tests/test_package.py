@@ -19,7 +19,7 @@ def test_only_dynamics_reads_a_channel_sets_layout():
     # a propagated set reduces its own layout (ChannelSet.series_terms): no
     # other module reads the attributes that expose it or imports its builders
     layout = {"layout", "blocks", "kind"}
-    builders = {"BlockLayout", "_chain_layout", "_grouped"}
+    builders = {"BlockLayout", "_chain_layout", "_group_channels"}
     readers = {}
     for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
         if path.name == "dynamics.py":
