@@ -226,7 +226,7 @@ def uniform_step(times) -> float:
     dt = dts[0]
     if not (dt > 0 and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
         raise ValueError("probe convolution needs a uniform, increasing delay grid")
-    return dt
+    return float(dt)  # a Python float: a probe width over it overflows to inf without a warning
 
 
 def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:

@@ -266,6 +266,8 @@ def test_simulate_checks_the_probe_grid_before_propagating(tmp_path, no_propagat
     (3e4, 4096, "needs about 4e+10 multiply-adds, above the budget of 1e+10"),
     # a kernel of 5e9 taps: 40 GB for numpy's kernel array alone
     (1e9, 64, "needs about 163 GB of working memory, above the budget of 2 GB"),
+    # a width in delay steps beyond the float range
+    (1e308, 4096, "needs about inf GB of working memory, above the budget of 2 GB"),
 ])
 def test_simulate_prices_the_probe_kernel_before_propagating(tmp_path, no_propagation, capsys, probe,
                                                              grid, message):
