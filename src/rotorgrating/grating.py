@@ -220,24 +220,20 @@ def grating_signal(trace: AlignmentTrace, config: GratingConfig) -> SignalTrace:
 intensity_grating_signal = polarization_grating_signal = grating_signal
 
 
-def uniform_step(times) -> float:
-    """Step of a delay grid of 2+ samples; ValueError unless uniform (rtol 1e-9) and increasing."""
-    dts = np.diff(times)
-    dt = dts[0]
-    if not (dt > 0 and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
-        raise ValueError("probe convolution needs a uniform, increasing delay grid")
-    return float(dt)  # a Python float: a probe width over it overflows to inf without a warning
-
-
 def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:
-    """The probe's Gaussian width in steps of a uniform grid of n delays, its kernel priced.
+    """The probe's Gaussian width in steps of a grid of n >= 2 delays, its kernel priced.
 
+    ValueError unless the grid is uniform (rtol 1e-9) and increasing.
     gaussian_filter1d's kernel of 2r + 1 taps, r = int(4 sigma + 0.5), holds
     about 8 (4 (2r + 1) + n) bytes with its build and the wrapped line, and
     takes n (2r + 1) multiply-adds; a ValueError names probe_tau_fwhm_ps when
     either exceeds its budget (the working set's or MAX_PROBE_WORK).
     """
-    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / uniform_step(times)
+    dts = np.diff(times)
+    if not (dts[0] > 0 and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("probe convolution needs a uniform, increasing delay grid")
+    # over a Python float step, a width beyond the float range overflows to inf without a warning
+    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / float(dts[0])
     what = f"the probe convolution at probe_tau_fwhm_ps={probe_tau_fwhm_ps:g}"
     taps = 2 * int(4.0 * sigma + 0.5) + 1 if math.isfinite(sigma) else math.inf
     check_working_set(8 * (4 * taps + len(times)), what)
