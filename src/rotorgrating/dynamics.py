@@ -33,11 +33,11 @@ The drivers batch all thermal channels that share a (|M|, J-parity) chain or
 a (J-parity, M-parity) lattice group into single linear-algebra calls, one
 block per chain or group: an amplitude matrix with one column per channel.
 _group_channels groups them in the order their keys first appear, each
-group in ensemble order, so the reduction order is fixed and reruns are
-bit-identical.  Before it allocates, each driver estimates its working set
-at the chosen j_max (and again after every regrow) and raises ValueError
-naming the estimate when it exceeds MAX_WORKING_SET_BYTES; the elliptic one
-also bounds its kick work.
+group's channels in ensemble order.
+The reduction order is fixed, so reruns are bit-identical.  Before it
+allocates, each driver estimates its working set at the chosen j_max (and
+again after every regrow) and raises ValueError naming the estimate when it
+exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with

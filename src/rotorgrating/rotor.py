@@ -132,8 +132,8 @@ class ThermalEnsemble:
     """Boltzmann-populated initial channels (J0, M0, weight), weights summing to 1.
 
     The channels are held as three read-only arrays in ensemble order;
-    `channels` lists them as tuples.  The drivers of `dynamics` group them,
-    and ensembles with equal channels share a chain layout there.
+    `channels` lists them as tuples.  The propagators of `dynamics` group
+    them, and ensembles with equal channels share a chain layout there.
     """
 
     temperature: float
