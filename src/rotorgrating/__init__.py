@@ -5,7 +5,13 @@ laser pulses (sudden-kick and finite-pulse propagators), reduces traces to
 their exact cosine-series form, models crossed-pump transient-grating signals
 for parallel and perpendicular polarization schemes, and retrieves pulse
 intensity and temperature from measured delay scans.
+
+The retrieval module and its names (FitProblem, fit_trace, ...) load on first
+access, and scipy.optimize with them: `simulate`, `fourier`, `geometry` and
+`validate` never import the fit stack.
 """
+
+import importlib
 
 from .constants import revival_period
 from .dynamics import (
@@ -46,18 +52,6 @@ from .observables import (
     thermal_channel_set,
     write_trace_csv,
 )
-from .retrieval import (
-    EnsembleCache,
-    ExperimentalTrace,
-    FitProblem,
-    FitResult,
-    fit_trace,
-    load_trace,
-    model_signal,
-    reported_intensities,
-    synthesize_trace,
-    write_fit_csv,
-)
 from .rotor import (
     CO2,
     JMBasis,
@@ -72,6 +66,21 @@ from .rotor import (
 )
 
 __version__ = "0.1.0"
+
+_RETRIEVAL_NAMES = (
+    "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult", "fit_trace",
+    "load_trace", "model_signal", "reported_intensities", "synthesize_trace", "write_fit_csv",
+)
+
+
+def __getattr__(name):
+    # importlib, not `from . import retrieval`: the from-import asks this
+    # package for the attribute first and so recurses into __getattr__
+    if name == "retrieval" or name in _RETRIEVAL_NAMES:
+        retrieval = importlib.import_module(".retrieval", __name__)
+        return retrieval if name == "retrieval" else getattr(retrieval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

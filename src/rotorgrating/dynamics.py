@@ -60,6 +60,10 @@ first use: elliptic_tdse_ensemble steps each group into its packed slice,
 and ChannelSet.series_terms(axis) reduces the same operators to the terms of
 observables' cosine series, lab-axis factor applied, as it reduces the
 chains per run.  No other module reads a set's layout.
+
+The module imports scipy.linalg and scipy.sparse only.  solve_ivp, which no
+driver calls, is served lazily by the module's __getattr__ for the benchmark's
+tracer alone, so importing the package leaves scipy.integrate unloaded.
 """
 
 from __future__ import annotations
@@ -74,8 +78,6 @@ from itertools import groupby
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-# no propagator calls it; perfbench/layers.py reads and rebinds dynamics.solve_ivp
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .field import PulseSpec, effective_area, kick_rate, pulse_half_window
 from .rotor import (
@@ -115,6 +117,15 @@ class PropagationError(RuntimeError):
 
 class BasisTooSmallError(PropagationError):
     """Norm leaked into the top rotational shells; j_max must grow."""
+
+
+def __getattr__(name):
+    # no propagator calls solve_ivp; perfbench/layers.py reads and rebinds
+    # dynamics.solve_ivp, so scipy.integrate loads only when that asks for it
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

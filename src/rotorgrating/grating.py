@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -233,9 +234,13 @@ def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:
     if not (dts[0] > 0 and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0)):
         raise ValueError("probe convolution needs a uniform, increasing delay grid")
     # over a Python float step, a width beyond the float range overflows to inf without a warning
-    sigma = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))) / float(dts[0])
+    width, step = probe_tau_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0))), float(dts[0])
+    sigma = width / step
     what = f"the probe convolution at probe_tau_fwhm_ps={probe_tau_fwhm_ps:g}"
-    taps = 2 * int(4.0 * sigma + 0.5) + 1 if math.isfinite(sigma) else math.inf
+    if math.isfinite(sigma):
+        taps = 2 * int(4.0 * sigma + 0.5) + 1
+    else:  # counted exactly, so the estimate below prints a finite figure
+        taps = 2 * int(4 * Fraction(width) / Fraction(step) + Fraction(1, 2)) + 1
     check_working_set(8 * (4 * taps + len(times)), what)
     if (work := len(times) * taps) > MAX_PROBE_WORK:
         raise ValueError(f"{what} needs about {work:.3g} multiply-adds, above the budget of {MAX_PROBE_WORK:g}")

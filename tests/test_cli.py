@@ -266,8 +266,6 @@ def test_simulate_checks_the_probe_grid_before_propagating(tmp_path, no_propagat
     (3e4, 4096, "needs about 4e+10 multiply-adds, above the budget of 1e+10"),
     # a kernel of 5e9 taps: 40 GB for numpy's kernel array alone
     (1e9, 64, "needs about 163 GB of working memory, above the budget of 2 GB"),
-    # a width in delay steps beyond the float range
-    (1e308, 4096, "needs about inf GB of working memory, above the budget of 2 GB"),
 ])
 def test_simulate_prices_the_probe_kernel_before_propagating(tmp_path, no_propagation, capsys, probe,
                                                              grid, message):
@@ -276,6 +274,20 @@ def test_simulate_prices_the_probe_kernel_before_propagating(tmp_path, no_propag
     out = tmp_path / "run"
     _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
     assert capsys.readouterr().err == f"error: the probe convolution at probe_tau_fwhm_ps={probe:g} {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_prices_a_probe_beyond_the_float_range_in_finite_gigabytes(tmp_path, no_propagation,
+                                                                            capsys):
+    # 1e308 ps is about 4e309 delay steps, beyond the float range: the taps are counted exactly
+    cfg = _cfg(tmp_path, {**SIM_BASE, "single_pump_intensity_tw_cm2": 5.0, "probe_tau_fwhm_ps": 1e308,
+                          "time_grid": {"n": 4096}})
+    out = tmp_path / "run"
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert err == ("error: the probe convolution at probe_tau_fwhm_ps=1e+308 needs about 1.04e+303 GB "
+                   "of working memory, above the budget of 2 GB\n")
+    assert "inf" not in err
     assert not out.exists()
 
 

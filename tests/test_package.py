@@ -1,7 +1,11 @@
-"""The package's public export list and its module boundaries."""
+"""The package's public export list, its module boundaries and what importing it loads."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import rotorgrating
 
@@ -38,10 +42,14 @@ def test_only_dynamics_reads_a_channel_sets_layout():
 # them, so they go when it changes
 BENCHMARK_ONLY = {
     "dynamics.clear_caches": "perfbench/workloads.py",
-    "dynamics.solve_ivp": "perfbench/layers.py",
     "grating.intensity_grating_signal": "perfbench/layers.py",
     "grating.polarization_grating_signal": "perfbench/layers.py",
     "rotor._wigner_3j": "perfbench/workloads.py",
+}
+# names a module serves from its __getattr__ for the benchmark alone, bound
+# by no statement, each with the benchmark file that reads it
+BENCHMARK_ONLY_LAZY = {
+    "dynamics.solve_ivp": "perfbench/layers.py",
 }
 
 
@@ -81,5 +89,44 @@ def test_every_module_level_name_has_a_reader():
     }
     assert unread == set(BENCHMARK_ONLY)
     root = pathlib.Path(__file__).resolve().parents[1]
-    for qualified, reader in BENCHMARK_ONLY.items():
+    for qualified, reader in (BENCHMARK_ONLY | BENCHMARK_ONLY_LAZY).items():
         assert qualified.split(".")[1] in (root / reader).read_text(encoding="utf-8"), qualified
+    for qualified in BENCHMARK_ONLY_LAZY:
+        module, name = qualified.split(".")
+        assert name not in set(_bound_names(trees[module])), qualified
+        assert callable(getattr(getattr(rotorgrating, module), name)), qualified
+
+
+IMPORT_BOUNDARY = """
+import json, sys
+import rotorgrating, rotorgrating.cli
+
+FIT_STACK = ("scipy.optimize", "scipy.integrate")
+doc = {"on_import": [m for m in FIT_STACK if m in sys.modules]}
+doc["fit_problem"] = rotorgrating.FitProblem.__name__
+doc["after_fit_problem"] = [m for m in FIT_STACK if m in sys.modules]
+doc["solve_ivp"] = callable(rotorgrating.dynamics.solve_ivp)
+doc["unknown"] = []
+for module in (rotorgrating, rotorgrating.dynamics):
+    try:
+        module.no_such_name
+    except AttributeError as exc:
+        doc["unknown"].append(str(exc))
+print(json.dumps(doc))
+"""
+
+
+def test_importing_the_package_and_cli_leaves_the_fit_stack_unloaded():
+    # a fresh interpreter: this process has long since imported scipy.optimize
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["on_import"] == []
+    assert doc["fit_problem"] == "FitProblem"
+    assert "scipy.optimize" in doc["after_fit_problem"]
+    assert doc["solve_ivp"]
+    assert doc["unknown"] == ["module 'rotorgrating' has no attribute 'no_such_name'",
+                              "module 'rotorgrating.dynamics' has no attribute 'no_such_name'"]

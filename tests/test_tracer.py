@@ -2,9 +2,11 @@
 
 The tracer wraps layer functions and reads names below the public API:
 ChannelSet.channels and Channel, both scheme-named signal aliases,
-dynamics.solve_ivp, EnsembleCache._store and .misses, and
-rotor._wigner_3j.cache_clear.  It runs in a subprocess so that its rebinding
-of the package's names does not leak into the other tests.
+dynamics.solve_ivp (bound by no statement: the module's __getattr__ imports
+it on this first read), EnsembleCache._store and .misses, and
+rotor._wigner_3j.cache_clear.  It loads the retrieval module itself, through
+the package's lazy rg.retrieval.  It runs in a subprocess so that its
+rebinding of the package's names does not leak into the other tests.
 """
 
 import json
