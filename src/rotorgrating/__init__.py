@@ -95,9 +95,7 @@ __all__ = [
     "elliptic_approx", "fourier_decompose", "max_over_period", "reconstruct",
     "regime_scan", "revival_time_grid", "thermal_channel_set",
     "write_trace_csv",
-    "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult",
-    "fit_trace", "load_trace", "model_signal", "reported_intensities",
-    "synthesize_trace", "write_fit_csv",
+    *_RETRIEVAL_NAMES,
     "CO2", "JMBasis", "MoleculeSpec", "ThermalEnsemble", "boltzmann_ensemble",
     "find_molecule", "load_molecule", "molecule_from_dict", "raman_frequency",
     "suggest_j_max",
