@@ -126,7 +126,7 @@ def test_importing_the_package_and_cli_leaves_the_fit_stack_unloaded():
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["on_import"] == []
     assert doc["fit_problem"] == "FitProblem"
-    assert "scipy.optimize" in doc["after_fit_problem"]
+    assert doc["after_fit_problem"] == ["scipy.optimize"]
     assert doc["solve_ivp"]
     assert doc["unknown"] == ["module 'rotorgrating' has no attribute 'no_such_name'",
                               "module 'rotorgrating.dynamics' has no attribute 'no_such_name'"]
