@@ -6,9 +6,10 @@ their exact cosine-series form, models crossed-pump transient-grating signals
 for parallel and perpendicular polarization schemes, and retrieves pulse
 intensity and temperature from measured delay scans.
 
-The retrieval module and its names (FitProblem, fit_trace, ...) load on first
-access, and scipy.optimize with them: `simulate`, `fourier`, `geometry` and
-`validate` never import the fit stack.
+Everything but the fit runs on numpy alone.  The retrieval module and its
+names (FitProblem, fit_trace, ...) load on first access, and scipy.optimize
+with them, the one scipy module the package loads: `simulate`, `fourier`,
+`geometry` and `validate` never import scipy.
 """
 
 import importlib

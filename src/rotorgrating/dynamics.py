@@ -61,9 +61,11 @@ and ChannelSet.series_terms(axis) reduces the same operators to the terms of
 observables' cosine series, lab-axis factor applied, as it reduces the
 chains per run.  No other module reads a set's layout.
 
-The module imports scipy.linalg and scipy.sparse only.  solve_ivp, which no
-driver calls, is served lazily by the module's __getattr__ for the benchmark's
-tracer alone, so importing the package leaves scipy.integrate unloaded.
+The module runs on numpy alone: a lattice operator is its (rows, cols,
+values) triplets and a reflection sector each site's column and coefficient.
+solve_ivp, which no driver calls, is served lazily from scipy.integrate by the
+module's __getattr__ for the benchmark's tracer alone, so importing the
+package loads no scipy.
 """
 
 from __future__ import annotations
@@ -76,8 +78,6 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .field import PulseSpec, effective_area, kick_rate, pulse_half_window
 from .rotor import (
@@ -159,7 +159,7 @@ def _group_channels(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndar
 
 
 LAYOUT_CACHE_SIZE = 16  # chain layouts kept, one per (channels, j_max); a fit visits ~8 level sets
-GATHER_CHUNK = 8192  # eigenvector entries gathered per step of the sudden kick
+GATHER_CHUNK = 8192  # entries gathered per step: of eigenvectors in the sudden kick, of amplitudes in W a
 _LAYOUTS: OrderedDict[tuple, BlockLayout] = OrderedDict()
 
 
@@ -257,42 +257,66 @@ def _compose(evals, vecs, omega, omega0, block, schedule):
 # ---------------------------------------------------------------------------
 
 def _reflection_sectors(basis: JMBasis) -> list:
-    """The + and - sectors of R|J,M> = (-1)^M |J,-M> on a lattice group: per
-    sector, the n x n_s sparse W whose orthonormal columns are (|J,M> +- (-1)^M
-    |J,-M>)/sqrt2, one per M > 0 site (the + sector also holds |J,0>), and their J."""
+    """The + and - sectors of R|J,M> = (-1)^M |J,-M> on a lattice group.
+
+    A sector's n x n_s W has orthonormal columns (|J,M> +- (-1)^M |J,-M>)/sqrt2,
+    one per M > 0 site (the + sector also holds |J,0>), so each site lies on
+    one column at most.  Per sector: each site's column (-1 where the sector
+    lacks the site) and its coefficient there, and the J of the columns.
+    """
     j, m = basis.j_of, basis.m_of
     mirror = basis.site(j, -m)
     sectors = []
     for sign, sites in ((1.0, np.flatnonzero(m >= 0)), (-1.0, np.flatnonzero(m > 0))):
-        paired = m[sites] > 0
-        cols = np.arange(len(sites))
-        values = np.where(paired, math.sqrt(0.5), 1.0)
-        mirrored = sign * values[paired] * (-1.0) ** m[sites[paired]]
-        entries = (np.concatenate((sites, mirror[sites[paired]])), np.concatenate((cols, cols[paired])))
-        w = scipy.sparse.csr_matrix((np.concatenate((values, mirrored)), entries), shape=(len(j), len(sites)))
-        sectors.append((w, j[sites]))
+        paired = sites[m[sites] > 0]
+        column, coefficient = np.full(len(j), -1), np.zeros(len(j))
+        column[sites] = np.arange(len(sites))
+        coefficient[sites] = np.where(m[sites] > 0, math.sqrt(0.5), 1.0)
+        column[mirror[paired]] = column[paired]
+        coefficient[mirror[paired]] = sign * math.sqrt(0.5) * (-1.0) ** m[paired]
+        sectors.append((column, coefficient, j[sites]))
     return sectors
+
+
+def _sector_operator(coupling, column, coefficient, size: int) -> np.ndarray:
+    """W^T C W of a reflection sector, dense, for C's (rows, cols, values)
+    triplets: entry (r, c) adds coefficient_r C_rc coefficient_c at
+    (column_r, column_c) when the sector holds both sites."""
+    rows, cols, values = coupling
+    inside = (column[rows] >= 0) & (column[cols] >= 0)
+    r, c = rows[inside], cols[inside]
+    operator = np.zeros((size, size))
+    np.add.at(operator, (column[r], column[c]), coefficient[r] * values[inside] * coefficient[c])
+    return operator
 
 
 def _lattice_steps(basis: JMBasis, coupling, molecule: MoleculeSpec, origins: np.ndarray, schedule, amps):
     """Add to amps, zero on entry, the amplitudes at the reference time of the
     columns started on the basis sites `origins`, after the schedule's kicks of
-    `coupling`: sum W a over the sectors.
+    `coupling`, (rows, cols, values) triplets: sum W a over the sectors.
 
     A column's sector component is W's row at its origin; a sector skips the
     columns it does not hold (an M0 = 0 origin lies in the + sector only).
+    W a goes back a few rows at a time, each site its coefficient times its
+    column's row, so no n x k temporary is made.
     """
     omega0 = rotational_omega(basis.j_of[origins], molecule)
     first = schedule[1][0]
-    for w, js in _reflection_sectors(basis):
-        start = w[origins]
-        cols = np.flatnonzero(start.getnnz(axis=1))
-        evals, vecs = np.linalg.eigh((w.T @ coupling @ w).toarray())
+    for column, coefficient, js in _reflection_sectors(basis):
+        held = np.flatnonzero(column[origins] >= 0)
+        if len(held) == 0:
+            continue
+        evals, vecs = np.linalg.eigh(_sector_operator(coupling, column, coefficient, len(js)))
+        start = origins[held]
         # the first kick's right-hand side e^{i G Lambda} V^T a0, n x k in C order
-        rhs = np.ascontiguousarray((start[cols] @ vecs).T, dtype=complex)
+        rhs = np.ascontiguousarray((coefficient[start, None] * vecs[column[start]]).T, dtype=complex)
         rhs *= np.exp(1j * first * evals)[:, None]
-        _compose(evals, vecs, rotational_omega(js, molecule), omega0[cols], rhs.view(float), schedule)
-        amps[:, cols] += w @ rhs
+        _compose(evals, vecs, rotational_omega(js, molecule), omega0[held], rhs.view(float), schedule)
+        sites = np.flatnonzero(column >= 0)
+        step = max(1, GATHER_CHUNK // len(held))
+        for lo in range(0, len(sites), step):
+            part = sites[lo:lo + step]
+            amps[part[:, None], held] += coefficient[part, None] * rhs[column[part]]
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +400,8 @@ class BlockLayout:
         return (np.repeat(self.bounds[1:] - top, top) + within,
                 np.repeat(_starts(self.counts)[:-1], top) + within % np.repeat(self.counts, top))
 
-    def axis_operator(self, b: int, axis: str) -> scipy.sparse.csr_matrix:
-        """Lattice group b's cos^2 theta_axis operator, built on first use and kept."""
+    def axis_operator(self, b: int, axis: str) -> tuple:
+        """Lattice group b's cos^2 theta_axis triplets, built on first use and kept."""
         if (b, axis) not in self._operators:
             self._operators[b, axis] = cos2theta_axis_matrix(self.bases[b], axis)
         return self._operators[b, axis]
@@ -386,16 +410,20 @@ class BlockLayout:
     def eigen(self) -> tuple:
         """(evals, evecs) of every block's chain, packed in block order: block b's
         eigenvalues lie on its rows, its eigenvector matrix on its eigenvector
-        entries (`runs`) in Fortran order, as LAPACK returns it, so that every
-        GEMM with it keeps its BLAS path.  Each block's tridiagonal is its slice
-        of `operator`, the doubled couplings halved exactly."""
+        entries (`runs`) in Fortran order, so that every GEMM with it keeps its
+        BLAS path.  Each chain's tridiagonal, its slice of `operator` with the
+        doubled couplings halved exactly, is laid out dense in the chain's own
+        eigenvector entries for one eigh, whose V then replaces it: the only
+        copy the eigensolver makes is of one chain, as the working set counts."""
         diag, _, coupling = self.operator
         first, lows, square = _starts(self.sizes), _starts(self.sizes - 1), _starts(self.sizes * self.sizes)
-        evals, evecs = np.empty(first[-1]), np.empty(square[-1])
-        for b in range(len(self.sizes)):
-            evals[first[b]:first[b + 1]], vec = scipy.linalg.eigh_tridiagonal(
-                diag[first[b]:first[b + 1]], coupling[lows[b]:lows[b + 1]] / 2.0)
-            evecs[square[b]:square[b + 1]] = vec.ravel(order="F")
+        evals, evecs = np.empty(first[-1]), np.zeros(square[-1])
+        for b, n in enumerate(self.sizes.tolist()):
+            tridiagonal = evecs[square[b]:square[b + 1]].reshape(n, n)
+            tridiagonal.flat[::n + 1] = diag[first[b]:first[b + 1]]
+            tridiagonal.flat[1::n + 1] = tridiagonal.flat[n::n + 1] = coupling[lows[b]:lows[b + 1]] / 2.0
+            evals[first[b]:first[b + 1]], vectors = np.linalg.eigh(tridiagonal)
+            tridiagonal[...] = vectors.T  # V in Fortran order
         return evals, evecs
 
     @cached_property
@@ -546,11 +574,11 @@ class ChannelSet:
         consts, jss, zs = [], [], []
         for i, b in enumerate(self.blocks):
             c, w = b.amplitudes, b.weights
-            coo = self.layout.axis_operator(i, axis).tocoo()
-            dj = b.js[coo.row] - b.js[coo.col]
-            row, col, val = coo.row[dj == 0], coo.col[dj == 0], coo.data[dj == 0]
+            rows, cols, values = self.layout.axis_operator(i, axis)
+            dj = b.js[rows] - b.js[cols]
+            row, col, val = rows[dj == 0], cols[dj == 0], values[dj == 0]
             const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
-            row, col, val = coo.row[dj == 2], coo.col[dj == 2], coo.data[dj == 2]
+            row, col, val = rows[dj == 2], cols[dj == 2], values[dj == 2]
             js, lower = np.unique(b.js[col], return_inverse=True)
             z = np.zeros(len(js), dtype=complex)
             np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
@@ -771,7 +799,9 @@ def elliptic_tdse_ensemble(
             plan = _rkn_schedule(pulse, molecule, j_max)
             amps = np.zeros(layout.bounds[-1], dtype=complex)
             for b, (basis, (_, c0, c1)) in enumerate(zip(bases, spans)):
-                coupling = pulse.a2 * layout.axis_operator(b, "x") + pulse.b2 * layout.axis_operator(b, "y")
+                rows, cols, x = layout.axis_operator(b, "x")
+                y = layout.axis_operator(b, "y")[2]  # on the entries of x
+                coupling = rows, cols, pulse.a2 * x + pulse.b2 * y
                 # each group's sectors add their columns into its packed slice
                 out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
                 _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)

@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import check_working_set
 from .observables import AlignmentTrace, write_columns_csv
 
 SATURATION_INTENSITY = 200.0  # TW/cm^2, ionization saturation for CO2-like gases
-MAX_PROBE_WORK = 1e10  # probe kernel multiply-adds; a 3e3 ps probe on 4,096 delays needs 4e9 (~4 s)
+MAX_PROBE_WORK = 1e10  # probe kernel multiply-adds; a 3e3 ps probe on 4,096 delays needs 4e9 (~7 s)
+PROBE_CHUNK = 1 << 16  # terms of the probe convolution summed per step
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:
     """The probe's Gaussian width in steps of a grid of n >= 2 delays, its kernel priced.
 
     ValueError unless the grid is uniform (rtol 1e-9) and increasing.
-    gaussian_filter1d's kernel of 2r + 1 taps, r = int(4 sigma + 0.5), holds
+    gaussian_wrap's kernel of 2r + 1 taps, r = int(4 sigma + 0.5), holds
     about 8 (4 (2r + 1) + n) bytes with its build and the wrapped line, and
     takes n (2r + 1) multiply-adds; a ValueError names probe_tau_fwhm_ps when
     either exceeds its budget (the working set's or MAX_PROBE_WORK).
@@ -247,6 +248,37 @@ def probe_sigma(times, probe_tau_fwhm_ps: float) -> float:
     return sigma
 
 
+def gaussian_wrap(values: np.ndarray, sigma: float) -> np.ndarray:
+    """values smoothed by a normalized Gaussian of sigma samples, indices modulo n.
+
+    scipy.ndimage.gaussian_filter1d(values, sigma, mode="wrap"), bit for bit:
+    the same kernel, exp(-0.5 / sigma^2 x^2) over 2r + 1 taps, r = int(4 sigma
+    + 0.5), divided by its sum, and the same symmetric summation order, out =
+    v w_0, then out += (v[i - j] + v[i + j]) w_j for j = r down to 1.  Taps
+    go in chunks of about PROBE_CHUNK terms, one tap per row, each chunk
+    summed down its rows in order (numpy sums pairwise along the fast axis
+    only).  A kernel of one tap (sigma < 1/8) returns the values unchanged.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return values.copy()
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = kernel[radius:] / kernel.sum()
+    n = len(values)
+    shifted = sliding_window_view(np.tile(values, 3), n)  # row n + s: v[i + s] for |s| <= n
+    rows = max(1, PROBE_CHUNK // n)
+    out = values * weights[0]
+    for top in range(radius, 0, -rows):
+        taps = np.arange(top, max(top - rows, 0), -1)
+        terms = np.empty((len(taps) + 1, n))
+        terms[0] = out
+        np.add(shifted[n - taps % n], shifted[n + taps % n], out=terms[1:])
+        terms[1:] *= weights[taps, None]
+        out = terms.sum(axis=0)
+    return out
+
+
 def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace:
     """Smear the signal with a normalized Gaussian probe of the given FWHM.
 
@@ -258,7 +290,7 @@ def probe_convolve(signal: SignalTrace, probe_tau_fwhm_ps: float) -> SignalTrace
         raise ValueError(f"probe FWHM must be positive, got {probe_tau_fwhm_ps}")
     if len(signal.times) < 2:
         return signal
-    values = gaussian_filter1d(signal.values, probe_sigma(signal.times, probe_tau_fwhm_ps), mode="wrap")
+    values = gaussian_wrap(signal.values, probe_sigma(signal.times, probe_tau_fwhm_ps))
     # the kernel is normalized but roundoff can leave tiny negatives
     values = np.maximum(values, 0.0)
     meta = dict(signal.metadata)

@@ -10,7 +10,9 @@ Matrix elements are closed forms evaluated in floating point: the fixed-M
 cos^2 theta elements, and on the (J,M) lattice products of two sin(theta)
 e^{i phi} ladder elements (Zare, Angular Momentum, Wiley 1988, ch. 3).  The
 test suite checks every lattice entry against Gaunt integrals of the exact
-Wigner 3-j symbol and a spherical-harmonic quadrature oracle.
+Wigner 3-j symbol and a spherical-harmonic quadrature oracle.  A lattice
+operator is the (rows, cols, values) triplets of its nonzero entries; the
+module imports numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .constants import TWO_PI_C, thermal_wavenumber
 
@@ -340,15 +341,17 @@ def _sin_theta_raise(j, m, dj: int):
     return np.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1)))
 
 
-def cos2theta_axis_matrix(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
-    """Sparse symmetric cos^2(theta_axis) matrix on a (J,M) basis, axis in xyz.
+def cos2theta_axis_matrix(basis: JMBasis, axis: str) -> tuple:
+    """Symmetric cos^2(theta_axis) matrix on a (J,M) basis, axis in xyz, as the
+    (rows, cols, values) triplets of its nonzero entries, each entry once.
 
     With s = sin(theta) e^{i phi} and quantization along lab z,
     cos^2 theta_x,y = (1 - cos^2 theta_z)/2 +- (s^2 + s*^2)/4: the Delta-M = 0
     entries are the chains' closed forms, the Delta-M = +2 ones +-1/4 of
     <J',M+2|s^2|J,M>, summed over the intermediate J +- 1.  Each coupled pair
     is built once, from its site of lower M (at equal M, of lower J), and
-    mirrored.
+    mirrored.  The triplets come in that order: the diagonal, the pairs, their
+    mirrors; the x and y triplets share their rows and cols.
     """
     check_axis(axis)
     j, m = basis.j_of, basis.m_of
@@ -369,7 +372,5 @@ def cos2theta_axis_matrix(basis: JMBasis, axis: str) -> scipy.sparse.csr_matrix:
             cols.append(target[has])
             vals.append((0.25 if axis == "x" else -0.25) * s2)
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    n = len(basis)
-    return scipy.sparse.csr_matrix((np.concatenate((diag, vals, vals)),
-                                    (np.concatenate((sites, rows, cols)), np.concatenate((sites, cols, rows)))),
-                                   shape=(n, n))
+    return (np.concatenate((sites, rows, cols)), np.concatenate((sites, cols, rows)),
+            np.concatenate((diag, vals, vals)))

@@ -30,6 +30,14 @@ def sphere_element():
     return element
 
 
+def dense_operator(triplets, n: int) -> np.ndarray:
+    """The n x n matrix of a lattice operator's (rows, cols, values) triplets."""
+    rows, cols, values = triplets
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), values)
+    return dense
+
+
 @pytest.fixture(scope="session")
 def axis_weights():
     return {

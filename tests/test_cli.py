@@ -315,6 +315,19 @@ def test_pump_arrival_time_is_bounded(tmp_path, no_propagation, capsys, subcomma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("probe", [1e-300, 1e-150])
+def test_simulate_with_a_probe_narrower_than_a_tap_keeps_the_signal(tmp_path, probe):
+    # a probe under 1/8 of a delay step is a kernel of one tap, which leaves
+    # the signal as it is: 1e-300 ps used to fail on its width squared, 0
+    base = {**SIM_BASE, "scheme": "parallel", "single_pump_intensity_tw_cm2": 5.0}
+    signals = []
+    for name, extra in (("bare", {}), ("probed", {"probe_tau_fwhm_ps": probe})):
+        cfg = _cfg(tmp_path, {**base, **extra}, name=f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        signals.append(_read_csv_values(tmp_path / name / "signal.csv")[:, 1])
+    assert np.array_equal(*signals)
+
+
 def test_simulate_parallel_background_and_probe(tmp_path, capsys):
     base = {**SIM_BASE, "scheme": "parallel", "t0_ps": 0.3, "time_grid": {"n": 256}}
     runs = {

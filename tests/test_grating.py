@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
 from rotorgrating.dynamics import kick_ensemble
 from rotorgrating.field import PulseSpec, xi_per_intensity
@@ -15,6 +16,7 @@ from rotorgrating.grating import (
     SignalTrace,
     grating_geometry,
     diffracted_signal,
+    gaussian_wrap,
     grating_signal,
     intensity_grating_signal,
     polarization_grating_signal,
@@ -233,6 +235,19 @@ def test_probe_convolve_needs_uniform_grid():
         probe_convolve(sig, 0.1)
     with pytest.raises(ValueError):
         probe_convolve(SignalTrace(np.arange(4.0), np.zeros(4), {}), 0.0)
+
+
+def test_gaussian_wrap_is_scipys_wrapped_filter_bit_for_bit():
+    # random widths and grid sizes, kernels wider than the grid (r > n)
+    # among them, and kernels of several chunks of taps
+    rng = np.random.default_rng(7)
+    cases = [(int(rng.integers(2, 300)), float(10.0 ** rng.uniform(-1.5, 2.5))) for _ in range(300)]
+    cases += [(2, 1e4), (64, 3e3), (4096, 40.0), (5, 0.1), (5, 0.125)]
+    assert sum(int(4.0 * sigma + 0.5) > n for n, sigma in cases) >= 50
+    for n, sigma in cases:
+        values = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = gaussian_filter1d(values, sigma, mode="wrap")
+        assert gaussian_wrap(values, sigma).tobytes() == want.tobytes(), (n, sigma)
 
 
 @pytest.mark.parametrize("probe, budget", [(1e9, "GB of working memory"), (3e4, "multiply-adds")])

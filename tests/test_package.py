@@ -101,10 +101,20 @@ IMPORT_BOUNDARY = """
 import json, sys
 import rotorgrating, rotorgrating.cli
 
-FIT_STACK = ("scipy.optimize", "scipy.integrate")
-doc = {"on_import": [m for m in FIT_STACK if m in sys.modules]}
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+doc = {"on_import": scipy_loaded(), "runs": {}}
+for subcommand, config in runs.items():
+    argv = [subcommand, "--out", f"{out}/{subcommand}"]
+    if config is not None:
+        with open(f"{out}/{subcommand}.json", "w") as fh:
+            json.dump(config, fh)
+        argv += ["--config", f"{out}/{subcommand}.json"]
+    doc["runs"][subcommand] = [rotorgrating.cli.main(argv), scipy_loaded()]
 doc["fit_problem"] = rotorgrating.FitProblem.__name__
-doc["after_fit_problem"] = [m for m in FIT_STACK if m in sys.modules]
+doc["after_fit_problem"] = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
 doc["solve_ivp"] = callable(rotorgrating.dynamics.solve_ivp)
 doc["unknown"] = []
 for module in (rotorgrating, rotorgrating.dynamics):
@@ -115,18 +125,56 @@ for module in (rotorgrating, rotorgrating.dynamics):
 print(json.dumps(doc))
 """
 
+# a run of each subcommand but fit: TDSE with a probe, an elliptic TDSE, the
+# geometry and every validation suite (no config)
+NO_FIT_RUNS = {
+    "simulate": {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
+                 "single_pump_intensity_tw_cm2": 5.0, "method": "tdse", "probe_tau_fwhm_ps": 0.2,
+                 "time_grid": {"n": 64}},
+    "fourier": {"molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0, "method": "tdse",
+                "polarization": [0.8, 0.6], "time_grid": {"n": 64}},
+    "geometry": {"scheme": "perpendicular", "single_pump_intensity_tw_cm2": 3.0},
+    "validate": None,
+}
 
-def test_importing_the_package_and_cli_leaves_the_fit_stack_unloaded():
-    # a fresh interpreter: this process has long since imported scipy.optimize
+
+def test_importing_the_package_and_cli_leaves_the_fit_stack_unloaded(tmp_path):
+    # a fresh interpreter, as every CLI run has: this process has long since
+    # imported scipy.  No scipy module loads with the package and the CLI or
+    # in any run but a fit, and the fit's names load scipy.optimize alone
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(tmp_path), json.dumps(NO_FIT_RUNS)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["on_import"] == []
+    assert doc["runs"] == {subcommand: [0, []] for subcommand in NO_FIT_RUNS}
     assert doc["fit_problem"] == "FitProblem"
     assert doc["after_fit_problem"] == ["scipy.optimize"]
     assert doc["solve_ivp"]
     assert doc["unknown"] == ["module 'rotorgrating' has no attribute 'no_such_name'",
                               "module 'rotorgrating.dynamics' has no attribute 'no_such_name'"]
+
+
+def _scipy_imports(tree):
+    """(top-level definition around it or None, module) of each scipy import in a module."""
+    for node in tree.body:
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom) and not sub.level:
+                names = [sub.module]
+            else:
+                continue
+            yield from ((scope, name) for name in names if name.split(".")[0] == "scipy")
+
+
+def test_only_the_fit_imports_scipy():
+    # retrieval imports scipy.optimize at its top; every other module runs on
+    # numpy alone, but for the solve_ivp that dynamics serves the benchmark
+    package = pathlib.Path(rotorgrating.__file__).parent
+    found = {(path.stem, *pair) for path in sorted(package.glob("*.py"))
+             for pair in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("retrieval", None, "scipy.optimize"), ("dynamics", "__getattr__", "scipy.integrate")}

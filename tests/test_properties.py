@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import dense_operator
 from rotorgrating.cli import main
 from rotorgrating import dynamics
 from rotorgrating.constants import revival_period
@@ -172,7 +173,8 @@ def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a
     m0 = data.draw(st.integers(1, j0))
     pulse = elliptic_pulse(intensity, a2, 1.0 - a2)
     basis = JMBasis(10, j0 % 2, m0 % 2)
-    coupling = pulse.a2 * cos2theta_axis_matrix(basis, "x") + pulse.b2 * cos2theta_axis_matrix(basis, "y")
+    rows, cols, x = cos2theta_axis_matrix(basis, "x")
+    coupling = rows, cols, pulse.a2 * x + pulse.b2 * cos2theta_axis_matrix(basis, "y")[2]
     origins = basis.site(j0, [m0, -m0])
     schedule = dynamics._rkn_schedule(pulse, molecule, basis.j_max)
     amps = np.zeros((len(basis), 2), dtype=complex)
@@ -182,6 +184,14 @@ def test_lattice_mirrors_plus_and_minus_m(b, delta_alpha, j0, data, intensity, a
     assert abs(np.linalg.norm(amps[:, 0]) - 1.0) <= 1e-12
 
 
+def _sector_basis(column, coefficient, js):
+    """A reflection sector's n x n_s W, dense: each site's coefficient on its column."""
+    w = np.zeros((len(column), len(js)))
+    inside = np.flatnonzero(column >= 0)
+    w[inside, column[inside]] = coefficient[inside]
+    return w
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(j_max=st.integers(2, 30), j_parity=st.integers(0, 1), m_parity=st.integers(0, 1))
 def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
@@ -189,16 +199,16 @@ def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
     # of the group, R commutes with both axis operators and is +-1 on the
     # sectors, so no axis operator couples them
     basis = JMBasis(j_max, j_parity, m_parity)
-    (plus, _), (minus, _) = dynamics._reflection_sectors(basis)
+    plus, minus = (_sector_basis(*sector) for sector in dynamics._reflection_sectors(basis))
     assert plus.shape[1] + minus.shape[1] == dynamics._lattice_size(j_max, j_parity, m_parity) == len(basis)
-    w = np.hstack([plus.toarray(), minus.toarray()])
+    w = np.hstack([plus, minus])
     assert np.max(np.abs(w.T @ w - np.eye(len(basis)))) <= 1e-15
     reflection = np.zeros((len(basis), len(basis)))
     reflection[basis.site(basis.j_of, -basis.m_of), np.arange(len(basis))] = (-1.0) ** basis.m_of
-    assert np.array_equal(reflection @ plus.toarray(), plus.toarray())
-    assert np.array_equal(reflection @ minus.toarray(), -minus.toarray())
+    assert np.array_equal(reflection @ plus, plus)
+    assert np.array_equal(reflection @ minus, -minus)
     for axis in "xy":
-        c = cos2theta_axis_matrix(basis, axis).toarray()
+        c = dense_operator(cos2theta_axis_matrix(basis, axis), len(basis))
         assert np.max(np.abs(reflection @ c - c @ reflection)) <= 1e-15
         assert np.all(np.abs(plus.T @ c @ minus) <= 1e-15)
 

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from conftest import dense_operator
 from rotorgrating.constants import TWO_PI_C, revival_period, thermal_wavenumber
 from rotorgrating.rotor import (
     CO2,
@@ -280,7 +282,7 @@ def test_axis_matrix_entries_vs_exact_gaunt(j_max):
             for m_parity in (None, 0, 1):
                 basis = JMBasis(j_max, j_parity, m_parity)
                 sites = full.site(basis.j_of, basis.m_of)
-                mat = cos2theta_axis_matrix(basis, axis).toarray()
+                mat = dense_operator(cos2theta_axis_matrix(basis, axis), len(basis))
                 assert np.max(np.abs(mat - ref[np.ix_(sites, sites)])) <= 1e-15, (axis, j_parity, m_parity)
 
 
@@ -290,7 +292,7 @@ def test_axis_elements_vs_quadrature(sphere_element, axis_weights):
              (4, 0, 4, 2), (6, -4, 4, -2)]
     basis = JMBasis(6)
     for axis in ("x", "y", "z"):
-        mat = cos2theta_axis_matrix(basis, axis)
+        mat = dense_operator(cos2theta_axis_matrix(basis, axis), len(basis))
         for jp, mp, j, m in cases:
             closed = mat[basis.site(jp, mp), basis.site(j, m)]
             q = sphere_element(jp, mp, j, m, axis_weights[axis])
@@ -301,33 +303,52 @@ def test_axis_element_frozen_value():
     # <2,2|cos^2 theta_x|0,0> = sqrt(1/30)
     basis = JMBasis(2)
     a, b = basis.site(2, 2), basis.site(0, 0)
-    val = cos2theta_axis_matrix(basis, "x")[a, b]
+    val = dense_operator(cos2theta_axis_matrix(basis, "x"), len(basis))[a, b]
     assert val == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-14)
     # and the y element flips sign
-    assert cos2theta_axis_matrix(basis, "y")[a, b] == pytest.approx(-val, rel=1e-14)
+    assert dense_operator(cos2theta_axis_matrix(basis, "y"), len(basis))[a, b] == pytest.approx(-val, rel=1e-14)
 
 
 def test_axis_matrices_sum_to_identity():
     basis = JMBasis(4)
-    total = sum(cos2theta_axis_matrix(basis, ax) for ax in ("x", "y", "z")).toarray()
+    total = sum(dense_operator(cos2theta_axis_matrix(basis, ax), len(basis)) for ax in ("x", "y", "z"))
     assert np.max(np.abs(total - np.eye(len(basis)))) < 1e-14
 
 
 def test_axis_matrices_hermitian():
     basis = JMBasis(6)
     for ax in ("x", "y", "z"):
-        mat = cos2theta_axis_matrix(basis, ax).toarray()
+        mat = dense_operator(cos2theta_axis_matrix(basis, ax), len(basis))
         assert np.max(np.abs(mat - mat.T.conj())) < 1e-14
 
 
 def test_x_matrix_selection_rules():
     basis = JMBasis(5)
-    mat = cos2theta_axis_matrix(basis, "x").toarray()
+    mat = dense_operator(cos2theta_axis_matrix(basis, "x"), len(basis))
     pairs = list(zip(basis.j_of.tolist(), basis.m_of.tolist()))
     for a, (ja, ma) in enumerate(pairs):
         for b, (jb, mb) in enumerate(pairs):
             if abs(ja - jb) not in (0, 2) or abs(ma - mb) not in (0, 2):
                 assert mat[a, b] == 0.0
+
+
+def test_axis_triplets_match_a_sparse_build():
+    # each entry once, none zero and every one inside the basis: the csr
+    # matrix scipy.sparse builds from the triplets, summing duplicates and
+    # sorting, holds exactly the triplets; x and y share their entries
+    for j_parity in (None, 0, 1):
+        for m_parity in (None, 0, 1):
+            basis = JMBasis(9, j_parity, m_parity)
+            n = len(basis)
+            triplets = {axis: cos2theta_axis_matrix(basis, axis) for axis in ("x", "y", "z")}
+            for rows, cols, values in triplets.values():
+                coo = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n)).tocoo()
+                order = np.lexsort((cols, rows))
+                assert coo.nnz == len(values) and np.all(values != 0.0)
+                assert np.array_equal(coo.row, rows[order]) and np.array_equal(coo.col, cols[order])
+                assert np.array_equal(coo.data, values[order])
+            for k in range(2):
+                assert np.array_equal(triplets["x"][k], triplets["y"][k])
 
 
 def test_jm_basis_parity_filter():

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, sph_harm_y
 
 from rotorgrating import CO2, boltzmann_ensemble, fourier_decompose, kick_ensemble, xi_per_intensity
 from rotorgrating.constants import thermal_wavenumber
 from rotorgrating.validation import (
     SUITE_NAMES,
     CheckResult,
+    _quadrature_grid,
     classical_permanent_alignment,
+    normal_cdf,
     run_all,
+    spherical_harmonic,
     suite_operators,
     suite_regimes,
 )
@@ -41,6 +45,19 @@ def test_run_all_suite_selection():
     assert set(SUITE_NAMES) == {
         "operators", "sudden_vs_tdse", "elliptic", "regimes", "hygiene"
     }
+
+
+def test_oracle_harmonics_match_scipy():
+    # the numpy Y_JM on the oracle's own grid, every M of J <= 8
+    tt, pp, _ = _quadrature_grid()
+    for j in range(9):
+        for m in range(-j, j + 1):
+            assert np.max(np.abs(spherical_harmonic(j, m, tt, pp) - sph_harm_y(j, m, tt, pp))) <= 1e-14, (j, m)
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.linspace(-8.0, 8.0, 16001)
+    assert np.max(np.abs(normal_cdf(x) / ndtr(x) - 1.0)) <= 1e-13
 
 
 def test_hygiene_suite_reports_tiny_basis_failure():
