@@ -6,13 +6,9 @@ their exact cosine-series form, models crossed-pump transient-grating signals
 for parallel and perpendicular polarization schemes, and retrieves pulse
 intensity and temperature from measured delay scans.
 
-Everything but the fit runs on numpy alone.  The retrieval module and its
-names (FitProblem, fit_trace, ...) load on first access, and scipy.optimize
-with them, the one scipy module the package loads: `simulate`, `fourier`,
-`geometry` and `validate` never import scipy.
+The package runs on numpy alone: no subcommand, the fit included, imports
+scipy.
 """
-
-import importlib
 
 from .constants import revival_period
 from .dynamics import (
@@ -53,6 +49,18 @@ from .observables import (
     thermal_channel_set,
     write_trace_csv,
 )
+from .retrieval import (
+    EnsembleCache,
+    ExperimentalTrace,
+    FitProblem,
+    FitResult,
+    fit_trace,
+    load_trace,
+    model_signal,
+    reported_intensities,
+    synthesize_trace,
+    write_fit_csv,
+)
 from .rotor import (
     CO2,
     JMBasis,
@@ -68,21 +76,6 @@ from .rotor import (
 
 __version__ = "0.1.0"
 
-_RETRIEVAL_NAMES = (
-    "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult", "fit_trace",
-    "load_trace", "model_signal", "reported_intensities", "synthesize_trace", "write_fit_csv",
-)
-
-
-def __getattr__(name):
-    # importlib, not `from . import retrieval`: the from-import asks this
-    # package for the attribute first and so recurses into __getattr__
-    if name == "retrieval" or name in _RETRIEVAL_NAMES:
-        retrieval = importlib.import_module(".retrieval", __name__)
-        return retrieval if name == "retrieval" else getattr(retrieval, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     "revival_period",
@@ -96,7 +89,8 @@ __all__ = [
     "elliptic_approx", "fourier_decompose", "max_over_period", "reconstruct",
     "regime_scan", "revival_time_grid", "thermal_channel_set",
     "write_trace_csv",
-    *_RETRIEVAL_NAMES,
+    "EnsembleCache", "ExperimentalTrace", "FitProblem", "FitResult", "fit_trace",
+    "load_trace", "model_signal", "reported_intensities", "synthesize_trace", "write_fit_csv",
     "CO2", "JMBasis", "MoleculeSpec", "ThermalEnsemble", "boltzmann_ensemble",
     "find_molecule", "load_molecule", "molecule_from_dict", "raman_frequency",
     "suggest_j_max",

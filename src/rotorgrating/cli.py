@@ -42,6 +42,7 @@ from .observables import (
     thermal_channel_set,
     write_trace_csv,
 )
+from .retrieval import EnsembleCache, FitProblem, fit_trace, load_trace, write_fit_csv
 from .rotor import boltzmann_ensemble, check_axis, find_molecule, load_molecule, molecule_from_dict
 from .validation import SUITE_NAMES, run_all
 
@@ -359,9 +360,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    # imported here, with scipy.optimize: the other subcommands never fit
-    from .retrieval import EnsembleCache, FitProblem, fit_trace, load_trace, write_fit_csv
-
     conf = _Config(args)
     out = _out_dir(args)
     molecule = _resolve_molecule(conf)

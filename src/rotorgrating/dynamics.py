@@ -708,17 +708,23 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
                           ensemble.weights[layout.order], amps)
 
     def working_set(j_max):
-        # cached eigenvectors, results, the layout's int32 gather index, a
-        # chunk of gathered entries, the eigensolver's copy of the largest
-        # chain; composed kicks add the costliest run's stack: for each of its
-        # blocks three free propagators and the two temporaries of their
-        # build, its table of kick phases (40 B per kick and level as it is
-        # built: real phases, their complex cast and the exponentials) and 3
-        # state vectors.  Integers: j_max may be huge
+        # cached eigenvectors, results and the layout's int32 gather index;
+        # per row the levels, the operator's three arrays, the eigenvalues,
+        # the gather's row counts and the first kick's phases (64 B); per
+        # column the origin rows, order, J0, |M0| and their bytes in the
+        # layout cache's key (48 B); per block its keys, size, count and
+        # bounds and at most one entry of the run table, 12 ints (576 B);
+        # two chunks of gathered entries and their int64 index; the
+        # eigensolver's copy of the largest chain.  Composed kicks add the
+        # costliest run's stack: for each of its blocks three free
+        # propagators and the two temporaries of their build, its table of
+        # kick phases (40 B per kick and level as it is built: real phases,
+        # their complex cast and the exponentials) and 3 state vectors.
+        # Integers: j_max may be huge
         keys, counts, _ = chains[j_max] = _chains(ensemble, j_max)
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
-        total = (sum(8 * n * n + 20 * n * k for n, k in sizes) + 8 * GATHER_CHUNK
+        total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
                  + 8 * max(n for n, _ in sizes) ** 2)
         kicks = n_kicks(j_max)
         if kicks > 1:

@@ -13,12 +13,12 @@ parameters it is a linear least-squares subproblem solved in closed form.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import kick_ensemble
 from .field import xi_per_intensity
@@ -249,7 +249,9 @@ def _profiled_scale(base: np.ndarray, data: np.ndarray, mask: np.ndarray, bounds
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit parameters and fit diagnostics."""
+    """Best-fit parameters and fit diagnostics; evaluations counts the grid's,
+    the refinement's (trials and Jacobian columns) and the sensitivity's, one
+    per free parameter."""
 
     params: dict
     residual: float
@@ -288,19 +290,24 @@ def fit_trace(
     n_temperature_starts: int = 4,
     cache: EnsembleCache | None = None,
 ) -> FitResult:
-    """Least-squares retrieval: multistart grid, then bounded Gauss-Newton.
+    """Least-squares retrieval: multistart grid, then bounded Levenberg-Marquardt.
 
     The objective is the mean squared residual normalized by the data peak,
     over delays outside the pulse-overlap window |t - t_offset| < 2 tau, with
     the scale profiled out at every trial point.  From each of the best
-    refine_starts grid points, trust-region reflective least squares with a
-    forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
+    refine_starts grid points, Levenberg-Marquardt (More, LNM 630, 1978) with
+    a forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
     max_evaluations caps the grid and refinement evaluations, Jacobian columns
-    included; converged means the best run's least squares met a tolerance.
-    The sensitivity of each free parameter is the Gauss-Newton curvature
-    2 sum_i J_ik^2 of the objective from one more Jacobian at the best point,
-    which adds one evaluation plus one per free parameter.
+    included.  converged means the best run stopped on a trial step within one
+    cache cell (intensity, temperature) or 1e-8 of the box on every
+    coordinate, on a decrease of at most 1e-8 of the objective, or on a zero
+    gradient.  The sensitivity of each free parameter is the Gauss-Newton
+    curvature 2 sum_i J_ik^2 of the objective from one more Jacobian at the
+    best point, which adds one evaluation per free parameter.
     """
+    for name, n in (("n_intensity_starts", n_intensity_starts), ("n_temperature_starts", n_temperature_starts)):
+        if n < 1:
+            raise ValueError(f"'{name}' must be at least 1, got {n}")
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
     data = trace.signal
@@ -315,25 +322,54 @@ def fit_trace(
     keyed = np.isin(free, ("intensity", "temperature"))
     cells = np.maximum(2, np.round(1e-3 * span / problem.cache_quantum)) * problem.cache_quantum / span
     steps = np.minimum(0.5, np.where(keyed, cells, 1e-3))
-    # trf bounds the whole step: stop below one cache cell only if every free parameter is keyed
-    xtol = max(1e-8, float(np.min(problem.cache_quantum / span))) if keyed.all() else 1e-8
+    # a move within one cache cell cannot change the cached model
+    xtol = np.where(keyed, np.maximum(1e-8, problem.cache_quantum / span), 1e-8)
     counter = {"n": 0}
 
-    def residuals(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """(residuals, profiled scale) in the box; their squared norm is the objective."""
+    def residuals(x: np.ndarray, at: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """(residuals, profiled scale) at x in the box, over the delays outside
+        the pulse overlap at `at` (default x); their squared norm is the objective."""
         params = problem.resolve(dict(zip(free, lows + span * x)))
         counter["n"] += 1
         base = model_signal({**params, "scale": 1.0}, problem, trace.delays, cache)
-        mask = np.abs(trace.delays - params["t_offset"]) >= 2.0 * problem.tau_fwhm_ps
+        pump = params["t_offset"] if at is None else problem.resolve(dict(zip(free, lows + span * at)))["t_offset"]
+        mask = np.abs(trace.delays - pump) >= 2.0 * problem.tau_fwhm_ps
         if not mask.any():
             return np.full(len(data), np.inf), 0.0
         scale = _profiled_scale(base, data, mask, problem.scale_bounds)
         return np.where(mask, scale * base - data, 0.0) / (peak * math.sqrt(mask.sum())), scale
 
-    def objective(x: np.ndarray) -> float:
-        """Squared residual norm at a point of the box."""
-        resid = residuals(x)[0]
-        return float(resid @ resid)
+    def jacobian(x: np.ndarray, r0: np.ndarray) -> np.ndarray:
+        """Forward differences by `steps`, backward where they would leave the
+        box, all outside x's pulse overlap: its jumps in t_offset carry no derivative."""
+        ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
+        return np.column_stack([(residuals(y, x)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
+
+    def refine(x, r, scale, max_nfev):
+        """(x, r, scale, converged) of Levenberg-Marquardt from a grid point: each
+        trial solves (J^T J + lam diag J^T J) d = -J^T r and clips x + d to the
+        box; accepted, it divides lam by 3 and renews J, rejected, it multiplies
+        lam by 4.  max_nfev counts the trials, the start included."""
+        lam, nfev, jac = 1e-3, 1, None
+        while nfev < max_nfev:
+            jac = jacobian(x, r) if jac is None else jac
+            grad, curv = jac.T @ r, jac.T @ jac
+            if not grad.any():
+                return x, r, scale, True
+            damping = np.maximum(np.diag(curv), 1e-12 * np.max(np.diag(curv)))
+            trial = np.clip(x + np.linalg.solve(curv + lam * np.diag(damping), -grad), 0.0, 1.0)
+            if np.all(np.abs(trial - x) <= xtol):
+                return x, r, scale, True
+            nfev += 1
+            r_trial, scale_trial = residuals(trial)
+            if r_trial @ r_trial >= r @ r:
+                lam *= 4.0
+                continue
+            small = r @ r - r_trial @ r_trial <= 1e-8 * (r @ r)
+            x, r, scale, lam, jac = trial, r_trial, scale_trial, lam / 3.0, None
+            if small:
+                return x, r, scale, True
+        return x, r, scale, False
 
     # multistart coarse grid over the physically multimodal axes
     grids = []
@@ -346,48 +382,26 @@ def fit_trace(
         else:
             pts = np.array([0.5 * (lo + hi)])
         grids.append(np.clip((pts - lo) / (hi - lo), 0.0, 1.0))  # exp(log(hi)) may round above hi
-    starts = [np.array(combo) for combo in itertools.product(*grids)]
-    scored = sorted((objective(x), k) for k, x in enumerate(starts))
-    if not math.isfinite(scored[0][0]):
+    runs = max(refine_starts, 1)
+    # the `runs` best grid points, each with its residuals and scale
+    ranked = heapq.nsmallest(runs, ((x, *residuals(x)) for x in map(np.array, itertools.product(*grids))),
+                             key=lambda start: float(start[1] @ start[1]))
+    if not math.isfinite(ranked[0][1] @ ranked[0][1]):
         raise ValueError(
             "no fit start has a finite objective: the fit needs samples at least "
             f"2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps from the pump"
         )
-    ranked = [starts[k] for _, k in scored]
 
-    last = {}
-
-    def fun(x):
-        last["x"], (last["r"], last["scale"]) = x.copy(), residuals(x)
-        return last["r"]
-
-    def jac(x):
-        """Forward differences by `steps`, backward where they would leave the box."""
-        r0 = last["r"] if np.array_equal(x, last["x"]) else fun(x)
-        ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
-        return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
-
-    best_x, best_f = ranked[0], float("inf")
-    converged = False
-    flags: list[str] = []
-    runs = max(refine_starts, 1)
-    # a Jacobian costs len(free) evaluations and follows each accepted step
+    # a Jacobian costs len(free) evaluations and follows each accepted trial
     max_nfev = max(max_evaluations - counter["n"], 0) // runs // (len(free) + 1)
-    for x0 in ranked[:runs]:
-        if max_nfev == 0:  # least_squares makes at least one evaluation
-            break
-        res = scipy.optimize.least_squares(fun, x0, jac, bounds=(0.0, 1.0), method="trf", xtol=xtol,
-                                           max_nfev=max_nfev)
-        if float(res.fun @ res.fun) < best_f:
-            best_x, best_f, converged = res.x, float(res.fun @ res.fun), res.status > 0
-    if not converged:
-        flags.append("budget_exhausted")
-    resid = fun(best_x)
-    best_f, best_scale = float(resid @ resid), last["scale"]
+    fits = [refine(*start, max_nfev) for start in ranked] if max_nfev else []
+    best_x, resid, best_scale, converged = min(fits, key=lambda fit: float(fit[1] @ fit[1]),
+                                               default=(*ranked[0], False))
+    flags = [] if converged else ["budget_exhausted"]
 
     # flat-objective diagnostic: the Gauss-Newton curvature 2 sum_i J_ik^2 of
     # the objective along each free direction, from the Jacobian's steps
-    sensitivity = dict(zip(free, map(float, 2.0 * np.sum(jac(best_x) ** 2, axis=0))))
+    sensitivity = dict(zip(free, map(float, 2.0 * np.sum(jacobian(best_x, resid) ** 2, axis=0))))
     if not all(math.isfinite(c) and c >= 1e-18 for c in sensitivity.values()):
         flags.append("degenerate_direction")
 
@@ -399,7 +413,7 @@ def fit_trace(
     params["scale"] = best_scale
     return FitResult(
         params=params,
-        residual=best_f,
+        residual=float(resid @ resid),
         evaluations=counter["n"],
         converged=converged,
         flags=tuple(flags),

@@ -207,14 +207,15 @@ def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, no_propaga
 
 def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation,
                                                        capsys):
-    # this kick's chain eigenvectors, amplitudes and gather index are
-    # estimated at 48.5 MB; a budget just below that keeps the input small
+    # this kick's chain eigenvectors, amplitudes, gather index and per-row,
+    # per-column and per-block arrays are estimated at 49.5 MB; a budget
+    # below that keeps the input small
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
     out = tmp_path / "run"
     _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
-    assert "needs about 0.0485 GB of working memory" in capsys.readouterr().err
+    assert "needs about 0.0495 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -759,6 +760,21 @@ def test_fit_problem_rejects_pump_and_cache_settings(tmp_path, capsys, setting, 
         warnings.simplefilter("error")
         assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_intensity_starts", "n_temperature_starts"])
+@pytest.mark.parametrize("starts", [0, -2])
+def test_fit_rejects_a_grid_without_starts(tmp_path, capsys, key, starts):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.1},1.0\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0], "temperature": [20.0, 150.0]}, key: starts,
+    })
+    out = tmp_path / "x"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"'{key}' must be at least 1, got {starts}" in capsys.readouterr().err
     assert not out.exists()
 
 

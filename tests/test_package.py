@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import rotorgrating
 
 
@@ -113,8 +115,6 @@ for subcommand, config in runs.items():
             json.dump(config, fh)
         argv += ["--config", f"{out}/{subcommand}.json"]
     doc["runs"][subcommand] = [rotorgrating.cli.main(argv), scipy_loaded()]
-doc["fit_problem"] = rotorgrating.FitProblem.__name__
-doc["after_fit_problem"] = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
 doc["solve_ivp"] = callable(rotorgrating.dynamics.solve_ivp)
 doc["unknown"] = []
 for module in (rotorgrating, rotorgrating.dynamics):
@@ -125,9 +125,9 @@ for module in (rotorgrating, rotorgrating.dynamics):
 print(json.dumps(doc))
 """
 
-# a run of each subcommand but fit: TDSE with a probe, an elliptic TDSE, the
-# geometry and every validation suite (no config)
-NO_FIT_RUNS = {
+# a run of each subcommand: TDSE with a probe, an elliptic TDSE, the
+# geometry, every validation suite (no config) and a fit of scan.csv
+RUNS = {
     "simulate": {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                  "single_pump_intensity_tw_cm2": 5.0, "method": "tdse", "probe_tau_fwhm_ps": 0.2,
                  "time_grid": {"n": 64}},
@@ -135,23 +135,30 @@ NO_FIT_RUNS = {
                 "polarization": [0.8, 0.6], "time_grid": {"n": 64}},
     "geometry": {"scheme": "perpendicular", "single_pump_intensity_tw_cm2": 3.0},
     "validate": None,
+    "fit": {"molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+            "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0},
+            "cache_quantum": 1e-3, "refine_starts": 1, "n_intensity_starts": 2},
 }
 
 
 def test_importing_the_package_and_cli_leaves_the_fit_stack_unloaded(tmp_path):
     # a fresh interpreter, as every CLI run has: this process has long since
     # imported scipy.  No scipy module loads with the package and the CLI or
-    # in any run but a fit, and the fit's names load scipy.optimize alone
+    # in any run, the fit included
+    delays = np.arange(0.5, 20.0, 0.05)
+    problem = rotorgrating.FitProblem(rotorgrating.CO2, "perpendicular", bounds={"intensity": (5.0, 30.0)},
+                                      fixed={"temperature": 60.0}, cache_quantum=1e-3)
+    trace = rotorgrating.synthesize_trace(problem, {"intensity": 18.0, "temperature": 60.0}, delays)
+    (tmp_path / "scan.csv").write_text("delay_ps,signal_au\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.delays, trace.signal)))
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(tmp_path), json.dumps(NO_FIT_RUNS)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(tmp_path), json.dumps(RUNS)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["on_import"] == []
-    assert doc["runs"] == {subcommand: [0, []] for subcommand in NO_FIT_RUNS}
-    assert doc["fit_problem"] == "FitProblem"
-    assert doc["after_fit_problem"] == ["scipy.optimize"]
+    assert doc["runs"] == {subcommand: [0, []] for subcommand in RUNS}
     assert doc["solve_ivp"]
     assert doc["unknown"] == ["module 'rotorgrating' has no attribute 'no_such_name'",
                               "module 'rotorgrating.dynamics' has no attribute 'no_such_name'"]
@@ -172,9 +179,9 @@ def _scipy_imports(tree):
 
 
 def test_only_the_fit_imports_scipy():
-    # retrieval imports scipy.optimize at its top; every other module runs on
-    # numpy alone, but for the solve_ivp that dynamics serves the benchmark
+    # no module imports scipy, the fit's retrieval included, but for the
+    # solve_ivp that dynamics serves the benchmark from its __getattr__
     package = pathlib.Path(rotorgrating.__file__).parent
     found = {(path.stem, *pair) for path in sorted(package.glob("*.py"))
              for pair in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == {("retrieval", None, "scipy.optimize"), ("dynamics", "__getattr__", "scipy.integrate")}
+    assert found == {("dynamics", "__getattr__", "scipy.integrate")}
