@@ -536,14 +536,11 @@ def _trf_fit(problem, trace, max_evaluations=4000, refine_starts=3, n_intensity_
 # corpus A: truths drawn from numpy seed 7 (intensity U(6, 28) TW/cm^2,
 # temperature U(25, 140) K, t_offset U(-0.1, 0.1) ps, Re b U(-0.005, 0.005),
 # Im b U(0, 0.005)), one fit of each free set at 5% noise
-_CORPUS_A = [
+@pytest.mark.parametrize("scheme, extra, draw", [
     ("perpendicular", {}, 0),
     ("perpendicular", {"t_offset": (-0.2, 0.2)}, 1),
     ("parallel", {"t_offset": (-0.2, 0.2), "background_re": (-0.01, 0.01), "background_im": (-0.01, 0.01)}, 2),
-]
-
-
-@pytest.mark.parametrize("scheme, extra, draw", _CORPUS_A, ids=["I_T", "I_T_offset", "parallel_five"])
+], ids=["I_T", "I_T_offset", "parallel_five"])
 def test_fit_converges_where_trf_does_at_no_higher_residual(scheme, extra, draw):
     truths = np.random.default_rng(7).uniform([6.0, 25.0, -0.1, -0.005, 0.0], [28.0, 140.0, 0.1, 0.005, 0.005],
                                               size=(8, 5))
