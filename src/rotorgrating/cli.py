@@ -273,12 +273,14 @@ def cmd_fourier(args) -> int:
         pulse = PulseSpec(intensity, tau, t0)
         cs = thermal_channel_set(molecule, temperature, pulse, method=method, j_max=j_max)
     elif isinstance(pol, list) and len(pol) == 2:
-        a2, b2 = (_number(v, f"polarization[{i}]") ** 2 for i, v in enumerate(pol))
+        a, b = (_number(v, f"polarization[{i}]") for i, v in enumerate(pol))
         if method != "tdse":
             raise ValueError("elliptic polarization requires method 'tdse'")
         PulseSpec(intensity, tau, t0)  # the pump's own errors read as for a linear pump
         try:
-            pulse = elliptic_pulse(intensity, a2, b2, tau, t0)
+            pulse = elliptic_pulse(intensity, a**2, b**2, tau, t0)
+        except OverflowError:
+            raise ValueError(f"'polarization': amplitudes {a:g}, {b:g} overflow when squared")
         except ValueError as exc:
             raise ValueError(f"'polarization': {exc}")
         ens = boltzmann_ensemble(molecule, temperature)

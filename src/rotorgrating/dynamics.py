@@ -38,6 +38,10 @@ The reduction order is fixed, so reruns are bit-identical.  Before it
 allocates, each driver estimates its working set at the chosen j_max (and
 again after every regrow) and raises ValueError naming the estimate when it
 exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
+The chains size an unsized basis with suggest_j_max's fixed headroom; the
+lattice, whose work grows about as j_max^4, starts where the sudden chain
+kick of the same xi leaves at most PROBE_EDGE_TOL in its top two shells
+(_measured_j_max), once both budgets pass at J_thermal_max.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -95,10 +99,15 @@ from .rotor import (
 )
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
+# Weighted population the sudden kick that sizes an unsized lattice may leave
+# at J >= j_max - 1.  A pump polarized along x or y reaches nearly as high as
+# the kick: at EDGE_POPULATION_TOL its traces moved by up to 1e-8 of their
+# peak against a larger basis, at a hundredth of it by at most 3e-11
+PROBE_EDGE_TOL = EDGE_POPULATION_TOL / 100
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB, the 60 K elliptic one ~0.22 GB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB, the 60 K elliptic one ~37 MB.
 MAX_WORKING_SET_BYTES = 2e9
-# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 2.1e11)
+# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 2.4e10)
 MAX_KICK_WORK = 1e12
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
@@ -606,6 +615,11 @@ class ChannelSet:
         entries, columns = self.layout.edge
         return float(np.abs(self.amplitudes[entries]) ** 2 @ self.weights[columns])
 
+    def level_populations(self) -> np.ndarray:
+        """Weighted population of each J from 0 to j_max, summed over channels and M."""
+        rows = np.concatenate([np.abs(b.amplitudes) ** 2 @ b.weights for b in self.blocks])
+        return np.bincount(self.layout.levels, weights=rows, minlength=self.j_max + 1)
+
 
 def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
     """len(JMBasis(j_max, j_parity, m_parity)) without building the basis.
@@ -639,32 +653,42 @@ def require_y_polarized(pulse: PulseSpec):
         )
 
 
+def _check_budgets(j_max: int, working_set, kick_work=None):
+    """ValueError naming j_max (past 15 digits in Decimal's .3g form) if working_set(j_max)
+    bytes exceed MAX_WORKING_SET_BYTES or kick_work(j_max) complex multiply-adds MAX_KICK_WORK."""
+    at = f"propagation at j_max={j_max if j_max < 10**15 else format(Decimal(j_max), '.3g')}"
+    check_working_set(working_set(j_max), at)
+    if kick_work is not None and (work := kick_work(j_max)) > MAX_KICK_WORK:
+        raise ValueError(f"{at} needs about {work:.3g} complex multiply-adds "
+                         f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
+
+
 def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j_max,
-                 max_regrow: int, kick_work=None):
+                 max_regrow: int, kick_work=None, measure=None):
     """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
 
-    Without j_max the basis is sized from the thermal and kick scales and may
-    regrow max_regrow times; an explicit basis is a contract: fail instead.
-    A zero kick leaves every channel on its origin, so it skips the check.
-    working_set(j_max) estimates the bytes propagate(j_max) allocates; over
-    MAX_WORKING_SET_BYTES, a ValueError names it and j_max (past 15 digits in
-    Decimal's .3g form) before anything is allocated.  kick_work(j_max), if
-    given, estimates its complex multiply-adds, bounded by MAX_KICK_WORK.
+    Without j_max the basis starts at measure(), or, without measure, at
+    suggest_j_max's thermal and kick scales, and may regrow max_regrow times;
+    an explicit basis is a contract: fail instead.  measure runs only once
+    the smallest basis, J_thermal_max, passes the budgets.  A zero kick
+    leaves every channel on its origin, so it skips the check.
+    working_set(j_max) estimates the bytes propagate(j_max) allocates and
+    kick_work(j_max), if given, its complex multiply-adds: _check_budgets
+    rejects either before anything is allocated, at every size tried.
     """
-    if j_max is None:
-        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
-    else:
-        max_regrow = 0
     top = ensemble.j_thermal_max
+    if j_max is not None:
+        max_regrow = 0
+    elif measure is None:
+        j_max = suggest_j_max(top, xi)
+    else:
+        _check_budgets(top, working_set, kick_work)
+        j_max = measure()
     if top > j_max:
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
     for _ in range(max_regrow + 1):
-        at = f"propagation at j_max={j_max if j_max < 10**15 else format(Decimal(j_max), '.3g')}"
-        check_working_set(working_set(j_max), at)
-        if kick_work is not None and (work := kick_work(j_max)) > MAX_KICK_WORK:
-            raise ValueError(f"{at} needs about {work:.3g} complex multiply-adds "
-                             f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
+        _check_budgets(j_max, working_set, kick_work)
         cs = propagate(j_max)
         if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
             return cs
@@ -672,6 +696,16 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
         j_max = int(j_max * 1.5) + 10
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
+
+
+def _measured_j_max(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> int:
+    """The smallest j_max >= J_thermal_max whose top two shells, J >= j_max - 1,
+    hold at most PROBE_EDGE_TOL of the weighted population of the sudden chain
+    kick of the same xi: a kick linearly polarized and sudden reaches at least
+    as high in J as an elliptic finite pulse of that xi."""
+    pops = kick_ensemble(molecule, ensemble, xi).level_populations()
+    beyond = np.cumsum(pops[::-1])[::-1]  # population at J >= j, non-increasing in j
+    return max(ensemble.j_thermal_max, int(np.count_nonzero(beyond > PROBE_EDGE_TOL)) + 1)
 
 
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow):
@@ -784,7 +818,8 @@ def elliptic_tdse_ensemble(
     Channels are grouped by (J parity, M parity), one block per group on its
     parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps).
     The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
-    each column on its origin.
+    each column on its origin.  Without j_max the basis is the one the sudden
+    chain kick of the same xi measures (_measured_j_max).
     """
     xi = effective_area(pulse, molecule)
     keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
@@ -836,4 +871,5 @@ def elliptic_tdse_ensemble(
         kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
         return kicks * sum(k * (half * half + (n - half) ** 2) for n, k, half in sectors(j_max))
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2, kick_work=kick_work)
+    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2, kick_work=kick_work,
+                        measure=lambda: _measured_j_max(molecule, ensemble, xi))

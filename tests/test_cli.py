@@ -516,6 +516,7 @@ def test_fourier_elliptic_needs_tdse(tmp_path, capsys):
     ([True, 1], "polarization[0]"),
     (["a", 1], "polarization[0]"),
     ([1, None], "polarization[1]"),
+    ([1e200, 1], "polarization"),  # squaring it overflows
 ])
 def test_fourier_rejects_bad_polarization_naming_the_key(tmp_path, capsys, pol, key):
     cfg = _cfg(tmp_path, {
@@ -580,30 +581,83 @@ def test_fourier_rejects_tdse_too_large_to_size(tmp_path, no_propagation, capsys
     assert not out.exists()
 
 
+@pytest.fixture
+def no_lattice(monkeypatch):
+    """Fail any lattice propagation at its first operator build or step, and
+    record every working-set estimate checked; a sudden chain kick, such as
+    the probe that sizes an unsized lattice, still runs."""
+    def propagate(*args, **kwargs):
+        raise AssertionError("a lattice propagation started")
+
+    for name in ("cos2theta_axis_matrix", "_lattice_steps"):
+        monkeypatch.setattr(dynamics, name, propagate)
+    estimates = []
+    check = dynamics.check_working_set
+    monkeypatch.setattr(dynamics, "check_working_set",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
+    return estimates
+
+
+def _exits_2_under_the_probe(argv, estimates):
+    """main(argv) exits 2 after checking the lattice at J_thermal_max, the
+    probe kick and the lattice at the probe's basis, its traced peak under the
+    probe's working-set estimate: the lattice allocated nothing."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, probe, _ = estimates
+    assert peak < probe
+
+
+_ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
+             "polarization": [0.8164965809277261, 0.5773502691896257]}
+
+
 def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, capsys):
-    # 293 K at 60 TW/cm^2 needs j_max 201: the two groups' results plus the
-    # larger + sector's stepper arrays come to ~3.1 GB
-    cfg = _cfg(tmp_path, {
-        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 60.0, "method": "tdse",
-        "polarization": [0.8164965809277261, 0.5773502691896257],
-    })
+    # at 1100 K the smallest basis, J_thermal_max = 164, already needs ~2.5 GB
+    # for the two groups' results plus the larger + sector's stepper arrays:
+    # rejected before the probe kick runs
+    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=201 needs about 3.12 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=164 needs about 2.53 GB of working memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
+    # 30 K fits at J_thermal_max = 26 (2.7 MB), but the sudden kick at 400
+    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.4 GB
+    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
+    out = tmp_path / "x"
+    _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
+    assert "propagation at j_max=228 needs about 4.4 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
-    # 293 K at 30 TW/cm^2 fits the memory budget (1.09 GB at j_max 148), but
-    # 157 kicks of the four sectors' free propagators come to 4.5e12 complex
-    # multiply-adds; 60 K at 30 TW/cm^2 (2.1e11) takes about 25 s on 2 cores
-    cfg = _cfg(tmp_path, {
-        "molecule": "CO2", "temperature_K": 293.0, "intensity_tw_cm2": 30.0, "method": "tdse",
-        "polarization": [0.8164965809277261, 0.5773502691896257],
-    })
+    # 500 K fits the memory budget at J_thermal_max = 110 (0.53 GB), but 145
+    # kicks of the four sectors' free propagators there come to 2.2e12
+    # complex multiply-adds: rejected before the probe kick runs.  60 K at
+    # 30 TW/cm^2 needs 2.4e10 at j_max 60
+    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 500.0, "intensity_tw_cm2": 30.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert ("propagation at j_max=148 needs about 4.53e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=110 needs about 2.2e+12 complex multiply-adds of kicks, above the "
+            "budget of 1e+12") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
+    # 100 K fits both budgets at J_thermal_max = 50, and at the basis the
+    # sudden kick at 200 TW/cm^2 measures, 152, the memory budget (1.0 GB),
+    # but not the kick work
+    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 100.0, "intensity_tw_cm2": 200.0})
+    out = tmp_path / "x"
+    _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
+    assert ("propagation at j_max=152 needs about 1.91e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 

@@ -49,14 +49,6 @@ def _dense_kick(xi, m, j_max):
     return scipy.linalg.expm(1j * xi * ladder)
 
 
-def _level_populations(cs):
-    """Weighted population of each J, summed over channels and M."""
-    pops = np.zeros(cs.j_max + 1)
-    for b in cs.blocks:
-        np.add.at(pops, b.js, np.abs(b.amplitudes) ** 2 @ b.weights)
-    return pops
-
-
 # ---------------------------------------------------------------------------
 # Sudden kick on fixed-M chains
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def test_jm_linear_kick_matches_chain():
         CO2, ens, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=24
     )
     chain = tdse_ensemble(CO2, ens, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=24)
-    assert np.max(np.abs(_level_populations(lattice) - _level_populations(chain))) < 1e-10
+    assert np.max(np.abs(lattice.level_populations() - chain.level_populations())) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +185,7 @@ def test_elliptic_tdse_reduces_to_linear():
         CO2, GROUND, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=14
     )
     wl = tdse_ensemble(CO2, GROUND, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=14)
-    assert np.max(np.abs(_level_populations(we) - _level_populations(wl))) < 1e-8
+    assert np.max(np.abs(we.level_populations() - wl.level_populations())) < 1e-8
 
 
 def test_circular_pump_keeps_xy_symmetry():
@@ -402,16 +394,31 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the groups run one after another: the estimate counts every group's
     # result plus the largest sector's stepper arrays: its operator and
     # eigenvectors, three free propagators and their build's two
-    # temporaries, the kick phase table and 3 state matrices
-    estimates = []
+    # temporaries, the kick phase table and 3 state matrices.  Unsized, the
+    # lattice checks its smallest basis, J_thermal_max, then runs the sudden
+    # chain kick that measures its basis, under the kick's own estimate, and
+    # checks the measured basis: each stage's peak stays under its estimate
+    estimates, stages = [], []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
-    dynamics.clear_caches()
+    measure = dynamics._measured_j_max
+
+    def traced_measure(*args):
+        j_max = measure(*args)
+        stages.append(tracemalloc.get_traced_memory())  # (left after the probe, its peak)
+        tracemalloc.reset_peak()
+        return j_max
+
+    monkeypatch.setattr(dynamics, "_measured_j_max", traced_measure)
     pulse = elliptic_pulse(10.0, 2 / 3, 1 / 3)
+    ens = boltzmann_ensemble(CO2, 20.0)
+    kick_ensemble(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
+    dynamics.clear_caches()
+    estimates.clear()
     tracemalloc.start()
     try:
-        cs = elliptic_tdse_ensemble(CO2, boltzmann_ensemble(CO2, 20.0), pulse)
+        cs = elliptic_tdse_ensemble(CO2, ens, pulse)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,10 +427,14 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the + sector, the larger, holds a group's M >= 0 sites
     halves = [len(dynamics._reflection_sectors(b.basis)[0][2]) for b in cs.blocks]
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
-    assert estimates == [sum(16 * n * k for n, k in shapes)
-                         + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
-                               for h, (_, k) in zip(halves, shapes))]
-    assert peak <= estimates[0]
+    smallest, probe, lattice = estimates
+    assert lattice == (sum(16 * n * k for n, k in shapes)
+                       + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
+                             for h, (_, k) in zip(halves, shapes)))
+    assert ens.j_thermal_max < cs.j_max and smallest < lattice
+    ((kept, probe_peak),) = stages
+    assert probe_peak <= probe
+    assert peak - kept <= lattice
 
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
@@ -641,3 +652,8 @@ def test_block_edge_leak_equals_per_channel_sum():
         want = _per_channel_edge_leak(cs)
         assert 0.0 < want <= 1e-8
         assert cs.edge_leak() == pytest.approx(want, rel=1e-12)
+        # the per-J populations hold the whole weight, and their top two shells the edge leak
+        pops, total = cs.level_populations(), float(cs.weights.sum())
+        assert len(pops) == cs.j_max + 1
+        assert abs(pops.sum() - total) <= cs.norm_deviation() * total + 1e-15
+        assert pops[cs.j_max - 1:].sum() == pytest.approx(cs.edge_leak(), rel=1e-12)
