@@ -18,10 +18,12 @@ symmetric 4th-order SRKN_6^b (J. Comput. Appl. Math. 142, 313 (2002)),
 b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1, where a kick of weight b is the exact
 V e^{i b H g(t) Lambda} V^T at the time t the free flows have reached and a
 free flow of weight a is exp(-i omega a H) (a3 < 0 flows back).  n uniform
-steps of width H span the pulse window, counted from the basis' fastest
-Raman frequency and the pulse FWHM; adjacent steps share their end kick, so
-n steps make 6n + 1 kicks.  Free flows act as V^T e^{-i omega d} V, so the
-state stays in the eigenbasis between kicks, one complex GEMM per kick.
+steps of width H span the pulse window, counted from its libration phase,
+the window times 2 sqrt(g B) at the peak kick rate: a function of xi and of
+the FWHM in rotational units alone (_rkn_steps); adjacent steps share their
+end kick, so n steps make 6n + 1 kicks.  Free flows act as V^T e^{-i omega
+d} V, so the state stays in the eigenbasis between kicks, one complex GEMM
+per kick.
 
 On a (J parity, M parity) lattice group C = A^2 cos^2 theta_x + B^2 cos^2
 theta_y is one fixed operator too.  The reflection R|J,M> = (-1)^M |J,-M>
@@ -76,13 +78,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from decimal import Decimal
+from decimal import ROUND_CEILING, Decimal
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
+from .constants import GAUSS_FWHM_INTEGRAL, TWO_PI_C
 from .field import PulseSpec, effective_area, kick_rate, pulse_half_window
 from .rotor import (
     JMBasis,
@@ -93,7 +96,6 @@ from .rotor import (
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
-    raman_frequency,
     rotational_omega,
     suggest_j_max,
 )
@@ -105,9 +107,9 @@ EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J s
 # peak against a larger basis, at a hundredth of it by at most 3e-11
 PROBE_EDGE_TOL = EDGE_POPULATION_TOL / 100
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~5 MB, the 60 K elliptic one ~37 MB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~7 MB, the 60 K elliptic one ~37 MB.
 MAX_WORKING_SET_BYTES = 2e9
-# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 2.4e10)
+# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 1.95e10)
 MAX_KICK_WORK = 1e12
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
@@ -115,9 +117,17 @@ _B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
 _A1, _A2 = 0.245298957184271, 0.604872665711080
 RKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
 RKN_FREE = (_A1, _A2, 0.5 - _A1 - _A2)
-# RKN steps per ps, STEPS_PER_RADIAN * omega_R,max + STEPS_PER_FWHM / tau:
-# both the fastest Raman phase of the basis and the envelope are resolved
-STEPS_PER_RADIAN, STEPS_PER_FWHM = 0.3, 3.0
+# RKN steps over the pulse window from its libration phase phi in radians
+# (_rkn_steps): STEPS_FLOOR + STEPS_PER_RADIAN phi up to LIBRATION_SPLIT, where
+# the splitting's 4th-order error and its envelope error cancel near 18
+# steps, and STEPS_PER_RADIAN_BEYOND phi past it, where the 4th-order error
+# alone sets the count.  Below STEPS_FLOOR the kicks' quadrature of the
+# envelope misses the window's share of xi by more than 1e-12 (13 steps:
+# 2.6e-9).  Against 8 times the steps, on CO2 at 0 K with xi <= 15 and a FWHM
+# of 0.05 to 0.2 ps the trace ends within 1.8e-8 of its transient peak; at
+# 293 K, 30 TW/cm^2 and 0.1 ps, 18 steps end within 4.5e-9
+STEPS_FLOOR, STEPS_PER_RADIAN = 16, 0.5
+LIBRATION_SPLIT, STEPS_PER_RADIAN_BEYOND = 3.8, 6
 
 
 class PropagationError(RuntimeError):
@@ -186,10 +196,27 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 
 def _rkn_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
-    """RKN steps over the pulse window for a chain basis up to j_max."""
-    width = 2.0 * pulse_half_window(pulse)
-    omega_max = raman_frequency(max(j_max - 2, 0), molecule)
-    return max(1, math.ceil(width * (STEPS_PER_RADIAN * omega_max + STEPS_PER_FWHM / pulse.tau_fwhm_ps)))
+    """RKN steps over the pulse window, from its libration phase; the basis, j_max, does not enter.
+
+    The phase is the window, 6 FWHM, times 2 sqrt(g B), the libration
+    frequency of an aligned rotor in the cos^2 theta well of the peak kick
+    rate g = xi / (tau_FWHM GAUSS_FWHM_INTEGRAL): 12 sqrt(xi s /
+    GAUSS_FWHM_INTEGRAL) radians, with s = tau_FWHM B the pulse length in
+    rotational units (B in rad/ps).  Past the float range the same count
+    comes from Decimal, so an absurd pulse reaches the working-set budget.
+    """
+    xi = effective_area(pulse, molecule)
+    if not math.isfinite(xi):
+        raise ValueError(f"kick strength xi = {xi:.3g} is too large to count the stepper's steps")
+    try:
+        phase = 12.0 * math.sqrt(xi * pulse.tau_fwhm_ps * TWO_PI_C * molecule.b_cm1 / GAUSS_FWHM_INTEGRAL)
+        if phase <= LIBRATION_SPLIT:
+            return math.ceil(STEPS_FLOOR + STEPS_PER_RADIAN * phase)
+        return math.ceil(STEPS_PER_RADIAN_BEYOND * phase)
+    except OverflowError:  # the phase is past the float range, far beyond the split
+        area = Decimal(xi) * Decimal(pulse.tau_fwhm_ps) * Decimal(TWO_PI_C) * Decimal(molecule.b_cm1)
+        phase = 12 * (area / Decimal(GAUSS_FWHM_INTEGRAL)).sqrt()
+        return int((Decimal(STEPS_PER_RADIAN_BEYOND) * phase).to_integral_value(ROUND_CEILING))
 
 
 def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):

@@ -543,7 +543,9 @@ def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
 
 # the budget names an estimate beyond the float range, and a j_max past 15
 # digits in .3g form; a kick whose headroom 4 xi overflows names the kick;
-# simulate sizes its basis through the same checks
+# simulate sizes its basis through the same checks; a TDSE pump so long that
+# its step count is past the float range reaches the budget too, and an
+# elliptic one whose xi overflows names the kick before its basis is sized
 _BUDGET = "GB of working memory, above the budget of 2 GB"
 _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
 
@@ -559,6 +561,19 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
                  f"propagation at j_max=1.78e+300 needs about 1.77e+593 {_BUDGET}", id="simulate-1e+300"),
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1.7e308},
                  f"kick strength xi = inf {_UNSIZABLE_KICK}", id="simulate-1.7e+308"),
+    pytest.param("fourier", {"intensity_tw_cm2": 30.0, "method": "tdse", "tau_fwhm_ps": 1e200},
+                 f"propagation at j_max=5.33e+202 needs about 5.52e+398 {_BUDGET}", id="tdse-tau-1e+200"),
+    pytest.param("fourier", {"intensity_tw_cm2": 30.0, "method": "tdse", "tau_fwhm_ps": 1e300},
+                 f"propagation at j_max=5.33e+302 needs about 5.52e+598 {_BUDGET}", id="tdse-tau-1e+300"),
+    pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 30.0, "method": "tdse",
+                              "tau_fwhm_ps": 1e200},
+                 f"propagation at j_max=5.33e+202 needs about 5.52e+398 {_BUDGET}", id="simulate-tdse-tau-1e+200"),
+    pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 30.0, "method": "tdse",
+                              "tau_fwhm_ps": 1e300},
+                 f"propagation at j_max=5.33e+302 needs about 5.52e+598 {_BUDGET}", id="simulate-tdse-tau-1e+300"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "method": "tdse", "tau_fwhm_ps": 1.0,
+                             "polarization": [0.8, 0.6]},
+                 "kick strength xi = inf is too large to count the stepper's steps", id="elliptic-1.7e+308"),
 ])
 def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, subcommand, pump, message):
     # the basis these need cannot be sized, let alone allocated
@@ -623,29 +638,29 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, ca
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=164 needs about 2.53 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=164 needs about 2.52 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
-    # 30 K fits at J_thermal_max = 26 (2.7 MB), but the sudden kick at 400
-    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.4 GB
+    # 30 K fits at J_thermal_max = 26 (4.2 MB), but the sudden kick at 400
+    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.5 GB
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
     out = tmp_path / "x"
     _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
-    assert "propagation at j_max=228 needs about 4.4 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=228 needs about 4.47 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
-    # 500 K fits the memory budget at J_thermal_max = 110 (0.53 GB), but 145
-    # kicks of the four sectors' free propagators there come to 2.2e12
+    # 500 K fits the memory budget at J_thermal_max = 110 (0.53 GB), but 109
+    # kicks of the four sectors' free propagators there come to 1.65e12
     # complex multiply-adds: rejected before the probe kick runs.  60 K at
-    # 30 TW/cm^2 needs 2.4e10 at j_max 60
+    # 30 TW/cm^2 needs 1.95e10 at j_max 60
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 500.0, "intensity_tw_cm2": 30.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert ("propagation at j_max=110 needs about 2.2e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=110 needs about 1.65e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 
@@ -657,7 +672,7 @@ def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 100.0, "intensity_tw_cm2": 200.0})
     out = tmp_path / "x"
     _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
-    assert ("propagation at j_max=152 needs about 1.91e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=152 needs about 4.03e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 

@@ -305,23 +305,23 @@ def _traces_at(monkeypatch, ens, pulse, factors):
 
 def test_tdse_step_doubling(monkeypatch):
     # the 4th-order splitting at twice the rule's steps moves the 293 K,
-    # 30 TW/cm^2 trace by at most 2e-8 of its transient peak (3.6e-9)
+    # 30 TW/cm^2 trace by at most 2e-8 of its transient peak (5.3e-9 at 18 steps)
     one, two = _traces_at(monkeypatch, boltzmann_ensemble(CO2, 293.0), PulseSpec(30.0), (1, 2))
     assert 0.0 < np.max(np.abs(one - two)) <= 2e-8 * np.max(np.abs(two))
 
 
 def test_rkn_splitting_is_fourth_order(monkeypatch):
     # on the 0 K chain at 30 TW/cm^2, against 16 times the rule's steps,
-    # going from 2 to 4 times the steps shrinks the trace error 14-fold; a
+    # going from 2 to 4 times the steps shrinks the trace error 13-fold; a
     # mistyped coefficient leaves a 2nd-order step (4-fold) or none
     two, four, ref = _traces_at(monkeypatch, GROUND, PulseSpec(30.0), (2, 4, 16))
     assert np.max(np.abs(two - ref)) >= 10.0 * np.max(np.abs(four - ref)) > 0.0
 
 
 def test_step_rule_holds_strong_kicks_at_zero_temperature(monkeypatch):
-    # the rule counts no kick strength: at 0 K, 30 TW/cm^2 (xi = 13) its trace
-    # is within 1e-7 of the peak of one at 4 times the steps (1.3e-8; Yoshida's
-    # triple jump under its own rule gave 7.8e-7)
+    # at 0 K, 30 TW/cm^2 (xi = 13), with no thermal average to soften it, the
+    # rule's 18 steps leave the trace within 1e-7 of the peak of one at 4 times
+    # the steps (1.4e-8; Yoshida's triple jump under its own rule gave 7.8e-7)
     one, four = _traces_at(monkeypatch, GROUND, PulseSpec(30.0), (1, 4))
     assert np.max(np.abs(one - four)) <= 1e-7 * np.max(np.abs(four))
 
@@ -329,7 +329,7 @@ def test_step_rule_holds_strong_kicks_at_zero_temperature(monkeypatch):
 def test_step_rule_holds_the_lattice(monkeypatch):
     # the lattice runs the chain's rule: at 0 K, 30 TW/cm^2 with A^2 = 2/3
     # both axes' traces are within 1e-7 of their peaks of the traces at 4
-    # times the steps (6.3e-9 on x and 7.7e-9 on y)
+    # times the steps (3.5e-9 on x and 5.5e-9 on y)
     times = revival_time_grid(CO2, 2048, t_start=0.5)
     steps = dynamics._rkn_steps
     traces = []

@@ -1,5 +1,6 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
-strength, the chain stepper's kick schedule over pulses, the chain stepper,
+strength, the chain stepper's kick schedule over pulses, its step count over
+temperature, kick strength and pulse length, the chain stepper,
 the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
 sectors, and the CLI's exit codes over generated configs."""
@@ -56,6 +57,28 @@ def test_kick_schedule_spans_the_window_and_sums_to_xi(tau, t0, j_max):
     window = 6.0 * tau
     assert offsets[-1] - offsets[0] == window
     assert abs(gaps[order].sum() / window - 1.0) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(temperature=st.floats(0.0, 40.0), xi=st.floats(0.1, 15.0), tau=st.floats(0.05, 0.2))
+@example(temperature=0.0, xi=14.5, tau=0.1)  # the worst of a 0 K scan of xi and tau: 1.8e-8
+@example(temperature=0.0, xi=15.0, tau=0.11)  # just past the split: 19 steps would leave 2.2e-8
+@example(temperature=0.0, xi=15.0, tau=0.2)  # 28 steps, 5 per radian, would leave 2.5e-8
+def test_step_rule_holds_over_kicks_and_pulse_lengths(temperature, xi, tau):
+    # the rule counts the kick strength and the pulse length, on either side
+    # of LIBRATION_SPLIT: the trace at its steps is within 2e-8 of its peak of
+    # the trace at 8 times the steps
+    pulse = PulseSpec(xi / xi_per_intensity(CO2, tau), tau)
+    ens = boltzmann_ensemble(CO2, temperature)
+    times = revival_time_grid(CO2, 2048, t_start=0.5)
+    steps = dynamics._rkn_steps
+    traces = []
+    with pytest.MonkeyPatch.context() as mp:
+        for f in (1, 8):
+            mp.setattr(dynamics, "_rkn_steps", lambda *args, f=f: f * steps(*args))
+            traces.append(reconstruct(fourier_decompose(tdse_ensemble(CO2, ens, pulse), "y"), times).values)
+    one, ref = traces
+    assert np.max(np.abs(one - ref)) <= 2e-8 * np.max(np.abs(ref))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
