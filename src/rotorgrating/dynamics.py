@@ -18,12 +18,12 @@ symmetric 4th-order SRKN_6^b (J. Comput. Appl. Math. 142, 313 (2002)),
 b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1, where a kick of weight b is the exact
 V e^{i b H g(t) Lambda} V^T at the time t the free flows have reached and a
 free flow of weight a is exp(-i omega a H) (a3 < 0 flows back).  n uniform
-steps of width H span the pulse window, counted from its libration phase,
-the window times 2 sqrt(g B) at the peak kick rate: a function of xi and of
-the FWHM in rotational units alone (_rkn_steps); adjacent steps share their
-end kick, so n steps make 6n + 1 kicks.  Free flows act as V^T e^{-i omega
-d} V, so the state stays in the eigenbasis between kicks, one complex GEMM
-per kick.
+steps of width H span the pulse window, counted from the basis' fastest
+Raman phase and from the pulse's libration phase, the window times 2 sqrt(g
+B) at the peak kick rate, which depends on xi and the FWHM in rotational
+units alone (_rkn_steps); adjacent steps share their end kick, so n steps
+make 6n + 1 kicks.  Free flows act as V^T e^{-i omega d} V, so the state
+stays in the eigenbasis between kicks, one complex GEMM per kick.
 
 On a (J parity, M parity) lattice group C = A^2 cos^2 theta_x + B^2 cos^2
 theta_y is one fixed operator too.  The reflection R|J,M> = (-1)^M |J,-M>
@@ -117,17 +117,21 @@ _B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
 _A1, _A2 = 0.245298957184271, 0.604872665711080
 RKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
 RKN_FREE = (_A1, _A2, 0.5 - _A1 - _A2)
-# RKN steps over the pulse window from its libration phase phi in radians
-# (_rkn_steps): STEPS_FLOOR + STEPS_PER_RADIAN phi up to LIBRATION_SPLIT, where
-# the splitting's 4th-order error and its envelope error cancel near 18
-# steps, and STEPS_PER_RADIAN_BEYOND phi past it, where the 4th-order error
-# alone sets the count.  Below STEPS_FLOOR the kicks' quadrature of the
-# envelope misses the window's share of xi by more than 1e-12 (13 steps:
-# 2.6e-9).  Against 8 times the steps, on CO2 at 0 K with xi <= 15 and a FWHM
-# of 0.05 to 0.2 ps the trace ends within 1.8e-8 of its transient peak; at
-# 293 K, 30 TW/cm^2 and 0.1 ps, 18 steps end within 4.5e-9
-STEPS_FLOOR, STEPS_PER_RADIAN = 16, 0.5
-LIBRATION_SPLIT, STEPS_PER_RADIAN_BEYOND = 3.8, 6
+# RKN steps over the pulse window W (_rkn_steps): two counts that add in the
+# 4-norm, as the errors of a 4th-order splitting do.  The Raman count, W
+# STEPS_PER_RADIAN omega_R,max, resolves the basis' fastest Raman phase; the
+# libration count resolves the pulse's libration phase phi.  While the kick
+# strength and the FWHM in rotational units s = tau B keep xi^(5/4) s within
+# LIBRATION_SPLIT, the libration count is STEPS_FLOOR +
+# STEPS_PER_LIBRATION_RADIAN phi, where the splitting's 4th-order error and
+# its envelope error cancel near 18 steps; past it, STEPS_PER_RADIAN_BEYOND
+# phi.  At 0 K the first form first leaves more than 2e-8 of the trace's peak
+# at xi^(5/4) s = 0.22 for FWHMs of 0.01 to 0.1 ps (CO2; 0.23 with a J = 1
+# ground level) and later for longer ones: the split sits 9% below that.
+# Below STEPS_FLOOR the kicks' quadrature of the envelope misses the window's
+# share of xi by more than 1e-12
+STEPS_PER_RADIAN, STEPS_FLOOR = 0.3, 16
+STEPS_PER_LIBRATION_RADIAN, LIBRATION_SPLIT, STEPS_PER_RADIAN_BEYOND = 0.5, 0.2, 6
 
 
 class PropagationError(RuntimeError):
@@ -196,27 +200,29 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 
 def _rkn_steps(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int) -> int:
-    """RKN steps over the pulse window, from its libration phase; the basis, j_max, does not enter.
+    """RKN steps over the pulse window for a chain basis up to j_max.
 
-    The phase is the window, 6 FWHM, times 2 sqrt(g B), the libration
-    frequency of an aligned rotor in the cos^2 theta well of the peak kick
-    rate g = xi / (tau_FWHM GAUSS_FWHM_INTEGRAL): 12 sqrt(xi s /
-    GAUSS_FWHM_INTEGRAL) radians, with s = tau_FWHM B the pulse length in
-    rotational units (B in rad/ps).  Past the float range the same count
-    comes from Decimal, so an absurd pulse reaches the working-set budget.
+    The Raman count is the window, 6 FWHM, times STEPS_PER_RADIAN the
+    basis' fastest Raman frequency omega_R(j_max - 2).  The libration phase is
+    the window times 2 sqrt(g B), the libration frequency of an aligned rotor
+    in the cos^2 theta well of the peak kick rate g = xi / (tau_FWHM
+    GAUSS_FWHM_INTEGRAL): 12 sqrt(xi s / GAUSS_FWHM_INTEGRAL) radians, with s
+    = tau_FWHM B the FWHM in rotational units (B in rad/ps).  In those units a
+    chain's equations hold xi, s and its levels alone, so the count carries
+    over between molecules.  It is taken in Decimal, so a pulse past the float
+    range reaches the working-set budget.
     """
     xi = effective_area(pulse, molecule)
     if not math.isfinite(xi):
         raise ValueError(f"kick strength xi = {xi:.3g} is too large to count the stepper's steps")
-    try:
-        phase = 12.0 * math.sqrt(xi * pulse.tau_fwhm_ps * TWO_PI_C * molecule.b_cm1 / GAUSS_FWHM_INTEGRAL)
-        if phase <= LIBRATION_SPLIT:
-            return math.ceil(STEPS_FLOOR + STEPS_PER_RADIAN * phase)
-        return math.ceil(STEPS_PER_RADIAN_BEYOND * phase)
-    except OverflowError:  # the phase is past the float range, far beyond the split
-        area = Decimal(xi) * Decimal(pulse.tau_fwhm_ps) * Decimal(TWO_PI_C) * Decimal(molecule.b_cm1)
-        phase = 12 * (area / Decimal(GAUSS_FWHM_INTEGRAL)).sqrt()
-        return int((Decimal(STEPS_PER_RADIAN_BEYOND) * phase).to_integral_value(ROUND_CEILING))
+    tau, xi, b = Decimal(pulse.tau_fwhm_ps), Decimal(xi), Decimal(TWO_PI_C * molecule.b_cm1)
+    raman = 6 * tau * Decimal(STEPS_PER_RADIAN) * b * (4 * max(j_max - 2, 0) + 6)
+    phase = 12 * (xi * tau * b / Decimal(GAUSS_FWHM_INTEGRAL)).sqrt()
+    if xi ** Decimal(1.25) * tau * b <= LIBRATION_SPLIT:
+        libration = STEPS_FLOOR + Decimal(STEPS_PER_LIBRATION_RADIAN) * phase
+    else:
+        libration = STEPS_PER_RADIAN_BEYOND * phase
+    return int(((raman**4 + libration**4) ** Decimal(0.25)).to_integral_value(ROUND_CEILING))
 
 
 def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):

@@ -59,24 +59,36 @@ def test_kick_schedule_spans_the_window_and_sums_to_xi(tau, t0, j_max):
     assert abs(gaps[order].sum() / window - 1.0) <= 1e-12
 
 
+_RANDOM_MOLECULES = st.tuples(st.floats(0.2, 2.0), st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 3.0)])
+                              ).map(lambda m: MoleculeSpec("random", m[0], 2.0, *m[1]))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(temperature=st.floats(0.0, 40.0), xi=st.floats(0.1, 15.0), tau=st.floats(0.05, 0.2))
-@example(temperature=0.0, xi=14.5, tau=0.1)  # the worst of a 0 K scan of xi and tau: 1.8e-8
-@example(temperature=0.0, xi=15.0, tau=0.11)  # just past the split: 19 steps would leave 2.2e-8
-@example(temperature=0.0, xi=15.0, tau=0.2)  # 28 steps, 5 per radian, would leave 2.5e-8
-def test_step_rule_holds_over_kicks_and_pulse_lengths(temperature, xi, tau):
-    # the rule counts the kick strength and the pulse length, on either side
-    # of LIBRATION_SPLIT: the trace at its steps is within 2e-8 of its peak of
-    # the trace at 8 times the steps
-    pulse = PulseSpec(xi / xi_per_intensity(CO2, tau), tau)
-    ens = boltzmann_ensemble(CO2, temperature)
-    times = revival_time_grid(CO2, 2048, t_start=0.5)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 40.0),
+       xi=st.floats(0.1, 15.0), tau=st.floats(0.05, 0.2))
+@example(molecule=CO2, temperature=0.0, xi=14.0, tau=0.1)  # the worst of a 0 K scan below the split: 1.6e-8
+@example(molecule=CO2, temperature=0.0, xi=15.0, tau=0.135)  # and past it, 27 steps: 1.6e-8
+@example(molecule=CO2, temperature=0.0, xi=26.65, tau=0.05)  # past it at simulate-tdse's phi: 22 steps, 1.5e-8
+@example(molecule=MoleculeSpec("random", 0.39021, 2.0, 0.0, 1.0), temperature=0.0, xi=15.0, tau=0.092)
+@example(molecule=CO2, temperature=293.0, xi=0.4443, tau=0.5)
+def test_step_rule_holds_over_kicks_and_pulse_lengths(molecule, temperature, xi, tau):
+    # the rule counts the kick strength and the pulse length in rotational
+    # units, on either side of LIBRATION_SPLIT (18 steps would leave 2.1e-8
+    # on the third example, whose libration phase is simulate-tdse's) and for
+    # other molecules (the fourth starts from J = 1 at the split, 1.6e-8),
+    # and the basis' fastest Raman phase: the weak 0.5 ps pulse at 293 K
+    # takes 27 steps (5.0e-10), where the libration count's 18 alias the
+    # populated Raman lines and leave 1.9e-7.  The trace at the rule's steps
+    # is within 2e-8 of its peak of the trace at 8 times the steps
+    pulse = PulseSpec(xi / xi_per_intensity(molecule, tau), tau)
+    ens = boltzmann_ensemble(molecule, temperature)
+    times = revival_time_grid(molecule, 2048, t_start=0.5)
     steps = dynamics._rkn_steps
     traces = []
     with pytest.MonkeyPatch.context() as mp:
         for f in (1, 8):
             mp.setattr(dynamics, "_rkn_steps", lambda *args, f=f: f * steps(*args))
-            traces.append(reconstruct(fourier_decompose(tdse_ensemble(CO2, ens, pulse), "y"), times).values)
+            traces.append(reconstruct(fourier_decompose(tdse_ensemble(molecule, ens, pulse), "y"), times).values)
     one, ref = traces
     assert np.max(np.abs(one - ref)) <= 2e-8 * np.max(np.abs(ref))
 
