@@ -43,7 +43,12 @@ exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
 The chains size an unsized basis with suggest_j_max's fixed headroom; the
 lattice, whose work grows about as j_max^4, starts where the sudden chain
 kick of the same xi leaves at most PROBE_EDGE_TOL in its top two shells
-(_measured_j_max), once both budgets pass at J_thermal_max.
+(_measured_j_max), once both budgets pass at J_thermal_max.  That probe
+kicks twice (_measured_kick): each thermal level's M0 = 0 origin alone, on
+suggest_j_max's basis, one chain per J parity, whose reach bounds the
+ensemble's because the M = 0 chains climb fastest; then the whole ensemble
+on the bound plus 2, grown while its own top two shells hold more than
+PROBE_EDGE_TOL.  observables.regime_scan pins its basis at that second kick.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -727,18 +732,57 @@ def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j
             return cs
         if max_regrow == 0:
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
-        j_max = int(j_max * 1.5) + 10
+        j_max = _grown(j_max)
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
+def _reach(cs: ChannelSet, top: int) -> int:
+    """The smallest j_max >= top whose top two shells, J >= j_max - 1, hold at
+    most PROBE_EDGE_TOL of the set's weighted population."""
+    beyond = np.cumsum(cs.level_populations()[::-1])[::-1]  # population at J >= j, non-increasing in j
+    return max(top, int(np.count_nonzero(beyond > PROBE_EDGE_TOL)) + 1)
+
+
+def _grown(j_max: int) -> int:
+    """The next basis a regrow tries."""
+    return int(j_max * 1.5) + 10
+
+
+def _measured_kick(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> ChannelSet:
+    """The sudden chain kick of the ensemble on a basis whose top two shells
+    hold at most PROBE_EDGE_TOL, sized in two stages.
+
+    The bound: the M0 = 0 origin of each thermal level, carrying the level's
+    whole weight, kicked on suggest_j_max's basis (one chain per J parity),
+    and its _reach.  cos2theta_offdiag falls with |M|, so the M = 0 chains
+    climb fastest and the bound is not below the whole ensemble's reach.  The
+    ensemble is then kicked on the bound plus 2, and on larger bases, grown
+    as _with_regrow grows them, while that kick's own top two shells hold
+    more than PROBE_EDGE_TOL.
+    """
+    top = ensemble.j_thermal_max
+    weights = np.bincount(ensemble.j0, weights=ensemble.weights)
+    levels = np.flatnonzero(weights)
+    origins = ThermalEnsemble(ensemble.temperature, zip(levels.tolist(), [0] * len(levels), weights[levels]))
+    j_max = _reach(kick_ensemble(molecule, origins, xi), top) + 2
+    for _ in range(4):  # the first basis and kick_ensemble's 3 regrows
+        try:
+            cs = kick_ensemble(molecule, ensemble, xi, j_max)
+        except BasisTooSmallError:  # its edge holds more than EDGE_POPULATION_TOL
+            pass
+        else:
+            if cs.edge_leak() <= PROBE_EDGE_TOL:
+                return cs
+        j_max = _grown(j_max)
+    raise BasisTooSmallError(f"the sudden kick populates the basis edge past {PROBE_EDGE_TOL:g} "
+                             f"after growing j_max to {j_max}")
+
+
 def _measured_j_max(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> int:
-    """The smallest j_max >= J_thermal_max whose top two shells, J >= j_max - 1,
-    hold at most PROBE_EDGE_TOL of the weighted population of the sudden chain
-    kick of the same xi: a kick linearly polarized and sudden reaches at least
-    as high in J as an elliptic finite pulse of that xi."""
-    pops = kick_ensemble(molecule, ensemble, xi).level_populations()
-    beyond = np.cumsum(pops[::-1])[::-1]  # population at J >= j, non-increasing in j
-    return max(ensemble.j_thermal_max, int(np.count_nonzero(beyond > PROBE_EDGE_TOL)) + 1)
+    """The _reach of the sudden chain kick of the same xi (_measured_kick):
+    a kick linearly polarized and sudden reaches at least as high in J as an
+    elliptic finite pulse of that xi."""
+    return _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max)
 
 
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow):

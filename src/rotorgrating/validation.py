@@ -135,6 +135,12 @@ def normal_cdf(x):
     return 0.5 * _erfc(-np.asarray(x) / math.sqrt(2.0))
 
 
+def _check_oracle_temperature(temperature: float):
+    """ValueError unless the classical oracle's thermal spread is defined: temperature > 0."""
+    if temperature <= 0:
+        raise ValueError(f"classical oracle needs a positive temperature, got {temperature}")
+
+
 def classical_permanent_alignment(molecule: MoleculeSpec, temperature: float, xi):
     """Permanent alignment C of a thermal classical rotor after a kick xi.
 
@@ -156,8 +162,7 @@ def classical_permanent_alignment(molecule: MoleculeSpec, temperature: float, xi
     (sigma = sqrt(kT/2B); xi = 160 for CO2 at 293 K); stronger kicks narrow
     the density to ~1/a and need more nodes.  `xi` may be a scalar or an array.
     """
-    if temperature <= 0:
-        raise ValueError(f"classical oracle needs a positive temperature, got {temperature}")
+    _check_oracle_temperature(temperature)
     xi = np.asarray(xi, dtype=float)
     sigma = math.sqrt(thermal_wavenumber(temperature) / (2.0 * molecule.b_cm1))
     u, wu = np.polynomial.legendre.leggauss(100)
@@ -348,7 +353,9 @@ def run_all(
 ) -> list[CheckResult]:
     """Selected suites, run one after another in a fixed order.
 
-    A suite whose propagation fails reports that as one failed row.
+    A suite whose propagation fails reports that as one failed row.  The
+    regime suite's classical oracle needs a positive temperature, checked
+    before any suite runs.
     """
     jobs = {
         "operators": lambda: suite_operators(),
@@ -362,6 +369,8 @@ def run_all(
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown validation suites {unknown}; choose from {list(SUITE_NAMES)}")
+    if "regimes" in names:
+        _check_oracle_temperature(temperature)
 
     def run(name):
         try:

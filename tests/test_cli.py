@@ -600,31 +600,46 @@ def test_fourier_rejects_tdse_too_large_to_size(tmp_path, no_propagation, capsys
 def no_lattice(monkeypatch):
     """Fail any lattice propagation at its first operator build or step, and
     record every working-set estimate checked; a sudden chain kick, such as
-    the probe that sizes an unsized lattice, still runs."""
+    the two stages of the probe that sizes an unsized lattice, still runs and
+    records the memory traced before it and its traced peak."""
     def propagate(*args, **kwargs):
         raise AssertionError("a lattice propagation started")
 
     for name in ("cos2theta_axis_matrix", "_lattice_steps"):
         monkeypatch.setattr(dynamics, name, propagate)
-    estimates = []
-    check = dynamics.check_working_set
+    estimates, kicks = [], []
+    check, kick = dynamics.check_working_set, dynamics.kick_ensemble
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
-    return estimates
+
+    def traced_kick(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cs = kick(*args, **kwargs)
+        kicks.append((before, tracemalloc.get_traced_memory()[1]))
+        return cs
+
+    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
+    return estimates, kicks
 
 
-def _exits_2_under_the_probe(argv, estimates):
+def _exits_2_under_the_probe(argv, traced):
     """main(argv) exits 2 after checking the lattice at J_thermal_max, the
-    probe kick and the lattice at the probe's basis, its traced peak under the
-    probe's working-set estimate: the lattice allocated nothing."""
+    probe's two kicks (the bound's, then the ensemble's) and the lattice at
+    the probe's basis.  Each kick's traced peak stays under its own
+    working-set estimate, and from the ensemble's kick on the run's peak
+    stays under that kick's: the lattice allocated nothing."""
+    estimates, kicks = traced
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_CONFIG
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]  # since the last kick started
     finally:
         tracemalloc.stop()
-    _, probe, _ = estimates
-    assert peak < probe
+    _, bound, probe, _ = estimates
+    for (before, kick_peak), estimate in zip(kicks, (bound, probe), strict=True):
+        assert kick_peak - before <= estimate
+    assert peak - kicks[-1][0] < probe
 
 
 _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
@@ -754,6 +769,28 @@ def test_validate_writes_strict_json_when_the_edge_guard_fires(tmp_path, capsys)
     (row,) = _strict_json(out / "validation.json")["checks"]
     assert (row["name"], row["passed"], row["measured"]) == ("norm_leak_guard", False, None)
     assert "enlarge j_max" in row["detail"]
+
+
+def test_validate_rejects_a_zero_temperature_before_any_suite(tmp_path, no_propagation, capsys):
+    # the regime suite's classical oracle needs a positive temperature: with
+    # that suite selected, validate exits 2 before any suite runs, prints no
+    # row and writes nothing
+    out = tmp_path / "val"
+    for suites in ({}, {"suites": ["regimes"]}, {"suites": ["hygiene", "regimes"]}):
+        cfg = _cfg(tmp_path, {"temperature_K": 0, **suites})
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: classical oracle needs a positive temperature, got 0.0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_validate_runs_the_other_suites_at_zero_temperature(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"temperature_K": 0, "suites": ["hygiene"]})
+    out = tmp_path / "val"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "validate: 3/3 checks passed" in capsys.readouterr().out
+    assert json.loads((out / "validation.json").read_text())["passed"] is True
 
 
 def test_validate_unknown_suite_name(tmp_path, capsys):

@@ -395,25 +395,34 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # result plus the largest sector's stepper arrays: its operator and
     # eigenvectors, three free propagators and their build's two
     # temporaries, the kick phase table and 3 state matrices.  Unsized, the
-    # lattice checks its smallest basis, J_thermal_max, then runs the sudden
-    # chain kick that measures its basis, under the kick's own estimate, and
-    # checks the measured basis: each stage's peak stays under its estimate
-    estimates, stages = [], []
+    # lattice checks its smallest basis, J_thermal_max, then runs the two
+    # sudden chain kicks that measure its basis, the bound's and the
+    # ensemble's, each under its own estimate, and checks the measured
+    # basis: each stage's peak stays under its estimate
+    estimates, kicks_traced, probes = [], [], []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
-    measure = dynamics._measured_j_max
+    kick, measure = dynamics.kick_ensemble, dynamics._measured_j_max
+
+    def traced_kick(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cs = kick(*args)
+        kicks_traced.append((before, tracemalloc.get_traced_memory()[1]))  # (held before it, its peak)
+        return cs
 
     def traced_measure(*args):
         j_max = measure(*args)
-        stages.append(tracemalloc.get_traced_memory())  # (left after the probe, its peak)
+        probes.append(tracemalloc.get_traced_memory()[0])  # left after the probe
         tracemalloc.reset_peak()
         return j_max
 
+    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
     monkeypatch.setattr(dynamics, "_measured_j_max", traced_measure)
     pulse = elliptic_pulse(10.0, 2 / 3, 1 / 3)
     ens = boltzmann_ensemble(CO2, 20.0)
-    kick_ensemble(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
+    kick(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
     dynamics.clear_caches()
     estimates.clear()
     tracemalloc.start()
@@ -427,14 +436,40 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the + sector, the larger, holds a group's M >= 0 sites
     halves = [len(dynamics._reflection_sectors(b.basis)[0][2]) for b in cs.blocks]
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
-    smallest, probe, lattice = estimates
+    smallest, bound, probe, lattice = estimates
     assert lattice == (sum(16 * n * k for n, k in shapes)
                        + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
                              for h, (_, k) in zip(halves, shapes)))
     assert ens.j_thermal_max < cs.j_max and smallest < lattice
-    ((kept, probe_peak),) = stages
-    assert probe_peak <= probe
+    # the bound's kick, of one level per chain, is the smaller
+    assert bound < probe
+    for (before, kick_peak), estimate in zip(kicks_traced, (bound, probe), strict=True):
+        assert kick_peak - before <= estimate
+    (kept,) = probes
     assert peak - kept <= lattice
+
+
+@pytest.mark.parametrize("bound, bases", [(0, [2, 13, 29]), (16, [18, 37])])
+def test_probe_grows_a_basis_its_bound_misses(monkeypatch, bound, bases):
+    # bounds below the reach of 20: the ensemble's kick on the bound plus 2
+    # populates the edge past the edge contract (on 2 and 13) or past
+    # PROBE_EDGE_TOL alone (4.9e-10 on 18), and the probe grows the basis as
+    # a regrow does until the kick's top two shells hold at most
+    # PROBE_EDGE_TOL; its reach is then the one measured on suggest_j_max's
+    # basis
+    ens = boltzmann_ensemble(CO2, 0.0)
+    reach, kick, kicked = dynamics._reach, dynamics.kick_ensemble, []
+
+    def traced_kick(*args):
+        kicked.append(args[3:])
+        return kick(*args)
+
+    monkeypatch.setattr(dynamics, "_reach", lambda cs, top: bound)  # the probe reads the bound's reach alone
+    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
+    cs = dynamics._measured_kick(CO2, ens, 5.0)
+    assert kicked == [()] + [(j,) for j in bases]
+    assert cs.j_max == bases[-1] and cs.edge_leak() <= dynamics.PROBE_EDGE_TOL
+    assert reach(cs, 0) == reach(kick(CO2, ens, 5.0), 0) == 20
 
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):

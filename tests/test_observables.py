@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rotorgrating import observables
+from rotorgrating import dynamics, observables
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble
@@ -23,7 +23,7 @@ from rotorgrating.observables import (
     thermal_channel_set,
     write_trace_csv,
 )
-from rotorgrating.rotor import CO2, boltzmann_ensemble
+from rotorgrating.rotor import CO2, boltzmann_ensemble, suggest_j_max
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,36 @@ def test_regime_scan_slopes_and_affine_fit():
     assert intercept < 0.0
     assert np.all(np.diff(scan.c_values) > 0.0)
     assert np.all(scan.max_values >= scan.c_values - 1e-12)
+    # the basis pinned at the largest intensity holds that kick to
+    # PROBE_EDGE_TOL, below suggest_j_max's headroom, and every point matches
+    # the same kick on suggest_j_max's basis
+    ens, per_i = boltzmann_ensemble(CO2, 293.0), xi_per_intensity(CO2)
+    wide = suggest_j_max(ens.j_thermal_max, per_i * 80.0)
+    j_max = scan.metadata["j_max"]
+    assert j_max < wide
+    assert kick_ensemble(CO2, ens, per_i * 80.0, j_max).edge_leak() <= dynamics.PROBE_EDGE_TOL
+    period = revival_period(CO2.b_cm1)
+    for i, c, top in zip(scan.intensities, scan.c_values, scan.max_values):
+        dec = fourier_decompose(kick_ensemble(CO2, ens, per_i * i, wide), "y")
+        assert c == pytest.approx(dec.constant, rel=1e-9, abs=0.0)
+        assert top - c == pytest.approx(max_over_period(dec, 1.0, period) - dec.constant, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("intensities, message", [
+    ([2.0, 2.0, 2.0], r"need at least 3 distinct intensities, got \[2.0, 2.0, 2.0\]"),
+    ([2.0, 4.0], r"need at least 3 distinct intensities, got \[2.0, 4.0\]"),
+    ([2.0, 4.0, float("nan")], r"intensities must be finite and positive, got \[nan\]"),
+    ([float("inf"), 4.0, 0.0, -1.0, 8.0], r"intensities must be finite and positive, got \[inf, 0.0, -1.0\]"),
+])
+def test_regime_scan_rejects_intensities_before_kicking(monkeypatch, intensities, message):
+    # a log-log fit through one distinct x is no slope, and a NaN is no
+    # intensity: both are named before any kick runs
+    def kick(*args, **kwargs):
+        raise AssertionError("a kick ran")
+
+    monkeypatch.setattr(dynamics, "_gathered_kicks", kick)
+    with pytest.raises(ValueError, match=message):
+        regime_scan(CO2, 293.0, intensities)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ strength, the chain stepper's kick schedule over pulses, its step count over
 temperature, kick strength and pulse length, the chain stepper,
 the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
-sectors, and the CLI's exit codes over generated configs."""
+sectors, the bound of the probe that sizes the lattice, and the CLI's exit
+codes over generated configs."""
 
 import json
 import math
@@ -269,6 +270,31 @@ def test_measured_lattice_basis_holds_its_edge_and_traces(temperature, xi, a2):
     peak = max(np.max(np.abs(w)) for w in want)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-9 * peak
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 300.0),
+       xi=st.floats(0.1, 35.0))
+@example(molecule=MoleculeSpec("random", 0.2, 2.0, 1.0, 1.0), temperature=5.0, xi=13.0)
+@example(molecule=MoleculeSpec("random", 0.2, 2.0, 1.0, 3.0), temperature=300.0, xi=35.0)
+def test_probe_bound_holds_the_measured_reach(molecule, temperature, xi):
+    # the probe's first kick, each level's M0 = 0 origin with the level's
+    # weight, bounds the reach of the whole ensemble's kick on
+    # suggest_j_max's basis from above, and its second kick, on the bound
+    # plus 2, measures exactly that reach (measured on the bound itself, the
+    # first example reads 39, not 38)
+    ens = boltzmann_ensemble(molecule, temperature)
+    kicked = []
+    kick = dynamics.kick_ensemble
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "kick_ensemble", lambda *args: kicked.append(kick(*args)) or kicked[-1])
+        measured = dynamics._measured_j_max(molecule, ens, xi)
+    first, *rest = kicked
+    assert np.all(first.layout.m0 == 0) and len(first.weights) == len(np.unique(ens.j0))
+    bound = dynamics._reach(first, ens.j_thermal_max)
+    oracle = dynamics._reach(kick_ensemble(molecule, ens, xi), ens.j_thermal_max)
+    assert bound >= oracle and measured == oracle
+    assert rest[0].j_max == bound + 2 and rest[-1].edge_leak() <= dynamics.PROBE_EDGE_TOL
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
