@@ -36,19 +36,20 @@ a (J-parity, M-parity) lattice group into single linear-algebra calls, one
 block per chain or group: an amplitude matrix with one column per channel.
 _group_channels groups them in the order their keys first appear, each
 group's channels in ensemble order.
-The reduction order is fixed, so reruns are bit-identical.  Before it
-allocates, each driver estimates its working set at the chosen j_max (and
-again after every regrow) and raises ValueError naming the estimate when it
-exceeds MAX_WORKING_SET_BYTES; the elliptic one also bounds its kick work.
-The chains size an unsized basis with suggest_j_max's fixed headroom; the
-lattice, whose work grows about as j_max^4, starts where the sudden chain
-kick of the same xi leaves at most PROBE_EDGE_TOL in its top two shells
-(_measured_j_max), once both budgets pass at J_thermal_max.  That probe
-kicks twice (_measured_kick): each thermal level's M0 = 0 origin alone, on
-suggest_j_max's basis, one chain per J parity, whose reach bounds the
-ensemble's because the M = 0 chains climb fastest; then the whole ensemble
-on the bound plus 2, grown while its own top two shells hold more than
-PROBE_EDGE_TOL.  observables.regime_scan pins its basis at that second kick.
+The reduction order is fixed, so reruns are bit-identical.  One loop,
+_with_regrow, sizes every basis: before it allocates it estimates the
+driver's budgets at the j_max it tries, its working set and the complex
+multiply-adds of its kicks, and raises ValueError naming the estimate when
+either exceeds MAX_WORKING_SET_BYTES or MAX_KICK_WORK; after propagating it
+grows j_max while the top two shells hold more than the population its
+caller names.  The chains start an unsized basis at suggest_j_max's fixed
+headroom and grow to EDGE_POPULATION_TOL.  The lattice, whose work grows
+about as j_max^4, starts at the reach of the sudden chain kick of the same
+xi, once both budgets pass at J_thermal_max.  That kick (_measured_kick)
+starts from each thermal level's M0 = 0 origin alone, kicked on
+suggest_j_max's basis, one chain per J parity, whose reach plus 2 bounds the
+ensemble's because the M = 0 chains climb fastest, and grows to
+PROBE_EDGE_TOL.  observables.regime_scan pins its basis at that kick.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -57,11 +58,11 @@ unkicked set on its origins and read its edge leak with one gather.  A chain
 layout packs the eigendecompositions of its chains the same way, built on
 the first kick.  _LAYOUTS, the one cache of chain data, is keyed by the
 channels and j_max: every ensemble with the same channels gets the same
-layout at one j_max, grouped only when none is cached, and the cache keeps
-the latest few that fit a share of the working-set budget.  The sudden kick
-fills every block's right-hand side V^T[:, rows] e^{i xi Lambda} with one
-exponential of the eigenvalues, one repeat and one gather by the layout's
-int32 index.  Then kick_ensemble and tdse_ensemble walk the layout's runs of
+layout at one j_max, grouped only when none of them is cached at any j_max,
+and the cache keeps the latest few that fit a share of the working-set
+budget.  The sudden kick fills every block's right-hand side V^T[:, rows]
+e^{i xi Lambda} with one exponential of the eigenvalues, one repeat and one
+gather by the layout's int32 index.  Then kick_ensemble and tdse_ensemble walk the layout's runs of
 consecutive equal-shape blocks, each run one stack of matrices: the kick
 runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
 place in the packed array.  Every BLAS call sees the operands a
@@ -510,18 +511,20 @@ class BlockLayout:
         return cos2theta_diagonal(levels, m), levels[lower], 2.0 * cos2theta_offdiag(levels[lower], m[lower])
 
 
-def _chains(ensemble: ThermalEnsemble, j_max: int) -> tuple:
+def _chains(ensemble: ThermalEnsemble) -> tuple:
     """(keys, counts, order) of the ensemble's fixed-M chains, keyed (|M0|, J0
-    parity): the cached layout's for these channels at j_max, else grouped."""
-    layout = _LAYOUTS.get((ensemble.j0.tobytes(), ensemble.m0.tobytes(), j_max))
-    if layout is not None:
-        return layout.keys, layout.counts, layout.order
+    parity): those of any cached layout of these channels, whatever its
+    j_max, else grouped."""
+    channels = (ensemble.j0.tobytes(), ensemble.m0.tobytes())
+    for key, layout in _LAYOUTS.items():
+        if key[:2] == channels:
+            return layout.keys, layout.counts, layout.order
     return _group_channels(ensemble, np.abs(ensemble.m0), ensemble.j0 % 2)
 
 
 def _chain_layout(ensemble: ThermalEnsemble, j_max: int, chains: tuple) -> BlockLayout:
     """The layout of the ensemble's chains at j_max, taken from the cache or
-    built from `chains`, their _chains at j_max.
+    built from `chains`, their _chains, which hold at every j_max.
 
     The cache is keyed by the channels and j_max, so ensembles built apart
     with equal channels share a layout.  It keeps the LAYOUT_CACHE_SIZE most
@@ -691,48 +694,52 @@ def require_y_polarized(pulse: PulseSpec):
         )
 
 
-def _check_budgets(j_max: int, working_set, kick_work=None):
-    """ValueError naming j_max (past 15 digits in Decimal's .3g form) if working_set(j_max)
-    bytes exceed MAX_WORKING_SET_BYTES or kick_work(j_max) complex multiply-adds MAX_KICK_WORK."""
+def _check_budgets(j_max: int, budgets):
+    """ValueError naming j_max (past 15 digits in Decimal's .3g form) if budgets(j_max), (bytes,
+    complex multiply-adds of kicks), exceeds MAX_WORKING_SET_BYTES or MAX_KICK_WORK."""
     at = f"propagation at j_max={j_max if j_max < 10**15 else format(Decimal(j_max), '.3g')}"
-    check_working_set(working_set(j_max), at)
-    if kick_work is not None and (work := kick_work(j_max)) > MAX_KICK_WORK:
+    nbytes, work = budgets(j_max)
+    check_working_set(nbytes, at)
+    if work > MAX_KICK_WORK:
         raise ValueError(f"{at} needs about {work:.3g} complex multiply-adds "
                          f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
 
 
-def _with_regrow(propagate, working_set, ensemble: ThermalEnsemble, xi: float, j_max,
-                 max_regrow: int, kick_work=None, measure=None):
-    """propagate(j_max) -> ChannelSet, regrowing j_max while the basis edge is populated.
+def _with_regrow(propagate, budgets, ensemble: ThermalEnsemble, xi: float, j_max, max_regrow: int,
+                 measure=None, tol=EDGE_POPULATION_TOL):
+    """propagate(j_max) -> ChannelSet, regrowing j_max while the top two J
+    shells hold more than tol of the weighted population.
 
-    Without j_max the basis starts at measure(), or, without measure, at
-    suggest_j_max's thermal and kick scales, and may regrow max_regrow times;
-    an explicit basis is a contract: fail instead.  measure runs only once
-    the smallest basis, J_thermal_max, passes the budgets.  A zero kick
-    leaves every channel on its origin, so it skips the check.
-    working_set(j_max) estimates the bytes propagate(j_max) allocates and
-    kick_work(j_max), if given, its complex multiply-adds: _check_budgets
+    The one place a basis grows.  Without j_max the basis starts at
+    measure(), or, without measure, at suggest_j_max's thermal and kick
+    scales, and may regrow max_regrow times, each to int(1.5 j_max) + 10;
+    an explicit basis, at least 0, is a contract: fail instead.  measure runs only once the smallest basis, J_thermal_max,
+    passes the budgets.  A zero kick leaves every channel on its origin, so
+    it skips the check.  budgets(j_max) estimates the bytes propagate(j_max)
+    allocates and the complex multiply-adds of its kicks: _check_budgets
     rejects either before anything is allocated, at every size tried.
     """
     top = ensemble.j_thermal_max
     if j_max is not None:
+        if j_max < 0:
+            raise ValueError(f"j_max must be nonnegative, got {j_max}")
         max_regrow = 0
     elif measure is None:
         j_max = suggest_j_max(top, xi)
     else:
-        _check_budgets(top, working_set, kick_work)
+        _check_budgets(top, budgets)
         j_max = measure()
     if top > j_max:
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
     for _ in range(max_regrow + 1):
-        _check_budgets(j_max, working_set, kick_work)
+        _check_budgets(j_max, budgets)
         cs = propagate(j_max)
-        if xi == 0.0 or cs.edge_leak() <= EDGE_POPULATION_TOL:
+        if xi == 0.0 or cs.edge_leak() <= tol:
             return cs
         if max_regrow == 0:
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
-        j_max = _grown(j_max)
+        j_max = int(j_max * 1.5) + 10
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
@@ -743,62 +750,42 @@ def _reach(cs: ChannelSet, top: int) -> int:
     return max(top, int(np.count_nonzero(beyond > PROBE_EDGE_TOL)) + 1)
 
 
-def _grown(j_max: int) -> int:
-    """The next basis a regrow tries."""
-    return int(j_max * 1.5) + 10
-
-
 def _measured_kick(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> ChannelSet:
-    """The sudden chain kick of the ensemble on a basis whose top two shells
-    hold at most PROBE_EDGE_TOL, sized in two stages.
+    """The sudden chain kick of the ensemble, grown until its top two shells
+    hold at most PROBE_EDGE_TOL, from a measured start.
 
-    The bound: the M0 = 0 origin of each thermal level, carrying the level's
+    The start: the M0 = 0 origin of each thermal level, carrying the level's
     whole weight, kicked on suggest_j_max's basis (one chain per J parity),
-    and its _reach.  cos2theta_offdiag falls with |M|, so the M = 0 chains
-    climb fastest and the bound is not below the whole ensemble's reach.  The
-    ensemble is then kicked on the bound plus 2, and on larger bases, grown
-    as _with_regrow grows them, while that kick's own top two shells hold
-    more than PROBE_EDGE_TOL.
+    and its _reach plus 2.  cos2theta_offdiag falls with |M|, so the M = 0
+    chains climb fastest and that reach is not below the whole ensemble's.
+    The ensemble's kick then grows from there as every driver's does
+    (_with_regrow), to PROBE_EDGE_TOL and with kick_ensemble's 3 regrows.
     """
     top = ensemble.j_thermal_max
     weights = np.bincount(ensemble.j0, weights=ensemble.weights)
     levels = np.flatnonzero(weights)
     origins = ThermalEnsemble(ensemble.temperature, zip(levels.tolist(), [0] * len(levels), weights[levels]))
-    j_max = _reach(kick_ensemble(molecule, origins, xi), top) + 2
-    for _ in range(4):  # the first basis and kick_ensemble's 3 regrows
-        try:
-            cs = kick_ensemble(molecule, ensemble, xi, j_max)
-        except BasisTooSmallError:  # its edge holds more than EDGE_POPULATION_TOL
-            pass
-        else:
-            if cs.edge_leak() <= PROBE_EDGE_TOL:
-                return cs
-        j_max = _grown(j_max)
-    raise BasisTooSmallError(f"the sudden kick populates the basis edge past {PROBE_EDGE_TOL:g} "
-                             f"after growing j_max to {j_max}")
+    return _chain_propagation(molecule, ensemble, xi, None, 0.0, lambda j_max: 1,
+                              lambda j_max: ([0.0], [xi], (), ()), max_regrow=3, tol=PROBE_EDGE_TOL,
+                              measure=lambda: _reach(kick_ensemble(molecule, origins, xi), top) + 2)
 
 
-def _measured_j_max(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> int:
-    """The _reach of the sudden chain kick of the same xi (_measured_kick):
-    a kick linearly polarized and sudden reaches at least as high in J as an
-    elliptic finite pulse of that xi."""
-    return _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max)
-
-
-def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow):
-    """ChannelSet of one block per (|M|, parity) chain, regrowing j_max as needed.
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow,
+                       measure=None, tol=EDGE_POPULATION_TOL):
+    """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
+    (measure and tol as there) on channels grouped once.
 
     n_kicks(j_max) counts the kicks before any array exists, schedule(j_max)
     gives their times measured from reference_time, their strengths G, the
     distinct free times d between kicks and each gap's index into d.  A zero
     kick leaves each column on its origin.
     """
-    chains = {}  # _chains per j_max, from the estimate for propagate: grouped once per miss
+    keys, counts, _ = chains = _chains(ensemble)
 
     def propagate(j_max):
         plan = schedule(j_max)
         kicks = plan[1]
-        layout = _chain_layout(ensemble, j_max, chains[j_max])
+        layout = _chain_layout(ensemble, j_max, chains)
         if xi == 0.0:
             amps = layout.unkicked()
         else:
@@ -818,21 +805,20 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
                           ensemble.weights[layout.order], amps)
 
-    def working_set(j_max):
-        # cached eigenvectors, results and the layout's int32 gather index;
-        # per row the levels, the operator's three arrays, the eigenvalues,
-        # the gather's row counts and the first kick's phases (64 B); per
-        # column the origin rows, order, J0, |M0| and their bytes in the
-        # layout cache's key (48 B); per block its keys, size, count and
-        # bounds and at most one entry of the run table, 12 ints (576 B);
+    def budgets(j_max):
+        # bytes: cached eigenvectors, results and the layout's int32 gather
+        # index; per row the levels, the operator's three arrays, the
+        # eigenvalues, the gather's row counts and the first kick's phases
+        # (64 B); per column the origin rows, order, J0, |M0| and their bytes
+        # in the layout cache's key (48 B); per block its keys, size, count
+        # and bounds and at most one entry of the run table, 12 ints (576 B);
         # two chunks of gathered entries and their int64 index; the
         # eigensolver's copy of the largest chain.  Composed kicks add the
         # costliest run's stack: for each of its blocks three free
         # propagators and the two temporaries of their build, its table of
         # kick phases (40 B per kick and level as it is built: real phases,
-        # their complex cast and the exponentials) and 3 state vectors.
-        # Integers: j_max may be huge
-        keys, counts, _ = chains[j_max] = _chains(ensemble, j_max)
+        # their complex cast and the exponentials) and 3 state vectors.  The
+        # chains bound memory alone, no kick work.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
@@ -841,9 +827,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
         if kicks > 1:
             total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                          for (n, k), run in groupby(sizes))
-        return total
+        return total, 0
 
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow)
+    return _with_regrow(propagate, budgets, ensemble, xi, j_max, max_regrow, measure, tol)
 
 
 def kick_ensemble(
@@ -895,8 +881,10 @@ def elliptic_tdse_ensemble(
     Channels are grouped by (J parity, M parity), one block per group on its
     parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps).
     The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
-    each column on its origin.  Without j_max the basis is the one the sudden
-    chain kick of the same xi measures (_measured_j_max).
+    each column on its origin.  Without j_max the basis starts at the _reach
+    of the sudden chain kick of the same xi (_measured_kick): a kick linearly
+    polarized and sudden reaches at least as high in J as an elliptic finite
+    pulse of that xi.
     """
     xi = effective_area(pulse, molecule)
     keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
@@ -925,28 +913,23 @@ def elliptic_tdse_ensemble(
                 _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)
         return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, layout, weights, amps)
 
-    def sectors(j_max):
-        # per group: its lattice sites n, channels k and + sector's sites
-        for (jp, mp), c0, c1 in spans:
-            n = _lattice_size(j_max, jp, mp)
-            yield n, c1 - c0, (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
-
-    def working_set(j_max):
-        # every group's result, plus for the largest sector (a group's M >= 0
-        # sites) its operator and eigenvectors, three free propagators and the
-        # two temporaries of their build, the kick phase table (40 B per kick
-        # and level) and 3 state matrices.  Integers: j_max may be huge
+    def budgets(j_max):
+        # per group its lattice sites n, channels k and + sector's sites, the
+        # larger sector (a group's M >= 0 sites).  Bytes: every group's
+        # result, plus for the largest sector its operator and eigenvectors,
+        # three free propagators and the two temporaries of their build, the
+        # kick phase table (40 B per kick and level) and 3 state matrices.
+        # Work: each kick applies every sector's free propagator to its k
+        # columns.  Integers: j_max may be huge
         kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
-        results, sector = 0, 0
-        for n, k, half in sectors(j_max):
+        results = sector = work = 0
+        for (jp, mp), c0, c1 in spans:
+            n, k = _lattice_size(j_max, jp, mp), c1 - c0
+            half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
             results += 16 * n * k
             sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half)
-        return results + sector
+            work += k * (half * half + (n - half) ** 2)
+        return results + sector, kicks * work
 
-    def kick_work(j_max):
-        # each kick applies every sector's free propagator to its k columns
-        kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
-        return kicks * sum(k * (half * half + (n - half) ** 2) for n, k, half in sectors(j_max))
-
-    return _with_regrow(propagate, working_set, ensemble, xi, j_max, max_regrow=2, kick_work=kick_work,
-                        measure=lambda: _measured_j_max(molecule, ensemble, xi))
+    return _with_regrow(propagate, budgets, ensemble, xi, j_max, max_regrow=2,
+                        measure=lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))

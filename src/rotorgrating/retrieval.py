@@ -297,17 +297,20 @@ def fit_trace(
     the scale profiled out at every trial point.  From each of the best
     refine_starts grid points, Levenberg-Marquardt (More, LNM 630, 1978) with
     a forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
-    max_evaluations caps the grid and refinement evaluations, Jacobian columns
-    included.  converged means the best run stopped on a trial step within one
-    cache cell (intensity, temperature) or 1e-8 of the box on every
-    coordinate, on a decrease of at most 1e-8 of the objective, or on a zero
-    gradient.  The sensitivity of each free parameter is the Gauss-Newton
+    The grid always runs in full; max_evaluations caps the evaluations that
+    the grid and the refinement make together, Jacobian columns included, and
+    the refinement gets what is left.  converged means the best run stopped
+    on a trial step within one cache cell (intensity, temperature) or 1e-8 of
+    the box on every coordinate, on a decrease of at most 1e-8 of the
+    objective, or on a zero gradient.  The sensitivity of each free parameter is the Gauss-Newton
     curvature 2 sum_i J_ik^2 of the objective from one more Jacobian at the
     best point, which adds one evaluation per free parameter.
     """
-    for name, n in (("n_intensity_starts", n_intensity_starts), ("n_temperature_starts", n_temperature_starts)):
-        if n < 1:
-            raise ValueError(f"'{name}' must be at least 1, got {n}")
+    for name, n, least in (("n_intensity_starts", n_intensity_starts, 1),
+                           ("n_temperature_starts", n_temperature_starts, 1),
+                           ("refine_starts", refine_starts, 1), ("max_evaluations", max_evaluations, 0)):
+        if n < least:
+            raise ValueError(f"'{name}' must be at least {least}, got {n}")
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
     data = trace.signal
@@ -382,10 +385,9 @@ def fit_trace(
         else:
             pts = np.array([0.5 * (lo + hi)])
         grids.append(np.clip((pts - lo) / (hi - lo), 0.0, 1.0))  # exp(log(hi)) may round above hi
-    runs = max(refine_starts, 1)
-    # the `runs` best grid points, each with its residuals and scale
-    ranked = heapq.nsmallest(runs, ((x, *residuals(x)) for x in map(np.array, itertools.product(*grids))),
-                             key=lambda start: float(start[1] @ start[1]))
+    # the refine_starts best grid points, each with its residuals and scale
+    starts = ((x, *residuals(x)) for x in map(np.array, itertools.product(*grids)))
+    ranked = heapq.nsmallest(refine_starts, starts, key=lambda start: float(start[1] @ start[1]))
     if not math.isfinite(ranked[0][1] @ ranked[0][1]):
         raise ValueError(
             "no fit start has a finite objective: the fit needs samples at least "
@@ -393,7 +395,7 @@ def fit_trace(
         )
 
     # a Jacobian costs len(free) evaluations and follows each accepted trial
-    max_nfev = max(max_evaluations - counter["n"], 0) // runs // (len(free) + 1)
+    max_nfev = max(max_evaluations - counter["n"], 0) // refine_starts // (len(free) + 1)
     fits = [refine(*start, max_nfev) for start in ranked] if max_nfev else []
     best_x, resid, best_scale, converged = min(fits, key=lambda fit: float(fit[1] @ fit[1]),
                                                default=(*ranked[0], False))

@@ -353,9 +353,12 @@ def run_all(
 ) -> list[CheckResult]:
     """Selected suites, run one after another in a fixed order.
 
-    A suite whose propagation fails reports that as one failed row.  The
-    regime suite's classical oracle needs a positive temperature, checked
-    before any suite runs.
+    A suite whose propagation fails reports that as one failed row.  Before
+    any suite runs, ValueError rejects what a suite would reject: an empty
+    or repeated selection, a negative j_max, a temperature whose Boltzmann
+    ensemble cannot be built when hygiene or regimes is selected, one that is
+    not positive for the regime suite's classical oracle, and a negative kick
+    for hygiene.
     """
     jobs = {
         "operators": lambda: suite_operators(),
@@ -369,8 +372,16 @@ def run_all(
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown validation suites {unknown}; choose from {list(SUITE_NAMES)}")
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"validation suites must be distinct and at least one, got {names}")
+    if j_max is not None and j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
     if "regimes" in names:
         _check_oracle_temperature(temperature)
+    if {"hygiene", "regimes"} & set(names):
+        boltzmann_ensemble(molecule, temperature)
+    if "hygiene" in names and intensity < 0:
+        raise ValueError(f"kick strength must be nonnegative, got {xi_per_intensity(molecule) * intensity}")
 
     def run(name):
         try:

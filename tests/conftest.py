@@ -1,14 +1,20 @@
-"""Shared numerical oracles for the test suite.
+"""Shared numerical oracles and tracers for the test suite.
 
 The quadrature oracle integrates <J',M'| f(theta,phi) |J,M> directly on the
 sphere, written here from scratch (trapezoid in phi, Gauss-Legendre in
 cos theta) so it shares no code with the closed-form matrix elements it
-checks.
+checks.  trace_propagations records what the drivers' basis loop checks and
+allocates.
 """
+
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
+
+from rotorgrating import dynamics
 
 
 def _sphere_rule(n_theta: int = 80, n_phi: int = 80):
@@ -36,6 +42,43 @@ def dense_operator(triplets, n: int) -> np.ndarray:
     dense = np.zeros((n, n))
     np.add.at(dense, (rows, cols), values)
     return dense
+
+
+class Propagation(NamedTuple):
+    """One propagation the basis loop ran: its ensemble, the memory traced
+    before it, its traced peak, the working-set estimate checked just before
+    it, at its j_max, and its result."""
+
+    ensemble: object
+    before: int
+    peak: int
+    estimate: int
+    cs: object
+
+
+def trace_propagations(monkeypatch) -> tuple[list, list]:
+    """(estimates, propagations): every working-set estimate the drivers
+    check, and a Propagation for every propagation their one basis loop,
+    dynamics._with_regrow, runs, in order.  Memory is traced only while
+    tracemalloc is."""
+    estimates, propagations = [], []
+    check, regrow = dynamics.check_working_set, dynamics._with_regrow
+    monkeypatch.setattr(dynamics, "check_working_set",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
+
+    def traced_regrow(propagate, budgets, ensemble, *args, **kwargs):
+        def traced(j_max):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cs = propagate(j_max)
+            propagations.append(Propagation(ensemble, before, tracemalloc.get_traced_memory()[1],
+                                            estimates[-1], cs))
+            return cs
+
+        return regrow(traced, budgets, ensemble, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_with_regrow", traced_regrow)
+    return estimates, propagations
 
 
 @pytest.fixture(scope="session")

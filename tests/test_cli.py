@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import trace_propagations
 from rotorgrating import dynamics, observables, rotor
 from rotorgrating.cli import (
     EXIT_CONFIG,
@@ -599,47 +600,36 @@ def test_fourier_rejects_tdse_too_large_to_size(tmp_path, no_propagation, capsys
 @pytest.fixture
 def no_lattice(monkeypatch):
     """Fail any lattice propagation at its first operator build or step, and
-    record every working-set estimate checked; a sudden chain kick, such as
-    the two stages of the probe that sizes an unsized lattice, still runs and
-    records the memory traced before it and its traced peak."""
+    trace every working-set estimate checked and every propagation run
+    (trace_propagations); a sudden chain kick, such as the two stages of
+    the probe that sizes an unsized lattice, still runs."""
     def propagate(*args, **kwargs):
         raise AssertionError("a lattice propagation started")
 
     for name in ("cos2theta_axis_matrix", "_lattice_steps"):
         monkeypatch.setattr(dynamics, name, propagate)
-    estimates, kicks = [], []
-    check, kick = dynamics.check_working_set, dynamics.kick_ensemble
-    monkeypatch.setattr(dynamics, "check_working_set",
-                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
-
-    def traced_kick(*args, **kwargs):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        cs = kick(*args, **kwargs)
-        kicks.append((before, tracemalloc.get_traced_memory()[1]))
-        return cs
-
-    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
-    return estimates, kicks
+    return trace_propagations(monkeypatch)
 
 
 def _exits_2_under_the_probe(argv, traced):
     """main(argv) exits 2 after checking the lattice at J_thermal_max, the
-    probe's two kicks (the bound's, then the ensemble's) and the lattice at
-    the probe's basis.  Each kick's traced peak stays under its own
-    working-set estimate, and from the ensemble's kick on the run's peak
-    stays under that kick's: the lattice allocated nothing."""
-    estimates, kicks = traced
+    probe's own kick there, the probe's two kicks (the bound's, then the
+    ensemble's on the bound plus 2) and the lattice at the probe's basis.
+    Each kick's traced peak stays under its own working-set estimate, and
+    from the ensemble's kick on the run's peak stays under that kick's: the
+    lattice allocated nothing."""
+    estimates, runs = traced
     tracemalloc.start()
     try:
         assert main(argv) == EXIT_CONFIG
         peak = tracemalloc.get_traced_memory()[1]  # since the last kick started
     finally:
         tracemalloc.stop()
-    _, bound, probe, _ = estimates
-    for (before, kick_peak), estimate in zip(kicks, (bound, probe), strict=True):
-        assert kick_peak - before <= estimate
-    assert peak - kicks[-1][0] < probe
+    _, _, bound, probe, _ = estimates
+    assert [run.estimate for run in runs] == [bound, probe]
+    for run in runs:
+        assert run.peak - run.before <= run.estimate
+    assert peak - runs[-1].before < probe
 
 
 _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
@@ -689,6 +679,24 @@ def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path
     _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
     assert ("propagation at j_max=152 needs about 4.03e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1.0}),
+    ("fourier", {"intensity_tw_cm2": 1.0, "time_grid": {"n": 64}}),
+    ("fourier", {**_ELLIPTIC, "intensity_tw_cm2": 1.0}),
+    ("fit", {"scheme": "perpendicular", "trace_path": "scan.csv", "bounds": {"intensity": [5.0, 30.0]},
+             "fixed": {"temperature": 60.0}}),
+], ids=["simulate", "fourier", "fourier_elliptic", "fit"])
+def test_a_negative_j_max_is_a_config_error(tmp_path, capsys, subcommand, doc):
+    # a basis below 0 is no size at all: exit 2 naming it, where a basis of 0
+    # or more below J_thermal_max is a numerical failure (exit 3)
+    (tmp_path / "scan.csv").write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.1},1.0\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 0.0, **doc, "j_max": -5})
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: j_max must be nonnegative, got -5\n"
     assert not out.exists()
 
 
@@ -783,6 +791,38 @@ def test_validate_rejects_a_zero_temperature_before_any_suite(tmp_path, no_propa
         assert captured.err == "error: classical oracle needs a positive temperature, got 0.0\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"temperature_K": 1e6}, "temperature 1000000.0 K exceeds the budget of 100000 thermal channels"),
+    ({"intensity_tw_cm2": -5}, "kick strength must be nonnegative, got -2.221286176180843"),
+    ({"j_max": -5}, "j_max must be nonnegative, got -5"),
+    ({"suites": []}, "validation suites must be distinct and at least one, got []"),
+    ({"suites": ["hygiene", "operators", "hygiene"]},
+     "validation suites must be distinct and at least one, got ['hygiene', 'operators', 'hygiene']"),
+], ids=["ensemble", "intensity", "j_max", "no_suite", "repeated_suite"])
+def test_validate_rejects_what_a_suite_would_before_any_suite(tmp_path, no_propagation, capsys, doc, message):
+    # the suites' inputs are checked up front: no row is printed, nothing is
+    # written and no suite has run
+    out = tmp_path / "val"
+    cfg = _cfg(tmp_path, doc)
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_validate_rejects_a_kick_beyond_the_budget_inside_the_hygiene_suite(tmp_path, no_propagation, capsys):
+    # the working-set estimate of the hygiene kick is taken in the suite
+    # itself, still before its propagation allocates: 1e300 TW/cm^2 exits 2
+    # there, after the suites before it have run
+    out = tmp_path / "val"
+    cfg = _cfg(tmp_path, {"intensity_tw_cm2": 1e300, "suites": ["operators", "hygiene"]})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "GB of working memory" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_validate_runs_the_other_suites_at_zero_temperature(tmp_path, capsys):

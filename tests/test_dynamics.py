@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import trace_propagations
 from rotorgrating import dynamics, observables
 from rotorgrating.dynamics import (
     BasisTooSmallError,
@@ -36,6 +37,7 @@ from rotorgrating.rotor import (
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
+    suggest_j_max,
 )
 
 GROUND = boltzmann_ensemble(CO2, 0.0)  # the single channel |0,0>
@@ -209,7 +211,7 @@ def test_chain_eigenpairs_agree_with_the_tridiagonal_solver():
     for temperature, j_max in ((0.0, 2), (30.0, 26), (293.0, 148)):
         dynamics.clear_caches()
         ens = boltzmann_ensemble(CO2, temperature)
-        layout = dynamics._chain_layout(ens, j_max, dynamics._chains(ens, j_max))
+        layout = dynamics._chain_layout(ens, j_max, dynamics._chains(ens))
         evals, evecs = layout.eigen
         diag, _, coupling = layout.operator
         first, lows, square = (dynamics._starts(x) for x in (layout.sizes, layout.sizes - 1, layout.sizes ** 2))
@@ -395,40 +397,21 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # result plus the largest sector's stepper arrays: its operator and
     # eigenvectors, three free propagators and their build's two
     # temporaries, the kick phase table and 3 state matrices.  Unsized, the
-    # lattice checks its smallest basis, J_thermal_max, then runs the two
-    # sudden chain kicks that measure its basis, the bound's and the
-    # ensemble's, each under its own estimate, and checks the measured
-    # basis: each stage's peak stays under its estimate
-    estimates, kicks_traced, probes = [], [], []
-    check = dynamics.check_working_set
-    monkeypatch.setattr(dynamics, "check_working_set",
-                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
-    kick, measure = dynamics.kick_ensemble, dynamics._measured_j_max
-
-    def traced_kick(*args):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        cs = kick(*args)
-        kicks_traced.append((before, tracemalloc.get_traced_memory()[1]))  # (held before it, its peak)
-        return cs
-
-    def traced_measure(*args):
-        j_max = measure(*args)
-        probes.append(tracemalloc.get_traced_memory()[0])  # left after the probe
-        tracemalloc.reset_peak()
-        return j_max
-
-    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
-    monkeypatch.setattr(dynamics, "_measured_j_max", traced_measure)
+    # lattice checks its smallest basis, J_thermal_max, then runs the probe
+    # that measures its basis: the ensemble's sudden chain kick checks its
+    # own J_thermal_max, runs the bound's kick and then itself on the bound
+    # plus 2.  The lattice checks and runs the measured basis.  Each
+    # propagation's peak stays under its own estimate
+    estimates, runs = trace_propagations(monkeypatch)
     pulse = elliptic_pulse(10.0, 2 / 3, 1 / 3)
     ens = boltzmann_ensemble(CO2, 20.0)
-    kick(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
+    kick_ensemble(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
     dynamics.clear_caches()
     estimates.clear()
+    runs.clear()
     tracemalloc.start()
     try:
         cs = elliptic_tdse_ensemble(CO2, ens, pulse)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     shapes = [b.amplitudes.shape for b in cs.blocks]
@@ -436,38 +419,31 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the + sector, the larger, holds a group's M >= 0 sites
     halves = [len(dynamics._reflection_sectors(b.basis)[0][2]) for b in cs.blocks]
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
-    smallest, bound, probe, lattice = estimates
+    smallest, probe_top, bound, probe, lattice = estimates
     assert lattice == (sum(16 * n * k for n, k in shapes)
                        + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
                              for h, (_, k) in zip(halves, shapes)))
-    assert ens.j_thermal_max < cs.j_max and smallest < lattice
+    assert ens.j_thermal_max < cs.j_max and smallest < lattice and probe_top < probe
     # the bound's kick, of one level per chain, is the smaller
     assert bound < probe
-    for (before, kick_peak), estimate in zip(kicks_traced, (bound, probe), strict=True):
-        assert kick_peak - before <= estimate
-    (kept,) = probes
-    assert peak - kept <= lattice
+    assert [run.estimate for run in runs] == [bound, probe, lattice] and runs[-1].cs is cs
+    for run in runs:
+        assert run.peak - run.before <= run.estimate
 
 
 @pytest.mark.parametrize("bound, bases", [(0, [2, 13, 29]), (16, [18, 37])])
 def test_probe_grows_a_basis_its_bound_misses(monkeypatch, bound, bases):
     # bounds below the reach of 20: the ensemble's kick on the bound plus 2
     # populates the edge past the edge contract (on 2 and 13) or past
-    # PROBE_EDGE_TOL alone (4.9e-10 on 18), and the probe grows the basis as
-    # a regrow does until the kick's top two shells hold at most
-    # PROBE_EDGE_TOL; its reach is then the one measured on suggest_j_max's
-    # basis
+    # PROBE_EDGE_TOL alone (4.9e-10 on 18), and it grows as every driver
+    # does until its top two shells hold at most PROBE_EDGE_TOL; its reach is
+    # then the one measured on suggest_j_max's basis
     ens = boltzmann_ensemble(CO2, 0.0)
-    reach, kick, kicked = dynamics._reach, dynamics.kick_ensemble, []
-
-    def traced_kick(*args):
-        kicked.append(args[3:])
-        return kick(*args)
-
+    reach, kick = dynamics._reach, dynamics.kick_ensemble
+    _, runs = trace_propagations(monkeypatch)
     monkeypatch.setattr(dynamics, "_reach", lambda cs, top: bound)  # the probe reads the bound's reach alone
-    monkeypatch.setattr(dynamics, "kick_ensemble", traced_kick)
     cs = dynamics._measured_kick(CO2, ens, 5.0)
-    assert kicked == [()] + [(j,) for j in bases]
+    assert [run.cs.j_max for run in runs] == [suggest_j_max(0, 5.0), *bases]
     assert cs.j_max == bases[-1] and cs.edge_leak() <= dynamics.PROBE_EDGE_TOL
     assert reach(cs, 0) == reach(kick(CO2, ens, 5.0), 0) == 20
 
@@ -583,6 +559,26 @@ def test_ensembles_with_equal_channels_share_one_chain_layout():
     cold = kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 2.0, first.j_max)
     assert cold.layout is not first.layout
     assert len(dynamics._LAYOUTS) == 2
+
+
+def test_a_kick_at_a_new_basis_reuses_a_cached_grouping(monkeypatch):
+    # a chain grouping holds at every j_max: a cached layout of the same
+    # channels at another j_max gives it, and the kick matches one grouped
+    # afresh bit for bit
+    dynamics.clear_caches()
+    ens = boltzmann_ensemble(CO2, 30.0)
+    first = kick_ensemble(CO2, ens, 2.0)
+
+    def refuse(*args):
+        raise AssertionError("the channels were grouped again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "_group_channels", refuse)
+        cs = tdse_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), PulseSpec(10.0), first.j_max + 10)
+    assert cs.layout is not first.layout and np.array_equal(cs.layout.order, first.layout.order)
+    dynamics.clear_caches()
+    fresh = tdse_ensemble(CO2, ens, PulseSpec(10.0), first.j_max + 10)
+    assert np.array_equal(cs.amplitudes, fresh.amplitudes)
 
 
 def test_zero_kick_builds_no_eigendecomposition():

@@ -39,6 +39,25 @@ def test_only_dynamics_reads_a_channel_sets_layout():
     assert readers == {}
 
 
+def test_one_loop_reads_the_basis_edge():
+    # every basis grows in dynamics._with_regrow alone: no other function of
+    # the package reads a propagated set's edge population to size a basis
+    callers = set()
+    for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                # the calls in this function's own body, not in the functions it defines
+                inner = {id(n) for sub in ast.walk(function) if sub is not function
+                         and isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                         for n in ast.walk(sub)}
+                if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "edge_leak" and id(node) not in inner
+                       for node in ast.walk(function)):
+                    callers.add((path.name, getattr(function, "name", "<lambda>")))
+    assert callers == {("dynamics.py", "_with_regrow")}
+
+
 # module-level names no module of the package reads and __all__ does not
 # export, each with the benchmark file that reads it: the benchmark pins
 # them, so they go when it changes

@@ -3,20 +3,21 @@ strength, the chain stepper's kick schedule over pulses, its step count over
 temperature, kick strength and pulse length, the chain stepper,
 the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
-sectors, the bound of the probe that sizes the lattice, and the CLI's exit
-codes over generated configs."""
+sectors, the bound of the probe that sizes the lattice and its kicks' peak
+memory, and the CLI's exit codes over generated configs."""
 
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import dense_operator
+from conftest import dense_operator, trace_propagations
 from rotorgrating.cli import main
 from rotorgrating import dynamics
 from rotorgrating.constants import revival_period
@@ -262,7 +263,7 @@ def test_measured_lattice_basis_holds_its_edge_and_traces(temperature, xi, a2):
     ens = boltzmann_ensemble(CO2, temperature)
     pulse = elliptic_pulse(xi / xi_per_intensity(CO2), a2, 1.0 - a2)
     cs = elliptic_tdse_ensemble(CO2, ens, pulse)
-    assert cs.j_max == dynamics._measured_j_max(CO2, ens, cs.xi)
+    assert cs.j_max == dynamics._reach(dynamics._measured_kick(CO2, ens, cs.xi), ens.j_thermal_max)
     assert cs.edge_leak() <= dynamics.EDGE_POPULATION_TOL
     wide = elliptic_tdse_ensemble(CO2, ens, pulse, suggest_j_max(ens.j_thermal_max, cs.xi))
     times = revival_time_grid(CO2, 256, t_start=0.5)
@@ -282,14 +283,21 @@ def test_probe_bound_holds_the_measured_reach(molecule, temperature, xi):
     # weight, bounds the reach of the whole ensemble's kick on
     # suggest_j_max's basis from above, and its second kick, on the bound
     # plus 2, measures exactly that reach (measured on the bound itself, the
-    # first example reads 39, not 38)
+    # first example reads 39, not 38).  Every kick's traced peak, less the
+    # memory held before it, stays under the working-set estimate checked
+    # for it
     ens = boltzmann_ensemble(molecule, temperature)
-    kicked = []
-    kick = dynamics.kick_ensemble
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "kick_ensemble", lambda *args: kicked.append(kick(*args)) or kicked[-1])
-        measured = dynamics._measured_j_max(molecule, ens, xi)
-    first, *rest = kicked
+        _, runs = trace_propagations(mp)
+        tracemalloc.start()
+        try:
+            measured = dynamics._reach(dynamics._measured_kick(molecule, ens, xi), ens.j_thermal_max)
+        finally:
+            tracemalloc.stop()
+    for run in runs:
+        assert run.peak - run.before <= run.estimate
+    first = [run.cs for run in runs if run.ensemble is not ens][-1]
+    rest = [run.cs for run in runs if run.ensemble is ens]
     assert np.all(first.layout.m0 == 0) and len(first.weights) == len(np.unique(ens.j0))
     bound = dynamics._reach(first, ens.j_thermal_max)
     oracle = dynamics._reach(kick_ensemble(molecule, ens, xi), ens.j_thermal_max)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from rotorgrating import dynamics, observables
+from rotorgrating import dynamics, observables, retrieval
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
 from rotorgrating.grating import GratingConfig, grating_signal
@@ -480,6 +480,19 @@ def test_a_grid_without_starts_is_rejected(name, starts):
     trace = ExperimentalTrace(np.linspace(0.5, 10.0, 60), np.ones(60))
     with pytest.raises(ValueError, match=f"'{name}' must be at least 1, got {starts}"):
         fit_trace(problem, trace, **{name: starts})
+
+
+@pytest.mark.parametrize("name, value, least", [
+    ("refine_starts", 0, 1), ("refine_starts", -2, 1), ("max_evaluations", -3, 0),
+])
+def test_a_refinement_without_starts_or_budget_is_rejected(monkeypatch, name, value, least):
+    # rejected before any evaluation, where refine_starts 0 ran one
+    # refinement and a negative max_evaluations none
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)})
+    trace = ExperimentalTrace(np.linspace(0.5, 10.0, 60), np.ones(60))
+    monkeypatch.setattr(retrieval, "model_signal", lambda *args: pytest.fail("an evaluation ran"))
+    with pytest.raises(ValueError, match=f"'{name}' must be at least {least}, got {value}"):
+        fit_trace(problem, trace, **{name: value})
 
 
 # ---------------------------------------------------------------------------
