@@ -107,6 +107,7 @@ from .rotor import (
 )
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
+MAX_REGROWS = 3  # times an unsized basis grows, each to int(1.5 j_max) + 10
 # Weighted population the sudden kick that sizes an unsized lattice may leave
 # at J >= j_max - 1.  A pump polarized along x or y reaches nearly as high as
 # the kick: at EDGE_POPULATION_TOL its traces moved by up to 1e-8 of their
@@ -705,25 +706,27 @@ def _check_budgets(j_max: int, budgets):
                          f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
 
 
-def _with_regrow(propagate, budgets, ensemble: ThermalEnsemble, xi: float, j_max, max_regrow: int,
-                 measure=None, tol=EDGE_POPULATION_TOL):
-    """propagate(j_max) -> ChannelSet, regrowing j_max while the top two J
-    shells hold more than tol of the weighted population.
+def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
+                 layout_at, kick, budgets, measure=None, tol=EDGE_POPULATION_TOL) -> ChannelSet:
+    """The ensemble's ChannelSet at reference_time on the first basis tried
+    whose top two J shells hold at most tol of its weighted population.
 
-    The one place a basis grows.  Without j_max the basis starts at
-    measure(), or, without measure, at suggest_j_max's thermal and kick
-    scales, and may regrow max_regrow times, each to int(1.5 j_max) + 10;
-    an explicit basis, at least 0, is a contract: fail instead.  measure runs only once the smallest basis, J_thermal_max,
-    passes the budgets.  A zero kick leaves every channel on its origin, so
-    it skips the check.  budgets(j_max) estimates the bytes propagate(j_max)
-    allocates and the complex multiply-adds of its kicks: _check_budgets
-    rejects either before anything is allocated, at every size tried.
+    The one place a propagated set is made and a basis grows.  An attempt at
+    j_max checks budgets(j_max), the bytes it allocates and the complex
+    multiply-adds of its kicks, before anything is allocated
+    (_check_budgets); builds layout_at(j_max); leaves every column on its
+    origin for a zero kick, else takes kick(layout)'s packed amplitudes; and
+    reads the edge, which a zero kick leaves empty.  An explicit j_max, at
+    least 0, is a contract: a populated edge fails.  An unsized basis starts
+    at measure(), run once the smallest basis, J_thermal_max, passes the
+    budgets, or without measure at suggest_j_max's thermal and kick scales,
+    and grows up to MAX_REGROWS times, each to int(1.5 j_max) + 10.
     """
-    top = ensemble.j_thermal_max
+    top, regrows = ensemble.j_thermal_max, MAX_REGROWS
     if j_max is not None:
         if j_max < 0:
             raise ValueError(f"j_max must be nonnegative, got {j_max}")
-        max_regrow = 0
+        regrows = 0
     elif measure is None:
         j_max = suggest_j_max(top, xi)
     else:
@@ -732,12 +735,15 @@ def _with_regrow(propagate, budgets, ensemble: ThermalEnsemble, xi: float, j_max
     if top > j_max:
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
-    for _ in range(max_regrow + 1):
+    for _ in range(regrows + 1):
         _check_budgets(j_max, budgets)
-        cs = propagate(j_max)
+        layout = layout_at(j_max)
+        amps = layout.unkicked() if xi == 0.0 else kick(layout)
+        cs = ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
+                        ensemble.weights[layout.order], amps)
         if xi == 0.0 or cs.edge_leak() <= tol:
             return cs
-        if max_regrow == 0:
+        if regrows == 0:
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
         j_max = int(j_max * 1.5) + 10
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
@@ -759,51 +765,48 @@ def _measured_kick(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float)
     and its _reach plus 2.  cos2theta_offdiag falls with |M|, so the M = 0
     chains climb fastest and that reach is not below the whole ensemble's.
     The ensemble's kick then grows from there as every driver's does
-    (_with_regrow), to PROBE_EDGE_TOL and with kick_ensemble's 3 regrows.
+    (_with_regrow), to PROBE_EDGE_TOL.
     """
     top = ensemble.j_thermal_max
     weights = np.bincount(ensemble.j0, weights=ensemble.weights)
     levels = np.flatnonzero(weights)
     origins = ThermalEnsemble(ensemble.temperature, zip(levels.tolist(), [0] * len(levels), weights[levels]))
-    return _chain_propagation(molecule, ensemble, xi, None, 0.0, lambda j_max: 1,
-                              lambda j_max: ([0.0], [xi], (), ()), max_regrow=3, tol=PROBE_EDGE_TOL,
+    return _chain_propagation(molecule, ensemble, xi, None, 0.0, tol=PROBE_EDGE_TOL,
                               measure=lambda: _reach(kick_ensemble(molecule, origins, xi), top) + 2)
 
 
-def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, schedule, max_regrow,
-                       measure=None, tol=EDGE_POPULATION_TOL):
-    """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
-    (measure and tol as there) on channels grouped once.
+def _kick_count(pulse: PulseSpec | None, molecule: MoleculeSpec, j_max: int) -> int:
+    """Kicks of a propagation: 1 for the sudden kick (no pulse), else the 6n +
+    1 of _rkn_schedule's n steps."""
+    return 1 if pulse is None else 6 * _rkn_steps(pulse, molecule, j_max) + 1
 
-    n_kicks(j_max) counts the kicks before any array exists, schedule(j_max)
-    gives their times measured from reference_time, their strengths G, the
-    distinct free times d between kicks and each gap's index into d.  A zero
-    kick leaves each column on its origin.
+
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, measure=None,
+                       tol=EDGE_POPULATION_TOL):
+    """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
+    (measure and tol as there) on channels grouped once: the sudden kick of
+    xi without a pulse, else the pulse's RKN schedule (_rkn_schedule), its
+    kick times measured from reference_time.
     """
     keys, counts, _ = chains = _chains(ensemble)
 
-    def propagate(j_max):
-        plan = schedule(j_max)
+    def kick(layout):
+        plan = ([0.0], [xi], (), ()) if pulse is None else _rkn_schedule(pulse, molecule, layout.j_max)
         kicks = plan[1]
-        layout = _chain_layout(ensemble, j_max, chains)
-        if xi == 0.0:
-            amps = layout.unkicked()
-        else:
-            amps = _gathered_kicks(layout, kicks[0])
-            rhs_all = amps.view(float)
-            evals, evecs = layout.eigen
-            # one stack per run of equal-shape blocks, in place
-            for n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 in layout.runs:
-                rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
-                vecs = evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
-                if len(kicks) == 1:
-                    np.matmul(vecs, rhs, out=rhs)  # one GEMM per block
-                else:
-                    omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
-                    omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
-                    _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
-        return ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
-                          ensemble.weights[layout.order], amps)
+        amps = _gathered_kicks(layout, kicks[0])
+        rhs_all = amps.view(float)
+        evals, evecs = layout.eigen
+        # one stack per run of equal-shape blocks, in place
+        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 in layout.runs:
+            rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
+            vecs = evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
+            if len(kicks) == 1:
+                np.matmul(vecs, rhs, out=rhs)  # one GEMM per block
+            else:
+                omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
+                omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
+                _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
+        return amps
 
     def budgets(j_max):
         # bytes: cached eigenvectors, results and the layout's int32 gather
@@ -823,13 +826,14 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, n_kicks, s
                  zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
                  + 8 * max(n for n, _ in sizes) ** 2)
-        kicks = n_kicks(j_max)
+        kicks = _kick_count(pulse, molecule, j_max)
         if kicks > 1:
             total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                          for (n, k), run in groupby(sizes))
         return total, 0
 
-    return _with_regrow(propagate, budgets, ensemble, xi, j_max, max_regrow, measure, tol)
+    return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
+                        lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets, measure, tol)
 
 
 def kick_ensemble(
@@ -847,8 +851,7 @@ def kick_ensemble(
     """
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
-    return _chain_propagation(molecule, ensemble, xi, j_max, reference_time, lambda j_max: 1,
-                              lambda j_max: ([0.0], [xi], (), ()), max_regrow=3)
+    return _chain_propagation(molecule, ensemble, xi, j_max, reference_time)
 
 
 def tdse_ensemble(
@@ -865,9 +868,7 @@ def tdse_ensemble(
     pulse center, as the sudden driver's.
     """
     require_y_polarized(pulse)
-    return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps,
-                              lambda j: 6 * _rkn_steps(pulse, molecule, j) + 1,
-                              lambda j: _rkn_schedule(pulse, molecule, j), max_regrow=2)
+    return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps, pulse)
 
 
 def elliptic_tdse_ensemble(
@@ -888,30 +889,29 @@ def elliptic_tdse_ensemble(
     """
     xi = effective_area(pulse, molecule)
     keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
-    j0, m0, weights = ensemble.j0[order], np.abs(ensemble.m0[order]), ensemble.weights[order]
+    j0, m0 = ensemble.j0[order], np.abs(ensemble.m0[order])
     cols = _starts(counts).tolist()
     spans = list(zip(keys.tolist(), cols[:-1], cols[1:]))  # (key, first, end) of each group's columns
 
-    def propagate(j_max):
+    def layout_at(j_max):
         bases = tuple(JMBasis(j_max, j_parity=jp, m_parity=mp) for (jp, mp), _, _ in spans)
         sizes = np.array([len(basis) for basis in bases])
-        layout = BlockLayout(keys, order, j0, m0, j_max, sizes, counts, _starts(sizes * counts),
-                             np.concatenate([basis.j_of for basis in bases]),
-                             np.concatenate([basis.site(j0[c0:c1], m0[c0:c1])
-                                             for basis, (_, c0, c1) in zip(bases, spans)]), bases)
-        if xi == 0.0:
-            amps = layout.unkicked()
-        else:
-            plan = _rkn_schedule(pulse, molecule, j_max)
-            amps = np.zeros(layout.bounds[-1], dtype=complex)
-            for b, (basis, (_, c0, c1)) in enumerate(zip(bases, spans)):
-                rows, cols, x = layout.axis_operator(b, "x")
-                y = layout.axis_operator(b, "y")[2]  # on the entries of x
-                coupling = rows, cols, pulse.a2 * x + pulse.b2 * y
-                # each group's sectors add their columns into its packed slice
-                out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
-                _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)
-        return ChannelSet(molecule, ensemble.temperature, pulse.t0_ps, j_max, xi, layout, weights, amps)
+        return BlockLayout(keys, order, j0, m0, j_max, sizes, counts, _starts(sizes * counts),
+                           np.concatenate([basis.j_of for basis in bases]),
+                           np.concatenate([basis.site(j0[c0:c1], m0[c0:c1])
+                                           for basis, (_, c0, c1) in zip(bases, spans)]), bases)
+
+    def kick(layout):
+        plan = _rkn_schedule(pulse, molecule, layout.j_max)
+        amps = np.zeros(layout.bounds[-1], dtype=complex)
+        for b, (basis, (_, c0, c1)) in enumerate(zip(layout.bases, spans)):
+            rows, cols, x = layout.axis_operator(b, "x")
+            y = layout.axis_operator(b, "y")[2]  # on the entries of x
+            coupling = rows, cols, pulse.a2 * x + pulse.b2 * y
+            # each group's sectors add their columns into its packed slice
+            out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
+            _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)
+        return amps
 
     def budgets(j_max):
         # per group its lattice sites n, channels k and + sector's sites, the
@@ -921,7 +921,7 @@ def elliptic_tdse_ensemble(
         # kick phase table (40 B per kick and level) and 3 state matrices.
         # Work: each kick applies every sector's free propagator to its k
         # columns.  Integers: j_max may be huge
-        kicks = 6 * _rkn_steps(pulse, molecule, j_max) + 1
+        kicks = _kick_count(pulse, molecule, j_max)
         results = sector = work = 0
         for (jp, mp), c0, c1 in spans:
             n, k = _lattice_size(j_max, jp, mp), c1 - c0
@@ -931,5 +931,5 @@ def elliptic_tdse_ensemble(
             work += k * (half * half + (n - half) ** 2)
         return results + sector, kicks * work
 
-    return _with_regrow(propagate, budgets, ensemble, xi, j_max, max_regrow=2,
-                        measure=lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))
+    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
+                        lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))

@@ -58,26 +58,31 @@ class Propagation(NamedTuple):
 
 def trace_propagations(monkeypatch) -> tuple[list, list]:
     """(estimates, propagations): every working-set estimate the drivers
-    check, and a Propagation for every propagation their one basis loop,
-    dynamics._with_regrow, runs, in order.  Memory is traced only while
-    tracemalloc is."""
+    check, and a Propagation for every attempt their one basis loop,
+    dynamics._with_regrow, makes, in order: from its layout's build to its
+    ChannelSet.  Memory is traced only while tracemalloc is."""
     estimates, propagations = [], []
-    check, regrow = dynamics.check_working_set, dynamics._with_regrow
+    check, regrow, channel_set = dynamics.check_working_set, dynamics._with_regrow, dynamics.ChannelSet
+    attempt = {}  # the running attempt's ensemble and the memory held before it
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
 
-    def traced_regrow(propagate, budgets, ensemble, *args, **kwargs):
-        def traced(j_max):
-            before = tracemalloc.get_traced_memory()[0]
+    def traced_regrow(molecule, ensemble, xi, reference_time, j_max, layout_at, kick, *args, **kwargs):
+        def traced_layout(j_max):
+            attempt.update(ensemble=ensemble, before=tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
-            cs = propagate(j_max)
-            propagations.append(Propagation(ensemble, before, tracemalloc.get_traced_memory()[1],
-                                            estimates[-1], cs))
-            return cs
+            return layout_at(j_max)
 
-        return regrow(traced, budgets, ensemble, *args, **kwargs)
+        return regrow(molecule, ensemble, xi, reference_time, j_max, traced_layout, kick, *args, **kwargs)
+
+    def traced_set(*fields):
+        cs = channel_set(*fields)
+        propagations.append(Propagation(attempt["ensemble"], attempt["before"],
+                                        tracemalloc.get_traced_memory()[1], estimates[-1], cs))
+        return cs
 
     monkeypatch.setattr(dynamics, "_with_regrow", traced_regrow)
+    monkeypatch.setattr(dynamics, "ChannelSet", traced_set)
     return estimates, propagations
 
 
