@@ -116,7 +116,9 @@ PROBE_EDGE_TOL = EDGE_POPULATION_TOL / 100
 # Working-set budget of one propagation, checked before it allocates.  The
 # 293 K, 30 TW/cm^2 linear TDSE needs ~7 MB, the 60 K elliptic one ~37 MB.
 MAX_WORKING_SET_BYTES = 2e9
-# Kick work budget of one elliptic propagation, in complex multiply-adds (60 K, 30 TW/cm^2: 1.95e10)
+# Kick work budget of one propagation, in complex multiply-adds: its kicks
+# times the n x n products with k columns of each chain or reflection sector
+# (293 K chain TDSE at 30 TW/cm^2: 7.6e8; 60 K elliptic TDSE: 1.95e10)
 MAX_KICK_WORK = 1e12
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
@@ -820,8 +822,10 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         # costliest run's stack: for each of its blocks three free
         # propagators and the two temporaries of their build, its table of
         # kick phases (40 B per kick and level as it is built: real phases,
-        # their complex cast and the exponentials) and 3 state vectors.  The
-        # chains bound memory alone, no kick work.  Integers: j_max may be huge
+        # their complex cast and the exponentials) and 3 state vectors.
+        # Work: each kick is one n x n GEMM on every block's k columns, the
+        # sudden kick's with V, a composed kick's with a free propagator or,
+        # the last, with V.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
@@ -830,7 +834,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         if kicks > 1:
             total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                          for (n, k), run in groupby(sizes))
-        return total, 0
+        return total, kicks * sum(n * n * k for n, k in sizes)
 
     return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
                         lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets, measure, tol)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -220,8 +221,25 @@ def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+def test_simulate_rejects_chain_tdse_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
+    # 0.1 TW/cm^2 for 100 ps at 293 K: its basis, j_max 272, fits the
+    # working-set budget (0.96 GB), but 86,215 kicks of its chains need
+    # 2.4e12 complex multiply-adds, about 9 minutes of GEMMs; it is
+    # rejected at once, before anything is allocated
+    cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 293.0, "scheme": "perpendicular",
+                          "theoretical_intensity_tw_cm2": 0.1, "tau_fwhm_ps": 100.0, "method": "tdse",
+                          "time_grid": {"n": 64}})
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert ("propagation at j_max=272 needs about 2.42e+12 complex multiply-adds of kicks, "
+            "above the budget of 1e+12") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, message", [
-    ({"n": 10**11}, "a time grid of 100000000000 samples needs about 8e+03 GB"),
+    ({"n": 10**11},"a time grid of 100000000000 samples needs about 8e+03 GB"),
     ({"n": 64, "periods": 1e308}, "time grid [0.5, inf] ps leaves the delays within +-1e+09 ps"),
     ({"n": 64, "t_start_ps": -2e9}, "time grid [-2e+09, -2e+09] ps leaves the delays"),
 ])
