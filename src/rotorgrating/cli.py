@@ -123,6 +123,8 @@ def _resolve_molecule(conf: _Config):
         if isinstance(value, str):
             molecule = find_molecule(value)
         elif "path" in value:
+            if not isinstance(value["path"], str):  # open() takes an int as a file descriptor
+                raise ValueError(f"'path' must be a string, got {value['path']!r}")
             molecule = load_molecule(value["path"])
         else:
             molecule = molecule_from_dict(value)

@@ -44,6 +44,9 @@ class MoleculeSpec:
     g_odd: float = 1.0
 
     def __post_init__(self):
+        for name in ("b_cm1", "delta_alpha_a3", "g_even", "g_odd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b_cm1 <= 0:
             raise ValueError(f"rotational constant must be positive, got {self.b_cm1}")
         if self.delta_alpha_a3 <= 0:

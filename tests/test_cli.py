@@ -1158,6 +1158,26 @@ def test_molecule_library_env_var(tmp_path, monkeypatch, capsys):
     assert any(c["J"] % 2 == 1 for c in comps)
 
 
+@pytest.mark.parametrize("molecule, message", [
+    # open(0) would read stdin, so a run at a terminal would never end
+    ({"path": 0}, "'molecule': 'path' must be a string, got 0"),
+    # open(True) would take fd 1 and close stdout on its way out
+    ({"path": True}, "'molecule': 'path' must be a string, got True"),
+    # w > 0 is false for NaN: every even J level would drop out unseen
+    ({**N2, "g_even": math.nan}, "'molecule': g_even must be finite, got nan"),
+    # each regrow would leave the edge populated: exit 3 after three
+    ({**N2, "g_odd": math.inf}, "'molecule': g_odd must be finite, got inf"),
+    ({**N2, "B_cm1": math.inf}, "'molecule': b_cm1 must be finite, got inf"),
+    ({**N2, "delta_alpha_A3": math.nan}, "'molecule': delta_alpha_a3 must be finite, got nan"),
+], ids=["path_zero", "path_true", "g_even_nan", "g_odd_inf", "b_inf", "delta_alpha_nan"])
+def test_molecule_fields_are_checked_before_use(tmp_path, no_propagation, capsys, molecule, message):
+    cfg = _cfg(tmp_path, {**SIM_BASE, "molecule": molecule})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand, doc, message", [
     ("simulate", None, "config file not found: {config}"),
     ("simulate", [SIM_BASE], "{config}: top-level config must be a JSON object"),
