@@ -919,21 +919,25 @@ def elliptic_tdse_ensemble(
 
     def budgets(j_max):
         # per group its lattice sites n, channels k and + sector's sites, the
-        # larger sector (a group's M >= 0 sites).  Bytes: every group's
-        # result, plus for the largest sector its operator and eigenvectors,
-        # three free propagators and the two temporaries of their build, the
-        # kick phase table (40 B per kick and level) and 3 state matrices.
-        # Work: each kick applies every sector's free propagator to its k
-        # columns.  Integers: j_max may be huge
+        # larger sector (a group's M >= 0 sites).  Bytes: what every group
+        # keeps, its result, its JMBasis (J and M per site, a site table of
+        # (j_max + 1)(2 j_max + 1)) and its x and y operators (at most 9
+        # triplets of 24 B per site each); what the running group adds, its
+        # coupling's values and reflection sectors (120 B per site) and for
+        # its larger sector the operator and eigenvectors, three free
+        # propagators and the two temporaries of their build, the kick phase
+        # table (40 B per kick and level) and 3 state matrices; and the
+        # schedule, 48 B per kick.  Work: each kick applies every sector's
+        # free propagator to its k columns.  Integers: j_max may be huge
         kicks = _kick_count(pulse, molecule, j_max)
-        results = sector = work = 0
+        kept = sector = work = 0
         for (jp, mp), c0, c1 in spans:
             n, k = _lattice_size(j_max, jp, mp), c1 - c0
             half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
-            results += 16 * n * k
-            sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half)
+            kept += 16 * n * k + 448 * n + 8 * (j_max + 1) * (2 * j_max + 1)
+            sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half + 120 * n)
             work += k * (half * half + (n - half) ** 2)
-        return results + sector, kicks * work
+        return kept + sector + 48 * kicks, kicks * work
 
     return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
                         lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))

@@ -657,21 +657,23 @@ _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
 def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, capsys):
     # at 1100 K the smallest basis, J_thermal_max = 164, already needs ~2.5 GB
     # for the two groups' results plus the larger + sector's stepper arrays:
-    # rejected before the probe kick runs
+    # rejected before the probe kick runs (2.52 GB before the estimate
+    # counted each group's kept basis and operators)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=164 needs about 2.52 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=164 needs about 2.53 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
     # 30 K fits at J_thermal_max = 26 (4.2 MB), but the sudden kick at 400
-    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.5 GB
+    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.5 GB (4.47
+    # GB before the estimate counted each group's kept basis and operators)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
     out = tmp_path / "x"
     _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
-    assert "propagation at j_max=228 needs about 4.47 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=228 needs about 4.49 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -393,10 +393,12 @@ def test_lattice_size_counts_the_basis():
 
 
 def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
-    # the groups run one after another: the estimate counts every group's
-    # result plus the largest sector's stepper arrays: its operator and
-    # eigenvectors, three free propagators and their build's two
-    # temporaries, the kick phase table and 3 state matrices.  Unsized, the
+    # the groups run one after another: the estimate counts what every group
+    # keeps, its result, basis and x and y operators, plus the largest
+    # running group's coupling and sectors and its larger sector's stepper
+    # arrays: its operator and eigenvectors, three free propagators and
+    # their build's two temporaries, the kick phase table and 3 state
+    # matrices, plus the schedule.  Unsized, the
     # lattice checks its smallest basis, J_thermal_max, then runs the probe
     # that measures its basis: the ensemble's sudden chain kick checks its
     # own J_thermal_max, runs the bound's kick and then itself on the bound
@@ -420,9 +422,10 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     halves = [len(dynamics._reflection_sectors(b.basis)[0][2]) for b in cs.blocks]
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
     smallest, probe_top, bound, probe, lattice = estimates
-    assert lattice == (sum(16 * n * k for n, k in shapes)
-                       + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h
-                             for h, (_, k) in zip(halves, shapes)))
+    sites = 8 * (cs.j_max + 1) * (2 * cs.j_max + 1)
+    assert lattice == (sum(16 * n * k + 448 * n + sites for n, k in shapes)
+                       + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h + 120 * n
+                             for h, (n, k) in zip(halves, shapes)) + 48 * kicks)
     assert ens.j_thermal_max < cs.j_max and smallest < lattice and probe_top < probe
     # the bound's kick, of one level per chain, is the smaller
     assert bound < probe

@@ -305,6 +305,66 @@ def test_probe_bound_holds_the_measured_reach(molecule, temperature, xi):
     assert rest[0].j_max == bound + 2 and rest[-1].edge_leak() <= dynamics.PROBE_EDGE_TOL
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), lattice=st.booleans(), data=st.data())
+def test_budgets_bound_every_propagation_and_count_its_kicks(molecule, lattice, data):
+    # the chain TDSE from 0 to 300 K, and the unsized elliptic lattice with
+    # the probe's sudden kicks that size it up to 40 K (at 300 K one lattice
+    # propagation takes 1-30 s).  Every propagation's traced peak, less the
+    # memory held before it, stays under the working-set estimate checked
+    # for it, and the kick work checked for it is the kicks of the schedule
+    # that ran (one for a sudden kick) times the n x n products with k
+    # columns of each chain or reflection sector
+    temperature = data.draw(st.floats(0.0, 40.0 if lattice else 300.0), label="temperature")
+    xi = data.draw(st.floats(0.1, 6.0 if lattice else 15.0), label="xi")
+    tau = data.draw(st.floats(0.05, 0.3 if lattice else 0.5), label="tau")
+    ens = boltzmann_ensemble(molecule, temperature)
+    intensity = xi / xi_per_intensity(molecule, tau)
+    if lattice:
+        a2 = data.draw(st.floats(0.0, 1.0), label="a2")
+        pulse = elliptic_pulse(intensity, a2, 1.0 - a2, tau)
+    else:
+        pulse = PulseSpec(intensity, tau)
+    counted = []
+    with pytest.MonkeyPatch.context() as mp:
+        _, runs = trace_propagations(mp)
+        check, schedule, channel_set = dynamics._check_budgets, dynamics._rkn_schedule, dynamics.ChannelSet
+        attempt = {}
+
+        def counted_check(j_max, budgets):
+            attempt.update(work=budgets(j_max)[1], kicks=1)  # a sudden kick builds no schedule
+            check(j_max, budgets)
+
+        def counted_schedule(*args):
+            plan = schedule(*args)
+            attempt["kicks"] = len(plan[1])
+            return plan
+
+        def counted_set(*fields):
+            cs = channel_set(*fields)
+            counted.append((attempt["work"], attempt["kicks"]))
+            return cs
+
+        mp.setattr(dynamics, "_check_budgets", counted_check)
+        mp.setattr(dynamics, "_rkn_schedule", counted_schedule)
+        mp.setattr(dynamics, "ChannelSet", counted_set)
+        tracemalloc.start()
+        try:
+            (elliptic_tdse_ensemble if lattice else tdse_ensemble)(molecule, ens, pulse)
+        finally:
+            tracemalloc.stop()
+    assert len(runs) == len(counted) >= (3 if lattice else 1)
+    for run, (work, kicks) in zip(runs, counted):
+        assert run.peak - run.before <= run.estimate
+        lay = run.cs.layout
+        if lay.bases:
+            unit = sum(k * sum(len(js) ** 2 for *_, js in dynamics._reflection_sectors(basis))
+                       for basis, k in zip(lay.bases, lay.counts.tolist()))
+        else:
+            unit = int(np.sum(lay.sizes ** 2 * lay.counts))
+        assert work == kicks * unit
+
+
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
 
 
