@@ -58,6 +58,40 @@ def test_one_loop_reads_the_basis_edge():
     assert callers == {("dynamics.py", "_with_regrow")}
 
 
+def _scoped_nodes(tree):
+    """(names of the functions around it, outermost first, node) of every node in a module."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield inner, child
+            stack.append((inner, child))
+
+
+def test_one_loop_makes_every_propagated_set():
+    # dynamics._with_regrow alone builds a ChannelSet or starts a set on its
+    # origins; a driver hands it a layout, a kick and budgets, and builds its
+    # RKN schedule inside its kick, not in a closure of its own; no caller
+    # sets a regrow count of its own
+    makers, schedules, regrow_counts = set(), set(), []
+    for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name in ("ChannelSet", "unkicked"):
+                    makers.add((path.name, scope, name))
+                elif name == "_rkn_schedule":
+                    schedules.add((path.name, scope))
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "max_regrow":
+                regrow_counts.append((path.name, scope))
+    assert makers == {("dynamics.py", ("_with_regrow",), "ChannelSet"),
+                      ("dynamics.py", ("_with_regrow",), "unkicked")}
+    assert schedules == {("dynamics.py", ("_chain_propagation", "kick")),
+                         ("dynamics.py", ("elliptic_tdse_ensemble", "kick"))}
+    assert regrow_counts == []
+
+
 # module-level names no module of the package reads and __all__ does not
 # export, each with the benchmark file that reads it: the benchmark pins
 # them, so they go when it changes

@@ -351,8 +351,21 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     # one chain layout, with its grouping and eigendecompositions, per visited
     # (level set, j_max)
     assert 0 < len(dynamics._LAYOUTS) <= dynamics.LAYOUT_CACHE_SIZE == 16
-    # reconstruct's phase tables of the scan's delays
+    # each holds its eigenvalues and eigenvectors, 8 sum n^2 bytes within its
+    # share of the working-set budget, and its gather index, a row count per
+    # row and an int32 per entry of its n x k blocks, k <= n since a chain's
+    # channels start on distinct rows: at most twice the share in all
+    share = dynamics.MAX_WORKING_SET_BYTES / dynamics.LAYOUT_CACHE_SIZE
+    for layout in dynamics._LAYOUTS.values():
+        n, k = layout.sizes, layout.counts
+        held = sum(a.nbytes for name in ("eigen", "gather") for a in layout.__dict__[name])
+        assert held == 16 * n.sum() + 8 * (n * n).sum() + 4 * (n * k).sum()
+        assert 8 * (n * n).sum() <= share and np.all(k <= n) and held <= 2 * share
+    # reconstruct's phase tables of the scan's delays, each a complex and
+    # its key 8 bytes per delay, at most PHASE_CACHE_SAMPLES delays
     assert 0 < len(observables._PHASES) <= observables.PHASE_CACHE_SIZE
+    for (times, _), table in observables._PHASES.items():
+        assert len(times) + table.nbytes == 24 * len(table) <= 24 * observables.PHASE_CACHE_SAMPLES
 
 
 # ---------------------------------------------------------------------------
