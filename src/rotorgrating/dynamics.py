@@ -37,15 +37,21 @@ block per chain or group: an amplitude matrix with one column per channel.
 _group_channels groups them in the order their keys first appear, each
 group's channels in ensemble order.
 The reduction order is fixed, so reruns are bit-identical.  One loop,
-_with_regrow, sizes every basis: before it allocates it estimates the
-driver's budgets at the j_max it tries, its working set and the complex
-multiply-adds of its kicks, and raises ValueError naming the estimate when
-either exceeds MAX_WORKING_SET_BYTES or MAX_KICK_WORK; after propagating it
-grows j_max while the top two shells hold more than the population its
-caller names.  The chains start an unsized basis at suggest_j_max's fixed
-headroom and grow to EDGE_POPULATION_TOL.  The lattice, whose work grows
-about as j_max^4, starts at the reach of the sudden chain kick of the same
-xi, once both budgets pass at J_thermal_max.  That kick (_measured_kick)
+_with_regrow, makes every propagated set and sizes every basis.  A driver
+supplies three things: its layout at a j_max, its kick, which returns a
+layout's packed amplitudes, and its budgets at a j_max, the working set and
+the complex multiply-adds of its kicks (the kicks times the n x n products
+with the k columns of every chain or reflection sector).  Each attempt
+checks both budgets before it allocates, raising ValueError naming the
+estimate when either exceeds MAX_WORKING_SET_BYTES or MAX_KICK_WORK; builds
+the layout; leaves every column on its origin for a zero kick, else kicks;
+packs the ChannelSet; and, unless the kick is zero, reads its edge.  An
+unsized basis grows, at most MAX_REGROWS times, while the top two shells
+hold more than the population its caller names.  The chains start an
+unsized basis at suggest_j_max's fixed headroom and grow to
+EDGE_POPULATION_TOL.  The lattice, whose work grows about as j_max^4,
+starts at the reach of the sudden chain kick of the same xi, once both
+budgets pass at J_thermal_max.  That kick (_measured_kick)
 starts from each thermal level's M0 = 0 origin alone, kicked on
 suggest_j_max's basis, one chain per J parity, whose reach plus 2 bounds the
 ensemble's because the M = 0 chains climb fastest, and grows to
@@ -62,10 +68,10 @@ layout at one j_max, grouped only when none of them is cached at any j_max,
 and the cache keeps the latest few that fit a share of the working-set
 budget.  The sudden kick fills every block's right-hand side V^T[:, rows]
 e^{i xi Lambda} with one exponential of the eigenvalues, one repeat and one
-gather by the layout's int32 index.  Then kick_ensemble and tdse_ensemble walk the layout's runs of
-consecutive equal-shape blocks, each run one stack of matrices: the kick
-runs one GEMM per block, tdse_ensemble composes the rest of its kicks, in
-place in the packed array.  Every BLAS call sees the operands a
+gather by the layout's int32 index.  Then the chains' kick walks the
+layout's runs of consecutive equal-shape blocks, each run one stack of
+matrices: the sudden kick runs one GEMM per block, a pulse composes the rest
+of its kicks, in place in the packed array.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.  A
 lattice layout keeps its groups' JMBases and lab-axis operators, built on
 first use: elliptic_tdse_ensemble steps each group into its packed slice,
