@@ -37,15 +37,10 @@ block per chain or group: an amplitude matrix with one column per channel.
 _group_channels groups them in the order their keys first appear, each
 group's channels in ensemble order.
 The reduction order is fixed, so reruns are bit-identical.  One loop,
-_with_regrow, makes every propagated set and sizes every basis.  A driver
-supplies three things: its layout at a j_max, its kick, which returns a
-layout's packed amplitudes, and its budgets at a j_max, the working set and
-the complex multiply-adds of its kicks (the kicks times the n x n products
-with the k columns of every chain or reflection sector).  Each attempt
-checks both budgets before it allocates, raising ValueError naming the
-estimate when either exceeds MAX_WORKING_SET_BYTES or MAX_KICK_WORK; builds
-the layout; leaves every column on its origin for a zero kick, else kicks;
-packs the ChannelSet; and, unless the kick is zero, reads its edge.  An
+_with_regrow, makes every propagated set: a driver supplies only its layout
+at a j_max, its kick of a layout and its budgets at a j_max, the working set
+and the complex multiply-adds of its kicks, which each attempt checks
+against MAX_WORKING_SET_BYTES and MAX_KICK_WORK before it allocates.  An
 unsized basis grows, at most MAX_REGROWS times, while the top two shells
 hold more than the population its caller names.  The chains start an
 unsized basis at suggest_j_max's fixed headroom and grow to
@@ -828,10 +823,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         # costliest run's stack: for each of its blocks three free
         # propagators and the two temporaries of their build, its table of
         # kick phases (40 B per kick and level as it is built: real phases,
-        # their complex cast and the exponentials) and 3 state vectors.
-        # Work: each kick is one n x n GEMM on every block's k columns, the
-        # sudden kick's with V, a composed kick's with a free propagator or,
-        # the last, with V.  Integers: j_max may be huge
+        # their complex cast and the exponentials) and 3 state vectors.  Work:
+        # each kick is one n x n GEMM, by V or a free propagator, on every
+        # block's k columns.  Integers: j_max may be huge
         sizes = [((j_max - start) // 2 + 1, k) for start, k in
                  zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
