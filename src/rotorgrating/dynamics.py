@@ -69,10 +69,11 @@ matrices: the sudden kick runs one GEMM per block, a pulse composes the rest
 of its kicks, in place in the packed array.  Every BLAS call sees the operands a
 block-by-block loop would, so the packed kernel is bit-identical to it.  A
 lattice layout keeps its groups' JMBases and lab-axis operators, built on
-first use: elliptic_tdse_ensemble steps each group into its packed slice,
-and ChannelSet.series_terms(axis) reduces the same operators to the terms of
-observables' cosine series, lab-axis factor applied, as it reduces the
-chains per run.  No other module reads a set's layout.
+first use: elliptic_tdse_ensemble steps each group into its packed slice.
+ChannelSet.series_terms(axis) reduces either layout, the chains per run and
+the lattice per group, to observables' one cosine series, lab-axis factor
+applied: a constant and one complex amplitude per lower J, its blocks added
+in layout order.  No other module reads a set's layout.
 
 The module runs on numpy alone: a lattice operator is its (rows, cols,
 values) triplets and a reflection sector each site's column and coefficient.
@@ -589,57 +590,58 @@ class ChannelSet:
         )
 
     def series_terms(self, axis: str):
-        """(consts, bounds, js, z) of <cos^2 theta_axis> - 1/3: block b's weighted
-        trace is consts[b] + Re sum_J z_J e^{i omega_J dt} over entries bounds[b]
-        to bounds[b + 1] of js and z.
+        """(constant, z) of <cos^2 theta_axis> - 1/3: the weighted trace is
+        constant + Re sum_J z[J] e^{i omega_J dt}, dt from reference_time, with
+        z indexed by the lower J of each J <-> J+2 coherence from 0 to j_max.
 
-        Chains carry the tridiagonal field-axis operator (y): const = sum_k w_k
-        d |c_k|^2 - W/3 and z_J = 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k},
-        reduced per run of equal-shape blocks, two GEMVs and a dot product per
-        block, batched; the transverse axes follow from <cos^2 theta_perp> =
-        (1 - <cos^2 theta>)/2 as a -1/2 scaling, exact in floating point.  On
-        the (J,M) lattice the Delta-J = 0 entries of the layout's lab-axis
-        operator (including the Delta-M = +-2 ones, which beat at zero
-        frequency) feed the constant and the Delta-J = +2 entries, collapsed
-        per lower J, carry omega_J.
+        Blocks add in layout order.  Chains carry the tridiagonal field-axis
+        operator (y): a block's constant is sum_k w_k d |c_k|^2 - W/3 and its
+        line J is 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}, reduced per run of
+        equal-shape blocks, two GEMVs and a dot product per block, batched; the
+        transverse axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2
+        as a -1/2 scaling, exact in floating point.  On the (J,M) lattice the
+        Delta-J = 0 entries of each group's lab-axis operator (including the
+        Delta-M = +-2 ones, which beat at zero frequency) feed the constant and
+        its Delta-J = +2 entries add onto z at their lower J.
         """
         check_axis(axis)
-        if self.kind == "chain":
-            lay, amps, weights = self.layout, self.amplitudes, self.weights
+        lay, amps, weights = self.layout, self.amplitudes, self.weights
+        z = np.zeros(self.j_max + 1, dtype=complex)
+        if lay.bases:
+            consts, first = np.empty(len(lay.bases)), _starts(lay.counts)
+            for b, basis in enumerate(lay.bases):
+                c = amps[lay.bounds[b]:lay.bounds[b + 1]].reshape(len(basis), -1)
+                w = weights[first[b]:first[b + 1]]
+                rows, cols, values = lay.axis_operator(b, axis)
+                dj = basis.j_of[rows] - basis.j_of[cols]
+                row, col, val = rows[dj == 0], cols[dj == 0], values[dj == 0]
+                consts[b] = float(np.real((np.conj(c[row]) * c[col]) @ w) @ val) - float(w.sum()) / 3.0
+                row, col, val = rows[dj == 2], cols[dj == 2], values[dj == 2]
+                np.add.at(z, basis.j_of[col], 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
+        else:
             diag, js, coupling = lay.operator
-            complex_weights = weights.astype(complex)
-            z = np.empty(len(js), dtype=complex)
+            lines = np.empty(len(js), dtype=complex)
             weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
             lows = _starts(lay.sizes - 1)
             for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
                 m, l0, l1 = b1 - b0, lows[b0], lows[b1]
                 c = amps[a0:a1].reshape(m, n, k)
+                w = weights[c0:c1].reshape(m, k)
                 cross = np.conj(c[:, 1:])
                 cross *= c[:, :-1]
-                np.matmul(cross, complex_weights[c0:c1].reshape(m, k, 1), out=z[l0:l1].reshape(m, n - 1, 1))
+                np.matmul(cross, w[:, :, None].astype(complex), out=lines[l0:l1].reshape(m, n - 1, 1))
                 pops = np.abs(c)
                 pops *= pops
-                w = weights[c0:c1].reshape(m, k)
                 np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None],
                           out=weighted[b0:b1].reshape(m, 1, 1))
                 w.sum(axis=1, out=totals[b0:b1])
-            factor, consts = 1.0 if axis == "y" else -0.5, (weighted - totals / 3.0).tolist()
-            return [factor * const for const in consts], lows, js, factor * (coupling * z)
-        consts, jss, zs = [], [], []
-        for i, b in enumerate(self.blocks):
-            c, w = b.amplitudes, b.weights
-            rows, cols, values = self.layout.axis_operator(i, axis)
-            dj = b.js[rows] - b.js[cols]
-            row, col, val = rows[dj == 0], cols[dj == 0], values[dj == 0]
-            const = np.real((np.conj(c[row]) * c[col]) @ w) @ val
-            row, col, val = rows[dj == 2], cols[dj == 2], values[dj == 2]
-            js, lower = np.unique(b.js[col], return_inverse=True)
-            z = np.zeros(len(js), dtype=complex)
-            np.add.at(z, lower, 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
-            consts.append(float(const) - float(w.sum()) / 3.0)
-            jss.append(js)
-            zs.append(z)
-        return consts, np.cumsum([0] + [len(js) for js in jss]), np.concatenate(jss), np.concatenate(zs)
+            factor = 1.0 if axis == "y" else -0.5
+            consts = factor * (weighted - totals / 3.0)
+            np.add.at(z, js, factor * (coupling * lines))
+        constant = 0.0
+        for const in consts.tolist():
+            constant += const
+        return constant, z
 
     @property
     def channels(self) -> tuple:
@@ -651,9 +653,8 @@ class ChannelSet:
         )
 
     def norm_deviation(self) -> float:
-        """|weighted norm / total weight - 1| of the whole set, summed block by block."""
-        norm = sum(b.weights @ np.sum(np.abs(b.amplitudes) ** 2, axis=0) for b in self.blocks)
-        return abs(float(norm) / float(sum(b.weights.sum() for b in self.blocks)) - 1.0)
+        """|weighted norm / total weight - 1| of the whole set, from its level populations."""
+        return abs(float(self.level_populations().sum()) / float(self.weights.sum()) - 1.0)
 
     def edge_leak(self) -> float:
         """Weighted population in the top two J shells of the basis, gathered at once."""

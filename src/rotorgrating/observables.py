@@ -8,9 +8,9 @@ with omega_J = 2 pi c B (4J+6): the constant C comes from populations and
 each component from the thermally weighted J <-> J+2 coherences.  The
 decomposition here is exact bookkeeping of those coherences (no numerical
 Fourier transform), and doubles as the fast trace evaluator.  A propagated
-ChannelSet reduces itself to the per-block terms of the series, for either
-layout and any lab axis (ChannelSet.series_terms); this module only sums and
-evaluates them.
+ChannelSet reduces itself to the series, its constant and one complex
+amplitude per lower J, for either layout and any lab axis
+(ChannelSet.series_terms); this module only evaluates it.
 
 All trace values follow the <cos^2 theta> - 1/3 convention (0 = isotropic).
 """
@@ -106,24 +106,19 @@ def _metadata(cs: ChannelSet) -> dict:
 def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
     """Exact cosine-series decomposition of the ensemble alignment trace.
 
-    Each block's series terms (ChannelSet.series_terms, lab-axis factor
-    applied) add onto one complex amplitude per lower J.  An unkicked thermal
-    ensemble is isotropic, so its series is identically zero; that case
-    returns exact zeros rather than summation roundoff.
+    The set's series (ChannelSet.series_terms, lab-axis factor applied) holds
+    one complex amplitude per lower J; its nonzero ones are the components.
+    An unkicked thermal ensemble is isotropic, so its series is identically
+    zero; that case returns exact zeros rather than summation roundoff.
     """
     check_axis(axis)
     if cs.xi == 0.0:
         empty = np.empty(0)
         return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis,
                                     _metadata(cs))
-    consts, _, js, z = cs.series_terms(axis)
-    constant = 0.0
-    for const in consts:
-        constant += const
-    acc = np.zeros(cs.j_max + 1, dtype=complex)
-    np.add.at(acc, js, z)
-    js = np.nonzero(acc)[0]
-    zz = acc[js]
+    constant, z = cs.series_terms(axis)
+    js = np.nonzero(z)[0]
+    zz = z[js]
     omegas = raman_frequency(js, cs.molecule)
     # fold the kick-time reference into the phase: trace is a function of
     # absolute time; fmod and one exact 2 pi shift give IEEE remainder
@@ -180,33 +175,20 @@ def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
 
 
 def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
-    """Direct evaluation of <cos^2 theta_axis> - 1/3 from the set's series terms.
+    """Direct evaluation of <cos^2 theta_axis> - 1/3 from the set's series.
 
-    It shares the term reduction (ChannelSet.series_terms) with
-    fourier_decompose and checks reconstruct's Horner evaluation against
-    direct complex exponentials over the same terms, per chain shape, summed
-    over time before the shapes are combined; agreement to 1e-10 is a
-    contract between the two paths.
+    It shares the series (ChannelSet.series_terms) with fourier_decompose and
+    checks reconstruct's Horner evaluation against direct complex
+    exponentials of its nonzero lines, one phase matrix over both J parities;
+    agreement to 1e-10 is a contract between the two paths.
     """
-    terms, bounds, all_js, all_z = cs.series_terms(axis)
+    constant, z = cs.series_terms(axis)
     times = np.asarray(times, dtype=float)
-    dt = times - cs.reference_time
-    values = np.zeros(len(times))
-    # accumulate per chain shape so each group shares one phase matrix
-    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    consts = 0.0
-    for const, lo, hi in zip(terms, bounds[:-1].tolist(), bounds[1:].tolist()):
-        consts += const
-        js, z = all_js[lo:hi], all_z[lo:hi]
-        if len(js):
-            key = (int(js[0]), len(js))
-            groups[key] = (js, groups[key][1] + z) if key in groups else (js, z)
-    # a phase matrix peaks at 32 B per (line, time) entry: outer, 1j *, exp
-    lines = max((len(js) for js, _ in groups.values()), default=0)
-    check_working_set(32 * lines * len(times), f"a direct trace of {lines} lines x {len(times)} times")
-    for js, z in groups.values():
-        values += np.real(z @ np.exp(1j * np.outer(raman_frequency(js, cs.molecule), dt)))
-    return AlignmentTrace(times, values + consts, axis, _metadata(cs))
+    js = np.nonzero(z)[0]
+    # the phase matrix peaks at 32 B per (line, time) entry: outer, 1j *, exp
+    check_working_set(32 * len(js) * len(times), f"a direct trace of {len(js)} lines x {len(times)} times")
+    phases = np.exp(1j * np.outer(raman_frequency(js, cs.molecule), times - cs.reference_time))
+    return AlignmentTrace(times, np.real(z[js] @ phases) + constant, axis, _metadata(cs))
 
 
 # traced peak of a simulate run per delay sample (the grid, the trace, the
