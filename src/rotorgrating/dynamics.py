@@ -739,7 +739,7 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
     if top > j_max:
         raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
                                  "hold the initial ensemble")
-    for _ in range(regrows + 1):
+    for attempt in range(regrows + 1):
         _check_budgets(j_max, budgets)
         layout = layout_at(j_max)
         amps = layout.unkicked() if xi == 0.0 else kick(layout)
@@ -747,10 +747,10 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
                         ensemble.weights[layout.order], amps)
         if xi == 0.0 or cs.edge_leak() <= tol:
             return cs
-        if regrows == 0:
-            raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
+        if attempt == regrows:  # the last basis tried
+            raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}" if regrows
+                                     else f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
         j_max = int(j_max * 1.5) + 10
-    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
 def _reach(cs: ChannelSet, top: int) -> int:

@@ -44,6 +44,8 @@ class MoleculeSpec:
     g_odd: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for name in ("b_cm1", "delta_alpha_a3", "g_even", "g_odd"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

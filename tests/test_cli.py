@@ -1171,7 +1171,12 @@ def test_molecule_library_env_var(tmp_path, monkeypatch, capsys):
     ({**N2, "g_odd": math.inf}, "'molecule': g_odd must be finite, got inf"),
     ({**N2, "B_cm1": math.inf}, "'molecule': b_cm1 must be finite, got inf"),
     ({**N2, "delta_alpha_A3": math.nan}, "'molecule': delta_alpha_a3 must be finite, got nan"),
-], ids=["path_zero", "path_true", "g_even_nan", "g_odd_inf", "b_inf", "delta_alpha_nan"])
+    # metadata.json would echo the name as given: "molecule": 5
+    ({**N2, "name": 5}, "'molecule': name must be a string, got 5"),
+    ({**N2, "name": None}, "'molecule': name must be a string, got None"),
+    ({**N2, "name": [1]}, "'molecule': name must be a string, got [1]"),
+], ids=["path_zero", "path_true", "g_even_nan", "g_odd_inf", "b_inf", "delta_alpha_nan", "name_int", "name_null",
+        "name_list"])
 def test_molecule_fields_are_checked_before_use(tmp_path, no_propagation, capsys, molecule, message):
     cfg = _cfg(tmp_path, {**SIM_BASE, "molecule": molecule})
     out = tmp_path / "run"

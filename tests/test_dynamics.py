@@ -631,6 +631,18 @@ def test_working_set_budget_checks_each_regrow(monkeypatch):
         kick_ensemble(CO2, ens, 3.0)
 
 
+def test_exhausted_regrows_name_the_largest_basis_tried(monkeypatch):
+    # every attempt leaks, so the unsized kick grows MAX_REGROWS times and
+    # then fails naming the last basis it built, not one grown past it
+    monkeypatch.setattr(dynamics.ChannelSet, "edge_leak", lambda self: 1.0)
+    _, propagations = trace_propagations(monkeypatch)
+    with pytest.raises(BasisTooSmallError) as failure:
+        kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 3.0)
+    tried = [p.cs.j_max for p in propagations]
+    assert len(tried) == dynamics.MAX_REGROWS + 1 and tried == sorted(set(tried))
+    assert str(failure.value) == f"norm leak persists after regrowing j_max to {tried[-1]}"
+
+
 def test_elliptic_ensemble_folded_weights():
     ens = boltzmann_ensemble(CO2, 20.0)
     cs = elliptic_tdse_ensemble(CO2, ens, elliptic_pulse(3.0, 0.5, 0.5))

@@ -31,13 +31,17 @@ from rotorgrating.rotor import (
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(temperature=st.floats(5.0, 400.0), xi=st.floats(0.0, 40.0))
-def test_kicked_ensemble_norm_and_series_exactness(temperature, xi):
-    cs = kick_ensemble(CO2, boltzmann_ensemble(CO2, temperature), xi)
+@given(temperature=st.floats(5.0, 400.0), xi=st.floats(0.0, 40.0),
+       spins=st.sampled_from([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 3.0)]), axis=st.sampled_from("xyz"))
+def test_kicked_ensemble_norm_and_series_exactness(temperature, xi, spins, axis):
+    # CO2's rotor with each spin statistics: the direct trace's one phase
+    # matrix holds the even and the odd lines of a molecule together
+    molecule = MoleculeSpec(CO2.name, CO2.b_cm1, CO2.delta_alpha_a3, *spins)
+    cs = kick_ensemble(molecule, boltzmann_ensemble(molecule, temperature), xi)
     assert cs.norm_deviation() < 1e-9
-    times = revival_time_grid(CO2, 257, t_start=0.3, periods=1.5)
-    series = reconstruct(fourier_decompose(cs, "y"), times).values
-    direct = alignment_trace(cs, "y", times).values
+    times = revival_time_grid(molecule, 257, t_start=0.3, periods=1.5)
+    series = reconstruct(fourier_decompose(cs, axis), times).values
+    direct = alignment_trace(cs, axis, times).values
     assert np.max(np.abs(series - direct)) <= 1e-10
 
 

@@ -346,8 +346,15 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
         cache_quantum=0.5,
     )
     dynamics.clear_caches()
+    cache = EnsembleCache(wide)
     fit_trace(wide, trace, max_evaluations=60, refine_starts=1,
-              n_intensity_starts=2, n_temperature_starts=2)
+              n_intensity_starts=2, n_temperature_starts=2, cache=cache)
+    # the fit's own cache holds one decomposition per miss, each at most 32 B
+    # per line (js, amplitudes, phases, omegas) for at most j_max + 1 lines
+    assert 0 < len(cache._store) == cache.misses
+    for dec in cache._store.values():
+        lines = (dec.js, dec.amplitudes, dec.phases, dec.omegas)
+        assert sum(a.nbytes for a in lines) <= 32 * len(dec.js) <= 32 * (dec.metadata["j_max"] + 1)
     # one chain layout, with its grouping and eigendecompositions, per visited
     # (level set, j_max)
     assert 0 < len(dynamics._LAYOUTS) <= dynamics.LAYOUT_CACHE_SIZE == 16
