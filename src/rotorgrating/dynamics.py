@@ -639,7 +639,7 @@ class ChannelSet:
             consts = factor * (weighted - totals / 3.0)
             np.add.at(z, js, factor * (coupling * lines))
         constant = 0.0
-        for const in consts.tolist():
+        for const in consts.tolist():  # in layout order: np.sum's pairwise order would move the bytes
             constant += const
         return constant, z
 
@@ -747,7 +747,7 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
                         ensemble.weights[layout.order], amps)
         if xi == 0.0 or cs.edge_leak() <= tol:
             return cs
-        if attempt == regrows:  # the last basis tried
+        if attempt == regrows:
             raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}" if regrows
                                      else f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
         j_max = int(j_max * 1.5) + 10
