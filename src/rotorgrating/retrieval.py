@@ -293,8 +293,11 @@ def fit_trace(
     """Least-squares retrieval: multistart grid, then bounded Levenberg-Marquardt.
 
     The objective is the mean squared residual normalized by the data peak,
-    over delays outside the pulse-overlap window |t - t_offset| < 2 tau, with
-    the scale profiled out at every trial point.  From each of the best
+    with the scale profiled out at every trial point, over one window fixed
+    before the grid: the delays at least 2 tau from every pump time the
+    problem allows (the fixed t_offset, or its whole bounds when it is free).
+    A scan that leaves no delay in the window is rejected before any
+    evaluation.  From each of the best
     refine_starts grid points, Levenberg-Marquardt (More, LNM 630, 1978) with
     a forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
     The grid always runs in full; max_evaluations caps the evaluations that
@@ -317,6 +320,14 @@ def fit_trace(
     peak = float(np.max(np.abs(data)))
     if peak == 0.0:
         raise ValueError("trace is identically zero; nothing to fit")
+    # the delays at least 2 tau from every pump time the problem allows: one
+    # window for every trial, so the data set does not move with t_offset
+    lo, hi = problem.bounds.get("t_offset", (problem.resolve({})["t_offset"],) * 2)
+    mask = np.maximum(lo - trace.delays, trace.delays - hi) >= 2.0 * problem.tau_fwhm_ps
+    if not mask.any():
+        raise ValueError(f"no delay lies at least 2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps "
+                         f"from every pump time t_offset in [{lo:g}, {hi:g}] ps")
+    norm = peak * math.sqrt(mask.sum())
     free = problem.free_names
     lows = np.array([problem.bounds[n][0] for n in free])
     highs = np.array([problem.bounds[n][1] for n in free])
@@ -329,24 +340,19 @@ def fit_trace(
     xtol = np.where(keyed, np.maximum(1e-8, problem.cache_quantum / span), 1e-8)
     counter = {"n": 0}
 
-    def residuals(x: np.ndarray, at: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """(residuals, profiled scale) at x in the box, over the delays outside
-        the pulse overlap at `at` (default x); their squared norm is the objective."""
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(residuals, profiled scale) at x in the box, zero outside the
+        window; their squared norm is the objective."""
         params = problem.resolve(dict(zip(free, lows + span * x)))
         counter["n"] += 1
         base = model_signal({**params, "scale": 1.0}, problem, trace.delays, cache)
-        pump = params["t_offset"] if at is None else problem.resolve(dict(zip(free, lows + span * at)))["t_offset"]
-        mask = np.abs(trace.delays - pump) >= 2.0 * problem.tau_fwhm_ps
-        if not mask.any():
-            return np.full(len(data), np.inf), 0.0
         scale = _profiled_scale(base, data, mask, problem.scale_bounds)
-        return np.where(mask, scale * base - data, 0.0) / (peak * math.sqrt(mask.sum())), scale
+        return np.where(mask, scale * base - data, 0.0) / norm, scale
 
     def jacobian(x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        """Forward differences by `steps`, backward where they would leave the
-        box, all outside x's pulse overlap: its jumps in t_offset carry no derivative."""
+        """Forward differences by `steps`, backward where they would leave the box."""
         ys = x + np.diag(np.where(x + steps <= 1.0, steps, -steps))
-        return np.column_stack([(residuals(y, x)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
+        return np.column_stack([(residuals(y)[0] - r0) / (y[k] - x[k]) for k, y in enumerate(ys)])
 
     def refine(x, r, scale, max_nfev):
         """(x, r, scale, converged) of Levenberg-Marquardt from a grid point: each
@@ -388,11 +394,6 @@ def fit_trace(
     # the refine_starts best grid points, each with its residuals and scale
     starts = ((x, *residuals(x)) for x in map(np.array, itertools.product(*grids)))
     ranked = heapq.nsmallest(refine_starts, starts, key=lambda start: float(start[1] @ start[1]))
-    if not math.isfinite(ranked[0][1] @ ranked[0][1]):
-        raise ValueError(
-            "no fit start has a finite objective: the fit needs samples at least "
-            f"2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps from the pump"
-        )
 
     # a Jacobian costs len(free) evaluations and follows each accepted trial
     max_nfev = max(max_evaluations - counter["n"], 0) // refine_starts // (len(free) + 1)

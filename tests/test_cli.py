@@ -970,7 +970,7 @@ def test_fit_out_of_budget_exits_4_and_writes_its_best(tmp_path, capsys):
 
 
 def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):
-    # every sample lies within 2 tau of the pump, so no objective is finite
+    # every sample lies within 2 tau of the pump, so the window keeps none
     scan = tmp_path / "scan.csv"
     scan.write_text("delay_ps,signal_au\n" + "".join(f"{k * 0.15 / 59},{1.0 + k}\n" for k in range(60)))
     cfg = _cfg(tmp_path, {
@@ -979,7 +979,8 @@ def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):
     })
     out = tmp_path / "x"
     assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "no fit start has a finite objective" in capsys.readouterr().err
+    assert ("no delay lies at least 2 tau_fwhm_ps = 0.2 ps from every pump time t_offset in [0, 0] ps"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -533,12 +533,14 @@ def _trf_fit(problem, trace, max_evaluations=4000, refine_starts=3, n_intensity_
     steps = np.minimum(0.5, np.where(keyed, np.maximum(2, np.round(1e-3 * span / q)) * q / span, 1e-3))
     xtol = max(1e-8, float(np.min(q / span))) if keyed.all() else 1e-8
     count = [0]
+    # fit_trace's window: the delays at least 2 tau from every allowed pump time
+    pump = problem.bounds.get("t_offset", (problem.resolve({})["t_offset"],) * 2)
+    mask = np.maximum(pump[0] - trace.delays, trace.delays - pump[1]) >= 2.0 * problem.tau_fwhm_ps
 
     def fun(x):
         count[0] += 1
         params = {**problem.resolve(dict(zip(free, lows + span * x))), "scale": 1.0}
         base = model_signal(params, problem, trace.delays, cache)
-        mask = np.abs(trace.delays - params["t_offset"]) >= 2.0 * problem.tau_fwhm_ps
         scale = min(max(base[mask] @ trace.signal[mask] / (base[mask] @ base[mask]), problem.scale_bounds[0]),
                     problem.scale_bounds[1])
         return np.where(mask, scale * base - trace.signal, 0.0) / (peak * np.sqrt(mask.sum()))
