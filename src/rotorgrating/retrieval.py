@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dynamics import kick_ensemble
-from .field import xi_per_intensity
+from .field import MAX_DELAY_PS, xi_per_intensity
 from .grating import check_scheme, diffracted_signal, single_pump_intensity
 from .observables import FourierDecomposition, fourier_decompose, reconstruct, write_columns_csv
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
@@ -46,6 +46,8 @@ class ExperimentalTrace:
             raise ValueError("delays and signal must be finite")
         if not np.all(np.diff(self.delays) > 0):
             raise ValueError("delays must be strictly increasing")
+        if not np.all(np.abs(self.delays) <= MAX_DELAY_PS):
+            raise ValueError(f"delays must lie within +-{MAX_DELAY_PS:.0e} ps")
 
 
 _DELAY_UNITS = {"ps": 1.0, "fs": 1e-3, "ns": 1e3}
@@ -155,6 +157,9 @@ class FitProblem:
         lo, hi = self.scale_bounds
         if not lo < hi:
             raise ValueError(f"scale_bounds must have lo < hi, got {self.scale_bounds}")
+        for t in self.bounds.get("t_offset", (self.fixed.get("t_offset", 0.0),)):
+            if not abs(t) <= MAX_DELAY_PS:
+                raise ValueError(f"'t_offset' must lie within +-{MAX_DELAY_PS:.0e} ps, got {t:.6g}")
         if self.scheme != "parallel" and self._background_active():
             raise ValueError("background parameters apply to the parallel scheme only")
         for name in ("intensity", "temperature"):
@@ -396,7 +401,7 @@ def fit_trace(
     ranked = heapq.nsmallest(refine_starts, starts, key=lambda start: float(start[1] @ start[1]))
 
     # a Jacobian costs len(free) evaluations and follows each accepted trial
-    max_nfev = max(max_evaluations - counter["n"], 0) // refine_starts // (len(free) + 1)
+    max_nfev = max(max_evaluations - counter["n"], 0) // len(ranked) // (len(free) + 1)
     fits = [refine(*start, max_nfev) for start in ranked] if max_nfev else []
     best_x, resid, best_scale, converged = min(fits, key=lambda fit: float(fit[1] @ fit[1]),
                                                default=(*ranked[0], False))

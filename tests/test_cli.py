@@ -984,6 +984,47 @@ def test_fit_rejects_a_trace_inside_the_pulse_overlap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", [[-1.0, 1.0], [-0.5, 1.5], [-5.0, 5.0]])
+def test_fit_rejects_a_t_offset_range_whose_window_covers_the_scan(tmp_path, capsys, box):
+    # the window keeps the delays at least 2 tau from the whole range
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(
+        f"{k * 0.02},{abs(math.sin(7.0 * k * 0.02)) + 0.1}\n" for k in range(50)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0], "t_offset": box}, "fixed": {"temperature": 60.0},
+    })
+    out = tmp_path / "x"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"from every pump time t_offset in [{box[0]:g}, {box[1]:g}] ps" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift, setting, message", [
+    (1e14, {}, "delays must lie within +-1e+09 ps"),
+    (0.0, {"fixed": {"temperature": 60.0, "t_offset": 1e300}},
+     "'t_offset' must lie within +-1e+09 ps, got 1e+300"),
+    (0.0, {"bounds": {"intensity": [5.0, 30.0], "t_offset": [-2e9, 0.0]}},
+     "'t_offset' must lie within +-1e+09 ps, got -2e+09"),
+], ids=["delays", "fixed_t_offset", "t_offset_bounds"])
+def test_fit_keeps_delays_and_pump_time_within_the_delay_bound(tmp_path, capsys, shift, setting, message):
+    # the bound simulate puts on its grid and pump time
+    scan = tmp_path / "scan.csv"
+    scan.write_text("delay_ps,signal_au\n" + "".join(f"{shift + 0.5 + k * 0.1!r},1.0\n" for k in range(60)))
+    cfg = _cfg(tmp_path, {
+        "molecule": "CO2", "scheme": "perpendicular", "trace_path": "scan.csv",
+        "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 60.0}, **setting,
+    })
+    out = tmp_path / "x"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scheme, sim_extra, free, fixed, truth", [
     # the pump arrives at 0.2 ps: the fit starts t_offset mid-range
     ("perpendicular", {"t0_ps": 0.2}, {"t_offset": [0.0, 0.4]}, {},

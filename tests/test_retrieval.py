@@ -101,6 +101,9 @@ def test_trace_validation():
     t[30] = t[29]
     with pytest.raises(ValueError, match="increasing"):
         ExperimentalTrace(t, np.zeros(60))
+    # the bound simulate puts on its grid and pump time
+    with pytest.raises(ValueError, match=r"delays must lie within \+-1e\+09 ps"):
+        ExperimentalTrace(np.arange(60.0) + 1e14, np.ones(60))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,10 @@ def test_fit_problem_validation():
         )
     with pytest.raises(ValueError, match="temperature"):
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)})
+    for pump in ({"fixed": {"temperature": 60, "t_offset": 1e300}},
+                 {"fixed": {"temperature": 60}, "bounds": {"intensity": (1, 10), "t_offset": (0.0, 2e9)}}):
+        with pytest.raises(ValueError, match=r"'t_offset' must lie within \+-1e\+09 ps"):
+            FitProblem(CO2, "parallel", **{"bounds": {"intensity": (1, 10)}, **pump})
     # a misspelled or unfittable fixed name would otherwise be silently ignored
     with pytest.raises(ValueError, match="unknown fixed parameter 't_ofset'"):
         FitProblem(CO2, "parallel", bounds={"intensity": (1, 10)},
@@ -513,6 +520,69 @@ def test_a_refinement_without_starts_or_budget_is_rejected(monkeypatch, name, va
     monkeypatch.setattr(retrieval, "model_signal", lambda *args: pytest.fail("an evaluation ran"))
     with pytest.raises(ValueError, match=f"'{name}' must be at least {least}, got {value}"):
         fit_trace(problem, trace, **{name: value})
+
+
+def test_the_refinement_budget_is_shared_between_the_ranked_starts():
+    # t_offset alone is free, so the grid ranks one start, and the 39
+    # evaluations the grid leaves are all its own: a third of them, as if
+    # refine_starts = 3 starts shared them, cut it after 12 evaluations
+    problem = FitProblem(CO2, "perpendicular", bounds={"t_offset": (-0.2, 0.2)},
+                         fixed={"intensity": 15.0, "temperature": 60.0}, cache_quantum=1e-3)
+    trace = synthesize_trace(problem, {"intensity": 15.0, "temperature": 60.0, "t_offset": 0.15},
+                             np.arange(0.5, 20.0, 0.02), noise_fraction=0.05, seed=2)
+    capped, full = fit_trace(problem, trace, max_evaluations=40), fit_trace(problem, trace)
+    assert full.converged and full.evaluations > 12
+    assert capped.to_dict() == full.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The pulse-overlap window
+# ---------------------------------------------------------------------------
+
+def _hazard_problem(box):
+    """The non-physical |sin 7t| + 0.1 on 50 delays from 0 to 0.98 ps, with
+    intensity and t_offset in `box` free."""
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "t_offset": box},
+                         fixed={"temperature": 60.0})
+    delays = np.arange(50) * 0.02
+    return problem, ExperimentalTrace(delays, np.abs(np.sin(7.0 * delays)) + 0.1)
+
+
+def test_samples_inside_the_window_leave_the_fit_unchanged():
+    # t_offset free in (-0.2, 0.2): the window drops the delays within 0.2 ps
+    # of that range, for every trial t_offset alike
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "t_offset": (-0.2, 0.2)},
+                         fixed={"temperature": 60.0}, cache_quantum=1e-3)
+    cache = EnsembleCache(problem)
+    trace = synthesize_trace(problem, {"intensity": 15.0, "temperature": 60.0, "t_offset": 0.05},
+                             np.arange(0.0, 20.0, 0.02), noise_fraction=0.05, seed=3, cache=cache)
+    inside = trace.delays < 0.39
+    peak = np.max(np.abs(trace.signal))
+    assert np.max(np.abs(trace.signal[~inside])) == peak
+    signal = trace.signal.copy()
+    signal[inside] = peak * np.random.default_rng(0).uniform(0.0, 0.9, inside.sum())
+    fits = [fit_trace(problem, ExperimentalTrace(trace.delays, s), refine_starts=1, n_intensity_starts=3,
+                      cache=cache).to_dict() for s in (trace.signal, signal)]
+    assert fits[0]["converged"]
+    assert json.dumps(fits[0], sort_keys=True) == json.dumps(fits[1], sort_keys=True)
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (-0.5, 1.5), (-5.0, 5.0)])
+def test_a_window_covering_the_scan_is_rejected_before_any_evaluation(monkeypatch, box):
+    problem, trace = _hazard_problem(box)
+    monkeypatch.setattr(retrieval, "model_signal", lambda *args: pytest.fail("an evaluation ran"))
+    with pytest.raises(ValueError, match=rf"no delay lies at least 2 tau_fwhm_ps = 0.2 ps from every pump "
+                                         rf"time t_offset in \[{box[0]:g}, {box[1]:g}\] ps"):
+        fit_trace(problem, trace)
+
+
+def test_the_hazard_trace_converges_where_the_window_keeps_delays():
+    # (-0.5, 0.5) keeps the delays from 0.7 ps; a window that moved with the
+    # trial t_offset made the objective jump and the refinement creep
+    # toward the jump, here for 1,125 evaluations
+    problem, trace = _hazard_problem((-0.5, 0.5))
+    result = fit_trace(problem, trace, max_evaluations=300)
+    assert result.converged and result.flags == ()
 
 
 # ---------------------------------------------------------------------------
