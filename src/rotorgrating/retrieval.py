@@ -157,7 +157,7 @@ class FitProblem:
         lo, hi = self.scale_bounds
         if not lo < hi:
             raise ValueError(f"scale_bounds must have lo < hi, got {self.scale_bounds}")
-        for t in self.bounds.get("t_offset", (self.fixed.get("t_offset", 0.0),)):
+        for t in self.bounds.get("t_offset", (self.resolve({})["t_offset"],)):
             if not abs(t) <= MAX_DELAY_PS:
                 raise ValueError(f"'t_offset' must lie within +-{MAX_DELAY_PS:.0e} ps, got {t:.6g}")
         if self.scheme != "parallel" and self._background_active():
@@ -302,12 +302,13 @@ def fit_trace(
     before the grid: the delays at least 2 tau from every pump time the
     problem allows (the fixed t_offset, or its whole bounds when it is free).
     A scan that leaves no delay in the window is rejected before any
-    evaluation.  From each of the best
-    refine_starts grid points, Levenberg-Marquardt (More, LNM 630, 1978) with
-    a forward-difference Jacobian converges in bounds-scaled [0,1] coordinates.
-    The grid always runs in full; max_evaluations caps the evaluations that
-    the grid and the refinement make together, Jacobian columns included, and
-    the refinement gets what is left.  converged means the best run stopped
+    evaluation.  From each of the best refine_starts grid points,
+    Levenberg-Marquardt (More, LNM 630, 1978) with a forward-difference
+    Jacobian converges in bounds-scaled [0,1] coordinates.  The grid always
+    runs in full; max_evaluations caps the evaluations that the grid and the
+    refinement make together, Jacobian columns included, and the refinement
+    gets what is left, shared evenly between the starts the grid ranked.
+    converged means the best run stopped
     on a trial step within one cache cell (intensity, temperature) or 1e-8 of
     the box on every coordinate, on a decrease of at most 1e-8 of the
     objective, or on a zero gradient.  The sensitivity of each free parameter is the Gauss-Newton
