@@ -73,7 +73,9 @@ first use: elliptic_tdse_ensemble steps each group into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
 applied: a constant and one complex amplitude per lower J, its blocks added
-in layout order.  No other module reads a set's layout.
+in layout order.  ChannelSet.level_series splits a chain set's series by
+thermal level, for the fit's kick-strength surface.  No other module reads a
+set's layout.
 
 The module runs on numpy alone: a lattice operator is its (rows, cols,
 values) triplets and a reflection sector each site's column and coefficient.
@@ -622,17 +624,11 @@ class ChannelSet:
             diag, js, coupling = lay.operator
             lines = np.empty(len(js), dtype=complex)
             weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
-            lows = _starts(lay.sizes - 1)
-            for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
-                m, l0, l1 = b1 - b0, lows[b0], lows[b1]
-                c = amps[a0:a1].reshape(m, n, k)
+            for (b0, b1), (c0, c1), (r0, r1), (l0, l1), cross, pops in self._chain_runs():
+                m, k = b1 - b0, cross.shape[2]
                 w = weights[c0:c1].reshape(m, k)
-                cross = np.conj(c[:, 1:])
-                cross *= c[:, :-1]
-                np.matmul(cross, w[:, :, None].astype(complex), out=lines[l0:l1].reshape(m, n - 1, 1))
-                pops = np.abs(c)
-                pops *= pops
-                np.matmul(diag[r0:r1].reshape(m, 1, n), pops @ w[:, :, None],
+                np.matmul(cross, w[:, :, None].astype(complex), out=lines[l0:l1].reshape(m, -1, 1))
+                np.matmul(diag[r0:r1].reshape(m, 1, -1), pops @ w[:, :, None],
                           out=weighted[b0:b1].reshape(m, 1, 1))
                 w.sum(axis=1, out=totals[b0:b1])
             factor = 1.0 if axis == "y" else -0.5
@@ -642,6 +638,61 @@ class ChannelSet:
         for const in consts.tolist():  # in layout order: np.sum's pairwise order would move the bytes
             constant += const
         return constant, z
+
+    def _chain_runs(self):
+        """Per run of equal-shape chain blocks: its (first, end) block, column,
+        row and lower row, the m x (n - 1) x k products conj(c_{J+2,k}) c_{J,k}
+        of its amplitudes c and their m x n x k populations |c|^2."""
+        lows = _starts(self.layout.sizes - 1)
+        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in self.layout.runs:
+            c = self.amplitudes[a0:a1].reshape(b1 - b0, n, k)
+            cross = np.conj(c[:, 1:])
+            cross *= c[:, :-1]
+            pops = np.abs(c)
+            pops *= pops
+            yield (b0, b1), (c0, c1), (r0, r1), (lows[b0], lows[b1]), cross, pops
+
+    def level_series(self, axis: str) -> tuple:
+        """(levels, constants, lines, z): each thermal level's share of a chain
+        set's series of axis, per unit of the level's weight, so that the
+        series at any weights p of the levels is constants @ p, with z @ p on
+        the lines J in `lines` and zero on the others.
+
+        levels holds the J0 of the set's columns, ascending, and lines the
+        lower J of every line the chains hold; constants has one entry per
+        level and z, lines x levels, one column.  A column enters its level
+        with its share of the level's weight.  A chain holds each level once
+        at most, so a block's columns go to distinct levels and the terms of
+        series_terms, one per row and column, are summed per (line, level) by
+        one bincount rather than a product with a weight matrix.
+        """
+        check_axis(axis)
+        lay = self.layout
+        if lay.bases:
+            raise ValueError("level series are read off fixed-M chain sets only")
+        diag, js, coupling = lay.operator
+        levels, index = np.unique(lay.j0, return_inverse=True)
+        lines, line = np.unique(js, return_inverse=True)
+        shares = self.weights / np.bincount(index, weights=self.weights)[index]
+        # one term per lower row and column, packed run by run: its real and
+        # imaginary part and its cell, line times the level count plus level
+        ends = _starts((lay.sizes - 1) * lay.counts)
+        real, imag, cells = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1], dtype=np.intp)
+        per_column = np.empty(len(index))
+        for (b0, b1), (c0, c1), (r0, r1), (l0, l1), cross, pops in self._chain_runs():
+            m, k = b1 - b0, cross.shape[2]
+            part = slice(ends[b0], ends[b1])
+            scale = coupling[l0:l1].reshape(m, -1, 1) * shares[c0:c1].reshape(m, 1, k)
+            np.multiply(cross.real, scale, out=real[part].reshape(cross.shape))
+            np.multiply(cross.imag, scale, out=imag[part].reshape(cross.shape))
+            np.add(len(levels) * line[l0:l1].reshape(m, -1, 1), index[c0:c1].reshape(m, 1, k),
+                   out=cells[part].reshape(cross.shape))
+            np.matmul(diag[r0:r1].reshape(m, 1, -1), pops, out=per_column[c0:c1].reshape(m, 1, k))
+        factor = 1.0 if axis == "y" else -0.5
+        size = len(lines) * len(levels)
+        z = factor * (np.bincount(cells, real, size) + 1j * np.bincount(cells, imag, size))
+        constants = factor * np.bincount(index, shares * (per_column - 1.0 / 3.0), len(levels))
+        return levels, constants, lines, z.reshape(len(lines), len(levels))
 
     @property
     def channels(self) -> tuple:

@@ -107,41 +107,56 @@ def fourier_decompose(cs: ChannelSet, axis: str = "y") -> FourierDecomposition:
     """Exact cosine-series decomposition of the ensemble alignment trace.
 
     The set's series (ChannelSet.series_terms, lab-axis factor applied) holds
-    one complex amplitude per lower J; its nonzero ones are the components.
-    An unkicked thermal ensemble is isotropic, so its series is identically
-    zero; that case returns exact zeros rather than summation roundoff.
+    one complex amplitude per lower J; its nonzero ones are the components
+    (series_decomposition).  An unkicked thermal ensemble is isotropic, so its
+    series is identically zero; that case returns exact zeros rather than
+    summation roundoff.
     """
     check_axis(axis)
-    if cs.xi == 0.0:
-        empty = np.empty(0)
-        return FourierDecomposition(0.0, np.empty(0, dtype=int), empty, empty, empty, axis,
-                                    _metadata(cs))
-    constant, z = cs.series_terms(axis)
+    constant, z = (0.0, np.zeros(0, dtype=complex)) if cs.xi == 0.0 else cs.series_terms(axis)
+    return series_decomposition(constant, z, cs.molecule, cs.reference_time, axis, _metadata(cs))
+
+
+def series_decomposition(constant: float, z: np.ndarray, molecule: MoleculeSpec, reference_time: float,
+                         axis: str, metadata: dict) -> FourierDecomposition:
+    """The decomposition of the series constant + Re sum_J z[J] e^{i omega_J (t - reference_time)},
+    z indexed by lower J: its nonzero lines are the components."""
     js = np.nonzero(z)[0]
     zz = z[js]
-    omegas = raman_frequency(js, cs.molecule)
+    omegas = raman_frequency(js, molecule)
     # fold the kick-time reference into the phase: trace is a function of
     # absolute time; fmod and one exact 2 pi shift give IEEE remainder
-    phases = np.fmod(np.arctan2(zz.imag, zz.real) - omegas * cs.reference_time, 2.0 * math.pi)
+    phases = np.fmod(np.arctan2(zz.imag, zz.real) - omegas * reference_time, 2.0 * math.pi)
     phases -= np.where(np.abs(phases) > math.pi, np.copysign(2.0 * math.pi, phases), 0.0)
-    return FourierDecomposition(constant, js, np.abs(zz), phases, omegas, axis,
-                                _metadata(cs))
+    return FourierDecomposition(constant, js, np.abs(zz), phases, omegas, axis, metadata)
 
 
-# phase tables reconstruct keeps: z and e^{i omega_J0 t} of the last grid, each
-# of at most PHASE_CACHE_SAMPLES delays (a fit evaluates one grid hundreds of times)
+# phase tables reconstruct keeps: the powers of z and e^{i omega_J0 t} of the
+# last grid, each of at most PHASE_CACHE_SAMPLES delays (a fit evaluates one
+# grid hundreds of times)
 PHASE_CACHE_SIZE, PHASE_CACHE_SAMPLES = 2, 65536
 _PHASES: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
+# reconstruct evaluates HORNER_BLOCK coefficients per GEMM, on at most
+# HORNER_CHUNK (block, delay) entries at once
+HORNER_BLOCK, HORNER_CHUNK = 8, 65536
 
 
-def _phase_table(rate: float, times: np.ndarray) -> np.ndarray:
-    """exp(i rate t) on `times`, read-only, from the cache of the latest tables."""
-    if len(times) > PHASE_CACHE_SAMPLES:
-        return np.exp(1j * (rate * times))
+def _powers(rate: float, times: np.ndarray, rows: int) -> np.ndarray:
+    """exp(i k rate t) for k = 1..rows on `times`, rows x len(times): one
+    exponential, then products."""
+    table = np.empty((rows, len(times)), dtype=complex)
+    table[0] = np.exp(1j * (rate * times))
+    for k in range(1, rows):
+        np.multiply(table[k - 1], table[0], out=table[k])
+    return table
+
+
+def _phase_table(rate: float, times: np.ndarray, rows: int) -> np.ndarray:
+    """_powers(rate, times, rows), read-only, from the cache of the latest tables."""
     key = (times.tobytes(), rate)
     table = _PHASES.pop(key, None)
     if table is None:
-        table = np.exp(1j * (rate * times))
+        table = _powers(rate, times, rows)
         table.flags.writeable = False
     _PHASES[key] = table
     while len(_PHASES) > PHASE_CACHE_SIZE:
@@ -150,27 +165,45 @@ def _phase_table(rate: float, times: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(dec: FourierDecomposition, times) -> AlignmentTrace:
-    """Evaluate the cosine series on a time grid by Horner's rule.
+    """Evaluate the cosine series on a time grid by blocked Horner's rule.
 
     omega_J = omega_J0 + (J - J0) dw with dw = 8 pi c B, so the series is
     Re(e^{i omega_J0 t} P(z)): P has the coefficient |a_J| e^{i phi_J} at power
-    (J - J0)/g, with g the common J spacing and z = e^{i g dw t}.  Both phase
-    tables come from a small cache keyed by the delays and the rate.
+    (J - J0)/g, with g the common J spacing and z = e^{i g dw t}.  P is cut
+    into blocks of HORNER_BLOCK = b coefficients, P(z) = sum_i Q_i(z) z^(b i):
+    one GEMM of the blocks against the table of z^1..z^(b-1) gives every Q_i,
+    and Horner's rule runs over the blocks in z^b.  The delays go in chunks
+    of at most HORNER_CHUNK (block, delay) entries.  The tables of z^1..z^b
+    and of e^{i omega_J0 t} come from a small cache keyed by the delays and
+    the rate; a grid of more than PHASE_CACHE_SAMPLES delays is not kept, and
+    each chunk builds its own.
     """
     times = np.asarray(times, dtype=float)
     values = np.full(len(times), dec.constant)
     if len(dec.js):
         js = dec.js - dec.js[0]
         g = int(np.gcd.reduce(js[1:])) if len(js) > 1 else 1
-        coef = np.zeros(js[-1] // g + 1, dtype=complex)
+        coef = np.zeros(-(-(js[-1] // g + 1) // HORNER_BLOCK) * HORNER_BLOCK, dtype=complex)
         coef[js // g] = dec.amplitudes * np.exp(1j * dec.phases)
-        step = 4.0 * dec.omegas[0] / (4.0 * dec.js[0] + 6.0)  # 8 pi c B
-        z = _phase_table(g * step, times)
-        p = np.full(len(times), coef[-1])
-        for c in coef[-2::-1]:
-            p *= z
-            p += c
-        values += np.real(_phase_table(dec.omegas[0], times) * p)
+        blocks = coef.reshape(-1, HORNER_BLOCK)  # block i: the coefficients of z^(b i) .. z^(b i + b - 1)
+        rates = (g * (4.0 * dec.omegas[0] / (4.0 * dec.js[0] + 6.0)), dec.omegas[0])  # g 8 pi c B, omega_J0
+        kept = len(times) <= PHASE_CACHE_SAMPLES
+        if kept:
+            tables = _phase_table(rates[0], times, HORNER_BLOCK), _phase_table(rates[1], times, 1)
+        step = max(1, HORNER_CHUNK // len(blocks))
+        for lo in range(0, len(times), step):
+            part = slice(lo, lo + step)
+            if kept:
+                z, start = (table[:, part] for table in tables)
+            else:
+                z, start = _powers(rates[0], times[part], HORNER_BLOCK), _powers(rates[1], times[part], 1)
+            q = blocks[:, 1:] @ z[:-1]
+            q += blocks[:, :1]
+            p = q[-1]
+            for row in q[-2::-1]:
+                p *= z[-1]
+                p += row
+            values[part] += np.real(start[0] * p)
     return AlignmentTrace(times, values, dec.axis, dict(dec.metadata))
 
 
@@ -191,8 +224,8 @@ def alignment_trace(cs: ChannelSet, axis: str, times) -> AlignmentTrace:
     return AlignmentTrace(times, np.real(z[js] @ phases) + constant, axis, _metadata(cs))
 
 
-# traced peak of a simulate run per delay sample (the grid, the trace, the
-# signal and reconstruct's complex Horner accumulators)
+# traced peak of a simulate run per delay sample (the grid, the trace and the
+# signal; reconstruct's blocks and accumulators go by chunks of delays)
 GRID_BYTES_PER_SAMPLE = 80
 
 

@@ -4,8 +4,11 @@ The forward model is the grating signal pipeline: a sudden-kick thermal
 ensemble at (intensity, temperature), its exact cosine-series decomposition,
 evaluated at shifted delays, turned into a diffracted signal by the same
 grating.diffracted_signal that simulate uses, and scaled.  The decomposition
-per (intensity, temperature) cell is cached with quantized keys, so the
-refinement pays the propagation cost only once per visited cell.
+per (intensity, temperature) cell is cached with quantized keys.  A fit kicks
+the ensemble only at the Chebyshev nodes of one kick-strength surface
+(KickSurface), at the top temperature of its box and on one chain layout;
+every cell in the box is read off it by interpolation in xi and Boltzmann
+weights of the thermal levels.
 
 The amplitude scale never enters the optimizer: for any trial of the other
 parameters it is a linear least-squares subproblem solved in closed form.
@@ -17,13 +20,16 @@ import heapq
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import kick_ensemble
+from .dynamics import check_working_set, kick_ensemble
 from .field import MAX_DELAY_PS, xi_per_intensity
 from .grating import check_scheme, diffracted_signal, single_pump_intensity
-from .observables import FourierDecomposition, fourier_decompose, reconstruct, write_columns_csv
+from .observables import (
+    FourierDecomposition, fourier_decompose, reconstruct, series_decomposition, write_columns_csv,
+)
 from .rotor import MoleculeSpec, boltzmann_ensemble, suggest_j_max
 
 PARAM_ORDER = ("intensity", "temperature", "t_offset", "background_re", "background_im")
@@ -188,8 +194,148 @@ class FitProblem:
         return params
 
 
+# A kick-strength surface starts on SURFACE_INTERVALS Chebyshev intervals of
+# the intensity box and doubles them, up to SURFACE_MAX_INTERVALS, until the
+# two highest Chebyshev coefficients of its series, at the box's lowest and
+# highest temperature, are within SURFACE_TOL of its largest line.  Its
+# series, not each level's, is what converges: on CO2's 5-30 TW/cm^2 box the
+# single levels' tails read 6e-8 at 16 intervals, the 20 K series' 3e-11,
+# and the latter falls to 6e-15 at 20
+SURFACE_INTERVALS, SURFACE_MAX_INTERVALS, SURFACE_TOL = 20, 160, 1e-13
+
+
+def _level_weights(ensemble, levels: np.ndarray) -> np.ndarray | None:
+    """The ensemble's weight on each of `levels`, or None if it populates another level."""
+    full = np.bincount(ensemble.j0, weights=ensemble.weights, minlength=levels[-1] + 1)
+    return full[levels] if np.count_nonzero(full) == np.count_nonzero(full[levels]) else None
+
+
+def _converged(constants: np.ndarray, lines: np.ndarray, level_weights: np.ndarray, weights: np.ndarray,
+               x: np.ndarray) -> bool:
+    """Whether the series at `level_weights`, given on the Chebyshev nodes x_k
+    = cos(k pi / N) of barycentric weights w_k, has its two highest Chebyshev
+    coefficients within SURFACE_TOL of its largest line: c_N = sum_k w_k f_k / N
+    and c_(N-1) = 2 sum_k w_k x_k f_k / N, w_k being (-1)^k, halved at both ends."""
+    values = np.column_stack((constants @ level_weights, lines @ level_weights))
+    top = np.stack((weights, 2.0 * weights * x)) @ values / (len(x) - 1)
+    return np.abs(top).max() <= SURFACE_TOL * np.abs(values[:, 1:]).max()
+
+
+@dataclass(frozen=True)
+class KickSurface:
+    """Each thermal level's sudden-kick series at Chebyshev nodes in xi.
+
+    The ensemble at the top temperature key `top` is kicked at every node on
+    one chain layout of j_max, and its series is kept per thermal level and
+    unit level weight (ChannelSet.level_series): `constants` is nodes x
+    levels, `lines` nodes x len(rows) x levels, on the lines J in `rows`
+    that the chains hold (every other line is zero).  The nodes are Chebyshev
+    points of the second kind on the xi of the intensity keys lo..hi,
+    `weights` their barycentric weights; the surface serves the temperature
+    keys bottom..top.  The kick's lines are trigonometric polynomials in
+    xi of bandwidth at most 1 (cos^2 theta has its spectrum in [0, 1]), so
+    barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004))
+    converges geometrically in the node count.
+    """
+
+    lo: int
+    hi: int
+    bottom: int
+    top: int
+    j_max: int
+    levels: np.ndarray
+    rows: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    constants: np.ndarray
+    lines: np.ndarray
+
+    def series(self, key: tuple[int, int], ensemble, xi: float) -> tuple | None:
+        """(constant, z) of the kick of strength xi at cache key `key`, the
+        interpolant in xi times the ensemble's level weights; None unless the
+        keys lie in lo..hi and bottom..top and the ensemble populates only the
+        surface's levels."""
+        if not (self.lo <= key[0] <= self.hi and self.bottom <= key[1] <= self.top):
+            return None
+        p = _level_weights(ensemble, self.levels)
+        if p is None:
+            return None
+        gap = xi - self.nodes
+        at = gap == 0.0
+        if at.any():
+            at = at / np.count_nonzero(at)
+        else:
+            at = self.weights / gap
+            at /= at.sum()
+        z = np.zeros(self.j_max + 1, dtype=complex)
+        z[self.rows] = np.tensordot(at, self.lines, 1) @ p
+        return float(at @ self.constants @ p), z
+
+
+def kick_surface(problem: FitProblem) -> KickSurface | None:
+    """The problem's kick-strength surface, or None when its box holds no
+    positive intensity key or no nonnegative temperature key, or its nodes
+    do not converge within SURFACE_MAX_INTERVALS.
+
+    The box is padded to the quantized keys, so it covers every key the
+    cache can ask for.  The ensemble at the top temperature is kicked on one
+    layout: problem.j_max if set, else suggest_j_max at the (top, hi) corner.
+    A fixed intensity makes one node.  The surface's bytes, at most a
+    complex per node, level and line up to j_max and a float per node and
+    level, are checked against the working-set budget before each set of
+    nodes is kicked.
+    """
+    q = problem.cache_quantum
+    (lo, hi), (bottom, top) = ([round(v / q) for v in problem.bounds.get(name, (problem.fixed.get(name),) * 2)]
+                               for name in ("intensity", "temperature"))
+    lo, bottom = max(lo, 1), max(bottom, 0)  # intensity key 0 keeps the direct path's exact zero series
+    if hi < lo or top < bottom:
+        return None
+    molecule = problem.molecule
+    a, b = (xi_per_intensity(molecule, problem.tau_fwhm_ps) * (k * q) for k in (lo, hi))
+    ensemble = boltzmann_ensemble(molecule, top * q, problem.boltzmann_cutoff)
+    j_max = problem.j_max if problem.j_max is not None else suggest_j_max(ensemble.j_thermal_max, b)
+    levels = np.flatnonzero(np.bincount(ensemble.j0))  # np.unique would import numpy.ma
+    corners = [w for w in (_level_weights(boltzmann_ensemble(molecule, k * q, problem.boltzmann_cutoff), levels)
+                           for k in {bottom, top}) if w is not None]
+    intervals = SURFACE_INTERVALS if hi > lo else 0
+    constants = lines = None
+    while True:
+        x = np.cos(math.pi * np.arange(intervals + 1) / max(intervals, 1))
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
+        nodes[0], nodes[-1] = b, a
+        weights = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
+        weights[[0, -1]] *= 0.5
+        check_working_set(len(nodes) * len(levels) * (16 * (j_max + 1) + 8),
+                          f"a kick-strength surface of {len(nodes)} nodes x {len(levels)} levels at j_max={j_max}")
+        fresh = range(len(nodes)) if constants is None else range(1, len(nodes), 2)
+        if constants is not None:  # the old nodes are the even ones of the doubled set
+            grown = [np.empty((len(nodes), *old.shape[1:]), old.dtype) for old in (constants, lines)]
+            grown[0][::2], grown[1][::2] = constants, lines
+            constants, lines = grown
+        for k in fresh:
+            _, constant, rows, z = kick_ensemble(molecule, ensemble, nodes[k], j_max).level_series("y")
+            if constants is None:
+                constants, lines = np.empty((len(nodes), len(levels))), np.empty((len(nodes), *z.shape), complex)
+            constants[k], lines[k] = constant, z
+        if intervals == 0 or all(_converged(constants, lines, w, weights, x) for w in corners):
+            break
+        if intervals >= SURFACE_MAX_INTERVALS:
+            return None
+        intervals *= 2
+    return KickSurface(lo, hi, bottom, top, j_max, levels, rows, nodes, weights, constants, lines)
+
+
 class EnsembleCache:
-    """Decompositions keyed by quantized (intensity, temperature)."""
+    """Decompositions keyed by quantized (intensity, temperature).
+
+    A miss is evaluated at the quantized point, so equal keys mean equal
+    results, and stored.  The first miss builds the problem's kick-strength
+    surface (kick_surface), and every miss it covers is read off it.  A miss
+    it does not cover, with a key outside the box, an intensity key of 0 or
+    a thermal level the surface lacks, is kicked directly on a basis sized at
+    its own temperature.
+    """
 
     def __init__(self, problem: FitProblem):
         self.problem = problem
@@ -200,27 +346,35 @@ class EnsembleCache:
         q = self.problem.cache_quantum
         return (int(round(intensity / q)), int(round(temperature / q)))
 
+    @cached_property
+    def surface(self) -> KickSurface | None:
+        return kick_surface(self.problem)
+
     def decomposition(self, intensity: float, temperature: float) -> FourierDecomposition:
         key = self._key(intensity, temperature)
         hit = self._store.get(key)
         if hit is None:
             self.misses += 1
-            p = self.problem
-            # evaluate at the quantized point so equal keys mean equal results
-            q = p.cache_quantum
-            ii, tt = key[0] * q, key[1] * q
-            ens = boltzmann_ensemble(p.molecule, tt, p.boltzmann_cutoff)
-            xi = xi_per_intensity(p.molecule, p.tau_fwhm_ps) * ii
-            j_max = p.j_max
-            if j_max is None:
-                hi = p.bounds.get("intensity", (ii, ii))[1]
-                j_max = suggest_j_max(
-                    ens.j_thermal_max, xi_per_intensity(p.molecule, p.tau_fwhm_ps) * hi
-                )
-            cs = kick_ensemble(p.molecule, ens, xi, j_max)
-            hit = fourier_decompose(cs, "y")
-            self._store[key] = hit
+            hit = self._store[key] = self._decompose(key)
         return hit
+
+    def _decompose(self, key: tuple[int, int]) -> FourierDecomposition:
+        p = self.problem
+        q = p.cache_quantum
+        ii, tt = key[0] * q, key[1] * q
+        ens = boltzmann_ensemble(p.molecule, tt, p.boltzmann_cutoff)
+        xi = xi_per_intensity(p.molecule, p.tau_fwhm_ps) * ii
+        surface = self.surface
+        series = None if surface is None else surface.series(key, ens, xi)
+        if series is not None:
+            return series_decomposition(*series, p.molecule, 0.0, "y",
+                                        {"molecule": p.molecule.name, "temperature_K": tt, "xi": xi,
+                                         "j_max": surface.j_max})
+        j_max = p.j_max
+        if j_max is None:
+            hi = p.bounds.get("intensity", (ii, ii))[1]
+            j_max = suggest_j_max(ens.j_thermal_max, xi_per_intensity(p.molecule, p.tau_fwhm_ps) * hi)
+        return fourier_decompose(kick_ensemble(p.molecule, ens, xi, j_max), "y")
 
 
 def model_signal(
@@ -297,12 +451,12 @@ def fit_trace(
 ) -> FitResult:
     """Least-squares retrieval: multistart grid, then bounded Levenberg-Marquardt.
 
-    The objective is the mean squared residual normalized by the data peak,
-    with the scale profiled out at every trial point, over one window fixed
-    before the grid: the delays at least 2 tau from every pump time the
-    problem allows (the fixed t_offset, or its whole bounds when it is free).
-    A scan that leaves no delay in the window is rejected before any
-    evaluation.  From each of the best refine_starts grid points,
+    The objective is the mean squared residual, with the scale profiled out
+    at every trial point, over one window fixed before the grid: the delays
+    at least 2 tau from every pump time the problem allows (the fixed
+    t_offset, or its whole bounds when it is free), normalized by the data's
+    peak in that window.  A scan that leaves no delay in the window, or only
+    zeros, is rejected before any evaluation.  From each of the best refine_starts grid points,
     Levenberg-Marquardt (More, LNM 630, 1978) with a forward-difference
     Jacobian converges in bounds-scaled [0,1] coordinates.  The grid always
     runs in full; max_evaluations caps the evaluations that the grid and the
@@ -323,9 +477,6 @@ def fit_trace(
     if cache is None or cache.problem is not problem:
         cache = EnsembleCache(problem)
     data = trace.signal
-    peak = float(np.max(np.abs(data)))
-    if peak == 0.0:
-        raise ValueError("trace is identically zero; nothing to fit")
     # the delays at least 2 tau from every pump time the problem allows: one
     # window for every trial, so the data set does not move with t_offset
     lo, hi = problem.bounds.get("t_offset", (problem.resolve({})["t_offset"],) * 2)
@@ -333,6 +484,10 @@ def fit_trace(
     if not mask.any():
         raise ValueError(f"no delay lies at least 2 tau_fwhm_ps = {2.0 * problem.tau_fwhm_ps:g} ps "
                          f"from every pump time t_offset in [{lo:g}, {hi:g}] ps")
+    # the window's own peak: a spike the window drops rescales nothing
+    peak = float(np.max(np.abs(data[mask])))
+    if peak == 0.0:
+        raise ValueError("trace is identically zero in the fit window; nothing to fit")
     norm = peak * math.sqrt(mask.sum())
     free = problem.free_names
     lows = np.array([problem.bounds[n][0] for n in free])

@@ -4,7 +4,8 @@ temperature, kick strength and pulse length, the chain stepper,
 the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
 sectors, the bound of the probe that sizes the lattice and its kicks' peak
-memory, and the CLI's exit codes over generated configs."""
+memory, the fit's kick-strength surface against direct kicks, and the CLI's
+exit codes over generated configs."""
 
 import json
 import math
@@ -24,6 +25,7 @@ from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble, tdse_ensemble
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
+from rotorgrating.retrieval import EnsembleCache, FitProblem
 from rotorgrating.rotor import (
     CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, cos2theta_diagonal,
     cos2theta_offdiag, raman_frequency, rotational_omega, suggest_j_max,
@@ -307,6 +309,58 @@ def test_probe_bound_holds_the_measured_reach(molecule, temperature, xi):
     oracle = dynamics._reach(kick_ensemble(molecule, ens, xi), ens.j_thermal_max)
     assert bound >= oracle and measured == oracle
     assert rest[0].j_max == bound + 2 and rest[-1].edge_leak() <= dynamics.PROBE_EDGE_TOL
+
+
+def _direct_decomposition(problem: FitProblem, key: tuple[int, int]):
+    """The cache's decomposition of a key as one direct kick, on a basis
+    sized at the key's temperature and the top of the intensity box."""
+    q, molecule = problem.cache_quantum, problem.molecule
+    ens = boltzmann_ensemble(molecule, key[1] * q, problem.boltzmann_cutoff)
+    per_i = xi_per_intensity(molecule, problem.tau_fwhm_ps)
+    j_max = suggest_j_max(ens.j_thermal_max, per_i * problem.bounds["intensity"][1])
+    return fourier_decompose(kick_ensemble(molecule, ens, per_i * (key[0] * q), j_max), "y")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), intensities=st.tuples(st.floats(0.0, 20.0),
+       st.floats(0.5, 20.0)), temperatures=st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=3, max_size=3))
+@example(molecule=CO2, intensities=(5.0, 25.0), temperatures=(20.0, 130.0),  # fit-series' box
+         points=[(0.52, 0.31), (0.11, 0.02), (0.97, 0.74)])
+@example(molecule=CO2, intensities=(5.0, 25.0), temperatures=(0.0, 2.0),  # its nodes double to 41
+         points=[(0.52, 0.31), (0.11, 0.02), (0.97, 0.74)])
+def test_kick_surface_matches_direct_kicks(molecule, intensities, temperatures, points):
+    # in the box, the surface's lines and constant lie within 1e-12 of the
+    # largest line of a direct kick of the same ensemble on its basis (or,
+    # for the weakest kicks, within the direct kick's own roundoff);
+    # outside it, the cache's decomposition is the direct path's, bit for bit
+    lo, width = intensities
+    bottom, span = temperatures
+    problem = FitProblem(molecule, "perpendicular", cache_quantum=1e-3,
+                         bounds={"intensity": (lo, lo + width), "temperature": (bottom, bottom + span)})
+    cache = EnsembleCache(problem)
+    surface = cache.surface
+    q, per_i = problem.cache_quantum, xi_per_intensity(molecule, problem.tau_fwhm_ps)
+    keys = [(surface.lo, surface.top), (surface.hi, surface.bottom)]
+    keys += [(round(surface.lo + a * (surface.hi - surface.lo)), round(surface.bottom + b * (surface.top - surface.bottom)))
+             for a, b in points]
+    for key in keys:
+        ens = boltzmann_ensemble(molecule, key[1] * q, problem.boltzmann_cutoff)
+        xi = per_i * (key[0] * q)
+        constant, z = surface.series(key, ens, xi)
+        want_constant, want_z = kick_ensemble(molecule, ens, xi, surface.j_max).series_terms("y")
+        # a weak kick's constant and lines are sums of terms of order 1 that
+        # cancel: the direct kick's own roundoff, a few eps, is the floor
+        tol = 1e-12 * np.max(np.abs(want_z)) + 4.0 * np.finfo(float).eps
+        assert abs(constant - want_constant) <= tol
+        assert np.max(np.abs(z - want_z)) <= tol
+    outside = [(0, surface.top), (surface.hi + 1, surface.bottom), (surface.lo, surface.top + 1000)]
+    outside += [(surface.lo, surface.bottom - 1000)] if surface.bottom >= 1000 else []
+    for key in outside:
+        dec, want = cache.decomposition(key[0] * q, key[1] * q), _direct_decomposition(problem, key)
+        assert dec.to_dict() == want.to_dict() and dec.metadata == want.metadata
+        assert all(np.array_equal(getattr(dec, name), getattr(want, name))
+                   for name in ("js", "amplitudes", "phases", "omegas"))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

@@ -376,11 +376,76 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
         held = sum(a.nbytes for name in ("eigen", "gather") for a in layout.__dict__[name])
         assert held == 16 * n.sum() + 8 * (n * n).sum() + 4 * (n * k).sum()
         assert 8 * (n * n).sum() <= share and np.all(k <= n) and held <= 2 * share
-    # reconstruct's phase tables of the scan's delays, each a complex and
-    # its key 8 bytes per delay, at most PHASE_CACHE_SAMPLES delays
+    # reconstruct's phase tables of the scan's delays: HORNER_BLOCK rows of
+    # powers of z or one row of e^{i omega_J0 t}, a complex per row and delay,
+    # their key 8 bytes per delay, at most PHASE_CACHE_SAMPLES delays
     assert 0 < len(observables._PHASES) <= observables.PHASE_CACHE_SIZE
     for (times, _), table in observables._PHASES.items():
-        assert len(times) + table.nbytes == 24 * len(table) <= 24 * observables.PHASE_CACHE_SAMPLES
+        rows, samples = table.shape
+        assert rows in (1, observables.HORNER_BLOCK) and table.nbytes == 16 * rows * samples
+        assert len(times) == 8 * samples <= 8 * observables.PHASE_CACHE_SAMPLES
+    # the fit's kick-strength surface: per node and level, a complex per line
+    # the chains hold, at most j_max + 1 of them, and a float constant
+    surface = cache.surface
+    nodes, levels = len(surface.nodes), len(surface.levels)
+    assert surface.lines.nbytes + surface.constants.nbytes == nodes * levels * (16 * len(surface.rows) + 8)
+    assert len(surface.rows) <= surface.j_max + 1 and nodes <= retrieval.SURFACE_MAX_INTERVALS + 1
+
+
+def test_a_fit_series_pair_kicks_only_the_surface_nodes(monkeypatch):
+    # the fit-series workload's box and its first two fits on one cache:
+    # every kick is a node of the one surface, on one chain layout at one
+    # j_max (one kick per visited cell, 111 on 4 layouts, before the surface)
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
+                         cache_quantum=1e-3)
+    delays = np.arange(0.5, 0.5 + revival_period(CO2.b_cm1), 0.02)
+    truth = {"intensity": 18.0, "temperature": 60.0, "scale": 2.5}
+    scratch = EnsembleCache(problem)
+    traces = [synthesize_trace(problem, truth, delays, noise, seed, scratch) for noise, seed in ((0.0, None), (0.05, 1))]
+    dynamics.clear_caches()
+    kicks, kick = [], retrieval.kick_ensemble
+    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: kicks.append(args[2:]) or kick(*args))
+    cache = EnsembleCache(problem)
+    fits = [fit_trace(problem, traces[0], cache=cache),
+            fit_trace(problem, traces[1], max_evaluations=600, refine_starts=2, cache=cache)]
+    assert all(fit.converged for fit in fits) and cache.misses > 2 * len(kicks)
+    assert len(kicks) <= len(cache.surface.nodes) == retrieval.SURFACE_INTERVALS + 1 == 21
+    assert len({j_max for _, j_max in kicks}) == 1 and len(dynamics._LAYOUTS) == 1
+
+
+def test_the_surface_is_checked_against_the_budget_before_its_kicks(monkeypatch):
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)})
+    estimates, check = [], retrieval.check_working_set
+    monkeypatch.setattr(retrieval, "check_working_set",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
+    surface = retrieval.kick_surface(problem)
+    nodes, levels = len(surface.nodes), len(surface.levels)
+    assert estimates == [nodes * levels * (16 * (surface.j_max + 1) + 8)]
+    assert surface.lines.nbytes + surface.constants.nbytes <= estimates[0]
+    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", estimates[0] - 1)
+    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: pytest.fail("a node was kicked"))
+    with pytest.raises(ValueError, match="a kick-strength surface of 21 nodes x 31 levels at j_max=124"):
+        retrieval.kick_surface(problem)
+
+
+def test_a_spike_the_window_drops_rescales_nothing():
+    # the coherent artifact at pump-probe overlap: a sample the window drops,
+    # 1e3 or 1e6 times the scan's peak, leaves the residual, the sensitivities
+    # and every other field of the fit as they are
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0)},
+                         fixed={"temperature": 60.0}, cache_quantum=1e-3)
+    cache = EnsembleCache(problem)
+    trace = synthesize_trace(problem, {"intensity": 15.0, "temperature": 60.0}, np.arange(0.0, 20.0, 0.02),
+                             noise_fraction=0.05, seed=3, cache=cache)
+    fits = []
+    for spike in (None, 1e3, 1e6):
+        signal = trace.signal.copy()
+        if spike:
+            signal[0] = spike * np.max(np.abs(trace.signal))
+        fits.append(fit_trace(problem, ExperimentalTrace(trace.delays, signal), refine_starts=1,
+                              n_intensity_starts=3, cache=cache).to_dict())
+    assert fits[0]["converged"] and fits[0]["residual"] > 1e-6
+    assert fits[1] == fits[0] and fits[2] == fits[0]
 
 
 # ---------------------------------------------------------------------------
