@@ -4,8 +4,9 @@ temperature, kick strength and pulse length, the chain stepper,
 the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
 sectors, the bound of the probe that sizes the lattice and its kicks' peak
-memory, the fit's kick-strength surface against direct kicks, and the CLI's
-exit codes over generated configs."""
+memory, the chain series split by thermal level, the fit's kick-strength
+surface against direct kicks, and the CLI's exit codes over generated
+configs."""
 
 import json
 import math
@@ -204,6 +205,25 @@ def test_packed_reductions_match_the_channels(b, delta_alpha, spins, temperature
         total += ch.weight
     assert cs.edge_leak() == pytest.approx(leak, rel=1e-12, abs=1e-300)
     assert abs(cs.norm_deviation() - abs(norm / total - 1.0)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 150.0),
+       xi=st.floats(0.1, 15.0), axis=st.sampled_from("xyz"))
+def test_level_series_recombine_to_the_series(molecule, temperature, xi, axis):
+    # each level's share of a chain set's series, recombined with the set's
+    # own level weights, is its series on every lab axis, to roundoff; the
+    # lines the chains do not hold are zero
+    ens = boltzmann_ensemble(molecule, temperature)
+    cs = kick_ensemble(molecule, ens, xi)
+    levels, constants, lines, z = cs.level_series(axis)
+    weights = np.bincount(ens.j0, weights=ens.weights)
+    assert np.array_equal(levels, np.flatnonzero(weights))
+    constant, want = cs.series_terms(axis)
+    scale = np.max(np.abs(want))
+    assert abs(constants @ weights[levels] - constant) <= 1e-14 * scale + 4.0 * np.finfo(float).eps
+    assert np.max(np.abs(z @ weights[levels] - want[lines])) <= 1e-14 * scale
+    assert not np.delete(want, lines).any()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
