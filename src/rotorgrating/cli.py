@@ -389,7 +389,6 @@ def cmd_fit(args) -> int:
         else _pair(scale_bounds, "scale_bounds"),
         apply_transverse_factor=conf.get("apply_transverse_factor", bool, True),
         j_max=conf.get("j_max", int, None),
-        boltzmann_cutoff=conf.get("boltzmann_cutoff", float, 1e-6),
         cache_quantum=conf.get("cache_quantum", float, 1e-6),
     )
     conf.echo.update({

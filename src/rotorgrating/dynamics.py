@@ -194,7 +194,13 @@ def _group_channels(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndar
     return np.stack([keys // 2, keys % 2], axis=1), np.bincount(group), np.argsort(group, kind="stable")
 
 
-LAYOUT_CACHE_SIZE = 16  # chain layouts kept, one per (channels, j_max); a fit visits ~8 level sets
+# chain layouts kept, one per (channels, j_max).  Measured traffic: simulate
+# asks for 1 layout; fit-series' five fits ask 21 times for 1 (the surface's
+# nodes); validate asks 19 times for 8, none of them asked again after more
+# than one other (LRU reuse distance <= 1).  Each layout is kept only within
+# MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE, so a larger size would shrink
+# every layout's share
+LAYOUT_CACHE_SIZE = 16
 GATHER_CHUNK = 8192  # entries gathered per step: of eigenvectors in the sudden kick, of amplitudes in W a
 _LAYOUTS: OrderedDict[tuple, BlockLayout] = OrderedDict()
 

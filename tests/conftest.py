@@ -4,7 +4,8 @@ The quadrature oracle integrates <J',M'| f(theta,phi) |J,M> directly on the
 sphere, written here from scratch (trapezoid in phi, Gauss-Legendre in
 cos theta) so it shares no code with the closed-form matrix elements it
 checks.  trace_propagations records what the drivers' basis loop checks and
-allocates.
+allocates.  simulated_signal is simulate's sudden pipeline, the oracle of the
+fit's forward model.
 """
 
 import tracemalloc
@@ -15,6 +16,9 @@ import pytest
 from scipy.special import sph_harm_y
 
 from rotorgrating import dynamics
+from rotorgrating.field import PulseSpec
+from rotorgrating.grating import diffracted_signal
+from rotorgrating.observables import fourier_decompose, reconstruct, thermal_channel_set
 
 
 def _sphere_rule(n_theta: int = 80, n_phi: int = 80):
@@ -84,6 +88,19 @@ def trace_propagations(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(dynamics, "_with_regrow", traced_regrow)
     monkeypatch.setattr(dynamics, "ChannelSet", traced_set)
     return estimates, propagations
+
+
+def simulated_signal(problem, params: dict, delays) -> np.ndarray:
+    """simulate's sudden pipeline at a fit problem's cell: the thermal
+    ensemble kicked by the problem's pulse at params' (theoretical)
+    intensity, arriving at t_offset, its series on y reconstructed at the
+    delays and diffracted by the problem's scheme with params' background."""
+    t0 = params.get("t_offset", 0.0)
+    cs = thermal_channel_set(problem.molecule, params["temperature"],
+                             PulseSpec(params["intensity"], problem.tau_fwhm_ps, t0), "sudden")
+    values = reconstruct(fourier_decompose(cs, "y"), delays).values
+    background = complex(params.get("background_re", 0.0), params.get("background_im", 0.0))
+    return diffracted_signal(problem.scheme, values, delays, background, t0)
 
 
 @pytest.fixture(scope="session")

@@ -1118,7 +1118,7 @@ ECHO_RUNS = {
         "molecule": "N2", "scheme": "perpendicular", "trace_path": "scan.csv", "tau_fwhm_ps": 0.12,
         "bounds": {"intensity": [5.0, 30.0]}, "fixed": {"temperature": 30.0},
         "apply_transverse_factor": False, "j_max": 40, "scale_bounds": [0.5, 4.0],
-        "boltzmann_cutoff": 1e-5, "cache_quantum": 1e-3, "max_evaluations": 120,
+        "cache_quantum": 1e-3, "max_evaluations": 120,
         "refine_starts": 1, "n_intensity_starts": 2, "n_temperature_starts": 3,
     },
 }

@@ -5,8 +5,8 @@ the warm chain cache, the revivals and the packed reductions of both routes
 over random molecules, the lattice's +-M mirror symmetry and reflection
 sectors, the bound of the probe that sizes the lattice and its kicks' peak
 memory, the chain series split by thermal level, the fit's kick-strength
-surface against direct kicks, and the CLI's exit codes over generated
-configs."""
+surface against direct kicks, the fit's forward model against simulate's
+sudden pipeline, and the CLI's exit codes over generated configs."""
 
 import json
 import math
@@ -19,14 +19,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import dense_operator, trace_propagations
+from conftest import dense_operator, simulated_signal, trace_propagations
 from rotorgrating.cli import main
 from rotorgrating import dynamics
 from rotorgrating.constants import revival_period
 from rotorgrating.dynamics import elliptic_tdse_ensemble, kick_ensemble, tdse_ensemble
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.observables import alignment_trace, fourier_decompose, reconstruct, revival_time_grid
-from rotorgrating.retrieval import EnsembleCache, FitProblem
+from rotorgrating.retrieval import EnsembleCache, FitProblem, model_signal
 from rotorgrating.rotor import (
     CO2, JMBasis, MoleculeSpec, boltzmann_ensemble, cos2theta_axis_matrix, cos2theta_diagonal,
     cos2theta_offdiag, raman_frequency, rotational_omega, suggest_j_max,
@@ -333,11 +333,12 @@ def test_probe_bound_holds_the_measured_reach(molecule, temperature, xi):
 
 def _direct_decomposition(problem: FitProblem, key: tuple[int, int]):
     """The cache's decomposition of a key as one direct kick, on a basis
-    sized at the key's temperature and the top of the intensity box."""
+    sized at the key's temperature and the larger of its intensity and the
+    top of the intensity box."""
     q, molecule = problem.cache_quantum, problem.molecule
-    ens = boltzmann_ensemble(molecule, key[1] * q, problem.boltzmann_cutoff)
+    ens = boltzmann_ensemble(molecule, key[1] * q)
     per_i = xi_per_intensity(molecule, problem.tau_fwhm_ps)
-    j_max = suggest_j_max(ens.j_thermal_max, per_i * problem.bounds["intensity"][1])
+    j_max = suggest_j_max(ens.j_thermal_max, per_i * max(key[0] * q, problem.bounds["intensity"][1]))
     return fourier_decompose(kick_ensemble(molecule, ens, per_i * (key[0] * q), j_max), "y")
 
 
@@ -365,7 +366,7 @@ def test_kick_surface_matches_direct_kicks(molecule, intensities, temperatures, 
     keys += [(round(surface.lo + a * (surface.hi - surface.lo)), round(surface.bottom + b * (surface.top - surface.bottom)))
              for a, b in points]
     for key in keys:
-        ens = boltzmann_ensemble(molecule, key[1] * q, problem.boltzmann_cutoff)
+        ens = boltzmann_ensemble(molecule, key[1] * q)
         xi = per_i * (key[0] * q)
         constant, z = surface.series(key, ens, xi)
         want_constant, want_z = kick_ensemble(molecule, ens, xi, surface.j_max).series_terms("y")
@@ -381,6 +382,40 @@ def test_kick_surface_matches_direct_kicks(molecule, intensities, temperatures, 
         assert dec.to_dict() == want.to_dict() and dec.metadata == want.metadata
         assert all(np.array_equal(getattr(dec, name), getattr(want, name))
                    for name in ("js", "amplitudes", "phases", "omegas"))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), scheme=st.sampled_from(["perpendicular", "parallel"]),
+       intensities=st.tuples(st.floats(1.0, 20.0), st.floats(0.5, 20.0)),
+       temperatures=st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
+       cells=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), min_size=2, max_size=2),
+       t0=st.floats(-0.3, 0.3), background=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
+@example(molecule=CO2, scheme="perpendicular", intensities=(5.0, 25.0), temperatures=(20.0, 130.0),
+         cells=[(0.52, 0.31), (1.3, 0.31)], t0=0.0, background=(0.0, 0.0))  # fit-series' box, in it and above
+def test_model_signal_is_simulates_sudden_pipeline(molecule, scheme, intensities, temperatures, cells, t0,
+                                                   background):
+    # ROADMAP item 6's sudden, no-probe quadrant: at cells on the cache's
+    # grid, in the box (the surface) and outside it (the direct kick), with
+    # a shared cache and without one, the fit's forward model is simulate's
+    # sudden pipeline within EDGE_POPULATION_TOL of the signal's peak, the
+    # edge population both bases stay under
+    lo, width = intensities
+    bottom, span = temperatures
+    fixed = {"t_offset": t0}
+    if scheme == "parallel":
+        fixed.update(background_re=background[0], background_im=background[1])
+    problem = FitProblem(molecule, scheme, cache_quantum=1e-3, fixed=fixed,
+                         bounds={"intensity": (lo, lo + width), "temperature": (bottom, bottom + span)})
+    q, cache = problem.cache_quantum, EnsembleCache(problem)
+    delays = np.linspace(t0 - 0.5, t0 + revival_period(molecule.b_cm1), 500)
+    for a, b in cells:
+        cell = {"intensity": round(max(lo + a * width, 0.05) / q) * q,
+                "temperature": round(max(bottom + b * span, 0.0) / q) * q}
+        params = problem.resolve(cell)
+        want = simulated_signal(problem, params, delays)
+        tol = dynamics.EDGE_POPULATION_TOL * np.max(np.abs(want))
+        for shared in (cache, None):
+            assert np.max(np.abs(model_signal(params, problem, delays, shared) - want)) <= tol
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import simulated_signal
 from rotorgrating import dynamics, observables, retrieval
 from rotorgrating.cli import EXIT_OK, main
 from rotorgrating.constants import revival_period
@@ -411,6 +412,31 @@ def test_a_fit_series_pair_kicks_only_the_surface_nodes(monkeypatch):
     assert all(fit.converged for fit in fits) and cache.misses > 2 * len(kicks)
     assert len(kicks) <= len(cache.surface.nodes) == retrieval.SURFACE_INTERVALS + 1 == 21
     assert len({j_max for _, j_max in kicks}) == 1 and len(dynamics._LAYOUTS) == 1
+
+
+def test_a_cacheless_synthesis_kicks_only_its_cell(monkeypatch):
+    # one evaluation without a cache is one direct kick on one layout, not
+    # the box's whole surface (21 kicks, when the throwaway cache built it)
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
+                         cache_quantum=1e-3)
+    dynamics.clear_caches()
+    kicks, kick = [], retrieval.kick_ensemble
+    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: kicks.append(args[2:]) or kick(*args))
+    synthesize_trace(problem, {"intensity": 18.0, "temperature": 60.0}, np.arange(0.5, 20.0, 0.02))
+    assert len(kicks) == 1 and len(dynamics._LAYOUTS) == 1
+
+
+def test_a_cell_above_the_box_is_simulates_kick():
+    # 300 TW/cm^2 on fit-series' 5-30 TW/cm^2 box: the direct kick starts on
+    # simulate's basis, suggest_j_max at the cell's own kick, where a basis
+    # sized at the box's top intensity (j_max 102) raised BasisTooSmallError
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
+                         cache_quantum=1e-3)
+    cell = {"intensity": 300.0, "temperature": 60.0}
+    delays = np.arange(0.5, 0.5 + revival_period(CO2.b_cm1), 0.02)
+    want = simulated_signal(problem, cell, delays)
+    for cache in (None, EnsembleCache(problem)):
+        assert np.array_equal(model_signal(cell, problem, delays, cache), want)
 
 
 def test_the_surface_is_checked_against_the_budget_before_its_kicks(monkeypatch):
