@@ -73,9 +73,13 @@ first use: elliptic_tdse_ensemble steps each group into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
 applied: a constant and one complex amplitude per lower J, its blocks added
-in layout order.  ChannelSet.level_series splits a chain set's series by
-thermal level, for the fit's kick-strength surface.  No other module reads a
-set's layout.
+in layout order.  _level_series splits the series of chain states by
+thermal level, run by run with each state's share of every block added into
+its (line, level) cells by basic slices: ChannelSet.level_series is its
+one-state case, and kick_level_series, the fit's kick-strength surface,
+kicks many strengths on one cached chain layout and reduces them in chunks
+of nodes, with no ChannelSet, on an explicit basis checked as kick_ensemble
+checks one (_on_basis).  No other module reads a set's layout.
 
 The module runs on numpy alone: a lattice operator is its (rows, cols,
 values) triplets and a reflection sector each site's column and coefficient.
@@ -195,9 +199,9 @@ def _group_channels(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndar
 
 
 # chain layouts kept, one per (channels, j_max).  Measured traffic: simulate
-# asks for 1 layout; fit-series' five fits ask 21 times for 1 (the surface's
-# nodes); validate asks 19 times for 8, none of them asked again after more
-# than one other (LRU reuse distance <= 1).  Each layout is kept only within
+# asks for 1 layout; fit-series' five fits ask once for 1 (the surface's
+# batched kicks); validate asks 19 times for 8, none of them asked again after
+# more than one other (LRU reuse distance <= 1).  Each layout is kept only within
 # MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE, so a larger size would shrink
 # every layout's share
 LAYOUT_CACHE_SIZE = 16
@@ -628,13 +632,14 @@ class ChannelSet:
                 np.add.at(z, basis.j_of[col], 2.0 * val * ((np.conj(c[row]) * c[col]) @ w))
         else:
             diag, js, coupling = lay.operator
-            lines = np.empty(len(js), dtype=complex)
+            lines, lows = np.empty(len(js), dtype=complex), _starts(lay.sizes - 1)
             weighted, totals = np.empty(len(lay.sizes)), np.empty(len(lay.sizes))
-            for (b0, b1), (c0, c1), (r0, r1), (l0, l1), cross, pops in self._chain_runs():
-                m, k = b1 - b0, cross.shape[2]
+            for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in lay.runs:
+                m = b1 - b0
+                cross, pops = _products(amps[a0:a1].reshape(m, n, 1, k))
                 w = weights[c0:c1].reshape(m, k)
-                np.matmul(cross, w[:, :, None].astype(complex), out=lines[l0:l1].reshape(m, -1, 1))
-                np.matmul(diag[r0:r1].reshape(m, 1, -1), pops @ w[:, :, None],
+                np.matmul(cross[:, 0], w[:, :, None].astype(complex), out=lines[lows[b0]:lows[b1]].reshape(m, -1, 1))
+                np.matmul(diag[r0:r1].reshape(m, 1, -1), pops[:, 0] @ w[:, :, None],
                           out=weighted[b0:b1].reshape(m, 1, 1))
                 w.sum(axis=1, out=totals[b0:b1])
             factor = 1.0 if axis == "y" else -0.5
@@ -645,19 +650,6 @@ class ChannelSet:
             constant += const
         return constant, z
 
-    def _chain_runs(self):
-        """Per run of equal-shape chain blocks: its (first, end) block, column,
-        row and lower row, the m x (n - 1) x k products conj(c_{J+2,k}) c_{J,k}
-        of its amplitudes c and their m x n x k populations |c|^2."""
-        lows = _starts(self.layout.sizes - 1)
-        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, *_ in self.layout.runs:
-            c = self.amplitudes[a0:a1].reshape(b1 - b0, n, k)
-            cross = np.conj(c[:, 1:])
-            cross *= c[:, :-1]
-            pops = np.abs(c)
-            pops *= pops
-            yield (b0, b1), (c0, c1), (r0, r1), (lows[b0], lows[b1]), cross, pops
-
     def level_series(self, axis: str) -> tuple:
         """(levels, constants, lines, z): each thermal level's share of a chain
         set's series of axis, per unit of the level's weight, so that the
@@ -666,39 +658,19 @@ class ChannelSet:
 
         levels holds the J0 of the set's columns, ascending, and lines the
         lower J of every line the chains hold; constants has one entry per
-        level and z, lines x levels, one column.  A column enters its level
-        with its share of the level's weight.  A chain holds each level once
-        at most, so a block's columns go to distinct levels and the terms of
-        series_terms, one per row and column, are summed per (line, level) by
-        one bincount rather than a product with a weight matrix.
+        level and z, lines x levels, one column.  The one-state case of
+        _level_series.
         """
-        check_axis(axis)
         lay = self.layout
         if lay.bases:
             raise ValueError("level series are read off fixed-M chain sets only")
-        diag, js, coupling = lay.operator
-        levels, index = np.unique(lay.j0, return_inverse=True)
-        lines, line = np.unique(js, return_inverse=True)
-        shares = self.weights / np.bincount(index, weights=self.weights)[index]
-        # one term per lower row and column, packed run by run: its real and
-        # imaginary part and its cell, line times the level count plus level
-        ends = _starts((lay.sizes - 1) * lay.counts)
-        real, imag, cells = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1], dtype=np.intp)
-        per_column = np.empty(len(index))
-        for (b0, b1), (c0, c1), (r0, r1), (l0, l1), cross, pops in self._chain_runs():
-            m, k = b1 - b0, cross.shape[2]
-            part = slice(ends[b0], ends[b1])
-            scale = coupling[l0:l1].reshape(m, -1, 1) * shares[c0:c1].reshape(m, 1, k)
-            np.multiply(cross.real, scale, out=real[part].reshape(cross.shape))
-            np.multiply(cross.imag, scale, out=imag[part].reshape(cross.shape))
-            np.add(len(levels) * line[l0:l1].reshape(m, -1, 1), index[c0:c1].reshape(m, 1, k),
-                   out=cells[part].reshape(cross.shape))
-            np.matmul(diag[r0:r1].reshape(m, 1, -1), pops, out=per_column[c0:c1].reshape(m, 1, k))
-        factor = 1.0 if axis == "y" else -0.5
-        size = len(lines) * len(levels)
-        z = factor * (np.bincount(cells, real, size) + 1j * np.bincount(cells, imag, size))
-        constants = factor * np.bincount(index, shares * (per_column - 1.0 / 3.0), len(levels))
-        return levels, constants, lines, z.reshape(len(lines), len(levels))
+
+        def states(run):
+            n, k, b0, b1, a0, a1, *_ = run
+            yield 0, 1, self.amplitudes[a0:a1].reshape(b1 - b0, n, 1, k)
+
+        levels, constants, lines, z, _ = _level_series(lay, self.weights, 1, states, axis)
+        return levels, constants[0], lines, z[0]
 
     @property
     def channels(self) -> tuple:
@@ -722,6 +694,79 @@ class ChannelSet:
         """Weighted population of each J from 0 to j_max, summed over channels and M."""
         rows = np.concatenate([np.abs(b.amplitudes) ** 2 @ b.weights for b in self.blocks])
         return np.bincount(self.layout.levels, weights=rows, minlength=self.j_max + 1)
+
+
+def _products(c: np.ndarray) -> tuple:
+    """(cross, pops) of chain blocks' amplitudes c, m x n x states x k: the
+    m x states x (n - 1) x k products conj(c_{J+2,k}) c_{J,k} and the m x
+    states x n x k populations |c|^2, each state's matrix in C order."""
+    c = c.swapaxes(1, 2)
+    cross = np.conj(c[:, :, 1:], order="C")
+    cross *= c[:, :, :-1]
+    pops = np.abs(c, order="C")
+    pops *= pops
+    return cross, pops
+
+
+def _progression(index: np.ndarray) -> slice | None:
+    """The basic slice of indices that ascend in equal steps, as a chain's
+    lines and levels do in a Boltzmann ensemble, else None."""
+    start = int(index[0]) if len(index) else 0
+    step = int(index[1]) - start if len(index) > 1 else 1
+    end = start + step * len(index)
+    return slice(start, end, step) if step > 0 and np.array_equal(index, np.arange(start, end, step)) else None
+
+
+def _level_series(layout: BlockLayout, weights: np.ndarray, count: int, states, axis: str) -> tuple:
+    """(levels, constants, lines, z, leak) of `count` states of one chain
+    layout with column weights `weights`: each state's ChannelSet.level_series
+    of axis, constants count x levels and z count x lines x levels, and its
+    ChannelSet.edge_leak, count entries.  states(run), for each of the
+    layout's runs in turn, yields (g0, g1, c): the m x n x (g1 - g0) x k
+    amplitudes c of the run's blocks in states g0 to g1.
+
+    A column enters its level with its share of the level's weight.  Line J
+    of a block takes 2 m_J share_k conj(c_{J+2,k}) c_{J,k} from column k, its
+    constant share_k (sum_J d_J |c_{J,k}|^2 - 1/3), as in series_terms.  The
+    blocks add in layout order.  In a Boltzmann ensemble a chain holds each
+    level once and its lines and levels are progressions (_progression), so
+    a block adds its terms through basic slices; a block of a hand-built
+    ensemble, which may hold a level twice, adds them one by one.
+    """
+    check_axis(axis)
+    diag, js, coupling = layout.operator
+    levels, index = np.unique(layout.j0, return_inverse=True)
+    lines, line = np.unique(js, return_inverse=True)
+    shares = weights / np.bincount(index, weights=weights)[index]
+    lows, cols = (_starts(x).tolist() for x in (layout.sizes - 1, layout.counts))
+    cells = []  # per block, the slices of its lines and levels, else their indices
+    for b in range(len(layout.sizes)):
+        rows, columns = line[lows[b]:lows[b + 1]], index[cols[b]:cols[b + 1]]
+        spans = _progression(rows), _progression(columns)
+        cells.append(spans if None not in spans else (rows[:, None], columns))
+    z = np.zeros((count, len(lines), len(levels)), dtype=complex)
+    constants, leak = np.zeros((count, len(levels))), np.zeros(count)
+    for run in layout.runs:
+        n, k, b0, b1, _, _, c0, c1, r0, r1, *_ = run
+        m = b1 - b0
+        scale = np.repeat(coupling[lows[b0]:lows[b1]].reshape(m, -1, 1, 1) * shares[c0:c1].reshape(m, 1, 1, k), 2)
+        for g0, g1, c in states(run):
+            cross, pops = _products(c)
+            cross.view(float)[...] *= scale.reshape(m, 1, -1, 2 * k)  # each term's real and imaginary part
+            per_column = (diag[r0:r1].reshape(m, 1, 1, n) @ pops)[:, :, 0]
+            terms = shares[c0:c1].reshape(m, 1, k) * (per_column - 1.0 / 3.0)
+            leak[g0:g1] += (pops[:, :, -1] @ weights[c0:c1].reshape(m, k, 1)).sum(axis=(0, 2))
+            for i, (rows, columns) in enumerate(cells[b0:b1]):
+                if isinstance(columns, slice):
+                    z[g0:g1, rows, columns] += cross[i]
+                    constants[g0:g1, columns] += terms[i]
+                else:  # a level held twice adds twice
+                    np.add.at(z, (slice(g0, g1), rows, columns), cross[i])
+                    np.add.at(constants, (slice(g0, g1), columns), terms[i])
+    factor = 1.0 if axis == "y" else -0.5
+    z *= factor
+    constants *= factor
+    return levels, constants, lines, z, leak
 
 
 def _lattice_size(j_max: int, j_parity: int, m_parity: int) -> int:
@@ -767,6 +812,29 @@ def _check_budgets(j_max: int, budgets):
                          f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
 
 
+def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, tol=EDGE_POPULATION_TOL):
+    """Check an explicit basis, a contract, before its kicks; return the
+    check of their edge.
+
+    A negative j_max is a ValueError and a thermal origin above it a
+    BasisTooSmallError; budgets(j_max) is checked (_check_budgets) before
+    anything is allocated.  The returned check takes the edge leak of each
+    kick and raises BasisTooSmallError if any exceeds tol.
+    """
+    if j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    if ensemble.j_thermal_max > j_max:
+        raise BasisTooSmallError(f"thermal origin J={ensemble.j_thermal_max} exceeds j_max={j_max}; the basis "
+                                 "cannot hold the initial ensemble")
+    _check_budgets(j_max, budgets)
+
+    def edge(leak):
+        if not np.all(np.asarray(leak) <= tol):
+            raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
+
+    return edge
+
+
 def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
                  layout_at, kick, budgets, measure=None, tol=EDGE_POPULATION_TOL) -> ChannelSet:
     """The ensemble's ChannelSet at reference_time on the first basis tried
@@ -777,37 +845,36 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
     multiply-adds of its kicks, before anything is allocated
     (_check_budgets); builds layout_at(j_max); leaves every column on its
     origin for a zero kick, else takes kick(layout)'s packed amplitudes; and
-    reads the edge, which a zero kick leaves empty.  An explicit j_max, at
-    least 0, is a contract: a populated edge fails.  An unsized basis starts
-    at measure(), run once the smallest basis, J_thermal_max, passes the
-    budgets, or without measure at suggest_j_max's thermal and kick scales,
-    and grows up to MAX_REGROWS times, each to int(1.5 j_max) + 10.
+    reads the edge, which a zero kick leaves empty.  An explicit j_max is a
+    contract (_on_basis).  An unsized basis starts at measure(), run once
+    the smallest basis, J_thermal_max, passes the budgets, or without
+    measure at suggest_j_max's thermal and kick scales, and grows up to
+    MAX_REGROWS times, each to int(1.5 j_max) + 10.
     """
-    top, regrows = ensemble.j_thermal_max, MAX_REGROWS
+    edge = None
     if j_max is not None:
-        if j_max < 0:
-            raise ValueError(f"j_max must be nonnegative, got {j_max}")
-        regrows = 0
+        edge = _on_basis(ensemble, j_max, budgets, tol)
     elif measure is None:
-        j_max = suggest_j_max(top, xi)
+        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
     else:
-        _check_budgets(top, budgets)
+        _check_budgets(ensemble.j_thermal_max, budgets)
         j_max = measure()
-    if top > j_max:
-        raise BasisTooSmallError(f"thermal origin J={top} exceeds j_max={j_max}; the basis cannot "
-                                 "hold the initial ensemble")
-    for attempt in range(regrows + 1):
-        _check_budgets(j_max, budgets)
+    for regrow in range(MAX_REGROWS + 1):
+        if edge is None:
+            _check_budgets(j_max, budgets)
         layout = layout_at(j_max)
         amps = layout.unkicked() if xi == 0.0 else kick(layout)
         cs = ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
                         ensemble.weights[layout.order], amps)
-        if xi == 0.0 or cs.edge_leak() <= tol:
+        leak = 0.0 if xi == 0.0 else cs.edge_leak()
+        if edge is not None:
+            edge(leak)
             return cs
-        if attempt == regrows:
-            raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}" if regrows
-                                     else f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
-        j_max = int(j_max * 1.5) + 10
+        if leak <= tol:
+            return cs
+        if regrow < MAX_REGROWS:
+            j_max = int(j_max * 1.5) + 10
+    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
 
 
 def _reach(cs: ChannelSet, top: int) -> int:
@@ -842,6 +909,26 @@ def _kick_count(pulse: PulseSpec | None, molecule: MoleculeSpec, j_max: int) -> 
     return 1 if pulse is None else 6 * _rkn_steps(pulse, molecule, j_max) + 1
 
 
+def _chain_sizes(chains: tuple, j_max: int) -> list:
+    """(n, k) of each block of the chains, their _chains, at j_max, as
+    Python ints: j_max may be huge."""
+    keys, counts, _ = chains
+    return [((j_max - start) // 2 + 1, k) for start, k in
+            zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
+
+
+def _layout_bytes(sizes: list) -> int:
+    """Bytes of a chain layout of blocks `sizes` and its first kick's index:
+    per block its cached eigenvectors and int32 gather index; per row the
+    levels, the operator's three arrays, the eigenvalues, the gather's row
+    counts and the first kick's phases (64 B); per column the origin rows,
+    order, J0, |M0| and their bytes in the layout cache's key (48 B); per
+    block its keys, size, count and bounds and at most one entry of the run
+    table, 12 ints (576 B); the eigensolver's copy of the largest chain."""
+    return (sum(8 * n * n + 4 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
+            + 8 * max(n for n, _ in sizes) ** 2)
+
+
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, measure=None,
                        tol=EDGE_POPULATION_TOL):
     """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
@@ -849,7 +936,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
     xi without a pulse, else the pulse's RKN schedule (_rkn_schedule), its
     kick times measured from reference_time.
     """
-    keys, counts, _ = chains = _chains(ensemble)
+    chains = _chains(ensemble)
 
     def kick(layout):
         plan = ([0.0], [xi], (), ()) if pulse is None else _rkn_schedule(pulse, molecule, layout.j_max)
@@ -870,24 +957,16 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         return amps
 
     def budgets(j_max):
-        # bytes: cached eigenvectors, results and the layout's int32 gather
-        # index; per row the levels, the operator's three arrays, the
-        # eigenvalues, the gather's row counts and the first kick's phases
-        # (64 B); per column the origin rows, order, J0, |M0| and their bytes
-        # in the layout cache's key (48 B); per block its keys, size, count
-        # and bounds and at most one entry of the run table, 12 ints (576 B);
-        # two chunks of gathered entries and their int64 index; the
-        # eigensolver's copy of the largest chain.  Composed kicks add the
+        # bytes: the layout (_layout_bytes), the results, two chunks of
+        # gathered entries and their int64 index.  Composed kicks add the
         # costliest run's stack: for each of its blocks three free
         # propagators and the two temporaries of their build, its table of
         # kick phases (40 B per kick and level as it is built: real phases,
         # their complex cast and the exponentials) and 3 state vectors.  Work:
         # each kick is one n x n GEMM, by V or a free propagator, on every
-        # block's k columns.  Integers: j_max may be huge
-        sizes = [((j_max - start) // 2 + 1, k) for start, k in
-                 zip(_chain_start(keys[:, 0], keys[:, 1]).tolist(), counts.tolist())]
-        total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes) + 24 * GATHER_CHUNK
-                 + 8 * max(n for n, _ in sizes) ** 2)
+        # block's k columns
+        sizes = _chain_sizes(chains, j_max)
+        total = _layout_bytes(sizes) + sum(16 * n * k for n, k in sizes) + 24 * GATHER_CHUNK
         kicks = _kick_count(pulse, molecule, j_max)
         if kicks > 1:
             total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
@@ -914,6 +993,70 @@ def kick_ensemble(
     if xi < 0:
         raise ValueError(f"kick strength must be nonnegative, got {xi}")
     return _chain_propagation(molecule, ensemble, xi, j_max, reference_time)
+
+
+def kick_level_series(ensemble: ThermalEnsemble, xis, j_max: int, axis: str) -> tuple:
+    """(levels, constants, lines, z) of the ensemble's sudden kicks of every
+    strength in xis on one basis: for each node xi, constants[node] and
+    z[node] are kick_ensemble(molecule, ensemble, xi, j_max).level_series(axis)'s.
+
+    One pass over the ensemble's chain layout at j_max, run by run.  Each run
+    gathers its V^T[:, rows] once (layout.gather) and takes every node's
+    e^{i xi Lambda} on its rows.  Each chunk of nodes, at most GATHER_CHUNK
+    of the run's entries and one node at least, applies them, kicks them
+    all with one GEMM per block by V and reduces straight to the level
+    series (_level_series), with no ChannelSet.  j_max is a contract, checked as kick_ensemble's
+    (_on_basis): the budgets count every node's kick work and the bytes of
+    one chunk, and every node's edge leak is held to EDGE_POPULATION_TOL.
+    A zero strength kicks by V V^T, the identity to roundoff, where
+    kick_ensemble leaves the set exactly unkicked.
+    """
+    xis = np.asarray(xis, dtype=float)
+    if np.any(xis < 0):
+        raise ValueError(f"kick strength must be nonnegative, got {xis.min()}")
+    chains = _chains(ensemble)
+
+    def budgets(j_max):
+        # bytes: the layout (_layout_bytes); per column its level, share and
+        # weight and their sort (64 B), per row its line and its sort (48
+        # B); the outputs, a complex per node, level and line up to j_max
+        # and a float per node and level; the costliest run's gathered V^T
+        # entries, their int64 index and the reduction's scale on real and
+        # imaginary parts (32 B per entry) and its phases of every node (40
+        # B per row and node as they are built); and a chunk of at most
+        # GATHER_CHUNK entries, or of the largest run: its right-hand sides,
+        # amplitudes, products and populations, with those of the chunk
+        # before still held (96 B per entry).  Work: each node is one n x n
+        # GEMM by V on every block's k columns
+        sizes = _chain_sizes(chains, j_max)
+        runs = [(len(list(blocks)) * n, k) for (n, k), blocks in groupby(sizes)]  # rows and columns
+        levels = len(np.unique(ensemble.j0))
+        total = (_layout_bytes(sizes) + sum(64 * k + 48 * n for n, k in sizes)
+                 + len(xis) * levels * (16 * (j_max + 1) + 8)
+                 + max(32 * rows * k + 40 * rows * len(xis) for rows, k in runs)
+                 + 96 * max(GATHER_CHUNK, max(rows * k for rows, k in runs)))
+        return total, len(xis) * sum(n * n * k for n, k in sizes)
+
+    edge = _on_basis(ensemble, j_max, budgets)
+    layout = _chain_layout(ensemble, j_max, chains)
+    evals, evecs = layout.eigen
+    entries = layout.gather[1]
+
+    def states(run):
+        n, k, b0, b1, a0, a1, _, _, r0, r1, v0, v1 = run
+        m = b1 - b0
+        factors = np.take(evecs, entries[a0:a1]).reshape(m, n, 1, k)
+        vecs = evecs[v0:v1].reshape(m, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
+        phases = np.exp(1j * np.multiply.outer(evals[r0:r1], xis)).reshape(m, n, -1, 1)
+        step = max(1, GATHER_CHUNK // (a1 - a0))
+        for g0 in range(0, len(xis), step):
+            g1 = min(g0 + step, len(xis))
+            c = np.matmul(vecs, (factors * phases[:, :, g0:g1]).view(float).reshape(m, n, -1)).view(complex)
+            yield g0, g1, c.reshape(m, n, g1 - g0, k)
+
+    levels, constants, lines, z, leak = _level_series(layout, ensemble.weights[layout.order], len(xis), states, axis)
+    edge(leak)
+    return levels, constants, lines, z
 
 
 def tdse_ensemble(

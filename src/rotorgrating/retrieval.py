@@ -6,9 +6,10 @@ evaluated at shifted delays, turned into a diffracted signal by the same
 grating.diffracted_signal that simulate uses, and scaled.  The decomposition
 per (intensity, temperature) cell is cached with quantized keys.  A fit kicks
 the ensemble only at the Chebyshev nodes of one kick-strength surface
-(KickSurface), at the top temperature of its box and on one chain layout;
-every cell in the box is read off it by interpolation in xi and Boltzmann
-weights of the thermal levels.
+(KickSurface), at the top temperature of its box, all its nodes in one
+batched call on one chain layout (dynamics.kick_level_series); every cell in
+the box is read off it by interpolation in xi and Boltzmann weights of the
+thermal levels.
 
 The amplitude scale never enters the optimizer: for any trial of the other
 parameters it is a linear least-squares subproblem solved in closed form.
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import check_working_set, kick_ensemble
+from .dynamics import check_working_set, kick_ensemble, kick_level_series
 from .field import MAX_DELAY_PS, xi_per_intensity
 from .grating import check_scheme, diffracted_signal, single_pump_intensity
 from .observables import (
@@ -226,7 +227,7 @@ class KickSurface:
 
     The ensemble at the top temperature key `top` is kicked at every node on
     one chain layout of j_max, and its series is kept per thermal level and
-    unit level weight (ChannelSet.level_series): `constants` is nodes x
+    unit level weight (dynamics.kick_level_series): `constants` is nodes x
     levels, `lines` nodes x len(rows) x levels, on the lines J in `rows`
     that the chains hold (every other line is zero).  The nodes are Chebyshev
     points of the second kind on the xi of the intensity keys lo..hi,
@@ -279,10 +280,12 @@ def kick_surface(problem: FitProblem) -> KickSurface | None:
     The box is padded to the quantized keys, so it covers every key the
     cache can ask for.  The ensemble at the top temperature is kicked on one
     layout: problem.j_max if set, else suggest_j_max at the (top, hi) corner.
-    A fixed intensity makes one node.  The surface's bytes, at most a
-    complex per node, level and line up to j_max and a float per node and
-    level, are checked against the working-set budget before each set of
-    nodes is kicked.
+    Each set of nodes is one call of dynamics.kick_level_series: the first
+    SURFACE_INTERVALS + 1, then the odd nodes that each doubling adds.  A
+    fixed intensity makes one node.  The surface's bytes, at most a complex
+    per node, level and line up to j_max and a float per node and level,
+    are checked against the working-set budget before each set of nodes is
+    kicked.
     """
     q = problem.cache_quantum
     (lo, hi), (bottom, top) = ([round(v / q) for v in problem.bounds.get(name, (problem.fixed.get(name),) * 2)]
@@ -307,16 +310,15 @@ def kick_surface(problem: FitProblem) -> KickSurface | None:
         weights[[0, -1]] *= 0.5
         check_working_set(len(nodes) * len(levels) * (16 * (j_max + 1) + 8),
                           f"a kick-strength surface of {len(nodes)} nodes x {len(levels)} levels at j_max={j_max}")
-        fresh = range(len(nodes)) if constants is None else range(1, len(nodes), 2)
-        if constants is not None:  # the old nodes are the even ones of the doubled set
-            grown = [np.empty((len(nodes), *old.shape[1:]), old.dtype) for old in (constants, lines)]
-            grown[0][::2], grown[1][::2] = constants, lines
-            constants, lines = grown
-        for k in fresh:
-            _, constant, rows, z = kick_ensemble(molecule, ensemble, nodes[k], j_max).level_series("y")
-            if constants is None:
-                constants, lines = np.empty((len(nodes), len(levels))), np.empty((len(nodes), *z.shape), complex)
-            constants[k], lines[k] = constant, z
+        fresh = slice(None) if constants is None else slice(1, None, 2)
+        _, constant, rows, z = kick_level_series(ensemble, nodes[fresh], j_max, "y")
+        if constants is None:
+            constants, lines = constant, z
+        else:  # the old nodes are the even ones of the doubled set
+            old = constants, lines
+            constants, lines = (np.empty((len(nodes), *new.shape[1:]), new.dtype) for new in (constant, z))
+            constants[::2], lines[::2] = old
+            constants[1::2], lines[1::2] = constant, z
         if intervals == 0 or all(_converged(constants, lines, w, weights, x) for w in corners):
             break
         if intervals >= SURFACE_MAX_INTERVALS:

@@ -32,6 +32,7 @@ from rotorgrating.observables import (
 from rotorgrating.rotor import (
     CO2,
     JMBasis,
+    MoleculeSpec,
     ThermalEnsemble,
     boltzmann_ensemble,
     cos2theta_axis_matrix,
@@ -703,3 +704,24 @@ def test_block_edge_leak_equals_per_channel_sum():
         assert len(pops) == cs.j_max + 1
         assert abs(pops.sum() - total) <= cs.norm_deviation() * total + 1e-15
         assert pops[cs.j_max - 1:].sum() == pytest.approx(cs.edge_leak(), rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_level_series_of_chains_out_of_step(axis):
+    # a hand-built ensemble whose chains break the Boltzmann pattern: the
+    # unfolded pair |2, +-1> puts level 2 twice in one chain, and the odd
+    # chain from J = 1 beside the even one from J = 6 skips lines 2 and 4
+    # in the lines' index.  Each level's share still recombines to the
+    # series, and the batched kicks still equal the set's own level series
+    molecule = MoleculeSpec("random", 0.5, 2.0)
+    ens = ThermalEnsemble(30.0, [(2, 1, 0.2), (2, -1, 0.2), (1, 1, 0.3), (6, 6, 0.3)])
+    cs = kick_ensemble(molecule, ens, 2.0, j_max=24)
+    levels, constants, lines, z = cs.level_series(axis)
+    assert levels.tolist() == [1, 2, 6]
+    constant, want = cs.series_terms(axis)
+    weights = np.array([0.3, 0.4, 0.3])
+    scale = np.max(np.abs(want))
+    assert abs(constants @ weights - constant) <= 1e-14 * scale
+    assert np.max(np.abs(z @ weights - want[lines])) <= 1e-14 * scale
+    batched = dynamics.kick_level_series(ens, [2.0], 24, axis)
+    assert np.array_equal(batched[1][0], constants) and np.array_equal(batched[3][0], z)

@@ -226,6 +226,52 @@ def test_level_series_recombine_to_the_series(molecule, temperature, xi, axis):
     assert not np.delete(want, lines).any()
 
 
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 150.0),
+       top=st.floats(0.1, 10.0), nodes=st.sampled_from(["one", "all", "odd"]), axis=st.sampled_from("xyz"))
+@example(molecule=CO2, temperature=150.0, top=3.2, nodes="all", axis="y")  # fit-series' surface
+@example(molecule=MoleculeSpec("random", 0.7, 2.0, 1.0, 3.0), temperature=60.0, top=5.0, nodes="odd", axis="x")
+@example(molecule=CO2, temperature=293.0, top=3.2, nodes="all", axis="z")  # one node per chunk
+def test_batched_kicks_are_the_kicks_level_series(molecule, temperature, top, nodes, axis):
+    # kick_level_series on the basis of the strongest node's kick, at 1
+    # node, at 21 Chebyshev nodes on [top / 6, top] or at the odd nodes of
+    # 41 (a surface's first set and the nodes its doubling adds; odd-J spin
+    # weights step each chain's lines and levels by 2).  The bound is bit
+    # for bit: each node's constants and lines equal kick_ensemble's
+    # level_series under np.array_equal (-0.0 == 0.0).  The kick work
+    # checked is every node's, and the traced peak, less the memory held
+    # before it, stays under the bytes checked
+    ens = boltzmann_ensemble(molecule, temperature)
+    x = np.cos(np.pi * np.arange(41) / 40)
+    xis = top * (7.0 + 5.0 * x) / 12.0
+    xis = {"one": xis[:1], "all": xis[::2], "odd": xis[1::2]}[nodes]
+    j_max = kick_ensemble(molecule, ens, top).j_max
+    checked = []
+    with pytest.MonkeyPatch.context() as mp:
+        check = dynamics._check_budgets
+        mp.setattr(dynamics, "_check_budgets", lambda j, budgets: checked.append(budgets(j)) or check(j, budgets))
+        dynamics.kick_level_series(ens, xis, j_max, axis)  # numpy's lazily built tables are not the kicks'
+        dynamics.clear_caches()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            levels, constants, lines, z = dynamics.kick_level_series(ens, xis, j_max, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (nbytes, work), = set(checked)
+    layout = dynamics._chain_layout(ens, j_max, dynamics._chains(ens))
+    assert work == len(xis) * int(np.sum(layout.sizes ** 2 * layout.counts))
+    assert peak - before <= nbytes
+    if temperature == 293.0:  # the largest run, 2 blocks of 75 x 33, takes its nodes one by one
+        assert max(run[5] - run[4] for run in layout.runs) > dynamics.GATHER_CHUNK // 2
+    assert constants.shape == (len(xis), len(levels)) and z.shape == (len(xis), len(lines), len(levels))
+    for node, xi in enumerate(xis):
+        want = kick_ensemble(molecule, ens, xi, j_max).level_series(axis)
+        assert np.array_equal(levels, want[0]) and np.array_equal(lines, want[2])
+        assert np.array_equal(constants[node], want[1]) and np.array_equal(z[node], want[3])
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(b=st.floats(0.2, 2.0), delta_alpha=st.floats(0.5, 5.0), j0=st.integers(1, 6), data=st.data(),
        intensity=st.floats(0.5, 10.0), a2=st.floats(0.0, 1.0))

@@ -395,8 +395,10 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
 
 def test_a_fit_series_pair_kicks_only_the_surface_nodes(monkeypatch):
     # the fit-series workload's box and its first two fits on one cache:
-    # every kick is a node of the one surface, on one chain layout at one
-    # j_max (one kick per visited cell, 111 on 4 layouts, before the surface)
+    # every kick is a node of the one surface, all 21 in one batched call on
+    # one chain layout at one j_max, and no cell is kicked on its own (one
+    # kick per visited cell, 111 on 4 layouts, before the surface; 21 calls
+    # of kick_ensemble, one per node, before the batched call)
     problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
                          cache_quantum=1e-3)
     delays = np.arange(0.5, 0.5 + revival_period(CO2.b_cm1), 0.02)
@@ -404,14 +406,16 @@ def test_a_fit_series_pair_kicks_only_the_surface_nodes(monkeypatch):
     scratch = EnsembleCache(problem)
     traces = [synthesize_trace(problem, truth, delays, noise, seed, scratch) for noise, seed in ((0.0, None), (0.05, 1))]
     dynamics.clear_caches()
-    kicks, kick = [], retrieval.kick_ensemble
-    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: kicks.append(args[2:]) or kick(*args))
+    batches, batch = [], retrieval.kick_level_series
+    monkeypatch.setattr(retrieval, "kick_level_series",
+                        lambda *args: batches.append((len(args[1]), args[2])) or batch(*args))
+    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: pytest.fail("a cell was kicked on its own"))
     cache = EnsembleCache(problem)
     fits = [fit_trace(problem, traces[0], cache=cache),
             fit_trace(problem, traces[1], max_evaluations=600, refine_starts=2, cache=cache)]
-    assert all(fit.converged for fit in fits) and cache.misses > 2 * len(kicks)
-    assert len(kicks) <= len(cache.surface.nodes) == retrieval.SURFACE_INTERVALS + 1 == 21
-    assert len({j_max for _, j_max in kicks}) == 1 and len(dynamics._LAYOUTS) == 1
+    assert all(fit.converged for fit in fits) and cache.misses > 2 * len(cache.surface.nodes)
+    assert batches == [(len(cache.surface.nodes), cache.surface.j_max)]
+    assert len(cache.surface.nodes) == retrieval.SURFACE_INTERVALS + 1 == 21 and len(dynamics._LAYOUTS) == 1
 
 
 def test_a_cacheless_synthesis_kicks_only_its_cell(monkeypatch):
@@ -441,17 +445,41 @@ def test_a_cell_above_the_box_is_simulates_kick():
 
 def test_the_surface_is_checked_against_the_budget_before_its_kicks(monkeypatch):
     problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)})
+    # the surface's bytes are checked once, then its 21 nodes are kicked in
+    # one batched call; with a budget one byte short, none is
     estimates, check = [], retrieval.check_working_set
     monkeypatch.setattr(retrieval, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
+    batches, batch = [], retrieval.kick_level_series
+    monkeypatch.setattr(retrieval, "kick_level_series", lambda *args: batches.append(len(args[1])) or batch(*args))
     surface = retrieval.kick_surface(problem)
     nodes, levels = len(surface.nodes), len(surface.levels)
-    assert estimates == [nodes * levels * (16 * (surface.j_max + 1) + 8)]
+    assert batches == [nodes] and estimates == [nodes * levels * (16 * (surface.j_max + 1) + 8)]
     assert surface.lines.nbytes + surface.constants.nbytes <= estimates[0]
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", estimates[0] - 1)
-    monkeypatch.setattr(retrieval, "kick_ensemble", lambda *args: pytest.fail("a node was kicked"))
+    monkeypatch.setattr(retrieval, "kick_level_series", lambda *args: pytest.fail("a node was kicked"))
     with pytest.raises(ValueError, match="a kick-strength surface of 21 nodes x 31 levels at j_max=124"):
         retrieval.kick_surface(problem)
+
+
+@pytest.mark.parametrize("j_max, error", [
+    (60, dynamics.BasisTooSmallError("kick populates the basis edge at j_max=60; enlarge j_max")),
+    (40, dynamics.BasisTooSmallError("thermal origin J=60 exceeds j_max=40; the basis cannot hold the initial "
+                                     "ensemble")),
+    (-5, ValueError("j_max must be nonnegative, got -5")),
+])
+def test_a_surface_on_an_explicit_basis_fails_as_its_direct_kick(j_max, error):
+    # fit-series' box on too small an explicit basis: the batched kicks of
+    # the surface check it as kick_ensemble does its own, and fail as the
+    # direct kick of the box's top corner, the surface's first node, fails
+    problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
+                         cache_quantum=1e-3, j_max=j_max)
+    xi = retrieval.xi_per_intensity(CO2, problem.tau_fwhm_ps) * 30.0
+    for build in (lambda: EnsembleCache(problem).surface,
+                  lambda: retrieval.kick_ensemble(CO2, retrieval.boltzmann_ensemble(CO2, 150.0), xi, j_max)):
+        with pytest.raises(type(error)) as failure:
+            build()
+        assert str(failure.value) == str(error)
 
 
 def test_a_spike_the_window_drops_rescales_nothing():
