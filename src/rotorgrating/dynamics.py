@@ -66,10 +66,16 @@ e^{i xi Lambda} with one exponential of the eigenvalues, one repeat and one
 gather by the layout's int32 index.  Then the chains' kick walks the
 layout's runs of consecutive equal-shape blocks, each run one stack of
 matrices: the sudden kick runs one GEMM per block, a pulse composes the rest
-of its kicks, in place in the packed array.  Every BLAS call sees the operands a
-block-by-block loop would, so the packed kernel is bit-identical to it.  A
-lattice layout keeps its groups' JMBases and lab-axis operators, built on
-first use: elliptic_tdse_ensemble steps each group into its packed slice.
+of its kicks, in place in the packed array.  A pulse's runs go to one worker
+thread per CPU the process may use, costliest first, each run writing only
+its own slice; while they run, and while a layout's eigendecompositions are
+built, every loaded OpenBLAS is held to one thread (_one_blas_thread), the
+only place BLAS threads are set.  Where no OpenBLAS is found the runs take
+one worker, the calling thread.  Every BLAS call sees the operands a
+block-by-block loop would, so the packed kernel is bit-identical to it, on
+any number of workers.  A lattice layout keeps its groups' JMBases and
+lab-axis operators, built on first use: elliptic_tdse_ensemble steps each
+group into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
 applied: a constant and one complex amplitude per lower J, its blocks added
@@ -90,11 +96,15 @@ package loads no scipy.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from decimal import ROUND_CEILING, Decimal
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 
 import numpy as np
@@ -318,6 +328,100 @@ def _compose(evals, vecs, omega, omega0, block, schedule):
 
 
 # ---------------------------------------------------------------------------
+# Runs on every core, with OpenBLAS held to one thread
+# ---------------------------------------------------------------------------
+
+_BLAS_LOCK = threading.RLock()
+
+
+@cache
+def _openblas() -> tuple:
+    """(get, set) of the thread count of every OpenBLAS the process has
+    loaded, found once: the libraries in /proc/self/maps (Linux) that export
+    openblas_get_num_threads and openblas_set_num_threads under one of
+    OpenBLAS's symbol prefixes and suffixes, as numpy's scipy-openblas wheel
+    exports scipy_openblas_set_num_threads64_.  Empty where there is none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].strip()
+                                  for line in maps if "openblas" in line.lower())
+    except OSError:
+        return ()
+    names = [f"{prefix}openblas_%s_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_", "_64")]
+    found = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
+        for name in names:
+            get, put = (getattr(library, name % verb, None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+def _workers() -> int:
+    """Workers of a composed chain kick: one per CPU the process may run on
+    when OpenBLAS can be held to one thread (_openblas), else one, so that no
+    worker shares its core with BLAS threads."""
+    return len(os.sched_getaffinity(0)) if _openblas() else 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS to one thread, and restore the counts found
+    on exit.  Reentrant; one thread of the process holds it at a time."""
+    with _BLAS_LOCK:
+        libraries = _openblas()
+        counts = [get() for get, _ in libraries]
+        try:
+            for _, put in libraries:
+                put(1)
+            yield
+        finally:
+            for (_, put), count in zip(libraries, counts):
+                put(count)
+
+
+def _on_workers(items, step, workers: int):
+    """step(item) for every item, handed out in order to `workers` threads,
+    this one among them, each taking the next item when its last is done.
+    Every thread is joined before this returns; the first exception a step
+    raises is raised here, unchanged, and no item is taken after it."""
+    pending, failed, lock = iter(items), [], threading.Lock()
+
+    def work():
+        try:
+            while not failed:
+                with lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                step(item)
+        except BaseException as error:  # raised again by the calling thread
+            failed.append(error)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+    except BaseException as error:  # a thread that cannot start: the others stop
+        failed.append(error)
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+# ---------------------------------------------------------------------------
 # The (J,M) lattice: reflection sectors on the same stepper
 # ---------------------------------------------------------------------------
 
@@ -483,12 +587,13 @@ class BlockLayout:
         diag, _, coupling = self.operator
         first, lows, square = _starts(self.sizes), _starts(self.sizes - 1), _starts(self.sizes * self.sizes)
         evals, evecs = np.empty(first[-1]), np.zeros(square[-1])
-        for b, n in enumerate(self.sizes.tolist()):
-            tridiagonal = evecs[square[b]:square[b + 1]].reshape(n, n)
-            tridiagonal.flat[::n + 1] = diag[first[b]:first[b + 1]]
-            tridiagonal.flat[1::n + 1] = tridiagonal.flat[n::n + 1] = coupling[lows[b]:lows[b + 1]] / 2.0
-            evals[first[b]:first[b + 1]], vectors = np.linalg.eigh(tridiagonal)
-            tridiagonal[...] = vectors.T  # V in Fortran order
+        with _one_blas_thread():  # a second BLAS thread spins without speeding one eigh
+            for b, n in enumerate(self.sizes.tolist()):
+                tridiagonal = evecs[square[b]:square[b + 1]].reshape(n, n)
+                tridiagonal.flat[::n + 1] = diag[first[b]:first[b + 1]]
+                tridiagonal.flat[1::n + 1] = tridiagonal.flat[n::n + 1] = coupling[lows[b]:lows[b + 1]] / 2.0
+                evals[first[b]:first[b + 1]], vectors = np.linalg.eigh(tridiagonal)
+                tridiagonal[...] = vectors.T  # V in Fortran order
         return evals, evecs
 
     @cached_property
@@ -944,8 +1049,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         amps = _gathered_kicks(layout, kicks[0])
         rhs_all = amps.view(float)
         evals, evecs = layout.eigen
-        # one stack per run of equal-shape blocks, in place
-        for n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 in layout.runs:
+
+        def step(run):  # one stack per run of equal-shape blocks, in place
+            n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 = run
             rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
             vecs = evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
             if len(kicks) == 1:
@@ -954,23 +1060,32 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
                 omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
                 omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
                 _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
+
+        if len(kicks) == 1:
+            _on_workers(layout.runs, step, 1)
+        else:  # costliest first: per block, free propagators of n^3 and kicks of n^2 k
+            runs = sorted(layout.runs, reverse=True,
+                          key=lambda run: (run[3] - run[2]) * run[0] ** 2 * (run[0] + run[1] * len(kicks)))
+            with _one_blas_thread():
+                _on_workers(runs, step, min(_workers(), len(runs)))
         return amps
 
     def budgets(j_max):
         # bytes: the layout (_layout_bytes), the results, two chunks of
         # gathered entries and their int64 index.  Composed kicks add the
-        # costliest run's stack: for each of its blocks three free
-        # propagators and the two temporaries of their build, its table of
-        # kick phases (40 B per kick and level as it is built: real phases,
-        # their complex cast and the exponentials) and 3 state vectors.  Work:
-        # each kick is one n x n GEMM, by V or a free propagator, on every
-        # block's k columns
+        # stacks of the _workers() costliest runs, which the workers may hold
+        # at once: for each block of a run three free propagators and the two
+        # temporaries of their build, its table of kick phases (40 B per kick
+        # and level as it is built: real phases, their complex cast and the
+        # exponentials) and 3 state vectors.  Work: each kick is one n x n
+        # GEMM, by V or a free propagator, on every block's k columns
         sizes = _chain_sizes(chains, j_max)
         total = _layout_bytes(sizes) + sum(16 * n * k for n, k in sizes) + 24 * GATHER_CHUNK
         kicks = _kick_count(pulse, molecule, j_max)
         if kicks > 1:
-            total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
-                         for (n, k), run in groupby(sizes))
+            stacks = sorted(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
+                            for (n, k), run in groupby(sizes))
+            total += sum(stacks[-_workers():])
         return total, kicks * sum(n * n * k for n, k in sizes)
 
     return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
@@ -1068,9 +1183,10 @@ def tdse_ensemble(
     """Finite-pulse TDSE propagation of the whole thermal ensemble.
 
     The pulse must be polarized along y, the chains' quantization axis.  Each
-    run of equal-shape (|M0|, parity) blocks in turn runs the RKN splitting
-    over the pulse window as one stack; amplitudes come back referenced to the
-    pulse center, as the sudden driver's.
+    run of equal-shape (|M0|, parity) blocks runs the RKN splitting over the
+    pulse window as one stack, on one of the workers (_workers) that share
+    the runs; amplitudes come back referenced to the pulse center, as the
+    sudden driver's.
     """
     require_y_polarized(pulse)
     return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps, pulse)

@@ -594,8 +594,12 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
                              "polarization": [0.8, 0.6]},
                  "kick strength xi = inf is too large to count the stepper's steps", id="elliptic-1.7e+308"),
 ])
-def test_fourier_rejects_kicks_too_large_to_size(tmp_path, no_propagation, capsys, subcommand, pump, message):
-    # the basis these need cannot be sized, let alone allocated
+def test_fourier_rejects_kicks_too_large_to_size(tmp_path, monkeypatch, no_propagation, capsys, subcommand,
+                                                 pump, message):
+    # the basis these need cannot be sized, let alone allocated.  A TDSE's
+    # budget counts a composed run's stack per worker: one worker keeps the
+    # printed estimate the same on any number of CPUs
+    monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, **pump})
     out = tmp_path / "x"
     _exits_2_in_little_memory([subcommand, "--config", cfg, "--out", str(out)])

@@ -7,6 +7,8 @@ theta matrices and from the drivers run on single-channel ensembles.
 import gc
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -350,7 +352,10 @@ def _trace_chain_runs(monkeypatch, excess):
     # an entry as it is built (real phases, numpy's complex cast of them and
     # the exponentials); one that kept its step history would also hold a
     # state matrix per kick, so twice the kicks may add no more than the
-    # longer table and one state matrix, for every block of a stack
+    # longer table and one state matrix, for every block of a stack.  The
+    # traced memory is the process's, so the runs go one at a time, on one
+    # worker
+    monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     steps = dynamics._chain_steps
 
     def peak(*args):
@@ -456,12 +461,13 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # the estimate counts every block's cached eigenvectors, result and gather
     # index of its first kick, the layout's per-row, per-column and per-block
     # arrays, two chunks of the gather and the eigensolver's copy of the
-    # largest chain; the stepper runs one run of equal-shape blocks at a
-    # time and adds the costliest run's arrays, for each of its blocks three
-    # free propagators and their build's two temporaries, the kick phase
-    # table and 3 state vectors.  The sudden kick's peak, reached in its
-    # gather, exceeded the estimate by 9-25% while it counted neither the
-    # per-row arrays nor the gather's second chunk and index
+    # largest chain; the stepper's workers each run one run of equal-shape
+    # blocks at a time and it adds the arrays of as many of the costliest
+    # runs, for each of their blocks three free propagators and their
+    # build's two temporaries, the kick phase table and 3 state vectors.
+    # The sudden kick's peak, reached in its gather, exceeded the estimate
+    # by 9-25% while it counted neither the per-row arrays nor the gather's
+    # second chunk and index
     estimates = []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
@@ -471,8 +477,9 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
                  + 24 * dynamics.GATHER_CHUNK + 8 * max(n for n, _ in sizes) ** 2)
         if kicks > 1:
-            total += max(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
-                         for (n, k), run in itertools.groupby(sizes))
+            stacks = sorted(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
+                            for (n, k), run in itertools.groupby(sizes))
+            total += sum(stacks[-dynamics._workers():])
         return total
 
     def traced_peak(propagate):
@@ -529,6 +536,59 @@ def test_chain_tdse_leaves_no_state():
     # state stack is 1,056 B
     smallest = min(b.amplitudes.nbytes for b in cs.blocks)
     assert sorted(n for n in tdse if n >= smallest) == sorted(n for n in kick if n >= smallest)
+
+
+def test_a_failed_run_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    # three workers each take a run while OpenBLAS is held to one thread;
+    # one worker thread raises while the other two are still running: the
+    # caller gets that exception itself, once every worker is joined, and
+    # OpenBLAS gets back the thread count it had, here set to 2
+    error, arrived, lock = RuntimeError("a run failed"), threading.Barrier(3, timeout=10), threading.Lock()
+    takers, raisers, held, compose = [], [], [], dynamics._compose
+
+    def failing(*args):
+        held.append([get() for get, _ in dynamics._openblas()])
+        takers.append(threading.current_thread())
+        arrived.wait()
+        with lock:
+            if threading.current_thread() is not threading.main_thread() and not raisers:
+                raisers.append(threading.current_thread())
+                raise error
+        # the caller's own run ends after the error, the other worker's later
+        time.sleep(0.2 if threading.current_thread() is threading.main_thread() else 0.4)
+        return compose(*args)
+
+    monkeypatch.setattr(dynamics, "_compose", failing)
+    monkeypatch.setattr(dynamics, "_workers", lambda: 3)
+    libraries = dynamics._openblas()
+    counts = [get() for get, _ in libraries]
+    threads = threading.active_count()
+    try:
+        for _, put in libraries:
+            put(2)
+        with pytest.raises(RuntimeError) as caught:
+            tdse_ensemble(CO2, boltzmann_ensemble(CO2, 60.0), PulseSpec(30.0))
+        assert caught.value is error and len(set(takers)) == 3 and len(raisers) == 1
+        assert threading.active_count() == threads
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+    finally:
+        for (_, put), count in zip(libraries, counts):
+            put(count)
+    assert len(held) == 3 and all(count == 1 for during in held for count in during)
+
+
+def test_without_openblas_the_runs_take_one_worker(monkeypatch):
+    # where no OpenBLAS is found (MKL, Accelerate, another OS) the composed
+    # kick runs its runs on the calling thread alone, to the same amplitudes
+    ens, pulse = boltzmann_ensemble(CO2, 60.0), PulseSpec(30.0)
+    threaded = tdse_ensemble(CO2, ens, pulse)
+    workers, on_workers = [], dynamics._on_workers
+    monkeypatch.setattr(dynamics, "_openblas", lambda: ())
+    monkeypatch.setattr(dynamics, "_on_workers",
+                        lambda items, step, count: workers.append(count) or on_workers(items, step, count))
+    alone = tdse_ensemble(CO2, ens, pulse)
+    assert dynamics._workers() == 1 and workers == [1]
+    assert len(alone.layout.runs) > 1 and np.array_equal(alone.amplitudes, threaded.amplitudes)
 
 
 def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatch):

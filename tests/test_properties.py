@@ -1,16 +1,18 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
 strength, the chain stepper's kick schedule over pulses, its step count over
-temperature, kick strength and pulse length, the chain stepper,
-the warm chain cache, the revivals and the packed reductions of both routes
-over random molecules, the lattice's +-M mirror symmetry and reflection
-sectors, the bound of the probe that sizes the lattice and its kicks' peak
-memory, the chain series split by thermal level, the fit's kick-strength
-surface against direct kicks, the fit's forward model against simulate's
-sudden pipeline, and the CLI's exit codes over generated configs."""
+temperature, kick strength and pulse length, the chain stepper, on one
+worker and on many, the warm chain cache, the revivals and the packed
+reductions of both routes over random molecules, the lattice's +-M mirror
+symmetry and reflection sectors, the bound of the probe that sizes the
+lattice and its kicks' peak memory, the chain series split by thermal level,
+the fit's kick-strength surface against direct kicks, the fit's forward
+model against simulate's sudden pipeline, and the CLI's exit codes over
+generated configs."""
 
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -522,6 +524,30 @@ def test_budgets_bound_every_propagation_and_count_its_kicks(molecule, lattice, 
         else:
             unit = int(np.sum(lay.sizes ** 2 * lay.counts))
         assert work == kicks * unit
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 300.0),
+       xi=st.floats(0.1, 15.0), tau=st.floats(0.05, 0.5))
+@example(molecule=CO2, temperature=0.0, xi=5.0, tau=0.1)  # one chain: a layout of one run
+@example(molecule=CO2, temperature=293.0, xi=13.33, tau=0.1)  # simulate-tdse's 293 K cell at 30 TW/cm^2
+def test_threaded_tdse_is_the_one_worker_tdse(molecule, temperature, xi, tau):
+    # each run writes its own slice and makes its BLAS calls on one thread,
+    # so three workers, more than the machine's cores, switching threads
+    # every 10 microseconds, give the amplitudes of one worker bit for bit
+    ens = boltzmann_ensemble(molecule, temperature)
+    pulse = PulseSpec(xi / xi_per_intensity(molecule, tau), tau)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_workers", lambda: 1)
+        one = tdse_ensemble(molecule, ens, pulse)
+        mp.setattr(dynamics, "_workers", lambda: 3)
+        sys.setswitchinterval(1e-5)
+        try:
+            three = tdse_ensemble(molecule, ens, pulse)
+        finally:
+            sys.setswitchinterval(interval)
+    assert one.j_max == three.j_max and np.array_equal(one.amplitudes, three.amplitudes)
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
