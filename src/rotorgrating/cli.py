@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .dynamics import PropagationError, elliptic_tdse_ensemble
+from .dynamics import PropagationError, _one_blas_thread, elliptic_tdse_ensemble
 from .field import PulseSpec, elliptic_pulse
 from .grating import (
     GratingConfig,
@@ -451,9 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The whole run holds every loaded OpenBLAS to one thread
+    (dynamics._one_blas_thread), whose nested holds in the propagations
+    then change nothing, and gives back the counts it found when it returns,
+    whatever its exit code.  The propagations and eigendecompositions run on
+    one worker per CPU; a BLAS thread that the run's other GEMMs woke would
+    spin on a core beside them.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         # ArithmeticError: a finite input too large or too small for the numbers
         # derived from it; OSError: a missing path, or a file where a directory goes

@@ -67,15 +67,18 @@ gather by the layout's int32 index.  Then the chains' kick walks the
 layout's runs of consecutive equal-shape blocks, each run one stack of
 matrices: the sudden kick runs one GEMM per block, a pulse composes the rest
 of its kicks, in place in the packed array.  A pulse's runs go to one worker
-thread per CPU the process may use, costliest first, each run writing only
-its own slice; while they run, and while a layout's eigendecompositions are
-built, every loaded OpenBLAS is held to one thread (_one_blas_thread), the
-only place BLAS threads are set.  Where no OpenBLAS is found the runs take
-one worker, the calling thread.  Every BLAS call sees the operands a
-block-by-block loop would, so the packed kernel is bit-identical to it, on
-any number of workers.  A lattice layout keeps its groups' JMBases and
-lab-axis operators, built on first use: elliptic_tdse_ensemble steps each
-group into its packed slice.
+thread per CPU the process may use (_on_workers), costliest first, each run
+writing only its own slice, and so do a chain layout's eigendecompositions,
+largest chain first.  While they run every loaded OpenBLAS is held to one
+thread (_one_blas_thread), a reentrant hold that only the calling thread
+takes: cli.main holds it for a whole run, and the propagations' holds nest
+in it, while a library caller keeps its own BLAS settings outside them.
+Where no OpenBLAS is found the workers are one, the calling thread.  Every
+BLAS call sees the operands a block-by-block loop would, so the packed
+kernel is bit-identical to it, on any number of workers.  A lattice layout
+keeps its groups' JMBases and lab-axis operators, built on first use on
+the calling thread: elliptic_tdse_ensemble's workers step the groups,
+costliest first, each into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
 applied: a constant and one complex amplitude per lower J, its blocks added
@@ -366,7 +369,8 @@ def _openblas() -> tuple:
 
 
 def _workers() -> int:
-    """Workers of a composed chain kick: one per CPU the process may run on
+    """Workers of a composed chain kick, a layout's eigendecompositions or
+    the lattice's groups (_on_workers): one per CPU the process may run on
     when OpenBLAS can be held to one thread (_openblas), else one, so that no
     worker shares its core with BLAS threads."""
     return len(os.sched_getaffinity(0)) if _openblas() else 1
@@ -375,7 +379,9 @@ def _workers() -> int:
 @contextmanager
 def _one_blas_thread():
     """Hold every loaded OpenBLAS to one thread, and restore the counts found
-    on exit.  Reentrant; one thread of the process holds it at a time."""
+    on exit.  Reentrant; one thread of the process holds it at a time, so
+    only a calling thread takes it, never a worker: the calling thread keeps
+    it while it joins the workers."""
     with _BLAS_LOCK:
         libraries = _openblas()
         counts = [get() for get, _ in libraries]
@@ -582,18 +588,26 @@ class BlockLayout:
         entries (`runs`) in Fortran order, so that every GEMM with it keeps its
         BLAS path.  Each chain's tridiagonal, its slice of `operator` with the
         doubled couplings halved exactly, is laid out dense in the chain's own
-        eigenvector entries for one eigh, whose V then replaces it: the only
-        copy the eigensolver makes is of one chain, as the working set counts."""
+        eigenvector entries for one eigh, whose V then replaces it.  The chains
+        go to the workers largest first (_on_workers), each writing its own
+        slices, so the eigensolver's copies are of as many chains as there
+        are workers, as the working set counts."""
         diag, _, coupling = self.operator
         first, lows, square = _starts(self.sizes), _starts(self.sizes - 1), _starts(self.sizes * self.sizes)
         evals, evecs = np.empty(first[-1]), np.zeros(square[-1])
+        sizes = self.sizes.tolist()
+
+        def solve(b):  # writes chain b's eigenvalues and eigenvectors alone
+            n = sizes[b]
+            tridiagonal = evecs[square[b]:square[b + 1]].reshape(n, n)
+            tridiagonal.flat[::n + 1] = diag[first[b]:first[b + 1]]
+            tridiagonal.flat[1::n + 1] = tridiagonal.flat[n::n + 1] = coupling[lows[b]:lows[b + 1]] / 2.0
+            evals[first[b]:first[b + 1]], vectors = np.linalg.eigh(tridiagonal)
+            tridiagonal[...] = vectors.T  # V in Fortran order
+
+        chains = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)  # largest first
         with _one_blas_thread():  # a second BLAS thread spins without speeding one eigh
-            for b, n in enumerate(self.sizes.tolist()):
-                tridiagonal = evecs[square[b]:square[b + 1]].reshape(n, n)
-                tridiagonal.flat[::n + 1] = diag[first[b]:first[b + 1]]
-                tridiagonal.flat[1::n + 1] = tridiagonal.flat[n::n + 1] = coupling[lows[b]:lows[b + 1]] / 2.0
-                evals[first[b]:first[b + 1]], vectors = np.linalg.eigh(tridiagonal)
-                tridiagonal[...] = vectors.T  # V in Fortran order
+            _on_workers(chains, solve, min(_workers(), len(chains)))
         return evals, evecs
 
     @cached_property
@@ -1029,9 +1043,10 @@ def _layout_bytes(sizes: list) -> int:
     counts and the first kick's phases (64 B); per column the origin rows,
     order, J0, |M0| and their bytes in the layout cache's key (48 B); per
     block its keys, size, count and bounds and at most one entry of the run
-    table, 12 ints (576 B); the eigensolver's copy of the largest chain."""
+    table, 12 ints (576 B); the eigensolver's copies of the _workers()
+    largest chains, which the workers may hold at once."""
     return (sum(8 * n * n + 4 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
-            + 8 * max(n for n, _ in sizes) ** 2)
+            + sum(sorted(8 * n * n for n, _ in sizes)[-_workers():]))
 
 
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, measure=None,
@@ -1201,7 +1216,8 @@ def elliptic_tdse_ensemble(
     """TDSE propagation of a thermal ensemble under an elliptic pump.
 
     Channels are grouped by (J parity, M parity), one block per group on its
-    parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps).
+    parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps),
+    the groups on the workers (_workers) with OpenBLAS held to one thread.
     The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
     each column on its origin.  Without j_max the basis starts at the _reach
     of the sudden chain kick of the same xi (_measured_kick): a kick linearly
@@ -1225,13 +1241,20 @@ def elliptic_tdse_ensemble(
     def kick(layout):
         plan = _rkn_schedule(pulse, molecule, layout.j_max)
         amps = np.zeros(layout.bounds[-1], dtype=complex)
-        for b, (basis, (_, c0, c1)) in enumerate(zip(layout.bases, spans)):
-            rows, cols, x = layout.axis_operator(b, "x")
-            y = layout.axis_operator(b, "y")[2]  # on the entries of x
-            coupling = rows, cols, pulse.a2 * x + pulse.b2 * y
-            # each group's sectors add their columns into its packed slice
+        # built here, so that no worker writes the layout's operators
+        operators = [(layout.axis_operator(b, "x"), layout.axis_operator(b, "y")[2]) for b in range(len(spans))]
+
+        def step(b):  # both sectors of group b, in order, add their columns into its packed slice
+            basis, (_, c0, c1), ((rows, cols, x), y) = layout.bases[b], spans[b], operators[b]
+            coupling = rows, cols, pulse.a2 * x + pulse.b2 * y  # y on the entries of x
             out = amps[layout.bounds[b]:layout.bounds[b + 1]].reshape(len(basis), c1 - c0)
             _lattice_steps(basis, coupling, molecule, layout.rows[c0:c1], plan, out)
+
+        # costliest first: per group, free propagators of n^3 and kicks of n^2 k
+        costs = [n * n * (n + k * len(plan[1])) for n, k in zip(layout.sizes.tolist(), layout.counts.tolist())]
+        groups = sorted(range(len(spans)), key=costs.__getitem__, reverse=True)
+        with _one_blas_thread():
+            _on_workers(groups, step, min(_workers(), len(groups)))
         return amps
 
     def budgets(j_max):
@@ -1239,22 +1262,24 @@ def elliptic_tdse_ensemble(
         # larger sector (a group's M >= 0 sites).  Bytes: what every group
         # keeps, its result, its JMBasis (J and M per site, a site table of
         # (j_max + 1)(2 j_max + 1)) and its x and y operators (at most 9
-        # triplets of 24 B per site each); what the running group adds, its
+        # triplets of 24 B per site each); what a running group adds, its
         # coupling's values and reflection sectors (120 B per site) and for
         # its larger sector the operator and eigenvectors, three free
         # propagators and the two temporaries of their build, the kick phase
-        # table (40 B per kick and level) and 3 state matrices; and the
-        # schedule, 48 B per kick.  Work: each kick applies every sector's
-        # free propagator to its k columns.  Integers: j_max may be huge
+        # table (40 B per kick and level) and 3 state matrices, for the
+        # _workers() groups with the most, which the workers may run at once;
+        # and the schedule, 48 B per kick.  Work: each kick applies every
+        # sector's free propagator to its k columns.  Integers: j_max may be huge
         kicks = _kick_count(pulse, molecule, j_max)
-        kept = sector = work = 0
+        kept = work = 0
+        running = []
         for (jp, mp), c0, c1 in spans:
             n, k = _lattice_size(j_max, jp, mp), c1 - c0
             half = (n + (mp == 0) * ((j_max - jp) // 2 + 1)) // 2
             kept += 16 * n * k + 448 * n + 8 * (j_max + 1) * (2 * j_max + 1)
-            sector = max(sector, 16 * (6 * half * half + 3 * half * k) + 40 * kicks * half + 120 * n)
+            running.append(16 * (6 * half * half + 3 * half * k) + 40 * kicks * half + 120 * n)
             work += k * (half * half + (n - half) ** 2)
-        return kept + sector + 48 * kicks, kicks * work
+        return kept + sum(sorted(running)[-_workers():]) + 48 * kicks, kicks * work
 
     return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
                         lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -406,20 +407,29 @@ def elliptic_approx(linear_trace: AlignmentTrace, a2: float, b2: float) -> dict[
 # Export
 # ---------------------------------------------------------------------------
 
+# rows formatted per str.format call: a few thousand keep a block's strings
+# small on any time grid and the calls few
+CSV_BLOCK_ROWS = 4096
+
+
 def write_columns_csv(path: str, header: str, columns, header_metadata: dict | None):
     """CSV of equal-length numeric columns with fixed %.12e formatting for
     reproducible bytes.
 
     header_metadata entries become '# key: value' comment lines above the
-    column header, in sorted key order.
+    column header, in sorted key order.  Rows are formatted CSV_BLOCK_ROWS at
+    a time, one str.format over the block's values as Python floats, so the
+    memory a block takes is bounded on any grid.
     """
     row = ",".join(["{:.12e}"] * len(columns)) + "\n"
+    rows = min((len(column) for column in columns), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(header_metadata or {}):
             fh.write(f"# {key}: {header_metadata[key]}\n")
         fh.write(header + "\n")
-        for values in zip(*columns):
-            fh.write(row.format(*values))
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            block = [np.asarray(column[lo:lo + CSV_BLOCK_ROWS]).tolist() for column in columns]
+            fh.write((row * len(block[0])).format(*chain.from_iterable(zip(*block))))
 
 
 def write_trace_csv(trace: AlignmentTrace, path: str, value_header: str,

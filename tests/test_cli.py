@@ -1,8 +1,10 @@
 """Command-line entry points: exit codes, output files, reproducibility."""
 
+import contextlib
 import json
 import math
 import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import trace_propagations
-from rotorgrating import dynamics, observables, rotor
+from rotorgrating import cli, dynamics, observables, rotor
 from rotorgrating.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -211,8 +213,11 @@ def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, 
                                                        capsys):
     # this kick's chain eigenvectors, amplitudes, gather index and per-row,
     # per-column and per-block arrays are estimated at 49.5 MB; a budget
-    # below that keeps the input small
+    # below that keeps the input small.  The estimate counts the
+    # eigensolver's copy of a chain per worker: one worker keeps it the same
+    # on any number of CPUs
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
+    monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
     out = tmp_path / "run"
@@ -658,11 +663,14 @@ _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
              "polarization": [0.8164965809277261, 0.5773502691896257]}
 
 
-def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, capsys):
+def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation, capsys):
     # at 1100 K the smallest basis, J_thermal_max = 164, already needs ~2.5 GB
     # for the two groups' results plus the larger + sector's stepper arrays:
     # rejected before the probe kick runs (2.52 GB before the estimate
-    # counted each group's kept basis and operators)
+    # counted each group's kept basis and operators).  The estimate counts a
+    # running group's arrays per worker: one worker keeps it the same on any
+    # number of CPUs
+    monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
@@ -670,10 +678,13 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, no_propagation, ca
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
+def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, monkeypatch, no_lattice,
+                                                                          capsys):
     # 30 K fits at J_thermal_max = 26 (4.2 MB), but the sudden kick at 400
     # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.5 GB (4.47
-    # GB before the estimate counted each group's kept basis and operators)
+    # GB before the estimate counted each group's kept basis and operators).
+    # One worker keeps the estimate the same on any number of CPUs
+    monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
     out = tmp_path / "x"
     _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
@@ -1165,6 +1176,63 @@ def test_every_setting_is_echoed(tmp_path, monkeypatch, capsys, subcommand):
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+def test_a_run_holds_openblas_to_one_thread_from_its_calling_thread(tmp_path, monkeypatch, capsys):
+    # main holds every OpenBLAS to one thread for the whole run.  Every hold
+    # a run takes, main's and the propagations' nested ones, is taken on the
+    # calling thread: a worker that asked for it would wait on the lock the
+    # calling thread keeps while it joins the workers.  Three workers run
+    # the chain TDSE's runs and the lattice's groups; reconstruct's GEMM
+    # sees one BLAS thread; and after runs that exit 0, 2 and 3 OpenBLAS
+    # reads the count it had before, here 2
+    hold, compose, reconstruct_ = dynamics._one_blas_thread, dynamics._compose, cli.reconstruct
+    libraries = dynamics._openblas()
+    holders, steppers, during = [], set(), []
+
+    @contextlib.contextmanager
+    def recorded():
+        holders.append(threading.current_thread())
+        with hold():
+            yield
+
+    def stepped(*args):
+        steppers.add(threading.current_thread())
+        return compose(*args)
+
+    def counted(*args):
+        during.append([get() for get, _ in libraries])
+        return reconstruct_(*args)
+
+    for module in (cli, dynamics):
+        monkeypatch.setattr(module, "_one_blas_thread", recorded)
+    monkeypatch.setattr(dynamics, "_compose", stepped)
+    monkeypatch.setattr(dynamics, "_workers", lambda: 3)
+    monkeypatch.setattr(cli, "reconstruct", counted)
+    runs = [
+        (["simulate"], {"molecule": "CO2", "temperature_K": 30.0, "scheme": "perpendicular",
+                        "theoretical_intensity_tw_cm2": 10.0, "method": "tdse", "time_grid": {"n": 64}}, EXIT_OK),
+        (["fourier"], {**_ELLIPTIC, "temperature_K": 10.0, "intensity_tw_cm2": 10.0}, EXIT_OK),
+        (["validate"], {}, EXIT_OK),
+        (["fourier"], {"molecule": "CO2", "temperature_K": 30.0, "intensity_tw_cm2": 1e300, "method": "tdse"},
+         EXIT_CONFIG),
+        (["fourier"], {"molecule": "CO2", "temperature_K": 0.0, "intensity_tw_cm2": 100.0, "j_max": 10},
+         EXIT_NUMERICAL),
+    ]
+    counts = [get() for get, _ in libraries]
+    try:
+        for _, put in libraries:
+            put(2)
+        for k, (subcommand, doc, code) in enumerate(runs):
+            cfg = _cfg(tmp_path, doc, name=f"{k}.json")
+            assert main([*subcommand, "--config", cfg, "--out", str(tmp_path / str(k))]) == code
+            assert [get() for get, _ in libraries] == [2] * len(libraries)
+    finally:
+        for (_, put), count in zip(libraries, counts):
+            put(count)
+    assert holders and set(holders) == {threading.current_thread()}
+    assert len(steppers) > 1
+    assert len(during) == 2 and all(count == 1 for counts in during for count in counts)
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

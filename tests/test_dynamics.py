@@ -399,12 +399,13 @@ def test_lattice_size_counts_the_basis():
 
 
 def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
-    # the groups run one after another: the estimate counts what every group
-    # keeps, its result, basis and x and y operators, plus the largest
-    # running group's coupling and sectors and its larger sector's stepper
-    # arrays: its operator and eigenvectors, three free propagators and
-    # their build's two temporaries, the kick phase table and 3 state
-    # matrices, plus the schedule.  Unsized, the
+    # the groups go to the workers: the estimate counts what every group
+    # keeps, its result, basis and x and y operators, plus, for as many of
+    # the groups as there are workers, those with the most, a running
+    # group's coupling and sectors and its larger sector's stepper arrays:
+    # its operator and eigenvectors, three free propagators and their
+    # build's two temporaries, the kick phase table and 3 state matrices,
+    # plus the schedule.  Unsized, the
     # lattice checks its smallest basis, J_thermal_max, then runs the probe
     # that measures its basis: the ensemble's sudden chain kick checks its
     # own J_thermal_max, runs the bound's kick and then itself on the bound
@@ -429,9 +430,9 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
     smallest, probe_top, bound, probe, lattice = estimates
     sites = 8 * (cs.j_max + 1) * (2 * cs.j_max + 1)
+    running = sorted(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h + 120 * n for h, (n, k) in zip(halves, shapes))
     assert lattice == (sum(16 * n * k + 448 * n + sites for n, k in shapes)
-                       + max(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h + 120 * n
-                             for h, (n, k) in zip(halves, shapes)) + 48 * kicks)
+                       + sum(running[-dynamics._workers():]) + 48 * kicks)
     assert ens.j_thermal_max < cs.j_max and smallest < lattice and probe_top < probe
     # the bound's kick, of one level per chain, is the smaller
     assert bound < probe
@@ -460,8 +461,9 @@ def test_probe_grows_a_basis_its_bound_misses(monkeypatch, bound, bases):
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # the estimate counts every block's cached eigenvectors, result and gather
     # index of its first kick, the layout's per-row, per-column and per-block
-    # arrays, two chunks of the gather and the eigensolver's copy of the
-    # largest chain; the stepper's workers each run one run of equal-shape
+    # arrays, two chunks of the gather and the eigensolver's copies of as
+    # many of the largest chains as there are workers, each solving one
+    # chain at a time; the stepper's workers each run one run of equal-shape
     # blocks at a time and it adds the arrays of as many of the costliest
     # runs, for each of their blocks three free propagators and their
     # build's two temporaries, the kick phase table and 3 state vectors.
@@ -475,7 +477,7 @@ def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
 
     def estimate(sizes, kicks):
         total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
-                 + 24 * dynamics.GATHER_CHUNK + 8 * max(n for n, _ in sizes) ** 2)
+                 + 24 * dynamics.GATHER_CHUNK + sum(sorted(8 * n * n for n, _ in sizes)[-dynamics._workers():]))
         if kicks > 1:
             stacks = sorted(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                             for (n, k), run in itertools.groupby(sizes))
@@ -589,6 +591,35 @@ def test_without_openblas_the_runs_take_one_worker(monkeypatch):
     alone = tdse_ensemble(CO2, ens, pulse)
     assert dynamics._workers() == 1 and workers == [1]
     assert len(alone.layout.runs) > 1 and np.array_equal(alone.amplitudes, threaded.amplitudes)
+
+
+def test_eigendecompositions_on_three_workers_are_one_workers(monkeypatch):
+    # the 293 K layout at j_max 148, simulate-tdse's 85 chains: three
+    # workers, each holding its first chain until all three have one, solve
+    # them with OpenBLAS held to one thread, each writing its own slices, to
+    # the eigenpairs of one worker bit for bit
+    ens, eigh = boltzmann_ensemble(CO2, 293.0), np.linalg.eigh
+    arrived, solvers, held = threading.Barrier(3, timeout=10), [], []
+
+    def solve(matrix):
+        held.append([get() for get, _ in dynamics._openblas()])
+        if threading.current_thread() not in solvers:
+            solvers.append(threading.current_thread())
+            arrived.wait()
+        return eigh(matrix)
+
+    layouts = []
+    for workers in (1, 3):
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        if workers == 3:
+            monkeypatch.setattr(np.linalg, "eigh", solve)
+        dynamics.clear_caches()
+        layouts.append(dynamics._chain_layout(ens, 148, dynamics._chains(ens)))
+        layouts[-1].eigen
+    one, three = layouts
+    assert len(one.sizes) == len(held) == 85 and len(solvers) == 3
+    assert all(count == 1 for during in held for count in during)
+    assert all(np.array_equal(a, b) for a, b in zip(one.eigen, three.eigen))
 
 
 def test_chain_cache_keeps_only_chains_within_its_share_of_the_budget(monkeypatch):

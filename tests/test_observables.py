@@ -301,6 +301,37 @@ def test_trace_csv_bytes_and_metadata(tmp_path, kicked_30k):
     assert len(lines) == 3 + len(times)
 
 
+def _rows_one_by_one(path, header, columns, header_metadata):
+    """The CSV writer as it wrote row by row: the bytes a blocked writer keeps."""
+    row = ",".join(["{:.12e}"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key in sorted(header_metadata or {}):
+            fh.write(f"# {key}: {header_metadata[key]}\n")
+        fh.write(header + "\n")
+        for values in zip(*columns):
+            fh.write(row.format(*values))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, observables.CSV_BLOCK_ROWS, 2 * observables.CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_columns_csv_blocks_write_the_row_by_row_bytes(tmp_path, rows, count):
+    # nan, both infinities, -0.0, subnormals and values near the float
+    # range among random ones of every scale, on an empty file, one block
+    # and more than two
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0])
+    rng = np.random.default_rng(rows + count)
+    columns = []
+    for _ in range(count):
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values[rng.integers(0, rows, min(rows, 32))] = rng.choice(special, min(rows, 32))
+        columns.append(values)
+    meta = {"version": "0.1.0", "config": "{}"}
+    header = ",".join(f"c{i}" for i in range(count))
+    observables.write_columns_csv(str(tmp_path / "blocks.csv"), header, columns, meta)
+    _rows_one_by_one(str(tmp_path / "rows.csv"), header, columns, meta)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_decomposition_json_round_trip(tmp_path):
     # the fourier subcommand's file against the in-process decomposition
     cfg = tmp_path / "fourier.json"

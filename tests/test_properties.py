@@ -1,7 +1,7 @@
 """Property tests: the kicked thermal ensemble over temperature and kick
 strength, the chain stepper's kick schedule over pulses, its step count over
-temperature, kick strength and pulse length, the chain stepper, on one
-worker and on many, the warm chain cache, the revivals and the packed
+temperature, kick strength and pulse length, the chain stepper and the
+lattice's groups, on one worker and on many, the warm chain cache, the revivals and the packed
 reductions of both routes over random molecules, the lattice's +-M mirror
 symmetry and reflection sectors, the bound of the probe that sizes the
 lattice and its kicks' peak memory, the chain series split by thermal level,
@@ -548,6 +548,32 @@ def test_threaded_tdse_is_the_one_worker_tdse(molecule, temperature, xi, tau):
         finally:
             sys.setswitchinterval(interval)
     assert one.j_max == three.j_max and np.array_equal(one.amplitudes, three.amplitudes)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 60.0),
+       xi=st.floats(0.1, 5.0), tau=st.floats(0.05, 0.2), a2=st.floats(0.0, 1.0))
+@example(molecule=MoleculeSpec("random", 0.5, 2.0, 1.0, 3.0), temperature=20.0, xi=3.0, tau=0.1,
+         a2=2 / 3)  # four groups, both J parities
+def test_threaded_lattice_is_the_one_worker_lattice(molecule, temperature, xi, tau, a2):
+    # each group's two sectors run in order on one worker and add into the
+    # group's own slice, with every BLAS call on one thread, so three
+    # workers, switching threads every 10 microseconds, give the amplitudes
+    # of one worker bit for bit, from A^2 = 0 (a pump along y) to 1 (along x)
+    ens = boltzmann_ensemble(molecule, temperature)
+    pulse = elliptic_pulse(xi / xi_per_intensity(molecule, tau), a2, 1.0 - a2, tau)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_workers", lambda: 1)
+        one = elliptic_tdse_ensemble(molecule, ens, pulse)
+        mp.setattr(dynamics, "_workers", lambda: 3)
+        sys.setswitchinterval(1e-5)
+        try:
+            three = elliptic_tdse_ensemble(molecule, ens, pulse, one.j_max)
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(one.layout.sizes, three.layout.sizes)
+    assert np.array_equal(one.amplitudes, three.amplitudes)
 
 
 _POLARIZATION_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(-2.0, 2.0))
