@@ -61,12 +61,14 @@ the first kick.  _LAYOUTS, the one cache of chain data, is keyed by the
 channels and j_max: every ensemble with the same channels gets the same
 layout at one j_max, grouped only when none of them is cached at any j_max,
 and the cache keeps the latest few that fit a share of the working-set
-budget.  The sudden kick fills every block's right-hand side V^T[:, rows]
-e^{i xi Lambda} with one exponential of the eigenvalues, one repeat and one
-gather by the layout's int32 index.  Then the chains' kick walks the
-layout's runs of consecutive equal-shape blocks, each run one stack of
-matrices: the sudden kick runs one GEMM per block, a pulse composes the rest
-of its kicks, in place in the packed array.  A pulse's runs go to one worker
+budget.  The chains' kick walks the layout's runs of consecutive
+equal-shape blocks, each run one stack of matrices.  One kernel, _kicks,
+builds every sudden chain kick's right-hand sides V^T[:, rows] e^{i xi
+Lambda} for a run, for one strength or many: one gather from the
+eigenvectors by the layout's int32 index and one exponential of the
+eigenvalues per run.  The sudden kick runs one GEMM per block on them, a
+pulse composes the rest of its kicks from its first, each run into its
+slice of the packed array.  A pulse's runs go to one worker
 thread per CPU the process may use (_on_workers), costliest first, each run
 writing only its own slice, and so do a chain layout's eigendecompositions,
 largest chain first.  While they run every loaded OpenBLAS is held to one
@@ -82,13 +84,13 @@ costliest first, each into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
 applied: a constant and one complex amplitude per lower J, its blocks added
-in layout order.  _level_series splits the series of chain states by
-thermal level, run by run with each state's share of every block added into
-its (line, level) cells by basic slices: ChannelSet.level_series is its
-one-state case, and kick_level_series, the fit's kick-strength surface,
-kicks many strengths on one cached chain layout and reduces them in chunks
-of nodes, with no ChannelSet, on an explicit basis checked as kick_ensemble
-checks one (_on_basis).  No other module reads a set's layout.
+in layout order.  kick_level_series, the fit's kick-strength surface, kicks
+many strengths on one cached chain layout through the same kernel, in
+chunks of nodes, and _level_series splits each node's series by thermal
+level, run by run, each node's share of every block added into its (line,
+level) cells by basic slices, with no ChannelSet, on an explicit basis
+checked as kick_ensemble checks one (_on_basis).  No other module reads a
+set's layout.
 
 The module runs on numpy alone: a lattice operator is its (rows, cols,
 values) triplets and a reflection sector each site's column and coefficient.
@@ -218,7 +220,7 @@ def _group_channels(ensemble: ThermalEnsemble, major: np.ndarray, minor: np.ndar
 # MAX_WORKING_SET_BYTES / LAYOUT_CACHE_SIZE, so a larger size would shrink
 # every layout's share
 LAYOUT_CACHE_SIZE = 16
-GATHER_CHUNK = 8192  # entries gathered per step: of eigenvectors in the sudden kick, of amplitudes in W a
+GATHER_CHUNK = 8192  # entries per step: of a chunk of the kick kernel's strengths (one at least), of W a
 _LAYOUTS: OrderedDict[tuple, BlockLayout] = OrderedDict()
 
 
@@ -282,24 +284,30 @@ def _rkn_schedule(pulse: PulseSpec, molecule: MoleculeSpec, j_max: int):
     return offsets, strengths, np.multiply(RKN_FREE, step), order
 
 
-def _gathered_kicks(layout: "BlockLayout", g: float) -> np.ndarray:
-    """Right-hand sides of every block's kick, as packed amplitudes.
+def _kicks(layout: "BlockLayout", run: tuple, xis):
+    """Right-hand sides of sudden kicks on a run of the layout's chain blocks:
+    the one place V^T[:, rows] e^{i xi Lambda} is built.
 
-    Block b's n x k slice is V^T[:, rows] e^{i g Lambda} for its columns'
-    origin rows; its float view is the n x 2k matrix of (re, im) column pairs
-    that one real GEMM with V kicks.  One repeat of the phases and one gather
-    from the layout's eigenvectors, by its int32 index, fill every block at
-    once.
+    Yields (g0, g1, rhs) for chunks of the strengths xis: rhs, m x n x (g1 -
+    g0) x k complex in C order for the run's m blocks of n rows and k
+    columns, holds each block's V^T[:, rows] e^{i xi Lambda} for strengths g0
+    to g1 and its columns' origin rows, its float view the n x 2k (re, im)
+    column pairs of a strength that one real GEMM with V kicks.  V^T[:, rows]
+    is gathered from the layout's eigenvectors once per run, by its int32
+    index, and every strength's phases come from one exponential, repeated
+    over a chunk's columns and multiplied in place; a chunk holds at most
+    GATHER_CHUNK entries, one strength at least.
     """
+    n, k, b0, b1, a0, a1, _, _, r0, r1, *_ = run
     evals, evecs = layout.eigen
-    row_counts, entries = layout.gather
-    amps = np.repeat(np.exp(1j * g * evals), row_counts)
-    rhs = amps.view(float).reshape(-1, 2)
-    for lo in range(0, len(entries), GATHER_CHUNK):  # keeps the gathered factors small
-        factors = np.take(evecs, entries[lo:lo + GATHER_CHUNK])
-        rhs[lo:lo + GATHER_CHUNK, 0] *= factors
-        rhs[lo:lo + GATHER_CHUNK, 1] *= factors
-    return amps
+    factors = np.take(evecs, layout.gather[a0:a1]).astype(complex).reshape(b1 - b0, n, 1, k)
+    phases = np.exp(1j * np.multiply.outer(evals[r0:r1], xis)).reshape(b1 - b0, n, -1, 1)
+    step = max(1, GATHER_CHUNK // (a1 - a0))
+    for g0 in range(0, len(xis), step):
+        g1 = min(g0 + step, len(xis))
+        rhs = np.repeat(phases[:, :, g0:g1], k, axis=3)
+        rhs *= factors
+        yield g0, g1, rhs
 
 
 def _chain_steps(evals, evecs, rhs, kicks, free):
@@ -627,15 +635,17 @@ class BlockLayout:
         return list(zip(*(c.tolist() for c in columns)))
 
     @cached_property
-    def gather(self) -> tuple:
-        """The sudden kick's indices into `eigen`: per block row, its column count;
-        per entry (i, c), the eigenvector entry V[rows[c], i], built run by run into int32."""
+    def gather(self) -> np.ndarray:
+        """The kick kernel's (_kicks) index into `eigen`, int32: per packed
+        entry (i, c) of a block, its eigenvector entry V[rows[c], i], built run
+        by run on first use, by a worker too: it reads only the layout's own
+        arrays, so two threads that build it at once build the same index."""
         entries = np.empty(self.bounds[-1], dtype=np.int32)
         for n, k, b0, b1, a0, a1, c0, c1, *_, v0, _ in self.runs:
             # V is stored in Fortran order: a block's V[r, i] lies at its first entry + n i + r
             first = v0 + n * n * np.arange(b1 - b0)[:, None, None] + n * np.arange(n)[:, None]
             np.add(first, self.rows[c0:c1].reshape(-1, 1, k), out=entries[a0:a1].reshape(-1, n, k))
-        return np.repeat(self.counts, self.sizes), entries
+        return entries
 
     @cached_property
     def operator(self) -> tuple:
@@ -769,28 +779,6 @@ class ChannelSet:
             constant += const
         return constant, z
 
-    def level_series(self, axis: str) -> tuple:
-        """(levels, constants, lines, z): each thermal level's share of a chain
-        set's series of axis, per unit of the level's weight, so that the
-        series at any weights p of the levels is constants @ p, with z @ p on
-        the lines J in `lines` and zero on the others.
-
-        levels holds the J0 of the set's columns, ascending, and lines the
-        lower J of every line the chains hold; constants has one entry per
-        level and z, lines x levels, one column.  The one-state case of
-        _level_series.
-        """
-        lay = self.layout
-        if lay.bases:
-            raise ValueError("level series are read off fixed-M chain sets only")
-
-        def states(run):
-            n, k, b0, b1, a0, a1, *_ = run
-            yield 0, 1, self.amplitudes[a0:a1].reshape(b1 - b0, n, 1, k)
-
-        levels, constants, lines, z, _ = _level_series(lay, self.weights, 1, states, axis)
-        return levels, constants[0], lines, z[0]
-
     @property
     def channels(self) -> tuple:
         """Per-channel views of the block columns, block by block."""
@@ -811,8 +799,11 @@ class ChannelSet:
 
     def level_populations(self) -> np.ndarray:
         """Weighted population of each J from 0 to j_max, summed over channels and M."""
-        rows = np.concatenate([np.abs(b.amplitudes) ** 2 @ b.weights for b in self.blocks])
-        return np.bincount(self.layout.levels, weights=rows, minlength=self.j_max + 1)
+        lay = self.layout
+        blocks = zip(lay.sizes.tolist(), np.split(self.amplitudes, lay.bounds[1:-1]),
+                     np.split(self.weights, np.cumsum(lay.counts)[:-1]))
+        pops = np.concatenate([np.abs(amps.reshape(n, -1)) ** 2 @ weights for n, amps, weights in blocks])
+        return np.bincount(lay.levels, weights=pops, minlength=self.j_max + 1)
 
 
 def _products(c: np.ndarray) -> tuple:
@@ -836,24 +827,26 @@ def _progression(index: np.ndarray) -> slice | None:
     return slice(start, end, step) if step > 0 and np.array_equal(index, np.arange(start, end, step)) else None
 
 
-def _level_series(layout: BlockLayout, weights: np.ndarray, count: int, states, axis: str) -> tuple:
-    """(levels, constants, lines, z, leak) of `count` states of one chain
-    layout with column weights `weights`: each state's ChannelSet.level_series
-    of axis, constants count x levels and z count x lines x levels, and its
-    ChannelSet.edge_leak, count entries.  states(run), for each of the
-    layout's runs in turn, yields (g0, g1, c): the m x n x (g1 - g0) x k
-    amplitudes c of the run's blocks in states g0 to g1.
+def _level_series(layout: BlockLayout, weights: np.ndarray, xis: np.ndarray, axis: str) -> tuple:
+    """(levels, constants, lines, z, leak) of the sudden kicks of strengths
+    xis on one chain layout with column weights `weights`: each kick's level
+    series of axis (kick_level_series), constants nodes x levels and z nodes
+    x lines x levels, and its edge leak, as ChannelSet.edge_leak reads it,
+    one per node.
 
-    A column enters its level with its share of the level's weight.  Line J
-    of a block takes 2 m_J share_k conj(c_{J+2,k}) c_{J,k} from column k, its
-    constant share_k (sum_J d_J |c_{J,k}|^2 - 1/3), as in series_terms.  The
-    blocks add in layout order.  In a Boltzmann ensemble a chain holds each
-    level once and its lines and levels are progressions (_progression), so
-    a block adds its terms through basic slices; a block of a hand-built
-    ensemble, which may hold a level twice, adds them one by one.
+    The run's blocks are kicked a chunk of nodes at a time (_kicks), one
+    GEMM per block by V.  A column enters its level with its share of the
+    level's weight.  Line J of a block takes 2 m_J share_k conj(c_{J+2,k})
+    c_{J,k} from column k, its constant share_k (sum_J d_J |c_{J,k}|^2 -
+    1/3), as in series_terms.  The blocks add in layout order.  In a
+    Boltzmann ensemble a chain holds each level once and its lines and
+    levels are progressions (_progression), so a block adds its terms
+    through basic slices; a block of a hand-built ensemble, which may hold a
+    level twice, adds them one by one.
     """
     check_axis(axis)
     diag, js, coupling = layout.operator
+    evals, evecs = layout.eigen
     levels, index = np.unique(layout.j0, return_inverse=True)
     lines, line = np.unique(js, return_inverse=True)
     shares = weights / np.bincount(index, weights=weights)[index]
@@ -863,14 +856,16 @@ def _level_series(layout: BlockLayout, weights: np.ndarray, count: int, states, 
         rows, columns = line[lows[b]:lows[b + 1]], index[cols[b]:cols[b + 1]]
         spans = _progression(rows), _progression(columns)
         cells.append(spans if None not in spans else (rows[:, None], columns))
-    z = np.zeros((count, len(lines), len(levels)), dtype=complex)
-    constants, leak = np.zeros((count, len(levels))), np.zeros(count)
+    z = np.zeros((len(xis), len(lines), len(levels)), dtype=complex)
+    constants, leak = np.zeros((len(xis), len(levels))), np.zeros(len(xis))
     for run in layout.runs:
-        n, k, b0, b1, _, _, c0, c1, r0, r1, *_ = run
+        n, k, b0, b1, _, _, c0, c1, r0, r1, v0, v1 = run
         m = b1 - b0
+        vecs = evecs[v0:v1].reshape(m, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
         scale = np.repeat(coupling[lows[b0]:lows[b1]].reshape(m, -1, 1, 1) * shares[c0:c1].reshape(m, 1, 1, k), 2)
-        for g0, g1, c in states(run):
-            cross, pops = _products(c)
+        for g0, g1, rhs in _kicks(layout, run, xis):
+            c = np.matmul(vecs, rhs.view(float).reshape(m, n, -1)).view(complex)
+            cross, pops = _products(c.reshape(m, n, g1 - g0, k))
             cross.view(float)[...] *= scale.reshape(m, 1, -1, 2 * k)  # each term's real and imaginary part
             per_column = (diag[r0:r1].reshape(m, 1, 1, n) @ pops)[:, :, 0]
             terms = shares[c0:c1].reshape(m, 1, k) * (per_column - 1.0 / 3.0)
@@ -931,14 +926,23 @@ def _check_budgets(j_max: int, budgets):
                          f"of kicks, above the budget of {MAX_KICK_WORK:.3g}")
 
 
-def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, tol=EDGE_POPULATION_TOL):
-    """Check an explicit basis, a contract, before its kicks; return the
-    check of their edge.
+def check_strengths(xis):
+    """ValueError naming the first kick strength of xis, a number or an
+    array, that is negative or not finite."""
+    for xi in np.ravel(xis).tolist():
+        if not 0.0 <= xi < math.inf:
+            raise ValueError(f"kick strength must be {'nonnegative' if xi < 0 else 'finite'}, got {xi}")
+
+
+def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, xis, tol=EDGE_POPULATION_TOL):
+    """Check an explicit basis, a contract, before its kicks of strengths
+    xis; return the check of their edge.
 
     A negative j_max is a ValueError and a thermal origin above it a
-    BasisTooSmallError; budgets(j_max) is checked (_check_budgets) before
-    anything is allocated.  The returned check takes the edge leak of each
-    kick and raises BasisTooSmallError if any exceeds tol.
+    BasisTooSmallError; budgets(j_max) is checked (_check_budgets) and then
+    the strengths (check_strengths) before anything is allocated.  The
+    returned check takes the edge leak of each kick and raises
+    BasisTooSmallError if any exceeds tol.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be nonnegative, got {j_max}")
@@ -946,6 +950,7 @@ def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, tol=EDGE_POPULATIO
         raise BasisTooSmallError(f"thermal origin J={ensemble.j_thermal_max} exceeds j_max={j_max}; the basis "
                                  "cannot hold the initial ensemble")
     _check_budgets(j_max, budgets)
+    check_strengths(xis)
 
     def edge(leak):
         if not np.all(np.asarray(leak) <= tol):
@@ -972,7 +977,7 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
     """
     edge = None
     if j_max is not None:
-        edge = _on_basis(ensemble, j_max, budgets, tol)
+        edge = _on_basis(ensemble, j_max, budgets, xi, tol)
     elif measure is None:
         j_max = suggest_j_max(ensemble.j_thermal_max, xi)
     else:
@@ -1037,16 +1042,33 @@ def _chain_sizes(chains: tuple, j_max: int) -> list:
 
 
 def _layout_bytes(sizes: list) -> int:
-    """Bytes of a chain layout of blocks `sizes` and its first kick's index:
-    per block its cached eigenvectors and int32 gather index; per row the
-    levels, the operator's three arrays, the eigenvalues, the gather's row
-    counts and the first kick's phases (64 B); per column the origin rows,
-    order, J0, |M0| and their bytes in the layout cache's key (48 B); per
-    block its keys, size, count and bounds and at most one entry of the run
-    table, 12 ints (576 B); the eigensolver's copies of the _workers()
-    largest chains, which the workers may hold at once."""
-    return (sum(8 * n * n + 4 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
-            + sum(sorted(8 * n * n for n, _ in sizes)[-_workers():]))
+    """Bytes of a chain layout of blocks `sizes`: per block its cached
+    eigenvectors and the kick kernel's int32 index (gather); per row the
+    levels, the operator's three arrays and the eigenvalues (40 B); per
+    column the origin rows, order, J0, |M0| and their bytes in the layout
+    cache's key (48 B); per block its keys, size, count and bounds and at
+    most one entry of the run table, 12 ints (576 B); the eigensolver's
+    copies of the _workers() largest chains, which the workers may hold at
+    once; and 16 kB that an attempt of any size takes, in Python objects,
+    array headers and numpy's iterators (at most 10 kB measured on one
+    chain of one column)."""
+    return (sum(8 * n * n + 4 * n * k + 40 * n + 48 * k + 576 for n, k in sizes)
+            + sum(sorted(8 * n * n for n, _ in sizes)[-_workers():]) + 16384)
+
+
+def _kick_bytes(sizes: list, nodes: int, running: int) -> int:
+    """Bytes of the kick kernel (_kicks) for `nodes` strengths on the
+    `running` costliest runs of blocks `sizes`, which may run at once: per
+    entry of a run its gathered eigenvector entry as a complex (16 B; the
+    float it is cast from and its int64 index live before the chunks), per
+    row and strength its phases as they are built (40 B), and per entry and
+    strength of a chunk, at most GATHER_CHUNK entries and one strength at
+    least, its right-hand sides and at most as many bytes again of the
+    buffers numpy takes to broadcast the gathered entries over the chunk's
+    strengths (32 B)."""
+    runs = [(len(list(blocks)) * n, k) for (n, k), blocks in groupby(sizes)]  # rows and columns
+    return sum(sorted(16 * rows * k + 40 * rows * nodes + 32 * rows * k * min(nodes, max(1, GATHER_CHUNK // (rows * k)))
+                      for rows, k in runs)[-running:])
 
 
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, measure=None,
@@ -1061,20 +1083,20 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
     def kick(layout):
         plan = ([0.0], [xi], (), ()) if pulse is None else _rkn_schedule(pulse, molecule, layout.j_max)
         kicks = plan[1]
-        amps = _gathered_kicks(layout, kicks[0])
-        rhs_all = amps.view(float)
-        evals, evecs = layout.eigen
+        amps = np.empty(layout.bounds[-1], dtype=complex)
+        evals, evecs = layout.eigen  # built on this thread: it takes the BLAS hold, which no worker may
 
-        def step(run):  # one stack per run of equal-shape blocks, in place
+        def step(run):  # one stack per run of equal-shape blocks, into its slice
             n, k, b0, b1, a0, a1, c0, c1, r0, r1, v0, v1 = run
-            rhs = rhs_all[2 * a0:2 * a1].reshape(b1 - b0, n, 2 * k)
+            rhs = next(_kicks(layout, run, kicks[:1]))[2].view(float).reshape(b1 - b0, n, 2 * k)
             vecs = evecs[v0:v1].reshape(b1 - b0, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
             if len(kicks) == 1:
-                np.matmul(vecs, rhs, out=rhs)  # one GEMM per block
+                np.matmul(vecs, rhs, out=amps[a0:a1].view(float).reshape(b1 - b0, n, 2 * k))  # one GEMM per block
             else:
                 omega = rotational_omega(layout.levels[r0:r1], molecule).reshape(-1, n)
                 omega0 = np.take_along_axis(omega, layout.rows[c0:c1].reshape(-1, k), axis=1)
                 _compose(evals[r0:r1].reshape(-1, n), vecs, omega, omega0, rhs, plan)
+                amps[a0:a1] = rhs.view(complex).ravel()
 
         if len(kicks) == 1:
             _on_workers(layout.runs, step, 1)
@@ -1086,21 +1108,23 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         return amps
 
     def budgets(j_max):
-        # bytes: the layout (_layout_bytes), the results, two chunks of
-        # gathered entries and their int64 index.  Composed kicks add the
-        # stacks of the _workers() costliest runs, which the workers may hold
-        # at once: for each block of a run three free propagators and the two
-        # temporaries of their build, its table of kick phases (40 B per kick
-        # and level as it is built: real phases, their complex cast and the
-        # exponentials) and 3 state vectors.  Work: each kick is one n x n
-        # GEMM, by V or a free propagator, on every block's k columns
+        # bytes: the layout (_layout_bytes), the results and the kick
+        # kernel's arrays (_kick_bytes) on the runs that run at once, one for
+        # the sudden kick, the _workers() costliest for composed kicks, which
+        # add the schedule (48 B per kick) and those runs' stacks: for each
+        # block of a run three free propagators and the two temporaries of
+        # their build, its table of kick phases (40 B per kick and level as
+        # it is built: real phases, their complex cast and the exponentials)
+        # and 3 state vectors.  Work: each kick is one n x n GEMM, by V or a
+        # free propagator, on every block's k columns
         sizes = _chain_sizes(chains, j_max)
-        total = _layout_bytes(sizes) + sum(16 * n * k for n, k in sizes) + 24 * GATHER_CHUNK
         kicks = _kick_count(pulse, molecule, j_max)
+        running = 1 if kicks == 1 else _workers()
+        total = _layout_bytes(sizes) + sum(16 * n * k for n, k in sizes) + _kick_bytes(sizes, 1, running)
         if kicks > 1:
             stacks = sorted(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                             for (n, k), run in groupby(sizes))
-            total += sum(stacks[-_workers():])
+            total += sum(stacks[-running:]) + 48 * kicks
         return total, kicks * sum(n * n * k for n, k in sizes)
 
     return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
@@ -1127,64 +1151,48 @@ def kick_ensemble(
 
 def kick_level_series(ensemble: ThermalEnsemble, xis, j_max: int, axis: str) -> tuple:
     """(levels, constants, lines, z) of the ensemble's sudden kicks of every
-    strength in xis on one basis: for each node xi, constants[node] and
-    z[node] are kick_ensemble(molecule, ensemble, xi, j_max).level_series(axis)'s.
+    strength in xis on one basis: each thermal level's share of each node's
+    series of axis, per unit of the level's weight, so that node g's series
+    at any weights p of the levels is constants[g] @ p, with z[g] @ p on the
+    lines J in `lines` and zero on the others.
 
-    One pass over the ensemble's chain layout at j_max, run by run.  Each run
-    gathers its V^T[:, rows] once (layout.gather) and takes every node's
-    e^{i xi Lambda} on its rows.  Each chunk of nodes, at most GATHER_CHUNK
-    of the run's entries and one node at least, applies them, kicks them
-    all with one GEMM per block by V and reduces straight to the level
-    series (_level_series), with no ChannelSet.  j_max is a contract, checked as kick_ensemble's
-    (_on_basis): the budgets count every node's kick work and the bytes of
-    one chunk, and every node's edge leak is held to EDGE_POPULATION_TOL.
-    A zero strength kicks by V V^T, the identity to roundoff, where
-    kick_ensemble leaves the set exactly unkicked.
+    levels holds the J0 of the ensemble's channels, ascending, and lines the
+    lower J of every line the chains hold: constants is nodes x levels and z
+    nodes x lines x levels.  One pass over the ensemble's chain layout at
+    j_max, run by run: the kick kernel (_kicks) builds each chunk of nodes'
+    right-hand sides, one GEMM per block by V kicks them, and they reduce
+    straight to the level series (_level_series), with no ChannelSet.  j_max
+    is a contract, checked as kick_ensemble's (_on_basis): the budgets count
+    every node's kick work and the bytes of one chunk, and every node's edge
+    leak is held to EDGE_POPULATION_TOL.  A zero strength kicks by V V^T,
+    the identity to roundoff, where kick_ensemble leaves the set exactly
+    unkicked.
     """
     xis = np.asarray(xis, dtype=float)
-    if np.any(xis < 0):
-        raise ValueError(f"kick strength must be nonnegative, got {xis.min()}")
     chains = _chains(ensemble)
 
     def budgets(j_max):
         # bytes: the layout (_layout_bytes); per column its level, share and
         # weight and their sort (64 B), per row its line and its sort (48
         # B); the outputs, a complex per node, level and line up to j_max
-        # and a float per node and level; the costliest run's gathered V^T
-        # entries, their int64 index and the reduction's scale on real and
-        # imaginary parts (32 B per entry) and its phases of every node (40
-        # B per row and node as they are built); and a chunk of at most
-        # GATHER_CHUNK entries, or of the largest run: its right-hand sides,
-        # amplitudes, products and populations, with those of the chunk
-        # before still held (96 B per entry).  Work: each node is one n x n
-        # GEMM by V on every block's k columns
+        # and a float per node and level; the kick kernel's arrays on the
+        # costliest run (_kick_bytes) and the reduction's scale on real and
+        # imaginary parts (16 B per entry); and a chunk of at most
+        # GATHER_CHUNK entries, or of the largest run: its amplitudes,
+        # products and populations, with those of the chunk before and its
+        # right-hand sides still held (96 B per entry).  Work: each node is
+        # one n x n GEMM by V on every block's k columns
         sizes = _chain_sizes(chains, j_max)
-        runs = [(len(list(blocks)) * n, k) for (n, k), blocks in groupby(sizes)]  # rows and columns
+        entries = [len(list(blocks)) * n * k for (n, k), blocks in groupby(sizes)]
         levels = len(np.unique(ensemble.j0))
         total = (_layout_bytes(sizes) + sum(64 * k + 48 * n for n, k in sizes)
-                 + len(xis) * levels * (16 * (j_max + 1) + 8)
-                 + max(32 * rows * k + 40 * rows * len(xis) for rows, k in runs)
-                 + 96 * max(GATHER_CHUNK, max(rows * k for rows, k in runs)))
+                 + len(xis) * levels * (16 * (j_max + 1) + 8) + _kick_bytes(sizes, len(xis), 1)
+                 + 16 * max(entries) + 96 * max(GATHER_CHUNK, max(entries)))
         return total, len(xis) * sum(n * n * k for n, k in sizes)
 
-    edge = _on_basis(ensemble, j_max, budgets)
+    edge = _on_basis(ensemble, j_max, budgets, xis)
     layout = _chain_layout(ensemble, j_max, chains)
-    evals, evecs = layout.eigen
-    entries = layout.gather[1]
-
-    def states(run):
-        n, k, b0, b1, a0, a1, _, _, r0, r1, v0, v1 = run
-        m = b1 - b0
-        factors = np.take(evecs, entries[a0:a1]).reshape(m, n, 1, k)
-        vecs = evecs[v0:v1].reshape(m, n, n).transpose(0, 2, 1)  # V, stored in Fortran order
-        phases = np.exp(1j * np.multiply.outer(evals[r0:r1], xis)).reshape(m, n, -1, 1)
-        step = max(1, GATHER_CHUNK // (a1 - a0))
-        for g0 in range(0, len(xis), step):
-            g1 = min(g0 + step, len(xis))
-            c = np.matmul(vecs, (factors * phases[:, :, g0:g1]).view(float).reshape(m, n, -1)).view(complex)
-            yield g0, g1, c.reshape(m, n, g1 - g0, k)
-
-    levels, constants, lines, z, leak = _level_series(layout, ensemble.weights[layout.order], len(xis), states, axis)
+    levels, constants, lines, z, leak = _level_series(layout, ensemble.weights[layout.order], xis, axis)
     edge(leak)
     return levels, constants, lines, z
 

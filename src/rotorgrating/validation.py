@@ -20,6 +20,7 @@ from .constants import revival_period, thermal_wavenumber
 from .dynamics import (
     BasisTooSmallError,
     PropagationError,
+    check_strengths,
     kick_ensemble,
     tdse_ensemble,
     elliptic_tdse_ensemble,
@@ -357,8 +358,8 @@ def run_all(
     any suite runs, ValueError rejects what a suite would reject: an empty
     or repeated selection, a negative j_max, a temperature whose Boltzmann
     ensemble cannot be built when hygiene or regimes is selected, one that is
-    not positive for the regime suite's classical oracle, and a negative kick
-    for hygiene.
+    not positive for the regime suite's classical oracle, and a kick for
+    hygiene that is negative or not finite (check_strengths).
     """
     jobs = {
         "operators": lambda: suite_operators(),
@@ -380,8 +381,8 @@ def run_all(
         _check_oracle_temperature(temperature)
     if {"hygiene", "regimes"} & set(names):
         boltzmann_ensemble(molecule, temperature)
-    if "hygiene" in names and intensity < 0:
-        raise ValueError(f"kick strength must be nonnegative, got {xi_per_intensity(molecule) * intensity}")
+    if "hygiene" in names:
+        check_strengths(xi_per_intensity(molecule) * intensity)
 
     def run(name):
         try:

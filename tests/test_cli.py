@@ -51,12 +51,12 @@ def _read_csv_values(path):
 @pytest.fixture
 def no_propagation(monkeypatch):
     """Fail any propagation the test starts at its first step: a nonzero chain
-    propagation's gathered first kick, a lattice one's operator build, or the
+    propagation's kick kernel, a lattice one's operator build, or the
     stepper both share."""
     def propagate(*args, **kwargs):
         raise AssertionError("a propagation started")
 
-    for name in ("_gathered_kicks", "cos2theta_axis_matrix", "_chain_steps"):
+    for name in ("_kicks", "cos2theta_axis_matrix", "_chain_steps"):
         monkeypatch.setattr(dynamics, name, propagate)
 
 
@@ -211,18 +211,18 @@ def test_simulate_rejects_temperature_beyond_channel_budget(tmp_path, no_propaga
 
 def test_simulate_rejects_kick_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation,
                                                        capsys):
-    # this kick's chain eigenvectors, amplitudes, gather index and per-row,
-    # per-column and per-block arrays are estimated at 49.5 MB; a budget
-    # below that keeps the input small.  The estimate counts the
-    # eigensolver's copy of a chain per worker: one worker keeps it the same
-    # on any number of CPUs
+    # this kick's chain eigenvectors, amplitudes, gather index, per-row,
+    # per-column and per-block arrays and the kick kernel's arrays on its
+    # largest run are estimated at 49.6 MB; a budget below that keeps the
+    # input small.  The estimate counts the eigensolver's copy of a chain
+    # per worker: one worker keeps it the same on any number of CPUs
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", 48e6)
     monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, "scheme": "parallel",
                           "theoretical_intensity_tw_cm2": 500.0, "time_grid": {"n": 64}})
     out = tmp_path / "run"
     _exits_2_in_little_memory(["simulate", "--config", cfg, "--out", str(out)])
-    assert "needs about 0.0495 GB of working memory" in capsys.readouterr().err
+    assert "needs about 0.0496 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -598,12 +598,17 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
     pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "method": "tdse", "tau_fwhm_ps": 1.0,
                              "polarization": [0.8, 0.6]},
                  "kick strength xi = inf is too large to count the stepper's steps", id="elliptic-1.7e+308"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "tau_fwhm_ps": 1.0, "j_max": 60},
+                 "kick strength must be finite, got inf", id="j_max-60-1.7e+308"),
+    pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1e308, "j_max": 60},
+                 "kick strength must be finite, got inf", id="simulate-j_max-60-1e+308"),
 ])
 def test_fourier_rejects_kicks_too_large_to_size(tmp_path, monkeypatch, no_propagation, capsys, subcommand,
                                                  pump, message):
-    # the basis these need cannot be sized, let alone allocated.  A TDSE's
-    # budget counts a composed run's stack per worker: one worker keeps the
-    # printed estimate the same on any number of CPUs
+    # the basis these need cannot be sized, let alone allocated, and an
+    # explicit basis cannot hold a kick that is not finite.  A TDSE's budget
+    # counts a composed run's stack per worker: one worker keeps the printed
+    # estimate the same on any number of CPUs
     monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {"molecule": "CO2", "temperature_K": 30.0, **pump})
     out = tmp_path / "x"

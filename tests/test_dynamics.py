@@ -460,28 +460,33 @@ def test_probe_grows_a_basis_its_bound_misses(monkeypatch, bound, bases):
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # the estimate counts every block's cached eigenvectors, result and gather
-    # index of its first kick, the layout's per-row, per-column and per-block
-    # arrays, two chunks of the gather and the eigensolver's copies of as
-    # many of the largest chains as there are workers, each solving one
-    # chain at a time; the stepper's workers each run one run of equal-shape
-    # blocks at a time and it adds the arrays of as many of the costliest
-    # runs, for each of their blocks three free propagators and their
-    # build's two temporaries, the kick phase table and 3 state vectors.
-    # The sudden kick's peak, reached in its gather, exceeded the estimate
-    # by 9-25% while it counted neither the per-row arrays nor the gather's
-    # second chunk and index
+    # index, the layout's per-row, per-column and per-block arrays, 16 kB
+    # that an attempt of any size takes, the eigensolver's copies of as many
+    # of the largest chains as there are workers, each solving one chain at
+    # a time, and the kick kernel's arrays on each run that runs at once:
+    # its gathered eigenvector entries, its phases as they are built and its
+    # right-hand sides, twice over for numpy's buffers.  The sudden kick
+    # runs one run at a time; the stepper's workers each run one run of
+    # equal-shape blocks at a time and it adds the schedule and the arrays
+    # of as many of the costliest runs, for each of their blocks three free
+    # propagators and their build's two temporaries, the kick phase table
+    # and 3 state vectors.  Without the 16 kB, a kick of one chain of one
+    # column peaked 10 kB above its estimate
     estimates = []
     check = dynamics.check_working_set
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
 
     def estimate(sizes, kicks):
-        total = (sum(8 * n * n + 20 * n * k + 64 * n + 48 * k + 576 for n, k in sizes)
-                 + 24 * dynamics.GATHER_CHUNK + sum(sorted(8 * n * n for n, _ in sizes)[-dynamics._workers():]))
+        running = 1 if kicks == 1 else dynamics._workers()
+        runs = [(len(list(run)) * n, k) for (n, k), run in itertools.groupby(sizes)]  # rows and columns
+        kernel = sorted(48 * rows * k + 40 * rows for rows, k in runs)
+        total = (sum(8 * n * n + 20 * n * k + 40 * n + 48 * k + 576 for n, k in sizes) + 16384
+                 + sum(kernel[-running:]) + sum(sorted(8 * n * n for n, _ in sizes)[-dynamics._workers():]))
         if kicks > 1:
             stacks = sorted(len(list(run)) * (16 * (5 * n * n + 3 * n * k) + 40 * kicks * n)
                             for (n, k), run in itertools.groupby(sizes))
-            total += sum(stacks[-dynamics._workers():])
+            total += sum(stacks[-running:]) + 48 * kicks
         return total
 
     def traced_peak(propagate):
@@ -802,17 +807,15 @@ def test_level_series_of_chains_out_of_step(axis):
     # a hand-built ensemble whose chains break the Boltzmann pattern: the
     # unfolded pair |2, +-1> puts level 2 twice in one chain, and the odd
     # chain from J = 1 beside the even one from J = 6 skips lines 2 and 4
-    # in the lines' index.  Each level's share still recombines to the
-    # series, and the batched kicks still equal the set's own level series
+    # in the lines' index.  Each level's share of the kick still recombines
+    # to the kicked set's series
     molecule = MoleculeSpec("random", 0.5, 2.0)
     ens = ThermalEnsemble(30.0, [(2, 1, 0.2), (2, -1, 0.2), (1, 1, 0.3), (6, 6, 0.3)])
     cs = kick_ensemble(molecule, ens, 2.0, j_max=24)
-    levels, constants, lines, z = cs.level_series(axis)
+    levels, (constants,), lines, (z,) = dynamics.kick_level_series(ens, [2.0], 24, axis)
     assert levels.tolist() == [1, 2, 6]
     constant, want = cs.series_terms(axis)
     weights = np.array([0.3, 0.4, 0.3])
     scale = np.max(np.abs(want))
     assert abs(constants @ weights - constant) <= 1e-14 * scale
     assert np.max(np.abs(z @ weights - want[lines])) <= 1e-14 * scale
-    batched = dynamics.kick_level_series(ens, [2.0], 24, axis)
-    assert np.array_equal(batched[1][0], constants) and np.array_equal(batched[3][0], z)

@@ -276,7 +276,7 @@ def test_regime_scan_rejects_intensities_before_kicking(monkeypatch, intensities
     def kick(*args, **kwargs):
         raise AssertionError("a kick ran")
 
-    monkeypatch.setattr(dynamics, "_gathered_kicks", kick)
+    monkeypatch.setattr(dynamics, "_kicks", kick)
     with pytest.raises(ValueError, match=message):
         regime_scan(CO2, 293.0, intensities)
 

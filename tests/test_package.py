@@ -39,6 +39,15 @@ def test_only_dynamics_reads_a_channel_sets_layout():
     assert readers == {}
 
 
+def test_only_channels_reads_the_blocks_view():
+    # every reduction of a propagated set reads its packed amplitudes and
+    # weights: the ChannelBlock view serves ChannelSet.channels alone
+    readers = {(path.name, scope) for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py"))
+               for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "blocks"}
+    assert readers == {("dynamics.py", ("channels",))}
+
+
 def test_one_loop_reads_the_basis_edge():
     # every basis grows in dynamics._with_regrow alone: no other function of
     # the package reads a propagated set's edge population to size a basis

@@ -213,12 +213,12 @@ def test_packed_reductions_match_the_channels(b, delta_alpha, spins, temperature
 @given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 150.0),
        xi=st.floats(0.1, 15.0), axis=st.sampled_from("xyz"))
 def test_level_series_recombine_to_the_series(molecule, temperature, xi, axis):
-    # each level's share of a chain set's series, recombined with the set's
-    # own level weights, is its series on every lab axis, to roundoff; the
-    # lines the chains do not hold are zero
+    # each level's share of a kick's series, recombined with the ensemble's
+    # own level weights, is the kicked set's series on every lab axis, to
+    # roundoff; the lines the chains do not hold are zero
     ens = boltzmann_ensemble(molecule, temperature)
     cs = kick_ensemble(molecule, ens, xi)
-    levels, constants, lines, z = cs.level_series(axis)
+    levels, (constants,), lines, (z,) = dynamics.kick_level_series(ens, [xi], cs.j_max, axis)
     weights = np.bincount(ens.j0, weights=ens.weights)
     assert np.array_equal(levels, np.flatnonzero(weights))
     constant, want = cs.series_terms(axis)
@@ -239,10 +239,10 @@ def test_batched_kicks_are_the_kicks_level_series(molecule, temperature, top, no
     # node, at 21 Chebyshev nodes on [top / 6, top] or at the odd nodes of
     # 41 (a surface's first set and the nodes its doubling adds; odd-J spin
     # weights step each chain's lines and levels by 2).  The bound is bit
-    # for bit: each node's constants and lines equal kick_ensemble's
-    # level_series under np.array_equal (-0.0 == 0.0).  The kick work
-    # checked is every node's, and the traced peak, less the memory held
-    # before it, stays under the bytes checked
+    # for bit: each node's constants and lines equal those of a one-node
+    # call under np.array_equal (-0.0 == 0.0).  The kick work checked is
+    # every node's, and the traced peak, less the memory held before it,
+    # stays under the bytes checked
     ens = boltzmann_ensemble(molecule, temperature)
     x = np.cos(np.pi * np.arange(41) / 40)
     xis = top * (7.0 + 5.0 * x) / 12.0
@@ -269,9 +269,9 @@ def test_batched_kicks_are_the_kicks_level_series(molecule, temperature, top, no
         assert max(run[5] - run[4] for run in layout.runs) > dynamics.GATHER_CHUNK // 2
     assert constants.shape == (len(xis), len(levels)) and z.shape == (len(xis), len(lines), len(levels))
     for node, xi in enumerate(xis):
-        want = kick_ensemble(molecule, ens, xi, j_max).level_series(axis)
+        want = dynamics.kick_level_series(ens, [xi], j_max, axis)
         assert np.array_equal(levels, want[0]) and np.array_equal(lines, want[2])
-        assert np.array_equal(constants[node], want[1]) and np.array_equal(z[node], want[3])
+        assert np.array_equal(constants[node], want[1][0]) and np.array_equal(z[node], want[3][0])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -368,14 +368,14 @@ def test_process_caches_stay_bounded_after_a_fit(fit_setup):
     # (level set, j_max)
     assert 0 < len(dynamics._LAYOUTS) <= dynamics.LAYOUT_CACHE_SIZE == 16
     # each holds its eigenvalues and eigenvectors, 8 sum n^2 bytes within its
-    # share of the working-set budget, and its gather index, a row count per
-    # row and an int32 per entry of its n x k blocks, k <= n since a chain's
-    # channels start on distinct rows: at most twice the share in all
+    # share of the working-set budget, and the kick kernel's gather index, an
+    # int32 per entry of its n x k blocks, k <= n since a chain's channels
+    # start on distinct rows: at most twice the share in all
     share = dynamics.MAX_WORKING_SET_BYTES / dynamics.LAYOUT_CACHE_SIZE
     for layout in dynamics._LAYOUTS.values():
         n, k = layout.sizes, layout.counts
-        held = sum(a.nbytes for name in ("eigen", "gather") for a in layout.__dict__[name])
-        assert held == 16 * n.sum() + 8 * (n * n).sum() + 4 * (n * k).sum()
+        held = sum(a.nbytes for a in layout.__dict__["eigen"]) + layout.__dict__["gather"].nbytes
+        assert held == 8 * n.sum() + 8 * (n * n).sum() + 4 * (n * k).sum()
         assert 8 * (n * n).sum() <= share and np.all(k <= n) and held <= 2 * share
     # reconstruct's phase tables of the scan's delays: HORNER_BLOCK rows of
     # powers of z or one row of e^{i omega_J0 t}, a complex per row and delay,

@@ -67,6 +67,15 @@ def test_hygiene_suite_reports_tiny_basis_failure():
     assert any("norm" in r.name for r in failed)
 
 
+@pytest.mark.parametrize("intensity", [math.inf, math.nan])
+def test_run_all_rejects_a_hygiene_kick_that_is_not_finite_before_any_suite(monkeypatch, intensity):
+    # on an explicit basis such a kick would fill the basis with NaN and
+    # read as a basis too small; it is named before the first suite runs
+    monkeypatch.setattr("rotorgrating.validation.suite_operators", lambda: pytest.fail("a suite ran"))
+    with pytest.raises(ValueError, match=f"^kick strength must be finite, got {intensity}$"):
+        run_all(intensity=intensity, j_max=60)
+
+
 # ---------------------------------------------------------------------------
 # Classical kicked-rotor oracle for the permanent alignment
 # ---------------------------------------------------------------------------
