@@ -38,19 +38,18 @@ _group_channels groups them in the order their keys first appear, each
 group's channels in ensemble order.
 The reduction order is fixed, so reruns are bit-identical.  One loop,
 _with_regrow, makes every propagated set: a driver supplies only its layout
-at a j_max, its kick of a layout and its budgets at a j_max, the working set
+at a j_max, its kick of a layout, its budgets at a j_max, the working set
 and the complex multiply-adds of its kicks, which each attempt checks
-against MAX_WORKING_SET_BYTES and MAX_KICK_WORK before it allocates.  An
-unsized basis grows, at most MAX_REGROWS times, while the top two shells
-hold more than the population its caller names.  The chains start an
-unsized basis at suggest_j_max's fixed headroom and grow to
-EDGE_POPULATION_TOL.  The lattice, whose work grows about as j_max^4,
-starts at the reach of the sudden chain kick of the same xi, once both
-budgets pass at J_thermal_max.  That kick (_measured_kick)
-starts from each thermal level's M0 = 0 origin alone, kicked on
-suggest_j_max's basis, one chain per J parity, whose reach plus 2 bounds the
-ensemble's because the M = 0 chains climb fastest, and grows to
-PROBE_EDGE_TOL.  observables.regime_scan pins its basis at that kick.
+against MAX_WORKING_SET_BYTES and MAX_KICK_WORK before it allocates, and
+the size of an unsized basis.  The kick strength is checked before any
+size is taken.  An unsized basis grows, at most MAX_REGROWS times, while
+the top two shells hold more than EDGE_POPULATION_TOL of the population.
+The chains start at suggest_j_max's fixed headroom.  The lattice, whose
+work grows about as j_max^4, starts at tail_j_max: a closed-form
+(Jacobi-Anger) bound on the population the sudden kick of the same xi
+leaves in the top two shells, summed over the thermal levels, which sizes
+a basis with no kick run.  observables.regime_scan and the fit's
+kick-strength surface take their bases from the same bound.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -131,11 +130,6 @@ from .rotor import (
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 MAX_REGROWS = 3  # times an unsized basis grows, each to int(1.5 j_max) + 10
-# Weighted population the sudden kick that sizes an unsized lattice may leave
-# at J >= j_max - 1.  A pump polarized along x or y reaches nearly as high as
-# the kick: at EDGE_POPULATION_TOL its traces moved by up to 1e-8 of their
-# peak against a larger basis, at a hundredth of it by at most 3e-11
-PROBE_EDGE_TOL = EDGE_POPULATION_TOL / 100
 # Working-set budget of one propagation, checked before it allocates.  The
 # 293 K, 30 TW/cm^2 linear TDSE needs ~7 MB, the 60 K elliptic one ~37 MB.
 MAX_WORKING_SET_BYTES = 2e9
@@ -934,55 +928,93 @@ def check_strengths(xis):
             raise ValueError(f"kick strength must be {'nonnegative' if xi < 0 else 'finite'}, got {xi}")
 
 
-def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, xis, tol=EDGE_POPULATION_TOL):
+def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, xis):
     """Check an explicit basis, a contract, before its kicks of strengths
     xis; return the check of their edge.
 
-    A negative j_max is a ValueError and a thermal origin above it a
-    BasisTooSmallError; budgets(j_max) is checked (_check_budgets) and then
-    the strengths (check_strengths) before anything is allocated.  The
-    returned check takes the edge leak of each kick and raises
-    BasisTooSmallError if any exceeds tol.
+    The strengths are checked first (check_strengths); then a negative j_max
+    is a ValueError and a thermal origin above it a BasisTooSmallError, and
+    budgets(j_max) is checked (_check_budgets), all before anything is
+    allocated.  The returned check takes the edge leak of each kick and
+    raises BasisTooSmallError if any exceeds EDGE_POPULATION_TOL.
     """
+    check_strengths(xis)
     if j_max < 0:
         raise ValueError(f"j_max must be nonnegative, got {j_max}")
     if ensemble.j_thermal_max > j_max:
         raise BasisTooSmallError(f"thermal origin J={ensemble.j_thermal_max} exceeds j_max={j_max}; the basis "
                                  "cannot hold the initial ensemble")
     _check_budgets(j_max, budgets)
-    check_strengths(xis)
 
     def edge(leak):
-        if not np.all(np.asarray(leak) <= tol):
+        if not np.all(np.asarray(leak) <= EDGE_POPULATION_TOL):
             raise BasisTooSmallError(f"kick populates the basis edge at j_max={j_max}; enlarge j_max")
 
     return edge
 
 
-def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
-                 layout_at, kick, budgets, measure=None, tol=EDGE_POPULATION_TOL) -> ChannelSet:
-    """The ensemble's ChannelSet at reference_time on the first basis tried
-    whose top two J shells hold at most tol of its weighted population.
+def tail_j_max(ensemble: ThermalEnsemble, xi: float) -> int:
+    """The smallest j_max >= J_thermal_max at which a closed-form tail bound
+    holds the weighted population that a sudden kick of strength xi leaves in
+    the top two J shells, J >= j_max - 1, to EDGE_POPULATION_TOL.
 
-    The one place a propagated set is made and a basis grows.  An attempt at
-    j_max checks budgets(j_max), the bytes it allocates and the complex
+    By Jacobi-Anger, e^{i xi cos^2 theta} = e^{i xi/2} [J_0(xi/2) + 2 sum_{n
+    >= 1} i^n J_n(xi/2) cos 2n theta], and cos 2n theta, a polynomial of
+    degree 2n in cos theta of norm at most 1, moves J by at most 2n.  So a
+    level J0 puts an amplitude of at most 2 sum_{n >= N} |J_n(xi/2)| <= 2
+    sum_{n >= N} x^n / n!, x = xi/4 (DLMF 10.14.4), on a chain's top shell,
+    J0 + 2N with N = ceil((j_max - 1 - J0) / 2); once N + 1 > x the sum is
+    at most x^N / N! / (1 - x / (N + 1)), and N! >= sqrt(2 pi N) (N / e)^N
+    (Stirling).  Each level's square of that, at most 1, is weighted by its
+    population and summed.  The sum falls as j_max grows, so it is bisected,
+    from J_thermal_max to a basis whose N is at least e^2 x + log(4 /
+    sqrt(EDGE_POPULATION_TOL)) for every level, where (e x / N)^N <= e^-N
+    bounds every level's amplitude within sqrt(EDGE_POPULATION_TOL): a kick
+    of any finite strength is sized at once, with no kick run.  A kick whose
+    4 xi is not finite raises ValueError, as suggest_j_max does.
+    """
+    if not math.isfinite(4.0 * xi):
+        raise ValueError(f"kick strength xi = {xi:.3g} is too large to size a basis: 4 xi is not finite")
+    pops = np.bincount(ensemble.j0, weights=ensemble.weights)
+    levels, x = np.flatnonzero(pops), xi / 4.0
+
+    def edge(j_max):  # the bound on the population in the top two shells at j_max
+        n = np.ceil((float(j_max) - 1.0 - levels) / 2.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # entries masked below
+            tail = 2.0 * np.exp(n * (1.0 + np.log(x / n)) - 0.5 * np.log(2.0 * math.pi * n)
+                                - np.log1p(-x / (n + 1.0)))
+        return float(pops[levels] @ np.where((n >= 1.0) & (n + 1.0 > x), np.minimum(tail * tail, 1.0), 1.0))
+
+    lo = ensemble.j_thermal_max
+    hi = lo + 2 * math.ceil(math.e**2 * x + math.log(4.0 / math.sqrt(EDGE_POPULATION_TOL))) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if edge(mid) <= EDGE_POPULATION_TOL else (mid + 1, hi)
+    return lo
+
+
+def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
+                 layout_at, kick, budgets, size) -> ChannelSet:
+    """The ensemble's ChannelSet at reference_time on the first basis tried
+    whose top two J shells hold at most EDGE_POPULATION_TOL of its weighted
+    population.
+
+    The one place a propagated set is made and a basis grows.  The kick
+    strength is checked first (check_strengths), so no sizing sees one that
+    is negative or not finite.  An explicit j_max is a contract (_on_basis);
+    an unsized basis starts at size(ensemble, xi) and grows up to
+    MAX_REGROWS times, each to int(1.5 j_max) + 10.  An attempt at j_max
+    checks budgets(j_max), the bytes it allocates and the complex
     multiply-adds of its kicks, before anything is allocated
     (_check_budgets); builds layout_at(j_max); leaves every column on its
     origin for a zero kick, else takes kick(layout)'s packed amplitudes; and
-    reads the edge, which a zero kick leaves empty.  An explicit j_max is a
-    contract (_on_basis).  An unsized basis starts at measure(), run once
-    the smallest basis, J_thermal_max, passes the budgets, or without
-    measure at suggest_j_max's thermal and kick scales, and grows up to
-    MAX_REGROWS times, each to int(1.5 j_max) + 10.
+    reads the edge, which a zero kick leaves empty.
     """
-    edge = None
-    if j_max is not None:
-        edge = _on_basis(ensemble, j_max, budgets, xi, tol)
-    elif measure is None:
-        j_max = suggest_j_max(ensemble.j_thermal_max, xi)
+    if j_max is None:
+        check_strengths(xi)
+        j_max, edge = size(ensemble, xi), None
     else:
-        _check_budgets(ensemble.j_thermal_max, budgets)
-        j_max = measure()
+        edge = _on_basis(ensemble, j_max, budgets, xi)
     for regrow in range(MAX_REGROWS + 1):
         if edge is None:
             _check_budgets(j_max, budgets)
@@ -992,39 +1024,12 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
                         ensemble.weights[layout.order], amps)
         leak = 0.0 if xi == 0.0 else cs.edge_leak()
         if edge is not None:
-            edge(leak)
-            return cs
-        if leak <= tol:
+            edge(leak)  # raises past the contract
+        if edge is not None or leak <= EDGE_POPULATION_TOL:
             return cs
         if regrow < MAX_REGROWS:
             j_max = int(j_max * 1.5) + 10
     raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
-
-
-def _reach(cs: ChannelSet, top: int) -> int:
-    """The smallest j_max >= top whose top two shells, J >= j_max - 1, hold at
-    most PROBE_EDGE_TOL of the set's weighted population."""
-    beyond = np.cumsum(cs.level_populations()[::-1])[::-1]  # population at J >= j, non-increasing in j
-    return max(top, int(np.count_nonzero(beyond > PROBE_EDGE_TOL)) + 1)
-
-
-def _measured_kick(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float) -> ChannelSet:
-    """The sudden chain kick of the ensemble, grown until its top two shells
-    hold at most PROBE_EDGE_TOL, from a measured start.
-
-    The start: the M0 = 0 origin of each thermal level, carrying the level's
-    whole weight, kicked on suggest_j_max's basis (one chain per J parity),
-    and its _reach plus 2.  cos2theta_offdiag falls with |M|, so the M = 0
-    chains climb fastest and that reach is not below the whole ensemble's.
-    The ensemble's kick then grows from there as every driver's does
-    (_with_regrow), to PROBE_EDGE_TOL.
-    """
-    top = ensemble.j_thermal_max
-    weights = np.bincount(ensemble.j0, weights=ensemble.weights)
-    levels = np.flatnonzero(weights)
-    origins = ThermalEnsemble(ensemble.temperature, zip(levels.tolist(), [0] * len(levels), weights[levels]))
-    return _chain_propagation(molecule, ensemble, xi, None, 0.0, tol=PROBE_EDGE_TOL,
-                              measure=lambda: _reach(kick_ensemble(molecule, origins, xi), top) + 2)
 
 
 def _kick_count(pulse: PulseSpec | None, molecule: MoleculeSpec, j_max: int) -> int:
@@ -1071,10 +1076,9 @@ def _kick_bytes(sizes: list, nodes: int, running: int) -> int:
                       for rows, k in runs)[-running:])
 
 
-def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, measure=None,
-                       tol=EDGE_POPULATION_TOL):
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None):
     """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
-    (measure and tol as there) on channels grouped once: the sudden kick of
+    from suggest_j_max's basis on channels grouped once: the sudden kick of
     xi without a pulse, else the pulse's RKN schedule (_rkn_schedule), its
     kick times measured from reference_time.
     """
@@ -1128,7 +1132,8 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
         return total, kicks * sum(n * n * k for n, k in sizes)
 
     return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
-                        lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets, measure, tol)
+                        lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets,
+                        lambda ensemble, xi: suggest_j_max(ensemble.j_thermal_max, xi))
 
 
 def kick_ensemble(
@@ -1144,8 +1149,6 @@ def kick_ensemble(
     phase: each (|M0|, parity) block's amplitude matrix is the kick
     unitary's columns at its origins.  A norm-leak guard regrows j_max.
     """
-    if xi < 0:
-        raise ValueError(f"kick strength must be nonnegative, got {xi}")
     return _chain_propagation(molecule, ensemble, xi, j_max, reference_time)
 
 
@@ -1227,10 +1230,10 @@ def elliptic_tdse_ensemble(
     parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps),
     the groups on the workers (_workers) with OpenBLAS held to one thread.
     The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
-    each column on its origin.  Without j_max the basis starts at the _reach
-    of the sudden chain kick of the same xi (_measured_kick): a kick linearly
-    polarized and sudden reaches at least as high in J as an elliptic finite
-    pulse of that xi.
+    each column on its origin.  Without j_max the basis starts at the tail
+    bound of the sudden kick of the same xi (tail_j_max), with no kick run: a
+    kick linearly polarized and sudden reaches at least as high in J as an
+    elliptic finite pulse of that xi.
     """
     xi = effective_area(pulse, molecule)
     keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
@@ -1289,5 +1292,4 @@ def elliptic_tdse_ensemble(
             work += k * (half * half + (n - half) ** 2)
         return kept + sum(sorted(running)[-_workers():]) + 48 * kicks, kicks * work
 
-    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
-                        lambda: _reach(_measured_kick(molecule, ensemble, xi), ensemble.j_thermal_max))
+    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets, tail_j_max)

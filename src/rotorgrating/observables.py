@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import revival_period
 from .dynamics import (
-    ChannelSet, _measured_kick, check_working_set, kick_ensemble, require_y_polarized, tdse_ensemble,
+    ChannelSet, check_working_set, kick_ensemble, require_y_polarized, tail_j_max, tdse_ensemble,
 )
 from .field import MAX_DELAY_PS, PulseSpec, check_squared_amplitudes, effective_area, xi_per_intensity
 from .rotor import MoleculeSpec, boltzmann_ensemble, check_axis, raman_frequency
@@ -322,12 +322,12 @@ def regime_scan(
 
     Uses the sudden-kick ensemble of a 0.1 ps pump at t = 0 (the regime laws
     are properties of the kicked-rotor model itself) with j_max pinned at the
-    largest intensity: the basis the probe that sizes an unsized lattice
-    kicks there (dynamics._measured_kick), whose top two shells hold at most
-    PROBE_EDGE_TOL, so the scan shares that kick's chain layout and takes the
-    kick as its top point.  Log-log slopes of C are fitted on 2-20 and 40-80
-    TW/cm^2, and of max-C below the saturation knee at 30 TW/cm^2.  At least
-    3 distinct intensities, all finite and positive, are required.
+    largest intensity by the tail bound of its kick (dynamics.tail_j_max),
+    which sizes the basis with no kick run, so every point is a kick on one
+    explicit basis and all share one chain layout.  Log-log slopes of C are
+    fitted on 2-20 and 40-80 TW/cm^2, and of max-C below the saturation knee
+    at 30 TW/cm^2.  At least 3 distinct intensities, all finite and
+    positive, are required.
     """
     values = [float(i) for i in intensities]
     bad = [v for v in values if not (math.isfinite(v) and v > 0)]
@@ -339,16 +339,14 @@ def regime_scan(
     low_window, high_window, knee = (2.0, 20.0), (40.0, 80.0), 30.0
     ens = boltzmann_ensemble(molecule, temperature)
     per_i = xi_per_intensity(molecule)
-    top = _measured_kick(molecule, ens, per_i * intensities[-1])
-    j_max = top.j_max
+    j_max = tail_j_max(ens, per_i * intensities[-1])
     period = revival_period(molecule.b_cm1)
 
     def scan_point(cs: ChannelSet) -> tuple[float, float]:
         dec = fourier_decompose(cs, "y")
         return dec.constant, max_over_period(dec, 1.0, period)
 
-    points = [scan_point(kick_ensemble(molecule, ens, per_i * ii, j_max)) for ii in intensities[:-1]]
-    points.append(scan_point(top))
+    points = [scan_point(kick_ensemble(molecule, ens, per_i * ii, j_max)) for ii in intensities]
     c_vals = np.array([p[0] for p in points])
     max_vals = np.array([p[1] for p in points])
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import check_working_set, kick_ensemble, kick_level_series
+from .dynamics import check_working_set, kick_ensemble, kick_level_series, tail_j_max
 from .field import MAX_DELAY_PS, xi_per_intensity
 from .grating import check_scheme, diffracted_signal, single_pump_intensity
 from .observables import (
@@ -279,7 +279,8 @@ def kick_surface(problem: FitProblem) -> KickSurface | None:
 
     The box is padded to the quantized keys, so it covers every key the
     cache can ask for.  The ensemble at the top temperature is kicked on one
-    layout: problem.j_max if set, else suggest_j_max at the (top, hi) corner.
+    layout: problem.j_max if set, else the tail bound of the (top, hi)
+    corner's kick (dynamics.tail_j_max), which holds every node's edge.
     Each set of nodes is one call of dynamics.kick_level_series: the first
     SURFACE_INTERVALS + 1, then the odd nodes that each doubling adds.  A
     fixed intensity makes one node.  The surface's bytes, at most a complex
@@ -296,7 +297,7 @@ def kick_surface(problem: FitProblem) -> KickSurface | None:
     molecule = problem.molecule
     a, b = (xi_per_intensity(molecule, problem.tau_fwhm_ps) * (k * q) for k in (lo, hi))
     ensemble = boltzmann_ensemble(molecule, top * q)
-    j_max = problem.j_max if problem.j_max is not None else suggest_j_max(ensemble.j_thermal_max, b)
+    j_max = problem.j_max if problem.j_max is not None else tail_j_max(ensemble, b)
     levels = np.flatnonzero(np.bincount(ensemble.j0))  # np.unique would import numpy.ma
     corners = [w for w in (_level_weights(boltzmann_ensemble(molecule, k * q), levels)
                            for k in {bottom, top}) if w is not None]

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import trace_propagations
 from rotorgrating import cli, dynamics, observables, rotor
 from rotorgrating.cli import (
     EXIT_CONFIG,
@@ -566,10 +565,11 @@ def test_elliptic_fourier_names_pump_errors_as_a_linear_run(tmp_path, capsys):
 
 
 # the budget names an estimate beyond the float range, and a j_max past 15
-# digits in .3g form; a kick whose headroom 4 xi overflows names the kick;
-# simulate sizes its basis through the same checks; a TDSE pump so long that
-# its step count is past the float range reaches the budget too, and an
-# elliptic one whose xi overflows names the kick before its basis is sized
+# digits in .3g form; a finite kick whose headroom 4 xi overflows names the
+# kick, on the chains and the lattice alike; simulate sizes its basis through
+# the same checks; a TDSE pump so long that its step count is past the float
+# range reaches the budget too; and a kick that is not finite, on an
+# unsized or an explicit basis, names the kick before any basis is sized
 _BUDGET = "GB of working memory, above the budget of 2 GB"
 _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
 
@@ -584,7 +584,7 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1e300},
                  f"propagation at j_max=1.78e+300 needs about 1.77e+593 {_BUDGET}", id="simulate-1e+300"),
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1.7e308},
-                 f"kick strength xi = inf {_UNSIZABLE_KICK}", id="simulate-1.7e+308"),
+                 "kick strength must be finite, got inf", id="simulate-1.7e+308"),
     pytest.param("fourier", {"intensity_tw_cm2": 30.0, "method": "tdse", "tau_fwhm_ps": 1e200},
                  f"propagation at j_max=5.33e+202 needs about 3.61e+598 {_BUDGET}", id="tdse-tau-1e+200"),
     pytest.param("fourier", {"intensity_tw_cm2": 30.0, "method": "tdse", "tau_fwhm_ps": 1e300},
@@ -597,7 +597,11 @@ _UNSIZABLE_KICK = "is too large to size a basis: 4 xi is not finite"
                  f"propagation at j_max=5.33e+302 needs about 3.61e+898 {_BUDGET}", id="simulate-tdse-tau-1e+300"),
     pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "method": "tdse", "tau_fwhm_ps": 1.0,
                              "polarization": [0.8, 0.6]},
-                 "kick strength xi = inf is too large to count the stepper's steps", id="elliptic-1.7e+308"),
+                 "kick strength must be finite, got inf", id="elliptic-1.7e+308"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1e300, "method": "tdse", "polarization": [0.8, 0.6]},
+                 f"propagation at j_max=6.04e+299 needs about 1.99e+1190 {_BUDGET}", id="elliptic-1e+300"),
+    pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "method": "tdse", "polarization": [0.8, 0.6]},
+                 f"kick strength xi = 7.55e+307 {_UNSIZABLE_KICK}", id="elliptic-finite-1.7e+308"),
     pytest.param("fourier", {"intensity_tw_cm2": 1.7e308, "tau_fwhm_ps": 1.0, "j_max": 60},
                  "kick strength must be finite, got inf", id="j_max-60-1.7e+308"),
     pytest.param("simulate", {"scheme": "parallel", "theoretical_intensity_tw_cm2": 1e308, "j_max": 60},
@@ -629,95 +633,59 @@ def test_fourier_rejects_tdse_too_large_to_size(tmp_path, no_propagation, capsys
     assert not out.exists()
 
 
-@pytest.fixture
-def no_lattice(monkeypatch):
-    """Fail any lattice propagation at its first operator build or step, and
-    trace every working-set estimate checked and every propagation run
-    (trace_propagations); a sudden chain kick, such as the two stages of
-    the probe that sizes an unsized lattice, still runs."""
-    def propagate(*args, **kwargs):
-        raise AssertionError("a lattice propagation started")
-
-    for name in ("cos2theta_axis_matrix", "_lattice_steps"):
-        monkeypatch.setattr(dynamics, name, propagate)
-    return trace_propagations(monkeypatch)
-
-
-def _exits_2_under_the_probe(argv, traced):
-    """main(argv) exits 2 after checking the lattice at J_thermal_max, the
-    probe's own kick there, the probe's two kicks (the bound's, then the
-    ensemble's on the bound plus 2) and the lattice at the probe's basis.
-    Each kick's traced peak stays under its own working-set estimate, and
-    from the ensemble's kick on the run's peak stays under that kick's: the
-    lattice allocated nothing."""
-    estimates, runs = traced
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_CONFIG
-        peak = tracemalloc.get_traced_memory()[1]  # since the last kick started
-    finally:
-        tracemalloc.stop()
-    _, _, bound, probe, _ = estimates
-    assert [run.estimate for run in runs] == [bound, probe]
-    for run in runs:
-        assert run.peak - run.before <= run.estimate
-    assert peak - runs[-1].before < probe
-
-
 _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
              "polarization": [0.8164965809277261, 0.5773502691896257]}
 
 
 def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation, capsys):
-    # at 1100 K the smallest basis, J_thermal_max = 164, already needs ~2.5 GB
-    # for the two groups' results plus the larger + sector's stepper arrays:
-    # rejected before the probe kick runs (2.52 GB before the estimate
-    # counted each group's kept basis and operators).  The estimate counts a
-    # running group's arrays per worker: one worker keeps it the same on any
-    # number of CPUs
+    # at 1100 K (J_thermal_max = 164) the tail bound sizes the lattice at
+    # j_max 170, which already needs ~2.8 GB for the two groups' results plus
+    # the larger + sector's stepper arrays: rejected before any kick runs.
+    # The estimate counts a running group's arrays per worker: one worker
+    # keeps it the same on any number of CPUs
     monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=164 needs about 2.53 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=170 needs about 2.8 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, monkeypatch, no_lattice,
+def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, monkeypatch, no_propagation,
                                                                           capsys):
-    # 30 K fits at J_thermal_max = 26 (4.2 MB), but the sudden kick at 400
-    # TW/cm^2 sizes the lattice at j_max 228, where it needs ~4.5 GB (4.47
-    # GB before the estimate counted each group's kept basis and operators).
-    # One worker keeps the estimate the same on any number of CPUs
+    # 30 K fits at J_thermal_max = 26 (4.2 MB), but the tail bound of the
+    # kick at 400 TW/cm^2 sizes the lattice at j_max 272, where it needs
+    # ~8.9 GB: rejected before any kick runs.  One worker keeps the estimate
+    # the same on any number of CPUs
     monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
     out = tmp_path / "x"
-    _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
-    assert "propagation at j_max=228 needs about 4.49 GB of working memory" in capsys.readouterr().err
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
+    assert "propagation at j_max=272 needs about 8.89 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
-    # 500 K fits the memory budget at J_thermal_max = 110 (0.53 GB), but 109
-    # kicks of the four sectors' free propagators there come to 1.65e12
-    # complex multiply-adds: rejected before the probe kick runs.  60 K at
-    # 30 TW/cm^2 needs 1.95e10 at j_max 60
+    # 500 K fits the memory budget at the tail bound's j_max 132, but 109
+    # kicks of the four sectors' free propagators there come to 3.39e12
+    # complex multiply-adds: rejected before any kick runs.  60 K at 30
+    # TW/cm^2 needs 1.95e10 at j_max 60
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 500.0, "intensity_tw_cm2": 30.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert ("propagation at j_max=110 needs about 1.65e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=132 needs about 3.39e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path, no_lattice, capsys):
+def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path, no_propagation, capsys):
     # 100 K fits both budgets at J_thermal_max = 50, and at the basis the
-    # sudden kick at 200 TW/cm^2 measures, 152, the memory budget (1.0 GB),
-    # but not the kick work
-    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 100.0, "intensity_tw_cm2": 200.0})
+    # tail bound of the kick at 140 TW/cm^2 takes, 136, the memory budget on
+    # any number of workers, but not the kick work
+    cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 100.0, "intensity_tw_cm2": 140.0})
     out = tmp_path / "x"
-    _exits_2_under_the_probe(["fourier", "--config", cfg, "--out", str(out)], no_lattice)
-    assert ("propagation at j_max=152 needs about 4.03e+12 complex multiply-adds of kicks, above the "
+    _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
+    assert ("propagation at j_max=136 needs about 2.18e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 

@@ -40,7 +40,6 @@ from rotorgrating.rotor import (
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
-    suggest_j_max,
 )
 
 GROUND = boltzmann_ensemble(CO2, 0.0)  # the single channel |0,0>
@@ -405,16 +404,13 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # group's coupling and sectors and its larger sector's stepper arrays:
     # its operator and eigenvectors, three free propagators and their
     # build's two temporaries, the kick phase table and 3 state matrices,
-    # plus the schedule.  Unsized, the
-    # lattice checks its smallest basis, J_thermal_max, then runs the probe
-    # that measures its basis: the ensemble's sudden chain kick checks its
-    # own J_thermal_max, runs the bound's kick and then itself on the bound
-    # plus 2.  The lattice checks and runs the measured basis.  Each
-    # propagation's peak stays under its own estimate
+    # plus the schedule.  Unsized, the lattice takes its basis from the tail
+    # bound (tail_j_max), with no kick run: it checks and runs that basis
+    # alone, and its peak stays under its estimate
     estimates, runs = trace_propagations(monkeypatch)
     pulse = elliptic_pulse(10.0, 2 / 3, 1 / 3)
     ens = boltzmann_ensemble(CO2, 20.0)
-    kick_ensemble(CO2, ens, 1.0)  # numpy's lazily built tables are not the probe's
+    kick_ensemble(CO2, ens, 1.0)  # numpy's lazily built tables are not the lattice's
     dynamics.clear_caches()
     estimates.clear()
     runs.clear()
@@ -428,34 +424,14 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     # the + sector, the larger, holds a group's M >= 0 sites
     halves = [len(dynamics._reflection_sectors(b.basis)[0][2]) for b in cs.blocks]
     kicks = 6 * dynamics._rkn_steps(pulse, CO2, cs.j_max) + 1
-    smallest, probe_top, bound, probe, lattice = estimates
     sites = 8 * (cs.j_max + 1) * (2 * cs.j_max + 1)
     running = sorted(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h + 120 * n for h, (n, k) in zip(halves, shapes))
-    assert lattice == (sum(16 * n * k + 448 * n + sites for n, k in shapes)
-                       + sum(running[-dynamics._workers():]) + 48 * kicks)
-    assert ens.j_thermal_max < cs.j_max and smallest < lattice and probe_top < probe
-    # the bound's kick, of one level per chain, is the smaller
-    assert bound < probe
-    assert [run.estimate for run in runs] == [bound, probe, lattice] and runs[-1].cs is cs
+    assert estimates == [sum(16 * n * k + 448 * n + sites for n, k in shapes)
+                         + sum(running[-dynamics._workers():]) + 48 * kicks]
+    assert ens.j_thermal_max < cs.j_max == dynamics.tail_j_max(ens, cs.xi)
+    assert [run.estimate for run in runs] == estimates and runs[-1].cs is cs
     for run in runs:
         assert run.peak - run.before <= run.estimate
-
-
-@pytest.mark.parametrize("bound, bases", [(0, [2, 13, 29]), (16, [18, 37])])
-def test_probe_grows_a_basis_its_bound_misses(monkeypatch, bound, bases):
-    # bounds below the reach of 20: the ensemble's kick on the bound plus 2
-    # populates the edge past the edge contract (on 2 and 13) or past
-    # PROBE_EDGE_TOL alone (4.9e-10 on 18), and it grows as every driver
-    # does until its top two shells hold at most PROBE_EDGE_TOL; its reach is
-    # then the one measured on suggest_j_max's basis
-    ens = boltzmann_ensemble(CO2, 0.0)
-    reach, kick = dynamics._reach, dynamics.kick_ensemble
-    _, runs = trace_propagations(monkeypatch)
-    monkeypatch.setattr(dynamics, "_reach", lambda cs, top: bound)  # the probe reads the bound's reach alone
-    cs = dynamics._measured_kick(CO2, ens, 5.0)
-    assert [run.cs.j_max for run in runs] == [suggest_j_max(0, 5.0), *bases]
-    assert cs.j_max == bases[-1] and cs.edge_leak() <= dynamics.PROBE_EDGE_TOL
-    assert reach(cs, 0) == reach(kick(CO2, ens, 5.0), 0) == 20
 
 
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
@@ -711,6 +687,28 @@ def test_working_set_budget_raises_before_propagating(monkeypatch):
     ):
         with pytest.raises(ValueError, match="GB of working memory, above the budget of 0.0005 GB"):
             propagate()
+
+
+@pytest.mark.parametrize("j_max", [None, 40])
+@pytest.mark.parametrize("strength", [math.nan, math.inf])
+def test_a_kick_that_is_not_finite_is_named_before_any_basis_is_sized(monkeypatch, j_max, strength):
+    # the sudden kick, the chain TDSE and the lattice, unsized or on an
+    # explicit basis, name the kick strength alone: no sizing rule, budget or
+    # step count sees it
+    def unsized(*args):
+        raise AssertionError("a basis was sized")
+
+    for name in ("suggest_j_max", "tail_j_max", "_check_budgets", "_rkn_steps"):
+        monkeypatch.setattr(dynamics, name, unsized)
+    ens = boltzmann_ensemble(CO2, 30.0)
+    for propagate in (
+        lambda: kick_ensemble(CO2, ens, strength, j_max),
+        lambda: tdse_ensemble(CO2, ens, PulseSpec(strength), j_max),
+        lambda: elliptic_tdse_ensemble(CO2, ens, elliptic_pulse(strength, 0.5, 0.5), j_max),
+    ):
+        with pytest.raises(ValueError) as failure:
+            propagate()
+        assert str(failure.value) == f"kick strength must be finite, got {strength}"
 
 
 def test_working_set_budget_checks_each_regrow(monkeypatch):

@@ -249,14 +249,14 @@ def test_regime_scan_slopes_and_affine_fit():
     assert intercept < 0.0
     assert np.all(np.diff(scan.c_values) > 0.0)
     assert np.all(scan.max_values >= scan.c_values - 1e-12)
-    # the basis pinned at the largest intensity holds that kick to
-    # PROBE_EDGE_TOL, below suggest_j_max's headroom, and every point matches
-    # the same kick on suggest_j_max's basis
+    # the basis pinned at the largest intensity is its kick's tail bound,
+    # below suggest_j_max's headroom; it holds that kick to the edge
+    # contract, and every point matches the same kick on suggest_j_max's basis
     ens, per_i = boltzmann_ensemble(CO2, 293.0), xi_per_intensity(CO2)
     wide = suggest_j_max(ens.j_thermal_max, per_i * 80.0)
     j_max = scan.metadata["j_max"]
-    assert j_max < wide
-    assert kick_ensemble(CO2, ens, per_i * 80.0, j_max).edge_leak() <= dynamics.PROBE_EDGE_TOL
+    assert j_max == dynamics.tail_j_max(ens, per_i * 80.0) < wide
+    assert kick_ensemble(CO2, ens, per_i * 80.0, j_max).edge_leak() <= dynamics.EDGE_POPULATION_TOL
     period = revival_period(CO2.b_cm1)
     for i, c, top in zip(scan.intensities, scan.c_values, scan.max_values):
         dec = fourier_decompose(kick_ensemble(CO2, ens, per_i * i, wide), "y")

@@ -446,7 +446,8 @@ def test_a_cell_above_the_box_is_simulates_kick():
 def test_the_surface_is_checked_against_the_budget_before_its_kicks(monkeypatch):
     problem = FitProblem(CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)})
     # the surface's bytes are checked once, then its 21 nodes are kicked in
-    # one batched call; with a budget one byte short, none is
+    # one batched call on the tail bound's basis at the box's (top, hi)
+    # corner; with a budget one byte short, none is
     estimates, check = [], retrieval.check_working_set
     monkeypatch.setattr(retrieval, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
@@ -455,10 +456,12 @@ def test_the_surface_is_checked_against_the_budget_before_its_kicks(monkeypatch)
     surface = retrieval.kick_surface(problem)
     nodes, levels = len(surface.nodes), len(surface.levels)
     assert batches == [nodes] and estimates == [nodes * levels * (16 * (surface.j_max + 1) + 8)]
+    corner = retrieval.boltzmann_ensemble(CO2, 150.0), retrieval.xi_per_intensity(CO2) * 30.0
+    assert surface.j_max == dynamics.tail_j_max(*corner) == 82
     assert surface.lines.nbytes + surface.constants.nbytes <= estimates[0]
     monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", estimates[0] - 1)
     monkeypatch.setattr(retrieval, "kick_level_series", lambda *args: pytest.fail("a node was kicked"))
-    with pytest.raises(ValueError, match="a kick-strength surface of 21 nodes x 31 levels at j_max=124"):
+    with pytest.raises(ValueError, match="a kick-strength surface of 21 nodes x 31 levels at j_max=82"):
         retrieval.kick_surface(problem)
 
 
