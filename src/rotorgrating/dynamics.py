@@ -48,8 +48,11 @@ The chains start at suggest_j_max's fixed headroom.  The lattice, whose
 work grows about as j_max^4, starts at tail_j_max: a closed-form
 (Jacobi-Anger) bound on the population the sudden kick of the same xi
 leaves in the top two shells, summed over the thermal levels, which sizes
-a basis with no kick run.  observables.regime_scan and the fit's
-kick-strength surface take their bases from the same bound.
+a basis with no kick run; the lattice holds it to LATTICE_START_TOL, a
+hundredth of the edge contract, so a weak pulse's traces stay converged.
+observables.regime_scan and the fit's kick-strength surface take their
+bases from the same bound at EDGE_POPULATION_TOL, as explicit bases with
+no regrow.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -130,12 +133,18 @@ from .rotor import (
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
 MAX_REGROWS = 3  # times an unsized basis grows, each to int(1.5 j_max) + 10
+# Weighted population the tail bound lets the sudden kick of the same xi leave
+# at J >= j_max - 1 where an unsized lattice starts.  A pump polarized along x
+# or y reaches nearly as high as the kick, and a weak pulse's traces are small:
+# sized at EDGE_POPULATION_TOL, a 24.4 K, xi 0.1 pump's traces moved by 1.3e-9
+# of their peak against a larger basis, at a hundredth of it by 3.8e-12
+LATTICE_START_TOL = EDGE_POPULATION_TOL / 100
 # Working-set budget of one propagation, checked before it allocates.  The
-# 293 K, 30 TW/cm^2 linear TDSE needs ~7 MB, the 60 K elliptic one ~37 MB.
+# 293 K, 30 TW/cm^2 linear TDSE needs ~7 MB, the 60 K elliptic one ~46 MB.
 MAX_WORKING_SET_BYTES = 2e9
 # Kick work budget of one propagation, in complex multiply-adds: its kicks
 # times the n x n products with k columns of each chain or reflection sector
-# (293 K chain TDSE at 30 TW/cm^2: 7.6e8; 60 K elliptic TDSE: 1.95e10)
+# (293 K chain TDSE at 30 TW/cm^2: 7.6e8; 60 K elliptic TDSE: 2.51e10)
 MAX_KICK_WORK = 1e12
 # Blanes & Moan's SRKN_6^b step b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1: kick
 # weights b1..b4 and free weights a1..a3 (a3 < 0), symmetric and 4th order
@@ -953,10 +962,10 @@ def _on_basis(ensemble: ThermalEnsemble, j_max: int, budgets, xis):
     return edge
 
 
-def tail_j_max(ensemble: ThermalEnsemble, xi: float) -> int:
+def tail_j_max(ensemble: ThermalEnsemble, xi: float, tol: float = EDGE_POPULATION_TOL) -> int:
     """The smallest j_max >= J_thermal_max at which a closed-form tail bound
     holds the weighted population that a sudden kick of strength xi leaves in
-    the top two J shells, J >= j_max - 1, to EDGE_POPULATION_TOL.
+    the top two J shells, J >= j_max - 1, to tol.
 
     By Jacobi-Anger, e^{i xi cos^2 theta} = e^{i xi/2} [J_0(xi/2) + 2 sum_{n
     >= 1} i^n J_n(xi/2) cos 2n theta], and cos 2n theta, a polynomial of
@@ -968,10 +977,16 @@ def tail_j_max(ensemble: ThermalEnsemble, xi: float) -> int:
     (Stirling).  Each level's square of that, at most 1, is weighted by its
     population and summed.  The sum falls as j_max grows, so it is bisected,
     from J_thermal_max to a basis whose N is at least e^2 x + log(4 /
-    sqrt(EDGE_POPULATION_TOL)) for every level, where (e x / N)^N <= e^-N
-    bounds every level's amplitude within sqrt(EDGE_POPULATION_TOL): a kick
-    of any finite strength is sized at once, with no kick run.  A kick whose
-    4 xi is not finite raises ValueError, as suggest_j_max does.
+    sqrt(tol)) for every level, where (e x / N)^N <= e^-N bounds every
+    level's amplitude within sqrt(tol): a kick of any finite strength is
+    sized at once, with no kick run.  A kick whose 4 xi is not finite raises
+    ValueError, as suggest_j_max does.
+
+    The bound holds for the exact kick, not for its truncation to the basis
+    it sizes.  The lattice grows past it if its edge says so (_with_regrow);
+    observables.regime_scan and retrieval.kick_surface kick on its basis as
+    an explicit one, with no regrow, and raise BasisTooSmallError if the
+    truncated kick leaves more than EDGE_POPULATION_TOL there.
     """
     if not math.isfinite(4.0 * xi):
         raise ValueError(f"kick strength xi = {xi:.3g} is too large to size a basis: 4 xi is not finite")
@@ -986,10 +1001,10 @@ def tail_j_max(ensemble: ThermalEnsemble, xi: float) -> int:
         return float(pops[levels] @ np.where((n >= 1.0) & (n + 1.0 > x), np.minimum(tail * tail, 1.0), 1.0))
 
     lo = ensemble.j_thermal_max
-    hi = lo + 2 * math.ceil(math.e**2 * x + math.log(4.0 / math.sqrt(EDGE_POPULATION_TOL))) + 1
+    hi = lo + 2 * math.ceil(math.e**2 * x + math.log(4.0 / math.sqrt(tol))) + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if edge(mid) <= EDGE_POPULATION_TOL else (mid + 1, hi)
+        lo, hi = (lo, mid) if edge(mid) <= tol else (mid + 1, hi)
     return lo
 
 
@@ -1231,9 +1246,9 @@ def elliptic_tdse_ensemble(
     the groups on the workers (_workers) with OpenBLAS held to one thread.
     The +-M0 mirror symmetry makes folded ensembles exact.  A zero kick leaves
     each column on its origin.  Without j_max the basis starts at the tail
-    bound of the sudden kick of the same xi (tail_j_max), with no kick run: a
-    kick linearly polarized and sudden reaches at least as high in J as an
-    elliptic finite pulse of that xi.
+    bound of the sudden kick of the same xi (tail_j_max) at LATTICE_START_TOL,
+    with no kick run: a kick linearly polarized and sudden reaches at least
+    as high in J as an elliptic finite pulse of that xi.
     """
     xi = effective_area(pulse, molecule)
     keys, counts, order = _group_channels(ensemble, ensemble.j0 % 2, np.abs(ensemble.m0) % 2)
@@ -1292,4 +1307,5 @@ def elliptic_tdse_ensemble(
             work += k * (half * half + (n - half) ** 2)
         return kept + sum(sorted(running)[-_workers():]) + 48 * kicks, kicks * work
 
-    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets, tail_j_max)
+    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
+                        lambda ensemble, xi: tail_j_max(ensemble, xi, LATTICE_START_TOL))

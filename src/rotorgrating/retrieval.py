@@ -280,7 +280,9 @@ def kick_surface(problem: FitProblem) -> KickSurface | None:
     The box is padded to the quantized keys, so it covers every key the
     cache can ask for.  The ensemble at the top temperature is kicked on one
     layout: problem.j_max if set, else the tail bound of the (top, hi)
-    corner's kick (dynamics.tail_j_max), which holds every node's edge.
+    corner's kick (dynamics.tail_j_max), which holds every node's edge; an
+    explicit basis, with no regrow, so a truncated kick that leaks past the
+    edge contract there raises BasisTooSmallError.
     Each set of nodes is one call of dynamics.kick_level_series: the first
     SURFACE_INTERVALS + 1, then the odd nodes that each doubling adds.  A
     fixed intensity makes one node.  The surface's bytes, at most a complex

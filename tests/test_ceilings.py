@@ -31,7 +31,7 @@ def test_every_workload_stays_within_its_basis_ceilings():
         # validate's elliptic suite at 30 K and xi 0.5, and its regime scan
         # at 293 K up to 80 TW/cm^2
         "validate": {"lattice_j_max": dynamics.tail_j_max(boltzmann_ensemble(CO2, 30.0), effective_area(
-                         elliptic_pulse(0.5 / per_i, 1.0, 0.0), CO2)),
+                         elliptic_pulse(0.5 / per_i, 1.0, 0.0), CO2), dynamics.LATTICE_START_TOL),
                      "scan_j_max": dynamics.tail_j_max(hot, per_i * 80.0)},
     }
     assert reached.keys() == CEILINGS.keys()

@@ -639,7 +639,7 @@ _ELLIPTIC = {"molecule": "CO2", "method": "tdse", "time_grid": {"n": 64},
 
 def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, no_propagation, capsys):
     # at 1100 K (J_thermal_max = 164) the tail bound sizes the lattice at
-    # j_max 170, which already needs ~2.8 GB for the two groups' results plus
+    # j_max 172, which already needs ~2.9 GB for the two groups' results plus
     # the larger + sector's stepper arrays: rejected before any kick runs.
     # The estimate counts a running group's arrays per worker: one worker
     # keeps it the same on any number of CPUs
@@ -647,45 +647,45 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, no_pr
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 1100.0, "intensity_tw_cm2": 5.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=170 needs about 2.8 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=172 needs about 2.9 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, monkeypatch, no_propagation,
                                                                           capsys):
     # 30 K fits at J_thermal_max = 26 (4.2 MB), but the tail bound of the
-    # kick at 400 TW/cm^2 sizes the lattice at j_max 272, where it needs
-    # ~8.9 GB: rejected before any kick runs.  One worker keeps the estimate
+    # kick at 400 TW/cm^2 sizes the lattice at j_max 276, where it needs
+    # ~9.4 GB: rejected before any kick runs.  One worker keeps the estimate
     # the same on any number of CPUs
     monkeypatch.setattr(dynamics, "_workers", lambda: 1)
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 30.0, "intensity_tw_cm2": 400.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert "propagation at j_max=272 needs about 8.89 GB of working memory" in capsys.readouterr().err
+    assert "propagation at j_max=276 needs about 9.41 GB of working memory" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, capsys):
-    # 500 K fits the memory budget at the tail bound's j_max 132, but 109
-    # kicks of the four sectors' free propagators there come to 3.39e12
+    # 500 K fits the memory budget at the tail bound's j_max 134, but 109
+    # kicks of the four sectors' free propagators there come to 3.6e12
     # complex multiply-adds: rejected before any kick runs.  60 K at 30
-    # TW/cm^2 needs 1.95e10 at j_max 60
+    # TW/cm^2 needs 2.51e10 at j_max 64
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 500.0, "intensity_tw_cm2": 30.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert ("propagation at j_max=132 needs about 3.39e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=134 needs about 3.6e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path, no_propagation, capsys):
     # 100 K fits both budgets at J_thermal_max = 50, and at the basis the
-    # tail bound of the kick at 140 TW/cm^2 takes, 136, the memory budget on
+    # tail bound of the kick at 140 TW/cm^2 takes, 142, the memory budget on
     # any number of workers, but not the kick work
     cfg = _cfg(tmp_path, {**_ELLIPTIC, "temperature_K": 100.0, "intensity_tw_cm2": 140.0})
     out = tmp_path / "x"
     _exits_2_in_little_memory(["fourier", "--config", cfg, "--out", str(out)])
-    assert ("propagation at j_max=136 needs about 2.18e+12 complex multiply-adds of kicks, above the "
+    assert ("propagation at j_max=142 needs about 2.59e+12 complex multiply-adds of kicks, above the "
             "budget of 1e+12") in capsys.readouterr().err
     assert not out.exists()
 

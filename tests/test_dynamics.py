@@ -428,7 +428,7 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
     running = sorted(16 * (6 * h * h + 3 * h * k) + 40 * kicks * h + 120 * n for h, (n, k) in zip(halves, shapes))
     assert estimates == [sum(16 * n * k + 448 * n + sites for n, k in shapes)
                          + sum(running[-dynamics._workers():]) + 48 * kicks]
-    assert ens.j_thermal_max < cs.j_max == dynamics.tail_j_max(ens, cs.xi)
+    assert ens.j_thermal_max < cs.j_max == dynamics.tail_j_max(ens, cs.xi, dynamics.LATTICE_START_TOL)
     assert [run.estimate for run in runs] == estimates and runs[-1].cs is cs
     for run in runs:
         assert run.peak - run.before <= run.estimate
