@@ -6,9 +6,11 @@ Three drivers with one physical model, each returning a ChannelSet:
     polarized along y, the zero-width step of the chain stepper.
   * tdse_ensemble: finite pulse polarized along y, the chain stepper
     composed over the pulse window.
-  * elliptic_tdse_ensemble: finite elliptic pulse, interaction
-    A^2 cos^2 theta_x + B^2 cos^2 theta_y on the coupled (J,M) lattice, the
-    same stepper in each reflection sector.
+  * elliptic_tdse_ensemble: finite pulse of any polarization, interaction
+    A^2 cos^2 theta_x + B^2 cos^2 theta_y.  A pump polarized linearly,
+    along x or y, conserves M about its field and runs tdse_ensemble's
+    chains quantized along that axis; an elliptic one runs the coupled
+    (J,M) lattice, the same stepper in each reflection sector.
 
 On a fixed-M (|M|, J-parity) chain d psi/dt = i (g(t) C - omega) psi, with
 g = dxi/dt and C = cos^2 theta = V Lambda V^T cached per chain.  The free part
@@ -81,7 +83,7 @@ Where no OpenBLAS is found the workers are one, the calling thread.  Every
 BLAS call sees the operands a block-by-block loop would, so the packed
 kernel is bit-identical to it, on any number of workers.  A lattice layout
 keeps its groups' JMBases and lab-axis operators, built on first use on
-the calling thread: elliptic_tdse_ensemble's workers step the groups,
+the calling thread: _lattice_propagation's workers step the groups,
 costliest first, each into its packed slice.
 ChannelSet.series_terms(axis) reduces either layout, the chains per run and
 the lattice per group, to observables' one cosine series, lab-axis factor
@@ -703,7 +705,8 @@ class ChannelSet:
 
     Every block, a fixed-M chain or a (J,M)-lattice group, is packed into
     `amplitudes` as its `layout` says, with one weight per column; `blocks`
-    views them as ChannelBlocks.  Amplitudes are Schroedinger-picture at
+    views them as ChannelBlocks.  Chains quantize M along the lab axis
+    field_axis, the pump's field.  Amplitudes are Schroedinger-picture at
     reference_time (the pulse center for the TDSE drivers, valid for
     post-pulse evaluation); free evolution to any later time is analytic.
     """
@@ -716,6 +719,7 @@ class ChannelSet:
     layout: BlockLayout
     weights: np.ndarray
     amplitudes: np.ndarray
+    field_axis: str = "y"
 
     @property
     def kind(self) -> str:
@@ -738,15 +742,17 @@ class ChannelSet:
         constant + Re sum_J z[J] e^{i omega_J dt}, dt from reference_time, with
         z indexed by the lower J of each J <-> J+2 coherence from 0 to j_max.
 
-        Blocks add in layout order.  Chains carry the tridiagonal field-axis
-        operator (y): a block's constant is sum_k w_k d |c_k|^2 - W/3 and its
-        line J is 2 m_J sum_k w_k conj(c_{J+2,k}) c_{J,k}, reduced per run of
-        equal-shape blocks, two GEMVs and a dot product per block, batched; the
-        transverse axes follow from <cos^2 theta_perp> = (1 - <cos^2 theta>)/2
-        as a -1/2 scaling, exact in floating point.  On the (J,M) lattice the
-        Delta-J = 0 entries of each group's lab-axis operator (including the
-        Delta-M = +-2 ones, which beat at zero frequency) feed the constant and
-        its Delta-J = +2 entries add onto z at their lower J.
+        Blocks add in layout order.  Chains carry the tridiagonal operator of
+        their field axis (field_axis, y but for a pump along x): a block's
+        constant is sum_k w_k d |c_k|^2 - W/3 and its line J is 2 m_J sum_k
+        w_k conj(c_{J+2,k}) c_{J,k}, reduced per run of equal-shape blocks,
+        two GEMVs and a dot product per block, batched; that axis takes them
+        as they are, and the two transverse axes follow from <cos^2
+        theta_perp> = (1 - <cos^2 theta>)/2 as a -1/2 scaling, exact in
+        floating point.  On the (J,M) lattice the Delta-J = 0 entries of each
+        group's lab-axis operator (including the Delta-M = +-2 ones, which
+        beat at zero frequency) feed the constant and its Delta-J = +2
+        entries add onto z at their lower J.
         """
         check_axis(axis)
         lay, amps, weights = self.layout, self.amplitudes, self.weights
@@ -774,7 +780,7 @@ class ChannelSet:
                 np.matmul(diag[r0:r1].reshape(m, 1, -1), pops[:, 0] @ w[:, :, None],
                           out=weighted[b0:b1].reshape(m, 1, 1))
                 w.sum(axis=1, out=totals[b0:b1])
-            factor = 1.0 if axis == "y" else -0.5
+            factor = 1.0 if axis == self.field_axis else -0.5
             consts = factor * (weighted - totals / 3.0)
             np.add.at(z, js, factor * (coupling * lines))
         constant = 0.0
@@ -909,9 +915,18 @@ def check_working_set(nbytes: float, what: str):
         )
 
 
+def _linear_axis(pulse: PulseSpec) -> str | None:
+    """The lab axis of a pump polarized linearly, x or y, whichever carries
+    the larger squared amplitude when the smaller is at most 1e-12; None for
+    an elliptic pump."""
+    if min(pulse.a2, pulse.b2) <= 1e-12:
+        return "x" if pulse.a2 > pulse.b2 else "y"
+    return None
+
+
 def require_y_polarized(pulse: PulseSpec):
     """The fixed-M drivers quantize along y: reject any other polarization."""
-    if pulse.a2 > 1e-12:
+    if _linear_axis(pulse) != "y":
         raise ValueError(
             f"the fixed-M drivers handle linear polarization along y only, got A^2 = "
             f"{pulse.a2:g} along x; use elliptic_tdse_ensemble"
@@ -1009,7 +1024,7 @@ def tail_j_max(ensemble: ThermalEnsemble, xi: float, tol: float = EDGE_POPULATIO
 
 
 def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
-                 layout_at, kick, budgets, size) -> ChannelSet:
+                 layout_at, kick, budgets, size, axis: str = "y") -> ChannelSet:
     """The ensemble's ChannelSet at reference_time on the first basis tried
     whose top two J shells hold at most EDGE_POPULATION_TOL of its weighted
     population.
@@ -1023,7 +1038,8 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
     multiply-adds of its kicks, before anything is allocated
     (_check_budgets); builds layout_at(j_max); leaves every column on its
     origin for a zero kick, else takes kick(layout)'s packed amplitudes; and
-    reads the edge, which a zero kick leaves empty.
+    reads the edge, which a zero kick leaves empty.  A set of chains
+    quantizes M along `axis`.
     """
     if j_max is None:
         check_strengths(xi)
@@ -1036,7 +1052,7 @@ def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, r
         layout = layout_at(j_max)
         amps = layout.unkicked() if xi == 0.0 else kick(layout)
         cs = ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
-                        ensemble.weights[layout.order], amps)
+                        ensemble.weights[layout.order], amps, axis)
         leak = 0.0 if xi == 0.0 else cs.edge_leak()
         if edge is not None:
             edge(leak)  # raises past the contract
@@ -1091,11 +1107,12 @@ def _kick_bytes(sizes: list, nodes: int, running: int) -> int:
                       for rows, k in runs)[-running:])
 
 
-def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None):
+def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, axis="y"):
     """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
     from suggest_j_max's basis on channels grouped once: the sudden kick of
     xi without a pulse, else the pulse's RKN schedule (_rkn_schedule), its
-    kick times measured from reference_time.
+    kick times measured from reference_time.  The chains quantize M along
+    the field, the lab axis `axis`.
     """
     chains = _chains(ensemble)
 
@@ -1148,7 +1165,7 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
 
     return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
                         lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets,
-                        lambda ensemble, xi: suggest_j_max(ensemble.j_thermal_max, xi))
+                        lambda ensemble, xi: suggest_j_max(ensemble.j_thermal_max, xi), axis)
 
 
 def kick_ensemble(
@@ -1239,7 +1256,21 @@ def elliptic_tdse_ensemble(
     pulse: PulseSpec,
     j_max: int | None = None,
 ) -> ChannelSet:
-    """TDSE propagation of a thermal ensemble under an elliptic pump.
+    """TDSE propagation of a thermal ensemble under a pump of any polarization.
+
+    A pump polarized linearly (_linear_axis) is cylindrically symmetric about
+    its field, so M about that axis is conserved: it runs tdse_ensemble's
+    fixed-M chains quantized along x or y, the set's field_axis.  Only an
+    elliptic pump takes the (J,M) lattice (_lattice_propagation).
+    """
+    axis = _linear_axis(pulse)
+    if axis is None:
+        return _lattice_propagation(molecule, ensemble, pulse, j_max)
+    return _chain_propagation(molecule, ensemble, effective_area(pulse, molecule), j_max, pulse.t0_ps, pulse, axis)
+
+
+def _lattice_propagation(molecule, ensemble, pulse, j_max) -> ChannelSet:
+    """The pump's TDSE on the (J,M) lattice, whatever its polarization.
 
     Channels are grouped by (J parity, M parity), one block per group on its
     parity-filtered (J,M) lattice, stepped sector by sector (_lattice_steps),

@@ -1,15 +1,16 @@
-"""Ceilings on the basis each benchmark workload reaches, read from
-basis_ceilings.json beside this file.
+"""Ceilings on the basis each benchmark workload reaches, and on the
+lattice propagations validate runs, read from basis_ceilings.json beside
+this file.
 
 The sizes come from the sizing rules the drivers call and one build of the
-fit's kick-strength surface, not from timed runs.  A change that lowers a
-size lowers its ceiling in the same change; a ceiling is never raised to
-get a pass."""
+fit's kick-strength surface, the count from one run of validate's elliptic
+suite, not from timed runs.  A change that lowers a size or count lowers its
+ceiling in the same change; a ceiling is never raised to get a pass."""
 
 import json
 from pathlib import Path
 
-from rotorgrating import dynamics
+from rotorgrating import dynamics, validation
 from rotorgrating.field import PulseSpec, effective_area, elliptic_pulse, xi_per_intensity
 from rotorgrating.retrieval import FitProblem, kick_surface
 from rotorgrating.rotor import CO2, boltzmann_ensemble, suggest_j_max
@@ -17,9 +18,13 @@ from rotorgrating.rotor import CO2, boltzmann_ensemble, suggest_j_max
 CEILINGS = json.loads(Path(__file__).with_name("basis_ceilings.json").read_text())
 
 
-def test_every_workload_stays_within_its_basis_ceilings():
-    hot = boltzmann_ensemble(CO2, 293.0)
+def test_every_workload_stays_within_its_basis_ceilings(monkeypatch):
+    hot, jet = boltzmann_ensemble(CO2, 293.0), boltzmann_ensemble(CO2, 30.0)
     per_i = xi_per_intensity(CO2)
+    lattices = []  # validate's elliptic suite: its pump along x takes the chains
+    lattice = dynamics._lattice_propagation
+    monkeypatch.setattr(dynamics, "_lattice_propagation", lambda *args: lattices.append(args) or lattice(*args))
+    validation.suite_elliptic()
     reached = {
         # simulate at 293 K, 30 TW/cm^2, 0.1 ps: the unsized chain TDSE
         "simulate-tdse": {"chain_tdse_j_max": suggest_j_max(hot.j_thermal_max,
@@ -28,10 +33,14 @@ def test_every_workload_stays_within_its_basis_ceilings():
         "fit-series": {"surface_j_max": kick_surface(FitProblem(
             CO2, "perpendicular", bounds={"intensity": (5.0, 30.0), "temperature": (20.0, 150.0)},
             cache_quantum=1e-3)).j_max},
-        # validate's elliptic suite at 30 K and xi 0.5, and its regime scan
-        # at 293 K up to 80 TW/cm^2
-        "validate": {"lattice_j_max": dynamics.tail_j_max(boltzmann_ensemble(CO2, 30.0), effective_area(
-                         elliptic_pulse(0.5 / per_i, 1.0, 0.0), CO2), dynamics.LATTICE_START_TOL),
+        # validate's elliptic suite at 30 K and xi 0.5: the (2/3, 1/3) pump
+        # on the lattice, the pump along x on the chains; and its regime
+        # scan at 293 K up to 80 TW/cm^2
+        "validate": {"lattice_j_max": dynamics.tail_j_max(jet, effective_area(
+                         elliptic_pulse(0.5 / per_i, 2 / 3, 1 / 3), CO2), dynamics.LATTICE_START_TOL),
+                     "chain_tdse_j_max": suggest_j_max(jet.j_thermal_max, effective_area(
+                         elliptic_pulse(0.5 / per_i, 1.0, 0.0), CO2)),
+                     "elliptic_lattice_propagations": len(lattices),
                      "scan_j_max": dynamics.tail_j_max(hot, per_i * 80.0)},
     }
     assert reached.keys() == CEILINGS.keys()

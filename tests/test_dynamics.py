@@ -118,8 +118,9 @@ def test_second_order_population():
 
 
 def test_chain_drivers_require_y_polarization():
-    # the chains quantize along y: a pump along x is linear too, but its
-    # field-axis response is not the y trace, so only the lattice takes it
+    # these chains quantize along y: a pump along x is linear too, but its
+    # field-axis response is not the y trace, so only elliptic_tdse_ensemble
+    # takes it, on chains quantized along x
     along_x = elliptic_pulse(10.0, 1.0, 0.0)
     ens = boltzmann_ensemble(CO2, 30.0)
     with pytest.raises(ValueError, match="along y only.*use elliptic_tdse_ensemble"):
@@ -163,9 +164,7 @@ def test_jm_linear_kick_matches_chain():
     # b2 = 1 on the lattice (quantized along z) gives the thermal J-level
     # populations of the fixed-M chains (quantized along the field)
     ens = boltzmann_ensemble(CO2, 10.0)
-    lattice = elliptic_tdse_ensemble(
-        CO2, ens, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=24
-    )
+    lattice = dynamics._lattice_propagation(CO2, ens, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), 24)
     chain = tdse_ensemble(CO2, ens, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=24)
     assert np.max(np.abs(lattice.level_populations() - chain.level_populations())) < 1e-10
 
@@ -185,9 +184,8 @@ def test_tdse_approaches_sudden_for_short_pulse():
 
 
 def test_elliptic_tdse_reduces_to_linear():
-    we = elliptic_tdse_ensemble(
-        CO2, GROUND, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), j_max=14
-    )
+    # the lattice, which elliptic_tdse_ensemble keeps for elliptic pumps
+    we = dynamics._lattice_propagation(CO2, GROUND, elliptic_pulse(2.0, 0.0, 1.0, tau_fwhm_ps=0.05), 14)
     wl = tdse_ensemble(CO2, GROUND, PulseSpec(2.0, tau_fwhm_ps=0.05), j_max=14)
     assert np.max(np.abs(we.level_populations() - wl.level_populations())) < 1e-8
 

@@ -97,7 +97,7 @@ def test_one_loop_makes_every_propagated_set():
     assert makers == {("dynamics.py", ("_with_regrow",), "ChannelSet"),
                       ("dynamics.py", ("_with_regrow",), "unkicked")}
     assert schedules == {("dynamics.py", ("_chain_propagation", "kick")),
-                         ("dynamics.py", ("elliptic_tdse_ensemble", "kick"))}
+                         ("dynamics.py", ("_lattice_propagation", "kick"))}
     assert regrow_counts == []
 
 

@@ -4,6 +4,7 @@ temperature, kick strength and pulse length, the chain stepper and the
 lattice's groups, on one worker and on many, the warm chain cache, the revivals and the packed
 reductions of both routes over random molecules, the lattice's +-M mirror
 symmetry and reflection sectors, the tail bound that sizes the lattice,
+linear pumps on the chains about their field against the lattice,
 the regime scan and the fit's surface, the chain series split by thermal
 level, the fit's kick-strength surface against direct kicks, the fit's forward
 model against simulate's sudden pipeline, and the CLI's exit codes over
@@ -195,7 +196,7 @@ def test_packed_reductions_match_the_channels(b, delta_alpha, spins, temperature
     ens = boltzmann_ensemble(molecule, temperature)
     if lattice:
         pulse = elliptic_pulse(xi / xi_per_intensity(molecule, 0.1), a2, 1.0 - a2)
-        cs = dynamics.elliptic_tdse_ensemble(molecule, ens, pulse)
+        cs = dynamics._lattice_propagation(molecule, ens, pulse, None)
     else:
         cs = kick_ensemble(molecule, ens, xi)
     assert cs.kind == ("jm" if lattice else "chain")
@@ -329,23 +330,56 @@ def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
 @example(temperature=20.0, xi=3.0, a2=1.0)  # moved 3.3e-9 when sized to the edge contract, 1e-8
 @example(temperature=20.0, xi=0.1, a2=2 / 3)  # y suppressed
 @example(temperature=24.4, xi=0.1, a2=0.0)  # moved 1.3e-9 when sized to the edge contract, 1e-8
+@example(temperature=31.76, xi=4.0, a2=0.878)  # 1.12e-9 against the wide basis on its own 18 steps, not 17
 def test_bound_lattice_basis_holds_its_edge_and_traces(temperature, xi, a2):
     # the unsized lattice propagates at the tail bound of the sudden kick of
     # its xi (tail_j_max) at LATTICE_START_TOL, without regrowing, inside the
     # edge contract, and its traces match those at the fixed headroom of
     # suggest_j_max within 1e-9 of the larger axis peak: at A^2 near 2/3 the
-    # y trace stays near zero, and its own peak scales roundoff up to 7e-9
+    # y trace stays near zero, and its own peak scales roundoff up to 7e-9.
+    # The wide basis takes the narrow run's RKN steps, so that the traces
+    # differ by truncation alone, not by the step count's growth with j_max
     ens = boltzmann_ensemble(CO2, temperature)
     pulse = elliptic_pulse(xi / xi_per_intensity(CO2), a2, 1.0 - a2)
-    cs = elliptic_tdse_ensemble(CO2, ens, pulse)
+    cs = dynamics._lattice_propagation(CO2, ens, pulse, None)
     assert cs.j_max == dynamics.tail_j_max(ens, cs.xi, dynamics.LATTICE_START_TOL)
     assert cs.edge_leak() <= dynamics.EDGE_POPULATION_TOL
-    wide = elliptic_tdse_ensemble(CO2, ens, pulse, suggest_j_max(ens.j_thermal_max, cs.xi))
+    steps = dynamics._rkn_steps(pulse, CO2, cs.j_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_rkn_steps", lambda *args: steps)
+        wide = dynamics._lattice_propagation(CO2, ens, pulse, suggest_j_max(ens.j_thermal_max, cs.xi))
     times = revival_time_grid(CO2, 256, t_start=0.5)
     got, want = ([reconstruct(fourier_decompose(s, axis), times).values for axis in "xy"] for s in (cs, wide))
     peak = max(np.max(np.abs(w)) for w in want)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-9 * peak
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 40.0),
+       xi=st.floats(0.1, 6.0), tau=st.floats(0.05, 0.2), along_x=st.booleans())
+@example(molecule=CO2, temperature=30.0, xi=0.5, tau=0.1, along_x=True)  # validate's elliptic reference
+def test_linear_pumps_take_the_chains_about_their_field(molecule, temperature, xi, tau, along_x):
+    # a pump along x or y conserves M about its field, so elliptic_tdse_ensemble
+    # runs it on the chains quantized along that axis, unsized on
+    # suggest_j_max's basis within the edge contract.  On one explicit basis,
+    # so on the same RKN steps, its x, y and z traces are the lattice's
+    # within 1e-10 of their peak, and its level populations within 1e-10 of
+    # the total weight, 1
+    ens = boltzmann_ensemble(molecule, temperature)
+    a2 = float(along_x)
+    pulse = elliptic_pulse(xi / xi_per_intensity(molecule, tau), a2, 1.0 - a2, tau)
+    cs = elliptic_tdse_ensemble(molecule, ens, pulse)
+    assert (cs.kind, cs.field_axis) == ("chain", "x" if along_x else "y")
+    assert cs.j_max == suggest_j_max(ens.j_thermal_max, cs.xi)
+    assert cs.edge_leak() <= dynamics.EDGE_POPULATION_TOL
+    lattice = dynamics._lattice_propagation(molecule, ens, pulse, cs.j_max)
+    times = revival_time_grid(molecule, 256, t_start=0.5)
+    got, want = ([alignment_trace(s, axis, times).values for axis in "xyz"] for s in (cs, lattice))
+    peak = max(np.max(np.abs(w)) for w in want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-10 * peak
+    assert np.max(np.abs(cs.level_populations() - lattice.level_populations())) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -512,7 +546,7 @@ def test_budgets_bound_every_propagation_and_count_its_kicks(molecule, lattice, 
         mp.setattr(dynamics, "ChannelSet", counted_set)
         tracemalloc.start()
         try:
-            (elliptic_tdse_ensemble if lattice else tdse_ensemble)(molecule, ens, pulse)
+            (dynamics._lattice_propagation if lattice else tdse_ensemble)(molecule, ens, pulse, None)
         finally:
             tracemalloc.stop()
     assert len(runs) == len(counted) >= 1
@@ -568,11 +602,11 @@ def test_threaded_lattice_is_the_one_worker_lattice(molecule, temperature, xi, t
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_workers", lambda: 1)
-        one = elliptic_tdse_ensemble(molecule, ens, pulse)
+        one = dynamics._lattice_propagation(molecule, ens, pulse, None)
         mp.setattr(dynamics, "_workers", lambda: 3)
         sys.setswitchinterval(1e-5)
         try:
-            three = elliptic_tdse_ensemble(molecule, ens, pulse, one.j_max)
+            three = dynamics._lattice_propagation(molecule, ens, pulse, one.j_max)
         finally:
             sys.setswitchinterval(interval)
     assert np.array_equal(one.layout.sizes, three.layout.sizes)
