@@ -38,23 +38,24 @@ a (J-parity, M-parity) lattice group into single linear-algebra calls, one
 block per chain or group: an amplitude matrix with one column per channel.
 _group_channels groups them in the order their keys first appear, each
 group's channels in ensemble order.
-The reduction order is fixed, so reruns are bit-identical.  One loop,
-_with_regrow, makes every propagated set: a driver supplies only its layout
+The reduction order is fixed, so reruns are bit-identical.  One function,
+_propagate, makes every propagated set: a driver supplies only its layout
 at a j_max, its kick of a layout, its budgets at a j_max, the working set
-and the complex multiply-adds of its kicks, which each attempt checks
-against MAX_WORKING_SET_BYTES and MAX_KICK_WORK before it allocates, and
+and the complex multiply-adds of its kicks, which are checked against
+MAX_WORKING_SET_BYTES and MAX_KICK_WORK before anything is allocated, and
 the size of an unsized basis.  The kick strength is checked before any
-size is taken.  An unsized basis grows, at most MAX_REGROWS times, while
-the top two shells hold more than EDGE_POPULATION_TOL of the population.
-The chains start at suggest_j_max's fixed headroom.  The lattice, whose
-work grows about as j_max^4, starts at tail_j_max: a closed-form
-(Jacobi-Anger) bound on the population the sudden kick of the same xi
-leaves in the top two shells, summed over the thermal levels, which sizes
-a basis with no kick run; the lattice holds it to LATTICE_START_TOL, a
-hundredth of the edge contract, so a weak pulse's traces stay converged.
-observables.regime_scan and the fit's kick-strength surface take their
-bases from the same bound at EDGE_POPULATION_TOL, as explicit bases with
-no regrow.
+size is taken.  Every basis, sized or given, is a contract: one
+propagation, and a BasisTooSmallError if the top two shells then hold more
+than EDGE_POPULATION_TOL of the population.  The chains take suggest_j_max's
+fixed headroom, which a Dyson-series bound on their kicks shows to hold
+the edge for every xi.  The lattice, whose work grows about as j_max^4,
+takes tail_j_max: a closed-form (Jacobi-Anger) bound on the population the
+sudden kick of the same xi leaves in the top two shells, summed over the
+thermal levels, which sizes a basis with no kick run; the lattice holds it
+to LATTICE_START_TOL, a hundredth of the edge contract, so a weak pulse's
+traces stay converged.  observables.regime_scan and the fit's
+kick-strength surface take their bases from the same bound at
+EDGE_POPULATION_TOL.
 
 Every set is packed.  A BlockLayout holds the grouping, lays the n x k
 blocks end to end in one amplitude array, in C order, in group order, with
@@ -134,7 +135,6 @@ from .rotor import (
 )
 
 EDGE_POPULATION_TOL = 1e-8  # max weighted population allowed in the top two J shells
-MAX_REGROWS = 3  # times an unsized basis grows, each to int(1.5 j_max) + 10
 # Weighted population the tail bound lets the sudden kick of the same xi leave
 # at J >= j_max - 1 where an unsized lattice starts.  A pump polarized along x
 # or y reaches nearly as high as the kick, and a weak pulse's traces are small:
@@ -998,10 +998,10 @@ def tail_j_max(ensemble: ThermalEnsemble, xi: float, tol: float = EDGE_POPULATIO
     ValueError, as suggest_j_max does.
 
     The bound holds for the exact kick, not for its truncation to the basis
-    it sizes.  The lattice grows past it if its edge says so (_with_regrow);
-    observables.regime_scan and retrieval.kick_surface kick on its basis as
-    an explicit one, with no regrow, and raise BasisTooSmallError if the
-    truncated kick leaves more than EDGE_POPULATION_TOL there.
+    it sizes: the lattice, observables.regime_scan and
+    retrieval.kick_surface kick on its basis as on any other, and raise
+    BasisTooSmallError if the truncated kick leaves more than
+    EDGE_POPULATION_TOL there.
     """
     if not math.isfinite(4.0 * xi):
         raise ValueError(f"kick strength xi = {xi:.3g} is too large to size a basis: 4 xi is not finite")
@@ -1023,44 +1023,31 @@ def tail_j_max(ensemble: ThermalEnsemble, xi: float, tol: float = EDGE_POPULATIO
     return lo
 
 
-def _with_regrow(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
-                 layout_at, kick, budgets, size, axis: str = "y") -> ChannelSet:
-    """The ensemble's ChannelSet at reference_time on the first basis tried
-    whose top two J shells hold at most EDGE_POPULATION_TOL of its weighted
-    population.
+def _propagate(molecule: MoleculeSpec, ensemble: ThermalEnsemble, xi: float, reference_time: float, j_max,
+               layout_at, kick, budgets, size, axis: str = "y") -> ChannelSet:
+    """The ensemble's ChannelSet at reference_time on one basis, a contract
+    whether sized or given.
 
-    The one place a propagated set is made and a basis grows.  The kick
-    strength is checked first (check_strengths), so no sizing sees one that
-    is negative or not finite.  An explicit j_max is a contract (_on_basis);
-    an unsized basis starts at size(ensemble, xi) and grows up to
-    MAX_REGROWS times, each to int(1.5 j_max) + 10.  An attempt at j_max
-    checks budgets(j_max), the bytes it allocates and the complex
-    multiply-adds of its kicks, before anything is allocated
-    (_check_budgets); builds layout_at(j_max); leaves every column on its
-    origin for a zero kick, else takes kick(layout)'s packed amplitudes; and
-    reads the edge, which a zero kick leaves empty.  A set of chains
-    quantizes M along `axis`.
+    The one place a propagated set is made.  The kick strength is checked
+    first (check_strengths), so no sizing sees one that is negative or not
+    finite; an unsized basis takes j_max = size(ensemble, xi).  Either basis
+    then takes _on_basis's checks, budgets(j_max) among them, the bytes it
+    allocates and the complex multiply-adds of its kicks, before anything
+    is allocated; builds layout_at(j_max); leaves every column on its origin
+    for a zero kick, else takes kick(layout)'s packed amplitudes; and holds
+    the edge, which a zero kick leaves empty, to EDGE_POPULATION_TOL.  A set
+    of chains quantizes M along `axis`.
     """
     if j_max is None:
         check_strengths(xi)
-        j_max, edge = size(ensemble, xi), None
-    else:
-        edge = _on_basis(ensemble, j_max, budgets, xi)
-    for regrow in range(MAX_REGROWS + 1):
-        if edge is None:
-            _check_budgets(j_max, budgets)
-        layout = layout_at(j_max)
-        amps = layout.unkicked() if xi == 0.0 else kick(layout)
-        cs = ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
-                        ensemble.weights[layout.order], amps, axis)
-        leak = 0.0 if xi == 0.0 else cs.edge_leak()
-        if edge is not None:
-            edge(leak)  # raises past the contract
-        if edge is not None or leak <= EDGE_POPULATION_TOL:
-            return cs
-        if regrow < MAX_REGROWS:
-            j_max = int(j_max * 1.5) + 10
-    raise BasisTooSmallError(f"norm leak persists after regrowing j_max to {j_max}")
+        j_max = size(ensemble, xi)
+    edge = _on_basis(ensemble, j_max, budgets, xi)
+    layout = layout_at(j_max)
+    amps = layout.unkicked() if xi == 0.0 else kick(layout)
+    cs = ChannelSet(molecule, ensemble.temperature, reference_time, j_max, xi, layout,
+                    ensemble.weights[layout.order], amps, axis)
+    edge(0.0 if xi == 0.0 else cs.edge_leak())
+    return cs
 
 
 def _kick_count(pulse: PulseSpec | None, molecule: MoleculeSpec, j_max: int) -> int:
@@ -1085,7 +1072,7 @@ def _layout_bytes(sizes: list) -> int:
     cache's key (48 B); per block its keys, size, count and bounds and at
     most one entry of the run table, 12 ints (576 B); the eigensolver's
     copies of the _workers() largest chains, which the workers may hold at
-    once; and 16 kB that an attempt of any size takes, in Python objects,
+    once; and 16 kB that a propagation of any size takes, in Python objects,
     array headers and numpy's iterators (at most 10 kB measured on one
     chain of one column)."""
     return (sum(8 * n * n + 4 * n * k + 40 * n + 48 * k + 576 for n, k in sizes)
@@ -1108,11 +1095,11 @@ def _kick_bytes(sizes: list, nodes: int, running: int) -> int:
 
 
 def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None, axis="y"):
-    """ChannelSet of one block per (|M|, parity) chain, grown by _with_regrow
-    from suggest_j_max's basis on channels grouped once: the sudden kick of
-    xi without a pulse, else the pulse's RKN schedule (_rkn_schedule), its
-    kick times measured from reference_time.  The chains quantize M along
-    the field, the lab axis `axis`.
+    """ChannelSet of one block per (|M|, parity) chain, made by _propagate
+    on j_max or suggest_j_max's basis, on channels grouped once: the sudden
+    kick of xi without a pulse, else the pulse's RKN schedule
+    (_rkn_schedule), its kick times measured from reference_time.  The
+    chains quantize M along the field, the lab axis `axis`.
     """
     chains = _chains(ensemble)
 
@@ -1163,9 +1150,9 @@ def _chain_propagation(molecule, ensemble, xi, j_max, reference_time, pulse=None
             total += sum(stacks[-running:]) + 48 * kicks
         return total, kicks * sum(n * n * k for n, k in sizes)
 
-    return _with_regrow(molecule, ensemble, xi, reference_time, j_max,
-                        lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets,
-                        lambda ensemble, xi: suggest_j_max(ensemble.j_thermal_max, xi), axis)
+    return _propagate(molecule, ensemble, xi, reference_time, j_max,
+                      lambda j_max: _chain_layout(ensemble, j_max, chains), kick, budgets,
+                      lambda ensemble, xi: suggest_j_max(ensemble.j_thermal_max, xi), axis)
 
 
 def kick_ensemble(
@@ -1179,7 +1166,8 @@ def kick_ensemble(
 
     The chain stepper's zero-width step, one kick of G = xi with no free
     phase: each (|M0|, parity) block's amplitude matrix is the kick
-    unitary's columns at its origins.  A norm-leak guard regrows j_max.
+    unitary's columns at its origins.  The edge of the basis, sized or
+    given, is held to EDGE_POPULATION_TOL.
     """
     return _chain_propagation(molecule, ensemble, xi, j_max, reference_time)
 
@@ -1338,5 +1326,5 @@ def _lattice_propagation(molecule, ensemble, pulse, j_max) -> ChannelSet:
             work += k * (half * half + (n - half) ** 2)
         return kept + sum(sorted(running)[-_workers():]) + 48 * kicks, kicks * work
 
-    return _with_regrow(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
-                        lambda ensemble, xi: tail_j_max(ensemble, xi, LATTICE_START_TOL))
+    return _propagate(molecule, ensemble, xi, pulse.t0_ps, j_max, layout_at, kick, budgets,
+                      lambda ensemble, xi: tail_j_max(ensemble, xi, LATTICE_START_TOL))

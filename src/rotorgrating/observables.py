@@ -324,9 +324,8 @@ def regime_scan(
     are properties of the kicked-rotor model itself) with j_max pinned at the
     largest intensity by the tail bound of its kick (dynamics.tail_j_max),
     which sizes the basis with no kick run, so every point is a kick on one
-    explicit basis, with no regrow (a truncated kick that leaks past the
-    edge contract raises BasisTooSmallError), and all share one chain
-    layout.  Log-log slopes of C are fitted on 2-20 and 40-80 TW/cm^2, and
+    explicit basis (a truncated kick that leaks past the edge contract
+    raises BasisTooSmallError), and all share one chain layout.  Log-log slopes of C are fitted on 2-20 and 40-80 TW/cm^2, and
     of max-C below the saturation knee at 30 TW/cm^2.  At least 3 distinct
     intensities, all finite and positive, are required.
     """

@@ -49,7 +49,7 @@ def dense_operator(triplets, n: int) -> np.ndarray:
 
 
 class Propagation(NamedTuple):
-    """One propagation the basis loop ran: its ensemble, the memory traced
+    """One propagation dynamics._propagate ran: its ensemble, the memory traced
     before it, its traced peak, the working-set estimate checked just before
     it, at its j_max, and its result."""
 
@@ -62,30 +62,30 @@ class Propagation(NamedTuple):
 
 def trace_propagations(monkeypatch) -> tuple[list, list]:
     """(estimates, propagations): every working-set estimate the drivers
-    check, and a Propagation for every attempt their one basis loop,
-    dynamics._with_regrow, makes, in order: from its layout's build to its
+    check, and a Propagation for every set their one maker,
+    dynamics._propagate, makes, in order: from its layout's build to its
     ChannelSet.  Memory is traced only while tracemalloc is."""
     estimates, propagations = [], []
-    check, regrow, channel_set = dynamics.check_working_set, dynamics._with_regrow, dynamics.ChannelSet
-    attempt = {}  # the running attempt's ensemble and the memory held before it
+    check, propagate, channel_set = dynamics.check_working_set, dynamics._propagate, dynamics.ChannelSet
+    running = {}  # the running propagation's ensemble and the memory held before it
     monkeypatch.setattr(dynamics, "check_working_set",
                         lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
 
-    def traced_regrow(molecule, ensemble, xi, reference_time, j_max, layout_at, kick, *args, **kwargs):
+    def traced_propagate(molecule, ensemble, xi, reference_time, j_max, layout_at, kick, *args, **kwargs):
         def traced_layout(j_max):
-            attempt.update(ensemble=ensemble, before=tracemalloc.get_traced_memory()[0])
+            running.update(ensemble=ensemble, before=tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
             return layout_at(j_max)
 
-        return regrow(molecule, ensemble, xi, reference_time, j_max, traced_layout, kick, *args, **kwargs)
+        return propagate(molecule, ensemble, xi, reference_time, j_max, traced_layout, kick, *args, **kwargs)
 
     def traced_set(*fields):
         cs = channel_set(*fields)
-        propagations.append(Propagation(attempt["ensemble"], attempt["before"],
+        propagations.append(Propagation(running["ensemble"], running["before"],
                                         tracemalloc.get_traced_memory()[1], estimates[-1], cs))
         return cs
 
-    monkeypatch.setattr(dynamics, "_with_regrow", traced_regrow)
+    monkeypatch.setattr(dynamics, "_propagate", traced_propagate)
     monkeypatch.setattr(dynamics, "ChannelSet", traced_set)
     return estimates, propagations
 

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import trace_propagations
 from rotorgrating import cli, dynamics, observables, rotor
 from rotorgrating.cli import (
     EXIT_CONFIG,
@@ -524,6 +525,22 @@ def test_fourier_basis_too_small_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, doc", [("simulate", SIM_BASE), ("fourier", FOURIER_ELLIPTIC)],
+                         ids=["simulate", "fourier_elliptic"])
+def test_an_unsized_basis_whose_edge_leaks_exits_3(tmp_path, monkeypatch, capsys, subcommand, doc):
+    # an unsized basis is a contract, as an explicit one is: one
+    # propagation, and a leaking edge is a numerical failure naming its basis
+    monkeypatch.setattr(dynamics.ChannelSet, "edge_leak", lambda self: 1.0)
+    _, propagations = trace_propagations(monkeypatch)
+    cfg = _cfg(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    (run,) = propagations
+    assert capsys.readouterr().err == (f"numerical failure: kick populates the basis edge at "
+                                       f"j_max={run.cs.j_max}; enlarge j_max\n")
+    assert not out.exists()
+
+
 def test_fourier_elliptic_needs_tdse(tmp_path, capsys):
     cfg = _cfg(tmp_path, {
         "molecule": "CO2", "temperature_K": 10.0, "intensity_tw_cm2": 1.0,
@@ -651,8 +668,8 @@ def test_fourier_elliptic_beyond_working_set_budget(tmp_path, monkeypatch, no_pr
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_working_set_budget_at_the_measured_basis(tmp_path, monkeypatch, no_propagation,
-                                                                          capsys):
+def test_fourier_elliptic_beyond_working_set_budget_at_the_bound_basis(tmp_path, monkeypatch, no_propagation,
+                                                                       capsys):
     # 30 K fits at J_thermal_max = 26 (4.2 MB), but the tail bound of the
     # kick at 400 TW/cm^2 sizes the lattice at j_max 276, where it needs
     # ~9.4 GB: rejected before any kick runs.  One worker keeps the estimate
@@ -678,7 +695,7 @@ def test_fourier_elliptic_beyond_kick_work_budget(tmp_path, no_propagation, caps
     assert not out.exists()
 
 
-def test_fourier_elliptic_beyond_kick_work_budget_at_the_measured_basis(tmp_path, no_propagation, capsys):
+def test_fourier_elliptic_beyond_kick_work_budget_at_the_bound_basis(tmp_path, no_propagation, capsys):
     # 100 K fits both budgets at J_thermal_max = 50, and at the basis the
     # tail bound of the kick at 140 TW/cm^2 takes, 142, the memory budget on
     # any number of workers, but not the kick work
@@ -1254,7 +1271,8 @@ def test_molecule_library_env_var(tmp_path, monkeypatch, capsys):
     ({"path": True}, "'molecule': 'path' must be a string, got True"),
     # w > 0 is false for NaN: every even J level would drop out unseen
     ({**N2, "g_even": math.nan}, "'molecule': g_even must be finite, got nan"),
-    # each regrow would leave the edge populated: exit 3 after three
+    # an infinite weight would leave the populations nan: the edge check
+    # would exit 3 where the field is at fault
     ({**N2, "g_odd": math.inf}, "'molecule': g_odd must be finite, got inf"),
     ({**N2, "B_cm1": math.inf}, "'molecule': b_cm1 must be finite, got inf"),
     ({**N2, "delta_alpha_A3": math.nan}, "'molecule': delta_alpha_a3 must be finite, got nan"),

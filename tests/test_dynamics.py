@@ -40,6 +40,7 @@ from rotorgrating.rotor import (
     cos2theta_axis_matrix,
     cos2theta_diagonal,
     cos2theta_offdiag,
+    suggest_j_max,
 )
 
 GROUND = boltzmann_ensemble(CO2, 0.0)  # the single channel |0,0>
@@ -435,7 +436,7 @@ def test_elliptic_working_set_bounds_the_peak_allocation(monkeypatch):
 def test_linear_working_set_bounds_the_peak_allocation(monkeypatch):
     # the estimate counts every block's cached eigenvectors, result and gather
     # index, the layout's per-row, per-column and per-block arrays, 16 kB
-    # that an attempt of any size takes, the eigensolver's copies of as many
+    # that a propagation of any size takes, the eigensolver's copies of as many
     # of the largest chains as there are workers, each solving one chain at
     # a time, and the kick kernel's arrays on each run that runs at once:
     # its gathered eigenvector entries, its phases as they are built and its
@@ -709,31 +710,25 @@ def test_a_kick_that_is_not_finite_is_named_before_any_basis_is_sized(monkeypatc
         assert str(failure.value) == f"kick strength must be finite, got {strength}"
 
 
-def test_working_set_budget_checks_each_regrow(monkeypatch):
-    # a basis sized too small for the kick regrows once, from 30 to 55
-    monkeypatch.setattr(dynamics, "suggest_j_max", lambda j_thermal, xi: 30)
-    checks = []
-    check = dynamics.check_working_set
-    monkeypatch.setattr(dynamics, "check_working_set",
-                        lambda nbytes, what: checks.append((what, nbytes)) or check(nbytes, what))
-    ens = boltzmann_ensemble(CO2, 30.0)
-    assert kick_ensemble(CO2, ens, 3.0).j_max == 55
-    (_, small), (_, large) = checks
-    monkeypatch.setattr(dynamics, "MAX_WORKING_SET_BYTES", (small + large) / 2)
-    with pytest.raises(ValueError, match="j_max=55"):
-        kick_ensemble(CO2, ens, 3.0)
-
-
-def test_exhausted_regrows_name_the_largest_basis_tried(monkeypatch):
-    # every attempt leaks, so the unsized kick grows MAX_REGROWS times and
-    # then fails naming the last basis it built, not one grown past it
+def test_a_leaking_edge_fails_on_the_one_basis_sized(monkeypatch):
+    # an unsized basis is a contract, as an explicit one is: the sudden
+    # kick, the chain TDSE and the elliptic lattice each propagate once, on
+    # the basis their sizing rule gives, and name it when its edge leaks
     monkeypatch.setattr(dynamics.ChannelSet, "edge_leak", lambda self: 1.0)
-    _, propagations = trace_propagations(monkeypatch)
-    with pytest.raises(BasisTooSmallError) as failure:
-        kick_ensemble(CO2, boltzmann_ensemble(CO2, 30.0), 3.0)
-    tried = [p.cs.j_max for p in propagations]
-    assert len(tried) == dynamics.MAX_REGROWS + 1 and tried == sorted(set(tried))
-    assert str(failure.value) == f"norm leak persists after regrowing j_max to {tried[-1]}"
+    ens = boltzmann_ensemble(CO2, 30.0)
+    pulse, elliptic = PulseSpec(1.0), elliptic_pulse(1.0, 2 / 3, 1 / 3)
+    for propagate, j_max in (
+        (lambda: kick_ensemble(CO2, ens, 3.0), suggest_j_max(ens.j_thermal_max, 3.0)),
+        (lambda: tdse_ensemble(CO2, ens, pulse), suggest_j_max(ens.j_thermal_max, effective_area(pulse, CO2))),
+        (lambda: elliptic_tdse_ensemble(CO2, ens, elliptic),
+         dynamics.tail_j_max(ens, effective_area(elliptic, CO2), dynamics.LATTICE_START_TOL)),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            _, propagations = trace_propagations(mp)
+            with pytest.raises(BasisTooSmallError) as failure:
+                propagate()
+        assert [p.cs.j_max for p in propagations] == [j_max]
+        assert str(failure.value) == f"kick populates the basis edge at j_max={j_max}; enlarge j_max"
 
 
 def test_elliptic_ensemble_folded_weights():

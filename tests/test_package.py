@@ -49,8 +49,8 @@ def test_only_channels_reads_the_blocks_view():
 
 
 def test_one_loop_reads_the_basis_edge():
-    # every basis grows in dynamics._with_regrow alone: no other function of
-    # the package reads a propagated set's edge population to size a basis
+    # dynamics._propagate alone holds a propagated set's edge: no other
+    # function of the package reads its edge population to size a basis
     callers = set()
     for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -64,7 +64,7 @@ def test_one_loop_reads_the_basis_edge():
                        and node.func.attr == "edge_leak" and id(node) not in inner
                        for node in ast.walk(function)):
                     callers.add((path.name, getattr(function, "name", "<lambda>")))
-    assert callers == {("dynamics.py", "_with_regrow")}
+    assert callers == {("dynamics.py", "_propagate")}
 
 
 def _scoped_nodes(tree):
@@ -79,11 +79,11 @@ def _scoped_nodes(tree):
 
 
 def test_one_loop_makes_every_propagated_set():
-    # dynamics._with_regrow alone builds a ChannelSet or starts a set on its
-    # origins; a driver hands it a layout, a kick and budgets, and builds its
-    # RKN schedule inside its kick, not in a closure of its own; no caller
-    # sets a regrow count of its own
-    makers, schedules, regrow_counts = set(), set(), []
+    # dynamics._propagate alone builds a ChannelSet or starts a set on its
+    # origins, once, with no loop: every basis, sized or given, is one
+    # attempt.  A driver hands it a layout, a kick and budgets, and builds
+    # its RKN schedule inside its kick, not in a closure of its own
+    makers, schedules, loops = set(), set(), []
     for path in sorted(pathlib.Path(rotorgrating.__file__).parent.glob("*.py")):
         for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
@@ -92,13 +92,13 @@ def test_one_loop_makes_every_propagated_set():
                     makers.add((path.name, scope, name))
                 elif name == "_rkn_schedule":
                     schedules.add((path.name, scope))
-            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "max_regrow":
-                regrow_counts.append((path.name, scope))
-    assert makers == {("dynamics.py", ("_with_regrow",), "ChannelSet"),
-                      ("dynamics.py", ("_with_regrow",), "unkicked")}
+            elif isinstance(node, (ast.For, ast.While)) and scope == ("_propagate",):
+                loops.append(node.lineno)
+    assert makers == {("dynamics.py", ("_propagate",), "ChannelSet"),
+                      ("dynamics.py", ("_propagate",), "unkicked")}
     assert schedules == {("dynamics.py", ("_chain_propagation", "kick")),
                          ("dynamics.py", ("_lattice_propagation", "kick"))}
-    assert regrow_counts == []
+    assert loops == []
 
 
 # module-level names no module of the package reads and __all__ does not

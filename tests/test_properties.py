@@ -3,7 +3,8 @@ strength, the chain stepper's kick schedule over pulses, its step count over
 temperature, kick strength and pulse length, the chain stepper and the
 lattice's groups, on one worker and on many, the warm chain cache, the revivals and the packed
 reductions of both routes over random molecules, the lattice's +-M mirror
-symmetry and reflection sectors, the tail bound that sizes the lattice,
+symmetry and reflection sectors, the tail bound that sizes the lattice and
+the Dyson bound that holds the chains' edge at suggest_j_max's headroom,
 linear pumps on the chains about their field against the lattice,
 the regime scan and the fit's surface, the chain series split by thermal
 level, the fit's kick-strength surface against direct kicks, the fit's forward
@@ -20,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dense_operator, simulated_signal, trace_propagations
@@ -333,9 +335,9 @@ def test_reflection_sectors_split_the_lattice(j_max, j_parity, m_parity):
 @example(temperature=31.76, xi=4.0, a2=0.878)  # 1.12e-9 against the wide basis on its own 18 steps, not 17
 def test_bound_lattice_basis_holds_its_edge_and_traces(temperature, xi, a2):
     # the unsized lattice propagates at the tail bound of the sudden kick of
-    # its xi (tail_j_max) at LATTICE_START_TOL, without regrowing, inside the
-    # edge contract, and its traces match those at the fixed headroom of
-    # suggest_j_max within 1e-9 of the larger axis peak: at A^2 near 2/3 the
+    # its xi (tail_j_max) at LATTICE_START_TOL, inside the edge contract,
+    # and its traces match those at the fixed headroom of suggest_j_max
+    # within 1e-9 of the larger axis peak: at A^2 near 2/3 the
     # y trace stays near zero, and its own peak scales roundoff up to 7e-9.
     # The wide basis takes the narrow run's RKN steps, so that the traces
     # differ by truncation alone, not by the step count's growth with j_max
@@ -412,6 +414,32 @@ def test_tail_bound_holds_the_edge_and_the_measured_reach(molecule, temperature,
     reach = max(ens.j_thermal_max, int(np.count_nonzero(beyond > dynamics.EDGE_POPULATION_TOL)) + 1)
     assert reach <= bound
     assert dynamics.tail_j_max(ens, weaker * xi) <= bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(molecule=st.one_of(st.just(CO2), _RANDOM_MOLECULES), temperature=st.floats(0.0, 500.0),
+       xi=st.floats(0.0, 60.0), tau=st.floats(0.01, 1.0), sudden=st.booleans())
+@example(molecule=CO2, temperature=0.0, xi=2.25, tau=0.1, sudden=False)  # the bound's worst xi: 1.1e-9
+@example(molecule=CO2, temperature=0.0, xi=1.75, tau=0.1, sudden=True)  # and the sudden kick's: 8.9e-11
+def test_chain_headroom_holds_the_edge_for_every_kick(molecule, temperature, xi, tau, sudden):
+    # a chain kick of strength G, truncated or not, is e^{i G / 2} e^{i G A}
+    # with A = cos^2 theta - 1/2, of norm at most 1/2, moving J by at most 2,
+    # and free flows keep every J's population.  So the Dyson series of the
+    # kicks G_k reaches J >= j_max - 1 from a level J0 only in its terms of
+    # order N = ceil((j_max - 1 - J0) / 2) and more, whose norms add to at
+    # most sum_{m >= N} x^m / m! = e^x P(N, x), x = sum |G_k| / 2.  On
+    # suggest_j_max's basis that bound, squared and weighted by the levels'
+    # populations, holds the edge contract for the sudden kick (sum |G| =
+    # xi) and for the RKN schedule (about 1.156 xi, as b3 < 0), so no chain
+    # basis it sizes can leak
+    ens = boltzmann_ensemble(molecule, temperature)
+    j_max = suggest_j_max(ens.j_thermal_max, xi)
+    pulse = PulseSpec(xi / xi_per_intensity(molecule, tau), tau)
+    x = (xi if sudden else float(np.sum(np.abs(dynamics._rkn_schedule(pulse, molecule, j_max)[1])))) / 2.0
+    pops = np.bincount(ens.j0, weights=ens.weights)
+    levels = np.flatnonzero(pops)
+    tail = np.exp(x) * scipy.special.gammainc(np.ceil((j_max - 1.0 - levels) / 2.0), x)
+    assert pops[levels] @ np.minimum(tail, 1.0) ** 2 <= dynamics.EDGE_POPULATION_TOL
 
 
 def _direct_decomposition(problem: FitProblem, key: tuple[int, int]):
@@ -549,9 +577,9 @@ def test_budgets_bound_every_propagation_and_count_its_kicks(molecule, lattice, 
             (dynamics._lattice_propagation if lattice else tdse_ensemble)(molecule, ens, pulse, None)
         finally:
             tracemalloc.stop()
-    assert len(runs) == len(counted) >= 1
-    if lattice:  # one attempt, at the tail bound, holds the edge
-        assert [run.cs.j_max for run in runs] == [dynamics.tail_j_max(ens, runs[0].cs.xi, dynamics.LATTICE_START_TOL)]
+    assert len(runs) == len(counted) == 1  # one propagation, on the sizing rule's basis
+    assert runs[0].cs.j_max == (dynamics.tail_j_max(ens, runs[0].cs.xi, dynamics.LATTICE_START_TOL) if lattice
+                                else suggest_j_max(ens.j_thermal_max, runs[0].cs.xi))
     for run, (work, kicks) in zip(runs, counted):
         assert run.peak - run.before <= run.estimate
         lay = run.cs.layout
